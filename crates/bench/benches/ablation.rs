@@ -1,9 +1,9 @@
 //! Ablation microbenchmarks for the design choices DESIGN.md calls out:
-//! SIMD chunk gating, packed vs unpacked tuples at different degree
-//! regimes, AMG smoother choice, and strength-filtered vs raw aggregation.
+//! packed vs unpacked tuples at different degree regimes, AMG smoother
+//! choice, and strength-filtered vs raw aggregation.
 
 use mis2_bench::criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mis2_core::{mis2_with_config, Mis2Config, SimdMode};
+use mis2_core::{mis2_with_config, Mis2Config};
 use mis2_graph::gen;
 
 fn bench_ablation(c: &mut Criterion) {
@@ -22,29 +22,12 @@ fn bench_ablation(c: &mut Criterion) {
         for (label, packed) in [("unpacked", false), ("packed", true)] {
             let cfg = Mis2Config {
                 packed,
-                simd: SimdMode::Off,
                 ..Default::default()
             };
             group.bench_with_input(BenchmarkId::new(label, name), g, |b, g| {
                 b.iter(|| mis2_with_config(g, &cfg))
             });
         }
-    }
-
-    // SIMD gating: forced on vs auto vs off on a high-degree graph.
-    let g = gen::elasticity3d(8, 8, 8, 3);
-    for (label, simd) in [
-        ("simd_off", SimdMode::Off),
-        ("simd_auto", SimdMode::Auto),
-        ("simd_on", SimdMode::On),
-    ] {
-        let cfg = Mis2Config {
-            simd,
-            ..Default::default()
-        };
-        group.bench_with_input(BenchmarkId::new(label, "elasticity"), &g, |b, g| {
-            b.iter(|| mis2_with_config(g, &cfg))
-        });
     }
 
     // AMG smoother choice.

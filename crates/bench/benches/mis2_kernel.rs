@@ -1,24 +1,27 @@
-//! Kernel-level A/B of the adaptive MIS-2 engine against the frozen seed
-//! engine ([`mis2_core::reference`]) — the pre-PR implementation kept
-//! verbatim for exactly this comparison.
+//! Kernel-level A/B of the MIS-2 engine against the frozen seed engine
+//! ([`mis2_core::reference`]), kept for exactly this comparison.
 //!
 //! Three graph classes × pool sizes {1, 4, 8}:
 //!
-//! * `laplace3d` — bounded-degree mesh. The adaptive layer must be free
-//!   here (single flat class, no partition): acceptance is **≤ 3%**
-//!   regression.
-//! * `erdos_renyi` — concentrated degrees near the small/medium border;
-//!   same ≤ 3% bound.
-//! * `rmat` — power-law. The seed engine serializes whole scheduler
-//!   blocks behind hub rows (its per-vertex `SIMD_MIN_DEGREE` branch runs
-//!   a *nested* reduction, which the execution layer runs serially on one
-//!   worker); the bucketed dispatch runs hub rows team-wide at top level.
-//!   Acceptance: **≥ 1.3×** end-to-end at 8 threads.
+//! * `laplace3d` — bounded-degree mesh;
+//! * `erdos_renyi` — concentrated degrees;
+//! * `rmat` — power-law: the hub of the largest graph here
+//!   (`rmat(18, 16, .65, ...)`) has degree 24 919 and sits in an ordinary
+//!   4096-vertex block next to degree-1 leaves, so this is where a block
+//!   decomposition that load-balances badly would show.
+//!
+//! Both engines iterate every row serially (the seed's chunked reduction
+//! of rows ≥ 512 is nested in a region, which the pool runs serially), so
+//! what the cells compare is the seed's separate decide / count / compact /
+//! refresh sweeps against the engine's two fused passes. Acceptance is one
+//! number: the worst regression over **all** cells, target **≤ 3%**. Cells
+//! with `pool > host_cpus` measure pool overhead, not parallel speedup;
+//! they are marked `"oversubscribed": true` in the JSON and a note is
+//! printed whenever there is one.
 //!
 //! Every timed pair also asserts the two engines' results are equal, so
 //! the bench doubles as an equivalence smoke test — including under the
-//! CI `taskset -c 0` leg, which pins to one CPU and proves the serial
-//! tail path end to end.
+//! CI `taskset -c 0` leg, which pins to one CPU.
 //!
 //! Output: per-cell ns/round and speedup on stdout, and the full matrix
 //! as `BENCH_kernel.json` (override the path with `BENCH_KERNEL_JSON=`)
@@ -87,29 +90,24 @@ fn host_cpus() -> usize {
         .unwrap_or(1)
 }
 
-fn write_json(
-    cells: &[Cell],
-    quick: bool,
-    rmat_p8: f64,
-    mesh_worst_pct: f64,
-) -> std::io::Result<String> {
+fn write_json(cells: &[Cell], quick: bool, worst_pct: f64) -> std::io::Result<String> {
     let path =
         std::env::var("BENCH_KERNEL_JSON").unwrap_or_else(|_| "BENCH_kernel.json".to_string());
-    let mut out = String::from("{\n  \"bench\": \"mis2_kernel\",\n  \"schema\": 1,\n");
+    let mut out = String::from("{\n  \"bench\": \"mis2_kernel\",\n  \"schema\": 2,\n");
     out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"host_cpus\": {},\n", host_cpus()));
-    out.push_str(&format!("  \"speedup_rmat_pool8\": {rmat_p8:.3},\n"));
-    out.push_str(&format!(
-        "  \"mesh_worst_regression_pct\": {mesh_worst_pct:.2},\n"
-    ));
+    let cpus = host_cpus();
+    out.push_str(&format!("  \"host_cpus\": {cpus},\n"));
+    out.push_str(&format!("  \"worst_regression_pct\": {worst_pct:.2},\n"));
     out.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"graph\": \"{}\", \"pool\": {}, \"ref_ms\": {:.3}, \"engine_ms\": {:.3}, \
+            "    {{\"graph\": \"{}\", \"pool\": {}, \"oversubscribed\": {}, \
+             \"ref_ms\": {:.3}, \"engine_ms\": {:.3}, \
              \"ns_per_round_ref\": {:.0}, \"ns_per_round_engine\": {:.0}, \
              \"speedup\": {:.3}, \"iterations\": {}}}{}\n",
             c.graph,
             c.pool,
+            c.pool > cpus,
             c.ref_ms,
             c.engine_ms,
             c.ns_per_round_ref,
@@ -139,12 +137,8 @@ fn main() {
             });
             assert_eq!(want, want2, "seed engine nondeterministic on {name}");
             let (eng_s, got) = best_of(reps, || with_pool(pool, || mis2_with_config(&g, &cfg)));
-            // Equivalence gate: a fast wrong kernel is worthless. Under the
-            // CI 1-CPU taskset leg this asserts the serial tail path too.
-            assert_eq!(
-                got, want,
-                "adaptive engine diverges on {name} at pool {pool}"
-            );
+            // Equivalence gate: a fast wrong kernel is worthless.
+            assert_eq!(got, want, "engine diverges on {name} at pool {pool}");
 
             let rounds = want.iterations.max(1) as f64;
             let cell = Cell {
@@ -158,7 +152,7 @@ fn main() {
                 iterations: want.iterations,
             };
             println!(
-                "mis2_kernel/{name}/p{pool}: seed {:.3} ms, adaptive {:.3} ms, \
+                "mis2_kernel/{name}/p{pool}: seed {:.3} ms, engine {:.3} ms, \
                  {:.0} -> {:.0} ns/round, speedup {:.2}x ({} rounds)",
                 cell.ref_ms,
                 cell.engine_ms,
@@ -171,37 +165,28 @@ fn main() {
         }
     }
 
-    let get = |graph: &str, pool: usize| {
-        cells
-            .iter()
-            .find(|c| c.graph == graph && c.pool == pool)
-            .map(|c| c.speedup)
-            .unwrap()
-    };
-    let rmat_p8 = get("rmat", 8);
-    // Worst regression across every mesh/uniform cell (all pools):
-    // positive = slower than the seed engine.
-    let mesh_worst_pct = cells
+    // Worst regression across every cell: positive = slower than the seed
+    // engine.
+    let regression_pct = |c: &Cell| (1.0 / c.speedup - 1.0) * 100.0;
+    let worst = cells
         .iter()
-        .filter(|c| c.graph != "rmat")
-        .map(|c| (1.0 / c.speedup - 1.0) * 100.0)
-        .fold(f64::NEG_INFINITY, f64::max);
+        .max_by(|a, b| regression_pct(a).total_cmp(&regression_pct(b)))
+        .expect("at least one cell");
+    let worst_pct = regression_pct(worst);
     println!(
-        "mis2_kernel/acceptance: rmat pool-8 speedup {rmat_p8:.2}x (target >= 1.3x), \
-         mesh/uniform worst regression {mesh_worst_pct:+.2}% (target <= 3%)"
+        "mis2_kernel/acceptance: worst regression over all cells {worst_pct:+.2}% \
+         ({}/p{}, target <= 3%)",
+        worst.graph, worst.pool
     );
-    if host_cpus() < 2 {
-        // The pool-8 cells measure thread-pool overhead, not parallelism,
-        // when the host has one hardware thread; the speedup target
-        // presumes >= 8 cores. The p1 cells (serial fused-pass wins) are
-        // the meaningful comparison on such hosts.
+    let cpus = host_cpus();
+    if POOLS.iter().any(|&p| p > cpus) {
         println!(
-            "mis2_kernel/note: host has 1 CPU — multi-thread cells cannot show parallel \
-             speedup; see the pool-1 cells for the fused-pass win"
+            "mis2_kernel/note: host has {cpus} CPU(s) — cells with pool > {cpus} are \
+             oversubscribed: they measure pool overhead, not parallel speedup"
         );
     }
 
-    match write_json(&cells, quick, rmat_p8, mesh_worst_pct) {
+    match write_json(&cells, quick, worst_pct) {
         Ok(path) => println!("mis2_kernel/json: wrote {path}"),
         Err(e) => eprintln!("mis2_kernel/json: write failed: {e}"),
     }

@@ -23,12 +23,12 @@
 //! triggers on degenerate graphs (isolated vertices, tiny components) and
 //! keeps the partition total.
 //!
-//! Both MIS-2 calls run on the engine's adaptive execution layer
-//! (degree-bucketed dispatch, fused per-round passes, serial sparse tail —
-//! see [`mis2_core::engine`]); the phase-2 call in particular benefits,
-//! since the induced unaggregated subgraph is small and its rounds hit the
-//! engine's sparse-tail fast path. Aggregation output is byte-identical to
-//! the seed engine's because the engine itself is.
+//! Both MIS-2 calls run on the engine's two fused per-round passes (see
+//! [`mis2_core::engine`]); the phase-2 call in particular benefits, since
+//! the induced unaggregated subgraph is small and a worklist of at most
+//! one dispatch block runs inline with no region wake-up. Aggregation
+//! output is byte-identical to the seed engine's because the engine
+//! itself is.
 
 use crate::agg::{Aggregation, UNAGGREGATED};
 use mis2_core::{mis2_with_config, Mis2Config};
@@ -284,9 +284,8 @@ mod tests {
 
     #[test]
     fn covers_powerlaw_and_deterministic() {
-        // R-MAT exercises the engine's degree-bucketed dispatch underneath
-        // the aggregation: hub-heavy phase 1, then a sparse phase-2
-        // subgraph that lands on the serial tail path.
+        // R-MAT under the aggregation: hub-heavy phase 1, then a sparse
+        // phase-2 subgraph whose lists are a single inline block.
         let g = gen::rmat(11, 8, 0.6, 0.2, 0.1, 42);
         let a = mis2_aggregation(&g);
         a.validate(&g).unwrap();

@@ -1,15 +1,19 @@
-//! Algorithm 1 — the parallel, deterministic MIS-2 engine, on an adaptive
-//! execution layer.
+//! Algorithm 1 — the parallel, deterministic MIS-2 engine.
 //!
 //! This is the paper's primary contribution: a distance-2 maximal
-//! independent set computed in expected `O(log V)` rounds, with four
+//! independent set computed in expected `O(log V)` rounds, with three
 //! independently-togglable optimizations (so the Figure 2 ablation ladder
-//! can be reproduced exactly):
+//! can be reproduced):
 //!
 //! 1. fresh xorshift\* priorities each iteration ([`PriorityScheme`]);
 //! 2. worklists compacted by parallel scans ([`Mis2Config::use_worklists`]);
-//! 3. packed single-word status tuples ([`Mis2Config::packed`]);
-//! 4. "SIMD" (neighbor-parallel) inner loops ([`SimdMode`]).
+//! 3. packed single-word status tuples ([`Mis2Config::packed`]).
+//!
+//! The paper's fourth step (Section V-D, "SIMD") maps the neighbors of one
+//! vertex onto GPU vector lanes. It has no counterpart here: on a CPU team
+//! the per-vertex loop is already the inner loop of a worker, and the seed
+//! engine's CPU form of it was a reduction nested inside a parallel region,
+//! which the pool runs serially. The engine iterates neighbors serially.
 //!
 //! ## Structure of one iteration (paper lines 9-35)
 //!
@@ -33,65 +37,40 @@
 //! own contribution; without it two *adjacent* vertices could both enter
 //! the set.
 //!
-//! ## Execution strategy
+//! ## Execution: one flat worklist per phase, two fused passes per round
 //!
-//! Degrees never change, so both worklists are split **once** into three
-//! static degree classes (an order-preserving [`mis2_prim::bucket::partition_by`]
-//! split; compaction then filters each class list independently, which is
-//! sound because worklists are *sets* — no phase observes their order).
-//! Each class runs the strategy that fits its row size, replacing the seed
-//! engine's graph-global `avg_degree >= 16` gate and per-vertex
-//! `SIMD_MIN_DEGREE` branch; on power-law graphs this stops whole scheduler
-//! blocks from serializing behind one hub row:
-//!
-//! | class  | degree range          | dispatch                | inner loop                    |
-//! |--------|-----------------------|-------------------------|-------------------------------|
-//! | small  | `< 128`               | blocks of 4096 vertices | serial                        |
-//! | medium | `128 .. 2^17`         | blocks of 32 vertices   | serial                        |
-//! | huge   | `>= 2^17`             | serial over vertices    | team-wide `chunked_reduce`    |
-//!
-//! The class split itself only happens when `max_degree >= 128`; meshes and
-//! other low-variance graphs keep a single flat class and pay nothing. A
-//! class whose list fits a single dispatch block runs inline — one block
-//! would execute as one task anyway, so the region wake-up is pure waste.
-//! [`SimdMode`] still gates neighbor parallelism: `Off` forces serial inner
-//! loops everywhere (huge rows are then dispatched one-per-task instead of
-//! team-wide), while `On`/`Auto` use the adaptive table above. All
-//! strategies are bitwise-identical: per-vertex phases are pure maps with
-//! disjoint writes, and the tuple `min` / decide reductions are invariant
-//! under any chunk decomposition.
-//!
-//! ## Fused per-round epilogue
+//! A round is `column_pass(worklist2)` then `decide_pass(worklist1)`. Both
+//! have the same shape: blocks of [`GRAIN`] worklist entries go to the pool;
+//! each block writes its vertices' new tuples, one keep flag per entry and
+//! one count per block; an exclusive scan of the block counts then places
+//! each block's survivors in the compacted list (`scatter_kept`).
 //!
 //! The seed engine issued separate sweeps for Decide, the two
 //! `newly_in`/`newly_out` counts, worklist compaction and the next round's
-//! Refresh Row. Here each class does one **decide pass** (decide + classify
-//! into keep/in/out flags + per-block counts + inline Refresh Row for
-//! survivors) and one **scatter pass** (exclusive scan of the keep counts →
-//! compacted worklist), and Refresh Column likewise classifies
-//! `worklist2` survivors in its own pass. Fusion invariants: Decide reads
-//! only `M` (all column passes complete first) and slot `T[v]` itself, so
-//! writing the survivor's fresh tuple for round `i+1` inside the decide
-//! pass races with nothing; the final round has no survivors, so nothing
-//! is refreshed — exactly the seed ordering. In no-worklist mode the same
-//! per-block reductions yield `newly_in`/`newly_out` directly and the
-//! undecided count is carried between rounds, eliminating the seed's two
-//! extra full-array `par::count` sweeps per round.
+//! Refresh Row. `decide_pass` does all of it in one sweep: decide, classify
+//! into keep/in/out, count per block, and write the survivor's fresh tuple
+//! for round `i+1`. Fusion invariants: Decide reads only `M` (the column
+//! pass has completed) and slot `T[v]` itself, so writing the survivor's
+//! fresh tuple inside the pass races with nothing; the final round has no
+//! survivors, so nothing is refreshed — exactly the seed ordering. Without
+//! worklists ([`Mis2Config::use_worklists`] `= false`) the same two passes
+//! run over the full vertex list every round, skip decided vertices on
+//! read and skip the scatter; the per-block counts still yield
+//! `newly_in`/`newly_out`, so no full-array count is ever needed.
 //!
-//! ## Sparse-tail fast path
-//!
-//! The undecided frontier shrinks geometrically (Blelloch, Fineman & Shun),
-//! so late rounds are dominated by parallel-region dispatch, not work. Once
-//! `|worklist1| + |worklist2| <= 2048` (or `|V| <= 2048` in no-worklist
-//! mode, where sweeps never shrink), the whole round runs serially inline —
-//! no region wake-ups at all. The cutoff depends only on list lengths,
-//! which are pool-independent, so the tail path cannot break determinism.
+//! There is no separate path for the late, sparse rounds. The undecided
+//! frontier shrinks geometrically (Blelloch, Fineman & Shun), so late
+//! rounds would be dominated by region dispatch — but the pool clamps a
+//! region's team to its block count (`mis2_prim::pool::run_region_on`), so
+//! a list of at most [`GRAIN`] entries is one block and runs inline on the
+//! caller with no wake-up. The block decomposition depends only on list
+//! lengths, never on the pool size.
 //!
 //! ## Determinism
 //!
 //! Priorities depend only on `(scheme, seed, iter, v)`; each phase is a
 //! pure map reading the previous phase's arrays and writing disjoint slots;
-//! worklist compaction is order-preserving per class. Hence the output is
+//! worklist compaction is order-preserving. Hence the output is
 //! bitwise-identical for every thread count — the property the paper
 //! advertises across CPUs and GPUs. The frozen seed engine is kept in
 //! [`crate::reference`] and `tests/engine_equiv.rs` asserts equality across
@@ -100,28 +79,11 @@
 use crate::priority::PriorityScheme;
 use crate::tuple::{id_bits, Packed, TupleRepr, Unpacked};
 use mis2_graph::{CsrGraph, VertexId};
-use mis2_prim::{bucket, compact, exclusive_scan, par, SharedMut};
-
-/// Neighbor-parallel ("SIMD") mode for the inner loops of Refresh Column
-/// and Decide Set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimdMode {
-    /// Always iterate neighbors sequentially per vertex.
-    Off,
-    /// Adaptive: team-wide neighbor-parallel reductions for huge-degree
-    /// rows, serial inner loops elsewhere. (The seed engine's global
-    /// `avg_degree >= 16` heuristic from Section V-D is subsumed by the
-    /// per-class dispatch; results are identical either way.)
-    #[default]
-    Auto,
-    /// Neighbor-parallel loops wherever profitable (same adaptive table as
-    /// `Auto`; kept distinct so the Figure 2 ladder's `+SIMD` step remains
-    /// an explicit toggle).
-    On,
-}
+use mis2_prim::{compact, exclusive_scan, par, SharedMut};
+use std::mem::MaybeUninit;
 
 /// Configuration of Algorithm 1. [`Default`] reproduces the full
-/// Kokkos Kernels configuration (all four optimizations on).
+/// Kokkos Kernels configuration (all three optimizations on).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mis2Config {
     /// Priority scheme (Section V-A). Default: xorshift\* per iteration.
@@ -132,8 +94,6 @@ pub struct Mis2Config {
     /// Pack status tuples into one 64-bit word (Section V-C). When
     /// `false`, explicit 3-field tuples are used.
     pub packed: bool,
-    /// Neighbor-parallel inner loops (Section V-D).
-    pub simd: SimdMode,
     /// Extra seed mixed into the priority hash. 0 = the paper's exact
     /// hash stream. Different seeds give statistically independent runs
     /// (used by the quality-comparison experiments).
@@ -146,7 +106,6 @@ impl Default for Mis2Config {
             priorities: PriorityScheme::XorStar,
             use_worklists: true,
             packed: true,
-            simd: SimdMode::Auto,
             seed: 0,
         }
     }
@@ -157,13 +116,14 @@ impl Mis2Config {
     /// entry adds one optimization on top of the previous. The true
     /// baseline (Bell's algorithm) is [`crate::bell::bell_mis_k`]; ladder
     /// step 0 here is Algorithm 1 with every optimization disabled and
-    /// fixed priorities, which is the closest in-engine equivalent.
+    /// fixed priorities, which is the closest in-engine equivalent. The
+    /// paper's fifth step (`+SIMD`, Section V-D) is a GPU vector-lane
+    /// optimization with no CPU counterpart (see the module docs).
     pub fn ladder() -> Vec<(&'static str, Mis2Config)> {
         let base = Mis2Config {
             priorities: PriorityScheme::Fixed,
             use_worklists: false,
             packed: false,
-            simd: SimdMode::Off,
             seed: 0,
         };
         vec![
@@ -183,16 +143,7 @@ impl Mis2Config {
                     ..base
                 },
             ),
-            (
-                "+PackedStatus",
-                Mis2Config {
-                    priorities: PriorityScheme::XorStar,
-                    use_worklists: true,
-                    packed: true,
-                    ..base
-                },
-            ),
-            ("+SIMD", Mis2Config::default()),
+            ("+PackedStatus", Mis2Config::default()),
         ]
     }
 }
@@ -263,82 +214,11 @@ pub fn mis2_with_config(g: &CsrGraph, cfg: &Mis2Config) -> Mis2Result {
     }
 }
 
-/// Chunk size for team-wide neighbor reductions on huge rows. A GPU warp is
-/// 32 lanes; we use a larger chunk on CPU so per-chunk task overhead stays
-/// negligible.
-const SIMD_CHUNK: usize = 256;
-/// Rows below this degree are "small": cheap enough that a serial inner
-/// loop inside a coarse vertex block is optimal.
-const MED_DEGREE: usize = 128;
-/// Rows at or above this degree are "huge": one row is a whole team's worth
-/// of work, so the row itself becomes the parallel loop (when [`SimdMode`]
-/// allows) instead of serializing a scheduler block behind it. The cutoff
-/// is sized to the cost of waking a parallel region (~10µs on the worker
-/// pool): a 2^17-edge row is ~50-100µs of serial gather work, so splitting
-/// it team-wide wins from 2 workers up, while anything smaller is cheaper
-/// to keep inside the medium class's fine-grained blocks.
-const HUGE_DEGREE: usize = 1 << 17;
-/// Vertices per dispatch block for the small class.
-const SMALL_GRAIN: usize = 4096;
-/// Vertices per dispatch block for the medium class (each vertex is
-/// 128..4096 edge-ops, so small blocks load-balance without tiny tasks).
-const MED_GRAIN: usize = 32;
-/// Total frontier (`|worklist1| + |worklist2|`, or `|V|` without worklists)
-/// below which a round runs serially inline — parallel-region dispatch
-/// dominates tail-round latency otherwise.
-const TAIL_CUTOFF: usize = 2048;
-
-/// Raw-pointer wrapper for disjoint scatter writes into a fresh
-/// (uninitialized-capacity) worklist buffer.
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    #[inline]
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-/// A worklist split into the three static degree classes. Worklists are
-/// sets — no phase observes their order — so compacting each class
-/// independently is observationally identical to compacting one flat list.
-struct Classes {
-    small: Vec<VertexId>,
-    med: Vec<VertexId>,
-    huge: Vec<VertexId>,
-}
-
-impl Classes {
-    fn split(g: &CsrGraph, list: Vec<VertexId>, bucketed: bool) -> Classes {
-        if !bucketed {
-            return Classes {
-                small: list,
-                med: Vec::new(),
-                huge: Vec::new(),
-            };
-        }
-        let mut parts = bucket::partition_by(&list, 3, |&v| {
-            let d = g.degree(v);
-            if d >= HUGE_DEGREE {
-                2
-            } else if d >= MED_DEGREE {
-                1
-            } else {
-                0
-            }
-        });
-        let huge = parts.pop().unwrap();
-        let med = parts.pop().unwrap();
-        let small = parts.pop().unwrap();
-        Classes { small, med, huge }
-    }
-
-    fn len(&self) -> usize {
-        self.small.len() + self.med.len() + self.huge.len()
-    }
-}
+/// Worklist entries per dispatch block, for both passes and the scatter.
+/// A list that fits one block runs inline on the caller (the pool clamps a
+/// region's team to its block count), which is what keeps the late, sparse
+/// rounds free of region wake-ups.
+const GRAIN: usize = 4096;
 
 /// Per-run execution context: everything the per-vertex kernels need.
 struct Exec<'a> {
@@ -347,9 +227,9 @@ struct Exec<'a> {
     seed: u64,
     bits: u32,
     prio_mask: u64,
-    /// Team-wide neighbor reductions allowed for huge rows
-    /// ([`SimdMode::On`] / [`SimdMode::Auto`]).
-    team_huge: bool,
+    /// [`Mis2Config::use_worklists`]: compact each list to its survivors
+    /// after its pass. When `false` both lists stay the full vertex set.
+    compact: bool,
 }
 
 impl Exec<'_> {
@@ -360,26 +240,12 @@ impl Exec<'_> {
     }
 
     /// Refresh Column for one vertex: `min(T_w : w in adj(v) ∪ {v})`,
-    /// collapsed to `OUT` if the min is `IN`. The team-wide chunked
-    /// reduction groups the same `min` differently but `min` over a total
-    /// order is decomposition-invariant, so both paths are bitwise-equal.
+    /// collapsed to `OUT` if the min is `IN`.
     #[inline]
-    fn column_value<T: TupleRepr>(&self, t: &[T], v: VertexId, team: bool) -> T {
+    fn column_value<T: TupleRepr>(&self, t: &[T], v: VertexId) -> T {
         let mut mv = t[v as usize];
-        let nbrs = self.g.neighbors(v);
-        if team {
-            let chunk_min = par::chunked_reduce(
-                nbrs,
-                SIMD_CHUNK,
-                |c| c.iter().map(|&w| t[w as usize]).min().unwrap_or(T::OUT),
-                T::OUT,
-                |a, b| a.min(b),
-            );
-            mv = mv.min(chunk_min);
-        } else {
-            for &w in nbrs {
-                mv = mv.min(t[w as usize]);
-            }
+        for &w in self.g.neighbors(v) {
+            mv = mv.min(t[w as usize]);
         }
         if mv.is_in() {
             T::OUT
@@ -389,52 +255,23 @@ impl Exec<'_> {
     }
 
     /// Decide Set for one undecided vertex: the new `T_v` (`OUT`, `IN`, or
-    /// `tv` unchanged). The serial loop's early break on an `OUT` neighbor
-    /// can leave `all_eq` stale, but `any_out` dominates the decision, so
-    /// the chunked `(any_out || , all_eq &&)` combine reaches the same
-    /// verdict on every decomposition.
+    /// `tv` unchanged). The early break on an `OUT` neighbor can leave
+    /// `all_eq` stale, but `any_out` dominates the decision.
     #[inline]
-    fn decide_value<T: TupleRepr>(&self, tv: T, m: &[T], v: VertexId, team: bool) -> T {
+    fn decide_value<T: TupleRepr>(&self, tv: T, m: &[T], v: VertexId) -> T {
         let mv = m[v as usize];
         // Self contribution of the implicit self-loop.
         let mut any_out = mv.is_out();
         let mut all_eq = mv == tv;
         if !any_out {
-            let nbrs = self.g.neighbors(v);
-            if team {
-                let (o, e) = par::chunked_reduce(
-                    nbrs,
-                    SIMD_CHUNK,
-                    |c| {
-                        let mut o = false;
-                        let mut e = true;
-                        for &w in c {
-                            let mw = m[w as usize];
-                            if mw.is_out() {
-                                o = true;
-                                break;
-                            }
-                            if mw != tv {
-                                e = false;
-                            }
-                        }
-                        (o, e)
-                    },
-                    (false, true),
-                    |a, b| (a.0 || b.0, a.1 && b.1),
-                );
-                any_out = o;
-                all_eq = all_eq && e;
-            } else {
-                for &w in nbrs {
-                    let mw = m[w as usize];
-                    if mw.is_out() {
-                        any_out = true;
-                        break;
-                    }
-                    if mw != tv {
-                        all_eq = false;
-                    }
+            for &w in self.g.neighbors(v) {
+                let mw = m[w as usize];
+                if mw.is_out() {
+                    any_out = true;
+                    break;
+                }
+                if mw != tv {
+                    all_eq = false;
                 }
             }
         }
@@ -447,286 +284,140 @@ impl Exec<'_> {
         }
     }
 
-    // --- Refresh Column over one class list --------------------------------
-
-    /// Serial outer loop (tail rounds, and the huge class when `team` rows
-    /// parallelize the inner reduction instead). Worklist mode: returns the
-    /// compacted survivor list (`M_v != OUT`).
-    fn column_compact_serial<T: TupleRepr>(
+    /// Refresh Column over `worklist2`: writes `M_v`, one keep flag per
+    /// entry (`M_v != OUT`) and one keep count per block in a single sweep,
+    /// then compacts the list to its survivors.
+    fn column_pass<T: TupleRepr>(
         &self,
-        list: &[VertexId],
+        wl: &mut Vec<VertexId>,
         t: &[T],
         m: &mut [T],
-        team: bool,
-    ) -> Vec<VertexId> {
-        let mut out = Vec::with_capacity(list.len());
-        for &v in list {
-            let mv = self.column_value(t, v, team);
-            m[v as usize] = mv;
-            if !mv.is_out() {
-                out.push(v);
-            }
-        }
-        out
-    }
-
-    /// Parallel fused column pass: writes `M_v`, keep flags and per-block
-    /// keep counts in one sweep, then scatters the survivors. A list that
-    /// fits one grain block would run as a single task anyway, so it runs
-    /// inline instead (identical output, no region wake-up).
-    fn column_compact_par<T: TupleRepr>(
-        &self,
-        list: &[VertexId],
-        t: &[T],
-        m: &mut [T],
-        grain: usize,
         flags: &mut Vec<u8>,
-    ) -> Vec<VertexId> {
-        let n = list.len();
-        if n <= grain {
-            return self.column_compact_serial(list, t, m, false);
-        }
+    ) {
+        let n = wl.len();
         flags.clear();
         flags.resize(n, 0);
-        let mut counts = vec![0usize; n.div_ceil(grain)];
+        let mut kept = vec![0usize; n.div_ceil(GRAIN)];
         {
             let mw = SharedMut::new(m);
             let fw = SharedMut::new(flags.as_mut_slice());
-            let cw = SharedMut::new(counts.as_mut_slice());
-            par::for_chunks(list, grain, |b, chunk| {
-                let base = b * grain;
-                let mut kept = 0usize;
+            let kw = SharedMut::new(kept.as_mut_slice());
+            par::for_chunks(wl, GRAIN, |b, chunk| {
+                let base = b * GRAIN;
+                let mut k = 0usize;
                 for (i, &v) in chunk.iter().enumerate() {
-                    let mv = self.column_value(t, v, false);
-                    // SAFETY: every vertex appears once across the class
-                    // lists, so slot v (and flag base+i) has one writer.
-                    unsafe { mw.write(v as usize, mv) };
+                    let mv = self.column_value(t, v);
                     let keep = !mv.is_out();
-                    unsafe { fw.write(base + i, keep as u8) };
-                    kept += keep as usize;
+                    // SAFETY: every vertex appears once in the worklist, so
+                    // slot v (and flag base+i) has one writer; `t` is not
+                    // written in this region.
+                    unsafe {
+                        mw.write(v as usize, mv);
+                        fw.write(base + i, keep as u8);
+                    }
+                    k += keep as usize;
                 }
                 // SAFETY: one write per block index.
-                unsafe { cw.write(b, kept) };
+                unsafe { kw.write(b, k) };
             });
         }
-        let (offsets, total) = exclusive_scan(&counts);
-        scatter_kept(list, flags, &offsets, total, grain)
-    }
-
-    /// No-worklist column pass: write `M_v` only, grain-batched.
-    fn column_nw_par<T: TupleRepr>(&self, list: &[VertexId], t: &[T], m: &mut [T], grain: usize) {
-        if list.len() <= grain {
-            return self.column_nw_serial(list, t, m, false);
-        }
-        let mw = SharedMut::new(m);
-        par::for_each_grain(list, grain, |&v| {
-            // SAFETY: one writer per slot v.
-            unsafe { mw.write(v as usize, self.column_value(t, v, false)) };
-        });
-    }
-
-    /// No-worklist serial column pass (tail rounds / team-huge rows).
-    fn column_nw_serial<T: TupleRepr>(&self, list: &[VertexId], t: &[T], m: &mut [T], team: bool) {
-        for &v in list {
-            m[v as usize] = self.column_value(t, v, team);
+        if self.compact {
+            *wl = scatter_kept(wl, flags, &kept);
         }
     }
 
-    // --- Decide Set + fused epilogue over one class list -------------------
-
-    /// Serial decide + compact + inline Refresh Row (tail rounds, and the
-    /// huge class under team-wide rows). Returns `(survivors, newly_in,
-    /// newly_out)`.
-    fn decide_compact_refresh_serial<T: TupleRepr>(
+    /// Decide Set over `worklist1`, fused with the round's epilogue: decide,
+    /// count the IN/OUT transitions per block, write the survivor's fresh
+    /// round-`next_iter` tuple (the next round's Refresh Row), flag it, then
+    /// compact the list to its survivors. Returns `(newly_in, newly_out)`.
+    fn decide_pass<T: TupleRepr>(
         &self,
-        list: &[VertexId],
+        wl: &mut Vec<VertexId>,
         t: &mut [T],
         m: &[T],
-        team: bool,
-        next_iter: u64,
-    ) -> (Vec<VertexId>, usize, usize) {
-        let mut out = Vec::with_capacity(list.len());
-        let (mut nin, mut nout) = (0usize, 0usize);
-        for &v in list {
-            let tv = t[v as usize];
-            debug_assert!(tv.is_undecided(), "worklist1 must hold undecided only");
-            let nt = self.decide_value(tv, m, v, team);
-            if nt.is_in() {
-                nin += 1;
-                t[v as usize] = nt;
-            } else if nt.is_out() {
-                nout += 1;
-                t[v as usize] = nt;
-            } else {
-                t[v as usize] = self.fresh(next_iter, v);
-                out.push(v);
-            }
-        }
-        (out, nin, nout)
-    }
-
-    /// Parallel fused decide pass: decide, classify into keep/in/out flags,
-    /// count per block, and write the survivor's fresh round-`next_iter`
-    /// tuple — one sweep — then scatter the compacted worklist.
-    fn decide_compact_refresh_par<T: TupleRepr>(
-        &self,
-        list: &[VertexId],
-        t: &mut [T],
-        m: &[T],
-        grain: usize,
         next_iter: u64,
         flags: &mut Vec<u8>,
-    ) -> (Vec<VertexId>, usize, usize) {
-        let n = list.len();
-        if n <= grain {
-            return self.decide_compact_refresh_serial(list, t, m, false, next_iter);
-        }
+    ) -> (usize, usize) {
+        let n = wl.len();
         flags.clear();
         flags.resize(n, 0);
-        let mut counts = vec![[0usize; 3]; n.div_ceil(grain)];
+        // Per block: [survivors, newly IN, newly OUT].
+        let mut counts = vec![[0usize; 3]; n.div_ceil(GRAIN)];
         {
             let tw = SharedMut::new(t);
             let fw = SharedMut::new(flags.as_mut_slice());
             let cw = SharedMut::new(counts.as_mut_slice());
-            par::for_chunks(list, grain, |b, chunk| {
-                let base = b * grain;
+            par::for_chunks(wl, GRAIN, |b, chunk| {
+                let base = b * GRAIN;
                 let mut c = [0usize; 3];
                 for (i, &v) in chunk.iter().enumerate() {
                     // SAFETY: each worklist1 vertex appears once; only slot
                     // v is read and written (Decide reads M, never other
                     // T slots, so the inline refresh races with nothing).
                     let tv = unsafe { tw.read(v as usize) };
-                    debug_assert!(tv.is_undecided(), "worklist1 must hold undecided only");
-                    let nt = self.decide_value(tv, m, v, false);
-                    let f: u8 = if nt.is_in() {
+                    if !tv.is_undecided() {
+                        // Only without compaction, where decided vertices
+                        // stay listed; their flag stays 0.
+                        debug_assert!(!self.compact, "worklist1 must hold undecided only");
+                        continue;
+                    }
+                    let nt = self.decide_value(tv, m, v);
+                    let class = if nt.is_in() {
                         1
                     } else if nt.is_out() {
                         2
                     } else {
                         0
                     };
-                    if f == 0 {
-                        unsafe { tw.write(v as usize, self.fresh::<T>(next_iter, v)) };
+                    let new = if class == 0 {
+                        self.fresh::<T>(next_iter, v)
                     } else {
-                        unsafe { tw.write(v as usize, nt) };
+                        nt
+                    };
+                    // SAFETY: as above; flag base+i has one writer.
+                    unsafe {
+                        tw.write(v as usize, new);
+                        fw.write(base + i, (class == 0) as u8);
                     }
-                    unsafe { fw.write(base + i, (f == 0) as u8) };
-                    c[f as usize] += 1;
+                    c[class] += 1;
                 }
                 // SAFETY: one write per block index.
                 unsafe { cw.write(b, c) };
             });
         }
-        let keep_counts: Vec<usize> = counts.iter().map(|c| c[0]).collect();
-        let (offsets, total) = exclusive_scan(&keep_counts);
-        let nin = counts.iter().map(|c| c[1]).sum();
-        let nout = counts.iter().map(|c| c[2]).sum();
-        (scatter_kept(list, flags, &offsets, total, grain), nin, nout)
-    }
-
-    /// No-worklist decide pass, serial: skip decided vertices, count the
-    /// transitions, refresh the still-undecided inline.
-    fn decide_nw_serial<T: TupleRepr>(
-        &self,
-        list: &[VertexId],
-        t: &mut [T],
-        m: &[T],
-        team: bool,
-        next_iter: u64,
-    ) -> (usize, usize) {
-        let (mut nin, mut nout) = (0usize, 0usize);
-        for &v in list {
-            let tv = t[v as usize];
-            if !tv.is_undecided() {
-                continue;
-            }
-            let nt = self.decide_value(tv, m, v, team);
-            if nt.is_in() {
-                nin += 1;
-                t[v as usize] = nt;
-            } else if nt.is_out() {
-                nout += 1;
-                t[v as usize] = nt;
-            } else {
-                t[v as usize] = self.fresh(next_iter, v);
-            }
+        if self.compact {
+            let kept: Vec<usize> = counts.iter().map(|c| c[0]).collect();
+            *wl = scatter_kept(wl, flags, &kept);
         }
-        (nin, nout)
-    }
-
-    /// No-worklist decide pass, parallel: per-block transition counts (the
-    /// fused replacement for the seed engine's two full-array `par::count`
-    /// sweeps) plus the inline refresh.
-    fn decide_nw_par<T: TupleRepr>(
-        &self,
-        list: &[VertexId],
-        t: &mut [T],
-        m: &[T],
-        grain: usize,
-        next_iter: u64,
-    ) -> (usize, usize) {
-        let n = list.len();
-        if n <= grain {
-            return self.decide_nw_serial(list, t, m, false, next_iter);
-        }
-        let mut counts = vec![[0usize; 2]; n.div_ceil(grain)];
-        {
-            let tw = SharedMut::new(t);
-            let cw = SharedMut::new(counts.as_mut_slice());
-            par::for_chunks(list, grain, |b, chunk| {
-                let mut c = [0usize; 2];
-                for &v in chunk {
-                    // SAFETY: one reader/writer per slot v.
-                    let tv = unsafe { tw.read(v as usize) };
-                    if !tv.is_undecided() {
-                        continue;
-                    }
-                    let nt = self.decide_value(tv, m, v, false);
-                    if nt.is_in() {
-                        c[0] += 1;
-                        unsafe { tw.write(v as usize, nt) };
-                    } else if nt.is_out() {
-                        c[1] += 1;
-                        unsafe { tw.write(v as usize, nt) };
-                    } else {
-                        unsafe { tw.write(v as usize, self.fresh::<T>(next_iter, v)) };
-                    }
-                }
-                // SAFETY: one write per block index.
-                unsafe { cw.write(b, c) };
-            });
-        }
-        let nin = counts.iter().map(|c| c[0]).sum();
-        let nout = counts.iter().map(|c| c[1]).sum();
-        (nin, nout)
+        let newly_in = counts.iter().map(|c| c[1]).sum();
+        let newly_out = counts.iter().map(|c| c[2]).sum();
+        (newly_in, newly_out)
     }
 }
 
-/// Scatter the flagged survivors of `list` into a fresh compacted list
-/// using the scanned per-block offsets. Output order equals input order
-/// for any grain.
-fn scatter_kept(
-    list: &[VertexId],
-    flags: &[u8],
-    offsets: &[usize],
-    total: usize,
-    grain: usize,
-) -> Vec<VertexId> {
+/// The flagged entries of `list`, in input order: an exclusive scan of the
+/// per-[`GRAIN`]-block keep counts gives each block its output range.
+fn scatter_kept(list: &[VertexId], flags: &[u8], kept: &[usize]) -> Vec<VertexId> {
+    let (offsets, total) = exclusive_scan(kept);
     let mut out: Vec<VertexId> = Vec::with_capacity(total);
-    let ptr = SendPtr(out.as_mut_ptr());
-    par::for_chunks(flags, grain, |b, fchunk| {
-        let base = b * grain;
-        let mut w = offsets[b];
-        for (i, &k) in fchunk.iter().enumerate() {
-            if k != 0 {
-                // SAFETY: block b writes the disjoint range
-                // [offsets[b], offsets[b] + counts[b]) inside capacity.
-                unsafe { ptr.get().add(w).write(list[base + i]) };
-                w += 1;
+    {
+        let ow = SharedMut::new(&mut out.spare_capacity_mut()[..total]);
+        par::for_chunks(flags, GRAIN, |b, fchunk| {
+            let base = b * GRAIN;
+            let mut w = offsets[b];
+            for (i, &k) in fchunk.iter().enumerate() {
+                if k != 0 {
+                    // SAFETY: block b writes the disjoint range
+                    // [offsets[b], offsets[b] + kept[b]) of the `total`
+                    // spare slots.
+                    unsafe { ow.write(w, MaybeUninit::new(list[base + i])) };
+                    w += 1;
+                }
             }
-        }
-    });
-    // SAFETY: exactly `total` slots were initialized above.
+        });
+    }
+    // SAFETY: the blocks' ranges tile 0..total, so every slot below `total`
+    // was initialized above.
     unsafe { out.set_len(total) };
     out
 }
@@ -748,17 +439,16 @@ fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> Mis2Result {
         seed: cfg.seed,
         bits,
         prio_mask,
-        team_huge: cfg.simd != SimdMode::Off,
+        compact: cfg.use_worklists,
     };
 
     // T and M arrays. M's initial content is never read: every vertex is in
     // worklist2 for iteration 0 and is overwritten by Refresh Column.
     let mut t: Vec<T> = vec![T::OUT; n];
     let mut m: Vec<T> = vec![T::OUT; n];
-    let mut history: Vec<RoundStats> = Vec::new();
 
-    // Refresh Row for iteration 0 (hoisted out of the loop so later
-    // iterations only touch undecided vertices).
+    // Refresh Row for iteration 0 (later rounds refresh survivors inside
+    // the decide pass).
     {
         let tw = SharedMut::new(&mut t);
         par::for_range(0..n as VertexId, |v| {
@@ -767,166 +457,24 @@ fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> Mis2Result {
         });
     }
 
-    // Static degree-class split (degrees never change). Low-variance
-    // graphs (max degree < MED_DEGREE) keep one flat class and skip the
-    // partition entirely.
-    let bucketed = g.max_degree() >= MED_DEGREE;
-    let all: Vec<VertexId> = (0..n as VertexId).collect();
-    // Both worklists start as the full vertex set: split once, clone.
-    let mut wl1 = Classes::split(g, all, bucketed);
-    let mut wl2 = Classes {
-        small: wl1.small.clone(),
-        med: wl1.med.clone(),
-        huge: wl1.huge.clone(),
-    };
-
-    // Reusable keep/in/out flag buffer for the fused passes.
+    // Both worklists start as the full vertex set.
+    let mut wl1: Vec<VertexId> = (0..n as VertexId).collect();
+    let mut wl2 = wl1.clone();
+    // Keep-flag buffer shared by both passes.
     let mut flags: Vec<u8> = Vec::new();
+    let mut history: Vec<RoundStats> = Vec::new();
+    let mut undecided = n;
     let mut iter: u64 = 0;
-    // Undecided count carried across rounds in no-worklist mode (the fused
-    // decide pass reports the transitions, so no full-array count is ever
-    // needed).
-    let mut undecided_nw = n;
-    loop {
-        let undecided_at_start = if cfg.use_worklists {
-            wl1.len()
-        } else {
-            undecided_nw
-        };
-        // Sparse-tail fast path: below the cutoff a whole round runs
-        // serially inline. The condition is pool-independent, so the
-        // switchover round is identical at every thread count.
-        let tail = if cfg.use_worklists {
-            wl1.len() + wl2.len() <= TAIL_CUTOFF
-        } else {
-            n <= TAIL_CUTOFF
-        };
-        let next_iter = iter + 1;
-
-        // --- Refresh Column (+ worklist2 compaction) ---------------------
-        if cfg.use_worklists {
-            if tail {
-                wl2.small = exec.column_compact_serial(&wl2.small, &t, &mut m, false);
-                wl2.med = exec.column_compact_serial(&wl2.med, &t, &mut m, false);
-                wl2.huge = exec.column_compact_serial(&wl2.huge, &t, &mut m, false);
-            } else {
-                wl2.small =
-                    exec.column_compact_par(&wl2.small, &t, &mut m, SMALL_GRAIN, &mut flags);
-                wl2.med = exec.column_compact_par(&wl2.med, &t, &mut m, MED_GRAIN, &mut flags);
-                wl2.huge = if exec.team_huge {
-                    // Serial over the (few) hub rows; each row's reduction
-                    // is team-wide at top level.
-                    exec.column_compact_serial(&wl2.huge, &t, &mut m, true)
-                } else {
-                    exec.column_compact_par(&wl2.huge, &t, &mut m, 1, &mut flags)
-                };
-            }
-        } else if tail {
-            exec.column_nw_serial(&wl2.small, &t, &mut m, false);
-            exec.column_nw_serial(&wl2.med, &t, &mut m, false);
-            exec.column_nw_serial(&wl2.huge, &t, &mut m, false);
-        } else {
-            exec.column_nw_par(&wl2.small, &t, &mut m, SMALL_GRAIN);
-            exec.column_nw_par(&wl2.med, &t, &mut m, MED_GRAIN);
-            if exec.team_huge {
-                exec.column_nw_serial(&wl2.huge, &t, &mut m, true);
-            } else {
-                exec.column_nw_par(&wl2.huge, &t, &mut m, 1);
-            }
-        }
-
-        // --- Decide Set + fused epilogue ---------------------------------
-        iter = next_iter;
-        let (newly_in, newly_out, remaining);
-        if cfg.use_worklists {
-            let (mut nin, mut nout) = (0usize, 0usize);
-            if tail {
-                let (s, a, b) =
-                    exec.decide_compact_refresh_serial(&wl1.small, &mut t, &m, false, next_iter);
-                wl1.small = s;
-                nin += a;
-                nout += b;
-                let (s, a, b) =
-                    exec.decide_compact_refresh_serial(&wl1.med, &mut t, &m, false, next_iter);
-                wl1.med = s;
-                nin += a;
-                nout += b;
-                let (s, a, b) =
-                    exec.decide_compact_refresh_serial(&wl1.huge, &mut t, &m, false, next_iter);
-                wl1.huge = s;
-                nin += a;
-                nout += b;
-            } else {
-                let (s, a, b) = exec.decide_compact_refresh_par(
-                    &wl1.small,
-                    &mut t,
-                    &m,
-                    SMALL_GRAIN,
-                    next_iter,
-                    &mut flags,
-                );
-                wl1.small = s;
-                nin += a;
-                nout += b;
-                let (s, a, b) = exec.decide_compact_refresh_par(
-                    &wl1.med, &mut t, &m, MED_GRAIN, next_iter, &mut flags,
-                );
-                wl1.med = s;
-                nin += a;
-                nout += b;
-                let (s, a, b) = if exec.team_huge {
-                    exec.decide_compact_refresh_serial(&wl1.huge, &mut t, &m, true, next_iter)
-                } else {
-                    exec.decide_compact_refresh_par(&wl1.huge, &mut t, &m, 1, next_iter, &mut flags)
-                };
-                wl1.huge = s;
-                nin += a;
-                nout += b;
-            }
-            newly_in = nin;
-            newly_out = nout;
-            remaining = wl1.len();
-        } else {
-            let (mut nin, mut nout) = (0usize, 0usize);
-            if tail {
-                let (a, b) = exec.decide_nw_serial(&wl1.small, &mut t, &m, false, next_iter);
-                nin += a;
-                nout += b;
-                let (a, b) = exec.decide_nw_serial(&wl1.med, &mut t, &m, false, next_iter);
-                nin += a;
-                nout += b;
-                let (a, b) = exec.decide_nw_serial(&wl1.huge, &mut t, &m, false, next_iter);
-                nin += a;
-                nout += b;
-            } else {
-                let (a, b) = exec.decide_nw_par(&wl1.small, &mut t, &m, SMALL_GRAIN, next_iter);
-                nin += a;
-                nout += b;
-                let (a, b) = exec.decide_nw_par(&wl1.med, &mut t, &m, MED_GRAIN, next_iter);
-                nin += a;
-                nout += b;
-                let (a, b) = if exec.team_huge {
-                    exec.decide_nw_serial(&wl1.huge, &mut t, &m, true, next_iter)
-                } else {
-                    exec.decide_nw_par(&wl1.huge, &mut t, &m, 1, next_iter)
-                };
-                nin += a;
-                nout += b;
-            }
-            newly_in = nin;
-            newly_out = nout;
-            remaining = undecided_at_start - newly_in - newly_out;
-            undecided_nw = remaining;
-        }
+    while undecided > 0 {
+        exec.column_pass(&mut wl2, &t, &mut m, &mut flags);
+        iter += 1;
+        let (newly_in, newly_out) = exec.decide_pass(&mut wl1, &mut t, &m, iter, &mut flags);
         history.push(RoundStats {
-            undecided: undecided_at_start,
+            undecided,
             newly_in,
             newly_out,
         });
-
-        if remaining == 0 {
-            break;
-        }
+        undecided -= newly_in + newly_out;
     }
 
     let is_in: Vec<bool> = par::map(&t, |x| x.is_in());
@@ -954,15 +502,12 @@ mod tests {
         ] {
             for use_worklists in [false, true] {
                 for packed in [false, true] {
-                    for simd in [SimdMode::Off, SimdMode::On] {
-                        out.push(Mis2Config {
-                            priorities,
-                            use_worklists,
-                            packed,
-                            simd,
-                            seed: 0,
-                        });
-                    }
+                    out.push(Mis2Config {
+                        priorities,
+                        use_worklists,
+                        packed,
+                        seed: 0,
+                    });
                 }
             }
         }
@@ -1012,10 +557,9 @@ mod tests {
 
     #[test]
     fn star_graph_huge_hub() {
-        // A star bigger than HUGE_DEGREE puts the hub in the huge class
-        // (team-wide reduction) and the leaves in the small class — every
-        // dispatch strategy in one graph.
-        let g = gen::star(HUGE_DEGREE + 10);
+        // One 2^17-degree row inside an ordinary block, 33 blocks of
+        // degree-1 leaves around it.
+        let g = gen::star((1 << 17) + 10);
         for cfg in all_configs() {
             let r = mis2_with_config(&g, &cfg);
             assert_eq!(r.size(), 1, "{cfg:?}");
@@ -1067,8 +611,7 @@ mod tests {
 
     #[test]
     fn all_configs_valid_on_powerlaw() {
-        // Skewed degrees: exercises the three-way class split, the
-        // team-wide hub path and the class-wise compaction together.
+        // Skewed degrees: hub rows and leaves share blocks.
         let g = gen::rmat(11, 16, 0.65, 0.15, 0.15, 5);
         for cfg in all_configs() {
             let r = mis2_with_config(&g, &cfg);
@@ -1120,48 +663,6 @@ mod tests {
         );
         assert_eq!(a.in_set, b.in_set);
         assert_eq!(a.iterations, b.iterations);
-    }
-
-    #[test]
-    fn simd_does_not_change_result() {
-        let g = gen::elasticity3d(6, 6, 6, 3);
-        let a = mis2_with_config(
-            &g,
-            &Mis2Config {
-                simd: SimdMode::On,
-                ..Default::default()
-            },
-        );
-        let b = mis2_with_config(
-            &g,
-            &Mis2Config {
-                simd: SimdMode::Off,
-                ..Default::default()
-            },
-        );
-        assert_eq!(a.in_set, b.in_set);
-    }
-
-    #[test]
-    fn simd_does_not_change_result_on_powerlaw() {
-        // Hubs above HUGE_DEGREE take the team-wide path only when SIMD is
-        // enabled; the chunked reduction must match the serial loop exactly.
-        let g = gen::rmat(12, 16, 0.65, 0.15, 0.15, 9);
-        let a = mis2_with_config(
-            &g,
-            &Mis2Config {
-                simd: SimdMode::On,
-                ..Default::default()
-            },
-        );
-        let b = mis2_with_config(
-            &g,
-            &Mis2Config {
-                simd: SimdMode::Off,
-                ..Default::default()
-            },
-        );
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -1259,33 +760,8 @@ mod tests {
     }
 
     #[test]
-    fn class_split_covers_worklist() {
-        // The static degree-class split must partition the vertex set.
-        let g = gen::rmat(11, 16, 0.65, 0.15, 0.15, 5);
-        let n = g.num_vertices();
-        let all: Vec<VertexId> = (0..n as VertexId).collect();
-        let c = Classes::split(&g, all, true);
-        assert_eq!(c.len(), n);
-        let mut seen = vec![false; n];
-        for &v in c.small.iter().chain(&c.med).chain(&c.huge) {
-            assert!(!seen[v as usize], "vertex {v} in two classes");
-            seen[v as usize] = true;
-        }
-        for &v in &c.small {
-            assert!(g.degree(v) < MED_DEGREE);
-        }
-        for &v in &c.med {
-            let d = g.degree(v);
-            assert!((MED_DEGREE..HUGE_DEGREE).contains(&d));
-        }
-        for &v in &c.huge {
-            assert!(g.degree(v) >= HUGE_DEGREE);
-        }
-    }
-
-    #[test]
     fn matches_reference_engine_on_all_configs() {
-        // The adaptive engine must be bitwise-identical to the frozen seed
+        // The engine must be bitwise-identical to the frozen seed
         // engine (full result struct, history included) on every config.
         // The big cross-pool/backends matrix lives in tests/engine_equiv.rs.
         for g in [

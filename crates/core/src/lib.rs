@@ -18,15 +18,17 @@
 //!
 //! ## Modules
 //!
-//! * [`engine`] — Algorithm 1 with the four togglable optimizations
-//!   (priority refresh, worklists, packed tuples, SIMD-style inner loops).
+//! * [`engine`] — Algorithm 1 with its three togglable optimizations
+//!   (priority refresh, worklists, packed tuples). The paper's fourth,
+//!   Section V-D, spreads one vertex's neighbors over GPU vector lanes and
+//!   has no CPU counterpart; the engine iterates neighbors serially.
 //! * [`bell`] — the Bell/Dalton/Olson MIS-k baseline (what CUSP and
 //!   ViennaCL implement), used for Figures 6-7 and Table IV.
 //! * [`luby`] — Luby's Algorithm A for MIS-1.
 //! * [`misk`] — Algorithm 1 generalized to arbitrary distance k.
 //! * [`oracle`] — `MIS-1(G²)` as an independent MIS-2 oracle (Lemma IV.2).
-//! * [`reference`] — the frozen seed engine (pre-adaptive execution), the
-//!   bitwise-equivalence oracle and the kernel bench baseline.
+//! * [`reference`] — the frozen seed engine, the bitwise-equivalence
+//!   oracle and the kernel bench baseline.
 //! * [`mod@tuple`] — packed and 3-field status tuples (Section V-C).
 //! * [`priority`] — Fixed / xorshift / xorshift\* priority schemes
 //!   (Section V-A, Table I).
@@ -50,7 +52,7 @@ pub mod tuple;
 pub mod verify;
 
 pub use bell::{bell_mis2, bell_mis_k};
-pub use engine::{mis2, mis2_with_config, Mis2Config, Mis2Result, RoundStats, SimdMode};
+pub use engine::{mis2, mis2_with_config, Mis2Config, Mis2Result, RoundStats};
 pub use luby::{luby_mis1, Mis1Result};
 pub use misk::mis_k;
 pub use oracle::mis2_via_square;

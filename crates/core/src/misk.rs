@@ -220,7 +220,6 @@ mod tests {
             &g,
             &crate::engine::Mis2Config {
                 use_worklists: false,
-                simd: crate::engine::SimdMode::Off,
                 ..Default::default()
             },
         );

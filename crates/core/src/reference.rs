@@ -1,35 +1,28 @@
-//! The seed Algorithm 1 engine, frozen verbatim.
+//! The seed Algorithm 1 engine, frozen.
 //!
-//! This module is a byte-for-byte copy of the pre-adaptive [`crate::engine`]
-//! run loop (global `avg_degree >= 16` SIMD gate, per-vertex
+//! This module is the seed [`crate::engine`] run loop with its `Auto` gate
+//! inlined (global `avg_degree >= 16` SIMD gate — the seed's default, and
+//! the only value left now that the engine has no such option — per-vertex
 //! `SIMD_MIN_DEGREE` branch, separate count / compact / refresh sweeps).
 //! It exists for two reasons:
 //!
-//! 1. **Oracle** — the adaptive engine must stay *bitwise-identical* to
-//!    this implementation for every configuration, pool size and feature
+//! 1. **Oracle** — the engine must stay *bitwise-identical* to this
+//!    implementation for every configuration, pool size and feature
 //!    backend; `tests/engine_equiv.rs` asserts `engine == reference`
 //!    across the full ladder/config matrix.
-//! 2. **Baseline** — `crates/bench/benches/mis2_kernel.rs` reports the
-//!    adaptive engine's end-to-end speedup *vs the pre-PR engine*, which
-//!    is exactly this code.
+//! 2. **Baseline** — `crates/bench/benches/mis2_kernel.rs` and the repo
+//!    benchmark's `core.speedup_vs_ref` probe report the engine's
+//!    end-to-end speedup *vs the seed engine*, which is this code.
 //!
 //! Do not optimize or restructure this module: its only value is being
 //! the frozen seed semantics. Behavioral bugs found here should be fixed
 //! in [`crate::engine`] first and only mirrored if the golden
 //! fingerprints in `tests/cross_backend.rs` prove the seed itself wrong.
 
-use crate::engine::{Mis2Config, Mis2Result, RoundStats, SimdMode};
+use crate::engine::{Mis2Config, Mis2Result, RoundStats};
 use crate::tuple::{id_bits, Packed, TupleRepr, Unpacked};
 use mis2_graph::{CsrGraph, VertexId};
 use mis2_prim::{compact, par, SharedMut};
-
-fn simd_enabled(mode: SimdMode, g: &CsrGraph) -> bool {
-    match mode {
-        SimdMode::Off => false,
-        SimdMode::On => true,
-        SimdMode::Auto => g.avg_degree() >= 16.0,
-    }
-}
 
 /// Compute an MIS-2 with the default configuration, seed-engine semantics.
 pub fn mis2(g: &CsrGraph) -> Mis2Result {
@@ -63,7 +56,7 @@ const SIMD_MIN_DEGREE: usize = 2 * SIMD_CHUNK;
 fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> Mis2Result {
     let n = g.num_vertices();
     let bits = id_bits(n);
-    let simd = simd_enabled(cfg.simd, g);
+    let simd = g.avg_degree() >= 16.0;
     // Both representations see the same truncated priorities so that the
     // packed/unpacked toggle changes memory layout only, never the result
     // (the packed word can only hold 64 - bits priority bits).

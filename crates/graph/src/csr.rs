@@ -2,8 +2,8 @@
 //!
 //! The paper's algorithms all operate on undirected graphs stored in the CRS
 //! sparse-matrix layout (Section V-D): the adjacency list of each vertex is
-//! contiguous, which is what makes the neighbor-parallel ("SIMD") loops
-//! coalesce on GPUs and cache-stream on CPUs.
+//! contiguous, so the per-vertex neighbor loops coalesce on GPUs and
+//! cache-stream on CPUs.
 //!
 //! Invariants maintained by every constructor:
 //!

@@ -21,8 +21,8 @@
 //! files can be substituted via [`crate::io::read_graph_file`].
 //!
 //! Beyond Table II, [`extra_workloads`] adds R-MAT power-law cells
-//! (Graph500-style and skewed) that stress the engine's degree-bucketed
-//! dispatch; [`all_workloads`] is the combined list accepted by
+//! (Graph500-style and skewed) whose hub rows stress the engine's block
+//! load balance; [`all_workloads`] is the combined list accepted by
 //! [`try_build`].
 
 use crate::csr::{CsrGraph, VertexId};
@@ -203,7 +203,7 @@ pub fn workloads() -> Vec<Workload> {
 /// Power-law workload cells beyond the paper's Table II. The suite matrices
 /// are all meshes and lattices with bounded degree spread; these R-MAT
 /// graphs add the scale-free regime (hub degrees thousands of times the
-/// average) that the engine's degree-bucketed dispatch targets. The stats
+/// average), where one hub row can dominate a dispatch block. The stats
 /// are generator targets, not published values, and `exact` is true since
 /// the generator is the definition. Kept out of [`workloads`] so Table-II
 /// reproductions (`build_all`, Table I/III experiments) stay exactly the

@@ -5,111 +5,6 @@
 //! Algorithm 4, aggregate member lists for coarsening. This is the shared
 //! stable counting sort: items keep their relative order within a bucket,
 //! so every grouping built on it is deterministic.
-//!
-//! [`partition_by`] is the parallel variant used by the MIS-2 engine's
-//! degree-bucketed dispatch: an order-preserving multi-way split of a
-//! worklist into execution classes, built from the same
-//! flags → blocked counts → exclusive scan → scatter machinery as
-//! [`crate::compact`].
-
-use crate::par;
-use crate::scan;
-
-/// Below this length a sequential partition is faster than dispatching.
-const SEQ_CUTOFF: usize = 1 << 14;
-/// Fixed block size for the parallel counting passes (thread-count
-/// independent; the output is decomposition-invariant anyway because the
-/// scatter offsets come from an exclusive scan).
-const BLOCK: usize = par::DET_BLOCK;
-
-/// Raw-pointer wrapper so disjoint parallel writes into the per-class
-/// output buffers pass `Send`.
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    #[inline]
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-/// Order-preserving multi-way partition: split `items` into `num_classes`
-/// lists by `class_of` (which must return a value `< num_classes`),
-/// preserving relative order within each class. `class_of` runs exactly
-/// once per element.
-///
-/// Deterministic on both backends and at every pool size: per-block
-/// per-class counts are scanned into scatter offsets, so the output is
-/// identical to the sequential stable partition.
-///
-/// ```
-/// let parts = mis2_prim::bucket::partition_by(&[5u32, 1, 7, 2, 9], 2, |&x| (x >= 5) as usize);
-/// assert_eq!(parts, vec![vec![1, 2], vec![5, 7, 9]]);
-/// ```
-pub fn partition_by<T, F>(items: &[T], num_classes: usize, class_of: F) -> Vec<Vec<T>>
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T) -> usize + Sync,
-{
-    assert!(num_classes > 0, "partition_by needs at least one class");
-    if items.len() < SEQ_CUTOFF {
-        let mut out: Vec<Vec<T>> = (0..num_classes).map(|_| Vec::new()).collect();
-        for x in items {
-            let k = class_of(x);
-            debug_assert!(k < num_classes, "class {k} out of range");
-            out[k].push(*x);
-        }
-        return out;
-    }
-    // Pass 1: materialize the class of every element (exactly-once contract,
-    // mirroring compact.rs) plus per-block per-class counts.
-    let keys: Vec<u32> = par::map(items, |x| {
-        let k = class_of(x);
-        debug_assert!(k < num_classes, "class {k} out of range");
-        k as u32
-    });
-    let block_counts: Vec<Vec<usize>> = par::map_chunks(&keys, BLOCK, |c| {
-        let mut counts = vec![0usize; num_classes];
-        for &k in c {
-            counts[k as usize] += 1;
-        }
-        counts
-    });
-    // Per-class exclusive scan over blocks -> scatter offsets and totals.
-    let nblocks = block_counts.len();
-    let mut totals = vec![0usize; num_classes];
-    let mut offsets = vec![0usize; nblocks * num_classes]; // [b * classes + k]
-    for k in 0..num_classes {
-        let col: Vec<usize> = block_counts.iter().map(|c| c[k]).collect();
-        let (off, total) = scan::exclusive_scan(&col);
-        for (b, &o) in off.iter().enumerate() {
-            offsets[b * num_classes + k] = o;
-        }
-        totals[k] = total;
-    }
-    // Pass 2: scatter each block's elements into its class ranges.
-    let mut out: Vec<Vec<T>> = totals.iter().map(|&t| Vec::with_capacity(t)).collect();
-    let ptrs: Vec<SendPtr<T>> = out.iter_mut().map(|v| SendPtr(v.as_mut_ptr())).collect();
-    par::for_chunks(&keys, BLOCK, |b, chunk| {
-        let base = b * BLOCK;
-        let mut cursor: Vec<usize> = offsets[b * num_classes..(b + 1) * num_classes].to_vec();
-        for (i, &k) in chunk.iter().enumerate() {
-            let k = k as usize;
-            // SAFETY: block b writes the disjoint range
-            // [offsets[b][k], offsets[b][k] + block_counts[b][k]) of class
-            // k's buffer, inside its reserved capacity.
-            unsafe { ptrs[k].get().add(cursor[k]).write(items[base + i]) };
-            cursor[k] += 1;
-        }
-    });
-    for (v, &t) in out.iter_mut().zip(&totals) {
-        // SAFETY: exactly `t` slots of each class buffer were initialized.
-        unsafe { v.set_len(t) };
-    }
-    out
-}
 
 /// Group `0..keys.len()` by `keys[i]` (each `< num_buckets`).
 ///
@@ -172,70 +67,5 @@ mod tests {
         let (off, items) = bucket_by_key(1, &keys);
         assert_eq!(off, vec![0, 100]);
         assert_eq!(items, (0..100).collect::<Vec<u32>>());
-    }
-
-    fn seq_partition<T: Copy>(items: &[T], classes: usize, f: impl Fn(&T) -> usize) -> Vec<Vec<T>> {
-        let mut out: Vec<Vec<T>> = (0..classes).map(|_| Vec::new()).collect();
-        for x in items {
-            out[f(x)].push(*x);
-        }
-        out
-    }
-
-    #[test]
-    fn partition_small_matches_sequential() {
-        let items: Vec<u64> = (0..1000).map(crate::hash::splitmix64).collect();
-        let got = partition_by(&items, 4, |&x| (x % 4) as usize);
-        assert_eq!(got, seq_partition(&items, 4, |&x| (x % 4) as usize));
-    }
-
-    #[test]
-    fn partition_large_matches_sequential() {
-        // Above SEQ_CUTOFF: exercises the blocked-count + scan + scatter path.
-        let items: Vec<u64> = (0..200_000)
-            .map(|i| crate::hash::splitmix64(i * 13))
-            .collect();
-        let f = |x: &u64| (*x % 3) as usize;
-        let got = partition_by(&items, 3, f);
-        assert_eq!(got, seq_partition(&items, 3, f));
-    }
-
-    #[test]
-    fn partition_empty_and_skewed_classes() {
-        let got = partition_by::<u32, _>(&[], 3, |_| 0);
-        assert_eq!(got, vec![Vec::<u32>::new(); 3]);
-        // All elements land in one class; the others stay empty.
-        let items: Vec<u32> = (0..100_000).collect();
-        let got = partition_by(&items, 5, |_| 2);
-        assert!(got[0].is_empty() && got[1].is_empty() && got[3].is_empty() && got[4].is_empty());
-        assert_eq!(got[2], items);
-    }
-
-    #[test]
-    fn partition_deterministic_across_pool_sizes() {
-        let items: Vec<u64> = (0..150_000)
-            .map(|i| crate::hash::xorshift64_star(i + 1))
-            .collect();
-        let f = |x: &u64| (*x % 7 < 2) as usize + (*x % 31 == 0) as usize;
-        let baseline = crate::pool::with_pool(1, || partition_by(&items, 3, f));
-        for t in [2, 5, 8] {
-            let got = crate::pool::with_pool(t, || partition_by(&items, 3, f));
-            assert_eq!(got, baseline, "partition differs at {t} threads");
-        }
-    }
-
-    #[test]
-    fn partition_classifier_runs_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for n in [500usize, 100_000] {
-            let items: Vec<u32> = (0..n as u32).collect();
-            let calls = AtomicUsize::new(0);
-            let got = partition_by(&items, 2, |&x| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                (x % 2) as usize
-            });
-            assert_eq!(calls.load(Ordering::Relaxed), n, "n = {n}");
-            assert_eq!(got[0].len() + got[1].len(), n);
-        }
     }
 }

@@ -15,26 +15,12 @@
 //! version re-evaluated the predicate in the write pass; combined with a
 //! racy predicate that could leave uninitialized slots in the output.)
 
-use crate::par;
+use crate::par::{self, SendPtr};
 
 /// Fixed block size (thread-count independent for determinism).
 const BLOCK: usize = par::DET_BLOCK;
 /// Below this length a sequential filter is faster.
 const SEQ_CUTOFF: usize = 1 << 14;
-
-/// Raw-pointer wrapper so disjoint parallel writes into one buffer pass Send.
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessor (rather than direct field use) so 2021-edition closures
-    /// capture the `Sync` wrapper, not the raw pointer field.
-    #[inline]
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
 
 /// Keep the elements of `input` satisfying `pred`, preserving order.
 /// `pred` runs exactly once per element.

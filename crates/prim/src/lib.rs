@@ -16,9 +16,7 @@
 //! * [`compact`] — order-preserving parallel stream compaction (filter)
 //!   built on the scan, used to maintain the two worklists of Algorithm 1.
 //! * [`bucket`] — stable counting sort by small integer key (color sets,
-//!   cluster membership, aggregate members) and the order-preserving
-//!   parallel multi-way partition behind the MIS-2 engine's degree-bucketed
-//!   dispatch.
+//!   cluster membership, aggregate members).
 //! * [`reduce`] — deterministic parallel reductions (sums, min/max) whose
 //!   results do not depend on the number of worker threads.
 //! * [`pool`] — the lazily initialized persistent worker pool behind the
@@ -41,7 +39,7 @@ pub mod reduce;
 pub mod scan;
 pub mod timer;
 
-pub use bucket::{bucket_by_key, partition_by};
+pub use bucket::bucket_by_key;
 pub use compact::{par_filter, par_filter_indices, par_map_filter};
 pub use hash::{hash2, splitmix64, xorshift64, xorshift64_star};
 pub use pool::{

@@ -84,6 +84,9 @@ impl_par_index!(u32, u64, usize);
 /// `Send + Sync`. The accessor keeps closures capturing the wrapper, not
 /// the raw pointer field.
 pub(crate) struct SendPtr<T>(pub(crate) *mut T);
+// SAFETY: the wrapper only carries the pointer across threads; every
+// dereference is an `unsafe` block at the use site that argues its slot
+// has one writer. `T: Send` because other threads write `T` values.
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 

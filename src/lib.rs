@@ -62,7 +62,7 @@ pub mod prelude {
     pub use mis2_color::{color_d1, color_d2, color_d2_mis, Coloring};
     pub use mis2_core::{
         bell_mis2, luby_mis1, mis2, mis2_with_config, mis_k, verify_mis2, Mis2Config, Mis2Result,
-        PriorityScheme, SimdMode,
+        PriorityScheme,
     };
     pub use mis2_graph::{CsrGraph, GraphStats, Scale, VertexId};
     pub use mis2_solver::{

@@ -1,29 +1,33 @@
-//! Adaptive-engine equivalence: the degree-bucketed / fused / tail-path
-//! engine must be **bitwise-identical** to the frozen seed engine
+//! Engine equivalence: the flat-worklist, fused-pass engine must be
+//! **bitwise-identical** to the frozen seed engine
 //! ([`mis2_core::reference`]) — full `Mis2Result` equality, history
 //! included — for every configuration, pool size and feature backend.
 //!
-//! The config matrix is the full 24-point cube (3 priority schemes × 2
-//! worklist modes × 2 tuple representations × 2 SIMD modes), which
-//! contains the 5-step Figure 2 ablation ladder as a subset; pool sizes
-//! {1, 2, 3, 5, 8} cover the serial path, odd non-divisor team sizes and
-//! oversubscription. CI runs this file under both feature sets, so the
-//! serial backend is covered by the same assertions.
+//! The config matrix is the full 12-point cube (3 priority schemes × 2
+//! worklist modes × 2 tuple representations), which contains the 4-step
+//! Figure 2 ablation ladder as a subset; pool sizes {1, 2, 3, 5, 8} cover
+//! the serial path, odd non-divisor team sizes and oversubscription. CI
+//! runs this file under both feature sets, so the serial backend is covered
+//! by the same assertions.
 //!
-//! Graph selection targets each execution strategy:
-//! * `laplace3d` — low bounded degree: single flat class (no partition);
-//! * `erdos_renyi` — concentrated degrees around the small/medium border;
-//! * `rmat` — power-law: all three degree classes populated at once;
-//! * `star` — one huge hub (team-wide reduction) plus all-small leaves;
-//! * `path` (300 vertices) — below `TAIL_CUTOFF` from round 0, so every
-//!   round takes the serial tail path.
+//! Graph selection targets the engine's one cutoff, the 4096-entry
+//! dispatch block (a list of one block runs inline, more go to the pool):
+//! * `laplace3d`, `erdos_renyi`, `rmat` (1000-2048 vertices) — low bounded
+//!   degree, concentrated degrees, power-law degrees; each a single block;
+//! * `star` — 33 blocks, one of them holding a 2^17-degree row, against
+//!   the seed's chunked reduction of that row;
+//! * `path` of 300 / 4096 / 4097 / 8193 vertices — one inline block from
+//!   round 0; exactly one block; two blocks; a short last block;
+//! * one vertex, and 4097 isolated vertices — every vertex IN in round 1,
+//!   so the column compaction keeps all of two blocks and the decide
+//!   compaction scatters zero survivors from them.
 
-use mis2_core::{mis2_with_config, reference, Mis2Config, PriorityScheme, SimdMode};
+use mis2_core::{mis2_with_config, reference, Mis2Config, PriorityScheme};
 use mis2_graph::{gen, CsrGraph};
 use mis2_prim::hash::splitmix64;
 use mis2_prim::pool::with_pool;
 
-/// The full 24-config cube (supersedes the ladder: every ladder step is one
+/// The full 12-config cube (supersedes the ladder: every ladder step is one
 /// of these points, modulo the seed, which `seeded` varies separately).
 fn all_configs() -> Vec<Mis2Config> {
     let mut out = Vec::new();
@@ -34,19 +38,16 @@ fn all_configs() -> Vec<Mis2Config> {
     ] {
         for use_worklists in [false, true] {
             for packed in [false, true] {
-                for simd in [SimdMode::Off, SimdMode::On] {
-                    out.push(Mis2Config {
-                        priorities,
-                        use_worklists,
-                        packed,
-                        simd,
-                        seed: 0,
-                    });
-                }
+                out.push(Mis2Config {
+                    priorities,
+                    use_worklists,
+                    packed,
+                    seed: 0,
+                });
             }
         }
     }
-    assert_eq!(out.len(), 24);
+    assert_eq!(out.len(), 12);
     out
 }
 
@@ -62,7 +63,7 @@ fn assert_equiv(name: &str, g: &CsrGraph) {
             let got = with_pool(threads, || mis2_with_config(g, &cfg));
             assert_eq!(
                 got, want,
-                "{name}: adaptive engine diverges from seed engine for {cfg:?} at {threads} threads"
+                "{name}: engine diverges from seed engine for {cfg:?} at {threads} threads"
             );
         }
     }
@@ -85,25 +86,36 @@ fn equiv_powerlaw_all_classes() {
 
 #[test]
 fn equiv_star_huge_hub() {
-    // Hub degree above the huge-class cutoff (2^17): the team-wide
-    // top-level reduction path must match the seed's nested (serial)
-    // reduction bit for bit.
+    // Hub degree 2^17 + 9: the serial loop over that row, inside an
+    // ordinary block, must match the seed's chunked (nested, hence
+    // serial) reduction bit for bit.
     assert_equiv("star", &gen::star((1 << 17) + 10));
 }
 
 #[test]
-fn equiv_tail_path_only() {
-    // 300 vertices < TAIL_CUTOFF: the whole run is the serial tail path
-    // regardless of mode; it must still match the seed engine's parallel
-    // primitives bit for bit.
+fn equiv_single_inline_block_path() {
+    // 300 vertices: every list of every round is one block, so the whole
+    // run is inline on the caller at every pool size; it must still match
+    // the seed engine's parallel primitives bit for bit.
     assert_equiv("path", &gen::path(300));
+}
+
+#[test]
+fn equiv_block_boundaries() {
+    // Around the 4096-entry dispatch block: one full block (inline), two
+    // blocks with a 1-entry tail, three with a 1-entry tail.
+    for n in [4096, 4097, 8193] {
+        assert_equiv(&format!("path({n})"), &gen::path(n));
+    }
+    assert_equiv("empty(1)", &CsrGraph::empty(1));
+    assert_equiv("empty(4097)", &CsrGraph::empty(4097));
 }
 
 #[test]
 fn equiv_seeded_property_graphs() {
     // splitmix64-derived property sweep: random graphs with random
     // nontrivial configs and seeds, every pool size. Catches anything the
-    // targeted graphs above miss (e.g. odd n, near-cutoff frontiers).
+    // targeted graphs above miss (e.g. odd n).
     for i in 0u64..6 {
         let s = splitmix64(0xE9_17 ^ i);
         let n = 500 + (s % 2500) as usize;
@@ -117,11 +129,6 @@ fn equiv_seeded_property_graphs() {
             ][(s % 3) as usize],
             use_worklists: s & 8 != 0,
             packed: s & 16 != 0,
-            simd: if s & 32 != 0 {
-                SimdMode::On
-            } else {
-                SimdMode::Auto
-            },
             seed: splitmix64(s ^ 0x5EED),
         };
         let want = with_pool(1, || reference::mis2_with_config(&g, &cfg));
@@ -137,8 +144,7 @@ fn equiv_seeded_property_graphs() {
 
 #[test]
 fn equiv_ladder_on_powerlaw() {
-    // The exact Figure 2 ablation ladder (the old toggles) on the graph
-    // class the adaptive layer targets.
+    // The exact Figure 2 ablation ladder on a power-law graph.
     let g = gen::rmat(12, 8, 0.6, 0.2, 0.1, 7);
     for (label, cfg) in Mis2Config::ladder() {
         let want = with_pool(1, || reference::mis2_with_config(&g, &cfg));
