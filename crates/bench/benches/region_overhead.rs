@@ -1,5 +1,4 @@
-//! Region-dispatch overhead: spawn-per-region vs the persistent parked
-//! pool.
+//! Region-dispatch overhead: spawn-per-region vs the persistent pool.
 //!
 //! Before the persistent pool, every parallel region paid
 //! `std::thread::scope` — one OS thread creation and join per worker per
@@ -9,11 +8,19 @@
 //! solver-shaped workload of many consecutive small regions (the pattern
 //! of Gauss-Seidel sweeps and CG vector updates where per-region overhead
 //! dominates).
+//!
+//! A second solver-shaped case puts ~5 us of serial work between the
+//! regions (a dot product, a coarse solve), back to back and gapped at
+//! pools 1, 2 and 4, and prints pool-N over pool-1: the cell the pool's
+//! spin budget is sized on. A gap inside the budget finds the team awake;
+//! the ratio says whether a pool of N then beats a pool of one. Cells with
+//! a pool larger than the host measure dispatch overhead only.
 
 use mis2_bench::criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mis2_prim::hash::splitmix64;
 use mis2_prim::{par, pool};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// Workers per region for both dispatch strategies.
 const TEAM: usize = 4;
@@ -66,6 +73,28 @@ fn pooled_region(n: usize, out: &[AtomicU64]) {
     });
 }
 
+/// 1000 regions of `n` elements with `gap` of serial work on the leader
+/// after each, at pool size `team`: median seconds of 9 runs.
+fn gapped_sweep_seconds(team: usize, n: usize, gap: Duration, out: &[AtomicU64]) -> f64 {
+    let mut runs: Vec<f64> = (0..9)
+        .map(|_| {
+            let t = Instant::now();
+            pool::with_pool(team, || {
+                for _ in 0..1000 {
+                    pooled_region(n, out);
+                    let g = Instant::now();
+                    while g.elapsed() < gap {
+                        std::hint::spin_loop();
+                    }
+                }
+            });
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    runs[runs.len() / 2]
+}
+
 fn bench_region_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("region_overhead");
     group.sample_size(40);
@@ -107,6 +136,30 @@ fn bench_region_overhead(c: &mut Criterion) {
     });
 
     group.finish();
+
+    // The gapped solver shape, and the same regions back to back, at pools
+    // 1, 2 and 4. `pooled_region` cuts for TEAM = 4, so every pool size
+    // drains the same 16 blocks.
+    let host = pool::max_threads();
+    for (shape, gap) in [
+        ("back_to_back", Duration::ZERO),
+        ("gapped_5us", Duration::from_micros(5)),
+    ] {
+        let p1 = gapped_sweep_seconds(1, n, gap, &out);
+        println!(
+            "region_overhead/solver_1000x8k/{shape}/pool-1   {:>9.3} ms",
+            p1 * 1e3
+        );
+        for team in [2usize, 4] {
+            let pn = gapped_sweep_seconds(team, n, gap, &out);
+            println!(
+                "region_overhead/solver_1000x8k/{shape}/pool-{team}   {:>9.3} ms   pool-{team} over pool-1 = {:.2}x{}",
+                pn * 1e3,
+                pn / p1,
+                if team > host { "   (pool > host CPUs: overhead only)" } else { "" }
+            );
+        }
+    }
 }
 
 criterion_group!(benches, bench_region_overhead);

@@ -20,9 +20,9 @@
 //! * [`reduce`] — deterministic parallel reductions (sums, min/max) whose
 //!   results do not depend on the number of worker threads.
 //! * [`pool`] — the lazily initialized persistent worker pool behind the
-//!   threaded backend (parked OS threads woken per region), plus helpers
-//!   to run closures with the team capped to a fixed size (for the
-//!   strong-scaling experiments of Figures 4 and 5).
+//!   threaded backend (OS threads that spin briefly, then park, between
+//!   regions), plus helpers to run closures with the team capped to a
+//!   fixed size (for the strong-scaling experiments of Figures 4 and 5).
 //! * [`timer`] — wall-clock timing and sample statistics used by the
 //!   benchmark harness.
 //!

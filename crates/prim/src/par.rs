@@ -14,13 +14,35 @@
 //! * **serial** (`--no-default-features`): every operation is a plain loop.
 //!   No threads are ever created and no synchronization is performed.
 //! * **threads** (default): operations split their index space into blocks
-//!   drained by the **persistent worker pool** in [`crate::pool`] — parked
-//!   OS threads woken per region through an epoch/condvar handshake, each
-//!   claiming whole blocks from an atomic counter. No thread is spawned or
-//!   torn down per region, so even the rapid back-to-back tiny regions of
-//!   iterative solvers pay only a wake/park handshake. The team size
-//!   honors [`crate::pool::with_pool`], which caps how many parked workers
+//!   drained by the **persistent worker pool** in [`crate::pool`] — OS
+//!   threads that spin briefly and then park between regions, each claiming
+//!   whole blocks from an atomic counter. No thread is spawned or torn down
+//!   per region, and a region opened within the spin budget of the last
+//!   one finds its team awake, so the rapid back-to-back tiny regions of
+//!   iterative solvers pay two mutex acquisitions, not a wake-up. The team
+//!   size honors [`crate::pool::with_pool`], which caps how many workers
 //!   *participate* (not how many exist).
+//!
+//! ## When a region opens
+//!
+//! Two rules, by what the caller's index counts:
+//!
+//! * **element ranges** ([`for_range`], [`map_range`], the `for_each*`
+//!   family, [`find_map_range`]): below `PAR_CUTOFF` *elements* the loop
+//!   runs on the caller; above it the range is cut into adaptive blocks of
+//!   at least `MIN_GRAIN` *elements*.
+//! * **block indices** ([`map_blocks`] and everything built on it:
+//!   [`map_chunks`], [`chunked_reduce`], [`map_reduce_range`], the scans,
+//!   compaction counts, `reduce::det_dot`, SpGEMM row blocks; and the
+//!   `for_chunks*` pair): a region opens when there are at least two
+//!   *blocks*, each block being thousands of elements the caller already
+//!   sized ([`DET_BLOCK`] *elements* for every deterministic reduction).
+//!
+//! Either way a nested call, a team of one and the serial backend run the
+//! same blocks in order on the caller. The three sizes are constants, not
+//! options: `DET_BLOCK` fixes the bits of every `f64` reduction, and the
+//! other two only trade dispatch cost against balance, which no caller in
+//! the workspace needs to retune.
 //!
 //! ## Determinism contract
 //!
@@ -44,15 +66,18 @@
 
 use std::ops::Range;
 
-/// Fixed block size shared by every deterministic reduction in the
-/// workspace (scans, compaction counts, f64 sums). Chosen once — never per
-/// thread count — so partial results are bitwise-stable across pool sizes
-/// and across the serial/threads backends.
+/// Fixed block size, in *elements*, shared by every deterministic
+/// reduction in the workspace (scans, compaction counts, f64 sums). Chosen
+/// once — never per thread count — so partial results are bitwise-stable
+/// across pool sizes and across the serial/threads backends.
 pub const DET_BLOCK: usize = 1 << 13;
 
-/// Below this many elements a parallel dispatch costs more than it saves.
+/// Below this many *elements* an element-range operation runs on the
+/// caller: a few thousand cheap elements cost less than a dispatch. It is
+/// never compared with a block count (see [`map_blocks`]).
 const PAR_CUTOFF: usize = 2048;
-/// Minimum elements per block for adaptive (order-insensitive) operations.
+/// Minimum *elements* per block for adaptive (order-insensitive)
+/// element-range operations.
 const MIN_GRAIN: usize = 256;
 
 /// Index types the range-based operations accept (`u32` vertex ids, `usize`
@@ -193,10 +218,11 @@ pub fn for_each<T: Sync>(items: &[T], f: impl Fn(&T) + Sync) {
 /// more than `grain` items exist, with `grain` items per block.
 ///
 /// [`for_each`] assumes items are cheap and serializes below a few
-/// thousand elements; use this when each element is itself a large unit of
-/// work (a cluster row-range in the multicolor Gauss-Seidel sweeps, a
-/// matrix row block), passing the number of items worth one task — often
-/// just 1.
+/// thousand elements; use this when each element is itself a unit of work
+/// (a cluster row-range in the multicolor Gauss-Seidel sweeps, a matrix
+/// row block), passing the number of items worth one task: enough that a
+/// block is microseconds of work, since every block is one claim on the
+/// region's shared counter.
 pub fn for_each_grain<T: Sync>(items: &[T], grain: usize, f: impl Fn(&T) + Sync) {
     let n = items.len();
     if n <= grain.max(1) || backend::is_nested() {
@@ -305,6 +331,30 @@ pub fn for_chunks_mut<T: Send>(items: &mut [T], chunk: usize, f: impl Fn(usize, 
     });
 }
 
+/// Parallel map over *block indices*: `out[b] = f(b)` for `b in 0..nblocks`,
+/// every index one task of the pool.
+///
+/// This is the entry point for callers that have already cut their input
+/// into blocks ([`map_chunks`], [`map_reduce_range`], `reduce::det_dot`, the
+/// 256-row blocks of SpGEMM). The rule that decides whether a region opens
+/// counts **blocks**, not elements: it opens when there are at least two
+/// blocks and the caller is not nested ([`crate::pool::run_region_on`]
+/// applies exactly that), because one block is already thousands of
+/// elements of work. [`map_range`]'s element cutoff must never see a block
+/// count — it would keep 16 M elements on one thread.
+pub fn map_blocks<U: Send>(nblocks: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
+    let mut out: Vec<U> = Vec::with_capacity(nblocks);
+    let ptr = SendPtr(out.as_mut_ptr());
+    backend::run_blocks(nblocks, &|b| {
+        // SAFETY: the backend runs every `b in 0..nblocks` exactly once,
+        // so each slot within capacity is written once before set_len.
+        unsafe { ptr.get().add(b).write(f(b)) };
+    });
+    // SAFETY: all nblocks slots initialized above.
+    unsafe { out.set_len(nblocks) };
+    out
+}
+
 /// Parallel map over fixed-size chunks: `out[b] = f(chunk_b)`. With a fixed
 /// `chunk` the output is identical for every thread count and backend.
 pub fn map_chunks<T: Sync, U: Send>(
@@ -313,8 +363,8 @@ pub fn map_chunks<T: Sync, U: Send>(
     f: impl Fn(&[T]) -> U + Sync,
 ) -> Vec<U> {
     let n = items.len();
-    let nblocks = n.div_ceil(chunk.max(1));
-    map_range(0..nblocks, |b| {
+    let chunk = chunk.max(1);
+    map_blocks(n.div_ceil(chunk), |b| {
         let lo = b * chunk;
         let hi = (lo + chunk).min(n);
         f(&items[lo..hi])
@@ -394,7 +444,7 @@ pub fn map_reduce_range<I: ParIndex, U: Send + Sync + Clone>(
     if nblocks == 1 || backend::is_nested() || crate::pool::current_threads() <= 1 {
         return (0..nblocks).fold(identity.clone(), |acc, b| combine(acc, block_partial(b)));
     }
-    let partials = map_range(0..nblocks, block_partial);
+    let partials = map_blocks(nblocks, block_partial);
     partials.into_iter().fold(identity, combine)
 }
 
@@ -584,6 +634,19 @@ mod tests {
         assert_eq!(sums.len(), items.len().div_ceil(1 << 10));
         let total: u64 = sums.iter().sum();
         assert_eq!(total, 100_000u64 * 100_001 / 2);
+    }
+
+    #[test]
+    fn map_blocks_runs_each_block_once_in_its_slot() {
+        // Block counts far below PAR_CUTOFF: the element cutoff must not
+        // apply, and slot b must hold f(b) at every team size.
+        for nblocks in [0usize, 1, 2, 7, 64] {
+            for t in [1usize, 2, 5] {
+                let got = crate::pool::with_pool(t, || map_blocks(nblocks, |b| b * b + 1));
+                let want: Vec<usize> = (0..nblocks).map(|b| b * b + 1).collect();
+                assert_eq!(got, want, "{nblocks} blocks at {t} threads");
+            }
+        }
     }
 
     #[test]

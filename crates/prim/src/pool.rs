@@ -7,27 +7,36 @@
 //!   actually dispatches. The pool then spawns exactly as many workers as
 //!   that region's team needs (team size minus the calling thread) and
 //!   grows monotonically on demand, up to [`MAX_TEAM`]` - 1` workers.
-//! * **Parking** — between regions every worker blocks on a condvar
-//!   (parked by the OS, zero CPU). A leader publishes its region as an
-//!   *entry* (job pointer + open team slots) under the pool mutex and
-//!   notifies; each woken worker that finds an entry with an open slot
-//!   checks in, drains blocks from that region's shared atomic counter,
-//!   checks out, and parks again. Several entries coexist, so concurrent
-//!   leaders each staff a **sub-team** from the workers the others have
-//!   not claimed. Per-region cost is a couple of mutex acquisitions and a
-//!   few condvar signals — no thread creation, no thread teardown — which
-//!   is what makes rapid back-to-back tiny regions (Gauss-Seidel sweeps,
-//!   CG vector ops, AMG cycles) cheap.
+//! * **Spin, then park** — a leader publishes its region as an *entry* (job
+//!   pointer + open team slots) under the pool mutex; a worker that finds an
+//!   entry with an open slot checks in, drains blocks from that region's
+//!   shared atomic counter and checks out. Between regions a worker first
+//!   polls an atomic mirror of the open-slot count for a short fixed *time*
+//!   (the private `SPIN_BUDGET`; every miss is a `spin_loop` hint and a
+//!   `yield_now`, so a pool larger than the host never starves its leader)
+//!   and only then blocks on a condvar (parked by the OS, zero CPU). A
+//!   solver iteration is regions separated by microseconds of serial work:
+//!   inside the budget the next region finds its team awake and costs two
+//!   mutex acquisitions per participant and no system call. The leader
+//!   signals the condvar only for the slots that awake workers cannot
+//!   cover, and after closing the door polls its job's atomic `active`
+//!   count for the same budget before it blocks waiting for a worker still
+//!   inside a block. Several entries coexist, so concurrent leaders each
+//!   staff a **sub-team** from the workers the others have not claimed. No
+//!   thread is created or torn down per region. There is one protocol, and
+//!   the budget is a constant, not an option: past it the pool is as idle
+//!   as a purely parked one (`tests/pool_stress.rs` measures that), and no
+//!   caller in the workspace wants another value.
 //! * **Cap semantics** — [`with_pool`]`(n)` does *not* control how many
-//!   threads exist; it caps how many parked workers *participate* in the
+//!   threads exist; it caps how many pool workers *participate* in the
 //!   regions the closure runs (the calling thread counts toward `n`).
-//!   Workers beyond the cap simply stay parked. The cap is thread-local,
+//!   Workers beyond the cap simply stay idle. The cap is thread-local,
 //!   so concurrent sweeps at different sizes don't interfere.
 //! * **Shutdown** — there is none: workers are detached and park forever.
 //!   The Rust runtime terminates the process when `main` returns, and a
 //!   condvar-parked thread costs only its stack until then. This mirrors
 //!   the OpenMP runtime the paper's thread sweeps assume (a warm team
-//!   living for the life of the process).
+//!   living for the life of the process, spin-waiting between regions).
 //!
 //! ## Determinism contract
 //!
@@ -54,7 +63,7 @@
 //! * A panic in any block is caught, the remaining blocks still execute
 //!   (matching the previous `std::thread::scope` semantics), and the
 //!   first panic payload is re-raised on the thread that opened the
-//!   region. Workers survive panics and return to the parked state.
+//!   region. Workers survive panics and return to the idle state.
 
 use std::cell::Cell;
 
@@ -63,9 +72,9 @@ thread_local! {
     static THREAD_CAP: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Hard ceiling on a region's team size (leader + parked workers).
+/// Hard ceiling on a region's team size (leader + pool workers).
 /// `with_pool` caps above this are clamped so a typo cannot fork-bomb the
-/// process with parked threads.
+/// process with idle threads.
 pub const MAX_TEAM: usize = 256;
 
 /// Number of logical CPUs the parallel backend uses by default.
@@ -123,7 +132,7 @@ pub fn contended_regions() -> u64 {
 
 /// Execute `body(b)` for every `b in 0..nblocks`, each exactly once, on a
 /// sub-team of at most `team` participants: the calling thread plus up to
-/// `team - 1` parked workers claimed from the persistent pool.
+/// `team - 1` workers claimed from the persistent pool.
 ///
 /// Unlike [`with_pool`] (which caps every region a closure opens), this
 /// runs *one* region on an explicitly sized slice of the pool, and it
@@ -159,11 +168,11 @@ pub fn run_region_on(team: usize, nblocks: usize, body: &(dyn Fn(usize) + Sync))
 
 /// Run `f` with the `par` execution layer capped to at most `num_threads`
 /// participants per region (the calling thread plus `num_threads - 1`
-/// parked workers).
+/// pool workers).
 ///
 /// The cap bounds *participation*, not thread creation: the persistent
 /// pool keeps every worker it has ever spawned, and workers beyond the cap
-/// stay parked for the duration of `f`. All `par` parallelism inside `f`
+/// stay idle for the duration of `f`. All `par` parallelism inside `f`
 /// (including calls in other crates of this workspace) honors the cap,
 /// and — by the determinism contract of [`crate::par`] — produces results
 /// identical to every other pool size. On the serial backend the cap is
@@ -183,15 +192,31 @@ pub fn with_pool<R: Send>(num_threads: usize, f: impl FnOnce() -> R + Send) -> R
 #[cfg(feature = "parallel")]
 pub(crate) use team::in_region;
 
-/// The persistent team: parked OS workers woken per region through an
-/// epoch/condvar handshake. Compiled only with the `parallel` feature —
-/// the serial backend never creates a thread.
+/// The persistent team: pool workers that spin briefly, then park, between
+/// regions, and the check-in/check-out handshake a leader staffs a region
+/// through. Compiled only with the `parallel` feature — the serial backend
+/// never creates a thread.
 #[cfg(feature = "parallel")]
 mod team {
     use std::cell::Cell;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Condvar, Mutex, OnceLock};
+    use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+    use std::time::{Duration, Instant};
+
+    /// How long (wall time) an idle worker polls for the next open team
+    /// slot before it parks, and how long a leader polls for its last
+    /// worker to check out before it blocks. The gaps between the regions
+    /// of one solver iteration (a serial restriction, a dense coarse solve,
+    /// a run of short dot products) are tens of microseconds, and waking a
+    /// parked thread costs from a few microseconds to a few hundred, so
+    /// the budget covers most of those gaps and little more. Sized on the
+    /// repo benchmark's `lib_amg`: 20 us already gives most of the gain,
+    /// 100 us all but a few percent of what 1 ms gives, and past it a
+    /// worker only burns CPU a shared host has other uses for. It is a
+    /// constant, not an option: no caller of this workspace needs another
+    /// value, and after it the pool costs zero CPU exactly as before.
+    const SPIN_BUDGET: Duration = Duration::from_micros(100);
 
     thread_local! {
         /// Set while this thread is draining a region, so nested `par`
@@ -219,9 +244,11 @@ mod team {
         }
     }
 
-    /// One parallel region. Lives on the leader's stack; workers only
-    /// dereference it between check-in and check-out, and the leader does
-    /// not return (or unwind) until every check-in has checked out.
+    /// One parallel region. Lives on the leader's stack; a worker only
+    /// dereferences it between its check-in (`active += 1`, under the pool
+    /// mutex, while the region's entry is still listed) and its check-out
+    /// (`active -= 1`, its last access), and the leader does not return (or
+    /// unwind) until it has unlisted the entry and then read `active == 0`.
     struct Job {
         /// Lifetime-erased pointer to the region body. Valid for the
         /// duration of the region by the check-in/check-out protocol.
@@ -229,29 +256,35 @@ mod team {
         /// Next unclaimed block.
         next: AtomicUsize,
         nblocks: usize,
+        /// Workers checked in and not yet checked out. Incremented only
+        /// under the pool mutex while the entry is listed, so once the
+        /// leader has unlisted the entry it can only fall. The check-out
+        /// decrement is `Release` and the leader's poll `Acquire`: every
+        /// write a worker made through `body` (and to `panic`) happens
+        /// before the leader sees zero.
+        active: AtomicUsize,
         /// First panic payload from any block, re-raised by the leader.
         panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     }
 
     /// Raw job pointer made `Send` so it can sit in the shared pool state.
-    /// Soundness rests on the region protocol, not on this wrapper.
     #[derive(Clone, Copy)]
     struct JobPtr(*const Job);
+    // SAFETY: the pointer is only dereferenced by a checked-in worker (see
+    // `Job`), and every field it reaches is `Sync` (atomics, a mutex, and
+    // a `dyn Fn + Sync` body).
     unsafe impl Send for JobPtr {}
 
     /// One concurrently running region's claim on the pool: how many team
-    /// slots are still open (`to_join`) and how many workers are currently
-    /// inside the region (`active`). Several entries coexist — that is what
-    /// lets concurrent leaders split the pool into sub-teams instead of
+    /// slots are still open. Several entries coexist — that is what lets
+    /// concurrent leaders split the pool into sub-teams instead of
     /// serializing on a single job slot.
     struct Entry {
-        /// Unique (monotone) id; the leader retires its entry by id.
+        /// Unique (monotone) id; the leader unlists its entry by id.
         id: u64,
         job: JobPtr,
-        /// Open team slots a parked worker may still claim.
+        /// Open team slots an idle worker may still claim.
         to_join: usize,
-        /// Workers checked in (claiming or running blocks).
-        active: usize,
     }
 
     struct State {
@@ -261,10 +294,17 @@ mod team {
         /// Id source for entries.
         next_id: u64,
         /// Sum of `to_join` over `entries`: slots promised but unclaimed.
+        /// Mirrored into [`Shared::open`] on every change.
         pending: usize,
         /// Workers currently checked in to any entry.
         busy: usize,
-        /// Parked worker threads spawned so far (monotone).
+        /// Workers blocked on [`Shared::work`]. A worker that is neither
+        /// busy nor parked is awake and re-scans `entries` under the mutex
+        /// before it parks, so it cannot miss a listed slot.
+        parked: usize,
+        /// Leaders blocked on [`Shared::done`].
+        waiting_leaders: usize,
+        /// Worker threads spawned so far (monotone).
         spawned: usize,
         /// Regions that wanted helpers but got none (see
         /// [`super::contended_regions`]).
@@ -277,15 +317,43 @@ mod team {
         fn free_workers(&self) -> usize {
             self.spawned - self.busy - self.pending
         }
+
+        /// Set `pending` and publish it to the spinning workers.
+        fn set_pending(&mut self, pool: &Shared, pending: usize) {
+            self.pending = pending;
+            pool.open.store(pending, Ordering::Relaxed);
+        }
+
+        /// Close entry `id`'s remaining slots (a no-op when the leader has
+        /// already unlisted it).
+        fn close_door(&mut self, pool: &Shared, id: u64) {
+            if let Some(e) = self.entries.iter_mut().find(|e| e.id == id) {
+                let closed = std::mem::take(&mut e.to_join);
+                self.set_pending(pool, self.pending - closed);
+            }
+        }
     }
 
     struct Shared {
         state: Mutex<State>,
-        /// Workers park here between regions.
+        /// Mirror of `State::pending` that idle workers poll without the
+        /// mutex. `Relaxed` everywhere: it publishes no data, only the
+        /// hint "look at `entries` now" — the entry list itself is read
+        /// under the mutex.
+        open: AtomicUsize,
+        /// Workers park here once their spin budget is spent.
         work: Condvar,
-        /// Leaders wait here for their entry's checked-in workers to
-        /// check out.
+        /// Leaders park here when a worker is still inside its block
+        /// after the leader's spin budget is spent.
         done: Condvar,
+    }
+
+    impl Shared {
+        fn lock(&self) -> MutexGuard<'_, State> {
+            // No code path panics while holding the guard (block bodies
+            // run unlocked, under catch_unwind), so poisoning is a bug.
+            self.state.lock().expect("pool state mutex poisoned")
+        }
     }
 
     fn shared() -> &'static Shared {
@@ -296,20 +364,39 @@ mod team {
                 next_id: 0,
                 pending: 0,
                 busy: 0,
+                parked: 0,
+                waiting_leaders: 0,
                 spawned: 0,
                 contended: 0,
             }),
+            open: AtomicUsize::new(0),
             work: Condvar::new(),
             done: Condvar::new(),
         })
     }
 
     pub(crate) fn spawned_workers() -> usize {
-        shared().state.lock().unwrap().spawned
+        shared().lock().spawned
     }
 
     pub(crate) fn contended_regions() -> u64 {
-        shared().state.lock().unwrap().contended
+        shared().lock().contended
+    }
+
+    /// Poll `ready` until it holds or `deadline` passes; returns whether
+    /// it held. Every miss yields the CPU: on a pool larger than the host
+    /// the thread being waited for may need this very core.
+    fn spin_until(deadline: Instant, ready: impl Fn() -> bool) -> bool {
+        loop {
+            if ready() {
+                return true;
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::hint::spin_loop();
+            std::thread::yield_now();
+        }
     }
 
     /// Claim blocks from the shared counter until none remain. A panic in
@@ -326,7 +413,7 @@ mod team {
                 break;
             }
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(b))) {
-                let mut slot = job.panic.lock().unwrap();
+                let mut slot = job.panic.lock().unwrap_or_else(|e| e.into_inner());
                 if slot.is_none() {
                     *slot = Some(payload);
                 }
@@ -334,60 +421,79 @@ mod team {
         }
     }
 
-    /// Body of every persistent worker: park on the condvar, check in to
-    /// any region that still has an open team slot, drain, check out,
-    /// repark. With several entries live at once a worker simply serves
-    /// whichever region it finds first — the sub-teams of concurrent
-    /// leaders are staffed from one shared set of parked workers.
+    /// Body of every persistent worker: check in to any region that has an
+    /// open team slot, drain, check out; with no slot open, poll
+    /// [`Shared::open`] for [`SPIN_BUDGET`], then park on the condvar.
+    /// With several entries live at once a worker simply serves whichever
+    /// region it finds first — the sub-teams of concurrent leaders are
+    /// staffed from one shared set of workers.
     fn worker_loop() {
         let pool = shared();
-        let mut st = pool.state.lock().unwrap();
+        // When this idle spell's spin budget runs out. One budget per
+        // spell: losing the race for a slot does not restart it, so
+        // workers beyond a long series of small-cap regions still park.
+        let mut spin_deadline: Option<Instant> = None;
+        let mut st = pool.lock();
         loop {
             let Some(idx) = st.entries.iter().position(|e| e.to_join > 0) else {
-                st = pool.work.wait(st).unwrap();
+                let deadline = *spin_deadline.get_or_insert_with(|| Instant::now() + SPIN_BUDGET);
+                drop(st);
+                let seen = spin_until(deadline, || pool.open.load(Ordering::Relaxed) > 0);
+                st = pool.lock();
+                if !seen && st.pending == 0 {
+                    // Decided under the mutex: a leader that lists a slot
+                    // after this sees us in `parked` and notifies.
+                    st.parked += 1;
+                    st = pool.work.wait(st).expect("pool state mutex poisoned");
+                    st.parked -= 1;
+                    spin_deadline = None;
+                }
                 continue;
             };
             // Open slot found: check in.
             let id = st.entries[idx].id;
             let job = st.entries[idx].job;
             st.entries[idx].to_join -= 1;
-            st.entries[idx].active += 1;
-            st.pending -= 1;
+            let pending = st.pending - 1;
+            st.set_pending(pool, pending);
             st.busy += 1;
+            // SAFETY: the entry is listed and we hold the mutex, so the
+            // leader has not yet unlisted it and is still inside
+            // `run_region`: the `Job` is alive.
+            unsafe { &*job.0 }.active.fetch_add(1, Ordering::Relaxed);
             drop(st);
             {
                 let _flag = RegionFlag::set();
-                // SAFETY: checked in above — the leader cannot retire the
-                // job until our check-out below.
+                // SAFETY: checked in above — the leader cannot leave
+                // `run_region` until our check-out below.
                 drain(unsafe { &*job.0 });
             }
-            st = pool.state.lock().unwrap();
+            spin_deadline = None;
+            st = pool.lock();
             st.busy -= 1;
-            // The entry is guaranteed present: the leader cannot remove it
-            // while we are checked in.
-            let i = st.entries.iter().position(|e| e.id == id).unwrap();
-            st.entries[i].active -= 1;
-            if st.entries[i].to_join > 0 {
-                // drain() only returns once every block is claimed, so
-                // close the door: a sibling joining now could only make a
-                // no-op pass over the exhausted counter.
-                st.pending -= st.entries[i].to_join;
-                st.entries[i].to_join = 0;
-            }
-            if st.entries[i].active == 0 {
+            // drain() only returns once every block is claimed, so close
+            // the door: a sibling joining now could only make a no-op pass
+            // over the exhausted counter.
+            st.close_door(pool, id);
+            // Check out. SAFETY: still checked in until this decrement,
+            // which is the last access to the `Job` — the leader may free
+            // it the moment it reads zero.
+            let last = unsafe { &*job.0 }.active.fetch_sub(1, Ordering::Release) == 1;
+            if last && st.waiting_leaders > 0 {
                 pool.done.notify_all();
             }
         }
     }
 
-    /// Publish `job` with up to `helpers` team slots, staffed from workers
+    /// List `job` with up to `helpers` team slots, staffed from workers
     /// not claimed by other regions and lazily spawning new ones (up to
     /// the global [`super::MAX_TEAM`]` - 1` ceiling). Returns the entry id
-    /// and the number of slots opened, or `None` when every worker is
-    /// taken and none can be spawned — the caller then drains alone (the
+    /// and how many parked workers must be woken to fill the slots that
+    /// awake workers cannot cover, or `None` when every worker is taken
+    /// and none can be spawned — the caller then drains alone (the
     /// contended fallback, counted).
     fn dispatch(pool: &'static Shared, job: &Job, helpers: usize) -> Option<(u64, usize)> {
-        let mut st = pool.state.lock().unwrap();
+        let mut st = pool.lock();
         while st.free_workers() < helpers && st.spawned < super::MAX_TEAM - 1 {
             let spawned = std::thread::Builder::new()
                 .name(format!("mis2-par-{}", st.spawned))
@@ -409,34 +515,48 @@ mod team {
             id,
             job: JobPtr(job),
             to_join: slots,
-            active: 0,
         });
-        st.pending += slots;
-        Some((id, slots))
+        let pending = st.pending + slots;
+        st.set_pending(pool, pending);
+        // Awake idle workers (spinning, just spawned, or between a
+        // check-out and their next scan) each take an open slot without
+        // being told; only the slots beyond them need a parked worker.
+        let awake = st.spawned - st.busy - st.parked;
+        let wakes = st.pending.saturating_sub(awake).min(st.parked);
+        Some((id, wakes))
     }
 
-    /// Retire entry `id`: close the door to late joiners, then wait until
-    /// every checked-in worker has checked out. Only after this may the
-    /// `Job` (on the leader's stack) be dropped.
-    fn retire(pool: &'static Shared, id: u64) {
-        let mut st = pool.state.lock().unwrap();
-        if let Some(i) = st.entries.iter().position(|e| e.id == id) {
-            st.pending -= st.entries[i].to_join;
-            st.entries[i].to_join = 0;
-        }
-        while st
-            .entries
-            .iter()
-            .find(|e| e.id == id)
-            .is_some_and(|e| e.active > 0)
+    /// Retire entry `id`: unlist it, which closes the door to late
+    /// joiners, then wait — polling for [`SPIN_BUDGET`], after that
+    /// blocked on `done` — until every checked-in worker has checked out.
+    /// Only after this may the `Job` (on the leader's stack) be dropped.
+    fn retire(pool: &'static Shared, id: u64, job: &Job) {
         {
-            st = pool.done.wait(st).unwrap();
+            let mut st = pool.lock();
+            let i = st.entries.iter().position(|e| e.id == id);
+            let unclaimed = st
+                .entries
+                .swap_remove(i.expect("own entry is listed"))
+                .to_join;
+            let pending = st.pending - unclaimed;
+            st.set_pending(pool, pending);
         }
-        st.entries.retain(|e| e.id != id);
+        let checked_out = || job.active.load(Ordering::Acquire) == 0;
+        if spin_until(Instant::now() + SPIN_BUDGET, checked_out) {
+            return;
+        }
+        let mut st = pool.lock();
+        st.waiting_leaders += 1;
+        // The last check-out decrements and tests `waiting_leaders` under
+        // this mutex, so it either precedes this check or notifies.
+        while !checked_out() {
+            st = pool.done.wait(st).expect("pool state mutex poisoned");
+        }
+        st.waiting_leaders -= 1;
     }
 
     /// Execute `body(b)` for every `b in 0..nblocks`, each exactly once,
-    /// on a sub-team of at most `team` threads (the caller plus parked
+    /// on a sub-team of at most `team` threads (the caller plus pool
     /// workers). Called by the `par` backend for every parallel region.
     pub(crate) fn run_region(nblocks: usize, team: usize, body: &(dyn Fn(usize) + Sync)) {
         debug_assert!(team >= 2 && nblocks > 0 && !in_region());
@@ -448,20 +568,18 @@ mod team {
             },
             next: AtomicUsize::new(0),
             nblocks,
+            active: AtomicUsize::new(0),
             panic: Mutex::new(None),
         };
         let pool = shared();
         let helpers = team.min(super::MAX_TEAM) - 1;
         let ticket = dispatch(pool, &job, helpers);
-        // Wake only as many workers as can join: a small-cap region on a
-        // pool that has grown large must not broadcast-wake (and re-park)
-        // every worker. A notification landing on no waiter is simply
-        // lost, which is fine — busy workers re-scan the entry list when
-        // they finish, and the leader drains every block itself
-        // regardless, so a missed wake can only cost parallelism, never
-        // progress.
-        if let Some((_, slots)) = ticket {
-            for _ in 0..slots {
+        // A notification landing on no waiter (the worker it was counted
+        // for woke on its own) is simply lost, which is fine: the leader
+        // drains every block itself regardless, so a missed wake can only
+        // cost parallelism, never progress.
+        if let Some((_, wakes)) = ticket {
+            for _ in 0..wakes {
                 pool.work.notify_one();
             }
         }
@@ -473,9 +591,9 @@ mod team {
             drain(&job);
         }
         if let Some((id, _)) = ticket {
-            retire(pool, id);
+            retire(pool, id, &job);
         }
-        let payload = job.panic.lock().unwrap().take();
+        let payload = job.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
         if let Some(p) = payload {
             resume_unwind(p);
         }

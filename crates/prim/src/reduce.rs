@@ -30,7 +30,7 @@ pub fn det_dot(a: &[f64], b: &[f64]) -> f64 {
         return a.iter().zip(b).map(|(x, y)| x * y).sum();
     }
     let nblocks = a.len().div_ceil(BLOCK);
-    let partials: Vec<f64> = par::map_range(0..nblocks, |blk| {
+    let partials: Vec<f64> = par::map_blocks(nblocks, |blk| {
         let lo = blk * BLOCK;
         let hi = (lo + BLOCK).min(a.len());
         a[lo..hi].iter().zip(&b[lo..hi]).map(|(x, y)| x * y).sum()

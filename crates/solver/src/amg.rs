@@ -14,7 +14,8 @@
 use crate::chebyshev::ChebyshevSmoother;
 use crate::precond::{JacobiSmoother, Preconditioner};
 use mis2_coarsen::{smoothed_prolongator, tentative_prolongator, AggScheme};
-use mis2_sparse::kernels::{axpy, sub};
+use mis2_prim::par;
+use mis2_sparse::kernels::axpy;
 use mis2_sparse::{galerkin_product, CsrMatrix, LuFactors};
 use std::sync::Mutex;
 
@@ -187,6 +188,8 @@ impl AmgHierarchy {
         self.levels.len() + 1
     }
 
+    /// One V-cycle from `level` down; `scratch[0]` belongs to `level`, the
+    /// rest of the slice to the levels below it.
     fn v_cycle(&self, level: usize, b: &[f64], x: &mut [f64], scratch: &mut [LevelScratch]) {
         if level == self.levels.len() {
             // Coarsest: direct solve (Jacobi fallback if LU failed).
@@ -202,36 +205,26 @@ impl AmgHierarchy {
             return;
         }
         let lvl = &self.levels[level];
+        let (s, deeper) = scratch
+            .split_first_mut()
+            .expect("one scratch slot per level");
         // Pre-smooth.
-        {
-            let s = &mut scratch[level];
-            lvl.smoother.smooth(&lvl.a, b, x, &mut s.tmp);
-        }
-        // Residual, restrict.
-        let (bc, mut xc);
-        {
-            let s = &mut scratch[level];
-            s.r.resize(x.len(), 0.0);
-            lvl.a.spmv_into(x, &mut s.r);
-            let r = sub(b, &s.r);
-            // bc = P^T r  (column-major gather via transpose-free spmv on P^T
-            // is equivalent to spmv of transpose; we use the cached P and
-            // compute P^T r per-entry).
-            bc = transpose_spmv(&lvl.p, &r);
-            xc = vec![0.0; bc.len()];
-        }
+        lvl.smoother.smooth(&lvl.a, b, x, &mut s.tmp);
+        // Residual r = b - A x, in the level's own buffer.
+        s.r.resize(x.len(), 0.0);
+        lvl.a.spmv_into(x, &mut s.r);
+        par::for_each_mut_indexed(&mut s.r, |i, r| *r = b[i] - *r);
+        // Restrict: bc = P^T r, without materializing the transpose.
+        let bc = transpose_spmv(&lvl.p, &s.r);
+        let mut xc = vec![0.0; bc.len()];
         // Recurse.
-        self.v_cycle(level + 1, &bc, &mut xc, scratch);
+        self.v_cycle(level + 1, &bc, &mut xc, deeper);
         // Prolong and correct.
-        {
-            let s = &mut scratch[level];
-            s.tmp.resize(x.len(), 0.0);
-            lvl.p.spmv_into(&xc, &mut s.tmp);
-            let corr = s.tmp.clone();
-            axpy(1.0, &corr, x);
-            // Post-smooth.
-            lvl.smoother.smooth(&lvl.a, b, x, &mut s.tmp);
-        }
+        s.tmp.resize(x.len(), 0.0);
+        lvl.p.spmv_into(&xc, &mut s.tmp);
+        axpy(1.0, &s.tmp, x);
+        // Post-smooth.
+        lvl.smoother.smooth(&lvl.a, b, x, &mut s.tmp);
     }
 }
 

@@ -28,6 +28,15 @@ use mis2_sparse::CsrMatrix;
 /// How many forward(+backward) applications per preconditioner apply.
 const DEFAULT_SWEEPS: usize = 1;
 
+/// Clusters one pool block of a cluster sweep holds. A MIS-2 aggregate is
+/// some 7 to 30 rows, a fraction of a microsecond of work, so claiming
+/// clusters one at a time from the region's shared counter costs more than
+/// sweeping them; a block of this many is a few microseconds. The unit is
+/// clusters, the value decides only who sweeps a cluster (never the row
+/// order inside one, so results do not depend on it), and it is a constant
+/// because no caller has a reason to pick another.
+const CLUSTERS_PER_BLOCK: usize = 32;
+
 /// Sweep direction per preconditioner application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GsMode {
@@ -241,39 +250,42 @@ impl ClusterMcSgs {
         unsafe { xw.write(i, acc * self.dinv[i]) };
     }
 
+    /// Sweep the clusters of one color in parallel, [`CLUSTERS_PER_BLOCK`]
+    /// to a pool block: rows in order inside each cluster, reversed when
+    /// `backward`.
+    fn sweep_color(&self, color: usize, backward: bool, b: &[f64], xw: &SharedMut<'_, f64>) {
+        let rows = &self.cluster_rows;
+        let clusters = &self.color_clusters[color];
+        par::for_each_grain(clusters, CLUSTERS_PER_BLOCK, |&(lo, hi)| {
+            if backward {
+                for &i in rows[lo..hi].iter().rev() {
+                    self.update_row(i as usize, b, xw);
+                }
+            } else {
+                for &i in &rows[lo..hi] {
+                    self.update_row(i as usize, b, xw);
+                }
+            }
+        });
+    }
+
     /// One symmetric sweep: forward colors (rows in order inside each
     /// cluster), then backward colors (rows reversed inside each cluster).
     pub fn sgs_sweep(&self, b: &[f64], x: &mut [f64]) {
-        let rows = &self.cluster_rows;
-        {
-            let xw = SharedMut::new(&mut *x);
-            for color in 0..self.color_clusters.len() {
-                par::for_each_grain(&self.color_clusters[color], 1, |&(lo, hi)| {
-                    for &i in &rows[lo..hi] {
-                        self.update_row(i as usize, b, &xw);
-                    }
-                });
-            }
-            for color in (0..self.color_clusters.len()).rev() {
-                par::for_each_grain(&self.color_clusters[color], 1, |&(lo, hi)| {
-                    for &i in rows[lo..hi].iter().rev() {
-                        self.update_row(i as usize, b, &xw);
-                    }
-                });
-            }
+        let xw = SharedMut::new(x);
+        for color in 0..self.color_clusters.len() {
+            self.sweep_color(color, false, b, &xw);
+        }
+        for color in (0..self.color_clusters.len()).rev() {
+            self.sweep_color(color, true, b, &xw);
         }
     }
 
     /// One forward sweep (Algorithm 4 exactly as listed in the paper).
     pub fn gs_sweep_forward(&self, b: &[f64], x: &mut [f64]) {
-        let rows = &self.cluster_rows;
-        let xw = SharedMut::new(&mut *x);
+        let xw = SharedMut::new(x);
         for color in 0..self.color_clusters.len() {
-            par::for_each_grain(&self.color_clusters[color], 1, |&(lo, hi)| {
-                for &i in &rows[lo..hi] {
-                    self.update_row(i as usize, b, &xw);
-                }
-            });
+            self.sweep_color(color, false, b, &xw);
         }
     }
 }

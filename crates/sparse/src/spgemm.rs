@@ -66,7 +66,7 @@ pub fn spgemm(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
     // the per-row accumulation order stays fixed and deterministic.
     const ROW_BLOCK: usize = 256;
     let nblocks = nrows.div_ceil(ROW_BLOCK);
-    let blocks: Vec<Vec<(Vec<u32>, Vec<f64>)>> = par::map_range(0..nblocks, |blk| {
+    let blocks: Vec<Vec<(Vec<u32>, Vec<f64>)>> = par::map_blocks(nblocks, |blk| {
         let lo = blk * ROW_BLOCK;
         let hi = (lo + ROW_BLOCK).min(nrows);
         let mut acc = Accumulator::new(ncols);
