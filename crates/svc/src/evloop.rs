@@ -37,11 +37,10 @@
 //! [`ConnSlot`] drop guard as the threads backend.
 
 use crate::metrics;
-use crate::proto;
 use crate::registry::RespBytes;
 use crate::server::{
-    record_conn_error, stage_outgoing, CompletionSink, ConnIo, ConnMachine, ConnShared, ConnSlot,
-    ConnTable, Flow, FrameDecoder, Outgoing, Piece, SvcStats, MAX_IOVECS, READ_CHUNK,
+    admit, record_conn_error, stage_outgoing, CompletionSink, ConnIo, ConnMachine, ConnShared,
+    ConnSlot, ConnTable, Flow, FrameDecoder, Outgoing, Piece, SvcStats, MAX_IOVECS, READ_CHUNK,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -669,7 +668,7 @@ impl EvLoop {
 
     fn accept_burst(&mut self) {
         loop {
-            let (mut stream, _) = match self.listener.accept() {
+            let (stream, _) = match self.listener.accept() {
                 Ok(s) => s,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(_) => {
@@ -681,21 +680,10 @@ impl EvLoop {
                     return;
                 }
             };
-            let _ = stream.set_nodelay(true);
-            // Claim-then-check, exactly like the threads accept loop:
-            // the claim travels as a drop guard so every path releases
-            // exactly once.
-            let claimed = self.cx.conns.fetch_add(1, Ordering::AcqRel) + 1;
-            let slot = ConnSlot::new(Arc::clone(&self.cx.conns));
-            if claimed > self.max_conns {
-                record_conn_error(&self.cx.mx, "busy");
-                // The accepted socket is still blocking, but the busy
-                // line is a handful of bytes into a fresh send buffer —
-                // it cannot stall the loop.
-                let _ = writeln!(stream, "{}", proto::err("server busy"));
-                continue; // drop the stream; `slot` releases the claim
-            }
-            let slot = slot.track(&self.conn_table, &stream);
+            let Some((stream, slot)) = admit(stream, &self.cx, &self.conn_table, self.max_conns)
+            else {
+                continue;
+            };
             if stream.set_nonblocking(true).is_err() {
                 continue; // drop; `slot` releases
             }

@@ -55,10 +55,14 @@
 //!   versioned `METRICS` text exposition that the router merges
 //!   bucket-wise across a cluster ([`metrics::merge_expositions`]).
 //! * [`shard`] — cluster scale: a consistent-hash [`shard::Ring`] over
-//!   shard identities, the `mis2svc route` proxy ([`shard::route`])
-//!   fronting N server processes with one pipelined v3 upstream per
-//!   shard, tag remapping, fail-fast `ERR shard down` containment when a
-//!   shard dies, and per-shard `STATS` merged into one cluster line
+//!   shard identities and the `mis2svc route` proxy ([`shard::route`])
+//!   fronting N server processes. The router runs the server's own
+//!   accept path and connection state machine; what it adds is the
+//!   *upstream* service behind the machine's one seam (the *local* one
+//!   being registry + scheduler): ring lookup, one pipelined v3 upstream
+//!   per shard per downstream connection, tag remapping, fail-fast `ERR
+//!   shard down` containment when a shard dies, and per-shard
+//!   `STATS`/`METRICS` merged into one cluster body
 //!   ([`registry::merge_stats_bodies`]); [`client::ShardedClient`] is
 //!   the client-side equivalent of the router.
 //!

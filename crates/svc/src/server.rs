@@ -2,7 +2,7 @@
 //! (v3) connections and pipelines their compute requests through the
 //! batching scheduler.
 //!
-//! # One state machine, two I/O backends
+//! # One state machine, two I/O drivers, two services
 //!
 //! Protocol behavior lives in ONE place — the shared **connection state
 //! machine** ([`FrameDecoder`] + [`ConnMachine`]): hello negotiation
@@ -12,22 +12,40 @@
 //! and framing errors, and the draining `QUIT`. The machine is sans-I/O:
 //! it consumes framed items extracted from a byte buffer and emits
 //! effects through the small [`ConnIo`] seam (acquire a window slot,
-//! enqueue a response, mint a [`CompletionSink`] for a scheduler
-//! completion). Two backends drive it ([`ServerConfig::io_backend`]):
+//! enqueue a response, mint a [`CompletionSink`] for a completion).
+//!
+//! Two **drivers** feed it bytes ([`ServerConfig::io_backend`]):
 //!
 //! * **threads** (this module; the portable fallback and the only
 //!   backend off Linux) — a **reader** thread per connection feeds the
 //!   machine from blocking reads, and a **writer** thread joined by a
-//!   bounded response channel retires batches; scheduler completions
-//!   send into the channel.
+//!   bounded response channel retires batches; completions send into the
+//!   channel.
 //! * **epoll** (the [`crate::evloop`] module; the Linux default) — one
 //!   nonblocking readiness loop drives every connection's machine from
-//!   `epoll` events; scheduler completions post to a per-loop `eventfd`
-//!   and become write-readiness work instead of channel sends.
+//!   `epoll` events; completions post to a per-loop `eventfd` and become
+//!   write-readiness work instead of channel sends.
 //!
-//! Both backends produce **bitwise-identical** wire bytes for every
+//! Two **services** answer it ([`Service`], the one seam for what differs
+//! between a server and a router: the `STATS` body, the `METRICS` body,
+//! and "run this compute request, deliver the framed response to this
+//! sink"):
+//!
+//! * **local** ([`serve`]) — the registry answers, the scheduler computes.
+//! * **upstream** ([`crate::shard::route`]) — the ring picks a shard, the
+//!   shard computes, and the connection's upstream readers deliver.
+//!
+//! Every combination produces **bitwise-identical** wire bytes for every
 //! request — the e2e suites assert it — because every response byte is
 //! rendered by the shared machine and the shared batch encoder.
+//!
+//! One teardown rule holds on both drivers: a connection's machine — and
+//! with it whatever the service hangs off the connection, the router's
+//! upstream sockets among it — **outlives its last in-flight response**.
+//! A client that pipelines and then half-closes still gets every answer.
+//! The threads driver waits for the window to empty after its read loop
+//! returns; the epoll driver closes a connection only once nothing is
+//! held, queued or mid-write.
 //!
 //! # The threads backend
 //!
@@ -58,15 +76,16 @@
 //! ([`ServerConfig::max_inflight`]) stops the reader when too many
 //! responses are outstanding, and the scheduler's bounded queue stops it
 //! globally when the whole service is saturated. The window-slot protocol
-//! also guarantees scheduler completions never block on the response
-//! channel: a slot is acquired per request before anything may be sent,
-//! and released by the writer only after the response leaves the channel
-//! (per batch, after its write — every channel item's slot is still held,
-//! so occupancy can never reach capacity (= the window cap) while a send
-//! is in flight). Teardown (EOF, error, `QUIT`, over-long line) drops the
-//! reader's sender and joins the writer, which drains every in-flight
-//! completion — nothing leaks the connection slot and nothing wedges the
-//! scheduler.
+//! also guarantees completions never block on the response channel: a
+//! slot is acquired per request before anything may be sent, and released
+//! by the writer only after the response leaves the channel (per batch,
+//! after its write — every channel item's slot is still held, so
+//! occupancy can never reach capacity (= the window cap) while a send is
+//! in flight). Teardown (EOF, error, `QUIT`, over-long line) waits for the
+//! window to empty — the writer releases slots even behind a broken
+//! socket, so a vanished client cannot wedge it — then drops the machine
+//! and the reader's sender and joins the writer: nothing leaks the
+//! connection slot and nothing wedges the scheduler.
 
 use crate::codec;
 use crate::metrics::{self, Metrics};
@@ -74,6 +93,7 @@ use crate::ops;
 use crate::proto::{self, Request};
 use crate::registry::{Registry, RespBytes};
 use crate::sched::{SchedConfig, Scheduler};
+use crate::shard;
 use mis2_graph::Scale;
 use mis2_prim::pool;
 use std::io::{self, IoSlice, Read, Write};
@@ -246,7 +266,7 @@ pub(crate) struct ConnSlot {
 }
 
 impl ConnSlot {
-    pub(crate) fn new(conns: Arc<AtomicUsize>) -> ConnSlot {
+    fn new(conns: Arc<AtomicUsize>) -> ConnSlot {
         ConnSlot {
             conns,
             tracked: None,
@@ -257,7 +277,7 @@ impl ConnSlot {
     /// guard's drop. A failed `try_clone` (fd exhaustion) just leaves the
     /// connection untracked — `kill()` then can't hard-close it, but slot
     /// accounting is unaffected.
-    pub(crate) fn track(mut self, table: &Arc<ConnTable>, stream: &TcpStream) -> ConnSlot {
+    fn track(mut self, table: &Arc<ConnTable>, stream: &TcpStream) -> ConnSlot {
         if let Some(id) = table.register(stream) {
             self.tracked = Some((Arc::clone(table), id));
         }
@@ -386,13 +406,28 @@ impl ServerHandle {
     }
 }
 
-/// Everything a connection's state machine needs from the server:
-/// shared services, the service-wide gauges, the live-connection count
-/// (for the `STATS` tail), and the resolved limits. One `Arc<ConnShared>`
-/// per server, shared by every connection on either backend.
+/// What answers a connection's requests: the one seam between the
+/// connection machine and the process it runs in. Three things differ
+/// between a server and a router — the `STATS` body, the `METRICS` body,
+/// and how a compute request is run and its framed response delivered
+/// ([`ConnMachine::submit`]) — and each is one `match` on this enum. The
+/// v3 registry probe and parse memo exist on the local side only.
+pub(crate) enum Service {
+    /// A server: the registry answers, the scheduler computes.
+    Local {
+        registry: Arc<Registry>,
+        sched: Arc<Scheduler>,
+    },
+    /// A router: the ring picks the owning shard, the shard computes.
+    Upstream(shard::Upstream),
+}
+
+/// Everything a connection's state machine needs from its process: the
+/// service, the service-wide gauges, the live-connection count (for the
+/// `STATS` tail), and the resolved limits. One `Arc<ConnShared>` per
+/// server or router, shared by every connection on either backend.
 pub(crate) struct ConnShared {
-    pub(crate) registry: Arc<Registry>,
-    pub(crate) sched: Arc<Scheduler>,
+    pub(crate) service: Service,
     pub(crate) stats: Arc<SvcStats>,
     pub(crate) mx: Arc<Metrics>,
     /// Live connection-slot claims (the `--max-conns` counter).
@@ -447,33 +482,23 @@ pub fn serve(cfg: ServerConfig) -> io::Result<ServerHandle> {
     let conn_table = Arc::new(ConnTable::default());
     let backend = cfg.io_backend.effective();
     let cx = Arc::new(ConnShared {
-        registry: Arc::clone(&registry),
-        sched: Arc::clone(&sched),
+        service: Service::Local {
+            registry: Arc::clone(&registry),
+            sched: Arc::clone(&sched),
+        },
         stats: Arc::clone(&svc_stats),
         mx: Arc::clone(&mx),
         conns: Arc::new(AtomicUsize::new(0)),
         max_inflight,
         backend,
     });
-    let accept = match backend {
-        #[cfg(target_os = "linux")]
-        IoBackend::Epoll => crate::evloop::spawn(
-            listener,
-            Arc::clone(&cx),
-            Arc::clone(&stop),
-            Arc::clone(&conn_table),
-            max_conns,
-        )?,
-        #[cfg(not(target_os = "linux"))]
-        IoBackend::Epoll => unreachable!("IoBackend::effective falls back to threads off Linux"),
-        IoBackend::Threads => spawn_threads_accept(
-            listener,
-            Arc::clone(&cx),
-            Arc::clone(&stop),
-            Arc::clone(&conn_table),
-            max_conns,
-        )?,
-    };
+    let accept = spawn_accept(
+        listener,
+        cx,
+        Arc::clone(&stop),
+        Arc::clone(&conn_table),
+        max_conns,
+    )?;
     Ok(ServerHandle {
         addr,
         stop,
@@ -485,6 +510,63 @@ pub fn serve(cfg: ServerConfig) -> io::Result<ServerHandle> {
         conn_table,
         io_backend: backend,
     })
+}
+
+/// Start the accept path of the driver `cx.backend` names. The returned
+/// thread is the one `shutdown` joins, on a server and on a router.
+pub(crate) fn spawn_accept(
+    listener: TcpListener,
+    cx: Arc<ConnShared>,
+    stop: Arc<AtomicBool>,
+    conn_table: Arc<ConnTable>,
+    max_conns: usize,
+) -> io::Result<std::thread::JoinHandle<()>> {
+    match cx.backend {
+        #[cfg(target_os = "linux")]
+        IoBackend::Epoll => crate::evloop::spawn(listener, cx, stop, conn_table, max_conns),
+        #[cfg(not(target_os = "linux"))]
+        IoBackend::Epoll => unreachable!("IoBackend::effective falls back to threads off Linux"),
+        IoBackend::Threads => spawn_threads_accept(listener, cx, stop, conn_table, max_conns),
+    }
+}
+
+/// Admit one freshly accepted socket under the `--max-conns` rule — the
+/// one definition both drivers' accept paths call. `None` means the
+/// connection was over the cap: it has been told `ERR server busy`,
+/// counted, and dropped.
+pub(crate) fn admit(
+    mut stream: TcpStream,
+    cx: &ConnShared,
+    conn_table: &Arc<ConnTable>,
+    max_conns: usize,
+) -> Option<(TcpStream, ConnSlot)> {
+    // Pipelined responses are many small back-to-back writes; without
+    // TCP_NODELAY, Nagle + delayed ACK stalls each batch ~40ms (v1's
+    // strict ping-pong never tripped this). The batched vectored writes
+    // already coalesce per-batch, so disabling Nagle costs nothing on
+    // large responses.
+    let _ = stream.set_nodelay(true);
+    // Claim the slot *first*, then check the claim against the cap. A
+    // load-then-fetch_add shape is a TOCTOU: any concurrent decision
+    // based on the loaded value (or a second acceptor) can land two
+    // accepts under one observed count and exceed the cap. A claimed slot
+    // travels as a drop guard so every path — over-cap rejection, spawn
+    // failure, handler return, handler panic — releases exactly once.
+    let claimed = cx.conns.fetch_add(1, Ordering::AcqRel) + 1;
+    let slot = ConnSlot::new(Arc::clone(&cx.conns));
+    if claimed > max_conns {
+        record_conn_error(&cx.mx, "busy");
+        // The socket is still blocking on either driver, but the busy
+        // line is a handful of bytes into a fresh send buffer — it
+        // cannot stall an accept loop.
+        let _ = writeln!(stream, "{}", proto::err("server busy"));
+        return None; // drops the stream; `slot` releases the claim
+    }
+    // Only admitted connections enter the kill table; the same drop guard
+    // that releases the slot deregisters the socket, so table and count
+    // stay in lockstep.
+    let slot = slot.track(conn_table, &stream);
+    Some((stream, slot))
 }
 
 /// The thread-per-connection accept loop: one blocking `accept`, one
@@ -503,7 +585,7 @@ fn spawn_threads_accept(
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
-                let Ok(mut stream) = stream else {
+                let Ok(stream) = stream else {
                     // Transient (often fd-exhaustion) accept failure:
                     // back off instead of spinning the core; existing
                     // connections keep their handler threads.
@@ -511,32 +593,9 @@ fn spawn_threads_accept(
                     std::thread::sleep(std::time::Duration::from_millis(10));
                     continue;
                 };
-                // Pipelined responses are many small back-to-back
-                // writes; without TCP_NODELAY, Nagle + delayed ACK
-                // stalls each batch ~40ms (v1's strict ping-pong
-                // never tripped this). The writer's batched vectored
-                // writes already coalesce per-batch, so disabling
-                // Nagle costs nothing on large responses.
-                let _ = stream.set_nodelay(true);
-                // Claim the slot *first*, then check the claim against
-                // the cap. The old load-then-fetch_add shape is a
-                // TOCTOU: any concurrent decision based on the loaded
-                // value (or a future second acceptor) can land two
-                // accepts under one observed count and exceed the cap.
-                // A claimed slot travels as a drop guard so every
-                // path — over-cap rejection, spawn failure, handler
-                // return, handler panic — releases exactly once.
-                let claimed = cx.conns.fetch_add(1, Ordering::AcqRel) + 1;
-                let slot = ConnSlot::new(Arc::clone(&cx.conns));
-                if claimed > max_conns {
-                    record_conn_error(&cx.mx, "busy");
-                    let _ = writeln!(stream, "{}", proto::err("server busy"));
-                    continue; // drop the stream; `slot` releases the claim
-                }
-                // Only admitted connections enter the kill table; the
-                // same drop guard that releases the slot deregisters
-                // the socket, so table and count stay in lockstep.
-                let slot = slot.track(&conn_table, &stream);
+                let Some((stream, slot)) = admit(stream, &cx, &conn_table, max_conns) else {
+                    continue;
+                };
                 let cx = Arc::clone(&cx);
                 // On spawn failure the closure (and `slot` inside it)
                 // is dropped by Builder::spawn, releasing the claim.
@@ -561,13 +620,13 @@ fn spawn_threads_accept(
 /// always strictly below capacity at the moment of a send — completions
 /// (which run on scheduler worker-leaders) can never block on a full
 /// channel, no matter how slow or dead the client is.
-pub(crate) struct ConnWindow {
+struct ConnWindow {
     inflight: Mutex<usize>,
     changed: Condvar,
 }
 
 impl ConnWindow {
-    pub(crate) fn new() -> ConnWindow {
+    fn new() -> ConnWindow {
         ConnWindow {
             inflight: Mutex::new(0),
             changed: Condvar::new(),
@@ -591,9 +650,10 @@ impl ConnWindow {
         self.changed.notify_all();
     }
 
-    /// Block until every outstanding response has been written (used by
-    /// `QUIT` so `BYE` is the last line on the wire).
-    pub(crate) fn wait_empty(&self) {
+    /// Block until every outstanding response has been written (`QUIT`
+    /// waits here so `BYE` is the last line on the wire, teardown so the
+    /// machine outlives its last in-flight response).
+    fn wait_empty(&self) {
         let mut n = self.inflight.lock().unwrap();
         while *n > 0 {
             n = self.changed.wait(n).unwrap();
@@ -766,12 +826,12 @@ pub(crate) fn stage_outgoing(
 /// that can no longer receive a byte, and the shutdown is what turns its
 /// next read into EOF so the connection winds down instead of burning
 /// scheduler compute on undeliverable responses.
-pub(crate) fn writer_loop(
+fn writer_loop(
     rx: Receiver<Outgoing>,
     stream: TcpStream,
     win: &ConnWindow,
     stats: &SvcStats,
-    mx: Option<&Metrics>,
+    mx: &Metrics,
 ) {
     let mut out = stream;
     let mut broken = false;
@@ -848,10 +908,8 @@ pub(crate) fn writer_loop(
         // cache hits into single histogram adds. Recording runs *after*
         // the window slots are released so it overlaps with the
         // reader's next burst instead of gating admission.
-        if let Some(m) = mx {
-            if !spans.is_empty() {
-                m.record_batch(&mut spans, Instant::now());
-            }
+        if !spans.is_empty() {
+            mx.record_batch(&mut spans, Instant::now());
         }
     }
 }
@@ -981,11 +1039,11 @@ impl FrameDecoder {
 ///
 /// The reader feeds the shared [`ConnMachine`] and keeps accepting while
 /// earlier jobs run; every response (inline or completed) flows through
-/// the bounded channel into the writer thread. On exit the reader drops
-/// its sender and joins the writer, which finishes once the last
-/// in-flight completion has delivered — so teardown drains naturally and
-/// the connection slot (held by this thread) is released only after
-/// everything is accounted for.
+/// the bounded channel into the writer thread. On exit the reader waits
+/// for the window to empty, drops the machine and its sender, and joins
+/// the writer — so teardown drains naturally and the connection slot
+/// (held by this thread) is released only after everything is accounted
+/// for.
 fn handle_connection(stream: TcpStream, cx: &Arc<ConnShared>) -> io::Result<()> {
     let write_stream = stream.try_clone()?;
     let win = Arc::new(ConnWindow::new());
@@ -993,104 +1051,32 @@ fn handle_connection(stream: TcpStream, cx: &Arc<ConnShared>) -> io::Result<()> 
     // completion sends non-blocking.
     let (tx, rx) = sync_channel::<Outgoing>(cx.max_inflight);
     let writer = {
-        let win = Arc::clone(&win);
-        let stats = Arc::clone(&cx.stats);
-        let mx = Arc::clone(&cx.mx);
+        let (win, cx) = (Arc::clone(&win), Arc::clone(cx));
         std::thread::Builder::new()
             .name("mis2-svc-write".into())
-            .spawn(move || writer_loop(rx, write_stream, &win, &stats, Some(&mx)))?
+            .spawn(move || writer_loop(rx, write_stream, &win, &cx.stats, &cx.mx))?
     };
-    let result = read_loop(stream, cx, &win, &tx);
-    // Teardown: drop our sender; in-flight completions still hold clones,
-    // so the writer keeps draining until the last one delivers, then
-    // exits. Joining it is the "drain" in drain-or-cancel: responses the
-    // client can still read are written, the rest die with the socket.
-    drop(tx);
+    let mut io = ThreadIo {
+        sink: Arc::new(ThreadSink {
+            tx,
+            win,
+            stats: Arc::clone(&cx.stats),
+        }),
+    };
+    let mut machine = ConnMachine::new();
+    let result = read_loop(stream, cx, &mut machine, &mut io);
+    // Drain before teardown: the machine (and the upstream sockets a
+    // router's machine owns) outlives its last in-flight response, so a
+    // client that pipelined and then half-closed still gets every answer.
+    // The writer releases slots even behind a broken socket, so a
+    // vanished client cannot wedge this wait.
+    io.sink.win.wait_empty();
+    drop(machine);
+    // Drop our sender; every completion has delivered, so the writer
+    // sees the channel disconnect and exits.
+    drop(io);
     let _ = writer.join();
     result
-}
-
-/// Acquire one window slot (blocking at `cap` — the per-connection
-/// backpressure) and record it in the service-wide gauges.
-pub(crate) fn acquire_slot(win: &ConnWindow, cap: usize, stats: &SvcStats) {
-    let depth = win.acquire(cap);
-    stats.inflight.fetch_add(1, Ordering::Relaxed);
-    stats
-        .peak_inflight
-        .fetch_max(depth as u64, Ordering::Relaxed);
-}
-
-/// Send one response into the writer channel under an already-acquired
-/// slot. The send cannot block (see [`ConnWindow`]); a send error means
-/// the writer is already gone, so the slot is released directly to keep
-/// accounting exact (the span dies with the item — an undeliverable
-/// response is not recorded).
-fn send_response(item: Outgoing, tx: &SyncSender<Outgoing>, win: &ConnWindow, stats: &SvcStats) {
-    if tx.send(item).is_err() {
-        win.release();
-        stats.inflight.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// [`send_response`] for a v1/v2 text line without a metrics span (the
-/// shard router's sends — the router doesn't record request metrics).
-pub(crate) fn send_line(
-    line: String,
-    tx: &SyncSender<Outgoing>,
-    win: &ConnWindow,
-    stats: &SvcStats,
-) {
-    send_line_span(line, None, tx, win, stats);
-}
-
-/// [`send_response`] for a v1/v2 text line carrying its request's span.
-pub(crate) fn send_line_span(
-    line: String,
-    span: Option<metrics::Span>,
-    tx: &SyncSender<Outgoing>,
-    win: &ConnWindow,
-    stats: &SvcStats,
-) {
-    send_response(
-        Outgoing {
-            payload: Payload::Line(line),
-            span,
-        },
-        tx,
-        win,
-        stats,
-    );
-}
-
-/// [`send_response`] for a v3 frame under `tag` without a metrics span.
-pub(crate) fn send_frame(
-    tag: u64,
-    resp: ops::Response,
-    tx: &SyncSender<Outgoing>,
-    win: &ConnWindow,
-    stats: &SvcStats,
-) {
-    send_frame_span(tag, resp, None, tx, win, stats);
-}
-
-/// [`send_response`] for a v3 frame carrying its request's span.
-pub(crate) fn send_frame_span(
-    tag: u64,
-    resp: ops::Response,
-    span: Option<metrics::Span>,
-    tx: &SyncSender<Outgoing>,
-    win: &ConnWindow,
-    stats: &SvcStats,
-) {
-    send_response(
-        Outgoing {
-            payload: Payload::Frame { tag, resp },
-            span,
-        },
-        tx,
-        win,
-        stats,
-    );
 }
 
 /// Map a parsed request to its metrics op label and graph key.
@@ -1159,10 +1145,11 @@ pub(crate) enum Flow {
 }
 
 /// A backend's completion-delivery handle: scheduler completions (which
-/// run on worker-leader threads) hand finished responses here. A sink
-/// must never block — the threads backend sends into the response
-/// channel under the window-slot guarantee, the epoll backend pushes to
-/// an unbounded pending queue and rings an `eventfd` doorbell.
+/// run on worker-leader threads) and a router's upstream readers hand
+/// finished responses here. A sink must never block — the threads backend
+/// sends into the response channel under the window-slot guarantee, the
+/// epoll backend pushes to an unbounded pending queue and rings an
+/// `eventfd` doorbell.
 pub(crate) trait CompletionSink: Send + Sync {
     fn deliver(&self, item: Outgoing);
 }
@@ -1226,6 +1213,10 @@ enum Handled {
 pub(crate) struct ConnMachine {
     mode: ProtoMode,
     memo: Option<(Vec<u8>, Request)>,
+    /// The upstream service's per-connection half (this connection's
+    /// shard sockets), opened by its first forwarded request; always
+    /// `None` on a server. Dropping the machine tears it down.
+    up: Option<shard::UpConn>,
 }
 
 impl ConnMachine {
@@ -1233,6 +1224,7 @@ impl ConnMachine {
         ConnMachine {
             mode: ProtoMode::V1,
             memo: None,
+            up: None,
         }
     }
 
@@ -1428,17 +1420,20 @@ impl ConnMachine {
         };
         io.acquire(cap);
         let (op, key) = req_span_parts(&req);
-        let mut span;
-        // Zero-serialization fast path: interned response bytes go
-        // straight to the writer. The registry counts this as a hit (and
-        // a resp_hit) so cache accounting stays exact.
-        if let Some((graph, opkey)) = ops::request_op(&req) {
+        let mut span = None;
+        // Zero-serialization fast path (local service only — a router has
+        // no registry to probe): interned response bytes go straight to
+        // the writer. The registry counts this as a hit (and a resp_hit)
+        // so cache accounting stays exact.
+        if let (Service::Local { registry, .. }, Some((graph, opkey))) =
+            (&cx.service, ops::request_op(&req))
+        {
             if memo_hit {
                 // Memo repeat: the memo already holds exactly this
                 // payload, and the probe is an in-memory lookup far
                 // under the histograms' 1µs floor — so the whole hit
                 // costs zero clock reads.
-                if let Some(bytes) = cx.registry.try_response(graph, &opkey) {
+                if let Some(bytes) = registry.try_response(graph, &opkey) {
                     let s = metrics::Span::fast(t0, op, metrics::Outcome::MemoHit, key);
                     io.respond(Outgoing {
                         payload: framing.wrap(ops::Response::interned(bytes)),
@@ -1448,11 +1443,10 @@ impl ConnMachine {
                 }
                 // Evicted since the memo was set: schedule; the (rare)
                 // probe goes untimed.
-                span = metrics::Span::start(t0, op, key);
             } else {
                 span = metrics::Span::start(t0, op, key);
                 let probe_start = span.as_ref().map(|_| Instant::now());
-                let hit = cx.registry.try_response(graph, &opkey);
+                let hit = registry.try_response(graph, &opkey);
                 if let (Some(s), Some(p)) = (span.as_mut(), probe_start) {
                     s.stamp_probe(p);
                 }
@@ -1474,9 +1468,8 @@ impl ConnMachine {
                     return Flow::Continue;
                 }
             }
-        } else {
-            span = metrics::Span::start(t0, op, key);
         }
+        let span = span.or_else(|| metrics::Span::start(t0, op, key));
         self.submit(req, framing, span, cx, io);
         Flow::Continue
     }
@@ -1554,26 +1547,33 @@ impl ConnMachine {
         }
     }
 
-    /// Submit a compute request in completion mode under an
-    /// already-acquired slot: the worker-leader that finishes the job
-    /// delivers the framed response through the backend's completion
-    /// sink. The completion runs on a scheduler thread and must not
-    /// block; the slot it holds guarantees its delivery cannot.
+    /// Run a compute request under an already-acquired slot and have the
+    /// framed response delivered through the backend's completion sink —
+    /// by the scheduler worker-leader that finishes the job (local), or
+    /// by the owning shard's upstream reader (upstream). Either way the
+    /// delivery runs on a foreign thread and must not block; the slot the
+    /// request holds guarantees it cannot.
     fn submit(
-        &self,
+        &mut self,
         req: Request,
         framing: Framing,
         mut span: Option<metrics::Span>,
         cx: &ConnShared,
         io: &mut dyn ConnIo,
     ) {
-        let stamps = span.as_mut().map(|s| s.attach_job());
-        let registry = Arc::clone(&cx.registry);
         let sink = io.sink();
+        let (registry, sched) = match &cx.service {
+            Service::Local { registry, sched } => (Arc::clone(registry), sched),
+            Service::Upstream(up) => {
+                let conn = self.up.get_or_insert_with(|| up.connect());
+                return up.run(conn, &req, framing, &sink);
+            }
+        };
+        let stamps = span.as_mut().map(|s| s.attach_job());
         if let Some(s) = &stamps {
             s.stamp_enqueued();
         }
-        cx.sched.submit_with(
+        sched.submit_with(
             Box::new(move || {
                 if let Some(s) = &stamps {
                     s.stamp_start();
@@ -1611,8 +1611,16 @@ struct ThreadSink {
 }
 
 impl CompletionSink for ThreadSink {
+    /// Send one response into the writer channel under an
+    /// already-acquired slot. The send cannot block (see [`ConnWindow`]);
+    /// a send error means the writer is already gone, so the slot is
+    /// released directly to keep accounting exact (the span dies with the
+    /// item — an undeliverable response is not recorded).
     fn deliver(&self, item: Outgoing) {
-        send_response(item, &self.tx, &self.win, &self.stats);
+        if self.tx.send(item).is_err() {
+            self.win.release();
+            self.stats.inflight.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -1623,8 +1631,15 @@ struct ThreadIo {
 }
 
 impl ConnIo for ThreadIo {
+    /// Blocks at `cap` (the per-connection backpressure), then records
+    /// the slot in the service-wide gauges.
     fn acquire(&mut self, cap: usize) {
-        acquire_slot(&self.sink.win, cap, &self.sink.stats);
+        let depth = self.sink.win.acquire(cap);
+        let stats = &self.sink.stats;
+        stats.inflight.fetch_add(1, Ordering::Relaxed);
+        stats
+            .peak_inflight
+            .fetch_max(depth as u64, Ordering::Relaxed);
     }
 
     fn respond(&mut self, item: Outgoing) {
@@ -1642,29 +1657,20 @@ pub(crate) const READ_CHUNK: usize = 16 * 1024;
 /// The threads backend's read driver: blocking chunked reads feeding the
 /// shared decoder and machine.
 fn read_loop(
-    stream: TcpStream,
-    cx: &Arc<ConnShared>,
-    win: &Arc<ConnWindow>,
-    tx: &SyncSender<Outgoing>,
+    mut stream: TcpStream,
+    cx: &ConnShared,
+    machine: &mut ConnMachine,
+    io: &mut ThreadIo,
 ) -> io::Result<()> {
-    let mut stream = stream;
     let mut dec = FrameDecoder::new();
-    let mut machine = ConnMachine::new();
-    let mut io = ThreadIo {
-        sink: Arc::new(ThreadSink {
-            tx: tx.clone(),
-            win: Arc::clone(win),
-            stats: Arc::clone(&cx.stats),
-        }),
-    };
     let mut chunk = vec![0u8; READ_CHUNK];
     let mut t0: Option<Instant> = None;
     loop {
         while let Some(item) = dec.next(machine.wire_mode()) {
-            match machine.handle(item, t0, cx, &mut io) {
+            match machine.handle(item, t0, cx, io) {
                 Flow::Continue => {}
                 Flow::Close => return Ok(()),
-                Flow::Quit(bye) => return finish_quit(bye, &machine, cx, win, tx),
+                Flow::Quit(bye) => return finish_quit(bye, machine, cx, io),
             }
         }
         let n = match stream.read(&mut chunk) {
@@ -1677,8 +1683,8 @@ fn read_loop(
             // line (`read_until` returns what it got); keep that
             // contract on both backends.
             if let Some(item) = dec.take_remainder(machine.wire_mode()) {
-                if let Flow::Quit(bye) = machine.handle(item, t0, cx, &mut io) {
-                    return finish_quit(bye, &machine, cx, win, tx);
+                if let Flow::Quit(bye) = machine.handle(item, t0, cx, io) {
+                    return finish_quit(bye, machine, cx, io);
                 }
             }
             return Ok(());
@@ -1696,22 +1702,25 @@ fn read_loop(
 fn finish_quit(
     bye: Outgoing,
     machine: &ConnMachine,
-    cx: &Arc<ConnShared>,
-    win: &Arc<ConnWindow>,
-    tx: &SyncSender<Outgoing>,
+    cx: &ConnShared,
+    io: &mut ThreadIo,
 ) -> io::Result<()> {
-    win.wait_empty();
-    acquire_slot(win, machine.cap(cx), &cx.stats);
-    send_response(bye, tx, win, &cx.stats);
+    io.sink.win.wait_empty();
+    io.acquire(machine.cap(cx));
+    io.respond(bye);
     Ok(())
 }
 
 /// The `STATS` response body: registry, scheduler, wire-window and pool
 /// counters.
 fn stats_body(cx: &ConnShared) -> String {
+    let (registry, sched) = match &cx.service {
+        Service::Local { registry, sched } => (registry, sched),
+        Service::Upstream(up) => return up.stats_body(),
+    };
     let (svc, mx, max_inflight) = (&*cx.stats, &*cx.mx, cx.max_inflight);
-    let r = cx.registry.stats();
-    let s = cx.sched.stats();
+    let r = registry.stats();
+    let s = sched.stats();
     // The STATS request reporting this line is itself holding a window
     // slot; subtract it so an otherwise-idle server reports inflight=0.
     let inflight = svc.inflight.load(Ordering::Relaxed).saturating_sub(1);
@@ -1741,8 +1750,8 @@ fn stats_body(cx: &ConnShared) -> String {
         inflight,
         max_inflight,
         svc.peak_inflight.load(Ordering::Relaxed),
-        cx.sched.workers(),
-        cx.sched.team(),
+        sched.workers(),
+        sched.team(),
         pool::spawned_workers(),
         pool::contended_regions(),
         r.resp,
@@ -1763,9 +1772,13 @@ fn stats_body(cx: &ConnShared) -> String {
 /// escaped into a single-line wire body (identical on every protocol —
 /// `mis2svc client` and the router unescape it back).
 fn metrics_body(cx: &ConnShared) -> String {
+    let (registry, sched) = match &cx.service {
+        Service::Local { registry, sched } => (registry, sched),
+        Service::Upstream(up) => return up.metrics_body(),
+    };
     let (svc, mx) = (&*cx.stats, &*cx.mx);
-    let r = cx.registry.stats();
-    let s = cx.sched.stats();
+    let r = registry.stats();
+    let s = sched.stats();
     let extra = [
         ("mis2_cache_graphs", r.graphs as u64),
         ("mis2_cache_artifacts", r.artifacts as u64),

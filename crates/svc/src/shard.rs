@@ -15,20 +15,33 @@
 //!
 //! ## The router
 //!
-//! [`route`] runs a protocol-transparent proxy: downstream it speaks
-//! v1/v2/v3 exactly like a single server (same hellos, same window
-//! advertisement, same error strings), upstream it keeps one pipelined v3
-//! connection per shard per downstream connection and remaps tags — a
-//! downstream request takes a window slot, is assigned a per-shard
-//! upstream tag, and the shard's response frame is translated back to the
-//! downstream protocol under the original tag. Responses are therefore
-//! byte-identical to a single unsharded server's, which the e2e tests and
-//! the CI `shard-smoke` leg diff-prove across the full workload sweep.
+//! [`route`] is not a second server: it hands its listener to the
+//! server's own accept path and every downstream connection runs the
+//! server's own connection machine ([`crate::server`]) — the same hellos,
+//! framing, window slots, inline `PING`, error strings, `QUIT` drain and
+//! batching writer, from the same code. What it supplies is the
+//! **upstream service** behind that machine's one seam: [`Upstream`]
+//! (shared: the ring and the shard addresses) and [`UpConn`] (per
+//! downstream connection: one pipelined v3 socket per shard, dialed by
+//! the first request that needs it). A compute request arrives already
+//! holding a window slot; [`Upstream::run`] hashes it to its shard,
+//! assigns a per-shard upstream tag, remembers the downstream
+//! [`Framing`] under that tag, and writes one frame. The shard's
+//! [`upstream_reader`] thread looks the tag up again and delivers the
+//! response, re-framed for the downstream protocol, through the
+//! connection's [`CompletionSink`] — exactly where a scheduler completion
+//! would deliver on a server. Responses are therefore byte-identical to
+//! a single unsharded server's, which the e2e tests and the CI
+//! `shard-smoke` leg diff-prove across the full workload sweep.
 //!
 //! The router's advertised window is clamped to the smallest shard
 //! window, so the per-shard in-flight count can never exceed what the
 //! shard's own reader will drain — upstream writes never block on shard
 //! backpressure while the per-shard lock is held.
+//!
+//! The router's connections run on the **threads** driver (see
+//! [`ROUTER_DRIVER`] for why), and it records no request metrics of its
+//! own: `METRICS` and `STATS` through it are the merged cluster bodies.
 //!
 //! ## Failure semantics
 //!
@@ -44,7 +57,13 @@
 //! request stream never hot-loops TCP connects and parallel routers
 //! don't redial in lockstep — and a successful redial restores service
 //! on a fresh connection generation (in-flight tags of the dead one
-//! still answer `ERR shard down` exactly once each).
+//! still answer `ERR shard down` exactly once each). A shard that accepts
+//! a dial and then says nothing fails it after [`HELLO_TIMEOUT`].
+//!
+//! A downstream connection's upstream sockets live exactly as long as
+//! its machine, and the driver keeps the machine until the last in-flight
+//! response has been written — so a client that pipelines and then
+//! half-closes gets its answers, not `ERR shard down`.
 //!
 //! `STATS` through the router merges every shard's counters into one
 //! cluster-wide line ([`crate::registry::merge_stats_bodies`]): each key
@@ -54,20 +73,19 @@
 
 use crate::client::Client;
 use crate::codec;
-use crate::metrics;
+use crate::metrics::{self, Metrics};
 use crate::ops;
-use crate::proto::{self, GraphRef, Request};
+use crate::proto::{GraphRef, Request};
 use crate::registry;
 use crate::server::{
-    acquire_slot, send_frame, send_line, writer_loop, ConnSlot, ConnTable, ConnWindow, Outgoing,
+    spawn_accept, CompletionSink, ConnShared, ConnTable, Framing, IoBackend, Outgoing, Service,
     SvcStats,
 };
 use mis2_prim::hash::{hash2, splitmix64};
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -211,32 +229,15 @@ impl RouterHandle {
     }
 }
 
-/// Probe one shard's v3 hello to learn its advertised window. The probe
-/// connection is dropped immediately afterwards (the server treats the
-/// EOF as a clean close).
-fn probe_shard_window(addr: &str) -> io::Result<usize> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    writeln!(writer, "{}", codec::HELLO_V3)?;
-    writer.flush()?;
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!("shard {addr} closed during the hello"),
-        ));
-    }
-    codec::parse_hello_ok(line.trim_end_matches(['\r', '\n']))
-        .filter(|max| *max > 0)
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("shard {addr} rejected the V3 hello: {}", line.trim_end()),
-            )
-        })
-}
+/// The I/O driver the router's connections run on. Pinned to threads, not
+/// [`IoBackend::platform_default`]: [`dial`] (a TCP connect plus a hello
+/// round trip, on the first request for a shard and on every due redial)
+/// and the cluster `STATS`/`METRICS` fetch (a round trip to every shard)
+/// **block their caller**. A connection's own reader thread can afford
+/// that; the single epoll loop thread, which serves every connection,
+/// cannot. Moving those two calls off the caller is what lets this
+/// become the platform default.
+const ROUTER_DRIVER: IoBackend = IoBackend::Threads;
 
 /// Bind and start the shard router in background threads. Every shard
 /// must answer its v3 hello at startup (the advertised windows bound the
@@ -249,16 +250,18 @@ pub fn route(cfg: RouterConfig) -> io::Result<RouterHandle> {
             "router needs at least one shard",
         ));
     }
-    let mut shard_window = usize::MAX;
-    for addr in &cfg.shards {
-        shard_window = shard_window.min(probe_shard_window(addr)?);
-    }
-    let max_inflight = if cfg.max_inflight == 0 {
+    let mut max_inflight = if cfg.max_inflight == 0 {
         64
     } else {
         cfg.max_inflight
+    };
+    for addr in &cfg.shards {
+        // The probe connection drops right here; the shard treats the
+        // EOF as a clean close.
+        let (_, _, window) = dial(addr, HELLO_TIMEOUT)
+            .map_err(|e| io::Error::new(e.kind(), format!("shard {addr}: {e}")))?;
+        max_inflight = max_inflight.min(window);
     }
-    .min(shard_window);
     let max_conns = if cfg.max_conns == 0 {
         1024
     } else {
@@ -269,53 +272,24 @@ pub fn route(cfg: RouterConfig) -> io::Result<RouterHandle> {
     let stop = Arc::new(AtomicBool::new(false));
     let svc_stats = Arc::new(SvcStats::default());
     let conn_table = Arc::new(ConnTable::default());
-    let ring = Arc::new(Ring::new(&cfg.shards));
-    let shard_addrs: Arc<Vec<String>> = Arc::new(cfg.shards.clone());
-    let accept = {
-        let stop = Arc::clone(&stop);
-        let svc_stats = Arc::clone(&svc_stats);
-        let conn_table = Arc::clone(&conn_table);
-        let conns = Arc::new(AtomicUsize::new(0));
-        std::thread::Builder::new()
-            .name("mis2-route-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(mut stream) = stream else {
-                        std::thread::sleep(Duration::from_millis(10));
-                        continue;
-                    };
-                    let _ = stream.set_nodelay(true);
-                    // Same claim-then-check slot discipline as the
-                    // server's accept loop; the drop guard releases the
-                    // claim on every path.
-                    let claimed = conns.fetch_add(1, Ordering::AcqRel) + 1;
-                    let slot = ConnSlot::new(Arc::clone(&conns));
-                    if claimed > max_conns {
-                        let _ = writeln!(stream, "{}", proto::err("server busy"));
-                        continue;
-                    }
-                    let slot = slot.track(&conn_table, &stream);
-                    let svc_stats = Arc::clone(&svc_stats);
-                    let ring = Arc::clone(&ring);
-                    let shard_addrs = Arc::clone(&shard_addrs);
-                    let _ = std::thread::Builder::new()
-                        .name("mis2-route-conn".into())
-                        .spawn(move || {
-                            let _slot = slot;
-                            let _ = handle_router_connection(
-                                stream,
-                                &shard_addrs,
-                                &ring,
-                                &svc_stats,
-                                max_inflight,
-                            );
-                        });
-                }
-            })?
-    };
+    let cx = Arc::new(ConnShared {
+        service: Service::Upstream(Upstream {
+            ring: Ring::new(&cfg.shards),
+            addrs: cfg.shards,
+        }),
+        stats: Arc::clone(&svc_stats),
+        mx: Arc::new(Metrics::disabled(0)),
+        conns: Arc::new(AtomicUsize::new(0)),
+        max_inflight,
+        backend: ROUTER_DRIVER,
+    });
+    let accept = spawn_accept(
+        listener,
+        cx,
+        Arc::clone(&stop),
+        Arc::clone(&conn_table),
+        max_conns,
+    )?;
     Ok(RouterHandle {
         addr,
         stop,
@@ -326,13 +300,117 @@ pub fn route(cfg: RouterConfig) -> io::Result<RouterHandle> {
     })
 }
 
-/// How a shard's response frame is rendered back to the downstream
-/// protocol: a bare v1 line, a tagged v2 line, or a v3 frame under the
-/// downstream tag.
-enum Reply {
-    V1,
-    V2(u64),
-    V3(u64),
+/// The upstream service, shared by every downstream connection: which
+/// shards there are and which of them owns a key.
+pub(crate) struct Upstream {
+    ring: Ring,
+    addrs: Vec<String>,
+}
+
+/// The upstream service's per-connection half: one [`UpShard`] per shard,
+/// owned by one downstream connection's machine. Dropping it is the
+/// connection's upstream teardown.
+pub(crate) struct UpConn {
+    shards: Vec<Arc<UpShard>>,
+}
+
+impl Upstream {
+    /// A downstream connection's upstream set, no socket open yet: the
+    /// first request forwarded to a shard dials it. A shard that cannot be
+    /// dialed is dead (its keys answer `ERR shard down`) and is redialed
+    /// on the backoff cadence as requests keep arriving for it.
+    pub(crate) fn connect(&self) -> UpConn {
+        UpConn {
+            shards: self
+                .addrs
+                .iter()
+                .map(|a| Arc::new(UpShard::new(a)))
+                .collect(),
+        }
+    }
+
+    /// Consistent-hash one parsed compute request to its owning shard and
+    /// forward it under the window slot it already holds; the response
+    /// (or `ERR shard down`) reaches `sink` framed as `framing`.
+    pub(crate) fn run(
+        &self,
+        conn: &UpConn,
+        req: &Request,
+        framing: Framing,
+        sink: &Arc<dyn CompletionSink>,
+    ) {
+        let Some((graph, _)) = ops::request_op(req) else {
+            // The machine hands over compute requests only; answer
+            // anyway rather than poison anything.
+            let msg = b"not a compute request";
+            return sink.deliver(reply(framing, codec::STATUS_ERR, msg));
+        };
+        let idx = self.ring.shard_of(&shard_key(graph));
+        forward(&conn.shards[idx], &req.to_line(), framing, sink);
+    }
+
+    /// The cluster `STATS` body: every shard's `STATS` fetched over a
+    /// short-lived v1 connection and merged into the cluster line. A
+    /// shard that cannot be reached (or answers garbage) contributes
+    /// zeros and drops out of `shards_up=`.
+    pub(crate) fn stats_body(&self) -> String {
+        registry::merge_stats_bodies(&self.fetch("STATS", "OK "))
+    }
+
+    /// The cluster `METRICS` body: every shard's exposition merged
+    /// bucket-wise ([`crate::metrics::merge_expositions`]) — counters and
+    /// histogram buckets sum, `mis2_uptime_seconds` takes the minimum
+    /// over live shards, and each shard's slow-request entries pass
+    /// through with the `shard` label rewritten to the shard's cluster
+    /// index. The body comes back in the same escaped single-line form
+    /// the server emits.
+    pub(crate) fn metrics_body(&self) -> String {
+        let bodies: Vec<Option<String>> = self
+            .fetch("METRICS", "OK METRICS ")
+            .into_iter()
+            .map(|b| b.map(|b| metrics::unescape_body(&b)))
+            .collect();
+        let merged = metrics::merge_expositions(&bodies);
+        format!("METRICS {}", metrics::escape_body(&merged))
+    }
+
+    /// Ask every shard `request` over a short-lived v1 connection; each
+    /// answer with `prefix` stripped, `None` for a shard that failed.
+    fn fetch(&self, request: &str, prefix: &str) -> Vec<Option<String>> {
+        let one = |addr: &String| -> Option<String> {
+            let mut c = Client::connect(addr.as_str()).ok()?;
+            c.set_read_timeout(Some(Duration::from_secs(10))).ok()?;
+            let line = c.request(request).ok()?;
+            let body = line.strip_prefix(prefix)?.to_string();
+            let _ = c.quit();
+            Some(body)
+        };
+        self.addrs.iter().map(one).collect()
+    }
+}
+
+impl Drop for UpConn {
+    /// Mark every shard closed (no further redials), hard-close the
+    /// upstream sockets so their readers unblock, and join the readers of
+    /// every generation. The join happens outside the shard lock — a
+    /// dying reader takes it to drain its pending tags.
+    fn drop(&mut self) {
+        for shard in &self.shards {
+            let (socket, readers) = {
+                let Ok(mut st) = shard.state.lock() else {
+                    continue; // a reader panicked under the lock: nothing to save
+                };
+                st.closed = true;
+                (st.writer.take(), std::mem::take(&mut st.readers))
+            };
+            if let Some(s) = socket {
+                let _ = s.shutdown(std::net::Shutdown::Both);
+            }
+            for h in readers {
+                let _ = h.join();
+            }
+        }
+    }
 }
 
 /// The lock-guarded half of one upstream shard connection. Every
@@ -342,8 +420,8 @@ enum Reply {
 /// tag: a tag leaves the map exactly once, and whoever removes it owns
 /// answering it.
 struct UpState {
-    /// In-flight upstream tags and how to answer each downstream.
-    pending: HashMap<u64, Reply>,
+    /// In-flight upstream tags and how to frame each answer downstream.
+    pending: HashMap<u64, Framing>,
     /// Next upstream tag (monotonically unique across reconnects, so a
     /// stale socket's late response can never alias a fresh tag).
     next_tag: u64,
@@ -351,9 +429,8 @@ struct UpState {
     /// shard is dead — forwards answer `ERR shard down` immediately
     /// (fail-fast) and redial on the backoff cadence below.
     writer: Option<TcpStream>,
-    /// Raw clone of the current socket, used only to `shutdown()` at
-    /// downstream teardown, which unblocks the reader thread.
-    teardown: Option<TcpStream>,
+    /// Reused frame buffer: header and request line leave in one write.
+    frame: Vec<u8>,
     /// Connection generation: bumped by every successful (re)dial. A
     /// dying reader poisons the shard only if its generation is still
     /// current — a newer socket may already be serving.
@@ -380,8 +457,8 @@ struct UpShard {
 }
 
 impl UpShard {
-    /// A shard slot with no connection yet: the first
-    /// [`try_revive`] dials it eagerly.
+    /// A shard slot with no connection yet: the first [`forward`] dials
+    /// it.
     fn new(addr: &str) -> UpShard {
         UpShard {
             addr: addr.to_string(),
@@ -389,7 +466,7 @@ impl UpShard {
                 pending: HashMap::new(),
                 next_tag: 0,
                 writer: None,
-                teardown: None,
+                frame: Vec::new(),
                 gen: 0,
                 readers: Vec::new(),
                 closed: false,
@@ -408,16 +485,24 @@ const DIAL_BACKOFF_BASE: Duration = Duration::from_millis(50);
 /// every two seconds per downstream connection, forever.
 const DIAL_BACKOFF_CAP: Duration = Duration::from_millis(2000);
 
-/// Dial and v3-upgrade one upstream shard socket, returning
-/// `(writer, teardown clone, reader)` halves.
-fn dial(addr: &str) -> io::Result<(TcpStream, TcpStream, BufReader<TcpStream>)> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let teardown = stream.try_clone()?;
-    let mut writer = stream;
-    writeln!(writer, "{}", codec::HELLO_V3)?;
-    writer.flush()?;
+/// How long a dialed shard may take to answer the v3 hello. Without it a
+/// shard that accepts and never answers would hang `route()` at startup
+/// and, on a redial, the downstream connection's reader forever.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Dial and v3-upgrade one upstream shard socket — the router's one v3
+/// handshake. Returns the write half, the buffered read half, and the
+/// window the shard advertised; the hello must arrive within
+/// `hello_timeout` (cleared again before the socket is handed back).
+fn dial(
+    addr: &str,
+    hello_timeout: Duration,
+) -> io::Result<(TcpStream, BufReader<TcpStream>, usize)> {
+    let mut writer = TcpStream::connect(addr)?;
+    writer.set_nodelay(true)?;
+    writer.set_read_timeout(Some(hello_timeout))?;
+    let mut reader = BufReader::new(writer.try_clone()?);
+    writer.write_all(format!("{}\n", codec::HELLO_V3).as_bytes())?;
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
         return Err(io::Error::new(
@@ -425,9 +510,14 @@ fn dial(addr: &str) -> io::Result<(TcpStream, TcpStream, BufReader<TcpStream>)> 
             "shard closed during the hello",
         ));
     }
-    codec::parse_hello_ok(line.trim_end_matches(['\r', '\n']))
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "shard rejected the V3 hello"))?;
-    Ok((writer, teardown, reader))
+    let window = codec::parse_hello_ok(line.trim_end_matches(['\r', '\n']))
+        .filter(|max| *max > 0)
+        .ok_or_else(|| {
+            let msg = format!("shard rejected the V3 hello: {}", line.trim_end());
+            io::Error::new(io::ErrorKind::InvalidData, msg)
+        })?;
+    writer.set_read_timeout(None)?;
+    Ok((writer, reader, window))
 }
 
 /// Record a dial attempt and schedule the earliest next one:
@@ -459,75 +549,43 @@ fn pace_dial(st: &mut UpState, addr: &str) {
 }
 
 /// Try to (re)connect `shard`. On success the fresh socket is installed
-/// under a new generation, its reader thread spawned, and the backoff
-/// reset; on failure the next attempt is scheduled by
-/// [`pace_dial`]. The dial itself runs without the shard lock —
-/// responses and poisoning on other generations proceed meanwhile.
-fn try_revive(
-    shard: &Arc<UpShard>,
-    tx: &SyncSender<Outgoing>,
-    win: &Arc<ConnWindow>,
-    stats: &Arc<SvcStats>,
-) {
-    match dial(&shard.addr) {
-        Ok((writer, teardown, reader)) => {
-            let mut st = shard.state.lock().unwrap();
-            if st.closed {
-                return; // downstream teardown raced the dial: drop it
-            }
-            // The fresh socket is still paced like a failure until it
-            // proves itself with a response frame (the reader resets
-            // the cadence then) — so a flapping shard stays backed off.
-            pace_dial(&mut st, &shard.addr);
-            st.gen += 1;
-            let gen = st.gen;
-            let up = Arc::clone(shard);
-            let (tx, win, stats) = (tx.clone(), Arc::clone(win), Arc::clone(stats));
-            if let Ok(h) = std::thread::Builder::new()
-                .name("mis2-route-up".into())
-                .spawn(move || upstream_reader(reader, up, gen, tx, win, stats))
-            {
-                st.writer = Some(writer);
-                st.teardown = Some(teardown);
-                st.readers.push(h);
-            }
-            // else: no reader, no connection — stay dead, retry later.
-        }
-        Err(_) => {
-            let mut st = shard.state.lock().unwrap();
-            pace_dial(&mut st, &shard.addr);
-        }
+/// under a new generation and its reader thread spawned, delivering to
+/// `sink`; either way the next attempt is scheduled by [`pace_dial`]. The
+/// dial itself runs without the shard lock — responses and poisoning on
+/// other generations proceed meanwhile.
+fn try_revive(shard: &Arc<UpShard>, sink: &Arc<dyn CompletionSink>) {
+    let dialed = dial(&shard.addr, HELLO_TIMEOUT);
+    let mut st = shard.state.lock().unwrap();
+    // The fresh socket is still paced like a failure until it proves
+    // itself with a response frame (the reader resets the cadence then)
+    // — so a flapping shard stays backed off.
+    pace_dial(&mut st, &shard.addr);
+    let Ok((writer, reader, _)) = dialed else {
+        return;
+    };
+    if st.closed {
+        return; // downstream teardown raced the dial: drop it
     }
+    st.gen += 1;
+    let gen = st.gen;
+    let (up, sink) = (Arc::clone(shard), Arc::clone(sink));
+    if let Ok(h) = std::thread::Builder::new()
+        .name("mis2-route-up".into())
+        .spawn(move || upstream_reader(reader, up, gen, sink))
+    {
+        st.writer = Some(writer);
+        st.readers.push(h);
+    }
+    // else: no reader, no connection — stay dead, retry later.
 }
 
-/// Render one upstream response (or synthesized error) downstream under
-/// an already-held window slot.
-fn deliver(
-    reply: Reply,
-    status: u8,
-    payload: &[u8],
-    tx: &SyncSender<Outgoing>,
-    win: &ConnWindow,
-    stats: &SvcStats,
-) {
-    let line = || {
-        let prefix = if status == codec::STATUS_OK {
-            "OK "
-        } else {
-            "ERR "
-        };
-        format!("{prefix}{}", String::from_utf8_lossy(payload))
-    };
-    match reply {
-        Reply::V1 => send_line(line(), tx, win, stats),
-        Reply::V2(tag) => send_line(proto::tagged(tag, &line()), tx, win, stats),
-        Reply::V3(tag) => send_frame(
-            tag,
-            ops::Response::from_wire(status, payload),
-            tx,
-            win,
-            stats,
-        ),
+/// One upstream response (or synthesized error) as the downstream
+/// response it becomes: the wire form a server's own completion would
+/// have produced under the same framing.
+fn reply(framing: Framing, status: u8, payload: &[u8]) -> Outgoing {
+    Outgoing {
+        payload: framing.wrap(ops::Response::from_wire(status, payload)),
+        span: None,
     }
 }
 
@@ -539,46 +597,46 @@ fn deliver(
 /// hitting a dead shard also pace its revival: at most one redial per
 /// jittered backoff interval ([`pace_dial`]), never a connect
 /// per request.
-fn forward(
-    shard: &Arc<UpShard>,
-    line: &str,
-    reply: Reply,
-    tx: &SyncSender<Outgoing>,
-    win: &Arc<ConnWindow>,
-    stats: &Arc<SvcStats>,
-) {
-    let mut st = shard.state.lock().unwrap();
-    if st.writer.is_none() && !st.closed && st.next_dial_at.is_none_or(|at| Instant::now() >= at) {
-        drop(st);
-        try_revive(shard, tx, win, stats);
-        st = shard.state.lock().unwrap();
+fn forward(shard: &Arc<UpShard>, line: &str, framing: Framing, sink: &Arc<dyn CompletionSink>) {
+    let mut guard = shard.state.lock().unwrap();
+    if guard.writer.is_none()
+        && !guard.closed
+        && guard.next_dial_at.is_none_or(|at| Instant::now() >= at)
+    {
+        drop(guard);
+        try_revive(shard, sink);
+        guard = shard.state.lock().unwrap();
     }
-    if st.writer.is_none() {
-        drop(st);
-        deliver(reply, codec::STATUS_ERR, b"shard down", tx, win, stats);
-        return;
-    }
+    let st = &mut *guard;
+    let Some(writer) = st.writer.as_mut() else {
+        drop(guard);
+        return sink.deliver(reply(framing, codec::STATUS_ERR, b"shard down"));
+    };
     let tag = st.next_tag;
     st.next_tag += 1;
-    st.pending.insert(tag, reply);
-    let wrote = codec::write_frame(
-        st.writer.as_mut().expect("checked above"),
-        tag,
-        codec::STATUS_OK,
-        line.as_bytes(),
-    );
-    if wrote.is_err() {
-        // The shard died under our pen: poison it here. Taking back our
-        // own entry and draining the rest under the same lock keeps the
-        // reader thread (which will notice the death next) from ever
-        // seeing these tags — one answer, one slot release, per tag.
-        st.writer = None;
-        let mine = st.pending.remove(&tag);
-        let drained: Vec<Reply> = st.pending.drain().map(|(_, r)| r).collect();
-        drop(st);
-        for r in mine.into_iter().chain(drained) {
-            deliver(r, codec::STATUS_ERR, b"shard down", tx, win, stats);
-        }
+    st.pending.insert(tag, framing);
+    // Header and line in one write: under TCP_NODELAY two writes are two
+    // syscalls and two segments per forwarded request. (A parsed
+    // request's canonical line is never longer than the inbound line it
+    // came from, so it fits a frame.)
+    st.frame.clear();
+    let hdr = codec::encode_header(tag, line.len() as u32, codec::STATUS_OK);
+    st.frame.extend_from_slice(&hdr);
+    st.frame.extend_from_slice(line.as_bytes());
+    if writer.write_all(&st.frame).is_ok() {
+        return;
+    }
+    // The shard died under our pen: poison it here. Draining the map (our
+    // own entry included) under the same lock keeps the reader thread —
+    // which the shutdown wakes to notice the same death — from ever
+    // seeing these tags: one answer, one slot release, per tag.
+    if let Some(dead) = st.writer.take() {
+        let _ = dead.shutdown(std::net::Shutdown::Both);
+    }
+    let drained: Vec<Framing> = st.pending.drain().map(|(_, f)| f).collect();
+    drop(guard);
+    for framing in drained {
+        sink.deliver(reply(framing, codec::STATUS_ERR, b"shard down"));
     }
 }
 
@@ -591,14 +649,12 @@ fn upstream_reader(
     mut reader: BufReader<TcpStream>,
     shard: Arc<UpShard>,
     gen: u64,
-    tx: SyncSender<Outgoing>,
-    win: Arc<ConnWindow>,
-    stats: Arc<SvcStats>,
+    sink: Arc<dyn CompletionSink>,
 ) {
     let mut payload: Vec<u8> = Vec::new();
     let mut proven = false;
     while let Ok(Some((tag, status))) = codec::read_frame_into(&mut reader, &mut payload) {
-        let reply = {
+        let framing = {
             let mut st = shard.state.lock().unwrap();
             // First response frame: the shard is demonstrably alive, so
             // reset the redial cadence it would get on its next death.
@@ -612,11 +668,11 @@ fn upstream_reader(
         // An unknown tag means the forwarder already answered it (shard
         // died under the write, then revived enough to respond) — it
         // holds no slot, so drop it.
-        if let Some(reply) = reply {
-            deliver(reply, status, &payload, &tx, &win, &stats);
+        if let Some(framing) = framing {
+            sink.deliver(reply(framing, status, &payload));
         }
     }
-    let drained: Vec<Reply> = {
+    let drained: Vec<Framing> = {
         let mut st = shard.state.lock().unwrap();
         // Poison only our own connection generation: if a redial already
         // installed a fresh socket, its tags are not ours to drain.
@@ -624,347 +680,11 @@ fn upstream_reader(
             return;
         }
         st.writer = None;
-        st.pending.drain().map(|(_, r)| r).collect()
+        st.pending.drain().map(|(_, f)| f).collect()
     };
-    for reply in drained {
-        deliver(reply, codec::STATUS_ERR, b"shard down", &tx, &win, &stats);
+    for framing in drained {
+        sink.deliver(reply(framing, codec::STATUS_ERR, b"shard down"));
     }
-}
-
-/// Fetch every shard's `STATS` over short-lived v1 connections and merge
-/// them into the cluster line. A shard that cannot be reached (or
-/// answers garbage) contributes zeros and drops out of `shards_up=`.
-fn cluster_stats(shard_addrs: &[String]) -> String {
-    let fetch = |addr: &String| -> Option<String> {
-        let mut c = Client::connect(addr.as_str()).ok()?;
-        c.set_read_timeout(Some(Duration::from_secs(10))).ok()?;
-        let line = c.request("STATS").ok()?;
-        let body = line.strip_prefix("OK ")?.to_string();
-        let _ = c.quit();
-        Some(body)
-    };
-    let bodies: Vec<Option<String>> = shard_addrs.iter().map(fetch).collect();
-    registry::merge_stats_bodies(&bodies)
-}
-
-/// Fetch every shard's `METRICS` exposition and merge bucket-wise
-/// ([`crate::metrics::merge_expositions`]): counters and histogram
-/// buckets sum, `mis2_uptime_seconds` takes the minimum over live
-/// shards, and each shard's slow-request entries pass through with the
-/// `shard` label rewritten to the shard's cluster index. The body comes
-/// back in the same escaped single-line form the server emits.
-fn cluster_metrics(shard_addrs: &[String]) -> String {
-    let fetch = |addr: &String| -> Option<String> {
-        let mut c = Client::connect(addr.as_str()).ok()?;
-        c.set_read_timeout(Some(Duration::from_secs(10))).ok()?;
-        let line = c.request("METRICS").ok()?;
-        let body = line.strip_prefix("OK METRICS ")?.to_string();
-        let _ = c.quit();
-        Some(metrics::unescape_body(&body))
-    };
-    let bodies: Vec<Option<String>> = shard_addrs.iter().map(fetch).collect();
-    let merged = metrics::merge_expositions(&bodies);
-    format!("METRICS {}", metrics::escape_body(&merged))
-}
-
-/// Serve one downstream connection: the router-side mirror of the
-/// server's reader/writer split. The writer half is literally the
-/// server's [`writer_loop`]; the reader parses downstream requests and
-/// forwards compute to the owning shard instead of a scheduler.
-fn handle_router_connection(
-    stream: TcpStream,
-    shard_addrs: &[String],
-    ring: &Ring,
-    stats: &Arc<SvcStats>,
-    max_inflight: usize,
-) -> io::Result<()> {
-    let write_stream = stream.try_clone()?;
-    let win = Arc::new(ConnWindow::new());
-    // Capacity = window cap: the same bound that makes the server's
-    // completion sends non-blocking makes the upstream readers' sends
-    // non-blocking here.
-    let (tx, rx) = sync_channel::<Outgoing>(max_inflight);
-    let writer = {
-        let win = Arc::clone(&win);
-        let stats = Arc::clone(stats);
-        std::thread::Builder::new()
-            .name("mis2-route-write".into())
-            .spawn(move || writer_loop(rx, write_stream, &win, &stats, None))?
-    };
-    // One eager upstream connection per shard, plus its reader thread.
-    // A shard that can't be dialed starts dead (its keys answer `ERR
-    // shard down`) and is redialed on the backoff cadence as requests
-    // keep arriving for it.
-    let mut shards: Vec<Arc<UpShard>> = Vec::with_capacity(shard_addrs.len());
-    for addr in shard_addrs {
-        let up = Arc::new(UpShard::new(addr));
-        try_revive(&up, &tx, &win, stats);
-        shards.push(up);
-    }
-    let result = router_read_loop(
-        stream,
-        &shards,
-        shard_addrs,
-        ring,
-        stats,
-        max_inflight,
-        &win,
-        &tx,
-    );
-    // Teardown: mark every shard closed (no further redials), hard-close
-    // the upstream sockets so their readers unblock, join the readers of
-    // every generation, and drop their tx clones; then our own sender
-    // drops and the writer drains out. The join happens outside the
-    // shard lock — a dying reader takes it to drain its pending tags.
-    for shard in &shards {
-        let (socket, readers) = {
-            let mut st = shard.state.lock().unwrap();
-            st.closed = true;
-            (st.teardown.take(), std::mem::take(&mut st.readers))
-        };
-        if let Some(s) = socket {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-        for h in readers {
-            let _ = h.join();
-        }
-    }
-    drop(tx);
-    let _ = writer.join();
-    result
-}
-
-/// Downstream framing mode, as in the server's reader.
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    V1,
-    V2,
-}
-
-/// The downstream reader: the same line discipline, hellos, window
-/// slots, and error strings as the server's [`read_loop`] — but compute
-/// requests are consistent-hashed to their owning shard and forwarded,
-/// `STATS` answers the merged cluster line, and `PING` answers locally.
-///
-/// [`read_loop`]: crate::server
-#[allow(clippy::too_many_arguments)]
-fn router_read_loop(
-    stream: TcpStream,
-    shards: &[Arc<UpShard>],
-    shard_addrs: &[String],
-    ring: &Ring,
-    stats: &Arc<SvcStats>,
-    max_inflight: usize,
-    win: &Arc<ConnWindow>,
-    tx: &SyncSender<Outgoing>,
-) -> io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut mode = Mode::V1;
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        buf.clear();
-        let n = (&mut reader)
-            .take(proto::MAX_LINE as u64 + 1)
-            .read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            return Ok(());
-        }
-        let cap = match mode {
-            Mode::V1 => 1,
-            Mode::V2 => max_inflight,
-        };
-        let frame_unframeable = |e: String| match mode {
-            Mode::V1 => e,
-            Mode::V2 => proto::tagged_unknown(&e),
-        };
-        if n > proto::MAX_LINE && buf.last() != Some(&b'\n') {
-            acquire_slot(win, cap, stats);
-            send_line(
-                frame_unframeable(proto::err("line too long")),
-                tx,
-                win,
-                stats,
-            );
-            return Ok(());
-        }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            acquire_slot(win, cap, stats);
-            send_line(
-                frame_unframeable(proto::err("invalid utf-8")),
-                tx,
-                win,
-                stats,
-            );
-            continue;
-        };
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
-            continue;
-        }
-        let (tag, parsed) = match mode {
-            Mode::V1 if trimmed == proto::HELLO_V2 => {
-                mode = Mode::V2;
-                acquire_slot(win, cap, stats);
-                send_line(proto::hello_ok(max_inflight), tx, win, stats);
-                continue;
-            }
-            Mode::V1 if trimmed == codec::HELLO_V3 => {
-                acquire_slot(win, cap, stats);
-                send_line(codec::hello_ok(max_inflight), tx, win, stats);
-                return router_v3_read_loop(
-                    &mut reader,
-                    shards,
-                    shard_addrs,
-                    ring,
-                    stats,
-                    max_inflight,
-                    win,
-                    tx,
-                );
-            }
-            Mode::V1 => (None, Request::parse(trimmed)),
-            Mode::V2 => match proto::split_tagged(trimmed) {
-                Err(e) => {
-                    acquire_slot(win, cap, stats);
-                    send_line(proto::tagged_unknown(&proto::err(&e)), tx, win, stats);
-                    continue;
-                }
-                Ok((tag, rest)) => (Some(tag), Request::parse(rest)),
-            },
-        };
-        let frame = move |response: String| match tag {
-            Some(t) => proto::tagged(t, &response),
-            None => response,
-        };
-        match parsed {
-            Err(e) => {
-                acquire_slot(win, cap, stats);
-                send_line(frame(proto::err(&e)), tx, win, stats);
-            }
-            Ok(Request::Ping) => {
-                acquire_slot(win, cap, stats);
-                send_line(frame(proto::ok("PONG")), tx, win, stats);
-            }
-            Ok(Request::Stats) => {
-                acquire_slot(win, cap, stats);
-                let body = cluster_stats(shard_addrs);
-                send_line(frame(proto::ok(&body)), tx, win, stats);
-            }
-            Ok(Request::Metrics) => {
-                acquire_slot(win, cap, stats);
-                let body = cluster_metrics(shard_addrs);
-                send_line(frame(proto::ok(&body)), tx, win, stats);
-            }
-            Ok(Request::Quit) => {
-                win.wait_empty();
-                acquire_slot(win, cap, stats);
-                send_line(frame(proto::ok("BYE")), tx, win, stats);
-                return Ok(());
-            }
-            Ok(req) => {
-                acquire_slot(win, cap, stats);
-                let reply = match tag {
-                    Some(t) => Reply::V2(t),
-                    None => Reply::V1,
-                };
-                route_request(&req, shards, ring, reply, tx, win, stats);
-            }
-        }
-    }
-}
-
-/// The downstream v3 reader: the server's `v3_read_loop` shape with
-/// forwarding in place of compute.
-#[allow(clippy::too_many_arguments)]
-fn router_v3_read_loop(
-    reader: &mut BufReader<TcpStream>,
-    shards: &[Arc<UpShard>],
-    shard_addrs: &[String],
-    ring: &Ring,
-    stats: &Arc<SvcStats>,
-    max_inflight: usize,
-    win: &Arc<ConnWindow>,
-    tx: &SyncSender<Outgoing>,
-) -> io::Result<()> {
-    let mut payload: Vec<u8> = Vec::new();
-    loop {
-        let Some(hdr) = codec::read_header(reader)? else {
-            return Ok(());
-        };
-        let (tag, len, _status) = codec::decode_header(&hdr);
-        let len = len as usize;
-        if len > codec::MAX_PAYLOAD {
-            acquire_slot(win, max_inflight, stats);
-            send_frame(tag, ops::Response::err("frame too long"), tx, win, stats);
-            return Ok(());
-        }
-        payload.resize(len, 0);
-        reader.read_exact(&mut payload)?;
-        let Ok(text) = std::str::from_utf8(&payload) else {
-            acquire_slot(win, max_inflight, stats);
-            send_frame(tag, ops::Response::err("invalid utf-8"), tx, win, stats);
-            continue;
-        };
-        match Request::parse(text.trim_end_matches(['\r', '\n'])) {
-            Err(e) => {
-                acquire_slot(win, max_inflight, stats);
-                send_frame(tag, ops::Response::err(&e), tx, win, stats);
-            }
-            Ok(Request::Ping) => {
-                acquire_slot(win, max_inflight, stats);
-                send_frame(tag, ops::Response::ok_text("PONG".into()), tx, win, stats);
-            }
-            Ok(Request::Stats) => {
-                acquire_slot(win, max_inflight, stats);
-                let body = cluster_stats(shard_addrs);
-                send_frame(tag, ops::Response::ok_text(body), tx, win, stats);
-            }
-            Ok(Request::Metrics) => {
-                acquire_slot(win, max_inflight, stats);
-                let body = cluster_metrics(shard_addrs);
-                send_frame(tag, ops::Response::ok_text(body), tx, win, stats);
-            }
-            Ok(Request::Quit) => {
-                win.wait_empty();
-                acquire_slot(win, max_inflight, stats);
-                send_frame(tag, ops::Response::ok_text("BYE".into()), tx, win, stats);
-                return Ok(());
-            }
-            Ok(req) => {
-                acquire_slot(win, max_inflight, stats);
-                route_request(&req, shards, ring, Reply::V3(tag), tx, win, stats);
-            }
-        }
-    }
-}
-
-/// Consistent-hash one parsed compute request to its owning shard and
-/// forward it (under an already-held window slot).
-fn route_request(
-    req: &Request,
-    shards: &[Arc<UpShard>],
-    ring: &Ring,
-    reply: Reply,
-    tx: &SyncSender<Outgoing>,
-    win: &Arc<ConnWindow>,
-    stats: &Arc<SvcStats>,
-) {
-    let Some((graph, _)) = ops::request_op(req) else {
-        // PING/STATS/QUIT are handled before routing; nothing else
-        // parses, so this is unreachable in practice — answer anyway
-        // rather than poison anything.
-        deliver(
-            reply,
-            codec::STATUS_ERR,
-            b"not a compute request",
-            tx,
-            win,
-            stats,
-        );
-        return;
-    };
-    let idx = ring.shard_of(&shard_key(graph));
-    forward(&shards[idx], &req.to_line(), reply, tx, win, stats);
 }
 
 #[cfg(test)]
@@ -1074,6 +794,31 @@ mod tests {
             shard_key(&GraphRef::Mtx("no/such/file.mtx".into())),
             "no/such/file.mtx"
         );
+    }
+
+    #[test]
+    fn dial_gives_up_on_a_shard_that_accepts_and_stays_mute() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // The mute shard: accept, hold the socket, never write a byte.
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let mute = std::thread::spawn(move || {
+            let _socket = listener.accept().unwrap();
+            let _ = held.recv();
+        });
+        let t0 = Instant::now();
+        let err = dial(&addr, Duration::from_millis(100)).expect_err("a mute shard fails the dial");
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "{err}"
+        );
+        // Far under HELLO_TIMEOUT: the timeout passed in is the one applied.
+        assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+        drop(release);
+        mute.join().unwrap();
     }
 
     #[test]
