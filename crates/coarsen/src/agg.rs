@@ -7,6 +7,7 @@
 //! derives from MIS-2 maximality (Section III-B).
 
 use mis2_graph::{CsrGraph, VertexId};
+use mis2_prim::{par, SharedMut};
 use std::fmt;
 
 /// Sentinel for not-yet-aggregated vertices during construction.
@@ -133,6 +134,118 @@ impl Aggregation {
             }
         }
         Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Construction steps shared by the schemes
+// ---------------------------------------------------------------------------
+
+/// Every unaggregated vertex adjacent to a root takes that root's label
+/// (Algorithm 2 phase 1, which Algorithm 3 phase 1 repeats verbatim). The
+/// roots — the `is_root` vertices — already carry their labels. Two roots
+/// of an MIS-2 are at distance >= 3, so no vertex has two root neighbors:
+/// the assignment is conflict-free.
+pub(crate) fn absorb_root_neighbors(g: &CsrGraph, is_root: &[bool], labels: &mut [u32]) {
+    let n = g.num_vertices();
+    let lw = SharedMut::new(labels);
+    par::for_range(0..n as VertexId, |v| {
+        // SAFETY: each vertex writes only its own slot; reads go to root
+        // slots, which were finalized before this region.
+        let cur = unsafe { lw.read(v as usize) };
+        if cur != UNAGGREGATED {
+            return;
+        }
+        for &w in g.neighbors(v) {
+            if is_root[w as usize] {
+                let root_label = unsafe { lw.read(w as usize) };
+                unsafe { lw.write(v as usize, root_label) };
+                return;
+            }
+        }
+    });
+}
+
+/// The aggregate adjacent to `v` with maximum coupling (number of `v`'s
+/// neighbors in it); ties go to the smaller aggregate by `sizes`, then to
+/// the smaller id. `None` when no neighbor is aggregated.
+pub(crate) fn max_coupling(
+    g: &CsrGraph,
+    v: VertexId,
+    labels: &[u32],
+    sizes: &[u32],
+) -> Option<u32> {
+    // Degree-bounded linear scan; degrees are small for the PDE graphs
+    // this serves.
+    let mut cand: Vec<(u32, u32)> = Vec::new(); // (agg, coupling)
+    for &w in g.neighbors(v) {
+        let a = labels[w as usize];
+        if a == UNAGGREGATED {
+            continue;
+        }
+        match cand.iter_mut().find(|(ca, _)| *ca == a) {
+            Some((_, c)) => *c += 1,
+            None => cand.push((a, 1)),
+        }
+    }
+    cand.into_iter()
+        .min_by(|&(a1, c1), &(a2, c2)| {
+            c2.cmp(&c1)
+                .then(sizes[a1 as usize].cmp(&sizes[a2 as usize]))
+                .then(a1.cmp(&a2))
+        })
+        .map(|(a, _)| a)
+}
+
+/// Every unaggregated vertex joins its [`max_coupling`] aggregate
+/// (Algorithm 3 phase 3). Coupling and aggregate sizes are computed
+/// against the labels frozen on entry, which is what keeps the step
+/// parallel **and** deterministic. Vertices with no aggregated neighbor
+/// stay unaggregated.
+pub(crate) fn join_leftovers(g: &CsrGraph, labels: &mut [u32], num_aggregates: usize) {
+    let n = g.num_vertices();
+    let tent = labels.to_vec();
+    let mut sizes = vec![0u32; num_aggregates];
+    for &l in &tent {
+        if l != UNAGGREGATED {
+            sizes[l as usize] += 1;
+        }
+    }
+    let lw = SharedMut::new(labels);
+    par::for_range(0..n as VertexId, |v| {
+        if tent[v as usize] != UNAGGREGATED {
+            return;
+        }
+        if let Some(a) = max_coupling(g, v, &tent, &sizes) {
+            // SAFETY: each vertex writes only its own slot, and every
+            // read goes to the frozen copy.
+            unsafe { lw.write(v as usize, a) };
+        }
+    });
+}
+
+/// Sweep the pockets [`join_leftovers`] could not reach (no adjacent
+/// aggregate at all) into deterministic aggregates rooted at their
+/// smallest vertex. Sequential: it touches only the rare remainder —
+/// isolated vertices and tiny components.
+pub(crate) fn sweep_pockets(g: &CsrGraph, labels: &mut [u32], roots: &mut Vec<VertexId>) {
+    for v in 0..g.num_vertices() as VertexId {
+        if labels[v as usize] != UNAGGREGATED {
+            continue;
+        }
+        // Join any adjacent aggregate formed earlier in this sweep (keeps
+        // pockets of size 2 together) ...
+        let adjacent = g
+            .neighbors(v)
+            .iter()
+            .map(|&w| labels[w as usize])
+            .filter(|&l| l != UNAGGREGATED)
+            .min();
+        labels[v as usize] = adjacent.unwrap_or_else(|| {
+            // ... or root a new aggregate.
+            roots.push(v);
+            (roots.len() - 1) as u32
+        });
     }
 }
 

@@ -18,7 +18,7 @@
 //! this reimplementation resolves the join deterministically but keeps the
 //! paper's classification in the harness tables (see EXPERIMENTS.md).
 
-use crate::agg::{Aggregation, UNAGGREGATED};
+use crate::agg::{join_leftovers, sweep_pockets, Aggregation, UNAGGREGATED};
 use mis2_color::{color_d2_serial, color_d2_speculative, ColorSets, Coloring};
 use mis2_graph::{CsrGraph, VertexId};
 use mis2_prim::par;
@@ -67,66 +67,10 @@ pub fn d2c_aggregation(g: &CsrGraph, coloring: &Coloring) -> Aggregation {
         roots.extend_from_slice(&candidates);
     }
 
-    // Leftovers: join the adjacent aggregate with max coupling (frozen
-    // tentative labels, as in Algorithm 3 phase 3).
-    let tent = labels.clone();
-    let mut sizes = vec![0u32; roots.len()];
-    for &l in &tent {
-        if l != UNAGGREGATED {
-            sizes[l as usize] += 1;
-        }
-    }
-    {
-        let lw = SharedMut::new(&mut labels);
-        let tent_ref: &[u32] = &tent;
-        let sizes_ref: &[u32] = &sizes;
-        par::for_range(0..n as VertexId, |v| {
-            if tent_ref[v as usize] != UNAGGREGATED {
-                return;
-            }
-            let mut cand: Vec<(u32, u32)> = Vec::new();
-            for &w in g.neighbors(v) {
-                let a = tent_ref[w as usize];
-                if a == UNAGGREGATED {
-                    continue;
-                }
-                match cand.iter_mut().find(|(ca, _)| *ca == a) {
-                    Some((_, cc)) => *cc += 1,
-                    None => cand.push((a, 1)),
-                }
-            }
-            let best = cand.into_iter().min_by(|&(a1, c1), &(a2, c2)| {
-                c2.cmp(&c1)
-                    .then(sizes_ref[a1 as usize].cmp(&sizes_ref[a2 as usize]))
-                    .then(a1.cmp(&a2))
-            });
-            if let Some((a, _)) = best {
-                unsafe { lw.write(v as usize, a) };
-            }
-        });
-    }
-
-    // Remaining pockets (no adjacent aggregate at all): sequential sweep.
-    let mut extra: Vec<VertexId> = Vec::new();
-    for v in 0..n as VertexId {
-        if labels[v as usize] != UNAGGREGATED {
-            continue;
-        }
-        if let Some(l) = g
-            .neighbors(v)
-            .iter()
-            .map(|&w| labels[w as usize])
-            .filter(|&l| l != UNAGGREGATED)
-            .min()
-        {
-            labels[v as usize] = l;
-        } else {
-            let label = (roots.len() + extra.len()) as u32;
-            labels[v as usize] = label;
-            extra.push(v);
-        }
-    }
-    roots.extend_from_slice(&extra);
+    // Leftovers join the adjacent aggregate with max coupling, as in
+    // Algorithm 3 phase 3; pockets with no adjacent aggregate are swept.
+    join_leftovers(g, &mut labels, roots.len());
+    sweep_pockets(g, &mut labels, &mut roots);
 
     let num_aggregates = roots.len();
     Aggregation {

@@ -30,7 +30,7 @@
 //! output is byte-identical to the seed engine's because the engine
 //! itself is.
 
-use crate::agg::{Aggregation, UNAGGREGATED};
+use crate::agg::{absorb_root_neighbors, join_leftovers, sweep_pockets, Aggregation, UNAGGREGATED};
 use mis2_core::{mis2_with_config, Mis2Config};
 use mis2_graph::{ops, CsrGraph, VertexId};
 use mis2_prim::par;
@@ -61,22 +61,7 @@ pub fn mis2_aggregation_with(g: &CsrGraph, cfg: &Mis2Config) -> Aggregation {
         labels[r as usize] = a as u32;
         roots.push(r);
     }
-    {
-        let lw = SharedMut::new(&mut labels);
-        par::for_range(0..n as VertexId, |v| {
-            let cur = unsafe { lw.read(v as usize) };
-            if cur != UNAGGREGATED {
-                return;
-            }
-            for &w in g.neighbors(v) {
-                if m1.is_in[w as usize] {
-                    let root_label = unsafe { lw.read(w as usize) };
-                    unsafe { lw.write(v as usize, root_label) };
-                    return;
-                }
-            }
-        });
-    }
+    absorb_root_neighbors(g, &m1.is_in, &mut labels);
 
     // ---- Phase 2: secondary MIS-2 on the unaggregated subgraph ----------
     let keep: Vec<bool> = par::map(&labels, |&l| l == UNAGGREGATED);
@@ -118,74 +103,10 @@ pub fn mis2_aggregation_with(g: &CsrGraph, cfg: &Mis2Config) -> Aggregation {
     }
 
     // ---- Phase 3: join leftovers by max coupling -------------------------
-    // Freeze tentative labels; coupling and aggregate size are computed
-    // against these, so the phase is order-independent (deterministic).
-    let tent = labels.clone();
-    let num_tent_aggs = roots.len();
-    let mut agg_size = vec![0u32; num_tent_aggs];
-    for &l in &tent {
-        if l != UNAGGREGATED {
-            agg_size[l as usize] += 1;
-        }
-    }
-    {
-        let lw = SharedMut::new(&mut labels);
-        let tent_ref: &[u32] = &tent;
-        let size_ref: &[u32] = &agg_size;
-        par::for_range(0..n as VertexId, |v| {
-            if tent_ref[v as usize] != UNAGGREGATED {
-                return;
-            }
-            // Count coupling to each adjacent aggregate (degree-bounded
-            // linear scan; degrees are small for the PDE graphs this serves).
-            let mut cand: Vec<(u32, u32)> = Vec::new(); // (agg, coupling)
-            for &w in g.neighbors(v) {
-                let a = tent_ref[w as usize];
-                if a == UNAGGREGATED {
-                    continue;
-                }
-                match cand.iter_mut().find(|(ca, _)| *ca == a) {
-                    Some((_, c)) => *c += 1,
-                    None => cand.push((a, 1)),
-                }
-            }
-            // Max coupling; ties -> smaller aggregate; ties -> smaller id.
-            let best = cand.into_iter().min_by(|&(a1, c1), &(a2, c2)| {
-                c2.cmp(&c1)
-                    .then(size_ref[a1 as usize].cmp(&size_ref[a2 as usize]))
-                    .then(a1.cmp(&a2))
-            });
-            if let Some((a, _)) = best {
-                unsafe { lw.write(v as usize, a) };
-            }
-        });
-    }
+    join_leftovers(g, &mut labels, roots.len());
 
     // ---- Phase 3b: sweep pockets with no adjacent aggregate -------------
-    // Deterministic sequential pass (touches only the rare remainder).
-    let mut extra_roots: Vec<VertexId> = Vec::new();
-    for v in 0..n as VertexId {
-        if labels[v as usize] != UNAGGREGATED {
-            continue;
-        }
-        // Join any adjacent aggregate formed since phase 3 (keeps pockets
-        // of size 2 together) ...
-        if let Some(l) = g
-            .neighbors(v)
-            .iter()
-            .map(|&w| labels[w as usize])
-            .filter(|&l| l != UNAGGREGATED)
-            .min()
-        {
-            labels[v as usize] = l;
-        } else {
-            // ... or root a new aggregate.
-            let label = (num_tent_aggs + extra_roots.len()) as u32;
-            labels[v as usize] = label;
-            extra_roots.push(v);
-        }
-    }
-    roots.extend_from_slice(&extra_roots);
+    sweep_pockets(g, &mut labels, &mut roots);
 
     let num_aggregates = roots.len();
     Aggregation {

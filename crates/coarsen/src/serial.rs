@@ -7,7 +7,7 @@
 //! Entirely sequential — deterministic, but the paper's Table V shows its
 //! aggregation phase is ~20-30x slower than the device-resident schemes.
 
-use crate::agg::{Aggregation, UNAGGREGATED};
+use crate::agg::{max_coupling, Aggregation, UNAGGREGATED};
 use mis2_graph::{CsrGraph, VertexId};
 
 /// Sequential greedy aggregation.
@@ -45,24 +45,8 @@ pub fn serial_aggregation(g: &CsrGraph) -> Aggregation {
         if labels[v as usize] != UNAGGREGATED {
             continue;
         }
-        let mut cand: Vec<(u32, u32)> = Vec::new();
-        for &w in g.neighbors(v) {
-            let a = labels[w as usize];
-            if a == UNAGGREGATED {
-                continue;
-            }
-            match cand.iter_mut().find(|(ca, _)| *ca == a) {
-                Some((_, c)) => *c += 1,
-                None => cand.push((a, 1)),
-            }
-        }
-        let best = cand.into_iter().min_by(|&(a1, c1), &(a2, c2)| {
-            c2.cmp(&c1)
-                .then(sizes[a1 as usize].cmp(&sizes[a2 as usize]))
-                .then(a1.cmp(&a2))
-        });
-        match best {
-            Some((a, _)) => {
+        match max_coupling(g, v, &labels, &sizes) {
+            Some(a) => {
                 labels[v as usize] = a;
                 sizes[a as usize] += 1;
             }

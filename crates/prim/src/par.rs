@@ -154,12 +154,6 @@ mod backend {
     }
 }
 
-/// Whether the current thread is already inside a parallel region (nested
-/// `par` calls run serially).
-pub fn in_parallel_region() -> bool {
-    backend::is_nested()
-}
-
 /// Adaptive block size for order-insensitive operations: enough blocks to
 /// load-balance across the pool, but never tiny.
 fn adaptive_block(n: usize) -> usize {

@@ -51,7 +51,7 @@
 //! * [`metrics`] — full-stack request observability, recorded on every
 //!   protocol: lock-free log2-bucket latency histograms per op ×
 //!   outcome, per-stage spans (parse → probe → queue → run → write), a
-//!   lock-free ring of the last 64 slow requests (`--slow-ms`), and the
+//!   mutex-guarded ring of the last 64 slow requests (`--slow-ms`), and the
 //!   versioned `METRICS` text exposition that the router merges
 //!   bucket-wise across a cluster ([`metrics::merge_expositions`]).
 //! * [`shard`] — cluster scale: a consistent-hash [`shard::Ring`] over

@@ -8,11 +8,11 @@
 //! machine** ([`FrameDecoder`] + [`ConnMachine`]): hello negotiation
 //! (`V2`/`V3` upgrades), v1/v2 line framing and v3 binary framing,
 //! per-request window-slot accounting, inline `PING`/`STATS`/`METRICS`,
-//! the v3 zero-serialization cache probe and hot-key parse memo, parse
-//! and framing errors, and the draining `QUIT`. The machine is sans-I/O:
-//! it consumes framed items extracted from a byte buffer and emits
-//! effects through the small [`ConnIo`] seam (acquire a window slot,
-//! enqueue a response, mint a [`CompletionSink`] for a completion).
+//! the v3 zero-serialization cache probe, parse and framing errors, and
+//! the draining `QUIT`. The machine is sans-I/O: it consumes framed items
+//! extracted from a byte buffer and emits effects through the small
+//! [`ConnIo`] seam (acquire a window slot, enqueue a response, mint a
+//! [`CompletionSink`] for a completion).
 //!
 //! Two **drivers** feed it bytes ([`ServerConfig::io_backend`]):
 //!
@@ -411,7 +411,7 @@ impl ServerHandle {
 /// between a server and a router — the `STATS` body, the `METRICS` body,
 /// and how a compute request is run and its framed response delivered
 /// ([`ConnMachine::submit`]) — and each is one `match` on this enum. The
-/// v3 registry probe and parse memo exist on the local side only.
+/// v3 registry probe exists on the local side only.
 pub(crate) enum Service {
     /// A server: the registry answers, the scheduler computes.
     Local {
@@ -904,10 +904,9 @@ fn writer_loop(
         // Retire the batch's metric spans with ONE clock read as the
         // shared write-retired stamp — per-response clocks would put a
         // syscall-ish cost back on the path the batching exists to
-        // amortize; the batch form also coalesces runs of identical
-        // cache hits into single histogram adds. Recording runs *after*
-        // the window slots are released so it overlaps with the
-        // reader's next burst instead of gating admission.
+        // amortize. Recording runs *after* the window slots are released
+        // so it overlaps with the reader's next burst instead of gating
+        // admission.
         if !spans.is_empty() {
             mx.record_batch(&mut spans, Instant::now());
         }
@@ -1188,31 +1187,20 @@ enum Handled {
 /// The connection state machine both I/O backends drive: hello
 /// negotiation (`V2`/`V3` upgrades), v1/v2 tagged lines and v3 binary
 /// frames, per-request window-slot accounting, inline
-/// `PING`/`STATS`/`METRICS`, the v3 zero-serialization cache probe with
-/// its one-entry hot-key parse memo, parse and framing errors, and the
-/// draining `QUIT`. Sans-I/O: items come from a [`FrameDecoder`],
-/// effects leave through a [`ConnIo`].
+/// `PING`/`STATS`/`METRICS`, the v3 zero-serialization cache probe,
+/// parse and framing errors, and the draining `QUIT`. Sans-I/O: items
+/// come from a [`FrameDecoder`], effects leave through a [`ConnIo`].
 ///
-/// The v3 fast path deserves its own note. A compute request whose
-/// serialized response bytes are already interned is answered straight
-/// from the reader via [`Registry::try_response`] — no scheduler, no
-/// re-render, no payload allocation. On top of the probe sits the
-/// **hot-key parse memo**: when an inline hit is served for a *suite*
-/// graph, the raw request bytes and the parsed [`Request`] are
-/// remembered, and a byte-identical next request skips UTF-8 validation
-/// and parsing. The memoized request still goes through the normal
-/// `try_response` probe, which is deliberate: an earlier version
-/// memoized the interned `Arc` itself and served repeats without
-/// touching the registry, so a graph served exclusively from the memo
-/// never refreshed its resp/artifact/graph LRU stamps, looked
-/// LRU-coldest, and was the first thing evicted under `--mem-budget`
-/// pressure — the hottest key on the connection thrashed in and out of
-/// the cache. Probing the registry per request keeps the stamps (and
-/// the `hits`/`resp_hits` counters) exact while still skipping the
-/// per-repeat parse work.
+/// The v3 fast path: a compute request whose serialized response bytes
+/// are already interned is answered straight from the reader via
+/// [`Registry::try_response`] — no scheduler, no re-render, no payload
+/// allocation. Every hit goes through that probe, so the entry's
+/// resp/artifact/graph LRU stamps and the `hits`/`resp_hits` counters
+/// refresh per request: a key answered from connection-local state
+/// instead would look LRU-coldest and be evicted first under
+/// `--mem-budget` pressure.
 pub(crate) struct ConnMachine {
     mode: ProtoMode,
-    memo: Option<(Vec<u8>, Request)>,
     /// The upstream service's per-connection half (this connection's
     /// shard sockets), opened by its first forwarded request; always
     /// `None` on a server. Dropping the machine tears it down.
@@ -1223,7 +1211,6 @@ impl ConnMachine {
     pub(crate) fn new() -> ConnMachine {
         ConnMachine {
             mode: ProtoMode::V1,
-            memo: None,
             up: None,
         }
     }
@@ -1391,85 +1378,48 @@ impl ConnMachine {
     ) -> Flow {
         let cap = cx.max_inflight;
         let framing = Framing::V3(tag);
-        // Hot-key parse memo: a byte-identical repeat of the last inline
-        // hit reuses the parsed request — but still takes the normal
-        // try_response path below, so LRU stamps and hit counters
-        // refresh exactly as if the request had been parsed fresh.
-        // (Outcome-wise a memo repeat that hits is a `memo_hit`, a
-        // parsed request that hits is a `resp_hit`.)
-        let memo_hit = matches!(&self.memo, Some((key, _)) if key == payload);
-        let parsed = match &self.memo {
-            Some((key, req)) if key == payload => Ok(req.clone()),
-            _ => {
-                let Ok(text) = std::str::from_utf8(payload) else {
-                    // Lengths are explicit, so the stream stays framed:
-                    // reject this request, keep the connection.
-                    io.acquire(cap);
-                    io.respond(Outgoing {
-                        payload: framing.wrap(ops::Response::err("invalid utf-8")),
-                        span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
-                    });
-                    return Flow::Continue;
-                };
-                Request::parse(text.trim_end_matches(['\r', '\n']))
-            }
+        let Ok(text) = std::str::from_utf8(payload) else {
+            // Lengths are explicit, so the stream stays framed: reject
+            // this request, keep the connection.
+            io.acquire(cap);
+            io.respond(Outgoing {
+                payload: framing.wrap(ops::Response::err("invalid utf-8")),
+                span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
+            });
+            return Flow::Continue;
         };
+        let parsed = Request::parse(text.trim_end_matches(['\r', '\n']));
         let req = match self.dispatch(parsed, framing, cap, t0, cx, io) {
             Handled::Done(flow) => return flow,
             Handled::Compute(req) => req,
         };
         io.acquire(cap);
         let (op, key) = req_span_parts(&req);
-        let mut span = None;
+        let mut span = metrics::Span::start(t0, op, key);
         // Zero-serialization fast path (local service only — a router has
         // no registry to probe): interned response bytes go straight to
         // the writer. The registry counts this as a hit (and a resp_hit)
-        // so cache accounting stays exact.
+        // and refreshes the entry's LRU stamps, so cache accounting stays
+        // exact and the hottest key is never the eviction victim.
         if let (Service::Local { registry, .. }, Some((graph, opkey))) =
             (&cx.service, ops::request_op(&req))
         {
-            if memo_hit {
-                // Memo repeat: the memo already holds exactly this
-                // payload, and the probe is an in-memory lookup far
-                // under the histograms' 1µs floor — so the whole hit
-                // costs zero clock reads.
-                if let Some(bytes) = registry.try_response(graph, &opkey) {
-                    let s = metrics::Span::fast(t0, op, metrics::Outcome::MemoHit, key);
-                    io.respond(Outgoing {
-                        payload: framing.wrap(ops::Response::interned(bytes)),
-                        span: s,
-                    });
-                    return Flow::Continue;
+            let probe_start = span.as_ref().map(|_| Instant::now());
+            let hit = registry.try_response(graph, &opkey);
+            if let (Some(s), Some(p)) = (span.as_mut(), probe_start) {
+                s.stamp_probe(p);
+            }
+            if let Some(bytes) = hit {
+                if let Some(s) = span.as_mut() {
+                    s.outcome = metrics::Outcome::RespHit;
                 }
-                // Evicted since the memo was set: schedule; the (rare)
-                // probe goes untimed.
-            } else {
-                span = metrics::Span::start(t0, op, key);
-                let probe_start = span.as_ref().map(|_| Instant::now());
-                let hit = registry.try_response(graph, &opkey);
-                if let (Some(s), Some(p)) = (span.as_mut(), probe_start) {
-                    s.stamp_probe(p);
-                }
-                if let Some(bytes) = hit {
-                    // Memoize suite-graph hits only: suite names need no
-                    // filesystem canonicalization, so the cached parse
-                    // is always equivalent to a fresh one; an `.mtx`
-                    // path's resolution could change on disk.
-                    if matches!(graph, proto::GraphRef::Suite(_)) {
-                        self.memo = Some((payload.to_vec(), req.clone()));
-                    }
-                    if let Some(s) = span.as_mut() {
-                        s.outcome = metrics::Outcome::RespHit;
-                    }
-                    io.respond(Outgoing {
-                        payload: framing.wrap(ops::Response::interned(bytes)),
-                        span,
-                    });
-                    return Flow::Continue;
-                }
+                io.respond(Outgoing {
+                    payload: framing.wrap(ops::Response::interned(bytes)),
+                    span,
+                });
+                return Flow::Continue;
             }
         }
-        let span = span.or_else(|| metrics::Span::start(t0, op, key));
         self.submit(req, framing, span, cx, io);
         Flow::Continue
     }
@@ -2405,13 +2355,13 @@ mod tests {
     }
 
     #[test]
-    fn memo_repeats_keep_the_hot_key_resident_under_eviction_pressure() {
-        // Regression for the memo-hit LRU bug: the v3 hot-key memo used
-        // to answer byte-identical repeats without touching the registry,
-        // so the hot key's resp/artifact/graph stamps never refreshed and
-        // a tight budget evicted exactly the hottest entry. The memo now
-        // only skips the re-parse; every repeat still probes
-        // `try_response`, which refreshes all three stamps.
+    fn repeated_hits_keep_the_hot_key_resident_under_eviction_pressure() {
+        // Regression for a v3 fast-path LRU bug: byte-identical repeats
+        // were once answered from connection-local state without touching
+        // the registry, so the hot key's resp/artifact/graph stamps never
+        // refreshed and a tight budget evicted exactly the hottest entry.
+        // Every repeat probes `try_response`, which refreshes all three
+        // stamps.
         //
         // Churn distinct COARSEN levels on the *same* graph so the graph
         // stays shared and eviction pressure lands on the artifact
@@ -2444,11 +2394,11 @@ mod tests {
             let f = c.recv();
             assert_eq!((f.tag, f.status), (tag, codec::STATUS_OK), "{req}");
         };
-        // Warm the hot key (miss), then once more to arm the memo (hit).
+        // Warm the hot key (miss), then once more (hit).
         ask(&mut c, "MIS2 ecology2");
         ask(&mut c, "MIS2 ecology2");
         // Interleave cold computes with byte-identical hot repeats (each
-        // must ride the memo AND refresh the hot entries' stamps).
+        // must be an inline hit AND refresh the hot entries' stamps).
         for level in 1..=3 {
             ask(&mut c, &format!("COARSEN ecology2 {level}"));
             ask(&mut c, "MIS2 ecology2");
