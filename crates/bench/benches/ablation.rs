@@ -1,6 +1,5 @@
-//! Ablation microbenchmarks for the design choices DESIGN.md calls out:
-//! packed vs unpacked tuples at different degree regimes, AMG smoother
-//! choice, and strength-filtered vs raw aggregation.
+//! Ablation microbenchmark for a Figure 2 design choice: packed vs
+//! unpacked tuples at different degree regimes.
 
 use mis2_bench::criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mis2_core::{mis2_with_config, Mis2Config};
@@ -29,43 +28,6 @@ fn bench_ablation(c: &mut Criterion) {
             });
         }
     }
-
-    // AMG smoother choice.
-    use mis2_solver::{pcg, AmgConfig, AmgHierarchy, SmootherKind, SolveOpts};
-    let a = mis2_sparse::gen::laplace3d_matrix(14, 14, 14);
-    let b_rhs = vec![1.0; a.nrows()];
-    for (label, smoother) in [
-        ("jacobi", SmootherKind::Jacobi),
-        ("chebyshev", SmootherKind::Chebyshev),
-    ] {
-        group.bench_function(BenchmarkId::new("amg_smoother", label), |bch| {
-            bch.iter(|| {
-                let amg = AmgHierarchy::build(
-                    &a,
-                    &AmgConfig {
-                        min_coarse_size: 100,
-                        smoother,
-                        ..Default::default()
-                    },
-                );
-                pcg(
-                    &a,
-                    &b_rhs,
-                    &amg,
-                    &SolveOpts {
-                        tol: 1e-10,
-                        max_iters: 200,
-                    },
-                )
-            })
-        });
-    }
-
-    // Strength filtering cost on an anisotropic operator.
-    let aniso = mis2_coarsen::anisotropic2d_matrix(60, 60, 0.01);
-    group.bench_function("strength_filter_60x60", |b| {
-        b.iter(|| mis2_coarsen::strength_graph(&aniso, 0.1))
-    });
 
     group.finish();
 }

@@ -8,12 +8,10 @@
 //! commands:
 //!   stats       graph summary statistics
 //!   mis2        Algorithm 1 (deterministic MIS-2)
-//!   misk --k K  generalized distance-k MIS
-//!   aggregate   Algorithm 3 (MIS-2 aggregation)
+//!   aggregate   Algorithm 3 (MIS-2 aggregation) with its shape metrics
 //!   coarsen     recursive multilevel coarsening summary
 //!   color       deterministic distance-1 coloring
 //!   colord2     deterministic distance-2 coloring
-//!   partition --parts P   multilevel graph partitioning
 //! ```
 
 use mis2_coarsen as coarsen;
@@ -26,16 +24,14 @@ struct Args {
     workload: Option<String>,
     scale: Scale,
     seed: u64,
-    k: usize,
-    parts: usize,
     threads: Option<usize>,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mis2cli <stats|mis2|misk|aggregate|coarsen|color|colord2|partition>\n\
+        "usage: mis2cli <stats|mis2|aggregate|coarsen|color|colord2>\n\
          \x20       (--mtx FILE | --workload NAME [--scale tiny|small|paper])\n\
-         \x20       [--seed N] [--k K] [--parts P] [--threads N]"
+         \x20       [--seed N] [--threads N]"
     );
     std::process::exit(2);
 }
@@ -51,8 +47,6 @@ fn parse_args() -> Args {
         workload: None,
         scale: Scale::Small,
         seed: 0,
-        k: 3,
-        parts: 4,
         threads: None,
     };
     let mut i = 1;
@@ -66,8 +60,6 @@ fn parse_args() -> Args {
             "--workload" => a.workload = Some(take(&mut i)),
             "--scale" => a.scale = Scale::parse(&take(&mut i)).unwrap_or_else(|| usage()),
             "--seed" => a.seed = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--k" => a.k = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--parts" => a.parts = take(&mut i).parse().unwrap_or_else(|_| usage()),
             "--threads" => a.threads = Some(take(&mut i).parse().unwrap_or_else(|_| usage())),
             _ => usage(),
         }
@@ -151,25 +143,19 @@ fn run(args: &Args) {
                 r.iterations
             );
         }
-        "misk" => {
-            let r = core_::mis_k(&g, args.k, args.seed);
-            println!(
-                "|MIS-{}| = {} in {} iterations",
-                args.k,
-                r.size(),
-                r.iterations
-            );
-        }
         "aggregate" => {
             let agg = coarsen::mis2_aggregation(&g);
             agg.validate(&g)
                 .expect("internal error: invalid aggregation");
-            let sizes = agg.sizes();
+            let s = coarsen::aggregate_stats(&g, &agg);
             println!(
                 "{} aggregates, mean size {:.2}, max size {}, verified",
-                agg.num_aggregates,
-                agg.mean_size(),
-                sizes.iter().max().unwrap()
+                s.count, s.mean_size, s.max_size
+            );
+            println!(
+                "max_root_radius {}, internal_edge_fraction {:.3}",
+                s.max_root_radius.unwrap_or(0),
+                s.internal_edge_fraction
             );
         }
         "coarsen" => {
@@ -189,15 +175,6 @@ fn run(args: &Args) {
             println!(
                 "{} distance-2 colors in {} rounds, verified",
                 c.num_colors, c.rounds
-            );
-        }
-        "partition" => {
-            let parts = args.parts.next_power_of_two();
-            let p = coarsen::partition(&g, parts, &coarsen::PartitionConfig::default());
-            let q = coarsen::quality(&g, &p);
-            println!(
-                "{} parts: edge cut {}, imbalance {:.3}, part weights {:?}",
-                parts, q.edge_cut, q.imbalance, q.part_weights
             );
         }
         _ => usage(),

@@ -14,30 +14,26 @@
 //! * [`scheme`] — one enum over all five Table V schemes.
 //! * [`prolongator`] — tentative and smoothed prolongators for SA-AMG.
 //! * [`hierarchy`] — quotient graphs and recursive multilevel coarsening.
-//! * [`mod@partition`] — multilevel graph partitioning on MIS-2 coarsening
-//!   (the paper's stated future-work application, after Gilbert et al.).
 //! * [`agg`] — the [`Aggregation`] type and validation.
+//! * [`stats`] — aggregate shape metrics, among them the root radius that
+//!   Algorithms 2 and 3 bound by 2.
 
 pub mod agg;
 pub mod basic;
 pub mod d2c;
 pub mod hierarchy;
 pub mod mis2_agg;
-pub mod partition;
 pub mod prolongator;
 pub mod scheme;
 pub mod serial;
 pub mod stats;
-pub mod strength;
 
 pub use agg::{AggViolation, Aggregation, UNAGGREGATED};
 pub use basic::{mis2_basic, mis2_basic_from};
 pub use d2c::{d2c_aggregation, nb_d2c_aggregation, serial_d2c_aggregation};
 pub use hierarchy::{coarsen_recursive, quotient_graph, Level};
 pub use mis2_agg::{mis2_aggregation, mis2_aggregation_with};
-pub use partition::{partition, quality, Partition, PartitionConfig, PartitionQuality};
 pub use prolongator::{smoothed_prolongator, tentative_prolongator};
 pub use scheme::AggScheme;
 pub use serial::serial_aggregation;
 pub use stats::{aggregate_stats, AggStats};
-pub use strength::{anisotropic2d_matrix, strength_graph};

@@ -35,12 +35,7 @@ pub fn tentative_prolongator(agg: &Aggregation, normalize: bool) -> CsrMatrix {
 /// sum of `D⁻¹ A` (a cheap, deterministic upper bound on the spectral
 /// radius).
 pub fn smoothed_prolongator(a: &CsrMatrix, p_tent: &CsrMatrix, omega: Option<f64>) -> CsrMatrix {
-    let diag = a.diag();
-    let dinv: Vec<f64> = diag
-        .iter()
-        .map(|&d| if d.abs() > 1e-300 { 1.0 / d } else { 0.0 })
-        .collect();
-    let dinv_a = scale_rows(&dinv, a);
+    let dinv_a = scale_rows(&a.inv_diag(), a);
     let omega = omega.unwrap_or_else(|| {
         // rho(D^-1 A) <= max_i sum_j |(D^-1 A)_ij|
         let rho_hat = par::map_reduce_range(

@@ -4,8 +4,7 @@
 //! maximum among its uncolored neighbors claims the smallest color not used
 //! by its already-colored neighbors. Every round is a pure map over the
 //! previous round's color array, so the result is independent of thread
-//! count — the deterministic counterpart to the speculative greedy scheme
-//! in [`crate::greedy`].
+//! count.
 
 use crate::Coloring;
 use mis2_graph::{CsrGraph, VertexId};

@@ -12,9 +12,6 @@
 //!
 //! * [`jp::color_d1`] — deterministic parallel distance-1 coloring
 //!   (Jones–Plassmann with xorshift\* priorities);
-//! * [`greedy::color_d1_speculative`] — speculative greedy coloring with
-//!   conflict resolution (Deveci et al., IPDPS 2016) — the faster but
-//!   *nondeterministic* baseline;
 //! * [`d2::color_d2`] — deterministic parallel distance-2 coloring
 //!   (Jones–Plassmann over two-hop neighborhoods, the "net-based" scheme);
 //! * [`d2::color_d2_serial`] — sequential greedy distance-2 coloring
@@ -22,16 +19,12 @@
 //! * [`sets::ColorSets`] — CRS-by-color layout for sweeping color classes.
 
 pub mod d2;
-pub mod greedy;
 pub mod jp;
-pub mod mis_based;
 pub mod sets;
 pub mod verify;
 
 pub use d2::{color_d2, color_d2_serial, color_d2_speculative};
-pub use greedy::color_d1_speculative;
 pub use jp::color_d1;
-pub use mis_based::color_d2_mis;
 pub use sets::ColorSets;
 pub use verify::{verify_coloring_d1, verify_coloring_d2, ColoringViolation};
 

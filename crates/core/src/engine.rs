@@ -40,7 +40,7 @@
 //! ## Execution: one flat worklist per phase, two fused passes per round
 //!
 //! A round is `column_pass(worklist2)` then `decide_pass(worklist1)`. Both
-//! have the same shape: blocks of [`GRAIN`] worklist entries go to the pool;
+//! have the same shape: blocks of `GRAIN` worklist entries go to the pool;
 //! each block writes its vertices' new tuples, one keep flag per entry and
 //! one count per block; an exclusive scan of the block counts then places
 //! each block's survivors in the compacted list (`scatter_kept`).
@@ -62,7 +62,7 @@
 //! frontier shrinks geometrically (Blelloch, Fineman & Shun), so late
 //! rounds would be dominated by region dispatch — but the pool clamps a
 //! region's team to its block count (`mis2_prim::pool::run_region_on`), so
-//! a list of at most [`GRAIN`] entries is one block and runs inline on the
+//! a list of at most `GRAIN` entries is one block and runs inline on the
 //! caller with no wake-up. The block decomposition depends only on list
 //! lengths, never on the pool size.
 //!

@@ -25,9 +25,8 @@
 //! * [`bell`] — the Bell/Dalton/Olson MIS-k baseline (what CUSP and
 //!   ViennaCL implement), used for Figures 6-7 and Table IV.
 //! * [`luby`] — Luby's Algorithm A for MIS-1.
-//! * [`misk`] — Algorithm 1 generalized to arbitrary distance k.
 //! * [`oracle`] — `MIS-1(G²)` as an independent MIS-2 oracle (Lemma IV.2).
-//! * [`reference`] — the frozen seed engine, the bitwise-equivalence
+//! * [`mod@reference`] — the frozen seed engine, the bitwise-equivalence
 //!   oracle and the kernel bench baseline.
 //! * [`mod@tuple`] — packed and 3-field status tuples (Section V-C).
 //! * [`priority`] — Fixed / xorshift / xorshift\* priority schemes
@@ -44,7 +43,6 @@
 pub mod bell;
 pub mod engine;
 pub mod luby;
-pub mod misk;
 pub mod oracle;
 pub mod priority;
 pub mod reference;
@@ -54,7 +52,6 @@ pub mod verify;
 pub use bell::{bell_mis2, bell_mis_k};
 pub use engine::{mis2, mis2_with_config, Mis2Config, Mis2Result, RoundStats};
 pub use luby::{luby_mis1, Mis1Result};
-pub use misk::mis_k;
 pub use oracle::mis2_via_square;
 pub use priority::PriorityScheme;
 pub use verify::{verify_mis1, verify_mis2, MisViolation};

@@ -6,7 +6,7 @@
 //! yet permanently `OUT`. The paper performs this with a parallel prefix sum
 //! ("scan"); these helpers are the reusable Rust equivalent.
 //!
-//! **Contract:** the predicate/mapper is invoked **exactly once per
+//! **Contract:** the predicate is invoked **exactly once per
 //! element** (in unspecified order, possibly concurrently). Callers like
 //! the speculative colorings pass predicates with side effects and
 //! non-repeatable (racy atomic) reads, so the implementation materializes
@@ -71,34 +71,6 @@ where
                 unsafe { ptr.get().add(w).write((base + i) as u32) };
                 w += 1;
             }
-        }
-    });
-    // SAFETY: exactly `total` slots were initialized above.
-    unsafe { out.set_len(total) };
-    out
-}
-
-/// Parallel filter-map, preserving input order. `f` runs exactly once per
-/// element.
-pub fn par_map_filter<T, U, F>(input: &[T], f: F) -> Vec<U>
-where
-    T: Send + Sync,
-    U: Copy + Send + Sync,
-    F: Fn(&T) -> Option<U> + Send + Sync,
-{
-    if input.len() < SEQ_CUTOFF {
-        return input.iter().filter_map(&f).collect();
-    }
-    let vals: Vec<Option<U>> = par::map(input, |x| f(x));
-    let counts: Vec<usize> =
-        par::map_chunks(&vals, BLOCK, |c| c.iter().filter(|v| v.is_some()).count());
-    let (offsets, total) = crate::scan::exclusive_scan(&counts);
-    let mut out: Vec<U> = Vec::with_capacity(total);
-    let ptr = SendPtr(out.as_mut_ptr());
-    par::for_chunks(&vals, BLOCK, |b, chunk| {
-        for (w, u) in (offsets[b]..).zip(chunk.iter().flatten()) {
-            // SAFETY: disjoint ranges per block, within capacity.
-            unsafe { ptr.get().add(w).write(*u) };
         }
     });
     // SAFETY: exactly `total` slots were initialized above.
@@ -177,18 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn map_filter_matches_sequential() {
-        let input: Vec<u32> = (0..100_000).collect();
-        let got = par_map_filter(&input, |&x| (x % 5 == 0).then_some(x * 2));
-        let want: Vec<u32> = input
-            .iter()
-            .filter(|&&x| x % 5 == 0)
-            .map(|&x| x * 2)
-            .collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn deterministic_across_thread_counts() {
         let input: Vec<u64> = (0..300_000)
             .map(|i| crate::hash::splitmix64(i * 17))
@@ -231,19 +191,6 @@ mod tests {
         });
         let want: Vec<u32> = (0..n as u32).filter(|x| x % 3 == 0).collect();
         assert_eq!(out, want);
-    }
-
-    #[test]
-    fn mapper_runs_exactly_once_per_element() {
-        let n = 150_000;
-        let input: Vec<u32> = (0..n as u32).collect();
-        let calls = AtomicUsize::new(0);
-        let out = par_map_filter(&input, |&x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            (x % 4 == 0).then_some(x)
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), n);
-        assert_eq!(out.len(), n / 4);
     }
 
     #[test]

@@ -40,12 +40,12 @@ pub mod scan;
 pub mod timer;
 
 pub use bucket::bucket_by_key;
-pub use compact::{par_filter, par_filter_indices, par_map_filter};
+pub use compact::{par_filter, par_filter_indices};
 pub use hash::{hash2, splitmix64, xorshift64, xorshift64_star};
 pub use pool::{
     contended_regions, max_threads, run_region_on, spawned_workers, with_pool, MAX_TEAM,
 };
 pub use ptr::SharedMut;
-pub use reduce::{det_max, det_min, det_sum_f64, det_sum_usize};
-pub use scan::{exclusive_scan, exclusive_scan_in_place, inclusive_scan};
+pub use reduce::{det_max, det_min};
+pub use scan::{exclusive_scan, exclusive_scan_in_place};
 pub use timer::{geometric_mean, SampleStats, Timer};

@@ -297,11 +297,6 @@ pub fn map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> 
     map_range(0..items.len(), |i| f(&items[i]))
 }
 
-/// Parallel map over a slice with the element index.
-pub fn map_indexed<T: Sync, U: Send>(items: &[T], f: impl Fn(usize, &T) -> U + Sync) -> Vec<U> {
-    map_range(0..items.len(), |i| f(i, &items[i]))
-}
-
 // ---------------------------------------------------------------------------
 // Chunked operations (explicit, fixed block size — deterministic building
 // blocks for scans, compaction and reductions)
@@ -500,11 +495,6 @@ pub fn all_range<I: ParIndex>(range: Range<I>, pred: impl Fn(I) -> bool + Sync) 
     find_map_range(range, |i| (!pred(i)).then_some(())).is_none()
 }
 
-/// Parallel existential quantifier over an index range.
-pub fn any_range<I: ParIndex>(range: Range<I>, pred: impl Fn(I) -> bool + Sync) -> bool {
-    find_map_range(range, |i| pred(i).then_some(())).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,13 +538,6 @@ mod tests {
         let items: Vec<u32> = (0..50_000).collect();
         let got = map(&items, |&x| x * 2);
         assert!(got.iter().enumerate().all(|(i, &v)| v == 2 * i as u32));
-    }
-
-    #[test]
-    fn map_indexed_sees_right_elements() {
-        let items: Vec<u32> = (0..30_000).rev().collect();
-        let got = map_indexed(&items, |i, &x| i as u32 + x);
-        assert!(got.iter().all(|&v| v == items.len() as u32 - 1));
     }
 
     #[test]
@@ -611,12 +594,10 @@ mod tests {
     }
 
     #[test]
-    fn all_and_any() {
+    fn all_range_finds_the_one_counterexample() {
         let n = 100_000usize;
         assert!(all_range(0..n, |_| true));
         assert!(!all_range(0..n, |i| i != 99_999));
-        assert!(any_range(0..n, |i| i == 99_999));
-        assert!(!any_range(0..n, |_| false));
     }
 
     #[test]

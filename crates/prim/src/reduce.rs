@@ -15,14 +15,6 @@ use crate::par;
 const BLOCK: usize = par::DET_BLOCK;
 const SEQ_CUTOFF: usize = 1 << 14;
 
-/// Deterministic parallel sum of `f64` values.
-pub fn det_sum_f64(data: &[f64]) -> f64 {
-    if data.len() < SEQ_CUTOFF {
-        return data.iter().sum();
-    }
-    par::chunked_reduce(data, BLOCK, |c| c.iter().sum::<f64>(), 0.0, |a, b| a + b)
-}
-
 /// Deterministic parallel dot product.
 pub fn det_dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot product length mismatch");
@@ -36,15 +28,6 @@ pub fn det_dot(a: &[f64], b: &[f64]) -> f64 {
         a[lo..hi].iter().zip(&b[lo..hi]).map(|(x, y)| x * y).sum()
     });
     partials.iter().sum()
-}
-
-/// Parallel sum of usize values (integers are associative, but we keep the
-/// same structure for symmetry and overflow checking in debug builds).
-pub fn det_sum_usize(data: &[usize]) -> usize {
-    if data.len() < SEQ_CUTOFF {
-        return data.iter().sum();
-    }
-    par::chunked_reduce(data, BLOCK, |c| c.iter().sum::<usize>(), 0, |a, b| a + b)
 }
 
 /// Parallel minimum; `None` on empty input. Min is commutative and
@@ -81,14 +64,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sum_small() {
-        assert_eq!(det_sum_f64(&[1.0, 2.0, 3.0]), 6.0);
-        assert_eq!(det_sum_usize(&[1, 2, 3]), 6);
-    }
-
-    #[test]
-    fn sum_empty() {
-        assert_eq!(det_sum_f64(&[]), 0.0);
+    fn empty_input() {
+        assert_eq!(det_dot(&[], &[]), 0.0);
         assert_eq!(det_min::<u32>(&[]), None);
     }
 
@@ -111,13 +88,13 @@ mod tests {
     }
 
     #[test]
-    fn f64_sum_bitwise_stable_across_threads() {
+    fn dot_bitwise_stable_across_threads() {
         let data: Vec<f64> = (0..200_000)
             .map(|i| (crate::hash::splitmix64(i) as f64) / 1e12)
             .collect();
-        let baseline = crate::pool::with_pool(1, || det_sum_f64(&data));
+        let baseline = crate::pool::with_pool(1, || det_dot(&data, &data));
         for t in [2, 3, 8] {
-            let got = crate::pool::with_pool(t, || det_sum_f64(&data));
+            let got = crate::pool::with_pool(t, || det_dot(&data, &data));
             assert_eq!(got.to_bits(), baseline.to_bits(), "{t} threads differ");
         }
     }

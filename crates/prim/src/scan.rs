@@ -128,13 +128,6 @@ pub fn exclusive_scan_in_place<T: ScanElem>(data: &mut [T]) -> T {
     total
 }
 
-/// Inclusive prefix sum: `out[i] = input[0] + ... + input[i]`.
-pub fn inclusive_scan<T: ScanElem>(input: &[T]) -> Vec<T> {
-    let (mut out, _) = exclusive_scan(input);
-    par::for_each_mut_indexed(&mut out, |i, o| *o = o.add(input[i]));
-    out
-}
-
 fn seq_exclusive<T: ScanElem>(input: &[T], out: &mut [T]) -> T {
     let mut run = T::ZERO;
     for (o, &i) in out.iter_mut().zip(input) {
@@ -203,17 +196,6 @@ mod tests {
         let total = exclusive_scan_in_place(&mut data);
         assert_eq!(data, want);
         assert_eq!(total, want_total);
-    }
-
-    #[test]
-    fn inclusive_matches_reference() {
-        let input: Vec<usize> = (0..70_000).map(|i| i % 3).collect();
-        let got = inclusive_scan(&input);
-        let mut run = 0usize;
-        for (i, &x) in input.iter().enumerate() {
-            run += x;
-            assert_eq!(got[i], run, "mismatch at {i}");
-        }
     }
 
     #[test]

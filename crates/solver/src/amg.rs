@@ -11,24 +11,12 @@
 //! recursively until the coarse system is small enough for a dense LU.
 //! Apply: standard V-cycle with pre/post Jacobi smoothing.
 
-use crate::chebyshev::ChebyshevSmoother;
 use crate::precond::{JacobiSmoother, Preconditioner};
 use mis2_coarsen::{smoothed_prolongator, tentative_prolongator, AggScheme};
 use mis2_prim::par;
 use mis2_sparse::kernels::axpy;
 use mis2_sparse::{galerkin_product, CsrMatrix, LuFactors};
 use std::sync::Mutex;
-
-/// Which smoother the V-cycle uses on every level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SmootherKind {
-    /// Damped Jacobi (the paper's Table V setting: 2 sweeps, omega = 2/3).
-    #[default]
-    Jacobi,
-    /// Chebyshev polynomial smoothing (MueLu's common device smoother);
-    /// `smoother_sweeps` becomes the polynomial degree.
-    Chebyshev,
-}
 
 /// AMG configuration. Defaults mirror the paper's Table V experiment.
 #[derive(Debug, Clone, Copy)]
@@ -43,8 +31,6 @@ pub struct AmgConfig {
     pub omega: f64,
     /// Pre- and post-smoothing sweeps (the paper uses 2).
     pub smoother_sweeps: usize,
-    /// Smoother selection.
-    pub smoother: SmootherKind,
     /// Smooth the prolongator (plain aggregation AMG when false).
     pub smooth_prolongator: bool,
     /// Seed forwarded to the aggregation scheme.
@@ -59,7 +45,6 @@ impl Default for AmgConfig {
             max_levels: 10,
             omega: 2.0 / 3.0,
             smoother_sweeps: 2,
-            smoother: SmootherKind::Jacobi,
             smooth_prolongator: true,
             seed: 0,
         }
@@ -80,24 +65,10 @@ pub struct AmgSetupStats {
     pub operator_complexity: f64,
 }
 
-enum LevelSmoother {
-    Jacobi(JacobiSmoother),
-    Chebyshev(ChebyshevSmoother),
-}
-
-impl LevelSmoother {
-    fn smooth(&self, a: &CsrMatrix, b: &[f64], x: &mut [f64], scratch: &mut Vec<f64>) {
-        match self {
-            LevelSmoother::Jacobi(s) => s.smooth(a, b, x, scratch),
-            LevelSmoother::Chebyshev(s) => s.smooth(a, b, x),
-        }
-    }
-}
-
 struct AmgLevel {
     a: CsrMatrix,
     p: CsrMatrix,
-    smoother: LevelSmoother,
+    smoother: JacobiSmoother,
 }
 
 /// An SA-AMG hierarchy usable as a preconditioner (one V-cycle per apply).
@@ -143,19 +114,7 @@ impl AmgHierarchy {
                 p_tent
             };
             let coarse = galerkin_product(&cur, &p);
-            let smoother = match cfg.smoother {
-                SmootherKind::Jacobi => {
-                    LevelSmoother::Jacobi(JacobiSmoother::new(&cur, cfg.omega, cfg.smoother_sweeps))
-                }
-                // Band ratio ~ the coarsening rate: the coarse space
-                // handles the lowest ~1/rate of the spectrum, the smoother
-                // the rest. MIS-2 aggregation coarsens at ~8-13x.
-                SmootherKind::Chebyshev => LevelSmoother::Chebyshev(ChebyshevSmoother::new(
-                    &cur,
-                    cfg.smoother_sweeps.max(1),
-                    7.0,
-                )),
-            };
+            let smoother = JacobiSmoother::new(&cur, cfg.omega, cfg.smoother_sweeps);
             level_sizes.push(coarse.nrows());
             nnz_total += coarse.nnz() as f64;
             levels.push(AmgLevel {

@@ -20,7 +20,7 @@
 use crate::precond::Preconditioner;
 use mis2_coarsen::{quotient_graph, AggScheme, Aggregation};
 use mis2_color::{color_d1, ColorSets, Coloring};
-use mis2_graph::{CsrGraph, VertexId};
+use mis2_graph::VertexId;
 use mis2_prim::par;
 use mis2_prim::SharedMut;
 use mis2_sparse::CsrMatrix;
@@ -53,8 +53,6 @@ pub struct PointMcSgs {
     a: CsrMatrix,
     sets: ColorSets,
     dinv: Vec<f64>,
-    sweeps: usize,
-    mode: GsMode,
     /// Setup wall time (seconds): graph extraction + coloring + sets.
     pub setup_seconds: f64,
     /// Colors used (determines the number of sequential sweep steps).
@@ -68,33 +66,15 @@ impl PointMcSgs {
         let g = a.to_graph();
         let coloring = color_d1(&g, seed);
         let sets = ColorSets::build(&coloring);
-        let dinv: Vec<f64> = a
-            .diag()
-            .into_iter()
-            .map(|d| if d.abs() > 1e-300 { 1.0 / d } else { 0.0 })
-            .collect();
+        let dinv = a.inv_diag();
         let setup_seconds = t.elapsed_s();
         PointMcSgs {
             a: a.clone(),
             num_colors: sets.num_colors(),
             sets,
             dinv,
-            sweeps: DEFAULT_SWEEPS,
-            mode: GsMode::Symmetric,
             setup_seconds,
         }
-    }
-
-    /// Set the number of sweeps per application.
-    pub fn with_sweeps(mut self, sweeps: usize) -> Self {
-        self.sweeps = sweeps.max(1);
-        self
-    }
-
-    /// Set forward-only or symmetric sweeping.
-    pub fn with_mode(mut self, mode: GsMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     fn sweep_color(&self, members: &[VertexId], b: &[f64], x: &mut [f64]) {
@@ -125,24 +105,12 @@ impl PointMcSgs {
             self.sweep_color(self.sets.members(c), b, x);
         }
     }
-
-    /// One forward sweep (colors in ascending order only).
-    pub fn gs_sweep_forward(&self, b: &[f64], x: &mut [f64]) {
-        for c in 0..self.sets.num_colors() {
-            self.sweep_color(self.sets.members(c), b, x);
-        }
-    }
 }
 
 impl Preconditioner for PointMcSgs {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         z.iter_mut().for_each(|v| *v = 0.0);
-        for _ in 0..self.sweeps {
-            match self.mode {
-                GsMode::Symmetric => self.sgs_sweep(r, z),
-                GsMode::Forward => self.gs_sweep_forward(r, z),
-            }
-        }
+        self.sgs_sweep(r, z);
     }
 
     fn name(&self) -> &'static str {
@@ -178,21 +146,16 @@ impl ClusterMcSgs {
         let agg = scheme.aggregate(&g, seed);
         let coarse = quotient_graph(&g, &agg);
         let coloring = color_d1(&coarse, seed);
-        let built = Self::from_parts(a, &g, &agg, &coloring);
+        let built = Self::from_parts(a, &agg, &coloring);
         ClusterMcSgs {
             setup_seconds: t.elapsed_s(),
             ..built
         }
     }
 
-    /// Assemble from precomputed parts (used by benchmarks that time the
-    /// stages separately).
-    pub fn from_parts(
-        a: &CsrMatrix,
-        _g: &CsrGraph,
-        agg: &Aggregation,
-        coloring: &Coloring,
-    ) -> Self {
+    /// Assemble from a precomputed aggregation and a coloring of its
+    /// quotient graph.
+    pub fn from_parts(a: &CsrMatrix, agg: &Aggregation, coloring: &Coloring) -> Self {
         // Bucket vertices by cluster (ascending row ids within a cluster —
         // the deterministic "natural" intra-cluster order).
         let nclusters = agg.num_aggregates;
@@ -204,16 +167,11 @@ impl ClusterMcSgs {
             let color = coloring.colors[cl] as usize;
             color_clusters[color].push((counts[cl], counts[cl + 1]));
         }
-        let dinv: Vec<f64> = a
-            .diag()
-            .into_iter()
-            .map(|d| if d.abs() > 1e-300 { 1.0 / d } else { 0.0 })
-            .collect();
         ClusterMcSgs {
             a: a.clone(),
             cluster_rows,
             color_clusters,
-            dinv,
+            dinv: a.inv_diag(),
             sweeps: DEFAULT_SWEEPS,
             mode: GsMode::Symmetric,
             setup_seconds: 0.0,
@@ -428,14 +386,13 @@ mod tests {
         // With one cluster containing everything, cluster SGS equals exact
         // sequential symmetric GS.
         let a = sgen::laplace2d_matrix(5, 5);
-        let g = a.to_graph();
         let agg = Aggregation {
             labels: vec![0; 25],
             num_aggregates: 1,
             roots: vec![0],
         };
         let coloring = mis2_color::Coloring::from_colors(vec![0], 1);
-        let gs = ClusterMcSgs::from_parts(&a, &g, &agg, &coloring);
+        let gs = ClusterMcSgs::from_parts(&a, &agg, &coloring);
         let b = vec![1.0; 25];
         let mut x = vec![0.0; 25];
         gs.sgs_sweep(&b, &mut x);

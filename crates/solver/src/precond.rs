@@ -37,6 +37,8 @@ pub struct Jacobi {
 impl Jacobi {
     /// Build from the matrix diagonal.
     pub fn new(a: &CsrMatrix) -> Self {
+        // Not `inv_diag()`: a missing pivot passes `r` through (1.0, not
+        // 0.0), and the served `SOLVE` bytes depend on it.
         let dinv = a
             .diag()
             .into_iter()
@@ -67,15 +69,10 @@ pub struct JacobiSmoother {
 
 impl JacobiSmoother {
     pub fn new(a: &CsrMatrix, omega: f64, sweeps: usize) -> Self {
-        let dinv = a
-            .diag()
-            .into_iter()
-            .map(|d| if d.abs() > 1e-300 { 1.0 / d } else { 0.0 })
-            .collect();
         JacobiSmoother {
             omega,
             sweeps,
-            dinv,
+            dinv: a.inv_diag(),
         }
     }
 

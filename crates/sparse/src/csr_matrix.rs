@@ -285,6 +285,20 @@ impl CsrMatrix {
         par::map_range(0..self.nrows, |r| self.get(r, r as u32))
     }
 
+    /// Reciprocal of the diagonal, `1/d`, or `0.0` where `|d| ≤ 1e-300`
+    /// (a row with no usable pivot is left alone by the smoothers and
+    /// Gauss-Seidel sweeps that scale by it).
+    pub fn inv_diag(&self) -> Vec<f64> {
+        par::map_range(0..self.nrows, |r| {
+            let d = self.get(r, r as u32);
+            if d.abs() > 1e-300 {
+                1.0 / d
+            } else {
+                0.0
+            }
+        })
+    }
+
     /// Structural graph: off-diagonal pattern, symmetrized, as a
     /// [`CsrGraph`]. This is what the MIS-2 / aggregation pipeline consumes.
     pub fn to_graph(&self) -> CsrGraph {
@@ -410,6 +424,13 @@ mod tests {
         assert_eq!(m.diag(), vec![2.0, 2.0, 2.0]);
         assert_eq!(m.get(0, 1), -1.0);
         assert_eq!(m.get(0, 2), 0.0);
+    }
+
+    #[test]
+    fn inv_diag_is_reciprocal_or_zero() {
+        assert_eq!(small().inv_diag(), vec![0.5, 0.5, 0.5]);
+        let holes = CsrMatrix::from_coo(3, 3, &[(0, 0, 4.0), (1, 0, 1.0), (2, 2, 1e-301)]);
+        assert_eq!(holes.inv_diag(), vec![0.25, 0.0, 0.0]);
     }
 
     #[test]

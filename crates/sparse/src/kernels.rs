@@ -34,11 +34,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Infinity norm.
-pub fn norm_inf(x: &[f64]) -> f64 {
-    par::map_reduce(x, |v| v.abs(), 0.0, f64::max)
-}
-
 /// `z = a - b` elementwise.
 pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
     assert_eq!(a.len(), b.len());
@@ -72,7 +67,6 @@ mod tests {
     #[test]
     fn norms() {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-        assert_eq!(norm_inf(&[1.0, -7.0, 3.0]), 7.0);
         assert_eq!(norm2(&[]), 0.0);
     }
 

@@ -5,14 +5,14 @@
 //! # One state machine, two I/O drivers, two services
 //!
 //! Protocol behavior lives in ONE place — the shared **connection state
-//! machine** ([`FrameDecoder`] + [`ConnMachine`]): hello negotiation
+//! machine** (`FrameDecoder` + `ConnMachine`): hello negotiation
 //! (`V2`/`V3` upgrades), v1/v2 line framing and v3 binary framing,
 //! per-request window-slot accounting, inline `PING`/`STATS`/`METRICS`,
 //! the v3 zero-serialization cache probe, parse and framing errors, and
 //! the draining `QUIT`. The machine is sans-I/O: it consumes framed items
 //! extracted from a byte buffer and emits effects through the small
-//! [`ConnIo`] seam (acquire a window slot, enqueue a response, mint a
-//! [`CompletionSink`] for a completion).
+//! `ConnIo` seam (acquire a window slot, enqueue a response, mint a
+//! `CompletionSink` for a completion).
 //!
 //! Two **drivers** feed it bytes ([`ServerConfig::io_backend`]):
 //!
@@ -21,12 +21,12 @@
 //!   machine from blocking reads, and a **writer** thread joined by a
 //!   bounded response channel retires batches; completions send into the
 //!   channel.
-//! * **epoll** (the [`crate::evloop`] module; the Linux default) — one
+//! * **epoll** (the `crate::evloop` module; the Linux default) — one
 //!   nonblocking readiness loop drives every connection's machine from
 //!   `epoll` events; completions post to a per-loop `eventfd` and become
 //!   write-readiness work instead of channel sends.
 //!
-//! Two **services** answer it ([`Service`], the one seam for what differs
+//! Two **services** answer it (`Service`, the one seam for what differs
 //! between a server and a router: the `STATS` body, the `METRICS` body,
 //! and "run this compute request, deliver the framed response to this
 //! sink"):

@@ -20,16 +20,16 @@
 //! server's own connection machine ([`crate::server`]) — the same hellos,
 //! framing, window slots, inline `PING`, error strings, `QUIT` drain and
 //! batching writer, from the same code. What it supplies is the
-//! **upstream service** behind that machine's one seam: [`Upstream`]
-//! (shared: the ring and the shard addresses) and [`UpConn`] (per
+//! **upstream service** behind that machine's one seam: `Upstream`
+//! (shared: the ring and the shard addresses) and `UpConn` (per
 //! downstream connection: one pipelined v3 socket per shard, dialed by
 //! the first request that needs it). A compute request arrives already
-//! holding a window slot; [`Upstream::run`] hashes it to its shard,
+//! holding a window slot; `Upstream::run` hashes it to its shard,
 //! assigns a per-shard upstream tag, remembers the downstream
-//! [`Framing`] under that tag, and writes one frame. The shard's
-//! [`upstream_reader`] thread looks the tag up again and delivers the
+//! `Framing` under that tag, and writes one frame. The shard's
+//! `upstream_reader` thread looks the tag up again and delivers the
 //! response, re-framed for the downstream protocol, through the
-//! connection's [`CompletionSink`] — exactly where a scheduler completion
+//! connection's `CompletionSink` — exactly where a scheduler completion
 //! would deliver on a server. Responses are therefore byte-identical to
 //! a single unsharded server's, which the e2e tests and the CI
 //! `shard-smoke` leg diff-prove across the full workload sweep.
@@ -40,7 +40,7 @@
 //! backpressure while the per-shard lock is held.
 //!
 //! The router's connections run on the **threads** driver (see
-//! [`ROUTER_DRIVER`] for why), and it records no request metrics of its
+//! `ROUTER_DRIVER` for why), and it records no request metrics of its
 //! own: `METRICS` and `STATS` through it are the merged cluster bodies.
 //!
 //! ## Failure semantics
@@ -58,7 +58,7 @@
 //! don't redial in lockstep — and a successful redial restores service
 //! on a fresh connection generation (in-flight tags of the dead one
 //! still answer `ERR shard down` exactly once each). A shard that accepts
-//! a dial and then says nothing fails it after [`HELLO_TIMEOUT`].
+//! a dial and then says nothing fails it after `HELLO_TIMEOUT`.
 //!
 //! A downstream connection's upstream sockets live exactly as long as
 //! its machine, and the driver keeps the machine until the last in-flight

@@ -56,18 +56,17 @@ pub use mis2_core::{mis2, mis2_with_config, Mis2Config, Mis2Result};
 /// Commonly used items in one import.
 pub mod prelude {
     pub use mis2_coarsen::{
-        aggregate_stats, mis2_aggregation, mis2_basic, partition, strength_graph, AggScheme,
-        AggStats, Aggregation, Partition, PartitionConfig,
+        aggregate_stats, mis2_aggregation, mis2_basic, AggScheme, AggStats, Aggregation,
     };
-    pub use mis2_color::{color_d1, color_d2, color_d2_mis, Coloring};
+    pub use mis2_color::{color_d1, color_d2, Coloring};
     pub use mis2_core::{
-        bell_mis2, luby_mis1, mis2, mis2_with_config, mis_k, verify_mis2, Mis2Config, Mis2Result,
+        bell_mis2, luby_mis1, mis2, mis2_with_config, verify_mis2, Mis2Config, Mis2Result,
         PriorityScheme,
     };
     pub use mis2_graph::{CsrGraph, GraphStats, Scale, VertexId};
     pub use mis2_solver::{
         gmres, pcg, AmgConfig, AmgHierarchy, ClusterMcSgs, GsMode, PointMcSgs, Preconditioner,
-        SeqSgs, SmootherKind, SolveOpts,
+        SolveOpts,
     };
     pub use mis2_sparse::CsrMatrix;
 }

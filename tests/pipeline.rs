@@ -180,3 +180,64 @@ fn bench_experiments_smoke() {
         iters[3]
     );
 }
+
+#[test]
+fn gs_iteration_hierarchy_seq_cluster_point() {
+    // Section III-C's narrative end-to-end: sequential GS <= cluster GS <=
+    // point GS in GMRES iterations (with slack for coloring accidents).
+    // Sequential SGS is cluster SGS over one aggregate holding every row.
+    let a = mis2::sparse::gen::laplace3d_matrix(9, 9, 9);
+    let b = vec![1.0; a.nrows()];
+    let opts = SolveOpts {
+        tol: 1e-8,
+        max_iters: 500,
+    };
+    let it = |p: &dyn Preconditioner| {
+        let (_, r) = gmres(&a, &b, p, 50, &opts);
+        assert!(r.converged);
+        r.iterations
+    };
+    let everything = Aggregation {
+        labels: vec![0; a.nrows()],
+        num_aggregates: 1,
+        roots: vec![0],
+    };
+    let seq = it(&ClusterMcSgs::from_parts(
+        &a,
+        &everything,
+        &Coloring::from_colors(vec![0], 1),
+    ));
+    let cluster = it(&ClusterMcSgs::new(&a, AggScheme::Mis2Agg, 0));
+    let point = it(&PointMcSgs::new(&a, 0));
+    assert!(seq <= cluster + 2, "seq {seq} > cluster {cluster}");
+    assert!(cluster <= point + 2, "cluster {cluster} > point {point}");
+}
+
+#[test]
+fn mis2_aggregates_have_root_radius_at_most_2() {
+    // Algorithms 2 and 3 build every aggregate from a MIS-2 root and
+    // vertices within two hops of it, at any pool size.
+    for (name, g) in mis2::graph::suite::build_all(Scale::Tiny) {
+        for scheme in [AggScheme::Mis2Basic, AggScheme::Mis2Agg] {
+            for pool in [1, 3] {
+                let agg = mis2::prim::pool::with_pool(pool, || scheme.aggregate(&g, 0));
+                let radius = aggregate_stats(&g, &agg).max_root_radius;
+                assert!(
+                    radius <= Some(2),
+                    "{name} {scheme:?} pool {pool}: root radius {radius:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn cli_binaries_exist_in_manifest() {
+    // Keep the documented binary names stable.
+    let manifest = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/Cargo.toml"),
+    )
+    .unwrap();
+    assert!(manifest.contains("name = \"repro\""));
+    assert!(manifest.contains("name = \"mis2cli\""));
+}
