@@ -1,6 +1,6 @@
-//! Wire-protocol throughput ladder: blocking v1 lines, pipelined v2
-//! tagged text frames, and binary v3 frames with interned response bytes,
-//! all against the *same* server process.
+//! Wire-protocol throughput ladder: blocking v1 lines and pipelined
+//! binary v3 frames with interned response bytes, both against the
+//! *same* server process.
 //!
 //! The workload is deliberately the smallest the service can answer —
 //! requests whose artifacts are already cached, over 18 keys in a fixed
@@ -10,17 +10,16 @@
 //! write→schedule→compute→read round trip per request; an N-deep window
 //! amortizes that across N in-flight requests (cf. Redis pipelining), so
 //! requests/sec should rise steeply with window depth until the server's
-//! reader saturates. v3 then removes the remaining per-request work on
-//! the server: a cache hit is answered inline from the reader thread with
-//! interned bytes (no scheduler hop, no serialization, no text parse of
-//! the response tag), and the writer coalesces bursts into vectored
-//! writes.
+//! reader saturates. v3 also removes per-request work on the server: a
+//! cache hit is answered inline from the reader thread with interned
+//! bytes (no scheduler hop, no serialization, no text parse of the
+//! response tag), and the writer coalesces bursts into vectored writes.
 //!
 //! Acceptance shape (asserted by eye in CI logs, measured in the e2e
-//! suite): the 64-deep v2 window sustains at least 3x the requests/sec of
-//! blocking v1, and the 64-deep v3 window at least 3x v2's. The run
-//! prints explicit ratio lines after the criterion output to make those
-//! checks one `grep` away, and writes the full protocol × window matrix
+//! suite): the 64-deep v3 window sustains at least 3x the requests/sec of
+//! blocking v1. The run prints an explicit ratio line after the criterion
+//! output to make that check one `grep` away, and writes the full
+//! protocol × window matrix
 //! as `BENCH_svc.json` (override the path with `BENCH_SVC_JSON=`) for the
 //! CI artifact upload. Schema 2 adds client-observed p50/p95/p99 per
 //! cell and the metrics-recording overhead (`svc_pipeline/metrics:` line,
@@ -29,10 +28,14 @@
 //! at v3-w64 (`svc_pipeline/io_backend:` line, target >= 0.95x — the
 //! readiness loop buys connection scale and must not cost the hot path
 //! more than 5%; measured it is in fact ~1.35x *faster*, the per-conn
-//! writer thread's channel hand-off being the cost it sheds).
+//! writer thread's channel hand-off being the cost it sheds). Schema 4
+//! is schema 3 minus the tagged-text v2 protocol, which no longer exists:
+//! the `pipelined_w{1,8,64}` criterion cells, the `"v2"` ladder cells and
+//! the `ratio_v2_w64_over_v1` / `ratio_v3_w64_over_v2_w64` fields left;
+//! every other field is unchanged.
 
 use mis2_bench::criterion::{criterion_group, criterion_main, Criterion};
-use mis2_svc::client::{Client, PipelinedClient, V3Client};
+use mis2_svc::client::{Client, V3Client};
 use mis2_svc::shard::{route, RouterConfig};
 use mis2_svc::{server, ServerConfig, ServerHandle};
 use std::io::Write as _;
@@ -136,24 +139,18 @@ fn pcts(mut ns: Vec<u64>) -> (f64, f64, f64) {
 
 /// Hand-rolled JSON (the workspace is std-only): an array of
 /// `{proto, window, io_backend, req_per_s, p50_us, p95_us, p99_us}`
-/// objects plus the batch size, the acceptance ratios, and the
-/// metrics-recording overhead. Schema 3 = schema 2 plus the per-cell
-/// `io_backend` label and `ratio_v3_w64_epoll_over_threads`; every
-/// schema-2 field is unchanged.
+/// objects plus the batch size, the shard and backend ratios, and the
+/// metrics-recording overhead (schema 4: see the module docs for what
+/// each schema added or dropped).
 fn write_bench_json(
     cells: &[Cell],
-    v2_over_v1: f64,
-    v3_over_v2: f64,
     shard3_over_shard1: f64,
     metrics_overhead_pct: f64,
     epoll_over_threads: f64,
 ) -> std::io::Result<String> {
     let path = std::env::var("BENCH_SVC_JSON").unwrap_or_else(|_| "BENCH_svc.json".to_string());
-    let mut out = String::from("{\n  \"bench\": \"svc_pipeline\",\n  \"schema\": 3,\n");
+    let mut out = String::from("{\n  \"bench\": \"svc_pipeline\",\n  \"schema\": 4,\n");
     out.push_str(&format!("  \"batch\": {BATCH},\n"));
-    out.push_str(&format!(
-        "  \"ratio_v2_w64_over_v1\": {v2_over_v1:.3},\n  \"ratio_v3_w64_over_v2_w64\": {v3_over_v2:.3},\n"
-    ));
     out.push_str(&format!(
         "  \"ratio_v3_shard3_over_shard1\": {shard3_over_shard1:.3},\n"
     ));
@@ -212,14 +209,6 @@ fn bench_svc_pipeline(c: &mut Criterion) {
     });
 
     for window in [1usize, 8, 64] {
-        let mut pipelined = PipelinedClient::connect(addr, window).unwrap();
-        assert_eq!(pipelined.window(), window);
-        group.bench_function(format!("64_requests/pipelined_w{window}").as_str(), |b| {
-            b.iter(|| pipelined.request_many(&lines).unwrap())
-        });
-    }
-
-    for window in [1usize, 8, 64] {
         let mut v3 = V3Client::connect(addr, window).unwrap();
         assert_eq!(v3.window(), window);
         group.bench_function(format!("64_requests/v3_w{window}").as_str(), |b| {
@@ -228,7 +217,7 @@ fn bench_svc_pipeline(c: &mut Criterion) {
     }
     group.finish();
 
-    // Explicit acceptance ratios: requests/sec per protocol at the window
+    // Explicit acceptance ratio: requests/sec per protocol at the window
     // ladder, fresh connections, fixed round count. The same numbers feed
     // the BENCH_svc.json artifact.
     let rounds = 20;
@@ -256,25 +245,6 @@ fn bench_svc_pipeline(c: &mut Criterion) {
         p95_us,
         p99_us,
     });
-
-    for window in [1usize, 8, 64] {
-        let mut v2 = PipelinedClient::connect(addr, window).unwrap();
-        let mut lat: Vec<u64> = Vec::new();
-        let batch = time_batches(rounds, || {
-            v2.request_many(&lines).unwrap();
-            lat.extend_from_slice(v2.last_latencies_ns());
-        });
-        let (p50_us, p95_us, p99_us) = pcts(lat);
-        cells.push(Cell {
-            proto: "v2",
-            window,
-            io_backend: main_backend,
-            rps: BATCH as f64 / batch,
-            p50_us,
-            p95_us,
-            p99_us,
-        });
-    }
 
     for window in [1usize, 8, 64] {
         let mut v3 = V3Client::connect(addr, window).unwrap();
@@ -339,20 +309,13 @@ fn bench_svc_pipeline(c: &mut Criterion) {
             .map(|c| c.rps)
             .unwrap()
     };
-    let (v1_rps, v2_rps, v3_rps) = (rps("v1", 1), rps("v2", 64), rps("v3", 64));
+    let (v1_rps, v3_rps) = (rps("v1", 1), rps("v3", 64));
     println!(
-        "svc_pipeline/acceptance: blocking_v1 {:.0} req/s, pipelined_w64 {:.0} req/s, \
+        "svc_pipeline/acceptance: blocking_v1 {:.0} req/s, v3_w64 {:.0} req/s, \
          ratio {:.2}x (target >= 3x)",
         v1_rps,
-        v2_rps,
-        v2_rps / v1_rps
-    );
-    println!(
-        "svc_pipeline/acceptance: pipelined_w64 {:.0} req/s, v3_w64 {:.0} req/s, \
-         ratio {:.2}x (target >= 3x)",
-        v2_rps,
         v3_rps,
-        v3_rps / v2_rps
+        v3_rps / v1_rps
     );
 
     let (s1, s3) = (rps("v3_shard1", 64), rps("v3_shard3", 64));
@@ -489,14 +452,7 @@ fn bench_svc_pipeline(c: &mut Criterion) {
     epoll_handle.shutdown();
     threads_handle.shutdown();
 
-    match write_bench_json(
-        &cells,
-        v2_rps / v1_rps,
-        v3_rps / v2_rps,
-        s3 / s1,
-        metrics_overhead_pct,
-        epoll_over_threads,
-    ) {
+    match write_bench_json(&cells, s3 / s1, metrics_overhead_pct, epoll_over_threads) {
         Ok(path) => println!("svc_pipeline/json: wrote {path}"),
         Err(e) => eprintln!("svc_pipeline/json: write failed: {e}"),
     }

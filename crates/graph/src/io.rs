@@ -54,7 +54,10 @@ pub struct CooMatrix {
     pub entries: Vec<(u32, u32, f64)>,
 }
 
-/// Read a Matrix Market file from any reader.
+/// Read a Matrix Market file from any reader. The size line is checked,
+/// not trusted: dimensions must fit [`VertexId`], an entry count the
+/// allocator cannot honor is a format error (not an abort), and the file
+/// must hold exactly as many entry lines as it declares.
 pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
     let mut lines = reader.lines().enumerate();
 
@@ -87,6 +90,7 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
     // Size line: first non-comment line.
     let mut dims: Option<(usize, usize, usize)> = None;
     let mut entries: Vec<(u32, u32, f64)> = Vec::new();
+    let mut read = 0usize; // entry lines seen so far
     for (lineno, line) in lines {
         let line = line?;
         let t = line.trim();
@@ -98,10 +102,28 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
             let nr: usize = parse_tok(&mut it, lineno, "rows")?;
             let nc: usize = parse_tok(&mut it, lineno, "cols")?;
             let nnz: usize = parse_tok(&mut it, lineno, "nnz")?;
-            entries.reserve(if symmetric { nnz * 2 } else { nnz });
+            if nr.max(nc) > VertexId::MAX as usize {
+                return Err(MmError::Format(format!(
+                    "dimensions {nr}x{nc} exceed the {} vertex ids available",
+                    VertexId::MAX
+                )));
+            }
+            // Fallible on purpose: `reserve` aborts the process when the
+            // allocation fails, and this count is untrusted input.
+            let expanded = if symmetric {
+                nnz.checked_mul(2)
+            } else {
+                Some(nnz)
+            };
+            if expanded.is_none_or(|n| entries.try_reserve_exact(n).is_err()) {
+                return Err(MmError::Format(format!(
+                    "size line declares {nnz} entries, more than can be allocated"
+                )));
+            }
             dims = Some((nr, nc, nnz));
             continue;
         }
+        read += 1;
         let (nr, nc, _) = dims.unwrap();
         let r: usize = parse_tok(&mut it, lineno, "row index")?;
         let c: usize = parse_tok(&mut it, lineno, "col index")?;
@@ -122,7 +144,12 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
             entries.push((c, r, if symmetry == "skew-symmetric" { -v } else { v }));
         }
     }
-    let (nrows, ncols, _) = dims.ok_or_else(|| MmError::Format("missing size line".into()))?;
+    let (nrows, ncols, nnz) = dims.ok_or_else(|| MmError::Format("missing size line".into()))?;
+    if read != nnz {
+        return Err(MmError::Format(format!(
+            "size line declares {nnz} entries, file has {read}"
+        )));
+    }
     Ok(CooMatrix {
         nrows,
         ncols,
@@ -274,6 +301,49 @@ mod tests {
             read_graph(Cursor::new(mtx)),
             Err(MmError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn a_lying_entry_count_is_a_format_error_not_an_allocation() {
+        // Declared counts no machine can allocate: the reserve must fail
+        // softly, and the `* 2` of a symmetric file must not overflow.
+        for mtx in [
+            "%%MatrixMarket matrix coordinate pattern general\n3 3 99999999999999\n2 1\n"
+                .to_string(),
+            format!(
+                "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 {}\n2 1\n",
+                u64::MAX
+            ),
+        ] {
+            match read_graph(Cursor::new(mtx)) {
+                Err(MmError::Format(m)) => assert!(m.contains("can be allocated"), "{m}"),
+                other => panic!("expected a format error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_dimensions_past_the_vertex_id_range() {
+        let mtx = format!(
+            "%%MatrixMarket matrix coordinate pattern general\n{n} {n} 1\n{n} 1\n",
+            n = VertexId::MAX as u64 + 1
+        );
+        assert!(matches!(
+            read_coo(Cursor::new(mtx)),
+            Err(MmError::Format(_))
+        ));
+    }
+
+    #[test]
+    fn rejects_fewer_or_more_entries_than_declared() {
+        let fewer = "%%MatrixMarket matrix coordinate pattern general\n3 3 3\n2 1\n3 1\n";
+        let more = "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n2 1\n3 1\n";
+        for mtx in [fewer, more] {
+            match read_coo(Cursor::new(mtx)) {
+                Err(MmError::Format(m)) => assert!(m.contains("file has 2"), "{m}"),
+                other => panic!("expected a format error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -25,9 +25,6 @@ use mis2_prim::par;
 use mis2_prim::SharedMut;
 use mis2_sparse::CsrMatrix;
 
-/// How many forward(+backward) applications per preconditioner apply.
-const DEFAULT_SWEEPS: usize = 1;
-
 /// Clusters one pool block of a cluster sweep holds. A MIS-2 aggregate is
 /// some 7 to 30 rows, a fraction of a microsecond of work, so claiming
 /// clusters one at a time from the region's shared counter costs more than
@@ -36,17 +33,6 @@ const DEFAULT_SWEEPS: usize = 1;
 /// order inside one, so results do not depend on it), and it is a constant
 /// because no caller has a reason to pick another.
 const CLUSTERS_PER_BLOCK: usize = 32;
-
-/// Sweep direction per preconditioner application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GsMode {
-    /// Forward color sweep only (classical GS, Algorithm 4 as listed).
-    Forward,
-    /// Forward then backward (symmetric GS — required for CG, used for
-    /// the paper's Table VI "SGS" experiments).
-    #[default]
-    Symmetric,
-}
 
 /// Point multicolor symmetric Gauss-Seidel.
 pub struct PointMcSgs {
@@ -127,8 +113,6 @@ pub struct ClusterMcSgs {
     /// Per color: list of (start, end) ranges into `cluster_rows`.
     color_clusters: Vec<Vec<(usize, usize)>>,
     dinv: Vec<f64>,
-    sweeps: usize,
-    mode: GsMode,
     /// Setup wall time (seconds): aggregation + quotient graph + coloring.
     pub setup_seconds: f64,
     /// Colors on the coarse graph.
@@ -172,24 +156,10 @@ impl ClusterMcSgs {
             cluster_rows,
             color_clusters,
             dinv: a.inv_diag(),
-            sweeps: DEFAULT_SWEEPS,
-            mode: GsMode::Symmetric,
             setup_seconds: 0.0,
             num_colors,
             num_clusters: nclusters,
         }
-    }
-
-    /// Set the number of sweeps per application.
-    pub fn with_sweeps(mut self, sweeps: usize) -> Self {
-        self.sweeps = sweeps.max(1);
-        self
-    }
-
-    /// Set forward-only or symmetric sweeping.
-    pub fn with_mode(mut self, mode: GsMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     #[inline]
@@ -238,25 +208,12 @@ impl ClusterMcSgs {
             self.sweep_color(color, true, b, &xw);
         }
     }
-
-    /// One forward sweep (Algorithm 4 exactly as listed in the paper).
-    pub fn gs_sweep_forward(&self, b: &[f64], x: &mut [f64]) {
-        let xw = SharedMut::new(x);
-        for color in 0..self.color_clusters.len() {
-            self.sweep_color(color, false, b, &xw);
-        }
-    }
 }
 
 impl Preconditioner for ClusterMcSgs {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         z.iter_mut().for_each(|v| *v = 0.0);
-        for _ in 0..self.sweeps {
-            match self.mode {
-                GsMode::Symmetric => self.sgs_sweep(r, z),
-                GsMode::Forward => self.gs_sweep_forward(r, z),
-            }
-        }
+        self.sgs_sweep(r, z);
     }
 
     fn name(&self) -> &'static str {
@@ -353,32 +310,6 @@ mod tests {
             z
         });
         assert_eq!(z1, z2, "point SGS nondeterministic");
-    }
-
-    #[test]
-    fn forward_mode_and_extra_sweeps_converge() {
-        let a = sgen::laplace2d_matrix(10, 10);
-        let b = vec![1.0; 100];
-        let opts = crate::cg::SolveOpts {
-            tol: 1e-8,
-            max_iters: 600,
-        };
-        // Forward-only GS still preconditions GMRES effectively.
-        let fwd = ClusterMcSgs::new(&a, AggScheme::Mis2Agg, 0).with_mode(GsMode::Forward);
-        let (_, rf) = crate::gmres::gmres(&a, &b, &fwd, 40, &opts);
-        assert!(rf.converged);
-        // Two symmetric sweeps cut GMRES iterations vs one.
-        let one = ClusterMcSgs::new(&a, AggScheme::Mis2Agg, 0);
-        let two = ClusterMcSgs::new(&a, AggScheme::Mis2Agg, 0).with_sweeps(2);
-        let (_, r1) = crate::gmres::gmres(&a, &b, &one, 40, &opts);
-        let (_, r2) = crate::gmres::gmres(&a, &b, &two, 40, &opts);
-        assert!(r1.converged && r2.converged);
-        assert!(
-            r2.iterations <= r1.iterations,
-            "{} vs {}",
-            r2.iterations,
-            r1.iterations
-        );
     }
 
     #[test]

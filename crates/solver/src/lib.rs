@@ -22,5 +22,5 @@ pub mod precond;
 pub use amg::{AmgConfig, AmgHierarchy, AmgSetupStats};
 pub use cg::{pcg, SolveOpts, SolveResult};
 pub use gmres::{gmres, DEFAULT_RESTART};
-pub use gs::{ClusterMcSgs, GsMode, PointMcSgs};
+pub use gs::{ClusterMcSgs, PointMcSgs};
 pub use precond::{Identity, Jacobi, JacobiSmoother, Preconditioner};

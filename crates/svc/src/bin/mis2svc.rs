@@ -9,14 +9,14 @@
 //! mis2svc route  --shard HOST:PORT [--shard HOST:PORT ...]
 //!                [--addr HOST:PORT] [--max-inflight N] [--max-conns N]
 //! mis2svc client --addr HOST:PORT REQUEST...
-//! mis2svc workloads [--addr HOST:PORT --pipeline N [--proto v2|v3]]
+//! mis2svc workloads [--addr HOST:PORT --pipeline N]
 //! ```
 //!
 //! `--mem-budget` bounds the registry's cached bytes (graphs, artifacts,
 //! and interned response bytes; 0 or absent = unbounded): over budget,
 //! response bytes evict before artifacts before graphs in LRU order, and
 //! responses stay byte-identical either way. `--max-inflight` caps how
-//! many pipelined (v2/v3) requests one connection may keep outstanding
+//! many pipelined (v3) requests one connection may keep outstanding
 //! (absent = 64). Zero is a usage error for every flag whose zero value
 //! the server cannot honor (`--threads`, `--workers`, `--queue-cap`,
 //! `--max-conns`, `--max-inflight`): the explicit `0` would silently
@@ -39,16 +39,15 @@
 //! the CI smoke leg to sweep every workload through a running server.
 //! With `--addr` and `--pipeline N` it instead runs the whole sweep
 //! (MIS2 + COARSEN 2 per workload, plus two SOLVEs) through a
-//! [`PipelinedClient`] with an N-deep window — or, with `--proto v3`, a
-//! binary-frame [`V3Client`] — printing one response per line in request
-//! order, tags stripped and frames rendered back to text, so the output
-//! of every protocol is directly comparable to a sequential v1 sweep.
-//! That is exactly what the CI pipelined and v3 smoke legs diff.
+//! binary-frame [`V3Client`] with an N-deep window, printing one
+//! response per line in request order, frames rendered back to text, so
+//! the output is directly comparable to a sequential v1 sweep. That is
+//! exactly what the CI v3 smoke legs diff.
 //!
 //! `route` runs the shard router: each `--shard` names one running
 //! `mis2svc serve` process, requests are consistent-hashed to the shard
 //! owning their graph, and the router is protocol-transparent — `client`
-//! and `workloads --pipeline N [--proto v2|v3]` work against it
+//! and `workloads --pipeline N` work against it
 //! unchanged, with responses byte-identical to a single unsharded
 //! server's. `STATS` through the router answers the merged cluster line
 //! (every counter summed across shards, plus `shards= shards_up=
@@ -56,7 +55,7 @@
 //! with `ERR shard down` on its keys only.
 
 use mis2_graph::{suite, Scale};
-use mis2_svc::{client::Client, client::PipelinedClient, client::V3Client, server, shard};
+use mis2_svc::{client::Client, client::V3Client, server, shard};
 
 fn usage() -> ! {
     eprintln!(
@@ -68,7 +67,7 @@ fn usage() -> ! {
          \x20      mis2svc route  --shard HOST:PORT [--shard HOST:PORT ...]\n\
          \x20                     [--addr HOST:PORT] [--max-inflight N] [--max-conns N]\n\
          \x20      mis2svc client --addr HOST:PORT REQUEST...\n\
-         \x20      mis2svc workloads [--addr HOST:PORT --pipeline N [--proto v2|v3]]"
+         \x20      mis2svc workloads [--addr HOST:PORT --pipeline N]"
     );
     std::process::exit(2);
 }
@@ -233,14 +232,12 @@ fn sweep_lines() -> Vec<String> {
 }
 
 /// `workloads`: list the suite graph names; with `--addr` + `--pipeline N`
-/// run the full sweep through an N-deep window instead — a tagged-line v2
-/// connection by default, a binary-frame v3 connection with `--proto v3` —
-/// printing the responses in request order (tags stripped, frames rendered
-/// back to text), byte-comparable to a sequential v1 sweep.
+/// run the full sweep through an N-deep v3 window instead, printing the
+/// responses in request order (frames rendered back to text),
+/// byte-comparable to a sequential v1 sweep.
 fn cmd_workloads(argv: &[String]) {
     let mut addr: Option<String> = None;
     let mut pipeline: Option<usize> = None;
-    let mut proto = "v2".to_string();
     let mut i = 0;
     while i < argv.len() {
         let take = |i: &mut usize| -> &str {
@@ -250,7 +247,6 @@ fn cmd_workloads(argv: &[String]) {
         match argv[i].as_str() {
             "--addr" => addr = Some(take(&mut i).to_string()),
             "--pipeline" => pipeline = Some(parse_nonzero("--pipeline", take(&mut i))),
-            "--proto" => proto = take(&mut i).to_string(),
             _ => usage(),
         }
         i += 1;
@@ -266,36 +262,16 @@ fn cmd_workloads(argv: &[String]) {
         _ => usage(), // --addr and --pipeline only make sense together
     };
     let lines = sweep_lines();
-    let (responses, latencies_ns) = match proto.as_str() {
-        "v2" => {
-            let mut client = PipelinedClient::connect(&addr, window).unwrap_or_else(|e| {
-                eprintln!("error: cannot connect to {addr}: {e}");
-                std::process::exit(1);
-            });
-            let responses = client.request_many(&lines).unwrap_or_else(|e| {
-                eprintln!("error: pipelined sweep failed: {e}");
-                std::process::exit(1);
-            });
-            let latencies = client.last_latencies_ns().to_vec();
-            let _ = client.quit();
-            (responses, latencies)
-        }
-        "v3" => {
-            let mut client = V3Client::connect(&addr, window).unwrap_or_else(|e| {
-                eprintln!("error: cannot connect to {addr}: {e}");
-                std::process::exit(1);
-            });
-            let responses = client.request_many(&lines).unwrap_or_else(|e| {
-                eprintln!("error: v3 sweep failed: {e}");
-                std::process::exit(1);
-            });
-            let latencies = client.last_latencies_ns().to_vec();
-            let _ = client.quit();
-            (responses, latencies)
-        }
-        _ => usage(),
-    };
-    print_sweep_percentiles(&lines, &latencies_ns);
+    let mut client = V3Client::connect(&addr, window).unwrap_or_else(|e| {
+        eprintln!("error: cannot connect to {addr}: {e}");
+        std::process::exit(1);
+    });
+    let responses = client.request_many(&lines).unwrap_or_else(|e| {
+        eprintln!("error: v3 sweep failed: {e}");
+        std::process::exit(1);
+    });
+    print_sweep_percentiles(&lines, client.last_latencies_ns());
+    let _ = client.quit();
     let mut failed = false;
     for response in &responses {
         println!("{response}");

@@ -1,17 +1,13 @@
-//! Protocol clients: the blocking v1 [`Client`] (one request line out,
-//! one response line back), the windowed v2 [`PipelinedClient`] that
-//! keeps many tagged requests in flight and reassembles responses by
-//! tag, and the binary v3 [`V3Client`] — the same windowed shape over
-//! the length-prefixed frames of [`crate::codec`].
+//! Protocol clients, one per protocol: the blocking v1 [`Client`] (one
+//! request line out, one response line back — what `mis2svc client`
+//! wraps for a person) and the binary v3 [`V3Client`], which keeps a
+//! window of tagged frames ([`crate::codec`]) in flight and reassembles
+//! responses by tag — what every program that pipelines uses.
 //!
-//! All are used by the e2e tests, the `mis2svc` bin, and the CI smoke
+//! Both are used by the e2e tests, the `mis2svc` bin, and the CI smoke
 //! legs.
 
 use crate::codec;
-use crate::proto::{self, Request};
-use crate::registry;
-use crate::shard::{shard_key, Ring};
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -109,168 +105,21 @@ impl Client {
     }
 }
 
-/// A v2 pipelined client: writes a *window* of tagged requests before the
-/// first response is read, reads responses as they arrive — in completion
-/// order, not request order — and reassembles them by tag.
-///
-/// The connection upgrades at construction time (`V2` hello); the window
-/// is clamped to the server's advertised `max_inflight`, so the client
-/// never sends a request the server's reader would refuse to accept into
-/// its window.
-pub struct PipelinedClient {
-    // Buffered: a window refill becomes one write syscall at the flush,
-    // not one per request line.
-    writer: BufWriter<TcpStream>,
-    reader: BufReader<TcpStream>,
-    next_tag: u64,
-    window: usize,
-    poisoned: bool,
-    latencies_ns: Vec<u64>,
-}
-
-impl PipelinedClient {
-    /// Connect and upgrade to v2 framing, keeping up to `window` requests
-    /// in flight (clamped to `1..=server max_inflight`).
-    pub fn connect<A: ToSocketAddrs>(addr: A, window: usize) -> io::Result<PipelinedClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        let mut reader = BufReader::new(stream);
-        writeln!(writer, "{}", proto::HELLO_V2)?;
-        writer.flush()?;
-        let hello = read_response_line(&mut reader)?;
-        let server_max = proto::parse_hello_ok(&hello)
-            .filter(|max| *max > 0)
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("server rejected the V2 hello: {hello}"),
-                )
-            })?;
-        Ok(PipelinedClient {
-            writer,
-            reader,
-            next_tag: 0,
-            window: window.clamp(1, server_max),
-            poisoned: false,
-            latencies_ns: Vec::new(),
-        })
-    }
-
-    /// Client-observed latency of each request in the **last completed**
-    /// [`PipelinedClient::request_many`] batch, in nanoseconds, indexed
-    /// like the batch's lines. Measured from the moment the request was
-    /// written into the pipeline to the moment its response was
-    /// reassembled — so it includes queueing behind the window. Copy the
-    /// slice out before `quit()`, which consumes the client.
-    pub fn last_latencies_ns(&self) -> &[u64] {
-        &self.latencies_ns
-    }
-
-    /// The effective window after clamping to the server's cap.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Bound how long a read for the next response may block (`None` =
-    /// forever, the default).
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
-    }
-
-    /// Send every request, keeping up to `window` of them in flight, and
-    /// return the responses **in request order** (tags stripped) — the
-    /// wire order is completion order; the tags are what put them back.
-    ///
-    /// Tags are assigned from this client's private counter, so they are
-    /// unique across the connection's lifetime; a response carrying an
-    /// unknown or already-answered tag (or the server's `T?` marker) is a
-    /// protocol error surfaced as `InvalidData`. Any error poisons the
-    /// connection — un-retired tags may still be in flight, so the
-    /// framing can no longer be trusted; later calls fail fast and the
-    /// caller should reconnect.
-    pub fn request_many<S: AsRef<str>>(&mut self, lines: &[S]) -> io::Result<Vec<String>> {
-        if self.poisoned {
-            return Err(poisoned_error());
-        }
-        let attempt = self.request_many_inner(lines);
-        if attempt.is_err() {
-            self.poisoned = true;
-        }
-        attempt
-    }
-
-    fn request_many_inner<S: AsRef<str>>(&mut self, lines: &[S]) -> io::Result<Vec<String>> {
-        let mut results: Vec<Option<String>> = Vec::with_capacity(lines.len());
-        results.resize_with(lines.len(), || None);
-        let mut tag_to_index: HashMap<u64, usize> = HashMap::with_capacity(self.window);
-        let mut sent_at: Vec<Instant> = Vec::with_capacity(lines.len());
-        self.latencies_ns.clear();
-        self.latencies_ns.resize(lines.len(), 0);
-        let mut sent = 0;
-        let mut received = 0;
-        while received < lines.len() {
-            // Refill the window, batching the writes into one flush.
-            let mut wrote = false;
-            while sent < lines.len() && sent - received < self.window {
-                let tag = self.next_tag;
-                self.next_tag += 1;
-                writeln!(self.writer, "T{tag} {}", lines[sent].as_ref())?;
-                tag_to_index.insert(tag, sent);
-                sent_at.push(Instant::now());
-                sent += 1;
-                wrote = true;
-            }
-            if wrote {
-                self.writer.flush()?;
-            }
-            // Take the next response, whichever request it answers.
-            let response = read_response_line(&mut self.reader)?;
-            if response.starts_with(proto::UNKNOWN_TAG) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("server could not frame a request: {response}"),
-                ));
-            }
-            let (tag, payload) = proto::split_tagged(&response)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            let index = tag_to_index.remove(&tag).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("response for unknown or duplicate tag T{tag}: {payload}"),
-                )
-            })?;
-            results[index] = Some(payload.to_string());
-            self.latencies_ns[index] = sent_at[index].elapsed().as_nanos() as u64;
-            received += 1;
-        }
-        Ok(results.into_iter().map(|r| r.unwrap()).collect())
-    }
-
-    /// Single-request convenience over [`PipelinedClient::request_many`].
-    pub fn request(&mut self, line: &str) -> io::Result<String> {
-        Ok(self.request_many(&[line])?.pop().unwrap())
-    }
-
-    /// Polite close: tagged `QUIT` (the server drains every in-flight
-    /// response first, so `BYE` is the last line) and drop the connection.
-    pub fn quit(mut self) -> io::Result<()> {
-        let _ = self.request("QUIT")?;
-        Ok(())
-    }
-}
-
-/// A v3 binary-frame client: the windowed, tag-reassembling shape of
-/// [`PipelinedClient`] over the length-prefixed frames of
-/// [`crate::codec`] — no response-line parsing, just fixed-offset header
-/// reads.
+/// A v3 binary-frame client: writes a *window* of tagged frames
+/// ([`crate::codec`]) before the first response is read, reads responses
+/// as they arrive — in completion order, not request order — and
+/// reassembles them by tag. No response-line parsing, just fixed-offset
+/// header reads.
 ///
 /// The connection upgrades at construction time (`V3` text hello; the
 /// server's `OK V3 max_inflight=N` answer is the last text line on the
-/// wire). Responses come back as frames whose status byte replaces the
-/// `OK `/`ERR ` prefix; [`V3Client::request_many`] renders each back to
-/// its v1-equivalent text line, which keeps every caller (tests, bin
-/// sweeps, benches) byte-comparable across all three protocols.
+/// wire); the window is clamped to the advertised `max_inflight`, so the
+/// client never sends a request the server's reader would refuse to
+/// accept into its window. Responses come back as frames whose status
+/// byte replaces the `OK `/`ERR ` prefix; [`V3Client::request_many`]
+/// renders each back to its v1-equivalent text line, which keeps every
+/// caller (tests, bin sweeps, benches) byte-comparable across both
+/// protocols.
 pub struct V3Client {
     // Buffered: a window refill becomes one write syscall at the flush,
     // not one per frame.
@@ -312,8 +161,11 @@ impl V3Client {
     }
 
     /// Client-observed latency of each request in the **last completed**
-    /// [`V3Client::request_many`] batch — same contract as
-    /// [`PipelinedClient::last_latencies_ns`].
+    /// [`V3Client::request_many`] batch, in nanoseconds, indexed like the
+    /// batch's lines. Measured from the moment the request was written
+    /// into the pipeline to the moment its response was reassembled — so
+    /// it includes queueing behind the window. Copy the slice out before
+    /// `quit()`, which consumes the client.
     pub fn last_latencies_ns(&self) -> &[u64] {
         &self.latencies_ns
     }
@@ -331,8 +183,15 @@ impl V3Client {
 
     /// Send every request as a frame, keeping up to `window` in flight,
     /// and return the responses **in request order**, rendered to their
-    /// v1 text form (`OK <body>` / `ERR <body>`). Same tag discipline and
-    /// poisoning rules as [`PipelinedClient::request_many`].
+    /// v1 text form (`OK <body>` / `ERR <body>`) — the wire order is
+    /// completion order; the tags are what put them back.
+    ///
+    /// Tags are assigned from this client's private counter, so they are
+    /// unique across the connection's lifetime; a response carrying an
+    /// unknown or already-answered tag is a protocol error surfaced as
+    /// `InvalidData`. Any error poisons the connection — un-retired tags
+    /// may still be in flight, so the framing can no longer be trusted;
+    /// later calls fail fast and the caller should reconnect.
     pub fn request_many<S: AsRef<str>>(&mut self, lines: &[S]) -> io::Result<Vec<String>> {
         if self.poisoned {
             return Err(poisoned_error());
@@ -433,172 +292,6 @@ impl V3Client {
     /// connection.
     pub fn quit(mut self) -> io::Result<()> {
         let _ = self.request("QUIT")?;
-        Ok(())
-    }
-}
-
-/// One shard's connection inside a [`ShardedClient`]: the address (the
-/// ring identity) plus the live v3 connection, `None` once the shard has
-/// failed (fail-fast: its keys answer `ERR shard down` from then on).
-struct ShardConn {
-    addr: String,
-    conn: Option<V3Client>,
-}
-
-/// A shard-aware client: consistent-hashes each request's graph to its
-/// owning shard (the same [`Ring`] + [`shard_key`] rule the router
-/// uses), fans a batch out across the shards — one thread per shard,
-/// each driving its own pipelined [`V3Client`] window with the existing
-/// base-offset tag reassembly — and merges the responses back into
-/// request order.
-///
-/// Failure semantics mirror the router and the per-connection poisoning
-/// contract: a shard whose batch errors (death mid-window included) is
-/// marked dead, every request routed to it — in this batch and later
-/// ones — answers the literal line `ERR shard down`, and the surviving
-/// shards keep serving. The call itself still returns `Ok`, so one dead
-/// shard never masks the other shards' responses.
-pub struct ShardedClient {
-    shards: Vec<ShardConn>,
-    ring: Ring,
-    window: usize,
-}
-
-impl ShardedClient {
-    /// Connect to every shard and upgrade each to v3 framing. The
-    /// per-shard window is `window` clamped to the smallest shard's
-    /// advertised cap, so every shard accepts the same depth. All shards
-    /// must be reachable at construction (a client that starts with a
-    /// dead shard should say so loudly); shards may die afterwards.
-    pub fn connect(addrs: &[String], window: usize) -> io::Result<ShardedClient> {
-        if addrs.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "sharded client needs at least one shard",
-            ));
-        }
-        let mut shards = Vec::with_capacity(addrs.len());
-        let mut effective = window.max(1);
-        for addr in addrs {
-            let conn = V3Client::connect(addr.as_str(), window)?;
-            effective = effective.min(conn.window());
-            shards.push(ShardConn {
-                addr: addr.clone(),
-                conn: Some(conn),
-            });
-        }
-        Ok(ShardedClient {
-            shards,
-            ring: Ring::new(addrs),
-            window: effective,
-        })
-    }
-
-    /// The effective per-shard window after clamping to every shard's cap.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Index of the shard owning `graph` — exposed so tests can predict
-    /// which keys a killed shard takes down.
-    pub fn shard_of(&self, graph: &proto::GraphRef) -> usize {
-        self.ring.shard_of(&shard_key(graph))
-    }
-
-    /// Send every request line, each through its owning shard, and
-    /// return the responses **in request order** rendered to their v1
-    /// text form — exactly what [`V3Client::request_many`] returns for
-    /// the same lines on an unsharded server. Lines that do not name a
-    /// graph (`PING`, `STATS`, parse errors) go to shard 0, whose server
-    /// answers them with the very strings a single server would.
-    pub fn request_many<S: AsRef<str> + Sync>(&mut self, lines: &[S]) -> io::Result<Vec<String>> {
-        let mut batches: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, line) in lines.iter().enumerate() {
-            let shard = match Request::parse(line.as_ref()) {
-                Ok(ref req) => match crate::ops::request_op(req) {
-                    Some((graph, _)) => self.ring.shard_of(&shard_key(graph)),
-                    None => 0,
-                },
-                Err(_) => 0,
-            };
-            batches[shard].push(i);
-        }
-        let mut results: Vec<Option<String>> = Vec::with_capacity(lines.len());
-        results.resize_with(lines.len(), || None);
-        let per_shard: Vec<Vec<(usize, String)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(batches.iter())
-                .map(|(shard, batch)| {
-                    s.spawn(move || -> Vec<(usize, String)> {
-                        if batch.is_empty() {
-                            return Vec::new();
-                        }
-                        let sub: Vec<&str> = batch.iter().map(|&i| lines[i].as_ref()).collect();
-                        let responses = match shard.conn.as_mut() {
-                            Some(conn) => match conn.request_many(&sub) {
-                                Ok(r) => r,
-                                Err(_) => {
-                                    // Death mid-window: the connection is
-                                    // poisoned (tags can't be trusted), so
-                                    // fail-fast every key this shard owns.
-                                    shard.conn = None;
-                                    vec!["ERR shard down".to_string(); batch.len()]
-                                }
-                            },
-                            None => vec!["ERR shard down".to_string(); batch.len()],
-                        };
-                        batch.iter().copied().zip(responses).collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(p) => std::panic::resume_unwind(p),
-                })
-                .collect()
-        });
-        for (i, response) in per_shard.into_iter().flatten() {
-            results[i] = Some(response);
-        }
-        Ok(results.into_iter().map(|r| r.unwrap()).collect())
-    }
-
-    /// Single-request convenience over [`ShardedClient::request_many`].
-    pub fn request(&mut self, line: &str) -> io::Result<String> {
-        Ok(self.request_many(&[line])?.pop().unwrap())
-    }
-
-    /// The merged cluster `STATS` line (`OK STATS ...` with every shard's
-    /// counters summed and the `shards= shards_up= shard_bytes=
-    /// shard_evictions=` gauges appended — see
-    /// [`registry::merge_stats_bodies`]). Fetched over short-lived v1
-    /// connections so it never perturbs the pipelined v3 windows; a dead
-    /// shard contributes zeros.
-    pub fn stats(&self) -> String {
-        let fetch = |addr: &str| -> Option<String> {
-            let mut c = Client::connect(addr).ok()?;
-            c.set_read_timeout(Some(Duration::from_secs(10))).ok()?;
-            let line = c.request("STATS").ok()?;
-            let body = line.strip_prefix("OK ")?.to_string();
-            let _ = c.quit();
-            Some(body)
-        };
-        let bodies: Vec<Option<String>> = self.shards.iter().map(|s| fetch(&s.addr)).collect();
-        format!("OK {}", registry::merge_stats_bodies(&bodies))
-    }
-
-    /// Polite close: framed `QUIT` to every live shard (each drains its
-    /// in-flight responses first), ignoring shards that already died.
-    pub fn quit(self) -> io::Result<()> {
-        for shard in self.shards {
-            if let Some(conn) = shard.conn {
-                let _ = conn.quit();
-            }
-        }
         Ok(())
     }
 }

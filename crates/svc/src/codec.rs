@@ -28,8 +28,8 @@
 //! A connection upgrades by sending the text hello line [`HELLO_V3`]
 //! (`V3`) as its first line; the server answers the *text* line
 //! `OK V3 max_inflight=<n>` ([`hello_ok`]) and both directions switch to
-//! binary frames from the next byte on. v1 and v2 connections are
-//! unchanged and mix freely with v3 on one server — the framing mode is
+//! binary frames from the next byte on. v1 connections are unchanged
+//! and mix freely with v3 on one server — the framing mode is
 //! per-connection.
 //!
 //! The codec itself is payload-agnostic: tags and arbitrary payload bytes
@@ -37,14 +37,15 @@
 //! inverses, property-tested), while the *server* additionally requires
 //! request payloads to be UTF-8 text and caps payloads at
 //! [`MAX_PAYLOAD`] bytes — an oversized header is answered with an ERR
-//! frame under its own tag (binary tags always parse, so there is no v3
-//! analog of v2's reserved `T?` marker) and the connection closes, the
-//! same contract as v2's over-long lines.
+//! frame under its own tag (a binary tag is eight bytes at a fixed
+//! offset: it always parses, so every error can be correlated) and the
+//! connection closes, because nothing past a hostile length can be
+//! trusted to frame — the same contract as v1's over-long line.
 //!
 //! ## Why binary
 //!
-//! v2 parses decimal tags and re-renders every response into a fresh
-//! `String`. The v3 header is stamped and read with fixed-offset
+//! A text protocol parses every line and re-renders every response into
+//! a fresh `String`. The v3 header is stamped and read with fixed-offset
 //! little-endian loads, and a cached response is written straight from
 //! the registry's interned bytes (see [`crate::registry`]) — a hit is a
 //! header stamp plus a vectored write, zero serialization and zero
@@ -68,7 +69,7 @@ pub const STATUS_OK: u8 = 0;
 pub const STATUS_ERR: u8 = 1;
 
 /// Maximum payload bytes the server accepts or emits in one frame — the
-/// same bound as v1/v2's [`proto::MAX_LINE`], for the same reason: a
+/// same bound as v1's [`proto::MAX_LINE`], for the same reason: a
 /// hostile header must not make the server allocate without limit.
 pub const MAX_PAYLOAD: usize = proto::MAX_LINE;
 
@@ -267,15 +268,20 @@ pub fn write_frame(w: &mut impl Write, tag: u64, status: u8, payload: &[u8]) -> 
     w.write_all(payload)
 }
 
-/// The server's *text* answer to the [`HELLO_V3`] hello, advertising the
-/// per-connection window cap. Binary framing starts on the next byte.
+/// The server's *text* answer to the [`HELLO_V3`] hello: `OK V3
+/// max_inflight=<n>`, advertising the per-connection in-flight window
+/// cap. Binary framing starts on the next byte.
 pub fn hello_ok(max_inflight: usize) -> String {
-    proto::hello_ok_for(HELLO_V3, max_inflight)
+    proto::ok(&format!("{HELLO_V3} max_inflight={max_inflight}"))
 }
 
-/// Parse the window cap out of a [`hello_ok`] line.
+/// Parse the window cap out of a [`hello_ok`] line; `None` if the line is
+/// not the v3 hello answer.
 pub fn parse_hello_ok(line: &str) -> Option<usize> {
-    proto::parse_hello_ok_for(HELLO_V3, line)
+    let rest = line.strip_prefix("OK ")?.strip_prefix(HELLO_V3)?;
+    rest.split_whitespace()
+        .find_map(|f| f.strip_prefix("max_inflight="))
+        .and_then(|v| v.parse().ok())
 }
 
 #[cfg(test)]
@@ -402,7 +408,7 @@ mod tests {
         let line = hello_ok(64);
         assert_eq!(line, "OK V3 max_inflight=64");
         assert_eq!(parse_hello_ok(&line), Some(64));
-        assert_eq!(parse_hello_ok("OK V2 max_inflight=64"), None);
+        assert_eq!(parse_hello_ok("OK PONG max_inflight=64"), None);
         assert_eq!(parse_hello_ok("ERR nope"), None);
     }
 }

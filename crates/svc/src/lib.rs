@@ -24,20 +24,20 @@
 //!   queue-wait and run-time statistics feed the `STATS` request.
 //! * [`server`] / [`client`] — a loopback TCP server speaking the
 //!   line-oriented protocol of [`proto`] (`MIS2 g`, `COARSEN g L`,
-//!   `SOLVE g cg|gmres`, `STATS`, `PING`, `QUIT`). Connections start in
-//!   blocking v1 framing; the `V2` hello upgrades to **pipelined tagged
-//!   frames**: every request carries a client-chosen tag, the per-request
+//!   `SOLVE g cg|gmres`, `STATS`, `PING`, `QUIT`). Two wire protocols,
+//!   two jobs. Connections start in blocking **v1** text lines, one
+//!   request in flight — what a person types at `nc` or `mis2svc
+//!   client`. The `V3` hello upgrades to the pipelined **binary frame**
+//!   protocol of [`codec`], what programs speak: every request carries a
+//!   client-chosen tag in a fixed 13-byte little-endian header, the
 //!   reader keeps parsing while earlier jobs run (up to the
-//!   `max_inflight` window), and a per-connection writer thread emits
-//!   responses in *completion* order, tags letting the client reassemble.
-//!   The `V3` hello upgrades instead to the **binary frame** protocol of
-//!   [`codec`] — fixed 13-byte little-endian headers, response bytes
-//!   interned in the registry and served zero-serialization on cache
-//!   hits, and the per-connection writer coalescing each batch into one
-//!   vectored write. [`client::Client`] is the blocking v1 client;
-//!   [`client::PipelinedClient`] drives a v2 window and
-//!   [`client::V3Client`] a v3 window, both with `request_many(..)`
-//!   reassembling by tag. All three protocols mix freely on one server.
+//!   `max_inflight` window), responses leave in *completion* order with
+//!   the tag letting the client reassemble, response bytes are interned
+//!   in the registry and served zero-serialization on cache hits, and
+//!   the per-connection writer coalesces each batch into one vectored
+//!   write. [`client::Client`] is the blocking v1 client and
+//!   [`client::V3Client`] drives a v3 window, `request_many(..)`
+//!   reassembling by tag. Both protocols mix freely on one server.
 //!   Connections are fronted by one of two interchangeable **I/O
 //!   backends** ([`IoBackend`], `--io-backend epoll|threads`): the
 //!   portable thread-per-conn path (reader + writer thread each), or —
@@ -63,15 +63,15 @@
 //!   per shard per downstream connection, tag remapping, fail-fast `ERR
 //!   shard down` containment when a shard dies, and per-shard
 //!   `STATS`/`METRICS` merged into one cluster body
-//!   ([`registry::merge_stats_bodies`]); [`client::ShardedClient`] is
-//!   the client-side equivalent of the router.
+//!   ([`registry::merge_stats_bodies`]). The router is the one place
+//!   that shards: clients dial it like a single server.
 //!
 //! The determinism contract of the underlying algorithms lifts to the
 //! service: a response's *payload* is **bitwise-identical** to a direct
 //! library call, for every client, concurrency level, arrival order,
-//! sub-team size and backend — `tests/svc_e2e.rs` and
-//! `tests/svc_pipeline.rs` at the workspace root assert exactly that with
-//! concurrent blocking and pipelined clients. [`ops`] is the single
+//! sub-team size and backend — `tests/svc_e2e.rs` and `tests/svc_v3.rs`
+//! at the workspace root assert exactly that with concurrent blocking
+//! and pipelined clients. [`ops`] is the single
 //! definition of each request's semantics that both paths share.
 //!
 //! ```no_run
@@ -96,7 +96,7 @@ pub mod sched;
 pub mod server;
 pub mod shard;
 
-pub use client::{Client, PipelinedClient, ShardedClient, V3Client};
+pub use client::{Client, V3Client};
 pub use ops::OpKey;
 pub use proto::{GraphRef, Method, Request};
 pub use registry::Registry;

@@ -193,7 +193,7 @@ pub enum Body {
     Interned(Arc<RespBytes>),
 }
 
-/// One response, protocol-agnostic: `to_line()` renders the v1/v2 text
+/// One response, protocol-agnostic: `to_line()` renders the v1 text
 /// form (`OK ...` / `ERR ...`), while the v3 writer folds `status()` into
 /// a binary header and puts `Body`'s bytes on the wire directly — for an
 /// [`Body::Interned`] body, without copying or re-serializing anything.
@@ -273,7 +273,7 @@ impl Response {
         (status, self.body)
     }
 
-    /// Render the v1/v2 text line (`OK <body>` / `ERR <body>`).
+    /// Render the v1 text line (`OK <body>` / `ERR <body>`).
     pub fn to_line(&self) -> String {
         let prefix = if self.ok { "OK" } else { "ERR" };
         format!("{prefix} {}", String::from_utf8_lossy(self.body_bytes()))

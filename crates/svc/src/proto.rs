@@ -1,9 +1,7 @@
-//! The line-oriented request protocol spoken over the loopback socket —
-//! v1 (blocking, one response in request order) and the pipelined,
-//! tag-framed v2. (The binary v3 framing lives in [`crate::codec`]; its
-//! request payloads are these same v1 request texts, and its upgrade
-//! hello reuses this module's negotiation spelling via
-//! [`hello_ok_for`].)
+//! The line-oriented request protocol spoken over the loopback socket:
+//! v1, the blocking text protocol a person types at `nc` or `mis2svc
+//! client`. (The binary v3 framing programs pipeline over lives in
+//! [`crate::codec`]; its request payloads are these same request texts.)
 //!
 //! ## v1 — one request line, one response line, in order
 //!
@@ -13,48 +11,17 @@
 //! request  = "MIS2" SP graph
 //!          | "COARSEN" SP graph SP levels        ; 1 <= levels <= 32
 //!          | "SOLVE" SP graph SP ("cg"|"gmres")
-//!          | "STATS" | "PING" | "QUIT"
+//!          | "STATS" | "METRICS" | "PING" | "QUIT"
 //! graph    = suite workload name | path ending in ".mtx"
 //! response = "OK" SP body | "ERR" SP message
 //! ```
 //!
 //! A v1 connection can have exactly one request in flight: the server
 //! answers each line before reading the next, so responses arrive in
-//! request order.
-//!
-//! ## v2 — tagged frames, out-of-order completion
-//!
-//! A connection upgrades by sending the bare hello line [`HELLO_V2`]
-//! (`V2`); the server answers `OK V2 max_inflight=<n>` where `<n>` is the
-//! per-connection window cap. After the upgrade every request line carries
-//! a client-chosen decimal tag and every response echoes it:
-//!
-//! ```text
-//! v2-request  = "V2"                              ; hello, once, untagged
-//!             | tag SP request                    ; request as in v1
-//! tag         = "T" 1*DIGIT                       ; client-chosen, u64,
-//!                                                 ;   canonical decimal
-//!                                                 ;   (no leading zeros)
-//! v2-response = tag SP response                   ; response as in v1
-//!             | "T?" SP "ERR" SP message          ; line whose tag could
-//!                                                 ;   not be parsed
-//! ```
-//!
-//! The client may keep up to `max_inflight` tagged requests outstanding
-//! (the *window*); the server pipelines them through the batching
-//! scheduler and writes responses in **completion order**, which need not
-//! be request order — the tag is what lets the client reassemble. Errors
-//! echo the tag too (a parse failure on `T7 MIS2` answers `T7 ERR ...`),
-//! so every tagged request gets exactly one tagged response. Lines whose
-//! *tag itself* is unparseable — including v1-style untagged lines sent
-//! after the upgrade — are answered with the reserved marker [`UNKNOWN_TAG`]
-//! (`T?`, never a valid client tag). Tag uniqueness within the window is
-//! the client's responsibility: the server echoes duplicates verbatim,
-//! exactly like the memcached binary protocol's opaque field.
-//!
-//! Determinism contract: for a fixed graph and op, a response's *payload*
-//! (everything after the tag, fingerprints included) is byte-identical to
-//! the v1/direct-library answer regardless of arrival order.
+//! request order. The one line that is not a request is the `V3` upgrade
+//! hello ([`crate::codec::HELLO_V3`]); any other word — the retired `V2`
+//! hello and its `T<n>` tags included — is an unknown command, answered
+//! `ERR unknown command: ...` with the connection kept.
 //!
 //! The protocol is deliberately tiny and text-only: it exists so many
 //! clients can multiplex MIS-2 / coarsening / solver work onto one warm
@@ -65,18 +32,9 @@
 
 use std::fmt;
 
-/// The untagged hello line that upgrades a connection to v2 framing.
-pub const HELLO_V2: &str = "V2";
-
-/// Tag marker echoed on responses to lines whose tag could not be parsed
-/// (malformed tag token, or an untagged v1 line on a v2 connection). `?`
-/// is not a digit, so no client-chosen tag ever collides with it.
-pub const UNKNOWN_TAG: &str = "T?";
-
-/// Maximum request line length in bytes (including the tag, excluding the
-/// newline). Longer lines get `ERR line too long` and the connection is
-/// closed — an unterminated line must not grow the server's read buffer
-/// without bound.
+/// Maximum request line length in bytes (excluding the newline). Longer
+/// lines get `ERR line too long` and the connection is closed — an
+/// unterminated line must not grow the server's read buffer without bound.
 pub const MAX_LINE: usize = 64 * 1024;
 
 /// How a request names its graph: a synthetic suite workload (built by
@@ -241,76 +199,6 @@ pub fn err(msg: &str) -> String {
     format!("ERR {}", msg.replace('\n', "; "))
 }
 
-/// Split a v2 line into its tag and the request remainder. The tag is the
-/// first whitespace-delimited token and must be `T` followed by the
-/// *canonical* decimal rendering of a `u64` — no leading zeros — so the
-/// echo on the response ([`tagged`] re-renders from the parsed value) is
-/// always byte-identical to what the client sent. The remainder may be
-/// empty (which [`Request::parse`] then rejects as an empty request —
-/// still under the caller's tag, so the client can correlate the error).
-pub fn split_tagged(line: &str) -> Result<(u64, &str), String> {
-    let line = line.trim_start();
-    let (tok, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
-    let digits = tok
-        .strip_prefix('T')
-        .ok_or_else(|| format!("expected T<tag> on a v2 connection, got: {tok}"))?;
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return Err(format!(
-            "malformed tag: {tok} (want T followed by decimal digits)"
-        ));
-    }
-    if digits.len() > 1 && digits.starts_with('0') {
-        // Responses re-render the tag from its parsed value; accepting
-        // "T007" would echo it back as "T7", breaking the verbatim-echo
-        // contract. Only the canonical form is a valid tag.
-        return Err(format!("non-canonical tag: {tok} (no leading zeros)"));
-    }
-    let tag = digits
-        .parse::<u64>()
-        .map_err(|_| format!("tag out of range: {tok} (max {})", u64::MAX))?;
-    Ok((tag, rest.trim_start()))
-}
-
-/// Prefix a response line with its echoed tag.
-pub fn tagged(tag: u64, response: &str) -> String {
-    format!("T{tag} {response}")
-}
-
-/// Prefix a response with the [`UNKNOWN_TAG`] marker — for lines whose tag
-/// could not be parsed at all.
-pub fn tagged_unknown(response: &str) -> String {
-    format!("{UNKNOWN_TAG} {response}")
-}
-
-/// The server's answer to a protocol-upgrade hello: `OK <version>
-/// max_inflight=<n>`, advertising the per-connection in-flight window
-/// cap. Shared by the v2 upgrade here and the v3 upgrade in
-/// [`crate::codec`] — one spelling of the negotiation, two framings
-/// after it.
-pub fn hello_ok_for(version: &str, max_inflight: usize) -> String {
-    ok(&format!("{version} max_inflight={max_inflight}"))
-}
-
-/// Parse the window cap out of a [`hello_ok_for`] line for `version`;
-/// `None` if the line is not that version's hello answer.
-pub fn parse_hello_ok_for(version: &str, line: &str) -> Option<usize> {
-    let rest = line.strip_prefix("OK ")?.strip_prefix(version)?;
-    rest.split_whitespace()
-        .find_map(|f| f.strip_prefix("max_inflight="))
-        .and_then(|v| v.parse().ok())
-}
-
-/// The server's answer to the [`HELLO_V2`] hello, advertising the
-/// per-connection in-flight window cap.
-pub fn hello_ok(max_inflight: usize) -> String {
-    hello_ok_for(HELLO_V2, max_inflight)
-}
-
-/// Parse the window cap out of a [`hello_ok`] response line.
-pub fn parse_hello_ok(line: &str) -> Option<usize> {
-    parse_hello_ok_for(HELLO_V2, line)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,48 +264,10 @@ mod tests {
     }
 
     #[test]
-    fn tagged_lines_split_and_render() {
-        assert_eq!(split_tagged("T0 PING").unwrap(), (0, "PING"));
-        assert_eq!(
-            split_tagged("T42 MIS2 ecology2").unwrap(),
-            (42, "MIS2 ecology2")
-        );
-        assert_eq!(
-            split_tagged(&format!("T{} STATS", u64::MAX)).unwrap(),
-            (u64::MAX, "STATS")
-        );
-        // An empty remainder is a valid *frame* (the request parse then
-        // fails under the caller's tag).
-        assert_eq!(split_tagged("T7").unwrap(), (7, ""));
-        assert_eq!(tagged(42, "OK PONG"), "T42 OK PONG");
-        assert_eq!(tagged_unknown("ERR nope"), "T? ERR nope");
-    }
-
-    #[test]
-    fn malformed_tags_are_rejected() {
-        for line in [
-            "PING",                       // untagged v1 line
-            "T PING",                     // no digits
-            "Tx PING",                    // non-digit tag
-            "T-1 PING",                   // sign is not a digit
-            "t1 PING",                    // case-sensitive
-            "T18446744073709551616 PING", // u64::MAX + 1
-            "T? PING",                    // the reserved marker is not a client tag
-            "T007 PING",                  // non-canonical: would echo as T7
-            "T01 PING",                   // non-canonical
-        ] {
-            assert!(split_tagged(line).is_err(), "must reject {line:?}");
+    fn retired_v2_spellings_are_unknown_commands() {
+        for line in ["V2", "T1 PING"] {
+            let e = Request::parse(line).unwrap_err();
+            assert!(e.starts_with("unknown command: "), "{line:?} -> {e}");
         }
-        // "T0" itself is canonical and stays valid.
-        assert_eq!(split_tagged("T0 PING").unwrap(), (0, "PING"));
-    }
-
-    #[test]
-    fn hello_round_trips_the_window_cap() {
-        let line = hello_ok(64);
-        assert_eq!(line, "OK V2 max_inflight=64");
-        assert_eq!(parse_hello_ok(&line), Some(64));
-        assert_eq!(parse_hello_ok("OK PONG"), None);
-        assert_eq!(parse_hello_ok("ERR nope"), None);
     }
 }

@@ -25,11 +25,11 @@
 //! [`Scheduler::submit_with`] takes the job *and* a [`Completion`]
 //! callback, and the worker-leader that finishes the job hands the
 //! structured [`crate::ops::Response`] to the callback instead of parking
-//! a waiter. That is what lets the pipelined servers keep one reader
-//! thread parsing new requests while earlier jobs run — each completion
-//! pushes its response into the connection's writer channel, in whatever
-//! order jobs finish, and the per-connection writer renders it for its
-//! protocol (v2 text line or v3 binary frame).
+//! a waiter. That is what lets the server keep one reader parsing new
+//! requests while earlier jobs run — each completion pushes its response
+//! into the connection's writer channel, in whatever order jobs finish,
+//! and the per-connection writer renders it for its protocol (v1 text
+//! line or v3 binary frame).
 //!
 //! A completion is invoked **exactly once** for every accepted job, on
 //! whichever thread retires it: a worker-leader after a run or a panic
@@ -438,7 +438,7 @@ mod tests {
         // Two workers: a slow job submitted first and a fast job second.
         // The fast job's completion must arrive first — the scheduler
         // delivers in completion order, which is the whole point of the
-        // pipelined v2 protocol.
+        // pipelined v3 protocol.
         let s = sched(2, 2, 8);
         let (tx, rx) = std::sync::mpsc::channel::<String>();
         let slow_tx = tx.clone();

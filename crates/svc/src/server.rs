@@ -1,13 +1,13 @@
-//! The loopback TCP server: accepts line-protocol (v1/v2) and binary
-//! (v3) connections and pipelines their compute requests through the
-//! batching scheduler.
+//! The loopback TCP server: accepts line-protocol (v1) and binary (v3)
+//! connections and pipelines v3's compute requests through the batching
+//! scheduler.
 //!
 //! # One state machine, two I/O drivers, two services
 //!
 //! Protocol behavior lives in ONE place — the shared **connection state
-//! machine** (`FrameDecoder` + `ConnMachine`): hello negotiation
-//! (`V2`/`V3` upgrades), v1/v2 line framing and v3 binary framing,
-//! per-request window-slot accounting, inline `PING`/`STATS`/`METRICS`,
+//! machine** (`FrameDecoder` + `ConnMachine`): hello negotiation (the
+//! `V3` upgrade), v1 line framing and v3 binary framing, per-request
+//! window-slot accounting, inline `PING`/`STATS`/`METRICS`,
 //! the v3 zero-serialization cache probe, parse and framing errors, and
 //! the draining `QUIT`. The machine is sans-I/O: it consumes framed items
 //! extracted from a byte buffer and emits effects through the small
@@ -57,7 +57,7 @@
 //! and compute requests are submitted to the shared [`Scheduler`] in
 //! completion mode — the worker-leader that finishes a job pushes its
 //! response straight into the writer channel, so responses are written in
-//! *completion* order (tagged, on v2/v3 connections, so the client can
+//! *completion* order (tagged, on v3 connections, so the client can
 //! reassemble; v1 connections cap the window at 1, which preserves the
 //! classic request-order contract). On v3 connections a request whose
 //! serialized response bytes are already interned in the [`Registry`]
@@ -195,7 +195,7 @@ pub struct ServerConfig {
     /// are evicted artifacts-first in LRU order (see [`Registry`]).
     pub mem_budget: usize,
     /// Per-connection in-flight window: how many requests a pipelined
-    /// v2/v3 connection may have outstanding (accepted but response not
+    /// v3 connection may have outstanding (accepted but response not
     /// yet written) before its reader stops accepting more (0 = 64). v1
     /// connections always run with a window of 1.
     pub max_inflight: usize,
@@ -672,7 +672,7 @@ pub(crate) struct Outgoing {
 
 /// The wire form of one outgoing response.
 pub(crate) enum Payload {
-    /// A v1/v2 text line, written with a trailing `\n`.
+    /// A v1 text line, written with a trailing `\n`.
     Line(String),
     /// A v3 response: 13-byte binary header stamped by the writer,
     /// payload either rendered text or interned registry bytes (written
@@ -913,8 +913,10 @@ fn writer_loop(
     }
 }
 
-/// How bytes on the wire are framed right now: newline-terminated lines
-/// (v1 and v2) or 13-byte-header binary frames (after the `V3` hello).
+/// How bytes on the wire are framed right now — which is also the whole
+/// protocol mode of a connection: newline-terminated lines (v1, until an
+/// upgrade hello arrives) or 13-byte-header binary frames (v3, after the
+/// `V3` hello).
 #[derive(Clone, Copy, PartialEq)]
 pub(crate) enum WireMode {
     Lines,
@@ -1107,24 +1109,18 @@ fn inline_span(
 pub(crate) enum Framing {
     /// v1: the bare response line.
     Bare,
-    /// v2: `T<tag> <line>`.
-    Tagged(u64),
-    /// v2, tag unrecoverable: the reserved `T?` marker.
-    Unknown,
     /// v3: a binary frame under `tag`.
     V3(u64),
 }
 
 impl Framing {
-    /// Render `resp` under this framing: text lines for v1/v2 (the
+    /// Render `resp` under this framing: a text line for v1 (the
     /// rendering [`ops::Response::to_line`] shares with `proto::ok`/
     /// `proto::err`), a binary frame for v3 — where interned bodies stay
     /// zero-copy all the way to the batch encoder.
     pub(crate) fn wrap(self, resp: ops::Response) -> Payload {
         match self {
             Framing::Bare => Payload::Line(resp.to_line()),
-            Framing::Tagged(t) => Payload::Line(proto::tagged(t, &resp.to_line())),
-            Framing::Unknown => Payload::Line(proto::tagged_unknown(&resp.to_line())),
             Framing::V3(tag) => Payload::Frame { tag, resp },
         }
     }
@@ -1168,13 +1164,9 @@ pub(crate) trait ConnIo {
     fn sink(&self) -> Arc<dyn CompletionSink>;
 }
 
-/// Protocol mode of one connection: v1 until an upgrade hello arrives.
-#[derive(Clone, Copy, PartialEq)]
-enum ProtoMode {
-    V1,
-    V2,
-    V3,
-}
+/// The window of a v1 connection: text lines keep the classic
+/// one-in-flight, in-order contract.
+const V1_WINDOW: usize = 1;
 
 /// Outcome of [`ConnMachine::dispatch`]: either the item was fully
 /// handled, or it is a compute request the caller must schedule (after
@@ -1185,8 +1177,8 @@ enum Handled {
 }
 
 /// The connection state machine both I/O backends drive: hello
-/// negotiation (`V2`/`V3` upgrades), v1/v2 tagged lines and v3 binary
-/// frames, per-request window-slot accounting, inline
+/// negotiation (the `V3` upgrade), v1 lines and v3 binary frames,
+/// per-request window-slot accounting, inline
 /// `PING`/`STATS`/`METRICS`, the v3 zero-serialization cache probe,
 /// parse and framing errors, and the draining `QUIT`. Sans-I/O: items
 /// come from a [`FrameDecoder`], effects leave through a [`ConnIo`].
@@ -1200,7 +1192,7 @@ enum Handled {
 /// instead would look LRU-coldest and be evicted first under
 /// `--mem-budget` pressure.
 pub(crate) struct ConnMachine {
-    mode: ProtoMode,
+    mode: WireMode,
     /// The upstream service's per-connection half (this connection's
     /// shard sockets), opened by its first forwarded request; always
     /// `None` on a server. Dropping the machine tears it down.
@@ -1210,35 +1202,22 @@ pub(crate) struct ConnMachine {
 impl ConnMachine {
     pub(crate) fn new() -> ConnMachine {
         ConnMachine {
-            mode: ProtoMode::V1,
+            mode: WireMode::Lines,
             up: None,
         }
     }
 
     /// The wire framing the decoder should apply to the *next* item.
     pub(crate) fn wire_mode(&self) -> WireMode {
-        match self.mode {
-            ProtoMode::V3 => WireMode::Frames,
-            _ => WireMode::Lines,
-        }
+        self.mode
     }
 
-    /// The in-flight window cap in force right now: v1 connections keep
-    /// the classic one-in-flight, in-order contract; v2/v3 open the
-    /// window to the configured cap.
+    /// The in-flight window cap in force right now: [`V1_WINDOW`] until
+    /// the upgrade, then v3 opens the window to the configured cap.
     pub(crate) fn cap(&self, cx: &ConnShared) -> usize {
         match self.mode {
-            ProtoMode::V1 => 1,
-            _ => cx.max_inflight,
-        }
-    }
-
-    /// Framing for a line whose tag cannot be recovered: bare on v1, the
-    /// reserved `T?` marker on v2.
-    fn unframeable(&self) -> Framing {
-        match self.mode {
-            ProtoMode::V2 => Framing::Unknown,
-            _ => Framing::Bare,
+            WireMode::Lines => V1_WINDOW,
+            WireMode::Frames => cx.max_inflight,
         }
     }
 
@@ -1258,11 +1237,9 @@ impl ConnMachine {
             Inbound::Line(bytes) => self.handle_line(bytes, t0, cx, io),
             Inbound::Frame { tag, payload } => self.handle_frame(tag, payload, t0, cx, io),
             Inbound::OverlongLine => {
-                // Acquire under the *current* cap — with a pipelined
-                // window in flight this must not wait for a full drain.
-                io.acquire(self.cap(cx));
+                io.acquire(V1_WINDOW);
                 io.respond(Outgoing {
-                    payload: self.unframeable().wrap(ops::Response::err("line too long")),
+                    payload: Framing::Bare.wrap(ops::Response::err("line too long")),
                     span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
                 });
                 Flow::Close // the rest of the line is unframeable
@@ -1270,9 +1247,8 @@ impl ConnMachine {
             Inbound::OversizedFrame { tag } => {
                 // The advertised length is hostile; nothing past this
                 // header can be trusted to frame. Answer under the
-                // frame's own tag (binary tags always parse, so there is
-                // no `T?` analog) and close — the v3 analog of v2's
-                // over-long line.
+                // frame's own tag (binary tags always parse) and close —
+                // the v3 analog of v1's over-long line.
                 io.acquire(cx.max_inflight);
                 io.respond(Outgoing {
                     payload: Framing::V3(tag).wrap(ops::Response::err("frame too long")),
@@ -1290,13 +1266,12 @@ impl ConnMachine {
         cx: &ConnShared,
         io: &mut dyn ConnIo,
     ) -> Flow {
-        let cap = self.cap(cx);
         let Ok(line) = std::str::from_utf8(bytes) else {
             // The line boundary itself is byte-based, so later lines
             // still frame fine: answer and keep the connection.
-            io.acquire(cap);
+            io.acquire(V1_WINDOW);
             io.respond(Outgoing {
-                payload: self.unframeable().wrap(ops::Response::err("invalid utf-8")),
+                payload: Framing::Bare.wrap(ops::Response::err("invalid utf-8")),
                 span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
             });
             return Flow::Continue;
@@ -1313,56 +1288,29 @@ impl ConnMachine {
         if trimmed == "PANIC" {
             panic!("injected connection-handler panic (test hook)");
         }
-        let (framing, parsed) = match self.mode {
-            ProtoMode::V1 if trimmed == proto::HELLO_V2 => {
-                io.acquire(cap);
-                io.respond(Outgoing {
-                    payload: Payload::Line(proto::hello_ok(cx.max_inflight)),
-                    span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Computed, ""),
-                });
-                self.mode = ProtoMode::V2;
-                return Flow::Continue;
-            }
-            ProtoMode::V1 if trimmed == codec::HELLO_V3 => {
-                // Upgrade to binary framing: the hello answer is the
-                // last *text* line on the wire; from the next byte on,
-                // both directions speak 13-byte-header frames.
-                io.acquire(cap);
-                io.respond(Outgoing {
-                    payload: Payload::Line(codec::hello_ok(cx.max_inflight)),
-                    span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Computed, ""),
-                });
-                self.mode = ProtoMode::V3;
-                return Flow::Continue;
-            }
-            ProtoMode::V1 => (Framing::Bare, Request::parse(trimmed)),
-            _ => match proto::split_tagged(trimmed) {
-                // The tag itself is unparseable (this covers v1-style
-                // untagged lines after the upgrade): answer under the
-                // reserved T? marker, keep the connection.
-                Err(e) => {
-                    io.acquire(cap);
-                    io.respond(Outgoing {
-                        payload: Framing::Unknown.wrap(ops::Response::err(&e)),
-                        span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
-                    });
-                    return Flow::Continue;
-                }
-                Ok((tag, rest)) => (Framing::Tagged(tag), Request::parse(rest)),
-            },
-        };
-        match self.dispatch(parsed, framing, cap, t0, cx, io) {
+        if trimmed == codec::HELLO_V3 {
+            // Upgrade to binary framing: the hello answer is the last
+            // *text* line on the wire; from the next byte on, both
+            // directions speak 13-byte-header frames.
+            io.acquire(V1_WINDOW);
+            io.respond(Outgoing {
+                payload: Payload::Line(codec::hello_ok(cx.max_inflight)),
+                span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Computed, ""),
+            });
+            self.mode = WireMode::Frames;
+            return Flow::Continue;
+        }
+        match self.dispatch(Request::parse(trimmed), Framing::Bare, t0, cx, io) {
             Handled::Done(flow) => flow,
             Handled::Compute(req) => {
-                // Compute request: acquire a window slot, then submit in
-                // completion mode. The machine moves straight on to the
-                // next item — this is the pipelining. (No cache probe on
-                // the text protocols: their responses are re-rendered
-                // per request, so `execute_response` is the cache.)
-                io.acquire(cap);
+                // Compute request: acquire the slot, then submit in
+                // completion mode. (No cache probe on the text protocol:
+                // its responses are re-rendered per request, so
+                // `execute_response` is the cache.)
+                io.acquire(V1_WINDOW);
                 let (op, key) = req_span_parts(&req);
                 let span = metrics::Span::start(t0, op, key);
-                self.submit(req, framing, span, cx, io);
+                self.submit(req, Framing::Bare, span, cx, io);
                 Flow::Continue
             }
         }
@@ -1389,7 +1337,7 @@ impl ConnMachine {
             return Flow::Continue;
         };
         let parsed = Request::parse(text.trim_end_matches(['\r', '\n']));
-        let req = match self.dispatch(parsed, framing, cap, t0, cx, io) {
+        let req = match self.dispatch(parsed, framing, t0, cx, io) {
             Handled::Done(flow) => return flow,
             Handled::Compute(req) => req,
         };
@@ -1431,12 +1379,12 @@ impl ConnMachine {
         &mut self,
         parsed: Result<Request, String>,
         framing: Framing,
-        cap: usize,
         t0: Option<Instant>,
         cx: &ConnShared,
         io: &mut dyn ConnIo,
     ) -> Handled {
         use metrics::{Op, Outcome};
+        let cap = self.cap(cx);
         let inline = |io: &mut dyn ConnIo, resp: ops::Response, op: Op, outcome: Outcome| {
             io.acquire(cap);
             io.respond(Outgoing {
@@ -1936,107 +1884,6 @@ mod tests {
         h.shutdown();
     }
 
-    /// Raw v2 socket for framing tests: hello already exchanged.
-    struct RawV2 {
-        w: TcpStream,
-        r: BufReader<TcpStream>,
-    }
-
-    impl RawV2 {
-        fn connect(addr: SocketAddr) -> RawV2 {
-            let s = TcpStream::connect(addr).unwrap();
-            s.set_nodelay(true).unwrap();
-            let mut raw = RawV2 {
-                w: s.try_clone().unwrap(),
-                r: BufReader::new(s),
-            };
-            raw.send(proto::HELLO_V2);
-            let hello = raw.recv();
-            assert!(
-                proto::parse_hello_ok(&hello).is_some(),
-                "bad hello response: {hello}"
-            );
-            raw
-        }
-
-        fn send(&mut self, line: &str) {
-            writeln!(self.w, "{line}").unwrap();
-            self.w.flush().unwrap();
-        }
-
-        fn recv(&mut self) -> String {
-            let mut line = String::new();
-            assert!(self.r.read_line(&mut line).unwrap() > 0, "unexpected EOF");
-            line.trim_end_matches(['\r', '\n']).to_string()
-        }
-    }
-
-    #[test]
-    fn v2_hello_upgrades_and_responses_echo_tags() {
-        let h = serve(ServerConfig::default()).unwrap();
-        let mut c = RawV2::connect(h.addr());
-        c.send("T1 PING");
-        assert_eq!(c.recv(), "T1 OK PONG");
-        c.send("T2 STATS");
-        assert!(c.recv().starts_with("T2 OK STATS graphs="));
-        c.send(&format!("T{} PING", u64::MAX));
-        assert_eq!(c.recv(), format!("T{} OK PONG", u64::MAX));
-        c.send("T3 QUIT");
-        assert_eq!(c.recv(), "T3 OK BYE");
-        h.shutdown();
-    }
-
-    #[test]
-    fn v2_duplicate_tags_are_echoed_verbatim() {
-        // Tag uniqueness is the client's responsibility (memcached-opaque
-        // semantics): the server answers each request under the tag it
-        // came with, duplicates included.
-        let h = serve(ServerConfig::default()).unwrap();
-        let mut c = RawV2::connect(h.addr());
-        c.send("T7 PING");
-        c.send("T7 PING");
-        assert_eq!(c.recv(), "T7 OK PONG");
-        assert_eq!(c.recv(), "T7 OK PONG");
-        h.shutdown();
-    }
-
-    #[test]
-    fn v2_parse_failures_still_carry_the_tag() {
-        let h = serve(ServerConfig::default()).unwrap();
-        let mut c = RawV2::connect(h.addr());
-        for (req, tag) in [
-            ("T9 MIS2", "T9"),                 // missing graph
-            ("T10 COARSEN ecology2 0", "T10"), // bad levels
-            ("T11 FROB x", "T11"),             // unknown command
-            ("T12", "T12"),                    // empty request under a tag
-        ] {
-            c.send(req);
-            let got = c.recv();
-            assert!(got.starts_with(&format!("{tag} ERR ")), "{req:?} -> {got}");
-        }
-        // The connection survives all of it.
-        c.send("T13 PING");
-        assert_eq!(c.recv(), "T13 OK PONG");
-        h.shutdown();
-    }
-
-    #[test]
-    fn v1_lines_on_a_v2_connection_get_tagged_unknown_error() {
-        let h = serve(ServerConfig::default()).unwrap();
-        let mut c = RawV2::connect(h.addr());
-        for bad in ["PING", "MIS2 ecology2", "Tx PING", "V2", "V3"] {
-            c.send(bad);
-            let got = c.recv();
-            assert!(
-                got.starts_with("T? ERR "),
-                "untagged/unparseable-tag line {bad:?} -> {got}"
-            );
-        }
-        c.send("T1 PING");
-        assert_eq!(c.recv(), "T1 OK PONG");
-        h.shutdown();
-    }
-
     #[test]
     fn overlong_line_gets_err_and_connection_closes() {
         let h = serve(ServerConfig::default()).unwrap();
@@ -2054,21 +1901,6 @@ mod tests {
         assert_eq!(line.trim_end(), "ERR line too long");
         line.clear();
         assert_eq!(r.read_line(&mut line).unwrap(), 0, "server must close");
-        h.shutdown();
-    }
-
-    #[test]
-    fn overlong_line_on_v2_gets_a_tagged_unknown_error() {
-        // A truncated line's tag cannot be trusted, so the v2 framing
-        // contract answers under the reserved T? marker before closing.
-        let h = serve(ServerConfig::default()).unwrap();
-        let mut c = RawV2::connect(h.addr());
-        let blob = "a".repeat(proto::MAX_LINE + 1);
-        c.w.write_all(blob.as_bytes()).unwrap();
-        c.w.flush().unwrap();
-        assert_eq!(c.recv(), "T? ERR line too long");
-        let mut rest = String::new();
-        assert_eq!(c.r.read_line(&mut rest).unwrap(), 0, "server must close");
         h.shutdown();
     }
 
@@ -2127,51 +1959,6 @@ mod tests {
         let mut resp = String::new();
         r.read_line(&mut resp).unwrap();
         assert_eq!(resp.trim_end(), "OK PONG");
-        h.shutdown();
-    }
-
-    #[test]
-    fn ping_and_stats_answer_inline_while_compute_is_in_flight() {
-        // One scheduler worker, so the cold compute occupies the only
-        // leader; PING/STATS must still answer immediately because the
-        // reader never queues them.
-        let h = serve(ServerConfig {
-            threads: 1,
-            workers: 1,
-            ..Default::default()
-        })
-        .unwrap();
-        let mut c = RawV2::connect(h.addr());
-        // Cold compute: graph build + solve, orders of magnitude slower
-        // than the reader's inline path.
-        c.send("T1 SOLVE StocF-1465 cg");
-        c.send("T2 PING");
-        c.send("T3 STATS");
-        assert_eq!(c.recv(), "T2 OK PONG", "PING must overtake the compute");
-        assert!(c.recv().starts_with("T3 OK STATS "));
-        assert!(c.recv().starts_with("T1 OK SOLVE StocF-1465 cg "));
-        h.shutdown();
-    }
-
-    #[test]
-    fn v2_responses_arrive_in_completion_order() {
-        // Two scheduler workers, a slow compute tagged first and a fast
-        // one tagged second: the fast response must arrive first, each
-        // under its own tag.
-        let h = serve(ServerConfig {
-            threads: 2,
-            workers: 2,
-            ..Default::default()
-        })
-        .unwrap();
-        let mut c = RawV2::connect(h.addr());
-        // Warm the fast graph so T2 is a pure cache hit.
-        c.send("T0 MIS2 ecology2");
-        assert!(c.recv().starts_with("T0 OK MIS2 "));
-        c.send("T1 SOLVE StocF-1465 gmres");
-        c.send("T2 MIS2 ecology2");
-        assert!(c.recv().starts_with("T2 OK MIS2 ecology2 "));
-        assert!(c.recv().starts_with("T1 OK SOLVE StocF-1465 gmres "));
         h.shutdown();
     }
 
@@ -2251,6 +2038,83 @@ mod tests {
         let f = c.recv();
         assert_eq!((f.tag, f.payload.as_slice()), (3, &b"BYE"[..]));
         assert!(c.eof(), "server must close after BYE");
+        h.shutdown();
+    }
+
+    #[test]
+    fn v3_duplicate_tags_are_echoed_verbatim() {
+        // Tag uniqueness is the client's responsibility (memcached-opaque
+        // semantics): the server answers each request under the tag it
+        // came with, duplicates included.
+        let h = serve(ServerConfig::default()).unwrap();
+        let mut c = RawV3::connect(h.addr());
+        c.send(7, b"PING");
+        c.send(7, b"PING");
+        for _ in 0..2 {
+            let f = c.recv();
+            assert_eq!((f.tag, f.payload.as_slice()), (7, &b"PONG"[..]));
+        }
+        h.shutdown();
+    }
+
+    #[test]
+    fn ping_and_stats_answer_inline_while_compute_is_in_flight() {
+        // One scheduler worker, so the cold compute occupies the only
+        // leader; PING/STATS must still answer immediately because the
+        // reader never queues them.
+        let h = serve(ServerConfig {
+            threads: 1,
+            workers: 1,
+            ..Default::default()
+        })
+        .unwrap();
+        let mut c = RawV3::connect(h.addr());
+        // Cold compute: graph build + solve, orders of magnitude slower
+        // than the reader's inline path.
+        c.send(1, b"SOLVE StocF-1465 cg");
+        c.send(2, b"PING");
+        c.send(3, b"STATS");
+        let f = c.recv();
+        assert_eq!(f.tag, 2, "PING must overtake the compute");
+        assert_eq!(f.payload, b"PONG");
+        let f = c.recv();
+        assert_eq!(f.tag, 3);
+        assert!(f.payload.starts_with(b"STATS "), "{}", f.to_line());
+        let f = c.recv();
+        assert_eq!(f.tag, 1);
+        assert!(
+            f.to_line().starts_with("OK SOLVE StocF-1465 cg "),
+            "{}",
+            f.to_line()
+        );
+        h.shutdown();
+    }
+
+    #[test]
+    fn v3_responses_arrive_in_completion_order() {
+        // Two scheduler workers, a slow compute tagged first and a fast
+        // one tagged second: the fast response must arrive first, each
+        // under its own tag.
+        let h = serve(ServerConfig {
+            threads: 2,
+            workers: 2,
+            ..Default::default()
+        })
+        .unwrap();
+        let mut c = RawV3::connect(h.addr());
+        // Warm the fast graph through a different op, so tag 2 is a
+        // scheduler job on an interned graph — not a cached response the
+        // reader would answer inline without ever meeting the scheduler.
+        c.send(0, b"COARSEN ecology2 1");
+        assert!(c.recv().to_line().starts_with("OK COARSEN "));
+        c.send(1, b"SOLVE StocF-1465 gmres");
+        c.send(2, b"MIS2 ecology2");
+        let f = c.recv();
+        assert_eq!(f.tag, 2, "{}", f.to_line());
+        assert!(f.to_line().starts_with("OK MIS2 ecology2 "));
+        let f = c.recv();
+        assert_eq!(f.tag, 1, "{}", f.to_line());
+        assert!(f.to_line().starts_with("OK SOLVE StocF-1465 gmres "));
         h.shutdown();
     }
 

@@ -92,6 +92,7 @@ fn zero_pipeline_window_is_a_usage_error() {
     );
 }
 
+/// `--pipeline N` means v3; `--proto` is not a flag, whatever its value.
 #[test]
 fn unknown_workloads_proto_is_a_usage_error() {
     let out = mis2svc(&[
@@ -101,7 +102,7 @@ fn unknown_workloads_proto_is_a_usage_error() {
         "--pipeline",
         "4",
         "--proto",
-        "v9",
+        "v3",
     ]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("usage:"), "{}", stderr(&out));

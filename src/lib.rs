@@ -65,8 +65,7 @@ pub mod prelude {
     };
     pub use mis2_graph::{CsrGraph, GraphStats, Scale, VertexId};
     pub use mis2_solver::{
-        gmres, pcg, AmgConfig, AmgHierarchy, ClusterMcSgs, GsMode, PointMcSgs, Preconditioner,
-        SolveOpts,
+        gmres, pcg, AmgConfig, AmgHierarchy, ClusterMcSgs, PointMcSgs, Preconditioner, SolveOpts,
     };
     pub use mis2_sparse::CsrMatrix;
 }

@@ -106,6 +106,19 @@ fn server_rejects_bad_requests_without_dying() {
         let got = client.request(bad).unwrap();
         assert!(got.starts_with("ERR "), "{bad:?} -> {got}");
     }
+    // A `.mtx` whose size line lies: the declared entry count is untrusted
+    // input and must cost an `ERR`, not an allocation that aborts the
+    // daemon.
+    let dir = std::env::temp_dir().join("mis2_svc_e2e_liar");
+    std::fs::create_dir_all(&dir).unwrap();
+    let liar = dir.join("liar.mtx");
+    std::fs::write(
+        &liar,
+        "%%MatrixMarket matrix coordinate pattern general\n3 3 99999999999999\n2 1\n",
+    )
+    .unwrap();
+    let got = client.request(&format!("MIS2 {}", liar.display())).unwrap();
+    assert!(got.starts_with("ERR "), "liar.mtx -> {got}");
     // The connection (and server) must still be healthy afterwards.
     assert_eq!(client.request("PING").unwrap(), "OK PONG");
     let stats = client.request("STATS").unwrap();

@@ -1,19 +1,19 @@
 //! End-to-end test of shard mode: a 3-shard cluster (three in-process
 //! `serve` instances) fronted by the consistent-hash router of
-//! `shard::route` and by the client-side `ShardedClient`. Every payload
-//! through the cluster must be **bitwise-identical** to a direct library
-//! call — the same contract the unsharded e2e tests assert — and killing
-//! one shard must fail fast with `ERR shard down` on exactly the keys
-//! that shard owns while the survivors keep serving.
+//! `shard::route`. Every payload through the cluster must be
+//! **bitwise-identical** to a direct library call — the same contract the
+//! unsharded e2e tests assert — and killing one shard must fail fast with
+//! `ERR shard down` on exactly the keys that shard owns while the
+//! survivors keep serving.
 //!
 //! The "direct" side computes expected payloads through
 //! `mis2::svc::ops::execute` on a private registry in this process — the
 //! single definition of request semantics every layer shares. Ownership
-//! is predicted with the same `Ring` the router and client build, so the
-//! kill test knows exactly which responses must flip to `ERR shard down`.
+//! is predicted with the same `Ring` the router builds, so the kill test
+//! knows exactly which responses must flip to `ERR shard down`.
 
 use mis2::svc::{
-    client::{ShardedClient, V3Client},
+    client::V3Client,
     ops,
     proto::Request,
     shard::{shard_key, Ring},
@@ -22,7 +22,7 @@ use mis2::svc::{
 use mis2_graph::Scale;
 use std::sync::atomic::Ordering;
 
-/// Six differently-shaped suite graphs (same set as the v2/v3 e2e tests).
+/// Six differently-shaped suite graphs (same set as the v3 e2e test).
 fn graphs() -> [&'static str; 6] {
     [
         "ecology2",
@@ -94,7 +94,7 @@ fn sharded_cluster_is_bitwise_identical_to_direct_calls() {
     }
     let (handles, addrs) = spawn_shards(3);
     let router = mis2::svc::route(RouterConfig {
-        shards: addrs.clone(),
+        shards: addrs,
         ..Default::default()
     })
     .unwrap();
@@ -127,18 +127,9 @@ fn sharded_cluster_is_bitwise_identical_to_direct_calls() {
         }
     });
 
-    // The client-side router must agree byte-for-byte too.
-    let mut sharded = ShardedClient::connect(&addrs, 32).unwrap();
-    let got = sharded.request_many(&lines).unwrap();
-    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-        assert_eq!(g, w, "sharded client response for {:?}", lines[i]);
-    }
-
-    // Merged cluster STATS — via the client-side merger and via the
-    // router's STATS interception: summed gauges first (existing greps
-    // keep matching), shard topology appended at the end.
-    let stats = sharded.stats();
-    assert!(stats.starts_with("OK STATS graphs="), "{stats}");
+    // Merged cluster STATS via the router's STATS interception: summed
+    // gauges first (existing greps keep matching), shard topology
+    // appended at the end.
     let routed_stats = {
         let mut probe = V3Client::connect(router_addr, 4).unwrap();
         let s = probe.request("STATS").unwrap();
@@ -150,17 +141,16 @@ fn sharded_cluster_is_bitwise_identical_to_direct_calls() {
         "{routed_stats}"
     );
     assert!(
-        stats.contains(" shards=3 shards_up=3 shard_bytes="),
-        "{stats}"
+        routed_stats.starts_with("OK STATS graphs="),
+        "{routed_stats}"
     );
     // Each graph is owned by exactly one shard, so the summed graph
     // gauge across the cluster is exactly the distinct-graph count.
-    assert_eq!(gauge(&stats, "graphs"), 6, "{stats}");
-    assert_eq!(gauge(&stats, "graph_builds"), 6, "{stats}");
+    assert_eq!(gauge(&routed_stats, "graphs"), 6, "{routed_stats}");
+    assert_eq!(gauge(&routed_stats, "graph_builds"), 6, "{routed_stats}");
     // Window accounting must settle across the whole cluster once every
     // client disconnects: summed in-flight gauge drains to zero.
-    assert_eq!(gauge(&stats, "inflight"), 0, "{stats}");
-    sharded.quit().unwrap();
+    assert_eq!(gauge(&routed_stats, "inflight"), 0, "{routed_stats}");
 
     // The router's own connection/window accounting drains as well.
     assert_eq!(router.svc_stats().inflight.load(Ordering::Relaxed), 0);
@@ -248,58 +238,6 @@ fn killing_one_shard_fails_fast_and_spares_survivors() {
     );
     assert_eq!(gauge(&stats_line, "inflight"), 0, "{stats_line}");
     assert_eq!(router.svc_stats().inflight.load(Ordering::Relaxed), 0);
-
-    // The client-side ShardedClient sees the same failure semantics
-    // against the surviving cluster.
-    let mut sharded = match ShardedClient::connect(&addrs, 16) {
-        // The doomed shard is dead, so construction must fail loudly...
-        Err(_) => {
-            // ...and a client built before the outage is the survivors'
-            // path: rebuild the cluster minus the dead shard to verify
-            // the survivors still answer byte-identically end to end.
-            let survivors: Vec<String> = addrs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != doomed)
-                .map(|(_, a)| a.clone())
-                .collect();
-            let mut two = ShardedClient::connect(&survivors, 16).unwrap();
-            let sub: Vec<&String> = lines
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| owner[*i] != doomed)
-                .map(|(_, l)| l)
-                .collect();
-            let got = two.request_many(&sub).unwrap();
-            let expect: Vec<&String> = want
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| owner[*i] != doomed)
-                .map(|(_, w)| w)
-                .collect();
-            for ((g, w), l) in got.iter().zip(&expect).zip(&sub) {
-                assert_eq!(&g, w, "survivor-only cluster for {l:?}");
-            }
-            two.quit().unwrap();
-            None
-        }
-        Ok(c) => Some(c),
-    };
-    if let Some(ref mut c) = sharded {
-        // If connect raced ahead of the socket teardown, requests must
-        // still resolve to the fail-fast contract.
-        let got = c.request_many(&lines).unwrap();
-        for (i, g) in got.iter().enumerate() {
-            if owner[i] == doomed {
-                assert_eq!(g, "ERR shard down", "{:?}", lines[i]);
-            } else {
-                assert_eq!(g, &want[i], "{:?}", lines[i]);
-            }
-        }
-    }
-    if let Some(c) = sharded {
-        c.quit().unwrap();
-    }
 
     router.shutdown();
     for h in handles {
@@ -541,7 +479,6 @@ fn half_closed_client_gets_the_single_server_bytes() {
     let (one, three) = (route(&addrs[..1]), route(&addrs));
 
     let v1 = b"SOLVE apache2 cg\n".to_vec();
-    let v2 = b"V2\nT1 MIS2 ecology2\nT2 COARSEN thermal2 2\nT3 SOLVE apache2 cg\n".to_vec();
     let v3 = [
         b"V3\n".to_vec(),
         frame(1, b"MIS2 ecology2"),
@@ -549,7 +486,7 @@ fn half_closed_client_gets_the_single_server_bytes() {
         frame(3, b"SOLVE apache2 cg"),
     ]
     .concat();
-    for (proto, bytes, answers) in [("v1", &v1, 1), ("v2", &v2, 4), ("v3", &v3, 4)] {
+    for (proto, bytes, answers) in [("v1", &v1, 1), ("v3", &v3, 4)] {
         let want = sorted_units(&exchange(direct.addr(), bytes, true), proto == "v3");
         assert_eq!(want.len(), answers, "{proto}: the server itself fell short");
         for (name, router) in [("1 shard", &one), ("3 shards", &three)] {
@@ -592,40 +529,25 @@ fn malformed_streams_get_the_single_server_bytes() {
     let oversized = encode_header(77, (MAX_PAYLOAD + 1) as u32, STATUS_OK).to_vec();
     let cases: Vec<(&str, Vec<u8>, bool)> = vec![
         ("over-long line, v1", long.clone(), false),
-        ("over-long line, v2", [b"V2\n", &long[..]].concat(), false),
         ("invalid utf-8, v1", b"MIS2 \xff\xfe\nPING\n".to_vec(), true),
-        (
-            "invalid utf-8, v2",
-            b"V2\nT1 MIS2 \xff\xfe\nT2 PING\n".to_vec(),
-            true,
-        ),
         (
             "invalid utf-8, v3",
             [b"V3\n".to_vec(), frame(5, b"\xff\xfe"), frame(6, b"PING")].concat(),
             true,
         ),
-        (
-            "untaggable lines, v2",
-            b"V2\nPING\nTx PING\nT3\nT4 PING\n".to_vec(),
-            true,
-        ),
+        // The retired v2 hello is what any other unknown word is on v1:
+        // an error, connection kept.
+        ("retired V2 hello, v1", b"V2\nPING\n".to_vec(), true),
         (
             "header over MAX_PAYLOAD, v3",
             [b"V3\n", &oversized[..]].concat(),
             false,
         ),
         ("blank lines, v1", b"\n\r\n\nPING\n".to_vec(), true),
-        ("blank lines, v2", b"V2\n\n\r\nT1 PING\n".to_vec(), true),
         ("unterminated last line, v1", b"PING".to_vec(), true),
-        ("unterminated last line, v2", b"V2\nT9 PING".to_vec(), true),
         (
             "QUIT behind a full window, v1",
             b"SOLVE apache2 cg\nQUIT\n".to_vec(),
-            false,
-        ),
-        (
-            "QUIT behind a compute, v2",
-            b"V2\nT1 SOLVE apache2 cg\nT2 QUIT\n".to_vec(),
             false,
         ),
         (
@@ -638,7 +560,6 @@ fn malformed_streams_get_the_single_server_bytes() {
             .concat(),
             false,
         ),
-        ("second hello, v2", b"V2\nV2\nV3\nT1 PING\n".to_vec(), true),
         (
             "second hello, v3",
             [
@@ -677,11 +598,13 @@ fn malformed_streams_get_the_single_server_bytes() {
         String::from_utf8(exchange(router.addr(), bytes, *half_close)).unwrap()
     };
     assert_eq!(text("over-long line, v1"), "ERR line too long\n");
-    assert!(text("over-long line, v2").ends_with("\nT? ERR line too long\n"));
-    assert!(text("untaggable lines, v2").ends_with("\nT4 OK PONG\n"));
+    let retired = text("retired V2 hello, v1");
+    assert!(
+        retired.starts_with("ERR unknown command: V2 ") && retired.ends_with(")\nOK PONG\n"),
+        "{retired}"
+    );
     assert_eq!(text("unterminated last line, v1"), "OK PONG\n");
     assert!(text("QUIT behind a full window, v1").ends_with("\nOK BYE\n"));
-    assert!(text("QUIT behind a compute, v2").ends_with("\nT2 OK BYE\n"));
 
     assert_eq!(router.svc_stats().inflight.load(Ordering::Relaxed), 0);
     router.shutdown();

@@ -15,7 +15,7 @@
 //! of the rendered payloads.
 
 use mis2::svc::{
-    client::{Client, PipelinedClient, V3Client},
+    client::{Client, V3Client},
     ops,
     proto::Request,
     Registry, ServerConfig,
@@ -23,7 +23,8 @@ use mis2::svc::{
 use mis2_graph::Scale;
 use std::sync::atomic::Ordering;
 
-/// Six differently-shaped suite graphs (same set as the v2 e2e test).
+/// Six differently-shaped suite graphs (same set as the eviction-churn
+/// e2e test).
 fn graphs() -> [&'static str; 6] {
     [
         "ecology2",
@@ -169,18 +170,6 @@ fn mixed_v1_v2_and_v3_connections_stay_correct_on_one_server() {
                 client.quit().unwrap();
             });
         }
-        // ...three v2 clients pipelining tagged text frames...
-        for c in 0..3 {
-            let (lines, want) = (&lines, &want);
-            s.spawn(move || {
-                let mut client = PipelinedClient::connect(addr, 32).unwrap();
-                let got = client.request_many(lines).unwrap();
-                for (g, w) in got.iter().zip(want) {
-                    assert_eq!(g, w, "v2 client {c}");
-                }
-                client.quit().unwrap();
-            });
-        }
         // ...and two classic blocking v1 clients, all on one server.
         for c in 0..2 {
             let (lines, want) = (&lines, &want);
@@ -195,11 +184,11 @@ fn mixed_v1_v2_and_v3_connections_stay_correct_on_one_server() {
         }
     });
     // Every protocol funnels through the same registry: one interned
-    // response entry per distinct key, shared across v1/v2/v3.
+    // response entry per distinct key, shared across v1 and v3.
     let stats = handle.registry().stats();
     assert_eq!(stats.artifacts, 24);
     assert_eq!(stats.resp, 24);
-    assert_eq!(stats.hits + stats.misses, 8 * 64);
+    assert_eq!(stats.hits + stats.misses, 5 * 64);
     assert!(stats.resp_hits > 0);
     handle.shutdown();
 }
@@ -240,6 +229,42 @@ fn v3_stats_exposes_response_byte_gauges_over_the_wire() {
     assert!(gauge("resp_hits") >= 32, "{stats}");
     assert!(gauge("writev_batches") > 0, "{stats}");
     assert!(gauge("bytes_tx") > 0, "{stats}");
+    client.quit().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn stats_exposes_window_counters_over_the_wire() {
+    let handle = mis2::svc::serve(ServerConfig {
+        threads: 2,
+        scale: Scale::Tiny,
+        max_inflight: 32,
+        ..Default::default()
+    })
+    .unwrap();
+    let mut client = V3Client::connect(handle.addr(), 32).unwrap();
+    // Pipeline a window of compute requests, then read STATS afterwards:
+    // the peak gauge must reflect the depth the reader actually accepted.
+    let lines: Vec<String> = (0..32)
+        .map(|i| format!("COARSEN {} 2", graphs()[i % graphs().len()]))
+        .collect();
+    let responses = client.request_many(&lines).unwrap();
+    assert!(responses.iter().all(|r| r.starts_with("OK ")));
+    let stats = client.request("STATS").unwrap();
+    assert!(stats.contains("max_inflight=32"), "{stats}");
+    assert!(
+        stats.contains("inflight=0"),
+        "idle between batches: {stats}"
+    );
+    let peak: u64 = stats
+        .split_whitespace()
+        .find_map(|f| f.strip_prefix("peak_inflight="))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no peak_inflight in {stats}"));
+    assert!(
+        (2..=32).contains(&peak),
+        "32 pipelined cold computes must have stacked a real window: {stats}"
+    );
     client.quit().unwrap();
     handle.shutdown();
 }
