@@ -10,9 +10,9 @@
 //!    implementation for every configuration, pool size and feature
 //!    backend; `tests/engine_equiv.rs` asserts `engine == reference`
 //!    across the full ladder/config matrix.
-//! 2. **Baseline** — `crates/bench/benches/mis2_kernel.rs` and the repo
-//!    benchmark's `core.speedup_vs_ref` probe report the engine's
-//!    end-to-end speedup *vs the seed engine*, which is this code.
+//! 2. **Baseline** — the repo benchmark's `core.speedup_vs_ref` probe
+//!    reports the engine's end-to-end speedup *vs the seed engine*,
+//!    which is this code.
 //!
 //! Do not optimize or restructure this module: its only value is being
 //! the frozen seed semantics. Behavioral bugs found here should be fixed

@@ -46,10 +46,10 @@
 //!
 //! A text protocol parses every line and re-renders every response into
 //! a fresh `String`. The v3 header is stamped and read with fixed-offset
-//! little-endian loads, and a cached response is written straight from
-//! the registry's interned bytes (see [`crate::registry`]) — a hit is a
-//! header stamp plus a vectored write, zero serialization and zero
-//! payload allocation.
+//! little-endian loads, and a cached response is copied from the
+//! registry's interned bytes (see [`crate::registry`]) — a hit is a
+//! header stamp plus an ~71-byte append to the batch buffer, zero
+//! serialization.
 
 use crate::proto;
 use std::fmt;

@@ -10,11 +10,12 @@
 //! finished responses to a shared [`PendingQueue`] and ring the
 //! doorbell, so a completion becomes a readiness event instead of a
 //! blocking channel send; the loop routes each response to its
-//! connection and flushes with the same coalesced vectored-write batch
-//! encoder the threads backend's writer uses ([`Piece`] +
-//! [`stage_outgoing`]). C10K-style workloads — thousands of mostly-idle
-//! connections, a few active pipelined ones — cost one sleeping thread
-//! total instead of thousands.
+//! connection, where the encoder the threads backend's writer uses
+//! ([`stage_outgoing`]) appends it to the batch's one contiguous buffer,
+//! and a flush retires the batch with plain `write`s from a single
+//! offset. C10K-style workloads — thousands of mostly-idle connections,
+//! a few active pipelined ones — cost one sleeping thread total instead
+//! of thousands.
 //!
 //! Protocol behavior lives entirely in [`ConnMachine`] /
 //! [`FrameDecoder`] (see `server`): this module only decides *when* to
@@ -23,7 +24,7 @@
 //! the connection's acquired-but-unretired count is under the window
 //! cap, so the machine's `acquire` never needs to wait. Accounting
 //! mirrors the threads writer exactly — the in-flight *gauge* retires
-//! when a batch is staged (pre-write), window slots retire after its
+//! when a flush takes a batch (pre-write), window slots retire after its
 //! bytes hit the socket, and the whole batch's metric spans are recorded
 //! with one clock read.
 //!
@@ -37,13 +38,12 @@
 //! [`ConnSlot`] drop guard as the threads backend.
 
 use crate::metrics;
-use crate::registry::RespBytes;
 use crate::server::{
     admit, record_conn_error, stage_outgoing, CompletionSink, ConnIo, ConnMachine, ConnShared,
-    ConnSlot, ConnTable, Flow, FrameDecoder, Outgoing, Piece, SvcStats, MAX_IOVECS, READ_CHUNK,
+    ConnSlot, ConnTable, Flow, FrameDecoder, Outgoing, SvcStats, READ_CHUNK,
 };
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, IoSlice, Read, Write};
+use std::collections::HashMap;
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -230,12 +230,15 @@ impl CompletionSink for EvSink {
 
 /// The epoll backend's [`ConnIo`]: window accounting is plain counters
 /// (the loop pre-gates on window room, so acquire never waits),
-/// responses queue for the next flush.
+/// responses are encoded into the batch the next flush takes.
 struct EvIo {
     /// Responses acquired but not yet retired by a completed write — the
     /// epoll analog of the threads backend's `ConnWindow` occupancy.
     held: usize,
-    queue: VecDeque<Outgoing>,
+    /// The batch under construction. A flush takes it whole, so the
+    /// buffer is allocated per batch and an idle connection holds none
+    /// (see the threads writer for why not reuse).
+    next: WireBatch,
     sink: Arc<EvSink>,
     stats: Arc<SvcStats>,
 }
@@ -250,7 +253,7 @@ impl ConnIo for EvIo {
     }
 
     fn respond(&mut self, item: Outgoing) {
-        self.queue.push_back(item);
+        self.next.push(item);
     }
 
     fn sink(&self) -> Arc<dyn CompletionSink> {
@@ -258,113 +261,44 @@ impl ConnIo for EvIo {
     }
 }
 
-/// One coalesced response batch mid-write: the encoded piece triple the
-/// threads writer uses, plus resume state so a partial (`WouldBlock`)
-/// vectored write picks up where it left off on the next `EPOLLOUT`.
+/// One coalesced response batch: every reply's wire bytes in one buffer,
+/// plus the offset a partial (`WouldBlock`) write resumes from on the
+/// next `EPOLLOUT`.
+#[derive(Default)]
 struct WireBatch {
-    scratch: Vec<u8>,
-    pieces: Vec<Piece>,
-    shared: Vec<Arc<RespBytes>>,
+    buf: Vec<u8>,
     spans: Vec<metrics::Span>,
     /// Responses in the batch — the window slots it retires on completion.
     count: usize,
-    /// First piece not yet fully written.
-    idx: usize,
-    /// Bytes of `pieces[idx]` already written.
-    off: usize,
-    /// Total bytes written so far.
-    written: usize,
+    /// Bytes of `buf` the socket has accepted so far.
+    sent: usize,
 }
 
 impl WireBatch {
-    /// Encode everything currently queued into one batch. Retires the
-    /// batch from the in-flight *gauge* here, before any write — exactly
-    /// where the threads writer does — while the window slots (`held`)
-    /// retire only after the bytes are on the socket.
-    fn stage(queue: &mut VecDeque<Outgoing>, stats: &SvcStats) -> WireBatch {
-        let mut b = WireBatch {
-            scratch: Vec::new(),
-            pieces: Vec::new(),
-            shared: Vec::new(),
-            spans: Vec::new(),
-            count: 0,
-            idx: 0,
-            off: 0,
-            written: 0,
-        };
-        while let Some(item) = queue.pop_front() {
-            b.count += 1;
-            stage_outgoing(
-                item,
-                &mut b.scratch,
-                &mut b.pieces,
-                &mut b.shared,
-                &mut b.spans,
-            );
-        }
-        stats.inflight.fetch_sub(b.count as u64, Ordering::Relaxed);
-        b
-    }
-
-    fn piece_slice(&self, i: usize) -> &[u8] {
-        match &self.pieces[i] {
-            Piece::Scratch { off, len } => &self.scratch[*off..*off + *len],
-            Piece::Shared(s) => &self.shared[*s].body,
-        }
+    fn push(&mut self, item: Outgoing) {
+        self.count += 1;
+        stage_outgoing(item, &mut self.buf, &mut self.spans);
     }
 
     /// Push more bytes at the socket: `Ok(true)` when the batch is fully
     /// written, `Ok(false)` on `WouldBlock` (wait for `EPOLLOUT`),
     /// `Err` when the socket is dead.
-    fn write_some(&mut self, out: &mut TcpStream) -> io::Result<bool> {
-        loop {
-            while self.idx < self.pieces.len() && self.off >= self.piece_slice(self.idx).len() {
-                self.idx += 1;
-                self.off = 0;
-            }
-            if self.idx >= self.pieces.len() {
-                return Ok(true);
-            }
-            let n = {
-                let mut bufs: Vec<IoSlice<'_>> =
-                    Vec::with_capacity((self.pieces.len() - self.idx).min(MAX_IOVECS));
-                bufs.push(IoSlice::new(&self.piece_slice(self.idx)[self.off..]));
-                for i in self.idx + 1..self.pieces.len() {
-                    if bufs.len() >= MAX_IOVECS {
-                        break;
-                    }
-                    let s = self.piece_slice(i);
-                    if !s.is_empty() {
-                        bufs.push(IoSlice::new(s));
-                    }
+    fn write_some(&mut self, out: &mut impl Write) -> io::Result<bool> {
+        while self.sent < self.buf.len() {
+            match out.write(&self.buf[self.sent..]) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::WriteZero,
+                        "socket accepted zero bytes of a response batch",
+                    ))
                 }
-                match out.write_vectored(&bufs) {
-                    Ok(0) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::WriteZero,
-                            "socket accepted zero bytes of a response batch",
-                        ))
-                    }
-                    Ok(n) => n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                    Err(e) => return Err(e),
-                }
-            };
-            self.written += n;
-            let mut advanced = n;
-            while self.idx < self.pieces.len() {
-                let remaining = self.piece_slice(self.idx).len() - self.off;
-                if advanced >= remaining {
-                    advanced -= remaining;
-                    self.idx += 1;
-                    self.off = 0;
-                } else {
-                    self.off += advanced;
-                    break;
-                }
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) => return Err(e),
             }
         }
+        Ok(true)
     }
 }
 
@@ -508,12 +442,19 @@ impl EvConn {
         progress
     }
 
-    /// Stage queued responses and push bytes until done or `WouldBlock`.
+    /// Take the encoded batch and push bytes until done or `WouldBlock`.
+    /// The batch retires from the in-flight *gauge* when taken, before
+    /// any write — exactly where the threads writer does — while the
+    /// window slots (`held`) retire only after the bytes are on the socket.
     fn flush(&mut self, cx: &ConnShared) -> io::Result<bool> {
         let mut progress = false;
         loop {
-            if self.batch.is_none() && !self.io.queue.is_empty() {
-                self.batch = Some(WireBatch::stage(&mut self.io.queue, &cx.stats));
+            if self.batch.is_none() && self.io.next.count > 0 {
+                let batch = std::mem::take(&mut self.io.next);
+                cx.stats
+                    .inflight
+                    .fetch_sub(batch.count as u64, Ordering::Relaxed);
+                self.batch = Some(batch);
                 progress = true;
             }
             let Some(batch) = self.batch.as_mut() else {
@@ -525,7 +466,7 @@ impl EvConn {
                     cx.stats.writev_batches.fetch_add(1, Ordering::Relaxed);
                     cx.stats
                         .bytes_tx
-                        .fetch_add(batch.written as u64, Ordering::Relaxed);
+                        .fetch_add(batch.sent as u64, Ordering::Relaxed);
                     // Slots retire only now that the bytes are on the
                     // socket; the batch's spans share one clock read.
                     self.io.held -= batch.count;
@@ -543,10 +484,10 @@ impl EvConn {
     /// goodbye takes a fresh slot and becomes the last queued response.
     fn transition(&mut self) -> bool {
         if let ConnState::Draining(bye) = &mut self.state {
-            if self.io.held == 0 && self.io.queue.is_empty() && self.batch.is_none() {
+            if self.io.held == 0 && self.io.next.count == 0 && self.batch.is_none() {
                 let bye = bye.take().expect("goodbye staged exactly once");
                 self.io.acquire(1);
-                self.io.queue.push_back(bye);
+                self.io.respond(bye);
                 self.state = ConnState::Closing;
                 return true;
             }
@@ -558,7 +499,7 @@ impl EvConn {
     fn finished(&self) -> bool {
         matches!(self.state, ConnState::Closing)
             && self.io.held == 0
-            && self.io.queue.is_empty()
+            && self.io.next.count == 0
             && self.batch.is_none()
     }
 
@@ -696,7 +637,7 @@ impl EvLoop {
                 machine: ConnMachine::new(),
                 io: EvIo {
                     held: 0,
-                    queue: VecDeque::new(),
+                    next: WireBatch::default(),
                     sink: Arc::new(EvSink {
                         id,
                         pending: Arc::clone(&self.pending),
@@ -726,7 +667,7 @@ impl EvLoop {
         for (id, item) in items {
             match self.conns.get_mut(&id) {
                 Some(conn) => {
-                    conn.io.queue.push_back(item);
+                    conn.io.respond(item);
                     if !touched.contains(&id) {
                         touched.push(id);
                     }
@@ -787,11 +728,11 @@ impl EvLoop {
         if abort {
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         }
-        // Responses queued but never staged still hold their gauge
-        // increments: give them back (their spans die unrecorded). A
-        // staged batch already retired its gauge share; completions
+        // Responses encoded but never taken by a flush still hold their
+        // gauge increments: give them back (their spans die unrecorded).
+        // A batch mid-write already retired its gauge share; completions
         // still in the scheduler come back through the dead-id path.
-        let undrained = conn.io.queue.len() as u64;
+        let undrained = conn.io.next.count as u64;
         if undrained > 0 {
             self.cx
                 .stats
@@ -800,5 +741,134 @@ impl EvLoop {
         }
         // `conn` drops here: the socket closes and the ConnSlot drop
         // guard releases the connection slot + kill-table entry.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::RespBytes;
+    use crate::server::Payload;
+    use crate::{codec, ops};
+    use mis2_prim::hash::splitmix64;
+
+    fn next(rng: &mut u64) -> usize {
+        *rng = splitmix64(*rng);
+        *rng as usize
+    }
+
+    /// A socket stand-in whose every `write` outcome comes off a seeded
+    /// schedule: `WouldBlock`, `Interrupted`, or 1..=len bytes accepted.
+    /// It checks each accepted byte against the expected stream as it
+    /// arrives, so a batch that re-sends or skips bytes fails at the
+    /// first wrong one instead of looping.
+    struct Scripted<'a> {
+        rng: u64,
+        expect: &'a [u8],
+        got: usize,
+    }
+
+    impl Write for Scripted<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            assert!(!buf.is_empty(), "a finished batch offers no bytes");
+            match next(&mut self.rng) % 8 {
+                0 => return Err(io::ErrorKind::WouldBlock.into()),
+                1 => return Err(io::ErrorKind::Interrupted.into()),
+                _ => {}
+            }
+            // Small accepts and whole-buffer accepts both matter.
+            let cap = [buf.len(), buf.len().min(40)][next(&mut self.rng) % 2];
+            let n = 1 + next(&mut self.rng) % cap;
+            let want = self.expect.get(self.got..self.got + n);
+            assert_eq!(Some(&buf[..n]), want, "wrong bytes at offset {}", self.got);
+            self.got += n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A seeded batch mixing every reply shape — exactly one of them an
+    /// over-`MAX_PAYLOAD` body — and the bytes each reply makes when
+    /// `codec` encodes it alone, concatenated.
+    fn mixed_batch(rng: &mut u64) -> (WireBatch, Vec<u8>) {
+        let mut batch = WireBatch::default();
+        let mut expect = Vec::new();
+        let n = 2 + next(rng) % 12;
+        let oversized_at = next(rng) % n;
+        for i in 0..n {
+            let tag = next(rng) as u64;
+            let text = "r".repeat(next(rng) % 200);
+            let kind = if i == oversized_at { 3 } else { next(rng) % 3 };
+            let frame = |resp, status, body: &[u8]| {
+                let wire = codec::encode_frame(tag, status, body);
+                (Payload::Frame { tag, resp }, wire)
+            };
+            let (payload, wire) = match kind {
+                0 => (
+                    Payload::Line(text.clone()),
+                    format!("{text}\n").into_bytes(),
+                ),
+                1 => frame(
+                    ops::Response::err(&text),
+                    codec::STATUS_ERR,
+                    text.as_bytes(),
+                ),
+                2 => {
+                    let interned = Arc::new(RespBytes {
+                        token: String::new(),
+                        body: text.as_bytes().into(),
+                    });
+                    let resp = ops::Response::interned(interned);
+                    frame(resp, codec::STATUS_OK, text.as_bytes())
+                }
+                _ => {
+                    let big = ops::Response::ok_text("x".repeat(codec::MAX_PAYLOAD + 1));
+                    frame(big, codec::STATUS_ERR, b"response too large")
+                }
+            };
+            expect.extend(wire);
+            batch.push(Outgoing {
+                payload,
+                span: None,
+            });
+        }
+        assert_eq!(batch.count, n);
+        (batch, expect)
+    }
+
+    #[test]
+    fn partial_writes_resume_from_the_sent_offset() {
+        let mut blocked = 0usize;
+        for seed in 0..1500u64 {
+            let mut rng = seed;
+            let (mut batch, expect) = mixed_batch(&mut rng);
+            let mut out = Scripted {
+                rng,
+                expect: &expect,
+                got: 0,
+            };
+            // `Ok(false)` any number of times, then `Ok(true)` once.
+            while !batch.write_some(&mut out).unwrap() {
+                blocked += 1;
+                assert!(out.got < expect.len(), "seed {seed}: blocked when done");
+            }
+            assert_eq!(out.got, expect.len(), "seed {seed}");
+            assert_eq!(batch.sent, expect.len(), "seed {seed}");
+            // A finished batch stays finished and offers the writer nothing.
+            assert!(batch.write_some(&mut out).unwrap());
+        }
+        assert!(blocked > 1000, "the schedule must exercise resumption");
+    }
+
+    #[test]
+    fn a_zero_byte_accept_is_write_zero() {
+        let (mut batch, _) = mixed_batch(&mut 7);
+        // A full `&mut [u8]` accepts `Ok(0)`.
+        let err = batch.write_some(&mut &mut [0u8; 0][..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        assert_eq!(batch.sent, 0);
     }
 }

@@ -34,8 +34,8 @@
 //!   `max_inflight` window), responses leave in *completion* order with
 //!   the tag letting the client reassemble, response bytes are interned
 //!   in the registry and served zero-serialization on cache hits, and
-//!   the per-connection writer coalesces each batch into one vectored
-//!   write. [`client::Client`] is the blocking v1 client and
+//!   the per-connection writer coalesces each batch into one buffer and
+//!   one write. [`client::Client`] is the blocking v1 client and
 //!   [`client::V3Client`] drives a v3 window, `request_many(..)`
 //!   reassembling by tag. Both protocols mix freely on one server.
 //!   Connections are fronted by one of two interchangeable **I/O

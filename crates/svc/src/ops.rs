@@ -187,7 +187,7 @@ pub fn body(graph_token: &str, op: &OpKey, artifact: &Artifact) -> String {
 }
 
 /// The body of a response: freshly rendered text, or response bytes
-/// interned in the registry and shared zero-copy onto the v3 wire.
+/// interned in the registry, which a hit serves without rendering again.
 pub enum Body {
     Text(String),
     Interned(Arc<RespBytes>),
@@ -195,8 +195,8 @@ pub enum Body {
 
 /// One response, protocol-agnostic: `to_line()` renders the v1 text
 /// form (`OK ...` / `ERR ...`), while the v3 writer folds `status()` into
-/// a binary header and puts `Body`'s bytes on the wire directly — for an
-/// [`Body::Interned`] body, without copying or re-serializing anything.
+/// a binary header and copies `body_bytes()` behind it — for a
+/// [`Body::Interned`] body, without re-serializing anything.
 ///
 /// This is the type the scheduler's jobs produce and its completions
 /// receive, so interned bytes survive the whole job → completion → writer
@@ -265,12 +265,6 @@ impl Response {
             Body::Text(s) => s.as_bytes(),
             Body::Interned(b) => &b.body,
         }
-    }
-
-    /// Decompose for the writer: status byte plus the owned body.
-    pub fn into_parts(self) -> (u8, Body) {
-        let status = self.status();
-        (status, self.body)
     }
 
     /// Render the v1 text line (`OK <body>` / `ERR <body>`).

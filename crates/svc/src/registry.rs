@@ -8,8 +8,8 @@
 //! `(graph ref, `[`OpKey`]`)`; and alongside each artifact the registry
 //! interns its rendered response body ([`RespBytes`], same key), so a
 //! repeat request can be answered without re-serializing the artifact —
-//! on the v3 binary protocol, without allocating a single payload byte
-//! (the writer sends the shared `Arc`'d bytes directly).
+//! on the v3 binary protocol the writer copies the shared `Arc`'d bytes
+//! into its batch buffer behind a stamped header.
 //!
 //! ## Cache semantics
 //!

@@ -65,12 +65,13 @@
 //! [`Registry::try_response`] and forwards the shared bytes directly —
 //! the zero-serialization fast path.
 //!
-//! The writer is a **batcher**: it drains the response channel greedily
-//! and flushes everything it found with one coalesced vectored write, so
-//! a window's worth of responses retires in O(syscalls), not
-//! O(responses). Interned v3 response bytes are written straight from
-//! their `Arc` — a cache hit is a 13-byte header stamp plus an iovec
-//! entry pointing at the registry's bytes.
+//! The writer is a **batcher**: it drains the response channel greedily,
+//! encodes everything it found into one contiguous buffer and flushes it
+//! with one write, so a window's worth of responses retires in
+//! O(syscalls), not O(responses). A reply is ~84 bytes on the hit path
+//! (measured on `svc_hot`), so interned v3 response bytes are copied like
+//! any other body — a cache hit is a 13-byte header stamp plus a ~71-byte
+//! append; what interning saves is the render, not the copy.
 //!
 //! Backpressure is layered: a per-connection in-flight **window**
 //! ([`ServerConfig::max_inflight`]) stops the reader when too many
@@ -91,12 +92,12 @@ use crate::codec;
 use crate::metrics::{self, Metrics};
 use crate::ops;
 use crate::proto::{self, Request};
-use crate::registry::{Registry, RespBytes};
+use crate::registry::Registry;
 use crate::sched::{SchedConfig, Scheduler};
 use crate::shard;
 use mis2_graph::Scale;
 use mis2_prim::pool;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
@@ -205,8 +206,9 @@ pub struct ServerConfig {
     /// for smoke tests); the default is 500.
     pub slow_ms: u64,
     /// Record per-request metrics (latency histograms, stage spans, the
-    /// slow ring). On by default; `benches/svc_pipeline.rs` turns it
-    /// off on a second server to A/B the recording overhead.
+    /// slow ring). On by default; the repo benchmark turns it off on a
+    /// second server to A/B the recording overhead
+    /// (`metrics.overhead_pct`).
     pub metrics: bool,
     /// The I/O engine driving connections (`--io-backend`). Defaults to
     /// [`IoBackend::platform_default`]; requesting epoll off Linux runs
@@ -242,9 +244,11 @@ pub struct SvcStats {
     pub inflight: AtomicU64,
     /// Deepest per-connection window ever observed.
     pub peak_inflight: AtomicU64,
-    /// Coalesced writer flushes: each is one batch of responses retired
-    /// with a single vectored-write loop (≥ 1 response per batch; deep
-    /// windows drive this far below the response count).
+    /// Coalesced writer flushes: each is one batch of responses encoded
+    /// into one buffer and retired with one write (short writes resumed;
+    /// ≥ 1 response per batch; deep windows drive this far below the
+    /// response count). The name is the `STATS` / `METRICS` key
+    /// consumers already read.
     pub writev_batches: AtomicU64,
     /// Response bytes written to sockets, summed over all connections.
     pub bytes_tx: AtomicU64,
@@ -542,9 +546,9 @@ pub(crate) fn admit(
 ) -> Option<(TcpStream, ConnSlot)> {
     // Pipelined responses are many small back-to-back writes; without
     // TCP_NODELAY, Nagle + delayed ACK stalls each batch ~40ms (v1's
-    // strict ping-pong never tripped this). The batched vectored writes
-    // already coalesce per-batch, so disabling Nagle costs nothing on
-    // large responses.
+    // strict ping-pong never tripped this). The batched writes already
+    // coalesce per-batch, so disabling Nagle costs nothing on large
+    // responses.
     let _ = stream.set_nodelay(true);
     // Claim the slot *first*, then check the claim against the cap. A
     // load-then-fetch_add shape is a TOCTOU: any concurrent decision
@@ -674,46 +678,19 @@ pub(crate) struct Outgoing {
 pub(crate) enum Payload {
     /// A v1 text line, written with a trailing `\n`.
     Line(String),
-    /// A v3 response: 13-byte binary header stamped by the writer,
-    /// payload either rendered text or interned registry bytes (written
-    /// straight from the shared `Arc` — zero copy, zero serialization).
+    /// A v3 response: 13-byte binary header stamped by the batch encoder,
+    /// then the body bytes — rendered text or interned registry bytes
+    /// alike (interning skips the render, not the copy).
     Frame { tag: u64, resp: ops::Response },
 }
 
-/// One contiguous byte range of a writer batch: either a span of the
-/// batch's scratch buffer (headers, text lines) or one interned response
-/// body borrowed from the registry.
-pub(crate) enum Piece {
-    Scratch { off: usize, len: usize },
-    Shared(usize),
-}
-
-/// Append one outgoing response to the batch under construction. Scratch
-/// spans are recorded as offsets (the buffer may still reallocate while
-/// the batch grows — slices are materialized only at write time), and
-/// adjacent scratch spans are merged so a batch of text responses
-/// coalesces into few iovecs.
-fn encode_outgoing(
-    item: Payload,
-    scratch: &mut Vec<u8>,
-    pieces: &mut Vec<Piece>,
-    shared: &mut Vec<Arc<RespBytes>>,
-) {
-    fn push_scratch(pieces: &mut Vec<Piece>, off: usize, len: usize) {
-        if let Some(Piece::Scratch { off: po, len: pl }) = pieces.last_mut() {
-            if *po + *pl == off {
-                *pl += len;
-                return;
-            }
-        }
-        pieces.push(Piece::Scratch { off, len });
-    }
+/// Append one outgoing response's wire bytes to the batch buffer — the
+/// one encoder both drivers flush from.
+fn encode_outgoing(item: Payload, buf: &mut Vec<u8>) {
     match item {
         Payload::Line(line) => {
-            let off = scratch.len();
-            scratch.extend_from_slice(line.as_bytes());
-            scratch.push(b'\n');
-            push_scratch(pieces, off, scratch.len() - off);
+            buf.extend_from_slice(line.as_bytes());
+            buf.push(b'\n');
         }
         Payload::Frame { tag, resp } => {
             // An over-MAX_PAYLOAD body cannot be framed: the header's u32
@@ -726,94 +703,27 @@ fn encode_outgoing(
             } else {
                 resp
             };
-            let (status, body) = resp.into_parts();
-            match body {
-                ops::Body::Text(text) => {
-                    let off = scratch.len();
-                    let hdr = codec::encode_header(tag, text.len() as u32, status);
-                    scratch.extend_from_slice(&hdr);
-                    scratch.extend_from_slice(text.as_bytes());
-                    push_scratch(pieces, off, scratch.len() - off);
-                }
-                ops::Body::Interned(bytes) => {
-                    let off = scratch.len();
-                    let hdr = codec::encode_header(tag, bytes.body.len() as u32, status);
-                    scratch.extend_from_slice(&hdr);
-                    push_scratch(pieces, off, codec::HEADER_LEN);
-                    pieces.push(Piece::Shared(shared.len()));
-                    shared.push(bytes);
-                }
-            }
+            let body = resp.body_bytes();
+            buf.extend_from_slice(&codec::encode_header(tag, body.len() as u32, resp.status()));
+            buf.extend_from_slice(body);
         }
     }
 }
 
-/// Cap on iovecs handed to one `write_vectored` call — comfortably under
-/// every platform's `IOV_MAX` (POSIX guarantees ≥ 16; Linux allows 1024).
-pub(crate) const MAX_IOVECS: usize = 64;
-
-/// Write every span, in order, with as few syscalls as the kernel allows:
-/// up to [`MAX_IOVECS`] spans per vectored write, resuming after partial
-/// writes. Returns the total bytes written.
-fn write_all_spans(w: &mut TcpStream, spans: &[&[u8]]) -> io::Result<usize> {
-    let mut total = 0usize;
-    let mut idx = 0; // first span not yet fully written
-    let mut offset = 0; // bytes of spans[idx] already written
-    let mut bufs: Vec<IoSlice<'_>> = Vec::with_capacity(spans.len().min(MAX_IOVECS));
-    while idx < spans.len() {
-        bufs.clear();
-        bufs.push(IoSlice::new(&spans[idx][offset..]));
-        for s in spans[idx + 1..].iter().take(MAX_IOVECS - 1) {
-            bufs.push(IoSlice::new(s));
-        }
-        let n = match w.write_vectored(&bufs) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "socket accepted zero bytes of a response batch",
-                ))
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        total += n;
-        let mut advanced = n;
-        while idx < spans.len() {
-            let remaining = spans[idx].len() - offset;
-            if advanced >= remaining {
-                advanced -= remaining;
-                idx += 1;
-                offset = 0;
-            } else {
-                offset += advanced;
-                break;
-            }
-        }
-    }
-    Ok(total)
-}
-
-/// Peel one channel item into the batch under construction: the span
-/// (if any) is parked until the batch's write retires, the payload is
-/// encoded into the scratch/pieces/shared triple.
-pub(crate) fn stage_outgoing(
-    item: Outgoing,
-    scratch: &mut Vec<u8>,
-    pieces: &mut Vec<Piece>,
-    shared: &mut Vec<Arc<RespBytes>>,
-    spans: &mut Vec<metrics::Span>,
-) {
+/// Peel one response into the batch under construction: the span (if
+/// any) is parked until the batch's write retires, the payload's bytes
+/// are appended to the batch buffer.
+pub(crate) fn stage_outgoing(item: Outgoing, buf: &mut Vec<u8>, spans: &mut Vec<metrics::Span>) {
     if let Some(span) = item.span {
         spans.push(span);
     }
-    encode_outgoing(item.payload, scratch, pieces, shared);
+    encode_outgoing(item.payload, buf);
 }
 
 /// The writer half of a connection: drains the bounded response channel
 /// in greedy batches — one blocking `recv`, then everything `try_recv`
-/// yields — encodes the whole batch (text lines and/or binary frames),
-/// and retires it with one coalesced vectored-write loop. Window slots
+/// yields — encodes the whole batch (text lines and/or binary frames)
+/// into one buffer, and retires it with one `write_all`. Window slots
 /// are released per batch *after* its write, which both preserves the
 /// completion-send safety argument (every channel item's slot is still
 /// held) and keeps `QUIT`'s drain honest (`wait_empty` cannot pass until
@@ -835,26 +745,26 @@ fn writer_loop(
 ) {
     let mut out = stream;
     let mut broken = false;
-    let mut scratch: Vec<u8> = Vec::new();
-    let mut pieces: Vec<Piece> = Vec::new();
-    let mut shared: Vec<Arc<RespBytes>> = Vec::new();
     let mut spans: Vec<metrics::Span> = Vec::new();
     let mut disconnected = false;
     while !disconnected {
         // Park until the next response (or until every sender is gone,
         // which is the teardown signal).
         let Ok(first) = rx.recv() else { break };
-        scratch.clear();
-        pieces.clear();
-        shared.clear();
+        // Allocated per batch, not reused (both drivers): a reused buffer
+        // would leave every idle connection pinning its largest batch ever
+        // (up to window x MAX_PAYLOAD), and this is one allocation per
+        // ~5 KB batch, not per reply. `svc_hot` `peak_rss_mb` did not move
+        // and the idle connections of `tests/svc_c10k.rs` hold no buffer.
+        let mut buf: Vec<u8> = Vec::new();
         spans.clear();
         let mut batch = 1usize;
-        stage_outgoing(first, &mut scratch, &mut pieces, &mut shared, &mut spans);
+        stage_outgoing(first, &mut buf, &mut spans);
         loop {
             match rx.try_recv() {
                 Ok(next) => {
                     batch += 1;
-                    stage_outgoing(next, &mut scratch, &mut pieces, &mut shared, &mut spans);
+                    stage_outgoing(next, &mut buf, &mut spans);
                 }
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
@@ -871,20 +781,12 @@ fn writer_loop(
         // only after the bytes are on the socket.
         stats.inflight.fetch_sub(batch as u64, Ordering::Relaxed);
         if !broken {
-            let wire_spans: Vec<&[u8]> = pieces
-                .iter()
-                .filter_map(|p| {
-                    let s: &[u8] = match p {
-                        Piece::Scratch { off, len } => &scratch[*off..*off + *len],
-                        Piece::Shared(i) => &shared[*i].body,
-                    };
-                    (!s.is_empty()).then_some(s)
-                })
-                .collect();
-            match write_all_spans(&mut out, &wire_spans) {
-                Ok(n) => {
+            match out.write_all(&buf) {
+                Ok(()) => {
                     stats.writev_batches.fetch_add(1, Ordering::Relaxed);
-                    stats.bytes_tx.fetch_add(n as u64, Ordering::Relaxed);
+                    stats
+                        .bytes_tx
+                        .fetch_add(buf.len() as u64, Ordering::Relaxed);
                 }
                 Err(_) => {
                     broken = true;
@@ -1116,8 +1018,8 @@ pub(crate) enum Framing {
 impl Framing {
     /// Render `resp` under this framing: a text line for v1 (the
     /// rendering [`ops::Response::to_line`] shares with `proto::ok`/
-    /// `proto::err`), a binary frame for v3 — where interned bodies stay
-    /// zero-copy all the way to the batch encoder.
+    /// `proto::err`), a binary frame for v3 — where an interned body
+    /// stays the registry's `Arc` until the batch encoder copies it out.
     pub(crate) fn wrap(self, resp: ops::Response) -> Payload {
         match self {
             Framing::Bare => Payload::Line(resp.to_line()),
@@ -2286,32 +2188,19 @@ mod tests {
         // The v3 header's length field is a u32 capped at MAX_PAYLOAD; a
         // body past the cap cannot be framed, so the batcher swaps in a
         // per-tag ERR instead of truncating or poisoning the stream.
-        let mut scratch = Vec::new();
-        let mut pieces = Vec::new();
-        let mut shared = Vec::new();
+        let mut buf = Vec::new();
         let big = ops::Response::ok_text("x".repeat(codec::MAX_PAYLOAD + 1));
-        encode_outgoing(
-            Payload::Frame { tag: 42, resp: big },
-            &mut scratch,
-            &mut pieces,
-            &mut shared,
-        );
-        let (f, used) = codec::decode_frame(&scratch).unwrap();
-        assert_eq!(used, scratch.len());
+        encode_outgoing(Payload::Frame { tag: 42, resp: big }, &mut buf);
+        let (f, used) = codec::decode_frame(&buf).unwrap();
+        assert_eq!(used, buf.len());
         assert_eq!((f.tag, f.status), (42, codec::STATUS_ERR));
         assert_eq!(f.payload, b"response too large");
         // Exactly MAX_PAYLOAD still frames intact.
-        scratch.clear();
-        pieces.clear();
+        buf.clear();
         let max = ops::Response::ok_text("y".repeat(codec::MAX_PAYLOAD));
-        encode_outgoing(
-            Payload::Frame { tag: 7, resp: max },
-            &mut scratch,
-            &mut pieces,
-            &mut shared,
-        );
-        let (f, used) = codec::decode_frame(&scratch).unwrap();
-        assert_eq!(used, scratch.len());
+        encode_outgoing(Payload::Frame { tag: 7, resp: max }, &mut buf);
+        let (f, used) = codec::decode_frame(&buf).unwrap();
+        assert_eq!(used, buf.len());
         assert_eq!((f.tag, f.status), (7, codec::STATUS_OK));
         assert_eq!(f.payload.len(), codec::MAX_PAYLOAD);
     }

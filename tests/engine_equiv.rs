@@ -14,6 +14,9 @@
 //! dispatch block (a list of one block runs inline, more go to the pool):
 //! * `laplace3d`, `erdos_renyi`, `rmat` (1000-2048 vertices) — low bounded
 //!   degree, concentrated degrees, power-law degrees; each a single block;
+//! * the same three classes at 8000-20 000 vertices (2-5 blocks), at the
+//!   default config only — mesh, random and power-law rows that cross
+//!   block boundaries, which `star` and `path` alone do not give;
 //! * `star` — 33 blocks, one of them holding a 2^17-degree row, against
 //!   the seed's chunked reduction of that row;
 //! * `path` of 300 / 4096 / 4097 / 8193 vertices — one inline block from
@@ -53,19 +56,24 @@ fn all_configs() -> Vec<Mis2Config> {
 
 const POOLS: [usize; 5] = [1, 2, 3, 5, 8];
 
-/// Assert engine == reference for every config at every pool size. The
+/// Assert engine == reference for one config at every pool size. The
 /// reference result is computed once at pool 1 (the reference's own
 /// pool-independence is covered by the cross_backend goldens).
+fn assert_equiv_at(name: &str, g: &CsrGraph, cfg: &Mis2Config) {
+    let want = with_pool(1, || reference::mis2_with_config(g, cfg));
+    for threads in POOLS {
+        let got = with_pool(threads, || mis2_with_config(g, cfg));
+        assert_eq!(
+            got, want,
+            "{name}: engine diverges from seed engine for {cfg:?} at {threads} threads"
+        );
+    }
+}
+
+/// Assert engine == reference for every config at every pool size.
 fn assert_equiv(name: &str, g: &CsrGraph) {
     for cfg in all_configs() {
-        let want = with_pool(1, || reference::mis2_with_config(g, &cfg));
-        for threads in POOLS {
-            let got = with_pool(threads, || mis2_with_config(g, &cfg));
-            assert_eq!(
-                got, want,
-                "{name}: engine diverges from seed engine for {cfg:?} at {threads} threads"
-            );
-        }
+        assert_equiv_at(name, g, &cfg);
     }
 }
 
@@ -82,6 +90,14 @@ fn equiv_random_small_medium_border() {
 #[test]
 fn equiv_powerlaw_all_classes() {
     assert_equiv("rmat", &gen::rmat(11, 16, 0.65, 0.15, 0.15, 5));
+}
+
+#[test]
+fn equiv_multi_block_mesh_random_powerlaw() {
+    let cfg = Mis2Config::default();
+    assert_equiv_at("laplace3d", &gen::laplace3d(20, 20, 20), &cfg);
+    assert_equiv_at("erdos_renyi", &gen::erdos_renyi(20_000, 160_000, 11), &cfg);
+    assert_equiv_at("rmat", &gen::rmat(14, 16, 0.65, 0.15, 0.15, 5), &cfg);
 }
 
 #[test]
@@ -131,14 +147,7 @@ fn equiv_seeded_property_graphs() {
             packed: s & 16 != 0,
             seed: splitmix64(s ^ 0x5EED),
         };
-        let want = with_pool(1, || reference::mis2_with_config(&g, &cfg));
-        for threads in POOLS {
-            let got = with_pool(threads, || mis2_with_config(&g, &cfg));
-            assert_eq!(
-                got, want,
-                "seeded graph {i} ({n} vertices) {cfg:?} at {threads} threads"
-            );
-        }
+        assert_equiv_at(&format!("seeded graph {i} ({n} vertices)"), &g, &cfg);
     }
 }
 
@@ -147,10 +156,6 @@ fn equiv_ladder_on_powerlaw() {
     // The exact Figure 2 ablation ladder on a power-law graph.
     let g = gen::rmat(12, 8, 0.6, 0.2, 0.1, 7);
     for (label, cfg) in Mis2Config::ladder() {
-        let want = with_pool(1, || reference::mis2_with_config(&g, &cfg));
-        for threads in POOLS {
-            let got = with_pool(threads, || mis2_with_config(&g, &cfg));
-            assert_eq!(got, want, "ladder step {label} at {threads} threads");
-        }
+        assert_equiv_at(&format!("ladder step {label}"), &g, &cfg);
     }
 }

@@ -4,10 +4,21 @@
 //! * Luby's bound transported through the reduction — Algorithm 1 finishes
 //!   in O(log V) iterations in expectation;
 //! * Table III's shape — MIS-2 size proportional to |V| for a fixed
-//!   problem family, iteration growth ~1-2 per 4-8x size increase.
+//!   problem family, iteration growth ~1-2 per 4-8x size increase;
+//! * an oracle beyond validity — with `PriorityScheme::Fixed` the order
+//!   `(priority, id)` never changes between rounds, so Algorithm 1 is the
+//!   parallel greedy MIS of Blelloch, Fineman & Shun on `G²`, whose result
+//!   *is* the lexicographically-first set sequential greedy builds. (A
+//!   vertex within distance 2 of a fresh `IN` turns `OUT` a round late and
+//!   blocks its later neighbours meanwhile; that delays decisions, never
+//!   changes one: a vertex enters only once every earlier vertex within
+//!   distance 2 is `OUT`, and only an `IN` within distance 2 makes one.)
 
 use mis2::prelude::*;
-use mis2_graph::{gen, ops};
+use mis2_core::tuple::id_bits;
+use mis2_graph::{gen, ops, suite};
+use mis2_prim::hash::splitmix64;
+use mis2_prim::pool::with_pool;
 
 #[test]
 fn lemma_iv2_oracle_agrees_with_direct_verification() {
@@ -145,4 +156,72 @@ fn torus_removes_boundary_effects_in_mis_fraction() {
     assert!(f_torus <= f_open, "torus {f_torus:.4} vs open {f_open:.4}");
     // Both in the Laplace regime (~9%).
     assert!((0.05..0.13).contains(&f_torus));
+}
+
+/// Sequential greedy MIS on `G²`, visiting vertices in increasing
+/// `(fixed priority, id)` — the order Algorithm 1's tuples realize, the
+/// priority truncated to the bits a packed tuple keeps. A chosen vertex's
+/// `G²` row is walked as its two hops in `G` (what `ops::square` stores,
+/// per `square_graph_distance_semantics` above) rather than materializing
+/// every row of the suite's squares for the ~8% of vertices that enter.
+fn greedy_mis2_in_fixed_order(g: &CsrGraph, seed: u64) -> Vec<bool> {
+    let n = g.num_vertices();
+    let prio_mask = u64::MAX >> id_bits(n);
+    let mut order: Vec<VertexId> = (0..n as VertexId).collect();
+    order.sort_by_key(|&v| (PriorityScheme::Fixed.priority(seed, 0, v) & prio_mask, v));
+    let mut is_in = vec![false; n];
+    let mut blocked = vec![false; n];
+    for v in order {
+        if !blocked[v as usize] {
+            is_in[v as usize] = true;
+            for &w in g.neighbors(v) {
+                blocked[w as usize] = true;
+                for &x in g.neighbors(w) {
+                    blocked[x as usize] = true;
+                }
+            }
+        }
+    }
+    is_in
+}
+
+fn assert_engine_is_greedy(name: &str, g: &CsrGraph, seed: u64) {
+    let want = greedy_mis2_in_fixed_order(g, seed);
+    for packed in [true, false] {
+        let cfg = Mis2Config {
+            priorities: PriorityScheme::Fixed,
+            packed,
+            seed,
+            ..Mis2Config::default()
+        };
+        for threads in [1, 3] {
+            let got = with_pool(threads, || mis2_with_config(g, &cfg));
+            assert!(
+                got.is_in == want,
+                "{name}: not the lexicographically-first set (seed {seed}, packed {packed}, {threads} threads)"
+            );
+        }
+    }
+}
+
+#[test]
+fn fixed_priorities_give_the_sequential_greedy_set() {
+    for (name, g) in suite::build_all(Scale::Tiny) {
+        assert_engine_is_greedy(name, &g, 0);
+    }
+    // Arbitrary small graphs, drawn the way `tests/proptests.rs` draws
+    // them: isolated vertices, duplicate edges and self-loops included.
+    for case in 0..64u64 {
+        let mut s = splitmix64(0x62_EED ^ case);
+        let mut next = |bound: usize| {
+            s = splitmix64(s);
+            (s % bound as u64) as usize
+        };
+        let n = 2 + next(118);
+        let edges: Vec<(u32, u32)> = (0..next(400))
+            .map(|_| (next(n) as u32, next(n) as u32))
+            .collect();
+        let g = CsrGraph::from_edges(n, &edges);
+        assert_engine_is_greedy(&format!("case {case}"), &g, case);
+    }
 }
