@@ -14,7 +14,7 @@ use std::fmt;
 pub const UNAGGREGATED: u32 = u32::MAX;
 
 /// A complete aggregation of a graph's vertices.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Aggregation {
     /// `labels[v]` = aggregate id in `0..num_aggregates`.
     pub labels: Vec<u32>,
@@ -31,6 +31,23 @@ impl Aggregation {
     pub fn heap_bytes(&self) -> usize {
         self.labels.capacity() * std::mem::size_of::<u32>()
             + self.roots.capacity() * std::mem::size_of::<VertexId>()
+    }
+}
+
+impl Clone for Aggregation {
+    /// Keeps `roots`' capacity (the schemes push roots one by one, so it
+    /// exceeds the length): a clone is charged the same
+    /// [`Aggregation::heap_bytes`] as its source, and a memory-bounded
+    /// cache sees the same pressure whether it computed a value or copied
+    /// it.
+    fn clone(&self) -> Self {
+        let mut roots = Vec::with_capacity(self.roots.capacity());
+        roots.extend_from_slice(&self.roots);
+        Aggregation {
+            labels: self.labels.clone(),
+            num_aggregates: self.num_aggregates,
+            roots,
+        }
     }
 }
 

@@ -6,34 +6,23 @@
 //!   the coarse graph — [`quotient_graph`] builds that coarse graph.
 //! * **Multilevel partitioning / analysis** (Gilbert et al., cited as the
 //!   paper's other application): coarsen recursively until the graph is
-//!   small — [`coarsen_recursive`].
+//!   small — [`coarsen_recursive`]. Such clients re-coarsen one graph
+//!   level by level, so [`extend`] resumes the same loop from an MIS-2 or
+//!   a shorter hierarchy the caller already holds.
 
 use crate::agg::Aggregation;
-use mis2_graph::{CsrGraph, VertexId};
-use mis2_prim::par;
+use crate::mis2_agg::{mis2_aggregation_from, mis2_aggregation_with};
+use mis2_core::{Mis2Config, Mis2Result};
+use mis2_graph::CsrGraph;
 
 /// The coarse (quotient) graph of an aggregation: one vertex per aggregate,
 /// an edge between two aggregates iff some original edge crosses them.
 pub fn quotient_graph(g: &CsrGraph, agg: &Aggregation) -> CsrGraph {
-    let nc = agg.num_aggregates;
-    // Collect cross-aggregate edges per aggregate, then dedup.
-    let per_vertex: Vec<Vec<(VertexId, VertexId)>> =
-        par::map_range(0..g.num_vertices() as VertexId, |v| {
-            let la = agg.labels[v as usize];
-            g.neighbors(v)
-                .iter()
-                .filter_map(|&w| {
-                    let lb = agg.labels[w as usize];
-                    (la < lb).then_some((la, lb))
-                })
-                .collect()
-        });
-    let edges: Vec<(VertexId, VertexId)> = per_vertex.into_iter().flatten().collect();
-    CsrGraph::from_edges(nc, &edges)
+    mis2_graph::ops::quotient(g, &agg.labels, agg.num_aggregates)
 }
 
 /// One level of a multilevel hierarchy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Level {
     /// The graph at this level (level 0 = input graph).
     pub graph: CsrGraph,
@@ -59,10 +48,47 @@ pub fn hierarchy_heap_bytes(levels: &[Level]) -> usize {
 /// Recursively coarsen with Algorithm 3 until `min_vertices` is reached or
 /// `max_levels` produced. Returns the levels from finest to coarsest.
 pub fn coarsen_recursive(g: &CsrGraph, min_vertices: usize, max_levels: usize) -> Vec<Level> {
+    extend(g, &[], None, min_vertices, max_levels)
+}
+
+/// [`coarsen_recursive`] resumed from what the caller already holds, with
+/// the same result bit for bit (every step is deterministic):
+///
+/// * `prefix` — an earlier `coarsen_recursive(g, min_vertices, k)` with
+///   `k <= max_levels`, or empty. Its levels are cloned and the loop
+///   carries on from its coarsest graph, the one level without an
+///   aggregation yet. A prefix that had already stopped (small enough, or
+///   no progress) stops again at once and comes back unchanged.
+/// * `mis2` — `mis2_core::mis2` of the graph the loop resumes from (`g`
+///   itself under an empty prefix): phase 1 of that level's aggregation.
+///
+/// The result is charged the same [`hierarchy_heap_bytes`] from any start:
+/// levels are pushed one by one, prefix or not, so the vector grows the
+/// same way, and [`Aggregation`]'s `Clone` keeps its capacities.
+pub fn extend(
+    g: &CsrGraph,
+    prefix: &[Level],
+    mut mis2: Option<&Mis2Result>,
+    min_vertices: usize,
+    max_levels: usize,
+) -> Vec<Level> {
     let mut levels: Vec<Level> = Vec::new();
-    let mut cur = g.clone();
+    let mut cur = match prefix.split_last() {
+        Some((coarsest, finer)) => {
+            debug_assert!(coarsest.agg.is_none(), "prefix ends in a finished level");
+            for level in finer {
+                levels.push(level.clone());
+            }
+            coarsest.graph.clone()
+        }
+        None => g.clone(),
+    };
+    let cfg = Mis2Config::default();
     while levels.len() + 1 < max_levels && cur.num_vertices() > min_vertices {
-        let agg = crate::mis2_agg::mis2_aggregation(&cur);
+        let agg = match mis2.take() {
+            Some(m1) => mis2_aggregation_from(&cur, &cfg, m1),
+            None => mis2_aggregation_with(&cur, &cfg),
+        };
         if agg.num_aggregates >= cur.num_vertices() {
             break; // no progress (e.g. edgeless graph)
         }
@@ -139,6 +165,26 @@ mod tests {
         let g = gen::path(5);
         let levels = coarsen_recursive(&g, 10, 10);
         assert_eq!(levels.len(), 1);
+    }
+
+    #[test]
+    fn extend_from_any_start_equals_from_scratch() {
+        // Same levels and the same charged bytes, whether the loop starts
+        // from the graph, from its MIS-2 or from a shorter hierarchy —
+        // one that already stopped (k = 5, 6 here) included.
+        let g = gen::laplace2d(30, 30);
+        let mis2 = mis2_core::mis2(&g);
+        let scratch: Vec<Vec<Level>> = (1..=6).map(|n| coarsen_recursive(&g, 10, n)).collect();
+        assert_eq!(scratch[5].len(), 4, "the 30x30 grid ends at four levels");
+        for (n, want) in (1..=6).zip(&scratch) {
+            let from_mis2 = extend(&g, &[], Some(&mis2), 10, n);
+            let from_prefixes = scratch[..n - 1].iter().map(|p| extend(&g, p, None, 10, n));
+            for got in [from_mis2].into_iter().chain(from_prefixes) {
+                assert_eq!(&got, want);
+                assert_eq!(got.capacity(), want.capacity());
+                assert_eq!(hierarchy_heap_bytes(&got), hierarchy_heap_bytes(want));
+            }
+        }
     }
 
     #[test]

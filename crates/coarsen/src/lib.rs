@@ -31,8 +31,8 @@ pub mod stats;
 pub use agg::{AggViolation, Aggregation, UNAGGREGATED};
 pub use basic::{mis2_basic, mis2_basic_from};
 pub use d2c::{d2c_aggregation, nb_d2c_aggregation, serial_d2c_aggregation};
-pub use hierarchy::{coarsen_recursive, quotient_graph, Level};
-pub use mis2_agg::{mis2_aggregation, mis2_aggregation_with};
+pub use hierarchy::{coarsen_recursive, extend, quotient_graph, Level};
+pub use mis2_agg::{mis2_aggregation, mis2_aggregation_from, mis2_aggregation_with};
 pub use prolongator::{smoothed_prolongator, tentative_prolongator};
 pub use scheme::AggScheme;
 pub use serial::serial_aggregation;

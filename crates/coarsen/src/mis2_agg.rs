@@ -31,7 +31,7 @@
 //! itself is.
 
 use crate::agg::{absorb_root_neighbors, join_leftovers, sweep_pockets, Aggregation, UNAGGREGATED};
-use mis2_core::{mis2_with_config, Mis2Config};
+use mis2_core::{mis2_with_config, Mis2Config, Mis2Result};
 use mis2_graph::{ops, CsrGraph, VertexId};
 use mis2_prim::par;
 use mis2_prim::SharedMut;
@@ -51,12 +51,21 @@ pub fn mis2_aggregation(g: &CsrGraph) -> Aggregation {
 /// Algorithm 3 with an explicit MIS-2 configuration (both MIS-2 calls use
 /// it; phase 2 perturbs the seed so the two runs are independent).
 pub fn mis2_aggregation_with(g: &CsrGraph, cfg: &Mis2Config) -> Aggregation {
+    mis2_aggregation_from(g, cfg, &mis2_with_config(g, cfg))
+}
+
+/// Algorithm 3 from an already-computed phase-1 MIS-2: the paper's
+/// Algorithm 3 *starts from* Algorithm 1's output, so a caller that holds
+/// it (a cache, a timing harness) need not pay for it again. `m1` must be
+/// `mis2_with_config(g, cfg)`; [`mis2_aggregation_with`] is this function
+/// on exactly that, so the two agree bit for bit.
+pub fn mis2_aggregation_from(g: &CsrGraph, cfg: &Mis2Config, m1: &Mis2Result) -> Aggregation {
     let n = g.num_vertices();
+    assert_eq!(m1.is_in.len(), n, "MIS-2 mask length mismatch");
     let mut labels = vec![UNAGGREGATED; n];
     let mut roots: Vec<VertexId> = Vec::new();
 
     // ---- Phase 1: primary MIS-2 roots + their neighbors -----------------
-    let m1 = mis2_with_config(g, cfg);
     for (a, &r) in m1.in_set.iter().enumerate() {
         labels[r as usize] = a as u32;
         roots.push(r);
@@ -188,6 +197,36 @@ mod tests {
         let c = mis2_prim::pool::with_pool(4, || mis2_aggregation(&g));
         assert_eq!(a, b);
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn from_a_given_mis2_equals_from_scratch() {
+        // The graph families of the `AggScheme` suite, under the default
+        // and a reseeded unpacked configuration.
+        let graphs = [
+            gen::laplace3d(6, 6, 6),
+            gen::laplace2d(12, 12),
+            gen::erdos_renyi(200, 600, 1),
+            gen::path(50),
+            CsrGraph::empty(0),
+        ];
+        let configs = [
+            Mis2Config::default(),
+            Mis2Config {
+                seed: 77,
+                packed: false,
+                ..Mis2Config::default()
+            },
+        ];
+        for g in &graphs {
+            for cfg in &configs {
+                let m1 = mis2_with_config(g, cfg);
+                let from = mis2_aggregation_from(g, cfg, &m1);
+                assert_eq!(from, mis2_aggregation_with(g, cfg));
+                // What a memory-bounded cache charges, too.
+                assert_eq!(from.heap_bytes(), from.clone().heap_bytes());
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Graph operations: squaring (G²), induced subgraphs, connected components,
-//! degree histograms.
+//! Graph operations: squaring (G²), induced subgraphs, quotient graphs,
+//! connected components, degree histograms.
 //!
 //! `square` implements the reduction behind Lemma IV.2 of the paper:
 //! an MIS-1 of `G²` (with self-loops) is a valid MIS-2 of `G`. The tests and
@@ -57,6 +57,38 @@ pub fn induced_subgraph(g: &CsrGraph, keep: &[bool]) -> (CsrGraph, Vec<VertexId>
         // rows inherit sorted order because old_to_new is monotone
     });
     (CsrGraph::from_rows_unchecked(m, &mut rows), new_to_old)
+}
+
+/// Quotient graph of a vertex partition: one vertex per part, an edge
+/// between two parts iff some edge of `g` crosses them. `labels[v]` is
+/// `v`'s part, in `0..nc`.
+///
+/// Built per part, not per edge: members are counting-sorted by label, and
+/// each part gathers its members' foreign neighbor labels into one sorted,
+/// deduplicated row — `nc` row allocations instead of one per vertex, and
+/// no global edge list to count, scatter and re-sort.
+pub fn quotient(g: &CsrGraph, labels: &[u32], nc: usize) -> CsrGraph {
+    assert_eq!(labels.len(), g.num_vertices(), "label length mismatch");
+    assert!(
+        labels.iter().all(|&l| (l as usize) < nc),
+        "label out of range"
+    );
+    let (offsets, members) = mis2_prim::bucket::bucket_by_key(nc, labels);
+    let mut rows: Vec<Vec<VertexId>> = par::map_range(0..nc, |a| {
+        let mut row: Vec<VertexId> = Vec::new();
+        for &v in &members[offsets[a]..offsets[a + 1]] {
+            row.extend(
+                g.neighbors(v)
+                    .iter()
+                    .map(|&w| labels[w as usize])
+                    .filter(|&l| l as usize != a),
+            );
+        }
+        row.sort_unstable();
+        row.dedup();
+        row
+    });
+    CsrGraph::from_rows_unchecked(nc, &mut rows)
 }
 
 /// Connected components via BFS. Returns `(component_count, labels)` with
@@ -185,6 +217,41 @@ mod tests {
         let (sub, map) = induced_subgraph(&g, &[true; 50]);
         assert_eq!(&sub, &g);
         assert_eq!(map, (0..50).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn quotient_of_path() {
+        // Path 0-1-2-3-4 with parts {0,1}, {2}, {3,4} -> coarse path of 3.
+        let g = gen::path(5);
+        let q = quotient(&g, &[0, 0, 1, 2, 2], 3);
+        assert_eq!(q, CsrGraph::from_edges(3, &[(0, 1), (1, 2)]));
+    }
+
+    #[test]
+    fn quotient_matches_the_cross_edge_list() {
+        // Oracle: the deduplicated cross-part edge list through
+        // `from_edges`. Part 6 is left empty on purpose.
+        let g = gen::erdos_renyi(300, 1200, 7);
+        let labels: Vec<u32> = (0..300u32).map(|v| (v * 7 + v / 11) % 6).collect();
+        let mut cross: Vec<(VertexId, VertexId)> = Vec::new();
+        for v in 0..300u32 {
+            for &w in g.neighbors(v) {
+                let (la, lb) = (labels[v as usize], labels[w as usize]);
+                if la < lb {
+                    cross.push((la, lb));
+                }
+            }
+        }
+        let q = quotient(&g, &labels, 7);
+        assert_eq!(q, CsrGraph::from_edges(7, &cross));
+        assert_eq!(q.degree(6), 0);
+        q.validate_symmetric().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "label out of range")]
+    fn quotient_rejects_a_label_past_the_part_count() {
+        quotient(&gen::path(3), &[0, 1, 2], 2);
     }
 
     #[test]

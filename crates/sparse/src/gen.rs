@@ -77,27 +77,28 @@ pub fn elasticity3d_matrix(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
 /// boundary rows).
 pub fn from_graph_with_diag(g: &CsrGraph, d: f64) -> CsrMatrix {
     let n = g.num_vertices();
-    let rows: Vec<(Vec<u32>, Vec<f64>)> = par::map_range(0..n, |v| {
-        let nbrs = g.neighbors(v as u32);
-        let mut cols = Vec::with_capacity(nbrs.len() + 1);
-        let mut vals = Vec::with_capacity(nbrs.len() + 1);
-        let mut placed = false;
-        for &w in nbrs {
-            if (w as usize) > v && !placed {
-                cols.push(v as u32);
-                vals.push(d);
-                placed = true;
-            }
-            cols.push(w);
-            vals.push(-1.0);
-        }
-        if !placed {
-            cols.push(v as u32);
-            vals.push(d);
-        }
-        (cols, vals)
-    });
-    CsrMatrix::from_sorted_rows(n, n, rows)
+    // Row v is v's sorted neighbor list with v itself spliced in, so it
+    // starts v entries later than in the graph: the three arrays are filled
+    // in place, with no per-row vectors.
+    let row_ptr: Vec<usize> = g
+        .row_ptr()
+        .iter()
+        .enumerate()
+        .map(|(v, &p)| p + v)
+        .collect();
+    let nnz = g.num_directed_edges() + n;
+    let mut col_idx: Vec<u32> = Vec::with_capacity(nnz);
+    let mut values = vec![-1.0; nnz];
+    for v in 0..n as u32 {
+        let nbrs = g.neighbors(v);
+        let below = nbrs.partition_point(|&w| w < v);
+        values[col_idx.len() + below] = d;
+        col_idx.extend_from_slice(&nbrs[..below]);
+        col_idx.push(v);
+        col_idx.extend_from_slice(&nbrs[below..]);
+    }
+    CsrMatrix::from_csr(n, n, row_ptr, col_idx, values)
+        .expect("a graph's rows are sorted and loop-free, so each row stays sorted")
 }
 
 /// SPD diagonally dominant matrix on an arbitrary undirected graph:
@@ -211,6 +212,26 @@ mod tests {
                 .map(|(_, &v)| v.abs())
                 .sum();
             assert!(diag > offsum, "row {r}");
+        }
+    }
+
+    #[test]
+    fn from_graph_with_diag_matches_its_triplets() {
+        // Rows whose diagonal lands first, last and in the middle, an
+        // isolated vertex (diagonal only) and an empty graph.
+        let mut edges = vec![(0, 4), (0, 5), (2, 5), (3, 5), (1, 2), (2, 3)];
+        edges.extend((0..40u32).map(|i| (7 + i % 13, 7 + (i * 5 + 1) % 13)));
+        for g in [CsrGraph::from_edges(21, &edges), CsrGraph::empty(0)] {
+            let mut coo = Vec::new();
+            for v in 0..g.num_vertices() as u32 {
+                coo.push((v, v, 2.5));
+                coo.extend(g.neighbors(v).iter().map(|&w| (v, w, -1.0)));
+            }
+            let n = g.num_vertices();
+            assert_eq!(
+                from_graph_with_diag(&g, 2.5),
+                CsrMatrix::from_coo(n, n, &coo)
+            );
         }
     }
 

@@ -7,11 +7,30 @@
 //! response body — which embeds an order-sensitive fingerprint of the full
 //! result — is bitwise-identical no matter which thread, sub-team size, or
 //! backend computed it. That is the service's determinism contract.
+//!
+//! The same determinism lets a compute start from a cached artifact of
+//! the same graph instead of the graph alone ([`compute_from`],
+//! [`OpKey::priors`]): the paper's Algorithm 3 starts from Algorithm 1's
+//! output, so `COARSEN` continues a resident `MIS2` or a shorter
+//! `COARSEN`, and the bytes cannot tell.
+//!
+//! Served `SOLVE` deliberately stops short of that chain. It runs CG or
+//! GMRES with a Jacobi preconditioner on [`solve_matrix`], which is
+//! strictly diagonally dominant, so Jacobi already converges in about
+//! twenty iterations (`SOLVE ecology2 cg` 22, `SOLVE tmt_sym gmres` 19 at
+//! `Scale::Tiny`); it does not consume the `Hierarchy` artifact through
+//! `mis2_solver::AmgHierarchy`. Doing so would change the iteration
+//! count, the iterate and so the body and fingerprint of every `SOLVE`
+//! response — every golden in `tests/svc_e2e.rs`, CI's sweeps and the
+//! benchmark's oracle — to serve an operator that does not need multigrid.
+//! The paper's two coarsening use cases, MIS-2 aggregation AMG (Table V)
+//! and cluster Gauss–Seidel (Table VI), are library paths; the repo
+//! benchmark's `lib_amg` workload measures them as time to solution.
 
 use crate::codec;
 use crate::proto::{GraphRef, Method, Request};
 use crate::registry::{Registry, RespBytes};
-use mis2_coarsen::hierarchy::{coarsen_recursive, Level};
+use mis2_coarsen::hierarchy::{extend, Level};
 use mis2_core::Mis2Result;
 use mis2_graph::CsrGraph;
 use mis2_prim::hash::splitmix64;
@@ -26,6 +45,24 @@ pub enum OpKey {
     Mis2,
     Coarsen { levels: usize },
     Solve { method: Method },
+}
+
+impl OpKey {
+    /// The ops whose artifact *of the same graph* [`compute_from`] can
+    /// start this op from, most work saved first: a shorter hierarchy is a
+    /// prefix of a longer one, and the MIS-2 is phase 1 of the first
+    /// level. The registry probes these in order and knows nothing else
+    /// about what an op means.
+    pub fn priors(&self) -> Vec<OpKey> {
+        match *self {
+            OpKey::Coarsen { levels } if levels >= 2 => (2..levels)
+                .rev()
+                .map(|levels| OpKey::Coarsen { levels })
+                .chain([OpKey::Mis2])
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
 }
 
 /// Solver iteration cap — bounds worst-case request latency; an
@@ -109,6 +146,17 @@ pub fn solve_rhs(n: usize) -> Vec<f64> {
 /// request's semantics; everything else (server, tests, benches) calls
 /// through here.
 pub fn compute(g: &CsrGraph, op: &OpKey) -> Artifact {
+    compute_from(g, op, None)
+}
+
+/// [`compute`], started from `prior` when that is an artifact of the
+/// same graph under one of `op`'s [`OpKey::priors`]: `COARSEN` takes a
+/// `Mis2` as phase 1 of its first level, or a shorter `Hierarchy` as its
+/// prefix (cloned — the prior stays whole in the cache). Every step is
+/// deterministic, so the artifact, its rendered body and its
+/// [`Artifact::heap_bytes`] are the same from any start; a prior of a kind
+/// the op cannot use is ignored.
+pub fn compute_from(g: &CsrGraph, op: &OpKey, prior: Option<&Artifact>) -> Artifact {
     match op {
         OpKey::Mis2 => {
             let r = mis2_core::mis2(g);
@@ -116,7 +164,12 @@ pub fn compute(g: &CsrGraph, op: &OpKey) -> Artifact {
             Artifact::Mis2(r)
         }
         OpKey::Coarsen { levels } => {
-            Artifact::Hierarchy(coarsen_recursive(g, COARSEN_MIN_VERTICES, *levels))
+            let (prefix, mis2): (&[Level], _) = match prior {
+                Some(Artifact::Hierarchy(h)) if h.len() <= *levels => (h, None),
+                Some(Artifact::Mis2(r)) => (&[], Some(r)),
+                _ => (&[], None),
+            };
+            Artifact::Hierarchy(extend(g, prefix, mis2, COARSEN_MIN_VERTICES, *levels))
         }
         OpKey::Solve { method } => {
             let a = solve_matrix(g);
@@ -326,6 +379,109 @@ mod tests {
             let a = body("g", &op, &compute(&g, &op));
             let b = body("g", &op, &compute(&g, &op));
             assert_eq!(a, b, "{op:?}");
+        }
+    }
+
+    /// What a derived `COARSEN` must reproduce: the levels themselves, the
+    /// rendered body and the bytes the registry charges.
+    fn served<'a>(token: &str, op: &OpKey, a: &'a Artifact) -> (&'a [Level], String, usize) {
+        let Artifact::Hierarchy(levels) = a else {
+            panic!("wrong artifact kind");
+        };
+        (levels, body(token, op, a), a.heap_bytes())
+    }
+
+    #[test]
+    fn coarsen_from_any_prior_equals_from_scratch() {
+        // Every length up to one past the natural end and the protocol's
+        // cap, from the MIS-2 and from every shorter hierarchy, pools 1 and
+        // 3 — on inputs small enough for the whole cross product that end
+        // by both stop rules.
+        use crate::proto::MAX_LEVELS;
+        use mis2_graph::gen;
+        let graphs = [
+            // Isolated vertices survive every level: "no progress".
+            ("rmat", gen::rmat(10, 4, 0.57, 0.19, 0.19, 3)),
+            // At most COARSEN_MIN_VERTICES: the input is the hierarchy.
+            ("path", gen::path(40)),
+            ("grid", gen::laplace2d(24, 24)),
+            ("random", gen::erdos_renyi(400, 1200, 5)),
+        ];
+        let coarsen = |levels| OpKey::Coarsen { levels };
+        let (mut stopped_small, mut stopped_stuck) = (false, false);
+        for (name, g) in &graphs {
+            let full = compute(g, &coarsen(MAX_LEVELS));
+            let (full, ..) = served(name, &coarsen(MAX_LEVELS), &full);
+            let depth = full.len();
+            let coarsest = &full[depth - 1].graph;
+            if coarsest.num_vertices() <= COARSEN_MIN_VERTICES {
+                stopped_small = true;
+            } else {
+                assert!(
+                    depth < MAX_LEVELS,
+                    "{name}: small inputs end before the cap"
+                );
+                assert_eq!(coarsest.num_edges(), 0, "{name}");
+                stopped_stuck = true;
+            }
+            // `depth + 1` levels is a request past the natural end: a
+            // prefix of that length has already stopped.
+            let lens: Vec<usize> = (1..=depth + 1).chain([MAX_LEVELS]).collect();
+            let scratch: Vec<Artifact> = lens.iter().map(|&n| compute(g, &coarsen(n))).collect();
+            let mis2 = compute(g, &OpKey::Mis2);
+            // A `Solve` is no prior of `COARSEN`: ignored.
+            let solve = compute(g, &OpKey::Solve { method: Method::Cg });
+            for (i, &n) in lens.iter().enumerate() {
+                let op = coarsen(n);
+                let want = served(name, &op, &scratch[i]);
+                for prior in [&mis2, &solve].into_iter().chain(&scratch[..i]) {
+                    for pool in [1, 3] {
+                        let got =
+                            mis2_prim::pool::with_pool(pool, || compute_from(g, &op, Some(prior)));
+                        assert_eq!(
+                            served(name, &op, &got),
+                            want,
+                            "{name} COARSEN {n} pool {pool}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            stopped_small && stopped_stuck,
+            "both stop rules must be met"
+        );
+    }
+
+    #[test]
+    fn coarsen_from_a_prior_equals_from_scratch_over_the_suite() {
+        // The suite's structure (the small cases above carry the cross
+        // product): the full hierarchy from the MIS-2, and from
+        // `COARSEN 2`, against from scratch.
+        let op = OpKey::Coarsen {
+            levels: crate::proto::MAX_LEVELS,
+        };
+        for (name, g) in mis2_graph::suite::build_all(Scale::Tiny) {
+            let scratch = compute(&g, &op);
+            let want = served(name, &op, &scratch);
+            let priors = [
+                (3, compute(&g, &OpKey::Mis2)),
+                (1, compute(&g, &OpKey::Coarsen { levels: 2 })),
+            ];
+            for (pool, prior) in &priors {
+                let got = mis2_prim::pool::with_pool(*pool, || compute_from(&g, &op, Some(prior)));
+                assert_eq!(served(name, &op, &got), want, "{name} pool {pool}");
+            }
+        }
+    }
+
+    #[test]
+    fn op_keys_name_their_priors_longest_first() {
+        let c = |levels| OpKey::Coarsen { levels };
+        assert_eq!(c(4).priors(), vec![c(3), c(2), OpKey::Mis2]);
+        assert_eq!(c(2).priors(), vec![OpKey::Mis2]);
+        for op in [c(1), OpKey::Mis2, OpKey::Solve { method: Method::Cg }] {
+            assert_eq!(op.priors(), vec![], "{op:?}");
         }
     }
 

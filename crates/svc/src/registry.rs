@@ -27,6 +27,21 @@
 //!   known spellings even after the backing file is deleted.
 //! * **Computation happens outside the cache lock**, so a slow build never
 //!   blocks requests for other graphs.
+//! * **Derivation: a compute starts from what is already here.** Before a
+//!   flight computes, it probes the op's [`OpKey::priors`] of the same
+//!   graph in order (for `COARSEN n`: `COARSEN n-1` … `COARSEN 2`, then
+//!   `MIS2`) and hands the first one found to [`ops::compute_from`]; the
+//!   registry knows nothing else about what an op means. The rule is
+//!   **resident-only** — the probe runs under the lock the miss already
+//!   holds, never waits on another flight and never enters the
+//!   single-flight path, so there is no new lock order; it **refreshes no
+//!   LRU stamp** and bumps neither `hits` nor `misses` (the longer
+//!   hierarchy contains the shorter, so the shorter stays the next
+//!   victim; each request still bumps exactly one counter); and it leaves
+//!   **bytes unchanged** — a derived artifact equals a from-scratch one
+//!   bit for bit and is charged the same `heap_bytes()`. The prior's `Arc`
+//!   is held across the compute (pinned, like the graph) and dropped
+//!   before the insert. `derived` counts these computes.
 //! * **Memory budget.** [`Registry::with_budget`] bounds the approximate
 //!   heap bytes of everything cached (`heap_bytes()` on [`CsrGraph`] and
 //!   [`Artifact`]; 0 = unbounded, the [`Registry::new`] default). When an
@@ -70,6 +85,9 @@ pub struct RegistryStats {
     pub hits: u64,
     /// Artifact-cache misses (each one paid a compute).
     pub misses: u64,
+    /// Computes that started from a resident artifact; a subset of
+    /// `misses`.
+    pub derived: u64,
     /// Approximate heap bytes of everything cached right now.
     pub bytes: usize,
     /// Memory budget in bytes (0 = unbounded).
@@ -178,6 +196,7 @@ pub struct Registry {
     inflight_done: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
+    derived: AtomicU64,
     evictions: AtomicU64,
     graph_builds: AtomicU64,
     resp_hits: AtomicU64,
@@ -250,6 +269,7 @@ impl Registry {
             inflight_done: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            derived: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             graph_builds: AtomicU64::new(0),
             resp_hits: AtomicU64::new(0),
@@ -379,7 +399,7 @@ impl Registry {
     /// once per request, at the public entry points.
     fn artifact_keyed(&self, key: ArtifactKey) -> Result<Arc<Artifact>, String> {
         let op = key.1.clone();
-        {
+        let prior = {
             let mut st = self.state.lock().unwrap();
             loop {
                 let tick = st.next_tick();
@@ -401,15 +421,29 @@ impl Registry {
                 }
                 st = self.inflight_done.wait(st).unwrap();
             }
-        }
+            // The derivation rule (module docs): the first of the op's
+            // priors that is resident right now, as found — no stamp, no
+            // counter, no wait.
+            let mut probe = key.clone();
+            op.priors().into_iter().find_map(|p| {
+                probe.1 = p;
+                st.artifacts.get(&probe).map(|e| Arc::clone(&e.value))
+            })
+        };
         let _flight = Flight {
             reg: self,
             graph: None,
             artifact: Some(key.clone()),
         };
         let g = self.graph_canonical(key.0.clone())?;
-        let computed = ops::compute(&g, &op);
+        let computed = ops::compute_from(&g, &op, prior.as_deref());
         self.misses.fetch_add(1, Ordering::Relaxed);
+        if prior.is_some() {
+            self.derived.fetch_add(1, Ordering::Relaxed);
+        }
+        // Unpin the prior before the insert, so that this insert may
+        // already evict it.
+        drop(prior);
         let bytes = computed.heap_bytes();
         let value = Arc::new(computed);
         let mut st = self.state.lock().unwrap();
@@ -552,6 +586,7 @@ impl Registry {
             artifacts: st.artifacts.len(),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            derived: self.derived.load(Ordering::Relaxed),
             bytes: st.bytes,
             mem_budget: self.budget,
             evictions: self.evictions.load(Ordering::Relaxed),
@@ -1100,6 +1135,89 @@ mod tests {
             "invalidated bytes must not serve"
         );
         assert!(held.body.starts_with(b"MIS2 "), "held Arc stays valid");
+    }
+
+    #[test]
+    fn coarsen_starts_from_resident_priors_under_a_budget() {
+        let r = GraphRef::Suite("ecology2".into());
+        let session = [
+            OpKey::Mis2,
+            OpKey::Coarsen { levels: 2 },
+            OpKey::Coarsen { levels: 8 },
+        ];
+        let run = |reg: &Registry, ops: &[OpKey]| -> Vec<String> {
+            ops.iter()
+                .map(|op| ops::body("g", op, &reg.artifact(&r, op).unwrap()))
+                .collect()
+        };
+        let probe = Registry::new(Scale::Tiny);
+        let want = run(&probe, &session);
+        // One byte short of the whole session: the last insert must evict.
+        let reg = Registry::with_budget(Scale::Tiny, probe.stats().bytes - 1);
+        assert_eq!(run(&reg, &session), want);
+        let s = reg.stats();
+        assert_eq!((s.misses, s.hits, s.derived), (3, 0, 2), "{s:?}");
+        assert_eq!((s.artifacts, s.graphs), (2, 1), "{s:?}");
+        // Derived or not, the bytes are those of a registry that never
+        // held a prior.
+        let fresh = Registry::new(Scale::Tiny);
+        assert_eq!(run(&fresh, &session[2..]), want[2..]);
+        assert_eq!(fresh.stats().derived, 0);
+    }
+
+    #[test]
+    fn a_prior_lookup_refreshes_no_stamp() {
+        // `COARSEN 2` is the oldest entry when `COARSEN 8` starts from it.
+        // The longer hierarchy contains the shorter, so the shorter stays
+        // the next victim: reading it as a prior is not a use.
+        let r = GraphRef::Suite("ecology2".into());
+        let (c2, c8) = (OpKey::Coarsen { levels: 2 }, OpKey::Coarsen { levels: 8 });
+        let probe = Registry::new(Scale::Tiny);
+        for op in [&c2, &OpKey::Mis2, &c8] {
+            probe.artifact(&r, op).unwrap();
+        }
+        let reg = Registry::with_budget(Scale::Tiny, probe.stats().bytes - 1);
+        for op in [&c2, &OpKey::Mis2, &c8] {
+            reg.artifact(&r, op).unwrap();
+        }
+        let s = reg.stats();
+        assert_eq!((s.misses, s.derived, s.artifacts), (3, 1, 2), "{s:?}");
+        reg.artifact(&r, &OpKey::Mis2).unwrap();
+        assert_eq!(reg.stats().hits, 1, "the MIS-2 was not the victim");
+        reg.artifact(&r, &c2).unwrap();
+        assert_eq!(reg.stats().misses, 4, "the prior was the victim");
+    }
+
+    #[test]
+    fn coarsen_falls_back_to_the_mis2_then_to_scratch() {
+        // A 1-byte budget keeps only what a caller pins.
+        let r = GraphRef::Suite("ecology2".into());
+        let (c2, c8) = (OpKey::Coarsen { levels: 2 }, OpKey::Coarsen { levels: 8 });
+        let want = ops::body(
+            "g",
+            &c8,
+            &Registry::new(Scale::Tiny).artifact(&r, &c8).unwrap(),
+        );
+        let reg = Registry::with_budget(Scale::Tiny, 1);
+        let mis2 = reg.artifact(&r, &OpKey::Mis2).unwrap();
+        drop(reg.artifact(&r, &c2).unwrap());
+        let s = reg.stats();
+        assert_eq!(
+            (s.artifacts, s.derived),
+            (1, 1),
+            "only the pinned MIS-2 stays: {s:?}"
+        );
+        // `COARSEN 2` is gone: the next prior in line is the MIS-2 ...
+        let from_mis2 = reg.artifact(&r, &c8).unwrap();
+        assert_eq!(ops::body("g", &c8, &from_mis2), want);
+        assert_eq!(reg.stats().derived, 2);
+        drop((mis2, from_mis2));
+        assert_eq!(reg.stats().artifacts, 0);
+        // ... and with nothing resident, the graph alone.
+        let from_scratch = reg.artifact(&r, &c8).unwrap();
+        assert_eq!(ops::body("g", &c8, &from_scratch), want);
+        let s = reg.stats();
+        assert_eq!((s.misses, s.hits, s.derived), (4, 0, 2), "{s:?}");
     }
 
     #[test]

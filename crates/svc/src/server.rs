@@ -1534,7 +1534,7 @@ fn stats_body(cx: &ConnShared) -> String {
          panics={} inflight={} max_inflight={} peak_inflight={} \
          workers={} team={} pool_spawned={} pool_contended={} \
          resp={} resp_bytes={} resp_hits={} writev_batches={} bytes_tx={} \
-         queue_wait_count={} uptime_s={} requests={} conns={} io_backend={}",
+         queue_wait_count={} uptime_s={} requests={} conns={} derived={} io_backend={}",
         r.graphs,
         r.artifacts,
         r.hits,
@@ -1563,6 +1563,7 @@ fn stats_body(cx: &ConnShared) -> String {
         mx.uptime_s(),
         mx.requests_total(),
         cx.conns.load(Ordering::Relaxed),
+        r.derived,
         cx.backend.name(),
     )
 }
@@ -1584,6 +1585,7 @@ fn metrics_body(cx: &ConnShared) -> String {
         ("mis2_cache_artifacts", r.artifacts as u64),
         ("mis2_cache_hits_total", r.hits),
         ("mis2_cache_misses_total", r.misses),
+        ("mis2_cache_derived_total", r.derived),
         ("mis2_cache_bytes", r.bytes as u64),
         ("mis2_cache_evictions_total", r.evictions),
         ("mis2_graph_builds_total", r.graph_builds),
@@ -1624,6 +1626,22 @@ mod tests {
         let stats = c.request("STATS").unwrap();
         assert!(stats.starts_with("OK STATS graphs=0"), "{stats}");
         assert_eq!(c.request("QUIT").unwrap(), "OK BYE");
+        h.shutdown();
+    }
+
+    #[test]
+    fn derived_computes_show_in_stats_and_metrics() {
+        let h = serve(ServerConfig::default()).unwrap();
+        let mut c = Client::connect(h.addr()).unwrap();
+        assert!(c.request("MIS2 ecology2").unwrap().starts_with("OK "));
+        assert!(c.request("COARSEN ecology2 2").unwrap().starts_with("OK "));
+        let stats = c.request("STATS").unwrap();
+        assert!(stats.contains(" misses=2 "), "{stats}");
+        assert!(stats.contains(" derived=1 io_backend="), "{stats}");
+        let raw = c.request("METRICS").unwrap();
+        let body = raw.strip_prefix("OK METRICS ").expect(&raw);
+        let exp = crate::metrics::parse_exposition(&crate::metrics::unescape_body(body)).unwrap();
+        assert_eq!(exp.value("mis2_cache_derived_total"), Some(1));
         h.shutdown();
     }
 

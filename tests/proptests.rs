@@ -197,6 +197,21 @@ fn quotient_graph_well_formed() {
         let q = mis2_coarsen::quotient_graph(&g, &agg);
         assert_eq!(q.num_vertices(), agg.num_aggregates, "case {case}");
         assert!(q.validate_symmetric().is_ok(), "case {case}");
+        // Oracle: the construction `quotient_graph` used before it built
+        // rows per aggregate — the cross-aggregate pairs through
+        // `from_edges`, which counts, scatters and sort-dedups them.
+        let mut cross = Vec::new();
+        for v in 0..g.num_vertices() as u32 {
+            let la = agg.labels[v as usize];
+            for &w in g.neighbors(v) {
+                let lb = agg.labels[w as usize];
+                if la < lb {
+                    cross.push((la, lb));
+                }
+            }
+        }
+        let want = CsrGraph::from_edges(agg.num_aggregates, &cross);
+        assert_eq!(q, want, "case {case}");
     }
 }
 
