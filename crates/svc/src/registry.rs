@@ -41,7 +41,13 @@
 //!   **bytes unchanged** — a derived artifact equals a from-scratch one
 //!   bit for bit and is charged the same `heap_bytes()`. The prior's `Arc`
 //!   is held across the compute (pinned, like the graph) and dropped
-//!   before the insert. `derived` counts these computes.
+//!   before the insert. `derived` counts these computes. A prior still in
+//!   flight is not resident: a client that pipelines `MIS2 g` and
+//!   `COARSEN g 2` in one window gets the derived or the from-scratch
+//!   compute by whichever worker finishes first (0 to 3 of 6 derived in a
+//!   pipelined pass over six suite graphs) — the same reply at a different
+//!   cost. A client that wants the saving waits for the first reply, as a
+//!   session of dependent requests does anyway.
 //! * **Memory budget.** [`Registry::with_budget`] bounds the approximate
 //!   heap bytes of everything cached (`heap_bytes()` on [`CsrGraph`] and
 //!   [`Artifact`]; 0 = unbounded, the [`Registry::new`] default). When an
