@@ -5,8 +5,7 @@
 //! reductions are the fixed-block deterministic kernels.
 
 use crate::precond::Preconditioner;
-use mis2_sparse::kernels::{axpy, dot, norm2, residual, xpay};
-use mis2_sparse::CsrMatrix;
+use mis2_sparse::kernels::{axpy, dot, norm2, residual, xpay, Operator};
 
 /// Outcome of a Krylov solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,18 +47,25 @@ impl Default for SolveOpts {
     }
 }
 
-/// Preconditioned CG on an SPD system. Returns the solution and statistics.
+/// Preconditioned CG on an SPD operator: anything that implements
+/// [`Operator`], a stored `CsrMatrix` or a matrix-free one. Returns the
+/// solution and statistics.
 ///
 /// ```
 /// use mis2_solver::{pcg, Jacobi, SolveOpts};
+/// // The operator `4 I - adjacency`, assembled...
 /// let a = mis2_sparse::gen::laplace2d_matrix(8, 8);
 /// let b = vec![1.0; 64];
 /// let (x, res) = pcg(&a, &b, &Jacobi::new(&a), &SolveOpts::default());
 /// assert!(res.converged);
-/// assert_eq!(x.len(), 64);
+/// // ...and applied off the graph: the same iterate, bit for bit.
+/// let g = mis2_graph::gen::laplace2d(8, 8);
+/// let op = mis2_sparse::gen::GraphLaplacian::new(&g, 4.0);
+/// let (y, _) = pcg(&op, &b, &Jacobi::constant(64, 4.0), &SolveOpts::default());
+/// assert_eq!(x, y);
 /// ```
-pub fn pcg(
-    a: &CsrMatrix,
+pub fn pcg<A: Operator + ?Sized>(
+    a: &A,
     b: &[f64],
     precond: &dyn Preconditioner,
     opts: &SolveOpts,
@@ -91,7 +97,7 @@ pub fn pcg(
                 },
             );
         }
-        a.spmv_into(&p, &mut q);
+        a.apply_into(&p, &mut q);
         let pq = dot(&p, &q);
         if pq <= 0.0 || !pq.is_finite() {
             // Not SPD (or breakdown): bail out with the current iterate.
@@ -125,6 +131,7 @@ mod tests {
     use super::*;
     use crate::precond::{Identity, Jacobi};
     use mis2_sparse::gen as sgen;
+    use mis2_sparse::CsrMatrix;
 
     #[test]
     fn solves_identity() {

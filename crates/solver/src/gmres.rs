@@ -8,23 +8,29 @@
 
 use crate::cg::{SolveOpts, SolveResult};
 use crate::precond::Preconditioner;
-use mis2_sparse::kernels::{axpy, dot, norm2, residual};
-use mis2_sparse::CsrMatrix;
+use mis2_sparse::kernels::{axpy, dot, norm2, residual, Operator};
 
 /// GMRES restart length.
 pub const DEFAULT_RESTART: usize = 50;
 
-/// Right-preconditioned GMRES(m).
+/// Right-preconditioned GMRES(m) on any [`Operator`].
+///
+/// The residual `r = b - A x` is carried across restart cycles and
+/// recomputed once per update of `x`: the end-of-cycle convergence check,
+/// the next cycle's start and the returned `relative_residual` all read
+/// that one vector, so a cycle of `k` iterations applies the operator
+/// `k + 1` times.
 ///
 /// ```
 /// use mis2_solver::{gmres, Identity, SolveOpts};
+/// // Any operator: here a stored matrix.
 /// let a = mis2_sparse::gen::laplace2d_matrix(6, 6);
 /// let b = vec![1.0; 36];
 /// let (_, res) = gmres(&a, &b, &Identity, 20, &SolveOpts::default());
 /// assert!(res.converged);
 /// ```
-pub fn gmres(
-    a: &CsrMatrix,
+pub fn gmres<A: Operator + ?Sized>(
+    a: &A,
     b: &[f64],
     precond: &dyn Preconditioner,
     restart: usize,
@@ -35,11 +41,11 @@ pub fn gmres(
     let m = restart.max(1);
     let bnorm = norm2(b).max(f64::MIN_POSITIVE);
     let mut x = vec![0.0; n];
+    let mut r = b.to_vec(); // r = b - A*0
     let mut history: Vec<f64> = Vec::new();
     let mut total_iters = 0usize;
 
     'outer: while total_iters < opts.max_iters {
-        let r = residual(a, &x, b);
         let beta = norm2(&r);
         history.push(beta / bnorm);
         if beta / bnorm < opts.tol {
@@ -62,7 +68,8 @@ pub fn gmres(
             total_iters += 1;
             // w = A M^{-1} v_j
             precond.apply(&v[j], &mut z);
-            let mut w = a.spmv(&z);
+            let mut w = vec![0.0; n];
+            a.apply_into(&z, &mut w);
             // Modified Gram-Schmidt.
             for i in 0..=j {
                 let hij = dot(&w, &v[i]);
@@ -121,13 +128,14 @@ pub fn gmres(
         precond.apply(&vy, &mut z);
         axpy(1.0, &z, &mut x);
 
-        let rel = norm2(&residual(a, &x, b)) / bnorm;
-        if rel < opts.tol {
+        r = residual(a, &x, b);
+        if norm2(&r) / bnorm < opts.tol {
             break;
         }
     }
 
-    let true_rel = norm2(&residual(a, &x, b)) / bnorm;
+    // Every way out of the loop leaves `r` the residual of the final `x`.
+    let true_rel = norm2(&r) / bnorm;
     (
         x,
         SolveResult {
@@ -144,6 +152,7 @@ mod tests {
     use super::*;
     use crate::precond::{Identity, Jacobi};
     use mis2_sparse::gen as sgen;
+    use mis2_sparse::CsrMatrix;
 
     #[test]
     fn solves_identity_instantly() {

@@ -37,14 +37,28 @@ pub struct Jacobi {
 impl Jacobi {
     /// Build from the matrix diagonal.
     pub fn new(a: &CsrMatrix) -> Self {
-        // Not `inv_diag()`: a missing pivot passes `r` through (1.0, not
-        // 0.0), and the served `SOLVE` bytes depend on it.
-        let dinv = a
-            .diag()
-            .into_iter()
-            .map(|d| if d.abs() > 1e-300 { 1.0 / d } else { 1.0 })
-            .collect();
+        let dinv = a.diag().into_iter().map(Self::scale_of).collect();
         Jacobi { dinv }
+    }
+
+    /// For an `n`-row operator whose diagonal is `d` in every row (a
+    /// `GraphLaplacian`): the same scaling as [`Jacobi::new`] of the
+    /// assembled matrix, without a diagonal to read.
+    pub fn constant(n: usize, d: f64) -> Self {
+        Jacobi {
+            dinv: vec![Self::scale_of(d); n],
+        }
+    }
+
+    /// What a row with diagonal `d` is scaled by. Not `inv_diag()`'s rule:
+    /// a missing pivot passes `r` through (1.0, not 0.0), and the served
+    /// `SOLVE` bytes depend on it.
+    fn scale_of(d: f64) -> f64 {
+        if d.abs() > 1e-300 {
+            1.0 / d
+        } else {
+            1.0
+        }
     }
 }
 
@@ -109,6 +123,29 @@ mod tests {
         j.apply(&r, &mut z);
         for &v in &z {
             assert!((v - 1.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn constant_jacobi_applies_like_jacobi_of_the_assembled_matrix() {
+        // A usable pivot, a negative one, and the two sides of the 1e-300
+        // cut-off, below which `r` passes through unscaled.
+        let g = mis2_graph::gen::laplace2d(5, 4);
+        let r: Vec<f64> = (0..20).map(|i| (i as f64 - 7.5) / 3.0).collect();
+        for d in [4.0, 7.0, -3.0, 2e-300, 1e-300, 1e-301, 0.0, -1e-310] {
+            let a = sgen::from_graph_with_diag(&g, d);
+            let (mut want, mut got) = (vec![0.0; 20], vec![0.0; 20]);
+            Jacobi::new(&a).apply(&r, &mut want);
+            Jacobi::constant(20, d).apply(&r, &mut got);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(&got), bits(&want), "d = {d:e}");
+            if d.abs() <= 1e-300 {
+                assert_eq!(
+                    bits(&got),
+                    bits(&r),
+                    "d = {d:e}: no pivot, r passes through"
+                );
+            }
         }
     }
 

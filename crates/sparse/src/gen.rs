@@ -10,11 +10,15 @@
 //!   and strong diagonal coupling (see DESIGN.md §5 — the experiments using
 //!   it test solver plumbing and aggregation quality on the same structure,
 //!   not elasticity physics).
+//! * [`from_graph_with_diag`] / [`GraphLaplacian`] — `diag(d) - adjacency`
+//!   of a graph, assembled (Table V's operator) or applied matrix-free
+//!   (what a served `SOLVE` runs).
 //! * [`spd_from_graph`] — SPD diagonally-dominant operator on an arbitrary
 //!   graph (used to make solvable systems out of the suite stand-ins for
 //!   Table VI).
 
 use crate::csr_matrix::CsrMatrix;
+use crate::kernels::Operator;
 use mis2_graph::{gen as ggen, CsrGraph};
 use mis2_prim::par;
 
@@ -99,6 +103,52 @@ pub fn from_graph_with_diag(g: &CsrGraph, d: f64) -> CsrMatrix {
     }
     CsrMatrix::from_csr(n, n, row_ptr, col_idx, values)
         .expect("a graph's rows are sorted and loop-free, so each row stays sorted")
+}
+
+/// [`from_graph_with_diag`]`(g, diag)` as an [`Operator`], applied straight
+/// off the graph: no `col_idx` / `values` copy is assembled, and the `-1.0`
+/// of every off-diagonal entry is a subtraction. `apply_into` performs the
+/// IEEE operations of `spmv_into` on the assembled matrix in the same
+/// order, so the two agree bit for bit (`tests::graph_laplacian_*`).
+pub struct GraphLaplacian<'g> {
+    g: &'g CsrGraph,
+    diag: f64,
+    /// `split[v]` = how many of `v`'s neighbours sort below `v`: where the
+    /// diagonal term falls in row `v`. Found once here — a binary search
+    /// per row per apply costs more than the stored `-1.0`s it saves.
+    split: Vec<u32>,
+}
+
+impl<'g> GraphLaplacian<'g> {
+    pub fn new(g: &'g CsrGraph, diag: f64) -> Self {
+        let split = par::map_range(0..g.num_vertices(), |v| {
+            g.neighbors(v as u32).partition_point(|&w| (w as usize) < v) as u32
+        });
+        GraphLaplacian { g, diag, split }
+    }
+}
+
+impl Operator for GraphLaplacian<'_> {
+    fn nrows(&self) -> usize {
+        self.g.num_vertices()
+    }
+
+    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.nrows(), "x length mismatch");
+        assert_eq!(y.len(), self.nrows(), "y length mismatch");
+        par::for_each_mut_indexed(y, |v, yv| {
+            let (below, above) = self.g.neighbors(v as u32).split_at(self.split[v] as usize);
+            let mut acc = 0.0;
+            for &c in below {
+                acc -= x[c as usize];
+            }
+            acc += self.diag * x[v];
+            for &c in above {
+                acc -= x[c as usize];
+            }
+            *yv = acc;
+        });
+    }
 }
 
 /// SPD diagonally dominant matrix on an arbitrary undirected graph:
@@ -232,6 +282,53 @@ mod tests {
                 from_graph_with_diag(&g, 2.5),
                 CsrMatrix::from_coo(n, n, &coo)
             );
+        }
+    }
+
+    /// `GraphLaplacian::apply_into` against `spmv_into` of the assembled
+    /// matrix, in bits, at pools 1 and 3.
+    fn assert_applies_like_assembled(name: &str, g: &CsrGraph, d: f64, x: &[f64]) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let want = from_graph_with_diag(g, d).spmv(x);
+        for pool in [1, 3] {
+            // Overwritten, not accumulated into.
+            let mut got = vec![f64::NAN; g.num_vertices()];
+            mis2_prim::pool::with_pool(pool, || GraphLaplacian::new(g, d).apply_into(x, &mut got));
+            assert_eq!(bits(&got), bits(&want), "{name} pool {pool}");
+        }
+    }
+
+    #[test]
+    fn graph_laplacian_applies_like_the_assembled_matrix_on_hand_built_rows() {
+        // Vertex 0: all neighbours above. 5: all below. 2: both sides.
+        // 6: isolated (diagonal only). And no rows at all.
+        let rows = CsrGraph::from_edges(7, &[(0, 4), (0, 5), (2, 5), (3, 5), (1, 2), (2, 3)]);
+        // Signed zeros: `0.0 - x` and `0.0 + -1.0 * x` must agree on them
+        // too, first in a row and after a cancellation.
+        let x = [1.5, -0.0, 0.0, -2.25, 1.5, -0.0, -0.0];
+        assert_applies_like_assembled("rows", &rows, 2.5, &x);
+        assert_applies_like_assembled("rows, all -0.0", &rows, 2.5, &[-0.0; 7]);
+        assert_applies_like_assembled("rows, zero diagonal", &rows, 0.0, &x);
+        assert_applies_like_assembled("empty", &CsrGraph::empty(0), 2.5, &[]);
+    }
+
+    #[test]
+    fn graph_laplacian_applies_like_the_assembled_matrix_over_the_suite() {
+        for (name, g) in mis2_graph::suite::build_all(mis2_graph::Scale::Tiny) {
+            // Rounding happens in every row: no entry is a short binary
+            // fraction, magnitudes span six decades, both signs.
+            let x: Vec<f64> = (0..g.num_vertices() as u64)
+                .map(|i| {
+                    let h = mis2_prim::hash::splitmix64(i);
+                    let mag = 10f64.powi((h % 7) as i32 - 3) * (1.0 + (h >> 40) as f64 / 3e7);
+                    if h & 64 == 0 {
+                        mag
+                    } else {
+                        -mag
+                    }
+                })
+                .collect();
+            assert_applies_like_assembled(name, &g, (g.max_degree() + 1) as f64, &x);
         }
     }
 

@@ -1,4 +1,5 @@
-//! Dense vector kernels with deterministic reductions.
+//! Dense vector kernels with deterministic reductions, and the
+//! [`Operator`] seam the Krylov solvers apply their matrix through.
 //!
 //! The Krylov solvers (CG, GMRES) are built on these. Dot products and
 //! norms use the fixed-block deterministic reduction from `mis2-prim`, so a
@@ -40,9 +41,43 @@ pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
     par::map_range(0..a.len(), |i| a[i] - b[i])
 }
 
-/// Residual `r = b - A x`.
-pub fn residual(a: &crate::csr_matrix::CsrMatrix, x: &[f64], b: &[f64]) -> Vec<f64> {
-    let ax = a.spmv(x);
+/// A square linear operator the Krylov solvers can apply: all CG and GMRES
+/// ever do with `A` is `y = A x`, so they take this in place of a stored
+/// matrix. [`CsrMatrix`](crate::CsrMatrix) is one (its `spmv_into`);
+/// [`GraphLaplacian`](crate::gen::GraphLaplacian) is the same operator as
+/// `from_graph_with_diag` applied straight off the graph.
+///
+/// **The bit contract an implementor owes.** Every result in this workspace
+/// is pinned bit for bit across backends and pool sizes, so `apply_into`
+/// must compute each `y[r]` the way `CsrMatrix::spmv_into` does for the
+/// matrix it stands for: one accumulator per row starting at `0.0`, the
+/// row's terms added in ascending column order, each product rounded and
+/// then each sum — no reassociation, no partial sums, no fused
+/// multiply-add, nothing that depends on how rows are split over threads.
+/// (`acc + (-1.0 * x)` and `acc - x` are the same IEEE operation, so a
+/// stored `-1.0` need not be multiplied by.)
+pub trait Operator {
+    /// Rows, which is also the length of `x` and `y`.
+    fn nrows(&self) -> usize;
+
+    /// `y = A x`, overwriting `y`.
+    fn apply_into(&self, x: &[f64], y: &mut [f64]);
+}
+
+impl Operator for crate::csr_matrix::CsrMatrix {
+    fn nrows(&self) -> usize {
+        self.nrows()
+    }
+
+    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+        self.spmv_into(x, y);
+    }
+}
+
+/// Residual `r = b - A x` of an operator.
+pub fn residual<A: Operator + ?Sized>(a: &A, x: &[f64], b: &[f64]) -> Vec<f64> {
+    let mut ax = vec![0.0; a.nrows()];
+    a.apply_into(x, &mut ax);
     sub(b, &ax)
 }
 

@@ -218,16 +218,16 @@ fn cmd_route(argv: &[String]) {
     }
 }
 
-/// The sweep the CI smoke legs run: MIS2 + COARSEN 2 per suite workload
-/// (Table II plus the R-MAT power-law extras), plus one solve per method.
+/// The sweep the CI smoke legs run: MIS2, COARSEN 2 and a solve by each
+/// method per suite workload (Table II plus the R-MAT power-law extras).
 fn sweep_lines() -> Vec<String> {
     let mut lines: Vec<String> = Vec::new();
     for w in suite::all_workloads() {
         lines.push(format!("MIS2 {}", w.name));
         lines.push(format!("COARSEN {} 2", w.name));
+        lines.push(format!("SOLVE {} cg", w.name));
+        lines.push(format!("SOLVE {} gmres", w.name));
     }
-    lines.push("SOLVE ecology2 cg".into());
-    lines.push("SOLVE tmt_sym gmres".into());
     lines
 }
 

@@ -88,8 +88,11 @@ impl Client {
             return Err(poisoned_error());
         }
         let attempt = (|| {
-            writeln!(self.writer, "{line}")?;
-            self.writer.flush()?;
+            // One buffer, one `write`: the stream is unbuffered and
+            // `TCP_NODELAY`, so `writeln!` would put the line and its `\n`
+            // on the wire as two segments, and a server that answers and
+            // closes between them resets the connection.
+            self.writer.write_all(format!("{line}\n").as_bytes())?;
             read_response_line(&mut self.reader)
         })();
         if attempt.is_err() {
@@ -301,20 +304,46 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    /// A fake server that accepts one connection, feeds it `response`
-    /// verbatim, and closes.
+    /// A fake server that accepts one connection, reads one request line,
+    /// feeds the client `response` verbatim, and closes.
     fn fake_server(response: &'static [u8]) -> std::net::SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
-            // Consume the request line so the client's write can't fail.
-            let mut buf = [0u8; 256];
-            let _ = std::io::Read::read(&mut s, &mut buf);
+            // Consume the request up to its newline: closing with bytes
+            // unread makes the kernel send RST, which the client would see
+            // as `ConnectionReset` instead of the EOF under test.
+            let mut request = Vec::new();
+            let mut reader = BufReader::new(s.try_clone().unwrap());
+            reader.read_until(b'\n', &mut request).unwrap();
             s.write_all(response).unwrap();
             // Drop closes the connection.
         });
         addr
+    }
+
+    #[test]
+    fn a_request_reaches_the_server_as_one_read() {
+        // A server that takes its time: it is parked in its one `read`
+        // before the request is written and handles exactly what that read
+        // returned. A request written as line-then-newline wakes it with
+        // the line alone.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 256];
+            let n = std::io::Read::read(&mut s, &mut buf).unwrap();
+            tx.send(buf[..n].to_vec()).unwrap();
+            s.write_all(b"OK PONG\n").unwrap();
+        });
+        let mut c = Client::connect(addr).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(c.request("PING").unwrap(), "OK PONG");
+        assert_eq!(rx.recv().unwrap(), b"PING\n");
+        server.join().unwrap();
     }
 
     #[test]

@@ -14,9 +14,21 @@
 //! output, so `COARSEN` continues a resident `MIS2` or a shorter
 //! `COARSEN`, and the bytes cannot tell.
 //!
-//! Served `SOLVE` deliberately stops short of that chain. It runs CG or
-//! GMRES with a Jacobi preconditioner on [`solve_matrix`], which is
-//! strictly diagonally dominant, so Jacobi already converges in about
+//! Served `SOLVE` runs on the graph it was asked about. Its operator is
+//! `(max_degree + 1)·I − A`, and CG and GMRES only ever *apply* an
+//! operator, so the `Solve` arm of [`compute_from`] builds a
+//! [`GraphLaplacian`] (the graph's own rows, the diagonal term spliced in
+//! where `v` sorts among its neighbours) and a [`Jacobi::constant`], and
+//! nothing else: no matrix is assembled, no diagonal read back. The
+//! matrix-free apply performs the IEEE operations of `spmv_into` on the
+//! assembled matrix in the same order, so every `SOLVE` byte is what the
+//! assembled path served (`tests/solve_golden.rs` holds them as literals).
+//! The assembled `solve_matrix` lives on in this file's tests only, as the
+//! oracle `solve_equals_the_assembled_oracle` compares against in iterate,
+//! history and charged bytes.
+//!
+//! `SOLVE` deliberately stops short of the derivation chain. The operator
+//! is strictly diagonally dominant, so Jacobi already converges in about
 //! twenty iterations (`SOLVE ecology2 cg` 22, `SOLVE tmt_sym gmres` 19 at
 //! `Scale::Tiny`); it does not consume the `Hierarchy` artifact through
 //! `mis2_solver::AmgHierarchy`. Doing so would change the iteration
@@ -35,6 +47,7 @@ use mis2_core::Mis2Result;
 use mis2_graph::CsrGraph;
 use mis2_prim::hash::splitmix64;
 use mis2_solver::{gmres, pcg, Jacobi, SolveOpts, SolveResult};
+use mis2_sparse::gen::GraphLaplacian;
 use std::sync::Arc;
 
 /// Cache key for a derived artifact: the operation plus every parameter
@@ -130,11 +143,11 @@ pub fn fingerprint_f64<'a>(data: impl IntoIterator<Item = &'a f64>) -> u64 {
     h
 }
 
-/// The deterministic SPD operator a `SOLVE` request assembles from its
-/// graph: adjacency off-diagonals of -1 with a constant diagonal of
-/// `max_degree + 1` (strictly diagonally dominant, hence SPD).
-pub fn solve_matrix(g: &CsrGraph) -> mis2_sparse::CsrMatrix {
-    mis2_sparse::gen::from_graph_with_diag(g, (g.max_degree() + 1) as f64)
+/// The constant diagonal of the deterministic SPD operator a `SOLVE`
+/// request runs on: adjacency off-diagonals of -1 under `max_degree + 1`
+/// (strictly diagonally dominant, hence SPD).
+fn solve_diag(g: &CsrGraph) -> f64 {
+    (g.max_degree() + 1) as f64
 }
 
 /// The fixed right-hand side of a `SOLVE` request.
@@ -172,13 +185,15 @@ pub fn compute_from(g: &CsrGraph, op: &OpKey, prior: Option<&Artifact>) -> Artif
             Artifact::Hierarchy(extend(g, prefix, mis2, COARSEN_MIN_VERTICES, *levels))
         }
         OpKey::Solve { method } => {
-            let a = solve_matrix(g);
-            let b = solve_rhs(a.nrows());
+            let n = g.num_vertices();
+            let diag = solve_diag(g);
+            let a = GraphLaplacian::new(g, diag);
+            let b = solve_rhs(n);
             let opts = SolveOpts {
                 tol: SOLVE_TOL,
                 max_iters: SOLVE_MAX_ITERS,
             };
-            let jacobi = Jacobi::new(&a);
+            let jacobi = Jacobi::constant(n, diag);
             let (x, result) = match method {
                 Method::Cg => pcg(&a, &b, &jacobi, &opts),
                 Method::Gmres => gmres(&a, &b, &jacobi, SOLVE_RESTART, &opts),
@@ -482,6 +497,58 @@ mod tests {
         assert_eq!(c(2).priors(), vec![OpKey::Mis2]);
         for op in [c(1), OpKey::Mis2, OpKey::Solve { method: Method::Cg }] {
             assert_eq!(op.priors(), vec![], "{op:?}");
+        }
+    }
+
+    /// The operator of a `SOLVE`, assembled: what the service ran before it
+    /// applied the graph directly, kept as the oracle for that path.
+    fn solve_matrix(g: &CsrGraph) -> mis2_sparse::CsrMatrix {
+        mis2_sparse::gen::from_graph_with_diag(g, solve_diag(g))
+    }
+
+    #[test]
+    fn solve_equals_the_assembled_oracle() {
+        // Everything a `Solve` artifact holds, and what the registry charges
+        // for it (`svc_cold` sizes its budget by those bytes), against CG /
+        // GMRES on the assembled matrix with the diagonal read back from it.
+        use mis2_graph::gen;
+        let mut graphs = mis2_graph::suite::build_all(Scale::Tiny);
+        // Isolated vertices (diagonal-only rows), and no rows at all.
+        graphs.push(("rmat", gen::rmat(10, 4, 0.57, 0.19, 0.19, 3)));
+        graphs.push(("empty", CsrGraph::empty(0)));
+        let opts = SolveOpts {
+            tol: SOLVE_TOL,
+            max_iters: SOLVE_MAX_ITERS,
+        };
+        for (name, g) in &graphs {
+            let a = solve_matrix(g);
+            let b = solve_rhs(a.nrows());
+            let jacobi = Jacobi::new(&a);
+            for method in [Method::Cg, Method::Gmres] {
+                let (x, result) = match method {
+                    Method::Cg => pcg(&a, &b, &jacobi, &opts),
+                    Method::Gmres => gmres(&a, &b, &jacobi, SOLVE_RESTART, &opts),
+                };
+                let want = Artifact::Solve(SolveArtifact { x, result });
+                let op = OpKey::Solve { method };
+                for pool in [1, 3] {
+                    let got = mis2_prim::pool::with_pool(pool, || compute(g, &op));
+                    let (Artifact::Solve(got_s), Artifact::Solve(want_s)) = (&got, &want) else {
+                        panic!("wrong artifact kind");
+                    };
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                    let what = format!("{name} {} pool {pool}", method.name());
+                    assert_eq!(bits(&got_s.x), bits(&want_s.x), "{what}: x");
+                    assert_eq!(
+                        bits(&got_s.result.history),
+                        bits(&want_s.result.history),
+                        "{what}: history"
+                    );
+                    assert_eq!(got_s.result, want_s.result, "{what}");
+                    assert_eq!(got.heap_bytes(), want.heap_bytes(), "{what}: charged bytes");
+                    assert_eq!(body(name, &op, &got), body(name, &op, &want), "{what}");
+                }
+            }
         }
     }
 
