@@ -16,16 +16,17 @@ use mis2_sparse::{add_scaled, scale_rows, spgemm, CsrMatrix};
 pub fn tentative_prolongator(agg: &Aggregation, normalize: bool) -> CsrMatrix {
     let n = agg.labels.len();
     let sizes = agg.sizes();
-    let rows: Vec<(Vec<u32>, Vec<f64>)> = par::map_range(0..n, |v| {
-        let a = agg.labels[v];
-        let w = if normalize {
-            1.0 / (sizes[a as usize] as f64).sqrt()
+    // One entry per row, in the row's aggregate's column.
+    let values = par::map_range(0..n, |v| {
+        if normalize {
+            1.0 / (sizes[agg.labels[v] as usize] as f64).sqrt()
         } else {
             1.0
-        };
-        (vec![a], vec![w])
+        }
     });
-    CsrMatrix::from_sorted_rows(n, agg.num_aggregates, rows)
+    let row_ptr = (0..=n).collect();
+    CsrMatrix::from_csr(n, agg.num_aggregates, row_ptr, agg.labels.clone(), values)
+        .expect("every label is below num_aggregates")
 }
 
 /// Smoothed prolongator `P = (I − ω D⁻¹ A) P_tent`.
@@ -95,6 +96,27 @@ mod tests {
         assert!((ptp.get(0, 0) - 1.0).abs() < 1e-12);
         assert!((ptp.get(1, 1) - 1.0).abs() < 1e-12);
         assert!(ptp.get(0, 1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tentative_is_the_row_by_row_matrix() {
+        let agg = crate::mis2_agg::mis2_aggregation(&gen::laplace3d(9, 8, 7));
+        let sizes = agg.sizes();
+        for normalize in [false, true] {
+            let rows = (0..agg.labels.len())
+                .map(|v| {
+                    let a = agg.labels[v];
+                    let w = if normalize {
+                        1.0 / (sizes[a as usize] as f64).sqrt()
+                    } else {
+                        1.0
+                    };
+                    (vec![a], vec![w])
+                })
+                .collect();
+            let want = CsrMatrix::from_sorted_rows(agg.labels.len(), agg.num_aggregates, rows);
+            assert_eq!(tentative_prolongator(&agg, normalize), want);
+        }
     }
 
     #[test]

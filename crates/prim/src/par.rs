@@ -30,7 +30,11 @@
 //! * **element ranges** ([`for_range`], [`map_range`], the `for_each*`
 //!   family, [`find_map_range`]): below `PAR_CUTOFF` *elements* the loop
 //!   runs on the caller; above it the range is cut into adaptive blocks of
-//!   at least `MIN_GRAIN` *elements*.
+//!   at least `MIN_GRAIN` *elements*. [`for_each_slice_mut`] is the same
+//!   rule with the block handed over whole, as `(lo, &mut [T])`: the
+//!   vector kernels (`axpy`, `xpay`, `scale`, the Jacobi updates) are
+//!   `zip` loops over those sub-slices, and [`for_each_mut_indexed`] is
+//!   the element loop over them, so there is one dispatch path.
 //! * **block indices** ([`map_blocks`] and everything built on it:
 //!   [`map_chunks`], [`chunked_reduce`], [`map_reduce_range`], the scans,
 //!   compaction counts, `reduce::det_dot`, SpGEMM row blocks; and the
@@ -244,21 +248,39 @@ pub fn for_each_mut<T: Send>(items: &mut [T], f: impl Fn(&mut T) + Sync) {
 
 /// Parallel for over a mutable slice with the element index.
 pub fn for_each_mut_indexed<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-    let n = items.len();
-    if n < PAR_CUTOFF || backend::is_nested() {
-        for (i, x) in items.iter_mut().enumerate() {
-            f(i, x);
-        }
-        return;
-    }
-    let ptr = SendPtr(items.as_mut_ptr());
-    run_ranges(n, adaptive_block(n), |_, lo, hi| {
-        for i in lo..hi {
-            // SAFETY: blocks partition 0..n, so each index is visited by
-            // exactly one worker; the SendPtr borrows `items` mutably.
-            f(i, unsafe { &mut *ptr.get().add(i) });
+    for_each_slice_mut(items, |lo, block| {
+        for (k, x) in block.iter_mut().enumerate() {
+            f(lo + k, x);
         }
     });
+}
+
+/// Parallel for over a mutable slice, one block at a time: `f(lo, block)`
+/// with `block` being `items[lo..lo + block.len()]`, the blocks covering
+/// the slice exactly once. Same cutoff and block rule as
+/// [`for_each_mut_indexed`] (which is this with an element loop inside);
+/// use it when the body is a loop over sub-slices the compiler can
+/// vectorise, which a per-element closure indexing its other operands is
+/// not. Below the cutoff, nested or empty, the one block is all of `items`.
+///
+/// ```
+/// let x = [1.0, 2.0, 3.0];
+/// let mut y = [10.0, 20.0, 30.0];
+/// mis2_prim::par::for_each_slice_mut(&mut y, |lo, y| {
+///     for (y, x) in y.iter_mut().zip(&x[lo..]) {
+///         *y += 2.0 * x;
+///     }
+/// });
+/// assert_eq!(y, [12.0, 24.0, 36.0]);
+/// ```
+pub fn for_each_slice_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut [T]) + Sync) {
+    let n = items.len();
+    if n < PAR_CUTOFF || backend::is_nested() {
+        f(0, items);
+        return;
+    }
+    let block = adaptive_block(n);
+    for_chunks_mut(items, block, |b, chunk| f(b * block, chunk));
 }
 
 // ---------------------------------------------------------------------------
@@ -545,6 +567,45 @@ mod tests {
         let mut items: Vec<u64> = (0..40_000).collect();
         for_each_mut_indexed(&mut items, |i, x| *x += i as u64);
         assert!(items.iter().enumerate().all(|(i, &v)| v == 2 * i as u64));
+    }
+
+    /// `hits[i] += 1` through [`for_each_slice_mut`], checking on the way
+    /// that every block is where its `lo` says it is.
+    fn count_slice_visits(n: usize) -> Vec<u32> {
+        let mut hits = vec![0u32; n];
+        let base = hits.as_ptr() as usize;
+        for_each_slice_mut(&mut hits, |lo, block| {
+            assert_eq!(block.as_ptr() as usize, base + lo * size_of::<u32>());
+            for h in block {
+                *h += 1;
+            }
+        });
+        hits
+    }
+
+    #[test]
+    fn slice_blocks_visit_every_index_once() {
+        let sizes = [
+            0usize,
+            1,
+            PAR_CUTOFF - 1,
+            PAR_CUTOFF,
+            PAR_CUTOFF + 1,
+            70_001,
+        ];
+        for n in sizes {
+            for t in [1usize, 2, 5] {
+                let hits = crate::pool::with_pool(t, || count_slice_visits(n));
+                assert_eq!(hits, vec![1; n], "n = {n} at {t} threads");
+            }
+        }
+        // Nested: every inner call runs on the worker that made it.
+        let outer = map_range(0..PAR_CUTOFF + 5, |i| {
+            count_slice_visits(PAR_CUTOFF + i % 3)
+        });
+        for (i, hits) in outer.iter().enumerate() {
+            assert_eq!(*hits, vec![1; PAR_CUTOFF + i % 3], "nested call {i}");
+        }
     }
 
     #[test]

@@ -55,6 +55,19 @@ impl<'a, T> SharedMut<'a, T> {
         unsafe { self.ptr.add(index).write(value) };
     }
 
+    /// The sub-slice `[lo, hi)`, mutably.
+    ///
+    /// # Safety
+    /// No other thread may read or write any index in `[lo, hi)` while the
+    /// returned slice lives, and no second slice over any of it may be
+    /// taken from this view meanwhile.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn slice_mut(&self, lo: usize, hi: usize) -> &mut [T] {
+        assert!(lo <= hi && hi <= self.len);
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo) }
+    }
+
     /// Read the value at `index`.
     ///
     /// # Safety

@@ -75,11 +75,19 @@ struct AmgLevel {
 pub struct AmgHierarchy {
     levels: Vec<AmgLevel>,
     coarse_a: CsrMatrix,
-    coarse_lu: Option<LuFactors>,
+    coarse: CoarseSolve,
     /// Scratch buffers per level, protected for `&self` application.
     scratch: Mutex<Vec<LevelScratch>>,
     /// Setup statistics.
     pub stats: AmgSetupStats,
+}
+
+/// How the coarsest system is solved, decided once at build.
+enum CoarseSolve {
+    /// Dense LU of the coarsest operator.
+    Lu(LuFactors),
+    /// The operator is singular to the LU: 20 damped Jacobi sweeps from 0.
+    Jacobi(JacobiSmoother),
 }
 
 #[derive(Default, Clone)]
@@ -125,7 +133,10 @@ impl AmgHierarchy {
             cur = coarse;
         }
 
-        let coarse_lu = cur.to_dense().lu().ok();
+        let coarse = match cur.to_dense().lu() {
+            Ok(lu) => CoarseSolve::Lu(lu),
+            Err(_) => CoarseSolve::Jacobi(JacobiSmoother::new(&cur, 0.667, 20)),
+        };
         let nlev = levels.len() + 1;
         let stats = AmgSetupStats {
             aggregation_seconds: agg_seconds,
@@ -136,7 +147,7 @@ impl AmgHierarchy {
         AmgHierarchy {
             levels,
             coarse_a: cur,
-            coarse_lu,
+            coarse,
             scratch: Mutex::new(vec![LevelScratch::default(); nlev]),
             stats,
         }
@@ -151,14 +162,11 @@ impl AmgHierarchy {
     /// rest of the slice to the levels below it.
     fn v_cycle(&self, level: usize, b: &[f64], x: &mut [f64], scratch: &mut [LevelScratch]) {
         if level == self.levels.len() {
-            // Coarsest: direct solve (Jacobi fallback if LU failed).
-            match &self.coarse_lu {
-                Some(lu) => x.copy_from_slice(&lu.solve(b)),
-                None => {
-                    let sm = JacobiSmoother::new(&self.coarse_a, 0.667, 20);
-                    let mut tmp = Vec::new();
+            match &self.coarse {
+                CoarseSolve::Lu(lu) => x.copy_from_slice(&lu.solve(b)),
+                CoarseSolve::Jacobi(sm) => {
                     x.iter_mut().for_each(|v| *v = 0.0);
-                    sm.smooth(&self.coarse_a, b, x, &mut tmp);
+                    sm.smooth(&self.coarse_a, b, x, &mut scratch[0].tmp);
                 }
             }
             return;
@@ -172,7 +180,11 @@ impl AmgHierarchy {
         // Residual r = b - A x, in the level's own buffer.
         s.r.resize(x.len(), 0.0);
         lvl.a.spmv_into(x, &mut s.r);
-        par::for_each_mut_indexed(&mut s.r, |i, r| *r = b[i] - *r);
+        par::for_each_slice_mut(&mut s.r, |lo, r| {
+            for (r, b) in r.iter_mut().zip(&b[lo..]) {
+                *r = b - *r;
+            }
+        });
         // Restrict: bc = P^T r, without materializing the transpose.
         let bc = transpose_spmv(&lvl.p, &s.r);
         let mut xc = vec![0.0; bc.len()];
@@ -204,6 +216,7 @@ fn transpose_spmv(a: &CsrMatrix, x: &[f64]) -> Vec<f64> {
 
 impl Preconditioner for AmgHierarchy {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
+        assert_eq!(r.len(), z.len());
         z.iter_mut().for_each(|v| *v = 0.0);
         let mut scratch = self.scratch.lock().unwrap();
         self.v_cycle(0, r, z, &mut scratch);
@@ -350,6 +363,23 @@ mod tests {
         let (x2, r2) = mis2_prim::pool::with_pool(4, run);
         assert_eq!(r1.iterations, r2.iterations);
         assert_eq!(x1, x2);
+    }
+
+    #[test]
+    fn singular_coarse_operator_falls_back_to_jacobi_sweeps() {
+        // The dense LU refuses [1 2; 2 4]; the V-cycle is then the 20
+        // damped Jacobi sweeps chosen at build, the same on every apply.
+        let a = CsrMatrix::from_coo(2, 2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 0, 2.0), (1, 1, 4.0)]);
+        let amg = AmgHierarchy::build(&a, &AmgConfig::default());
+        assert!(matches!(amg.coarse, CoarseSolve::Jacobi(_)));
+        let b = [1.0, -3.0];
+        let mut want = vec![0.0; 2];
+        JacobiSmoother::new(&a, 0.667, 20).smooth(&a, &b, &mut want, &mut Vec::new());
+        for _ in 0..2 {
+            let mut z = vec![f64::NAN; 2];
+            amg.apply(&b, &mut z);
+            assert_eq!(z, want);
+        }
     }
 
     #[test]

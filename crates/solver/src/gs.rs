@@ -16,6 +16,26 @@
 //! Both are exposed as symmetric preconditioners (forward sweep then
 //! backward sweep; the cluster method also reverses the row order inside
 //! each cluster on the backward pass, per the paper).
+//!
+//! ## The cluster sweep's storage
+//!
+//! [`ClusterMcSgs`] keeps no copy of the matrix. `from_parts` writes the
+//! rows out once in the order a forward sweep visits them — color by
+//! color, cluster by cluster, ascending row id inside a cluster — each row
+//! as its off-diagonal entries in the matrix's own column order (so the
+//! subtractions happen in the order a walk over `a.row()` performs them)
+//! with the diagonal already removed and `1/d` alongside. A forward sweep
+//! then streams `rows` / `dinv` / `cols` / `vals` front to back and the
+//! backward sweep streams them back to front; nothing is looked up through
+//! a row id except `b` and `x`.
+//!
+//! A color opens a pool region only when it holds at least
+//! `MIN_REGION_NNZ` off-diagonal nonzeros. A smaller color stays on the
+//! caller: its sweep is tens of microseconds, and shared between workers
+//! the `x` lines it touches bounce between cores for longer than that (a
+//! 13 824-row operator swept *slower* on two threads than on one before
+//! this rule). Which thread sweeps a cluster never changes the order of
+//! the rows inside it, so the bits are the same either way.
 
 use crate::precond::Preconditioner;
 use mis2_coarsen::{quotient_graph, AggScheme, Aggregation};
@@ -33,6 +53,18 @@ use mis2_sparse::CsrMatrix;
 /// order inside one, so results do not depend on it), and it is a constant
 /// because no caller has a reason to pick another.
 const CLUSTERS_PER_BLOCK: usize = 32;
+
+/// Off-diagonal nonzeros a color must hold before its sweep opens a region;
+/// a smaller color is swept by the caller. Sharing a color means the `x`
+/// lines its rows read and write travel between cores, and that costs more
+/// than the arithmetic it splits until `x` outgrows one core's cache.
+/// Measured break-even, Laplace3D colors on a 2-CPU host at pool 2, region
+/// against caller: 14 K nonzeros (the largest color of 24³) 40 against
+/// 24 µs, 51 K (37³) 170 against 116, 124 K (50³) 366 against 322, 140 K
+/// (56³) 419 against 446, 256 K (64³) 775 against 861. Like
+/// [`CLUSTERS_PER_BLOCK`] the value decides only who sweeps, never the row
+/// order inside a cluster, so no result depends on it.
+const MIN_REGION_NNZ: usize = 1 << 17;
 
 /// Point multicolor symmetric Gauss-Seidel.
 pub struct PointMcSgs {
@@ -105,14 +137,22 @@ impl Preconditioner for PointMcSgs {
 }
 
 /// Cluster multicolor symmetric Gauss-Seidel (Algorithm 4).
+///
+/// Holds no matrix: see the module doc for the sweep storage.
 pub struct ClusterMcSgs {
-    a: CsrMatrix,
-    /// Rows of each cluster, concatenated; clusters of one color are
-    /// contiguous ranges listed in `cluster_ranges` per color.
-    cluster_rows: Vec<VertexId>,
-    /// Per color: list of (start, end) ranges into `cluster_rows`.
-    color_clusters: Vec<Vec<(usize, usize)>>,
+    /// Row ids in the order a forward sweep visits them.
+    rows: Vec<VertexId>,
+    /// `1/d` of `rows[k]` (`inv_diag`'s rule: 0.0 where there is no pivot).
     dinv: Vec<f64>,
+    /// The off-diagonal entries of `rows[k]`, in the matrix's own column
+    /// order, are `cols` / `vals[row_ptr[k]..row_ptr[k + 1]]`.
+    row_ptr: Vec<usize>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+    /// Clusters as ranges of sweep positions, in sweep order.
+    clusters: Vec<(usize, usize)>,
+    /// Color `c` owns `clusters[color_ptr[c]..color_ptr[c + 1]]`.
+    color_ptr: Vec<usize>,
     /// Setup wall time (seconds): aggregation + quotient graph + coloring.
     pub setup_seconds: f64,
     /// Colors on the coarse graph.
@@ -138,73 +178,111 @@ impl ClusterMcSgs {
     }
 
     /// Assemble from a precomputed aggregation and a coloring of its
-    /// quotient graph.
+    /// quotient graph: lay `a`'s rows out in sweep order.
     pub fn from_parts(a: &CsrMatrix, agg: &Aggregation, coloring: &Coloring) -> Self {
-        // Bucket vertices by cluster (ascending row ids within a cluster —
-        // the deterministic "natural" intra-cluster order).
+        assert_eq!(a.nrows(), a.ncols(), "Gauss-Seidel needs a square matrix");
+        assert_eq!(agg.labels.len(), a.nrows());
         let nclusters = agg.num_aggregates;
-        let (counts, cluster_rows) = mis2_prim::bucket::bucket_by_key(nclusters, &agg.labels);
-        // Group clusters by coarse color.
+        assert_eq!(coloring.colors.len(), nclusters);
         let num_colors = coloring.num_colors as usize;
-        let mut color_clusters: Vec<Vec<(usize, usize)>> = vec![Vec::new(); num_colors];
-        for cl in 0..nclusters {
-            let color = coloring.colors[cl] as usize;
-            color_clusters[color].push((counts[cl], counts[cl + 1]));
+        // Rows by cluster and clusters by color, both ascending inside a
+        // bucket — the deterministic "natural" order.
+        let (members, by_cluster) = mis2_prim::bucket::bucket_by_key(nclusters, &agg.labels);
+        let (color_ptr, by_color) = mis2_prim::bucket::bucket_by_key(num_colors, &coloring.colors);
+
+        let a_dinv = a.inv_diag();
+        let mut rows = Vec::with_capacity(a.nrows());
+        let mut dinv = Vec::with_capacity(a.nrows());
+        let mut row_ptr = Vec::with_capacity(a.nrows() + 1);
+        let mut cols = Vec::with_capacity(a.nnz());
+        let mut vals = Vec::with_capacity(a.nnz());
+        let mut clusters = Vec::with_capacity(nclusters);
+        row_ptr.push(0);
+        for &cl in &by_color {
+            let first = rows.len();
+            for &i in &by_cluster[members[cl as usize]..members[cl as usize + 1]] {
+                let (rc, rv) = a.row(i as usize);
+                for (&c, &v) in rc.iter().zip(rv).filter(|&(&c, _)| c != i) {
+                    cols.push(c);
+                    vals.push(v);
+                }
+                rows.push(i);
+                dinv.push(a_dinv[i as usize]);
+                row_ptr.push(cols.len());
+            }
+            clusters.push((first, rows.len()));
         }
         ClusterMcSgs {
-            a: a.clone(),
-            cluster_rows,
-            color_clusters,
-            dinv: a.inv_diag(),
+            rows,
+            dinv,
+            row_ptr,
+            cols,
+            vals,
+            clusters,
+            color_ptr,
             setup_seconds: 0.0,
             num_colors,
             num_clusters: nclusters,
         }
     }
 
+    /// Gauss-Seidel update of the row at sweep position `k`.
     #[inline]
-    fn update_row(&self, i: usize, b: &[f64], xw: &SharedMut<'_, f64>) {
-        let (cols, vals) = self.a.row(i);
+    fn update_row(&self, k: usize, b: &[f64], xw: &SharedMut<'_, f64>) {
+        let i = self.rows[k] as usize;
+        let (lo, hi) = (self.row_ptr[k], self.row_ptr[k + 1]);
         let mut acc = b[i];
-        for (&c, &v) in cols.iter().zip(vals) {
-            if c as usize != i {
-                // SAFETY: same-colored clusters are non-adjacent in the
-                // quotient graph, so every off-cluster neighbor row is
-                // stable during this color's parallel region; in-cluster
-                // neighbors are updated by *this* task sequentially.
-                acc -= v * unsafe { xw.read(c as usize) };
-            }
+        for (&c, &v) in self.cols[lo..hi].iter().zip(&self.vals[lo..hi]) {
+            // SAFETY: same-colored clusters are non-adjacent in the
+            // quotient graph, so every off-cluster neighbor row is
+            // stable during this color's parallel region; in-cluster
+            // neighbors are updated by *this* task sequentially.
+            acc -= v * unsafe { xw.read(c as usize) };
         }
-        unsafe { xw.write(i, acc * self.dinv[i]) };
+        unsafe { xw.write(i, acc * self.dinv[k]) };
     }
 
-    /// Sweep the clusters of one color in parallel, [`CLUSTERS_PER_BLOCK`]
-    /// to a pool block: rows in order inside each cluster, reversed when
-    /// `backward`.
-    fn sweep_color(&self, color: usize, backward: bool, b: &[f64], xw: &SharedMut<'_, f64>) {
-        let rows = &self.cluster_rows;
-        let clusters = &self.color_clusters[color];
-        par::for_each_grain(clusters, CLUSTERS_PER_BLOCK, |&(lo, hi)| {
-            if backward {
-                for &i in rows[lo..hi].iter().rev() {
-                    self.update_row(i as usize, b, xw);
-                }
-            } else {
-                for &i in &rows[lo..hi] {
-                    self.update_row(i as usize, b, xw);
-                }
+    /// Update sweep positions `lo..hi` front to back, or back to front.
+    #[inline]
+    fn sweep_rows(&self, lo: usize, hi: usize, backward: bool, b: &[f64], xw: &SharedMut<'_, f64>) {
+        if backward {
+            for k in (lo..hi).rev() {
+                self.update_row(k, b, xw);
             }
-        });
+        } else {
+            for k in lo..hi {
+                self.update_row(k, b, xw);
+            }
+        }
+    }
+
+    /// Sweep the clusters of one color: rows in order inside each cluster,
+    /// reversed when `backward`. A color of at least [`MIN_REGION_NNZ`]
+    /// nonzeros goes to the pool, [`CLUSTERS_PER_BLOCK`] clusters to a
+    /// block; a smaller one is one run of sweep positions on the caller.
+    fn sweep_color(&self, color: usize, backward: bool, b: &[f64], xw: &SharedMut<'_, f64>) {
+        let clusters = &self.clusters[self.color_ptr[color]..self.color_ptr[color + 1]];
+        let (Some(&(lo, _)), Some(&(_, hi))) = (clusters.first(), clusters.last()) else {
+            return;
+        };
+        if self.row_ptr[hi] - self.row_ptr[lo] < MIN_REGION_NNZ {
+            self.sweep_rows(lo, hi, backward, b, xw);
+        } else {
+            par::for_each_grain(clusters, CLUSTERS_PER_BLOCK, |&(lo, hi)| {
+                self.sweep_rows(lo, hi, backward, b, xw);
+            });
+        }
     }
 
     /// One symmetric sweep: forward colors (rows in order inside each
     /// cluster), then backward colors (rows reversed inside each cluster).
     pub fn sgs_sweep(&self, b: &[f64], x: &mut [f64]) {
+        assert!(b.len() == self.rows.len() && x.len() == self.rows.len());
         let xw = SharedMut::new(x);
-        for color in 0..self.color_clusters.len() {
+        for color in 0..self.num_colors {
             self.sweep_color(color, false, b, &xw);
         }
-        for color in (0..self.color_clusters.len()).rev() {
+        for color in (0..self.num_colors).rev() {
             self.sweep_color(color, true, b, &xw);
         }
     }
@@ -310,6 +388,123 @@ mod tests {
             z
         });
         assert_eq!(z1, z2, "point SGS nondeterministic");
+    }
+
+    /// One symmetric cluster sweep the way it was written before the sweep
+    /// storage existed: over `a.row()`, the diagonal skipped by a test per
+    /// nonzero, clusters found through the bucketed labels.
+    fn reference_sweep(a: &CsrMatrix, agg: &Aggregation, col: &Coloring, b: &[f64], x: &mut [f64]) {
+        let dinv = a.inv_diag();
+        let (off, rows) = mis2_prim::bucket::bucket_by_key(agg.num_aggregates, &agg.labels);
+        let mut update = |i: usize| {
+            let (cols, vals) = a.row(i);
+            let mut acc = b[i];
+            for (&c, &v) in cols.iter().zip(vals) {
+                if c as usize != i {
+                    acc -= v * x[c as usize];
+                }
+            }
+            x[i] = acc * dinv[i];
+        };
+        let of_color = |color: u32| {
+            let members = (0..agg.num_aggregates).filter(move |&cl| col.colors[cl] == color);
+            members.map(|cl| &rows[off[cl]..off[cl + 1]])
+        };
+        for color in 0..col.num_colors {
+            for cluster in of_color(color) {
+                cluster.iter().for_each(|&i| update(i as usize));
+            }
+        }
+        for color in (0..col.num_colors).rev() {
+            for cluster in of_color(color) {
+                cluster.iter().rev().for_each(|&i| update(i as usize));
+            }
+        }
+    }
+
+    /// `sgs_sweep` from a noisy start against [`reference_sweep`], at pools
+    /// 1 and 3. Returns whether a color reached `MIN_REGION_NNZ`.
+    fn sweep_matches_reference(
+        what: &str,
+        a: &CsrMatrix,
+        agg: &Aggregation,
+        col: &Coloring,
+    ) -> bool {
+        let noise = |salt: u64| -> Vec<f64> {
+            (0..a.nrows() as u64)
+                .map(|i| {
+                    (mis2_prim::hash::splitmix64(i ^ salt) >> 12) as f64 / (1u64 << 51) as f64 - 1.0
+                })
+                .collect()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let (b, x0) = (noise(1), noise(2));
+        let mut want = x0.clone();
+        reference_sweep(a, agg, col, &b, &mut want);
+        let gs = ClusterMcSgs::from_parts(a, agg, col);
+        for pool in [1, 3] {
+            let mut got = x0.clone();
+            mis2_prim::pool::with_pool(pool, || gs.sgs_sweep(&b, &mut got));
+            assert_eq!(bits(&got), bits(&want), "{what}, pool {pool}");
+        }
+        let mut colors = gs.color_ptr.windows(2).filter(|w| w[0] < w[1]);
+        colors.any(|w| {
+            let (lo, hi) = (gs.clusters[w[0]].0, gs.clusters[w[1] - 1].1);
+            gs.row_ptr[hi] - gs.row_ptr[lo] >= MIN_REGION_NNZ
+        })
+    }
+
+    #[test]
+    fn sweep_storage_reproduces_the_row_walk_bit_for_bit() {
+        // Every suite stand-in with unequal weights, and a grid operator
+        // with one diagonal entry missing (that row's 1/d is 0.0).
+        let mut matrices: Vec<(String, CsrMatrix)> =
+            mis2_graph::suite::build_all(mis2_graph::Scale::Tiny)
+                .into_iter()
+                .map(|(name, g)| (name.to_string(), sgen::spd_from_graph(&g, 7)))
+                .collect();
+        let grid = sgen::laplace2d_matrix(9, 8);
+        let entries: Vec<(u32, u32, f64)> = (0..grid.nrows())
+            .flat_map(|r| {
+                let (cols, vals) = grid.row(r);
+                let row = cols.iter().zip(vals).map(move |(&c, &v)| (r as u32, c, v));
+                row.filter(|&(r, c, _)| (r, c) != (13, 13))
+            })
+            .collect();
+        matrices.push(("no pivot".into(), CsrMatrix::from_coo(72, 72, &entries)));
+        for (name, a) in &matrices {
+            let g = a.to_graph();
+            for scheme in AggScheme::all() {
+                // The two D2C schemes colour the squared graph: seconds per
+                // stand-in of degree 30 to 80 in a debug build, so they
+                // run on the mesh-degree ones (9 of the 19) and the grid.
+                let squares = matches!(scheme, AggScheme::SerialD2C | AggScheme::NbD2C);
+                if squares && g.num_directed_edges() > 10 * a.nrows() {
+                    continue;
+                }
+                let agg = scheme.aggregate(&g, 3);
+                let coloring = color_d1(&quotient_graph(&g, &agg), 3);
+                sweep_matches_reference(&format!("{name}, {scheme:?}"), a, &agg, &coloring);
+            }
+        }
+        // No color of a tiny stand-in reaches `MIN_REGION_NNZ`, so the pool
+        // has not swept yet. The x-lines of a 40³ grid, checkerboarded over (y, z): two colors
+        // of 800 clusters and 190 K nonzeros each.
+        let (d, lines) = (40usize, 40 * 40);
+        let a = sgen::spd_from_graph(&mis2_graph::gen::laplace3d(d, d, d), 7);
+        let agg = Aggregation {
+            labels: (0..d * lines).map(|i| (i / d) as u32).collect(),
+            num_aggregates: lines,
+            roots: (0..lines).map(|l| (l * d) as u32).collect(),
+        };
+        let colors = (0..lines).map(|l| ((l % d + l / d) % 2) as u32).collect();
+        let coloring = Coloring::from_colors(colors, 1);
+        assert!(sweep_matches_reference(
+            "x-lines of 40^3",
+            &a,
+            &agg,
+            &coloring
+        ));
     }
 
     #[test]

@@ -64,7 +64,12 @@ impl Jacobi {
 
 impl Preconditioner for Jacobi {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        par::for_each_mut_indexed(z, |i, z| *z = r[i] * self.dinv[i]);
+        assert!(r.len() == z.len() && self.dinv.len() == z.len());
+        par::for_each_slice_mut(z, |lo, z| {
+            for ((z, r), dinv) in z.iter_mut().zip(&r[lo..]).zip(&self.dinv[lo..]) {
+                *z = r * dinv;
+            }
+        });
     }
 
     fn name(&self) -> &'static str {
@@ -92,12 +97,18 @@ impl JacobiSmoother {
 
     /// Run the sweeps in place.
     pub fn smooth(&self, a: &CsrMatrix, b: &[f64], x: &mut [f64], scratch: &mut Vec<f64>) {
+        assert!(b.len() == x.len() && self.dinv.len() == x.len());
         scratch.resize(x.len(), 0.0);
         for _ in 0..self.sweeps {
             a.spmv_into(x, scratch);
             let omega = self.omega;
             let ax: &[f64] = scratch;
-            par::for_each_mut_indexed(x, |i, x| *x += omega * self.dinv[i] * (b[i] - ax[i]));
+            par::for_each_slice_mut(x, |lo, x| {
+                let rows = x.iter_mut().zip(&self.dinv[lo..]).zip(&b[lo..]);
+                for (((x, dinv), b), ax) in rows.zip(&ax[lo..]) {
+                    *x += omega * dinv * (b - ax);
+                }
+            });
         }
     }
 }

@@ -303,13 +303,34 @@ impl CsrMatrix {
     /// [`CsrGraph`]. This is what the MIS-2 / aggregation pipeline consumes.
     pub fn to_graph(&self) -> CsrGraph {
         assert_eq!(self.nrows, self.ncols, "graph requires square matrix");
+        // A structurally symmetric matrix with sorted rows (every operator
+        // the solvers see) is its own graph once the diagonal is dropped.
+        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
+        let mut col_idx: Vec<VertexId> = Vec::with_capacity(self.nnz());
+        row_ptr.push(0);
+        for r in 0..self.nrows {
+            let (cols, _) = self.row(r);
+            col_idx.extend(cols.iter().filter(|&&c| c as usize != r));
+            row_ptr.push(col_idx.len());
+        }
+        col_idx.shrink_to_fit();
+        if let Ok(g) = CsrGraph::from_csr(self.nrows, row_ptr, col_idx) {
+            if g.validate_symmetric().is_ok() {
+                return g;
+            }
+        }
+        self.symmetrized_graph()
+    }
+
+    /// [`CsrMatrix::to_graph`] for any pattern: every off-diagonal entry as
+    /// an undirected edge, sorted and deduplicated per row.
+    fn symmetrized_graph(&self) -> CsrGraph {
         let edges: Vec<(VertexId, VertexId)> = (0..self.nrows)
             .flat_map(|r| {
                 let (cols, _) = self.row(r);
                 cols.iter()
                     .filter(move |&&c| c as usize != r)
                     .map(move |&c| (r as VertexId, c))
-                    .collect::<Vec<_>>()
             })
             .collect();
         CsrGraph::from_edges(self.nrows, &edges)
@@ -448,6 +469,34 @@ mod tests {
         assert_eq!(g.num_edges(), 2);
         assert!(g.has_edge(0, 1) && g.has_edge(1, 0));
         assert!(g.has_edge(1, 2));
+    }
+
+    #[test]
+    fn to_graph_of_a_symmetric_pattern_is_the_symmetrized_one() {
+        // The direct strip must be the graph the edge-list path builds: the
+        // suite stand-ins (symmetric), and patterns it has to hand back —
+        // one-sided entries, with and without a diagonal.
+        let mut matrices: Vec<CsrMatrix> = mis2_graph::suite::build_all(mis2_graph::Scale::Tiny)
+            .iter()
+            .map(|(_, g)| crate::gen::spd_from_graph(g, 7))
+            .collect();
+        matrices.push(CsrMatrix::from_coo(
+            4,
+            4,
+            &[(0, 0, 5.0), (0, 1, 1.0), (2, 1, 1.0), (3, 0, 2.0)],
+        ));
+        matrices.push(CsrMatrix::from_coo(
+            3,
+            3,
+            &[(0, 2, 1.0), (1, 0, 1.0), (2, 0, 1.0)],
+        ));
+        matrices.push(CsrMatrix::from_coo(3, 3, &[]));
+        matrices.push(CsrMatrix::identity(0));
+        for m in &matrices {
+            let g = m.to_graph();
+            assert_eq!(g, m.symmetrized_graph());
+            assert_eq!(g.heap_bytes(), m.symmetrized_graph().heap_bytes());
+        }
     }
 
     #[test]

@@ -4,30 +4,57 @@
 //! The Krylov solvers (CG, GMRES) are built on these. Dot products and
 //! norms use the fixed-block deterministic reduction from `mis2-prim`, so a
 //! whole solve is bitwise reproducible across thread counts — extending the
-//! paper's determinism property through the solver stack.
+//! paper's determinism property through the solver stack. The element-wise
+//! kernels are `zip` loops over the sub-slices `par::for_each_slice_mut`
+//! hands out, which the compiler vectorises; [`axpy_dot`] / [`axpy_norm2`]
+//! fold an update into the reduction that follows it.
 
 use mis2_prim::par;
 
 /// `y += alpha * x`.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
-    par::for_each_mut_indexed(y, |i, y| *y += alpha * x[i]);
+    par::for_each_slice_mut(y, |lo, y| {
+        for (y, x) in y.iter_mut().zip(&x[lo..]) {
+            *y += alpha * x;
+        }
+    });
 }
 
 /// `y = x + beta * y` (xpay — the CG direction update).
 pub fn xpay(x: &[f64], beta: f64, y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
-    par::for_each_mut_indexed(y, |i, y| *y = x[i] + beta * *y);
+    par::for_each_slice_mut(y, |lo, y| {
+        for (y, x) in y.iter_mut().zip(&x[lo..]) {
+            *y = x + beta * *y;
+        }
+    });
 }
 
 /// `x *= alpha`.
 pub fn scale(alpha: f64, x: &mut [f64]) {
-    par::for_each_mut(x, |v| *v *= alpha);
+    par::for_each_slice_mut(x, |_, x| {
+        for v in x {
+            *v *= alpha;
+        }
+    });
 }
 
 /// Deterministic dot product.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     mis2_prim::reduce::det_dot(a, b)
+}
+
+/// [`axpy`]`(alpha, x, y)` then [`dot`]`(y, z)`, bit for bit, in one pass
+/// over the vectors (a Gram-Schmidt step: subtract the last projection,
+/// take the next inner product).
+pub fn axpy_dot(alpha: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
+    mis2_prim::reduce::det_axpy_dot(alpha, x, y, z)
+}
+
+/// [`axpy`]`(alpha, x, y)` then [`norm2`]`(y)`, bit for bit, in one pass.
+pub fn axpy_norm2(alpha: f64, x: &[f64], y: &mut [f64]) -> f64 {
+    mis2_prim::reduce::det_axpy_norm_sq(alpha, x, y).sqrt()
 }
 
 /// Deterministic Euclidean norm.

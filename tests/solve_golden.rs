@@ -8,14 +8,20 @@
 //! GMRES runs that leave the loop each way it can be left. The literals
 //! were generated on the commit *before* `SOLVE` stopped assembling its
 //! matrix and GMRES started carrying its residual; both changes must keep
-//! every bit. CI runs the file on both feature sets.
+//! every bit. The AMG and Gauss-Seidel solves further down were pinned the
+//! same way, on the commit before the vector kernels became slice loops,
+//! Gram-Schmidt one fused pass and the cluster sweep a stream of its own
+//! storage. CI runs the file on both feature sets.
 //!
 //! Regenerate (only after an intentional change of the numerics) with
 //! `cargo test -q --test solve_golden -- --ignored --nocapture print_goldens`.
 
+use mis2::coarsen::AggScheme;
 use mis2::graph::{suite, Scale};
 use mis2::prim::pool::with_pool;
-use mis2::solver::{gmres, Jacobi, SolveOpts};
+use mis2::solver::{
+    gmres, pcg, AmgConfig, AmgHierarchy, ClusterMcSgs, Jacobi, PointMcSgs, SolveOpts, SolveResult,
+};
 use mis2::svc::ops::{self, fingerprint_f64, OpKey};
 use mis2::svc::proto::Method;
 
@@ -85,21 +91,26 @@ fn served_solve_lines_match_their_literals() {
     }
 }
 
-/// One restarted-GMRES run on `laplace2d_matrix(12, 12)` with Jacobi,
-/// restart 5: everything it returns, the floats as exact bits.
-fn gmres_line(name: &str, opts: &SolveOpts) -> String {
-    let a = mis2::sparse::gen::laplace2d_matrix(12, 12);
-    let b = ops::solve_rhs(144);
-    let (x, res) = gmres(&a, &b, &Jacobi::new(&a), 5, opts);
+/// Everything a solve returns, the floats as exact bits.
+fn solve_line(name: &str, x: &[f64], res: &SolveResult) -> String {
     format!(
         "{name} iters={} converged={} history={} x_fp={:#018x} history_fp={:#018x} rel_bits={:#018x}",
         res.iterations,
         res.converged,
         res.history.len(),
-        fingerprint_f64(&x),
+        fingerprint_f64(x),
         fingerprint_f64(&res.history),
         res.relative_residual.to_bits()
     )
+}
+
+/// One restarted-GMRES run on `laplace2d_matrix(12, 12)` with Jacobi,
+/// restart 5.
+fn gmres_line(name: &str, opts: &SolveOpts) -> String {
+    let a = mis2::sparse::gen::laplace2d_matrix(12, 12);
+    let b = ops::solve_rhs(144);
+    let (x, res) = gmres(&a, &b, &Jacobi::new(&a), 5, opts);
+    solve_line(name, &x, &res)
 }
 
 /// The three ways out of the restart loop: converged after several cycles,
@@ -136,6 +147,58 @@ fn restarted_gmres_matches_its_literals() {
     }
 }
 
+/// `laplace3d_matrix` grids either side of `reduce::SEQ_CUTOFF` (16 384
+/// elements) and of `par`'s element cutoff: 810 rows take the sequential
+/// dot product and the vector kernels on the caller, 27 900 rows the
+/// blocked reduction and the parallel element loops.
+const PRECOND_GRIDS: [(usize, usize, usize); 2] = [(9, 9, 10), (30, 30, 31)];
+
+/// The preconditioned solves of the paper's Tables V and VI on one grid:
+/// SA-AMG under PCG, cluster multicolour SGS under GMRES(50) and under
+/// GMRES(7) (several restart cycles), point multicolour SGS under GMRES(50).
+fn precond_lines((nx, ny, nz): (usize, usize, usize)) -> Vec<String> {
+    let a = mis2::sparse::gen::laplace3d_matrix(nx, ny, nz);
+    let n = a.nrows();
+    let b = ops::solve_rhs(n);
+    let opts = |tol| SolveOpts {
+        tol,
+        max_iters: 500,
+    };
+    let amg = AmgHierarchy::build(&a, &AmgConfig::default());
+    let cluster = ClusterMcSgs::new(&a, AggScheme::Mis2Agg, 0);
+    let point = PointMcSgs::new(&a, 0);
+    let (x_amg, amg_res) = pcg(&a, &b, &amg, &opts(1e-10));
+    let (x_c50, c50) = gmres(&a, &b, &cluster, 50, &opts(1e-8));
+    let (x_c7, c7) = gmres(&a, &b, &cluster, 7, &opts(1e-8));
+    let (x_p50, p50) = gmres(&a, &b, &point, 50, &opts(1e-8));
+    vec![
+        solve_line(&format!("amg_pcg n={n}"), &x_amg, &amg_res),
+        solve_line(&format!("cluster_gmres50 n={n}"), &x_c50, &c50),
+        solve_line(&format!("cluster_gmres7 n={n}"), &x_c7, &c7),
+        solve_line(&format!("point_gmres50 n={n}"), &x_p50, &p50),
+    ]
+}
+
+const PRECOND_LINES: [&str; 8] = [
+    "amg_pcg n=810 iters=10 converged=true history=11 x_fp=0xa24dcc64ab00921f history_fp=0x56e412e31faeb764 rel_bits=0x3dd11511a9e39de4",
+    "cluster_gmres50 n=810 iters=18 converged=true history=19 x_fp=0x40b56e61e755b32d history_fp=0x17d3b67409a7d3f4 rel_bits=0x3e405784e69100df",
+    "cluster_gmres7 n=810 iters=22 converged=true history=26 x_fp=0x9d00e4ca56e6a4eb history_fp=0x62433256af054efd rel_bits=0x3e407f584212cf95",
+    "point_gmres50 n=810 iters=20 converged=true history=21 x_fp=0x299c1131719432b3 history_fp=0xe609ccdf86e4d1a9 rel_bits=0x3e3242d45edc74a0",
+    "amg_pcg n=27900 iters=15 converged=true history=16 x_fp=0x0821f8c0d9695484 history_fp=0xe4a7d2d3a2f52fda rel_bits=0x3dba8600a6addc19",
+    "cluster_gmres50 n=27900 iters=53 converged=true history=55 x_fp=0x7b7232af26fb028d history_fp=0xaa6f9898520e262b rel_bits=0x3e412f6c0bc8dca9",
+    "cluster_gmres7 n=27900 iters=110 converged=true history=126 x_fp=0x8c1ab647cd38e692 history_fp=0x12acbaa4efc94ca1 rel_bits=0x3e41c90724a81488",
+    "point_gmres50 n=27900 iters=58 converged=true history=60 x_fp=0x06162067ee3d1162 history_fp=0x0a9c439b518663a3 rel_bits=0x3e41c0239d8947e9",
+];
+
+#[test]
+fn amg_and_gauss_seidel_solves_match_their_literals() {
+    for (grid, want) in PRECOND_GRIDS.into_iter().zip(PRECOND_LINES.chunks(4)) {
+        for pool in [1, 3] {
+            assert_eq!(with_pool(pool, || precond_lines(grid)), want, "pool {pool}");
+        }
+    }
+}
+
 #[test]
 #[ignore = "prints the literals above; see the module doc"]
 fn print_goldens() {
@@ -147,5 +210,10 @@ fn print_goldens() {
     }
     for (name, opts) in gmres_cases() {
         println!("    {:?},", gmres_line(name, &opts));
+    }
+    for grid in PRECOND_GRIDS {
+        for line in precond_lines(grid) {
+            println!("    {line:?},");
+        }
     }
 }
