@@ -91,7 +91,7 @@ pub fn table2(opts: &RunOpts) -> Table {
     }
     t.note(format!(
         "Mean of {} trials. Paper architectures (V100/MI100/Skylake-48T/TX2-56T) are \
-         replaced by host-CPU thread profiles; see DESIGN.md §5.",
+         replaced by host-CPU thread profiles (substitution policy: mis2_graph::suite).",
         opts.trials
     ));
     t
@@ -228,7 +228,7 @@ pub fn fig3(opts: &RunOpts) -> Table {
             bw.threads, bw.gbps
         ));
     }
-    t.note("Paper normalizes by datasheet bandwidth across 4 architectures; we measure triad per profile (DESIGN.md §5).");
+    t.note("Paper normalizes by datasheet bandwidth across 4 architectures; we measure triad per profile (substitution policy: mis2_graph::suite).");
     t
 }
 
@@ -429,7 +429,8 @@ pub fn table5(opts: &RunOpts) -> Table {
 // Table VI — point vs cluster multicolor Gauss-Seidel
 // ---------------------------------------------------------------------------
 
-/// The five Table VI systems (synthetic stand-ins per DESIGN.md §5).
+/// The five Table VI systems (synthetic stand-ins per the substitution
+/// policy in [`mis2_graph::suite`]).
 pub fn table6_systems(scale: Scale) -> Vec<(&'static str, mis2_sparse::CsrMatrix)> {
     let d3 = |x: usize| scale.dim3(x);
     let bodyy5 = {
@@ -503,7 +504,7 @@ pub fn table6(opts: &RunOpts) -> Table {
         ]);
     }
     t.note("Paper (V100): cluster wins setup and apply on all five systems; iterations ~5% lower (geomean).");
-    t.note("Systems are synthetic stand-ins with matched size/degree (DESIGN.md §5).");
+    t.note("Systems are synthetic stand-ins with matched size/degree (substitution policy: mis2_graph::suite).");
     t
 }
 

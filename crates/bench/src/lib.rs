@@ -17,8 +17,9 @@
 //! | Table VI (point vs cluster SGS) | [`experiments::table6`] | `table6` |
 //!
 //! Hardware substitutions (single host CPU instead of V100/MI100/Skylake/
-//! TX2) are documented in DESIGN.md §5; the harness sweeps worker-pool sizes
-//! where the paper sweeps architectures or OpenMP threads.
+//! TX2) follow the substitution policy in [`mis2_graph::suite`]'s module
+//! doc; the harness sweeps worker-pool sizes where the paper sweeps
+//! architectures or OpenMP threads.
 
 pub mod bandwidth;
 pub mod criterion;

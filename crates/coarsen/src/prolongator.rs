@@ -103,18 +103,20 @@ mod tests {
         let agg = crate::mis2_agg::mis2_aggregation(&gen::laplace3d(9, 8, 7));
         let sizes = agg.sizes();
         for normalize in [false, true] {
-            let rows = (0..agg.labels.len())
-                .map(|v| {
+            let want = CsrMatrix::from_row_blocks(
+                agg.labels.len(),
+                agg.num_aggregates,
+                || (),
+                |_, v, out| {
                     let a = agg.labels[v];
-                    let w = if normalize {
+                    out.cols.push(a);
+                    out.vals.push(if normalize {
                         1.0 / (sizes[a as usize] as f64).sqrt()
                     } else {
                         1.0
-                    };
-                    (vec![a], vec![w])
-                })
-                .collect();
-            let want = CsrMatrix::from_sorted_rows(agg.labels.len(), agg.num_aggregates, rows);
+                    });
+                },
+            );
             assert_eq!(tentative_prolongator(&agg, normalize), want);
         }
     }

@@ -257,9 +257,18 @@ impl Exec<'_> {
     /// Decide Set for one undecided vertex: the new `T_v` (`OUT`, `IN`, or
     /// `tv` unchanged). The early break on an `OUT` neighbor can leave
     /// `all_eq` stale, but `any_out` dominates the decision.
+    ///
+    /// `first` is round 1: before the first Decide no vertex is `IN`, so no
+    /// `M_w` is `OUT` and the answer is `IN` or `tv` — settled at the first
+    /// `M_w != T_v` (for most vertices `M_v` itself) instead of after a
+    /// scan of every neighbor for an `OUT` that cannot exist.
     #[inline]
-    fn decide_value<T: TupleRepr>(&self, tv: T, m: &[T], v: VertexId) -> T {
+    fn decide_value<T: TupleRepr>(&self, tv: T, m: &[T], v: VertexId, first: bool) -> T {
         let mv = m[v as usize];
+        if first {
+            let all_eq = mv == tv && self.g.neighbors(v).iter().all(|&w| m[w as usize] == tv);
+            return if all_eq { T::IN } else { tv };
+        }
         // Self contribution of the implicit self-loop.
         let mut any_out = mv.is_out();
         let mut all_eq = mv == tv;
@@ -361,7 +370,7 @@ impl Exec<'_> {
                         debug_assert!(!self.compact, "worklist1 must hold undecided only");
                         continue;
                     }
-                    let nt = self.decide_value(tv, m, v);
+                    let nt = self.decide_value(tv, m, v, next_iter == 1);
                     let class = if nt.is_in() {
                         1
                     } else if nt.is_out() {

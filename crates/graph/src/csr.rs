@@ -16,7 +16,7 @@
 //!   self-loops; storing them would only waste bandwidth);
 //! * the graph is symmetric (undirected): `(u,v)` present iff `(v,u)` is.
 
-use mis2_prim::par;
+use mis2_prim::{par, rows};
 use std::fmt;
 
 /// Vertex index type. The paper packs vertex ids into 32 bits; all supported
@@ -135,65 +135,35 @@ impl CsrGraph {
     /// assert_eq!(g.num_edges(), 2);
     /// ```
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        // Count per-vertex degree over both directions (skip self loops).
-        let mut counts = vec![0usize; n + 1];
-        for &(u, v) in edges {
-            assert!((u as usize) < n && (v as usize) < n, "edge out of bounds");
-            if u != v {
-                counts[u as usize] += 1;
-                counts[v as usize] += 1;
-            }
-        }
-        // Exclusive scan into offsets.
-        let total = mis2_prim::scan::exclusive_scan_in_place(&mut counts);
-        let mut col_idx = vec![0 as VertexId; total];
-        let mut cursor = counts.clone();
-        for &(u, v) in edges {
-            if u != v {
-                col_idx[cursor[u as usize]] = v;
-                cursor[u as usize] += 1;
-                col_idx[cursor[v as usize]] = u;
-                cursor[v as usize] += 1;
-            }
-        }
-        // Sort + dedup each row in parallel, then recompact.
-        let row_ptr = counts; // exclusive offsets, len n+1 with row_ptr[n] = total
-        let mut rows: Vec<Vec<VertexId>> = par::map_range(0..n, |v| {
-            let mut r = col_idx[row_ptr[v]..row_ptr[v + 1]].to_vec();
-            r.sort_unstable();
-            r.dedup();
-            r
-        });
-        Self::from_rows_unchecked(n, &mut rows)
+        let (offsets, targets) = bucket_edges(n, edges);
+        Self::from_row_blocks(
+            n,
+            || (),
+            |_, v, row| {
+                let start = row.len();
+                row.extend_from_slice(&targets[offsets[v]..offsets[v + 1]]);
+                sort_dedup_from(row, start);
+            },
+        )
     }
 
-    /// Assemble from per-vertex sorted, deduplicated, loop-free neighbor
-    /// lists (consumed). Used internally by builders and generators that
-    /// guarantee the invariants themselves.
-    pub(crate) fn from_rows_unchecked(n: usize, rows: &mut [Vec<VertexId>]) -> Self {
-        debug_assert_eq!(rows.len(), n);
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0usize);
-        let mut total = 0usize;
-        for r in rows.iter() {
-            total += r.len();
-            row_ptr.push(total);
-        }
-        let mut col_idx = vec![0 as VertexId; total];
-        {
-            let ptr = SendSlice(col_idx.as_mut_ptr());
-            par::for_each_indexed(rows, |v, src| {
-                // SAFETY: each row writes the disjoint range
-                // [row_ptr[v], row_ptr[v+1]).
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        src.as_ptr(),
-                        ptr.get().add(row_ptr[v]),
-                        src.len(),
-                    );
-                }
-            });
-        }
+    /// Assemble from per-vertex neighbor lists written in row blocks
+    /// ([`mis2_prim::rows::assemble`]): `row(state, v, out)` appends `v`'s
+    /// sorted, deduplicated, loop-free neighbors to `out`, whose tail from
+    /// `out.len()` on entry is the row under construction. Used by the
+    /// builders and generators that guarantee the invariants themselves.
+    pub(crate) fn from_row_blocks<S>(
+        n: usize,
+        scratch: impl Fn() -> S + Sync,
+        row: impl Fn(&mut S, usize, &mut Vec<VertexId>) + Sync,
+    ) -> Self {
+        let (row_ptr, col_idx, _) = rows::assemble::<(), S>(n, scratch, |state, v, buf| {
+            let start = buf.cols.len();
+            row(state, v, &mut buf.cols);
+            let new = &buf.cols[start..];
+            debug_assert!(new.windows(2).all(|w| w[0] < w[1]), "row {v} unsorted");
+            debug_assert!(new.iter().all(|&w| (w as usize) < n && w as usize != v));
+        });
         CsrGraph {
             n,
             row_ptr,
@@ -305,16 +275,46 @@ impl CsrGraph {
     }
 }
 
-/// Raw-pointer wrapper for disjoint parallel writes into one buffer.
-struct SendSlice<T>(*mut T);
-unsafe impl<T: Send> Send for SendSlice<T> {}
-unsafe impl<T: Send> Sync for SendSlice<T> {}
-
-impl<T> SendSlice<T> {
-    #[inline]
-    fn get(&self) -> *mut T {
-        self.0
+/// Both directions of every non-loop edge, bucketed by source vertex:
+/// `targets[offsets[v]..offsets[v + 1]]` are `v`'s endpoints in input
+/// order, duplicates included.
+pub(crate) fn bucket_edges(
+    n: usize,
+    edges: &[(VertexId, VertexId)],
+) -> (Vec<usize>, Vec<VertexId>) {
+    let mut offsets = vec![0usize; n + 1];
+    for &(u, v) in edges {
+        assert!((u as usize) < n && (v as usize) < n, "edge out of bounds");
+        if u != v {
+            offsets[u as usize] += 1;
+            offsets[v as usize] += 1;
+        }
     }
+    let total = mis2_prim::scan::exclusive_scan_in_place(&mut offsets);
+    let mut targets = vec![0 as VertexId; total];
+    let mut cursor = offsets.clone();
+    for &(u, v) in edges {
+        if u != v {
+            targets[cursor[u as usize]] = v;
+            cursor[u as usize] += 1;
+            targets[cursor[v as usize]] = u;
+            cursor[v as usize] += 1;
+        }
+    }
+    (offsets, targets)
+}
+
+/// Sort and deduplicate `row[start..]` in place.
+pub(crate) fn sort_dedup_from(row: &mut Vec<VertexId>, start: usize) {
+    row[start..].sort_unstable();
+    let mut kept = start;
+    for i in start..row.len() {
+        if kept == start || row[kept - 1] != row[i] {
+            row[kept] = row[i];
+            kept += 1;
+        }
+    }
+    row.truncate(kept);
 }
 
 /// Graph summary statistics.

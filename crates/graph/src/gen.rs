@@ -17,7 +17,7 @@
 //! models take an explicit seed and use splitmix64 streams, never global
 //! RNG state).
 
-use crate::csr::{CsrGraph, VertexId};
+use crate::csr::{bucket_edges, sort_dedup_from, CsrGraph, VertexId};
 use mis2_prim::hash::splitmix64;
 use mis2_prim::par;
 
@@ -86,32 +86,33 @@ fn grid_id(nx: usize, ny: usize, x: usize, y: usize, z: usize) -> VertexId {
 /// The offset list must be symmetric (contain `-o` for each `o`) for the
 /// result to be undirected; all built-in offset sets are.
 pub fn stencil3d(nx: usize, ny: usize, nz: usize, offsets: &[(i32, i32, i32)]) -> CsrGraph {
-    let n = nx * ny * nz;
-    let mut rows: Vec<Vec<VertexId>> = par::map_range(0..n, |v| {
-        let x = v % nx;
-        let y = (v / nx) % ny;
-        let z = v / (nx * ny);
-        let mut nbrs = Vec::with_capacity(offsets.len());
-        for &(dx, dy, dz) in offsets {
-            let (xx, yy, zz) = (
-                x as i64 + dx as i64,
-                y as i64 + dy as i64,
-                z as i64 + dz as i64,
-            );
-            if xx >= 0
-                && (xx as usize) < nx
-                && yy >= 0
-                && (yy as usize) < ny
-                && zz >= 0
-                && (zz as usize) < nz
-            {
-                nbrs.push(grid_id(nx, ny, xx as usize, yy as usize, zz as usize));
+    CsrGraph::from_row_blocks(
+        nx * ny * nz,
+        || (),
+        |_, v, row| {
+            let start = row.len();
+            let x = v % nx;
+            let y = (v / nx) % ny;
+            let z = v / (nx * ny);
+            for &(dx, dy, dz) in offsets {
+                let (xx, yy, zz) = (
+                    x as i64 + dx as i64,
+                    y as i64 + dy as i64,
+                    z as i64 + dz as i64,
+                );
+                if xx >= 0
+                    && (xx as usize) < nx
+                    && yy >= 0
+                    && (yy as usize) < ny
+                    && zz >= 0
+                    && (zz as usize) < nz
+                {
+                    row.push(grid_id(nx, ny, xx as usize, yy as usize, zz as usize));
+                }
             }
-        }
-        nbrs.sort_unstable();
-        nbrs
-    });
-    CsrGraph::from_rows_unchecked(n, &mut rows)
+            row[start..].sort_unstable();
+        },
+    )
 }
 
 /// 7-point Laplacian grid graph — the paper's `Laplace3D` (Galeri
@@ -142,42 +143,44 @@ pub fn elasticity3d(nx: usize, ny: usize, nz: usize, dof: usize) -> CsrGraph {
     let nodes = nx * ny * nz;
     let n = nodes * dof;
     let offsets = offsets_27pt();
-    let mut rows: Vec<Vec<VertexId>> = par::map_range(0..n, |v| {
-        let node = v / dof;
-        let my_dof = v % dof;
-        let x = node % nx;
-        let y = (node / nx) % ny;
-        let z = node / (nx * ny);
-        let mut nbrs = Vec::with_capacity(27 * dof);
-        // Other dofs of my own node.
-        for d in 0..dof {
-            if d != my_dof {
-                nbrs.push((node * dof + d) as VertexId);
-            }
-        }
-        for &(dx, dy, dz) in &offsets {
-            let (xx, yy, zz) = (
-                x as i64 + dx as i64,
-                y as i64 + dy as i64,
-                z as i64 + dz as i64,
-            );
-            if xx >= 0
-                && (xx as usize) < nx
-                && yy >= 0
-                && (yy as usize) < ny
-                && zz >= 0
-                && (zz as usize) < nz
-            {
-                let nb = grid_id(nx, ny, xx as usize, yy as usize, zz as usize) as usize;
-                for d in 0..dof {
-                    nbrs.push((nb * dof + d) as VertexId);
+    CsrGraph::from_row_blocks(
+        n,
+        || (),
+        |_, v, row| {
+            let start = row.len();
+            let node = v / dof;
+            let my_dof = v % dof;
+            let x = node % nx;
+            let y = (node / nx) % ny;
+            let z = node / (nx * ny);
+            // Other dofs of my own node.
+            for d in 0..dof {
+                if d != my_dof {
+                    row.push((node * dof + d) as VertexId);
                 }
             }
-        }
-        nbrs.sort_unstable();
-        nbrs
-    });
-    CsrGraph::from_rows_unchecked(n, &mut rows)
+            for &(dx, dy, dz) in &offsets {
+                let (xx, yy, zz) = (
+                    x as i64 + dx as i64,
+                    y as i64 + dy as i64,
+                    z as i64 + dz as i64,
+                );
+                if xx >= 0
+                    && (xx as usize) < nx
+                    && yy >= 0
+                    && (yy as usize) < ny
+                    && zz >= 0
+                    && (zz as usize) < nz
+                {
+                    let nb = grid_id(nx, ny, xx as usize, yy as usize, zz as usize) as usize;
+                    for d in 0..dof {
+                        row.push((nb * dof + d) as VertexId);
+                    }
+                }
+            }
+            row[start..].sort_unstable();
+        },
+    )
 }
 
 /// Periodic (torus) 3D stencil graph: like [`stencil3d`] but offsets wrap
@@ -188,26 +191,28 @@ pub fn torus3d(nx: usize, ny: usize, nz: usize, offsets: &[(i32, i32, i32)]) -> 
         nx >= 3 && ny >= 3 && nz >= 1,
         "torus needs >= 3 cells per periodic dim"
     );
-    let n = nx * ny * nz;
-    let mut rows: Vec<Vec<VertexId>> = par::map_range(0..n, |v| {
-        let x = v % nx;
-        let y = (v / nx) % ny;
-        let z = v / (nx * ny);
-        let mut nbrs: Vec<VertexId> = offsets
-            .iter()
-            .map(|&(dx, dy, dz)| {
-                let xx = (x as i64 + dx as i64).rem_euclid(nx as i64) as usize;
-                let yy = (y as i64 + dy as i64).rem_euclid(ny as i64) as usize;
-                let zz = (z as i64 + dz as i64).rem_euclid(nz as i64) as usize;
-                grid_id(nx, ny, xx, yy, zz)
-            })
-            .filter(|&w| w as usize != v)
-            .collect();
-        nbrs.sort_unstable();
-        nbrs.dedup();
-        nbrs
-    });
-    CsrGraph::from_rows_unchecked(n, &mut rows)
+    CsrGraph::from_row_blocks(
+        nx * ny * nz,
+        || (),
+        |_, v, row| {
+            let start = row.len();
+            let x = v % nx;
+            let y = (v / nx) % ny;
+            let z = v / (nx * ny);
+            row.extend(
+                offsets
+                    .iter()
+                    .map(|&(dx, dy, dz)| {
+                        let xx = (x as i64 + dx as i64).rem_euclid(nx as i64) as usize;
+                        let yy = (y as i64 + dy as i64).rem_euclid(ny as i64) as usize;
+                        let zz = (z as i64 + dz as i64).rem_euclid(nz as i64) as usize;
+                        grid_id(nx, ny, xx, yy, zz)
+                    })
+                    .filter(|&w| w as usize != v),
+            );
+            sort_dedup_from(row, start);
+        },
+    )
 }
 
 /// Path graph `0 - 1 - ... - (n-1)`.
@@ -381,22 +386,17 @@ pub fn mesh3d(
 /// Union of an existing graph and extra undirected edges.
 pub fn merge_edges(g: &CsrGraph, extra: &[(VertexId, VertexId)]) -> CsrGraph {
     let n = g.num_vertices();
-    // Bucket extra edges (both directions) per vertex.
-    let mut extra_per: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    for &(u, v) in extra {
-        if u != v {
-            extra_per[u as usize].push(v);
-            extra_per[v as usize].push(u);
-        }
-    }
-    let mut rows: Vec<Vec<VertexId>> = par::map_range(0..n, |v| {
-        let mut r: Vec<VertexId> = g.neighbors(v as VertexId).to_vec();
-        r.extend_from_slice(&extra_per[v]);
-        r.sort_unstable();
-        r.dedup();
-        r
-    });
-    CsrGraph::from_rows_unchecked(n, &mut rows)
+    let (offsets, targets) = bucket_edges(n, extra);
+    CsrGraph::from_row_blocks(
+        n,
+        || (),
+        |_, v, row| {
+            let start = row.len();
+            row.extend_from_slice(g.neighbors(v as VertexId));
+            row.extend_from_slice(&targets[offsets[v]..offsets[v + 1]]);
+            sort_dedup_from(row, start);
+        },
+    )
 }
 
 #[cfg(test)]

@@ -5,8 +5,7 @@
 //! an MIS-1 of `G²` (with self-loops) is a valid MIS-2 of `G`. The tests and
 //! the theory experiments use it as an oracle for Algorithm 1.
 
-use crate::csr::{CsrGraph, VertexId};
-use mis2_prim::par;
+use crate::csr::{sort_dedup_from, CsrGraph, VertexId};
 
 /// `G²`: vertices `u != v` adjacent iff a path of length 1 or 2 connects
 /// them in `g` (self-loops excluded, consistent with [`CsrGraph`]'s
@@ -16,22 +15,23 @@ use mis2_prim::par;
 /// oracles, not for the production MIS-2 path (avoiding exactly this blow-up
 /// is the point of Bell's direct MIS-k scheme the paper builds on).
 pub fn square(g: &CsrGraph) -> CsrGraph {
-    let n = g.num_vertices();
-    let mut rows: Vec<Vec<VertexId>> = par::map_range(0..n, |v| {
-        let v = v as VertexId;
-        let mut nbrs: Vec<VertexId> = g.neighbors(v).to_vec();
-        for &w in g.neighbors(v) {
-            nbrs.extend_from_slice(g.neighbors(w));
-        }
-        nbrs.sort_unstable();
-        nbrs.dedup();
-        // Drop the self entry introduced via w -> v paths.
-        if let Ok(pos) = nbrs.binary_search(&v) {
-            nbrs.remove(pos);
-        }
-        nbrs
-    });
-    CsrGraph::from_rows_unchecked(n, &mut rows)
+    CsrGraph::from_row_blocks(
+        g.num_vertices(),
+        || (),
+        |_, v, row| {
+            let v = v as VertexId;
+            let start = row.len();
+            row.extend_from_slice(g.neighbors(v));
+            for &w in g.neighbors(v) {
+                row.extend_from_slice(g.neighbors(w));
+            }
+            sort_dedup_from(row, start);
+            // Drop the self entry introduced via w -> v paths.
+            if let Ok(pos) = row[start..].binary_search(&v) {
+                row.remove(start + pos);
+            }
+        },
+    )
 }
 
 /// Induced subgraph on the vertices where `keep[v]` is true.
@@ -47,16 +47,25 @@ pub fn induced_subgraph(g: &CsrGraph, keep: &[bool]) -> (CsrGraph, Vec<VertexId>
     for (new, &old) in new_to_old.iter().enumerate() {
         old_to_new[old as usize] = new as VertexId;
     }
-    let m = new_to_old.len();
-    let mut rows: Vec<Vec<VertexId>> = par::map(&new_to_old, |&old| {
-        g.neighbors(old)
-            .iter()
-            .filter(|&&w| keep[w as usize])
-            .map(|&w| old_to_new[w as usize])
-            .collect::<Vec<_>>()
-        // rows inherit sorted order because old_to_new is monotone
-    });
-    (CsrGraph::from_rows_unchecked(m, &mut rows), new_to_old)
+    // Rows inherit sorted order because old_to_new is monotone. Whether a
+    // neighbor is kept is a coin flip the branch predictor loses, so every
+    // image is stored and the row's end only advances past the kept ones.
+    let sub = CsrGraph::from_row_blocks(
+        new_to_old.len(),
+        || (),
+        |_, new, row| {
+            let nbrs = g.neighbors(new_to_old[new]);
+            let mut end = row.len();
+            row.resize(end + nbrs.len(), 0);
+            for &w in nbrs {
+                let image = old_to_new[w as usize];
+                row[end] = image;
+                end += (image != VertexId::MAX) as usize;
+            }
+            row.truncate(end);
+        },
+    );
+    (sub, new_to_old)
 }
 
 /// Quotient graph of a vertex partition: one vertex per part, an edge
@@ -64,9 +73,11 @@ pub fn induced_subgraph(g: &CsrGraph, keep: &[bool]) -> (CsrGraph, Vec<VertexId>
 /// `v`'s part, in `0..nc`.
 ///
 /// Built per part, not per edge: members are counting-sorted by label, and
-/// each part gathers its members' foreign neighbor labels into one sorted,
-/// deduplicated row — `nc` row allocations instead of one per vertex, and
-/// no global edge list to count, scatter and re-sort.
+/// each part gathers its members' foreign neighbor labels into one row. A
+/// label already in the row — or the part's own — is recognised by a stamp
+/// (`seen[label] == a`, one array per row block), so only the survivors
+/// are sorted: a part meets each neighboring label once per crossing edge,
+/// many times over.
 pub fn quotient(g: &CsrGraph, labels: &[u32], nc: usize) -> CsrGraph {
     assert_eq!(labels.len(), g.num_vertices(), "label length mismatch");
     assert!(
@@ -74,21 +85,24 @@ pub fn quotient(g: &CsrGraph, labels: &[u32], nc: usize) -> CsrGraph {
         "label out of range"
     );
     let (offsets, members) = mis2_prim::bucket::bucket_by_key(nc, labels);
-    let mut rows: Vec<Vec<VertexId>> = par::map_range(0..nc, |a| {
-        let mut row: Vec<VertexId> = Vec::new();
-        for &v in &members[offsets[a]..offsets[a + 1]] {
-            row.extend(
-                g.neighbors(v)
-                    .iter()
-                    .map(|&w| labels[w as usize])
-                    .filter(|&l| l as usize != a),
-            );
-        }
-        row.sort_unstable();
-        row.dedup();
-        row
-    });
-    CsrGraph::from_rows_unchecked(nc, &mut rows)
+    CsrGraph::from_row_blocks(
+        nc,
+        || vec![u32::MAX; nc],
+        |seen, a, row| {
+            let start = row.len();
+            seen[a] = a as u32;
+            for &v in &members[offsets[a]..offsets[a + 1]] {
+                for &w in g.neighbors(v) {
+                    let l = labels[w as usize];
+                    if seen[l as usize] != a as u32 {
+                        seen[l as usize] = a as u32;
+                        row.push(l);
+                    }
+                }
+            }
+            row[start..].sort_unstable();
+        },
+    )
 }
 
 /// Connected components via BFS. Returns `(component_count, labels)` with
@@ -227,14 +241,10 @@ mod tests {
         assert_eq!(q, CsrGraph::from_edges(3, &[(0, 1), (1, 2)]));
     }
 
-    #[test]
-    fn quotient_matches_the_cross_edge_list() {
-        // Oracle: the deduplicated cross-part edge list through
-        // `from_edges`. Part 6 is left empty on purpose.
-        let g = gen::erdos_renyi(300, 1200, 7);
-        let labels: Vec<u32> = (0..300u32).map(|v| (v * 7 + v / 11) % 6).collect();
+    /// Oracle: the deduplicated cross-part edge list through `from_edges`.
+    fn quotient_by_edge_list(g: &CsrGraph, labels: &[u32], nc: usize) -> CsrGraph {
         let mut cross: Vec<(VertexId, VertexId)> = Vec::new();
-        for v in 0..300u32 {
+        for v in 0..g.num_vertices() as u32 {
             for &w in g.neighbors(v) {
                 let (la, lb) = (labels[v as usize], labels[w as usize]);
                 if la < lb {
@@ -242,10 +252,38 @@ mod tests {
                 }
             }
         }
+        CsrGraph::from_edges(nc, &cross)
+    }
+
+    #[test]
+    fn quotient_matches_the_cross_edge_list() {
+        // Part 6 is left empty on purpose.
+        let g = gen::erdos_renyi(300, 1200, 7);
+        let labels: Vec<u32> = (0..300u32).map(|v| (v * 7 + v / 11) % 6).collect();
         let q = quotient(&g, &labels, 7);
-        assert_eq!(q, CsrGraph::from_edges(7, &cross));
+        assert_eq!(q, quotient_by_edge_list(&g, &labels, 7));
         assert_eq!(q.degree(6), 0);
         q.validate_symmetric().unwrap();
+    }
+
+    #[test]
+    fn quotient_over_several_row_blocks_with_an_empty_part_in_each() {
+        use mis2_prim::rows::ROW_BLOCK;
+        let nc = 3 * ROW_BLOCK + 7;
+        let empty = |l: u32| l as usize % ROW_BLOCK == ROW_BLOCK - 1;
+        let live: Vec<u32> = (0..nc as u32).filter(|&l| !empty(l)).collect();
+        let g = gen::erdos_renyi(6000, 30_000, 11);
+        let labels: Vec<u32> = (0..6000u64)
+            .map(|v| live[(mis2_prim::hash::splitmix64(v) % live.len() as u64) as usize])
+            .collect();
+        let want = quotient_by_edge_list(&g, &labels, nc);
+        for pool in [1usize, 2, 5] {
+            let q = mis2_prim::pool::with_pool(pool, || quotient(&g, &labels, nc));
+            assert_eq!(q, want, "pool {pool}");
+            assert_eq!(q.heap_bytes(), want.heap_bytes(), "pool {pool}");
+        }
+        assert!((0..nc as u32).all(|l| !empty(l) || want.degree(l) == 0));
+        assert!(want.num_edges() > nc);
     }
 
     #[test]

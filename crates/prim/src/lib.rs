@@ -17,6 +17,9 @@
 //!   built on the scan, used to maintain the two worklists of Algorithm 1.
 //! * [`bucket`] — stable counting sort by small integer key (color sets,
 //!   cluster membership, aggregate members).
+//! * [`rows`] — row-block CSR assembly: blocks of rows append to one
+//!   buffer each and are placed with one copy per block; the one builder
+//!   under every graph and matrix producer in the workspace.
 //! * [`reduce`] — deterministic parallel reductions (sums, min/max) whose
 //!   results do not depend on the number of worker threads.
 //! * [`pool`] — the lazily initialized persistent worker pool behind the
@@ -36,6 +39,7 @@ pub mod par;
 pub mod pool;
 pub mod ptr;
 pub mod reduce;
+pub mod rows;
 pub mod scan;
 pub mod timer;
 

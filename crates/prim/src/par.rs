@@ -37,7 +37,8 @@
 //!   the element loop over them, so there is one dispatch path.
 //! * **block indices** ([`map_blocks`] and everything built on it:
 //!   [`map_chunks`], [`chunked_reduce`], [`map_reduce_range`], the scans,
-//!   compaction counts, `reduce::det_dot`, SpGEMM row blocks; and the
+//!   compaction counts, `reduce::det_dot`, the row blocks of
+//!   `rows::assemble` under every CSR producer; and the
 //!   `for_chunks*` pair): a region opens when there are at least two
 //!   *blocks*, each block being thousands of elements the caller already
 //!   sized ([`DET_BLOCK`] *elements* for every deterministic reduction).
@@ -347,11 +348,11 @@ pub fn for_chunks_mut<T: Send>(items: &mut [T], chunk: usize, f: impl Fn(usize, 
 ///
 /// This is the entry point for callers that have already cut their input
 /// into blocks ([`map_chunks`], [`map_reduce_range`], `reduce::det_dot`, the
-/// 256-row blocks of SpGEMM). The rule that decides whether a region opens
-/// counts **blocks**, not elements: it opens when there are at least two
-/// blocks and the caller is not nested ([`crate::pool::run_region_on`]
-/// applies exactly that), because one block is already thousands of
-/// elements of work. [`map_range`]'s element cutoff must never see a block
+/// [`crate::rows::ROW_BLOCK`]-row blocks of every CSR producer). The rule
+/// that decides whether a region opens counts **blocks**, not elements: it
+/// opens when there are at least two blocks and the caller is not nested
+/// ([`crate::pool::run_region_on`] applies exactly that), because one block
+/// is already thousands of elements of work. [`map_range`]'s element cutoff must never see a block
 /// count — it would keep 16 M elements on one thread.
 pub fn map_blocks<U: Send>(nblocks: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
     let mut out: Vec<U> = Vec::with_capacity(nblocks);

@@ -8,7 +8,7 @@
 
 use mis2_graph::{CsrGraph, VertexId};
 use mis2_prim::par;
-use mis2_prim::SharedMut;
+use mis2_prim::rows::{self, RowBuf};
 
 /// A sparse matrix in CSR format.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,59 +105,53 @@ impl CsrMatrix {
             vals[p] = v;
             cursor[r as usize] += 1;
         }
-        // Sort + combine duplicates per row.
-        let rows: Vec<(Vec<u32>, Vec<f64>)> = par::map_range(0..nrows, |r| {
-            let lo = counts[r];
-            let hi = counts[r + 1];
-            let mut pairs: Vec<(u32, f64)> = cols[lo..hi]
-                .iter()
-                .copied()
-                .zip(vals[lo..hi].iter().copied())
-                .collect();
+        // Sort (stably: duplicates are summed in input order) and combine
+        // duplicates per row; the pair buffer is the block's scratch.
+        Self::from_row_blocks(nrows, ncols, Vec::new, |pairs, r, out| {
+            let (lo, hi) = (counts[r], counts[r + 1]);
+            pairs.clear();
+            pairs.extend(
+                cols[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(vals[lo..hi].iter().copied()),
+            );
             pairs.sort_by_key(|p| p.0);
-            let mut rc = Vec::with_capacity(pairs.len());
-            let mut rv: Vec<f64> = Vec::with_capacity(pairs.len());
-            for (c, v) in pairs {
-                if rc.last() == Some(&c) {
-                    *rv.last_mut().unwrap() += v;
+            let start = out.cols.len();
+            for &(c, v) in pairs.iter() {
+                if out.cols[start..].last() == Some(&c) {
+                    *out.vals.last_mut().expect("one value per column") += v;
                 } else {
-                    rc.push(c);
-                    rv.push(v);
+                    out.cols.push(c);
+                    out.vals.push(v);
                 }
             }
-            (rc, rv)
-        });
-        Self::from_sorted_rows(nrows, ncols, rows)
+        })
     }
 
-    /// Assemble from per-row `(cols, vals)` pairs that are already sorted
-    /// and duplicate-free.
-    pub fn from_sorted_rows(nrows: usize, ncols: usize, rows: Vec<(Vec<u32>, Vec<f64>)>) -> Self {
-        assert_eq!(rows.len(), nrows);
-        let mut row_ptr = Vec::with_capacity(nrows + 1);
-        row_ptr.push(0usize);
-        let mut total = 0usize;
-        for (rc, rv) in &rows {
-            debug_assert_eq!(rc.len(), rv.len());
-            total += rc.len();
-            row_ptr.push(total);
-        }
-        let mut col_idx = vec![0u32; total];
-        let mut values = vec![0f64; total];
-        {
-            let cw = SharedMut::new(&mut col_idx);
-            let vw = SharedMut::new(&mut values);
-            par::for_each_indexed(&rows, |r, (rc, rv)| {
-                let base = row_ptr[r];
-                for (k, (&c, &v)) in rc.iter().zip(rv.iter()).enumerate() {
-                    // SAFETY: row ranges are disjoint.
-                    unsafe {
-                        cw.write(base + k, c);
-                        vw.write(base + k, v);
-                    }
-                }
-            });
-        }
+    /// Assemble from rows written in row blocks
+    /// ([`mis2_prim::rows::assemble`]): `row(state, r, out)` appends row
+    /// `r`'s column indices, sorted and duplicate-free, to `out.cols` and
+    /// as many values to `out.vals`; `state` is the block's scratch (a
+    /// dense accumulator for SpGEMM, `()` for a merge).
+    pub fn from_row_blocks<S>(
+        nrows: usize,
+        ncols: usize,
+        scratch: impl Fn() -> S + Sync,
+        row: impl Fn(&mut S, usize, &mut RowBuf<f64>) + Sync,
+    ) -> Self {
+        let (row_ptr, col_idx, values) = rows::assemble(nrows, scratch, |state, r, out| {
+            let start = out.cols.len();
+            row(state, r, out);
+            assert_eq!(
+                out.cols.len(),
+                out.vals.len(),
+                "row {r}: one value per column"
+            );
+            let new = &out.cols[start..];
+            debug_assert!(new.windows(2).all(|w| w[0] < w[1]), "row {r} unsorted");
+            debug_assert!(new.last().is_none_or(|&c| (c as usize) < ncols));
+        });
         CsrMatrix {
             nrows,
             ncols,

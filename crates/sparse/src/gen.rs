@@ -7,9 +7,10 @@
 //! * [`elasticity3d_matrix`] — an SPD operator on the Elasticity3D 27-point
 //!   / 3-dof pattern. Galeri assembles true linear elasticity; we
 //!   substitute a weighted graph Laplacian with the same sparsity pattern
-//!   and strong diagonal coupling (see DESIGN.md §5 — the experiments using
-//!   it test solver plumbing and aggregation quality on the same structure,
-//!   not elasticity physics).
+//!   and strong diagonal coupling (the substitution policy in
+//!   `mis2_graph::suite`'s module doc — the experiments using it test
+//!   solver plumbing and aggregation quality on the same structure, not
+//!   elasticity physics).
 //! * [`from_graph_with_diag`] / [`GraphLaplacian`] — `diag(d) - adjacency`
 //!   of a graph, assembled (Table V's operator) or applied matrix-free
 //!   (what a served `SOLVE` runs).
@@ -41,39 +42,45 @@ pub fn laplace2d_matrix(nx: usize, ny: usize) -> CsrMatrix {
 pub fn elasticity3d_matrix(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
     let dof = 3;
     let g = ggen::elasticity3d(nx, ny, nz, dof);
+    let same_node = |v: u32, w: u32| v as usize / dof == w as usize / dof;
+    dominant_from_graph(&g, |v, w| if same_node(v, w) { -0.5 } else { -1.0 }, 1e-3)
+}
+
+/// Off-diagonal `weight(v, w)` on every edge of `g` and, spliced in at its
+/// sorted place, a diagonal of 1.05 × the absolute row sum + `shift`.
+fn dominant_from_graph(
+    g: &CsrGraph,
+    weight: impl Fn(u32, u32) -> f64 + Sync,
+    shift: f64,
+) -> CsrMatrix {
     let n = g.num_vertices();
-    let rows: Vec<(Vec<u32>, Vec<f64>)> = par::map_range(0..n, |v| {
-        let nbrs = g.neighbors(v as u32);
-        let mut cols = Vec::with_capacity(nbrs.len() + 1);
-        let mut vals = Vec::with_capacity(nbrs.len() + 1);
-        let mut row_sum = 0.0f64;
-        let node = v / dof;
-        let mut inserted_diag = false;
-        for &w in nbrs {
-            let wv: f64 = if (w as usize) / dof == node {
-                -0.5
-            } else {
-                -1.0
-            };
-            if (w as usize) > v && !inserted_diag {
-                cols.push(v as u32);
-                vals.push(0.0); // patched below
-                inserted_diag = true;
+    CsrMatrix::from_row_blocks(
+        n,
+        n,
+        || (),
+        |_, v, out| {
+            let v = v as u32;
+            let nbrs = g.neighbors(v);
+            let below = nbrs.partition_point(|&w| w < v);
+            let diag_pos = out.vals.len() + below;
+            let mut row_sum = 0.0f64;
+            for (k, &w) in nbrs.iter().enumerate() {
+                if k == below {
+                    out.cols.push(v);
+                    out.vals.push(0.0); // patched below
+                }
+                let wv = weight(v, w);
+                out.cols.push(w);
+                out.vals.push(wv);
+                row_sum += wv.abs();
             }
-            cols.push(w);
-            vals.push(wv);
-            row_sum += wv.abs();
-        }
-        if !inserted_diag {
-            cols.push(v as u32);
-            vals.push(0.0);
-        }
-        let d = row_sum * 1.05 + 1e-3;
-        let diag_pos = cols.iter().position(|&c| c == v as u32).unwrap();
-        vals[diag_pos] = d;
-        (cols, vals)
-    });
-    CsrMatrix::from_sorted_rows(n, n, rows)
+            if below == nbrs.len() {
+                out.cols.push(v);
+                out.vals.push(0.0);
+            }
+            out.vals[diag_pos] = row_sum * 1.05 + shift;
+        },
+    )
 }
 
 /// Graph Laplacian with a fixed diagonal value: `A = diag(d) - adjacency`.
@@ -155,39 +162,13 @@ impl Operator for GraphLaplacian<'_> {
 /// symmetric random off-diagonal weights in `[-1, -0.1]`, diagonal = 1.05 *
 /// absolute row sum + 0.01.
 pub fn spd_from_graph(g: &CsrGraph, seed: u64) -> CsrMatrix {
-    let n = g.num_vertices();
     // Symmetric weight for edge (u, v): hash of the unordered pair.
     let w = |u: u32, v: u32| -> f64 {
         let (a, b) = if u < v { (u, v) } else { (v, u) };
         let h = mis2_prim::hash::splitmix64(seed ^ ((a as u64) << 32 | b as u64));
         -0.1 - 0.9 * ((h % 1024) as f64 / 1023.0)
     };
-    let rows: Vec<(Vec<u32>, Vec<f64>)> = par::map_range(0..n, |v| {
-        let nbrs = g.neighbors(v as u32);
-        let mut cols = Vec::with_capacity(nbrs.len() + 1);
-        let mut vals = Vec::with_capacity(nbrs.len() + 1);
-        let mut row_sum = 0.0f64;
-        let mut placed = false;
-        for &u in nbrs {
-            if (u as usize) > v && !placed {
-                cols.push(v as u32);
-                vals.push(0.0);
-                placed = true;
-            }
-            let wv = w(v as u32, u);
-            cols.push(u);
-            vals.push(wv);
-            row_sum += wv.abs();
-        }
-        if !placed {
-            cols.push(v as u32);
-            vals.push(0.0);
-        }
-        let diag_pos = cols.iter().position(|&c| c == v as u32).unwrap();
-        vals[diag_pos] = row_sum * 1.05 + 0.01;
-        (cols, vals)
-    });
-    CsrMatrix::from_sorted_rows(n, n, rows)
+    dominant_from_graph(g, w, 0.01)
 }
 
 #[cfg(test)]

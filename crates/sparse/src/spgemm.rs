@@ -5,14 +5,13 @@
 //! & Tong computed MIS-2 as MIS-1 of `A²` via SpGEMM — paper Section II)
 //! and which smoothed-aggregation AMG needs to form the coarse operator
 //! `A_c = Pᵀ A P` (Section III-B). The implementation is row-parallel with
-//! a per-thread dense accumulator (the classic Gustavson algorithm);
+//! a dense accumulator per row block (the classic Gustavson algorithm);
 //! accumulation order within a row is fixed (A's column order), so results
 //! are bitwise deterministic for any thread count.
 
 use crate::csr_matrix::CsrMatrix;
-use mis2_prim::par;
 
-/// Per-thread sparse accumulator: dense value array with generation-tagged
+/// Per-block sparse accumulator: dense value array with generation-tagged
 /// occupancy markers, so clearing between rows is O(nnz(row)).
 struct Accumulator {
     values: Vec<f64>,
@@ -34,14 +33,17 @@ impl Accumulator {
         self.current += 1;
     }
 
+    /// Add `v` at `col`; true when this is the row's first touch of `col`.
     #[inline]
-    fn add(&mut self, col: usize, v: f64) {
-        if self.tag[col] != self.current {
+    fn add(&mut self, col: usize, v: f64) -> bool {
+        let first = self.tag[col] != self.current;
+        if first {
             self.tag[col] = self.current;
             self.values[col] = v;
         } else {
             self.values[col] += v;
         }
+        first
     }
 
     #[inline]
@@ -49,49 +51,37 @@ impl Accumulator {
         debug_assert_eq!(self.tag[col], self.current);
         self.values[col]
     }
-
-    #[inline]
-    fn occupied(&self, col: usize) -> bool {
-        self.tag[col] == self.current
-    }
 }
 
 /// `C = A * B`.
 pub fn spgemm(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
     assert_eq!(a.ncols(), b.nrows(), "spgemm dimension mismatch");
-    let nrows = a.nrows();
     let ncols = b.ncols();
-    // Row blocks amortize the dense accumulator: one per block (ex
-    // map_init-per-thread), which keeps allocation O(blocks * ncols) while
-    // the per-row accumulation order stays fixed and deterministic.
-    const ROW_BLOCK: usize = 256;
-    let nblocks = nrows.div_ceil(ROW_BLOCK);
-    let blocks: Vec<Vec<(Vec<u32>, Vec<f64>)>> = par::map_blocks(nblocks, |blk| {
-        let lo = blk * ROW_BLOCK;
-        let hi = (lo + ROW_BLOCK).min(nrows);
-        let mut acc = Accumulator::new(ncols);
-        let mut out = Vec::with_capacity(hi - lo);
-        for r in lo..hi {
+    // One dense accumulator per row block keeps allocation
+    // O(blocks * ncols); the columns a row touches are the tail of the
+    // block's column buffer, sorted in place, and the per-row accumulation
+    // order stays A's column order whatever the pool size.
+    CsrMatrix::from_row_blocks(
+        a.nrows(),
+        ncols,
+        || Accumulator::new(ncols),
+        |acc, r, out| {
             acc.begin_row();
+            let start = out.cols.len();
             let (acols, avals) = a.row(r);
-            let mut touched: Vec<u32> = Vec::new();
             for (&k, &av) in acols.iter().zip(avals) {
                 let (bcols, bvals) = b.row(k as usize);
                 for (&j, &bv) in bcols.iter().zip(bvals) {
-                    if !acc.occupied(j as usize) {
-                        touched.push(j);
+                    if acc.add(j as usize, av * bv) {
+                        out.cols.push(j);
                     }
-                    acc.add(j as usize, av * bv);
                 }
             }
-            touched.sort_unstable();
-            let vals: Vec<f64> = touched.iter().map(|&j| acc.get(j as usize)).collect();
-            out.push((touched, vals));
-        }
-        out
-    });
-    let rows: Vec<(Vec<u32>, Vec<f64>)> = blocks.into_iter().flatten().collect();
-    CsrMatrix::from_sorted_rows(nrows, ncols, rows)
+            out.cols[start..].sort_unstable();
+            out.vals
+                .extend(out.cols[start..].iter().map(|&j| acc.get(j as usize)));
+        },
+    )
 }
 
 /// Galerkin coarse operator `A_c = Pᵀ A P` (paper Section III-B: restrict,
@@ -106,44 +96,50 @@ pub fn galerkin_product(a: &CsrMatrix, p: &CsrMatrix) -> CsrMatrix {
 pub fn add_scaled(alpha: f64, a: &CsrMatrix, beta: f64, b: &CsrMatrix) -> CsrMatrix {
     assert_eq!(a.nrows(), b.nrows(), "add_scaled row mismatch");
     assert_eq!(a.ncols(), b.ncols(), "add_scaled col mismatch");
-    let rows: Vec<(Vec<u32>, Vec<f64>)> = par::map_range(0..a.nrows(), |r| {
-        let (ac, av) = a.row(r);
-        let (bc, bv) = b.row(r);
-        let mut cols = Vec::with_capacity(ac.len() + bc.len());
-        let mut vals = Vec::with_capacity(ac.len() + bc.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < ac.len() || j < bc.len() {
-            let ca = ac.get(i).copied().unwrap_or(u32::MAX);
-            let cb = bc.get(j).copied().unwrap_or(u32::MAX);
-            if ca < cb {
-                cols.push(ca);
-                vals.push(alpha * av[i]);
-                i += 1;
-            } else if cb < ca {
-                cols.push(cb);
-                vals.push(beta * bv[j]);
-                j += 1;
-            } else {
-                cols.push(ca);
-                vals.push(alpha * av[i] + beta * bv[j]);
-                i += 1;
-                j += 1;
+    CsrMatrix::from_row_blocks(
+        a.nrows(),
+        a.ncols(),
+        || (),
+        |_, r, out| {
+            let (ac, av) = a.row(r);
+            let (bc, bv) = b.row(r);
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < ac.len() || j < bc.len() {
+                let ca = ac.get(i).copied().unwrap_or(u32::MAX);
+                let cb = bc.get(j).copied().unwrap_or(u32::MAX);
+                if ca < cb {
+                    out.cols.push(ca);
+                    out.vals.push(alpha * av[i]);
+                    i += 1;
+                } else if cb < ca {
+                    out.cols.push(cb);
+                    out.vals.push(beta * bv[j]);
+                    j += 1;
+                } else {
+                    out.cols.push(ca);
+                    out.vals.push(alpha * av[i] + beta * bv[j]);
+                    i += 1;
+                    j += 1;
+                }
             }
-        }
-        (cols, vals)
-    });
-    CsrMatrix::from_sorted_rows(a.nrows(), a.ncols(), rows)
+        },
+    )
 }
 
 /// Scale each row `i` of `A` by `s[i]` (used for `D⁻¹ A` in prolongator
 /// smoothing and Jacobi).
 pub fn scale_rows(s: &[f64], a: &CsrMatrix) -> CsrMatrix {
     assert_eq!(s.len(), a.nrows());
-    let rows: Vec<(Vec<u32>, Vec<f64>)> = par::map_range(0..a.nrows(), |r| {
-        let (cols, vals) = a.row(r);
-        (cols.to_vec(), vals.iter().map(|&v| s[r] * v).collect())
-    });
-    CsrMatrix::from_sorted_rows(a.nrows(), a.ncols(), rows)
+    CsrMatrix::from_row_blocks(
+        a.nrows(),
+        a.ncols(),
+        || (),
+        |_, r, out| {
+            let (cols, vals) = a.row(r);
+            out.cols.extend_from_slice(cols);
+            out.vals.extend(vals.iter().map(|&v| s[r] * v));
+        },
+    )
 }
 
 #[cfg(test)]
