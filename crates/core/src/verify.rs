@@ -47,14 +47,18 @@ impl fmt::Display for MisViolation {
 
 impl std::error::Error for MisViolation {}
 
-/// Count of IN vertices among each vertex's neighbors.
+/// Count of IN vertices among each vertex's neighbors, scattered from the
+/// members: adjacency is symmetric, so `w` appears in `adj(u)` exactly
+/// when `u` appears in `adj(w)`, and the walk touches Σ deg(IN) entries
+/// instead of every edge.
 fn in_neighbor_counts(g: &CsrGraph, is_in: &[bool]) -> Vec<u32> {
-    par::map_range(0..g.num_vertices() as VertexId, |v| {
-        g.neighbors(v)
-            .iter()
-            .filter(|&&w| is_in[w as usize])
-            .count() as u32
-    })
+    let mut cnt = vec![0u32; g.num_vertices()];
+    for u in (0..g.num_vertices()).filter(|&u| is_in[u]) {
+        for &w in g.neighbors(u as VertexId) {
+            cnt[w as usize] += 1;
+        }
+    }
+    cnt
 }
 
 /// Verify that `is_in` is a maximal distance-2 independent set of `g`.
@@ -230,6 +234,40 @@ mod tests {
             verify_mis1(&g, &mask(5, &[0])),
             Err(MisViolation::NotMaximal { .. })
         ));
+    }
+
+    #[test]
+    fn scattered_counts_equal_gathered_counts_on_random_masks() {
+        use mis2_prim::hash::splitmix64;
+        let graphs = [
+            gen::erdos_renyi(300, 1200, 1),
+            gen::rmat(9, 8, 0.57, 0.19, 0.19, 2),
+            gen::laplace3d(7, 6, 5),
+            gen::star(40),
+            CsrGraph::empty(5),
+        ];
+        let mut rng = 7u64;
+        for g in &graphs {
+            let n = g.num_vertices();
+            // Densities from empty to full: most masks are not an MIS-2.
+            for per_mille in [0u64, 5, 50, 300, 700, 1000] {
+                let is_in: Vec<bool> = (0..n)
+                    .map(|_| {
+                        rng = splitmix64(rng);
+                        rng % 1000 < per_mille
+                    })
+                    .collect();
+                let gathered: Vec<u32> = (0..n as VertexId)
+                    .map(|v| {
+                        g.neighbors(v)
+                            .iter()
+                            .filter(|&&w| is_in[w as usize])
+                            .count() as u32
+                    })
+                    .collect();
+                assert_eq!(in_neighbor_counts(g, &is_in), gathered, "{per_mille}‰");
+            }
+        }
     }
 
     #[test]

@@ -235,9 +235,8 @@ struct EvIo {
     /// Responses acquired but not yet retired by a completed write — the
     /// epoll analog of the threads backend's `ConnWindow` occupancy.
     held: usize,
-    /// The batch under construction. A flush takes it whole, so the
-    /// buffer is allocated per batch and an idle connection holds none
-    /// (see the threads writer for why not reuse).
+    /// The batch under construction. A flush takes it whole and swaps in
+    /// the connection's spare (see [`WireBatch::into_spare`]).
     next: WireBatch,
     sink: Arc<EvSink>,
     stats: Arc<SvcStats>,
@@ -278,6 +277,21 @@ impl WireBatch {
     fn push(&mut self, item: Outgoing) {
         self.count += 1;
         stage_outgoing(item, &mut self.buf, &mut self.spans);
+    }
+
+    /// A retired batch, emptied for reuse as the connection's next one so
+    /// that a busy connection stops allocating per batch — or `None` when
+    /// its buffer has grown past [`HIGH_WATER`], so a connection that
+    /// once flushed a large batch and went idle does not keep it.
+    fn into_spare(mut self) -> Option<WireBatch> {
+        if self.buf.capacity() > HIGH_WATER {
+            return None;
+        }
+        self.buf.clear();
+        self.spans.clear();
+        self.count = 0;
+        self.sent = 0;
+        Some(self)
     }
 
     /// Push more bytes at the socket: `Ok(true)` when the batch is fully
@@ -326,6 +340,8 @@ struct EvConn {
     machine: ConnMachine,
     io: EvIo,
     batch: Option<WireBatch>,
+    /// The last retired batch, emptied, waiting to become `io.next`.
+    spare: Option<WireBatch>,
     state: ConnState,
     read_closed: bool,
     /// Span clock zero of the most recent socket read (see
@@ -450,7 +466,8 @@ impl EvConn {
         let mut progress = false;
         loop {
             if self.batch.is_none() && self.io.next.count > 0 {
-                let batch = std::mem::take(&mut self.io.next);
+                let spare = self.spare.take().unwrap_or_default();
+                let batch = std::mem::replace(&mut self.io.next, spare);
                 cx.stats
                     .inflight
                     .fetch_sub(batch.count as u64, Ordering::Relaxed);
@@ -471,8 +488,9 @@ impl EvConn {
                     // socket; the batch's spans share one clock read.
                     self.io.held -= batch.count;
                     if !batch.spans.is_empty() {
-                        cx.mx.record_batch(&mut batch.spans, Instant::now());
+                        cx.mx.record_batch(batch.spans.drain(..), Instant::now());
                     }
+                    self.spare = batch.into_spare();
                     progress = true;
                 }
                 false => return Ok(progress), // EPOLLOUT resumes the batch
@@ -645,6 +663,7 @@ impl EvLoop {
                     stats: Arc::clone(&self.cx.stats),
                 },
                 batch: None,
+                spare: None,
                 state: ConnState::Open,
                 read_closed: false,
                 t0: None,
@@ -861,6 +880,26 @@ mod tests {
             assert!(batch.write_some(&mut out).unwrap());
         }
         assert!(blocked > 1000, "the schedule must exercise resumption");
+    }
+
+    #[test]
+    fn a_retired_batch_is_reused_unless_it_outgrew_the_high_water_mark() {
+        let (mut batch, expect) = mixed_batch(&mut 3);
+        assert!(batch.write_some(&mut Vec::new()).unwrap());
+        let capacity = batch.buf.capacity();
+        let spare = batch.into_spare().expect("a small batch is kept");
+        assert_eq!((spare.buf.len(), spare.count, spare.sent), (0, 0, 0));
+        assert!(spare.spans.is_empty());
+        assert_eq!(spare.buf.capacity(), capacity);
+        assert!(capacity >= expect.len());
+
+        let mut big = WireBatch::default();
+        big.push(Outgoing {
+            payload: Payload::Line("x".repeat(HIGH_WATER)),
+            span: None,
+        });
+        assert!(big.buf.capacity() > HIGH_WATER);
+        assert!(big.into_spare().is_none());
     }
 
     #[test]

@@ -49,9 +49,10 @@
 //!   *scale* (thousands of idle clients cost an fd each, not threads —
 //!   `tests/svc_c10k.rs` is the proof).
 //! * [`metrics`] — full-stack request observability, recorded on every
-//!   protocol: lock-free log2-bucket latency histograms per op ×
-//!   outcome, per-stage spans (parse → probe → queue → run → write), a
-//!   mutex-guarded ring of the last 64 slow requests (`--slow-ms`), and the
+//!   protocol: log2-bucket latency histograms per op × outcome, per-stage
+//!   spans (parse → queue → run → write), a ring of the last 64 slow
+//!   requests (`--slow-ms`), all behind one lock taken once per retired
+//!   write batch, and the
 //!   versioned `METRICS` text exposition that the router merges
 //!   bucket-wise across a cluster ([`metrics::merge_expositions`]).
 //! * [`shard`] — cluster scale: a consistent-hash [`shard::Ring`] over

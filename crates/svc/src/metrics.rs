@@ -1,30 +1,34 @@
-//! Request observability: lock-free latency histograms, stage spans, a
-//! slow-request ring, and the versioned `METRICS` text exposition.
+//! Request observability: latency histograms, stage spans, a slow-request
+//! ring, and the versioned `METRICS` text exposition.
 //!
-//! Everything here is std-only, and recording a request under the slow
-//! threshold neither allocates nor locks:
+//! Everything here is std-only. What watching a request costs depends on
+//! how it was answered:
 //!
-//! - [`Histo`] is a fixed-boundary log2-bucket histogram (26 buckets,
-//!   1µs..~33.5s). `record(ns)` is two relaxed atomic adds — safe to call
-//!   from the v3 inline hot path. Snapshots merge bucket-wise so the
-//!   shard router can aggregate a cluster.
-//! - [`Span`] carries per-request stage timestamps (parse → cache probe
-//!   → enqueue → job start → job end) from the reader thread to the
-//!   writer thread, which stamps write-retirement once per batch and
-//!   hands the finished span to [`Metrics::record`]. All stage
-//!   arithmetic is deferred to the writer so the reader pays only a few
-//!   `Instant::now()` calls.
-//! - [`SlowRing`] keeps the last 64 requests whose total latency met the
-//!   `--slow-ms` threshold, in a mutex-guarded deque: a request that took
-//!   half a second does not notice a lock, and no entry is ever dropped.
-//! - [`Metrics::render`] emits the Prometheus-style exposition
-//!   (`# mis2svc metrics schema 1` header, counters, per-op ×
-//!   per-outcome histogram series with `_sum`/`_count`, per-stage
-//!   series, and a slow-ring dump). [`parse_exposition`] and
-//!   [`merge_expositions`] give the router a bucket-wise cluster merge
-//!   that sums every series except `mis2_uptime_seconds` (min over live
-//!   shards) and `mis2_slow_request` lines (passed through with the
-//!   `shard` label rewritten to the source shard index).
+//! - An inline answer — a v3 cache hit, `STATS`, `PING`, an error —
+//!   reads no clock of its own ([`Span::fast`]). Its latency runs from the
+//!   arrival stamp the driver takes once per socket read to the retire
+//!   stamp the writer takes once per write batch, both shared with every
+//!   other request of that read and that batch.
+//! - A scheduled request (a v3 miss, any v1 compute) reads the clock once
+//!   on the reader, after the failed cache probe, to end its `parse` stage
+//!   ([`Span::start`]); the scheduler worker stamps enqueue, job start and
+//!   job end into atomic [`JobStamps`], the only atomics left here.
+//! - The writer hands a retired batch to [`Metrics::record_batch`], which
+//!   takes the registry's one lock once for the whole batch. Under it sit
+//!   plain [`HistoSnap`] histograms — per op × outcome latency and per
+//!   stage — and the ring of the last [`SLOW_SLOTS`] requests whose total
+//!   latency met `--slow-ms`. [`Metrics::render`] takes the same lock once
+//!   per scrape, so `mis2_requests_total` and every `_count` it emits come
+//!   from one snapshot.
+//!
+//! [`Metrics::render`] emits the Prometheus-style exposition (`# mis2svc
+//! metrics schema 2` header, counters, per-op × per-outcome histogram
+//! series with `_sum`/`_count`, per-stage series, and a slow-ring dump).
+//! [`parse_exposition`] and [`merge_expositions`] give the router a
+//! bucket-wise cluster merge that sums every series except
+//! `mis2_uptime_seconds` (min over live shards) and `mis2_slow_request`
+//! lines (passed through with the `shard` label rewritten to the source
+//! shard index).
 //!
 //! Bucket scheme: bucket 0 holds `ns <= 1000`; bucket `i` holds
 //! `1000·2^(i-1) < ns <= 1000·2^i`; the top bucket (`le="33554432000"`)
@@ -35,13 +39,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Exposition format version; bumped whenever a series is renamed or
 /// its labels change meaning. The header line is
 /// `# mis2svc metrics schema <SCHEMA>`.
-pub const SCHEMA: u64 = 1;
+pub const SCHEMA: u64 = 2;
 
 /// Number of histogram buckets: 1µs doubling up to ~33.5s.
 pub const NBUCKETS: usize = 26;
@@ -66,32 +70,9 @@ pub fn bucket_of(ns: u64) -> usize {
 // Histograms
 // ---------------------------------------------------------------------------
 
-/// Lock-free fixed-boundary latency histogram. `record` is two relaxed
-/// atomic adds; no locks anywhere.
-#[derive(Default)]
-pub struct Histo {
-    buckets: [AtomicU64; NBUCKETS],
-    sum: AtomicU64,
-}
-
-impl Histo {
-    pub fn record(&self, ns: u64) {
-        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    pub fn snapshot(&self) -> HistoSnap {
-        let mut s = HistoSnap::default();
-        for (i, b) in self.buckets.iter().enumerate() {
-            s.buckets[i] = b.load(Ordering::Relaxed);
-        }
-        s.sum = self.sum.load(Ordering::Relaxed);
-        s
-    }
-}
-
-/// A point-in-time copy of a [`Histo`]; `_count` is derived as the sum
-/// of the buckets, so `sum(buckets) == count` holds by construction.
+/// A fixed-boundary latency histogram: per-bucket counts and the sum of
+/// the recorded nanoseconds. `_count` is derived as the sum of the
+/// buckets, so `sum(buckets) == count` holds by construction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct HistoSnap {
     pub buckets: [u64; NBUCKETS],
@@ -99,6 +80,11 @@ pub struct HistoSnap {
 }
 
 impl HistoSnap {
+    pub fn record(&mut self, ns: u64) {
+        self.buckets[bucket_of(ns)] += 1;
+        self.sum = self.sum.wrapping_add(ns);
+    }
+
     pub fn count(&self) -> u64 {
         self.buckets.iter().fold(0u64, |a, &b| a.saturating_add(b))
     }
@@ -198,35 +184,28 @@ impl Outcome {
     }
 }
 
-/// Request lifecycle stage, for the per-stage histograms.
+/// Request lifecycle stage of a scheduled request, for the per-stage
+/// histograms.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Stage {
-    /// Wire read + request parse (read-complete → parse-complete).
+    /// Socket read → request parsed; on v3 this includes the failed
+    /// inline cache probe, which the stage's one clock read follows.
     Parse = 0,
-    /// Inline response-cache probe (v3 compute requests only).
-    Probe = 1,
-    /// Scheduler queue wait (enqueue → job start; scheduled requests only).
-    Queue = 2,
-    /// Job execution (job start → job end; scheduled requests only).
-    Run = 3,
-    /// Tail latency: end of the last accounted stage → write retired.
-    Write = 4,
+    /// Scheduler queue wait (enqueue → job start).
+    Queue = 1,
+    /// Job execution (job start → job end).
+    Run = 2,
+    /// Job end → write retired.
+    Write = 3,
 }
 
-pub const NSTAGES: usize = 5;
-pub const STAGES: [Stage; NSTAGES] = [
-    Stage::Parse,
-    Stage::Probe,
-    Stage::Queue,
-    Stage::Run,
-    Stage::Write,
-];
+pub const NSTAGES: usize = 4;
+pub const STAGES: [Stage; NSTAGES] = [Stage::Parse, Stage::Queue, Stage::Run, Stage::Write];
 
 impl Stage {
     pub fn label(self) -> &'static str {
         match self {
             Stage::Parse => "parse",
-            Stage::Probe => "probe",
             Stage::Queue => "queue",
             Stage::Run => "run",
             Stage::Write => "write",
@@ -267,7 +246,6 @@ impl KeyBuf {
     }
 }
 
-/// Stage stamps for a scheduler-path request, shared between the job
 /// Elapsed nanoseconds between two instants, in u64 arithmetic — the
 /// per-span retire loop runs this at request rate, and `as_nanos`'s
 /// u128 multiply is measurable there. Saturates to 0 on inversion.
@@ -279,6 +257,7 @@ fn elapsed_ns(from: Instant, to: Instant) -> u64 {
         .wrapping_add(u64::from(d.subsec_nanos()))
 }
 
+/// Stage stamps for a scheduler-path request, shared between the job
 /// closure (stamps start/end on a worker thread) and the span riding to
 /// the writer. Offsets are ns since `started`.
 #[derive(Debug)]
@@ -307,77 +286,49 @@ impl JobStamps {
     }
 }
 
-/// Per-request stage record, created by the reader thread right after
-/// parse and recorded by the writer thread after the response bytes hit
-/// the socket. The reader only stamps clocks; all bucket arithmetic
-/// happens in [`Metrics::record`] on the writer thread.
-/// Saturating elapsed-ns stamp for the sub-second stage fields —
-/// `u32` keeps [`Span`] inside a single cache line, and a parse or
-/// probe that somehow takes 4+ seconds pins to `u32::MAX`.
-#[inline]
-fn stage_stamp(from: Instant) -> u32 {
-    let d = from.elapsed();
-    if d.as_secs() >= 4 {
-        u32::MAX
-    } else {
-        (d.as_secs() as u32) * 1_000_000_000 + d.subsec_nanos()
-    }
-}
-
-#[derive(Debug)]
+/// Per-request record, created by the reader and retired by the writer
+/// after the response bytes hit the socket. The reader only stamps
+/// clocks; all bucket arithmetic happens in [`Metrics::record_batch`].
+#[derive(Clone, Debug)]
 pub struct Span {
     pub op: Op,
     pub outcome: Outcome,
     pub key: KeyBuf,
+    /// The arrival stamp of the socket read the request came in.
     pub started: Instant,
+    /// `started` → end of parse, saturating at `u32::MAX` (~4.3 s) so a
+    /// span stays inside one cache line; 0 on a [`Span::fast`] span.
     pub parse_ns: u32,
-    pub probe_ns: u32,
-    pub probed: bool,
     pub job: Option<Arc<JobStamps>>,
 }
 
 impl Span {
-    /// Start a span for a request whose read began at `t0` (`None` when
-    /// recording is disabled — returns `None`, so the hot path pays
-    /// nothing). Stamps `parse_ns = t0.elapsed()`; call immediately
-    /// after parse.
+    /// Start a span for a scheduled request whose read began at `t0`,
+    /// stamping `parse_ns = t0.elapsed()` — the one clock read the reader
+    /// spends on it. `None` when recording is disabled (`t0` is `None`).
     pub fn start(t0: Option<Instant>, op: Op, key: &str) -> Option<Span> {
-        let started = t0?;
-        Some(Span {
-            op,
-            outcome: Outcome::Computed,
-            key: KeyBuf::new(key),
-            started,
-            parse_ns: stage_stamp(started),
-            probe_ns: 0,
-            probed: false,
-            job: None,
-        })
+        let mut span = Span::fast(t0, op, Outcome::Computed, key)?;
+        let d = span.started.elapsed();
+        span.parse_ns = if d.as_secs() >= 4 {
+            u32::MAX
+        } else {
+            (d.as_secs() as u32) * 1_000_000_000 + d.subsec_nanos()
+        };
+        Some(span)
     }
 
-    /// The clock-free span for inline answers that probe nothing (STATS,
-    /// PING-class chatter, errors): no parse stamp, no probe, no job —
-    /// the request's whole cost is its latency-histogram total, measured
-    /// from `t0` to write-retired without a single extra clock read on
-    /// the hot path.
+    /// The clock-free span of an inline answer (cache hit, `STATS`,
+    /// `PING`-class chatter, errors): no parse stamp, no job. Its whole
+    /// cost is its latency total, `t0` to write-retired.
     pub fn fast(t0: Option<Instant>, op: Op, outcome: Outcome, key: &str) -> Option<Span> {
-        let started = t0?;
         Some(Span {
             op,
             outcome,
             key: KeyBuf::new(key),
-            started,
+            started: t0?,
             parse_ns: 0,
-            probe_ns: 0,
-            probed: false,
             job: None,
         })
-    }
-
-    /// Record the inline cache-probe duration (`probe_started` →  now).
-    pub fn stamp_probe(&mut self, probe_started: Instant) {
-        self.probe_ns = stage_stamp(probe_started);
-        self.probed = true;
     }
 
     /// Attach scheduler-path stamps; returns the handle the job closure
@@ -395,112 +346,107 @@ impl Span {
 }
 
 // ---------------------------------------------------------------------------
-// Slow-request ring
+// Metrics registry
 // ---------------------------------------------------------------------------
 
 /// Capacity of the slow-request ring.
 pub const SLOW_SLOTS: usize = 64;
 
-/// One finished slow request, as handed to the ring.
+/// One captured slow request.
 #[derive(Clone, Copy, Debug)]
-pub struct SlowSample {
-    pub op: Op,
-    pub outcome: Outcome,
-    pub key: KeyBuf,
-    pub total_ns: u64,
-    pub parse_ns: u64,
-    pub probe_ns: u64,
-    pub queue_ns: u64,
-    pub run_ns: u64,
-    pub write_ns: u64,
+struct SlowEntry {
+    /// Capture ticket, monotonic over the registry's lifetime.
+    seq: u64,
+    op: Op,
+    outcome: Outcome,
+    key: KeyBuf,
+    total_ns: u64,
+    parse_ns: u64,
+    queue_ns: u64,
+    run_ns: u64,
+    write_ns: u64,
 }
 
-/// One slow request read back out of the ring.
-#[derive(Clone, Debug)]
-pub struct SlowEntry {
-    /// Global capture ticket (monotonic across the ring's lifetime).
-    pub seq: u64,
-    pub op: Op,
-    pub outcome: Outcome,
-    pub key: String,
-    pub total_ns: u64,
-    pub parse_ns: u64,
-    pub probe_ns: u64,
-    pub queue_ns: u64,
-    pub run_ns: u64,
-    pub write_ns: u64,
+/// Everything a scrape reads, behind [`Metrics`]' one lock.
+#[derive(Clone, Default)]
+struct Recorded {
+    latency: [[HistoSnap; NOUTCOMES]; NOPS],
+    stages: [HistoSnap; NSTAGES],
+    /// Slow requests ever captured, including ones since overwritten.
+    slow_captured: u64,
+    /// The last [`SLOW_SLOTS`] slow requests, in ticket order.
+    slow: VecDeque<SlowEntry>,
 }
 
-/// The last [`SLOW_SLOTS`] slow-request spans behind a mutex. A request
-/// reaches `push` only after taking `--slow-ms` to answer, so the lock is
-/// noise there, and tickets are issued under it: no entry is ever
-/// dropped, and the deque is in ticket order by construction.
-#[derive(Default)]
-pub struct SlowRing {
-    state: Mutex<SlowState>,
-}
-
-#[derive(Default)]
-struct SlowState {
-    captured: u64,
-    entries: VecDeque<SlowEntry>,
-}
-
-impl SlowRing {
-    /// Total slow requests ever captured (including ones since
-    /// overwritten).
-    pub fn captured(&self) -> u64 {
-        self.state.lock().expect("slow ring lock poisoned").captured
+impl Recorded {
+    /// Every latency histogram's count: the one request counter.
+    fn requests_total(&self) -> u64 {
+        self.latency.iter().flatten().map(HistoSnap::count).sum()
     }
 
-    pub fn push(&self, s: SlowSample) {
-        let key = s.key.display(); // allocate outside the lock
-        let mut st = self.state.lock().expect("slow ring lock poisoned");
-        if st.entries.len() == SLOW_SLOTS {
-            st.entries.pop_front();
+    /// File one retired span. Every span lands in its latency histogram;
+    /// only a scheduled span (one with job stamps) has stages to record —
+    /// an inline answer is single-stage, and stamping its sub-microsecond
+    /// stages would cost more clock reads than the stages take.
+    fn add(&mut self, span: &Span, retired: Instant, slow_ns: u64) {
+        let total = elapsed_ns(span.started, retired);
+        self.latency[span.op as usize][span.outcome as usize].record(total);
+        let parse_ns = u64::from(span.parse_ns);
+        let (queue_ns, run_ns, write_ns) = match &span.job {
+            Some(j) => {
+                let e = j.enqueued_ns.load(Ordering::Relaxed);
+                let s = j.start_ns.load(Ordering::Relaxed);
+                let n = j.end_ns.load(Ordering::Relaxed);
+                let split = (
+                    s.saturating_sub(e),
+                    n.saturating_sub(s),
+                    total.saturating_sub(n),
+                );
+                for (stage, ns) in [
+                    (Stage::Parse, parse_ns),
+                    (Stage::Queue, split.0),
+                    (Stage::Run, split.1),
+                    (Stage::Write, split.2),
+                ] {
+                    self.stages[stage as usize].record(ns);
+                }
+                split
+            }
+            None => (0, 0, total.saturating_sub(parse_ns)),
+        };
+        if total >= slow_ns {
+            if self.slow.len() == SLOW_SLOTS {
+                self.slow.pop_front();
+            }
+            self.slow.push_back(SlowEntry {
+                seq: self.slow_captured,
+                op: span.op,
+                outcome: span.outcome,
+                key: span.key,
+                total_ns: total,
+                parse_ns,
+                queue_ns,
+                run_ns,
+                write_ns,
+            });
+            self.slow_captured += 1;
         }
-        let seq = st.captured;
-        st.captured += 1;
-        st.entries.push_back(SlowEntry {
-            seq,
-            op: s.op,
-            outcome: s.outcome,
-            key,
-            total_ns: s.total_ns,
-            parse_ns: s.parse_ns,
-            probe_ns: s.probe_ns,
-            queue_ns: s.queue_ns,
-            run_ns: s.run_ns,
-            write_ns: s.write_ns,
-        });
-    }
-
-    /// The surviving entries, oldest first.
-    pub fn snapshot(&self) -> Vec<SlowEntry> {
-        let st = self.state.lock().expect("slow ring lock poisoned");
-        st.entries.iter().cloned().collect()
     }
 }
-
-// ---------------------------------------------------------------------------
-// Metrics registry
-// ---------------------------------------------------------------------------
 
 /// Per-server metrics: per-op × per-outcome latency histograms,
-/// per-stage histograms, and the slow-request ring.
+/// per-stage histograms, and the slow-request ring, all behind one lock.
 ///
 /// There is deliberately no separate request counter:
 /// `requests_total` is **derived** from the latency histograms' counts,
 /// so the exposition identity `sum(_count) == mis2_requests_total`
-/// holds exactly, on every scrape, with zero extra hot-path work.
+/// holds exactly, on every scrape.
 pub struct Metrics {
     enabled: bool,
     started: Instant,
     slow_ms: u64,
     slow_ns: u64,
-    latency: [[Histo; NOUTCOMES]; NOPS],
-    stages: [Histo; NSTAGES],
-    slow: SlowRing,
+    recorded: Mutex<Recorded>,
 }
 
 impl Metrics {
@@ -510,9 +456,7 @@ impl Metrics {
             started: Instant::now(),
             slow_ms,
             slow_ns: slow_ms.saturating_mul(1_000_000),
-            latency: Default::default(),
-            stages: Default::default(),
-            slow: SlowRing::default(),
+            recorded: Mutex::default(),
         }
     }
 
@@ -520,9 +464,9 @@ impl Metrics {
         Metrics::build(slow_ms, true)
     }
 
-    /// A no-op registry: spans are never created (`Span::start` gets
-    /// `None`) and `record` returns immediately. Used by the bench to
-    /// A/B the recording overhead.
+    /// A no-op registry: drivers pass no arrival stamp, so spans are never
+    /// created, and `record_batch` returns immediately. Used by the bench
+    /// to A/B the recording overhead.
     pub fn disabled(slow_ms: u64) -> Metrics {
         Metrics::build(slow_ms, false)
     }
@@ -535,88 +479,41 @@ impl Metrics {
         self.started.elapsed().as_secs()
     }
 
+    fn recorded(&self) -> MutexGuard<'_, Recorded> {
+        // Nothing under the lock panics short of a bug in `Recorded::add`.
+        self.recorded.lock().expect("metrics lock poisoned")
+    }
+
     /// Total retired requests: the sum of every latency histogram's
     /// count. Derived, not counted — see the struct doc.
     pub fn requests_total(&self) -> u64 {
-        self.latency
-            .iter()
-            .flatten()
-            .map(|h| h.snapshot().count())
-            .sum()
+        self.recorded().requests_total()
     }
 
     pub fn latency_snapshot(&self, op: Op, outcome: Outcome) -> HistoSnap {
-        self.latency[op as usize][outcome as usize].snapshot()
+        self.recorded().latency[op as usize][outcome as usize]
     }
 
     pub fn stage_snapshot(&self, stage: Stage) -> HistoSnap {
-        self.stages[stage as usize].snapshot()
+        self.recorded().stages[stage as usize]
     }
 
+    /// Total slow requests ever captured (including ones since
+    /// overwritten).
     pub fn slow_captured(&self) -> u64 {
-        self.slow.captured()
+        self.recorded().slow_captured
     }
 
-    /// Record a finished request. `retired` is the instant the response
-    /// bytes were written to the socket (one clock read per write
-    /// batch). All stage arithmetic happens here, on the writer thread.
-    ///
-    /// Every span lands in its latency histogram (two relaxed atomic
-    /// adds — the whole hot-path cost for inline answers). The stage
-    /// decomposition is recorded only for **scheduled** spans — the
-    /// requests with an actual multi-stage lifecycle; inline answers
-    /// (cache hits, STATS, errors) are single-stage by definition, and
-    /// stamping their sub-microsecond stages would cost more clock reads
-    /// than the stages take.
-    pub fn record(&self, span: &Span, retired: Instant) {
+    /// Retire a batch of finished requests against one shared
+    /// write-retired stamp: one clock read per write batch on the caller,
+    /// one lock here.
+    pub fn record_batch(&self, spans: impl IntoIterator<Item = Span>, retired: Instant) {
         if !self.enabled {
             return;
         }
-        let total = elapsed_ns(span.started, retired);
-        self.latency[span.op as usize][span.outcome as usize].record(total);
-
-        let (queue_ns, run_ns) = match &span.job {
-            Some(j) => {
-                let e = j.enqueued_ns.load(Ordering::Relaxed);
-                let s = j.start_ns.load(Ordering::Relaxed);
-                let n = j.end_ns.load(Ordering::Relaxed);
-                let (queue_ns, run_ns) = (s.saturating_sub(e), n.saturating_sub(s));
-                self.stages[Stage::Parse as usize].record(u64::from(span.parse_ns));
-                if span.probed {
-                    self.stages[Stage::Probe as usize].record(u64::from(span.probe_ns));
-                }
-                self.stages[Stage::Queue as usize].record(queue_ns);
-                self.stages[Stage::Run as usize].record(run_ns);
-                self.stages[Stage::Write as usize].record(total.saturating_sub(n));
-                (queue_ns, run_ns)
-            }
-            None => (0, 0),
-        };
-
-        if total >= self.slow_ns {
-            let write_ns = match &span.job {
-                Some(j) => total.saturating_sub(j.end_ns.load(Ordering::Relaxed)),
-                None => total.saturating_sub(u64::from(span.parse_ns) + u64::from(span.probe_ns)),
-            };
-            self.slow.push(SlowSample {
-                op: span.op,
-                outcome: span.outcome,
-                key: span.key,
-                total_ns: total,
-                parse_ns: u64::from(span.parse_ns),
-                probe_ns: u64::from(span.probe_ns),
-                queue_ns,
-                run_ns,
-                write_ns,
-            });
-        }
-    }
-
-    /// Retire a writer batch of spans against one shared write-retired
-    /// stamp (one clock read per write batch, not per span).
-    pub fn record_batch(&self, spans: &mut Vec<Span>, retired: Instant) {
-        for span in spans.drain(..) {
-            self.record(&span, retired);
+        let mut rec = self.recorded();
+        for span in spans {
+            rec.add(&span, retired, self.slow_ns);
         }
     }
 
@@ -625,64 +522,53 @@ impl Metrics {
     /// live outside this registry; each becomes a bare `name value`
     /// line after the built-in counters.
     pub fn render(&self, extra: &[(&str, u64)]) -> String {
-        // Snapshot every latency histogram ONCE and derive the request
-        // total from those very snapshots: even with requests retiring
-        // concurrently, the emitted `mis2_requests_total` equals the
-        // emitted `_count` sum exactly.
-        let mut latency: Vec<(Op, Outcome, HistoSnap)> = Vec::new();
-        for op in OPS {
-            for outcome in OUTCOMES {
-                let snap = self.latency_snapshot(op, outcome);
-                if !snap.is_empty() {
-                    latency.push((op, outcome, snap));
-                }
-            }
-        }
-        let requests: u64 = latency.iter().map(|(_, _, s)| s.count()).sum();
+        // One copy under the lock; every line below reads it, so even with
+        // batches retiring concurrently the emitted `mis2_requests_total`
+        // equals the emitted `_count` sum.
+        let rec = self.recorded().clone();
         let mut out = String::with_capacity(4096);
         out.push_str(&format!("# mis2svc metrics schema {SCHEMA}\n"));
         out.push_str(&format!("mis2_uptime_seconds {}\n", self.uptime_s()));
-        out.push_str(&format!("mis2_requests_total {requests}\n"));
+        out.push_str(&format!("mis2_requests_total {}\n", rec.requests_total()));
         out.push_str(&format!("mis2_slow_threshold_ms {}\n", self.slow_ms));
-        out.push_str(&format!(
-            "mis2_slow_captured_total {}\n",
-            self.slow.captured()
-        ));
+        out.push_str(&format!("mis2_slow_captured_total {}\n", rec.slow_captured));
         for (name, v) in extra {
             out.push_str(&format!("{name} {v}\n"));
         }
-        for (op, outcome, snap) in &latency {
-            render_histo(
-                &mut out,
-                "mis2_request_latency_ns",
-                &format!("op=\"{}\",outcome=\"{}\"", op.label(), outcome.label()),
-                snap,
-            );
+        for op in OPS {
+            for outcome in OUTCOMES {
+                let snap = &rec.latency[op as usize][outcome as usize];
+                if !snap.is_empty() {
+                    render_histo(
+                        &mut out,
+                        "mis2_request_latency_ns",
+                        &format!("op=\"{}\",outcome=\"{}\"", op.label(), outcome.label()),
+                        snap,
+                    );
+                }
+            }
         }
         for stage in STAGES {
-            let snap = self.stage_snapshot(stage);
-            if snap.is_empty() {
-                continue;
+            let snap = &rec.stages[stage as usize];
+            if !snap.is_empty() {
+                render_histo(
+                    &mut out,
+                    "mis2_stage_ns",
+                    &format!("stage=\"{}\"", stage.label()),
+                    snap,
+                );
             }
-            render_histo(
-                &mut out,
-                "mis2_stage_ns",
-                &format!("stage=\"{}\"", stage.label()),
-                &snap,
-            );
         }
-        for e in self.slow.snapshot() {
+        for e in &rec.slow {
             out.push_str(&format!(
                 "mis2_slow_request{{seq=\"{}\",op=\"{}\",outcome=\"{}\",key=\"{}\",shard=\"0\",\
-                 total_ns=\"{}\",parse_ns=\"{}\",probe_ns=\"{}\",queue_ns=\"{}\",run_ns=\"{}\",\
-                 write_ns=\"{}\"}} 1\n",
+                 total_ns=\"{}\",parse_ns=\"{}\",queue_ns=\"{}\",run_ns=\"{}\",write_ns=\"{}\"}} 1\n",
                 e.seq,
                 e.op.label(),
                 e.outcome.label(),
-                escape_label(&e.key),
+                escape_label(&e.key.display()),
                 e.total_ns,
                 e.parse_ns,
-                e.probe_ns,
                 e.queue_ns,
                 e.run_ns,
                 e.write_ns,
@@ -1021,27 +907,25 @@ mod tests {
 
     #[test]
     fn histo_count_equals_bucket_sum() {
-        let h = Histo::default();
+        let mut h = HistoSnap::default();
         for ns in [0u64, 999, 1000, 1001, 50_000, 1_000_000, u64::MAX] {
             h.record(ns);
         }
-        let s = h.snapshot();
-        assert_eq!(s.count(), 7);
-        assert_eq!(s.buckets.iter().sum::<u64>(), 7);
+        assert_eq!(h.count(), 7);
+        assert_eq!(h.buckets.iter().sum::<u64>(), 7);
     }
 
     #[test]
     fn quantile_walks_buckets() {
-        let h = Histo::default();
+        let mut h = HistoSnap::default();
         for _ in 0..90 {
             h.record(500); // bucket 0
         }
         for _ in 0..10 {
             h.record(1_000_000); // bucket 10 (bound 1024000)
         }
-        let s = h.snapshot();
-        assert_eq!(s.quantile(0.5), 1000);
-        assert_eq!(s.quantile(0.95), bucket_bound(10));
+        assert_eq!(h.quantile(0.5), 1000);
+        assert_eq!(h.quantile(0.95), bucket_bound(10));
         assert_eq!(HistoSnap::default().quantile(0.99), 0);
     }
 
@@ -1054,30 +938,22 @@ mod tests {
         assert_eq!(k.display(), "x".repeat(KEY_BYTES));
     }
 
+    /// The tickets of the slow entries still in the ring, oldest first.
+    fn slow_seqs(m: &Metrics) -> Vec<u64> {
+        m.recorded().slow.iter().map(|e| e.seq).collect()
+    }
+
     #[test]
     fn slow_ring_keeps_the_last_entries() {
-        let ring = SlowRing::default();
-        let sample = |i: u64| SlowSample {
-            op: Op::Mis2,
-            outcome: Outcome::Computed,
-            key: KeyBuf::new("g"),
-            total_ns: i,
-            parse_ns: 0,
-            probe_ns: 0,
-            queue_ns: 0,
-            run_ns: 0,
-            write_ns: 0,
-        };
-        for i in 0..(SLOW_SLOTS as u64 + 10) {
-            ring.push(sample(i));
-        }
-        assert_eq!(ring.captured(), SLOW_SLOTS as u64 + 10);
-        let snap = ring.snapshot();
-        assert_eq!(snap.len(), SLOW_SLOTS);
+        let m = Metrics::new(0); // slow_ms=0: every record reaches the ring
+        let t0 = Instant::now();
+        let spans =
+            (0..SLOW_SLOTS + 10).map(|_| Span::fast(Some(t0), Op::Mis2, Outcome::Computed, "g"));
+        m.record_batch(spans.flatten(), Instant::now());
+        assert_eq!(m.slow_captured(), SLOW_SLOTS as u64 + 10);
         // Oldest surviving ticket is 10; newest is SLOW_SLOTS + 9.
-        assert_eq!(snap.first().unwrap().seq, 10);
-        assert_eq!(snap.last().unwrap().seq, SLOW_SLOTS as u64 + 9);
-        assert!(snap.windows(2).all(|w| w[0].seq < w[1].seq));
+        let seqs = slow_seqs(&m);
+        assert_eq!(seqs, (10..SLOW_SLOTS as u64 + 10).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1096,15 +972,17 @@ mod tests {
                     for _ in 0..PUSHES {
                         let span =
                             Span::fast(Some(Instant::now()), Op::Mis2, Outcome::RespHit, "g");
-                        m.record(&span.unwrap(), Instant::now());
+                        m.record_batch(span, Instant::now());
                     }
                 });
             }
         });
         assert_eq!(m.slow_captured(), THREADS * PUSHES);
-        let seqs: Vec<u64> = m.slow.snapshot().iter().map(|e| e.seq).collect();
         let first = THREADS * PUSHES - SLOW_SLOTS as u64;
-        assert_eq!(seqs, (first..THREADS * PUSHES).collect::<Vec<u64>>());
+        assert_eq!(
+            slow_seqs(&m),
+            (first..THREADS * PUSHES).collect::<Vec<u64>>()
+        );
     }
 
     #[test]
@@ -1116,48 +994,42 @@ mod tests {
         stamps.stamp_enqueued();
         stamps.stamp_start();
         stamps.stamp_end();
-        m.record(&span, Instant::now() + Duration::from_millis(1));
+        m.record_batch([span], Instant::now() + Duration::from_millis(1));
         assert_eq!(m.requests_total(), 1);
         assert_eq!(m.latency_snapshot(Op::Mis2, Outcome::Computed).count(), 1);
-        assert_eq!(m.stage_snapshot(Stage::Queue).count(), 1);
-        assert_eq!(m.stage_snapshot(Stage::Run).count(), 1);
-        assert_eq!(m.stage_snapshot(Stage::Probe).count(), 0);
+        for stage in STAGES {
+            assert_eq!(m.stage_snapshot(stage).count(), 1, "{stage:?}");
+        }
         assert_eq!(m.slow_captured(), 1);
 
         // An inline resp-hit records its latency total only — the stage
         // histograms are the scheduled requests' decomposition, and an
-        // inline answer has no stages worth a clock read. Its probe
-        // stamp still reaches the slow ring.
-        let mut span = Span::start(Some(Instant::now()), Op::Mis2, "af_shell7").unwrap();
-        span.stamp_probe(Instant::now());
-        span.outcome = Outcome::RespHit;
-        m.record(&span, Instant::now());
-        assert_eq!(m.stage_snapshot(Stage::Queue).count(), 1);
-        assert_eq!(m.stage_snapshot(Stage::Probe).count(), 0);
-        assert_eq!(m.stage_snapshot(Stage::Write).count(), 1);
-        assert_eq!(m.latency_snapshot(Op::Mis2, Outcome::RespHit).count(), 1);
-        assert_eq!(m.requests_total(), 2);
-        assert_eq!(m.slow_captured(), 2);
-
-        // A clock-free fast span behaves the same way.
+        // inline answer has no stages worth a clock read. It still
+        // reaches the slow ring.
         let span = Span::fast(
             Some(Instant::now()),
             Op::Mis2,
             Outcome::RespHit,
             "af_shell7",
         );
-        m.record(&span.unwrap(), Instant::now());
-        assert_eq!(m.latency_snapshot(Op::Mis2, Outcome::RespHit).count(), 2);
-        assert_eq!(m.stage_snapshot(Stage::Write).count(), 1);
-        assert_eq!(m.requests_total(), 3);
+        m.record_batch(span, Instant::now());
+        for stage in STAGES {
+            assert_eq!(m.stage_snapshot(stage).count(), 1, "{stage:?}");
+        }
+        assert_eq!(m.latency_snapshot(Op::Mis2, Outcome::RespHit).count(), 1);
+        assert_eq!(m.requests_total(), 2);
+        assert_eq!(m.slow_captured(), 2);
+        let hit = *m.recorded().slow.back().unwrap();
+        assert_eq!((hit.parse_ns, hit.queue_ns, hit.run_ns), (0, 0, 0));
+        assert_eq!(hit.write_ns, hit.total_ns);
     }
 
     #[test]
     fn disabled_registry_records_nothing() {
         let m = Metrics::disabled(0);
         assert!(!m.enabled());
-        let span = Span::start(Some(Instant::now()), Op::Mis2, "g").unwrap();
-        m.record(&span, Instant::now());
+        let span = Span::start(Some(Instant::now()), Op::Mis2, "g");
+        m.record_batch(span, Instant::now());
         assert_eq!(m.requests_total(), 0);
         assert_eq!(m.slow_captured(), 0);
     }
@@ -1165,8 +1037,8 @@ mod tests {
     #[test]
     fn render_parse_round_trip() {
         let m = Metrics::new(0);
-        let span = Span::start(Some(Instant::now()), Op::Solve, "tmt_sym").unwrap();
-        m.record(&span, Instant::now());
+        let span = Span::start(Some(Instant::now()), Op::Solve, "tmt_sym");
+        m.record_batch(span, Instant::now());
         let text = m.render(&[("mis2_cache_hits_total", 7)]);
         let exp = parse_exposition(&text).unwrap();
         assert_eq!(exp.schema, SCHEMA);
@@ -1198,13 +1070,14 @@ mod tests {
             .unwrap();
         assert_eq!(slow.label("key"), Some("tmt_sym"));
         assert_eq!(slow.label("shard"), Some("0"));
+        assert_eq!(slow.label("probe_ns"), None);
     }
 
     #[test]
     fn label_escapes_round_trip() {
         let m = Metrics::new(0);
-        let span = Span::start(Some(Instant::now()), Op::Mis2, "we\"ird\\key").unwrap();
-        m.record(&span, Instant::now());
+        let span = Span::start(Some(Instant::now()), Op::Mis2, "we\"ird\\key");
+        m.record_batch(span, Instant::now());
         let exp = parse_exposition(&m.render(&[])).unwrap();
         let slow = exp
             .samples
@@ -1218,11 +1091,11 @@ mod tests {
     fn merge_sums_series_and_mins_uptime() {
         let mk = |uptime: u64, requests: u64, b0: u64| {
             format!(
-                "# mis2svc metrics schema 1\nmis2_uptime_seconds {uptime}\n\
+                "# mis2svc metrics schema 2\nmis2_uptime_seconds {uptime}\n\
                  mis2_requests_total {requests}\n\
                  mis2_request_latency_ns_bucket{{op=\"mis2\",outcome=\"computed\",le=\"1000\"}} {b0}\n\
                  mis2_slow_request{{seq=\"0\",op=\"mis2\",outcome=\"computed\",key=\"g\",shard=\"0\",\
-                 total_ns=\"9\",parse_ns=\"1\",probe_ns=\"0\",queue_ns=\"2\",run_ns=\"3\",\
+                 total_ns=\"9\",parse_ns=\"1\",queue_ns=\"2\",run_ns=\"3\",\
                  write_ns=\"3\"}} 1\n"
             )
         };
@@ -1257,7 +1130,7 @@ mod tests {
 
     #[test]
     fn body_escape_round_trips() {
-        let body = "# mis2svc metrics schema 1\nkey \\ with\nnewlines\n";
+        let body = "# mis2svc metrics schema 2\nkey \\ with\nnewlines\n";
         let wire = escape_body(body);
         assert!(!wire.contains('\n'));
         assert_eq!(unescape_body(&wire), body);

@@ -449,11 +449,8 @@ pub(crate) fn record_conn_error(mx: &Metrics, key: &str) {
         return;
     }
     let now = Instant::now();
-    if let Some(span) =
-        metrics::Span::fast(Some(now), metrics::Op::Other, metrics::Outcome::Error, key)
-    {
-        mx.record(&span, now);
-    }
+    let span = metrics::Span::fast(Some(now), metrics::Op::Other, metrics::Outcome::Error, key);
+    mx.record_batch(span, now);
 }
 
 /// Bind and start serving in background threads.
@@ -751,11 +748,12 @@ fn writer_loop(
         // Park until the next response (or until every sender is gone,
         // which is the teardown signal).
         let Ok(first) = rx.recv() else { break };
-        // Allocated per batch, not reused (both drivers): a reused buffer
-        // would leave every idle connection pinning its largest batch ever
-        // (up to window x MAX_PAYLOAD), and this is one allocation per
-        // ~5 KB batch, not per reply. `svc_hot` `peak_rss_mb` did not move
-        // and the idle connections of `tests/svc_c10k.rs` hold no buffer.
+        // Allocated per batch, not reused: a reused buffer would leave
+        // every idle connection thread pinning its largest batch ever (up
+        // to window x MAX_PAYLOAD), and this is one allocation per ~5 KB
+        // batch, not per reply. (The epoll loop keeps one spare batch per
+        // connection instead, dropped once it outgrows its read
+        // high-water mark.)
         let mut buf: Vec<u8> = Vec::new();
         spans.clear();
         let mut batch = 1usize;
@@ -804,13 +802,13 @@ fn writer_loop(
             win.release();
         }
         // Retire the batch's metric spans with ONE clock read as the
-        // shared write-retired stamp — per-response clocks would put a
-        // syscall-ish cost back on the path the batching exists to
-        // amortize. Recording runs *after* the window slots are released
-        // so it overlaps with the reader's next burst instead of gating
-        // admission.
+        // shared write-retired stamp and one metrics lock — per-response
+        // clocks or locks would put their cost back on the path the
+        // batching exists to amortize. Recording runs *after* the window
+        // slots are released so it overlaps with the reader's next burst
+        // instead of gating admission.
         if !spans.is_empty() {
-            mx.record_batch(&mut spans, Instant::now());
+            mx.record_batch(spans.drain(..), Instant::now());
         }
     }
 }
@@ -994,18 +992,6 @@ fn req_span_parts(req: &Request) -> (metrics::Op, &str) {
     }
 }
 
-/// Build a span for an inline (never-queued) response; `None` when
-/// recording is off (`t0` is `None`). Clock-free — inline answers are
-/// single-stage, so only their end-to-end total is worth a histogram.
-fn inline_span(
-    t0: Option<Instant>,
-    op: metrics::Op,
-    outcome: metrics::Outcome,
-    key: &str,
-) -> Option<metrics::Span> {
-    metrics::Span::fast(t0, op, outcome, key)
-}
-
 /// How one response is framed back to the client.
 #[derive(Clone, Copy)]
 pub(crate) enum Framing {
@@ -1142,7 +1128,7 @@ impl ConnMachine {
                 io.acquire(V1_WINDOW);
                 io.respond(Outgoing {
                     payload: Framing::Bare.wrap(ops::Response::err("line too long")),
-                    span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
+                    span: metrics::Span::fast(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
                 });
                 Flow::Close // the rest of the line is unframeable
             }
@@ -1174,7 +1160,7 @@ impl ConnMachine {
             io.acquire(V1_WINDOW);
             io.respond(Outgoing {
                 payload: Framing::Bare.wrap(ops::Response::err("invalid utf-8")),
-                span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
+                span: metrics::Span::fast(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
             });
             return Flow::Continue;
         };
@@ -1197,7 +1183,7 @@ impl ConnMachine {
             io.acquire(V1_WINDOW);
             io.respond(Outgoing {
                 payload: Payload::Line(codec::hello_ok(cx.max_inflight)),
-                span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Computed, ""),
+                span: metrics::Span::fast(t0, metrics::Op::Other, metrics::Outcome::Computed, ""),
             });
             self.mode = WireMode::Frames;
             return Flow::Continue;
@@ -1234,7 +1220,7 @@ impl ConnMachine {
             io.acquire(cap);
             io.respond(Outgoing {
                 payload: framing.wrap(ops::Response::err("invalid utf-8")),
-                span: inline_span(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
+                span: metrics::Span::fast(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
             });
             return Flow::Continue;
         };
@@ -1245,31 +1231,25 @@ impl ConnMachine {
         };
         io.acquire(cap);
         let (op, key) = req_span_parts(&req);
-        let mut span = metrics::Span::start(t0, op, key);
         // Zero-serialization fast path (local service only — a router has
         // no registry to probe): interned response bytes go straight to
         // the writer. The registry counts this as a hit (and a resp_hit)
         // and refreshes the entry's LRU stamps, so cache accounting stays
-        // exact and the hottest key is never the eviction victim.
+        // exact and the hottest key is never the eviction victim. A hit
+        // reads no clock: its span is the clock-free inline one.
         if let (Service::Local { registry, .. }, Some((graph, opkey))) =
             (&cx.service, ops::request_op(&req))
         {
-            let probe_start = span.as_ref().map(|_| Instant::now());
-            let hit = registry.try_response(graph, &opkey);
-            if let (Some(s), Some(p)) = (span.as_mut(), probe_start) {
-                s.stamp_probe(p);
-            }
-            if let Some(bytes) = hit {
-                if let Some(s) = span.as_mut() {
-                    s.outcome = metrics::Outcome::RespHit;
-                }
+            if let Some(bytes) = registry.try_response(graph, &opkey) {
                 io.respond(Outgoing {
                     payload: framing.wrap(ops::Response::interned(bytes)),
-                    span,
+                    span: metrics::Span::fast(t0, op, metrics::Outcome::RespHit, key),
                 });
                 return Flow::Continue;
             }
         }
+        // A miss: the parse stage ends here, after the failed probe.
+        let span = metrics::Span::start(t0, op, key);
         self.submit(req, framing, span, cx, io);
         Flow::Continue
     }
@@ -1285,13 +1265,13 @@ impl ConnMachine {
         cx: &ConnShared,
         io: &mut dyn ConnIo,
     ) -> Handled {
-        use metrics::{Op, Outcome};
+        use metrics::{Op, Outcome, Span};
         let cap = self.cap(cx);
         let inline = |io: &mut dyn ConnIo, resp: ops::Response, op: Op, outcome: Outcome| {
             io.acquire(cap);
             io.respond(Outgoing {
                 payload: framing.wrap(resp),
-                span: inline_span(t0, op, outcome, ""),
+                span: Span::fast(t0, op, outcome, ""),
             });
         };
         match parsed {
@@ -1321,7 +1301,7 @@ impl ConnMachine {
                 let body = stats_body(cx);
                 io.respond(Outgoing {
                     payload: framing.wrap(ops::Response::ok_text(body)),
-                    span: inline_span(t0, Op::Stats, Outcome::Computed, ""),
+                    span: Span::fast(t0, Op::Stats, Outcome::Computed, ""),
                 });
                 Handled::Done(Flow::Continue)
             }
@@ -1330,7 +1310,7 @@ impl ConnMachine {
                 let body = metrics_body(cx);
                 io.respond(Outgoing {
                     payload: framing.wrap(ops::Response::ok_text(body)),
-                    span: inline_span(t0, Op::Metrics, Outcome::Computed, ""),
+                    span: Span::fast(t0, Op::Metrics, Outcome::Computed, ""),
                 });
                 Handled::Done(Flow::Continue)
             }
@@ -1340,7 +1320,7 @@ impl ConnMachine {
                 // wire.
                 Handled::Done(Flow::Quit(Outgoing {
                     payload: framing.wrap(ops::Response::ok_text("BYE".into())),
-                    span: inline_span(t0, Op::Other, Outcome::Computed, ""),
+                    span: Span::fast(t0, Op::Other, Outcome::Computed, ""),
                 }))
             }
             Ok(req) => Handled::Compute(req),
@@ -2021,21 +2001,35 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
+        // The slow job reads a 110 592-vertex mesh from disk and solves on
+        // it: two orders of magnitude more work than the fast job's MIS-2
+        // of a resident 15 625-vertex graph, so the order holds however
+        // many other tests share the CPUs.
+        let dir = std::env::temp_dir().join(format!("mis2_svc_order_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mesh.mtx");
+        mis2_graph::io::write_graph_file(&mis2_graph::gen::laplace3d(48, 48, 48), &path).unwrap();
+        let slow = format!("SOLVE {} gmres", path.display());
         let mut c = RawV3::connect(h.addr());
         // Warm the fast graph through a different op, so tag 2 is a
         // scheduler job on an interned graph — not a cached response the
         // reader would answer inline without ever meeting the scheduler.
         c.send(0, b"COARSEN ecology2 1");
         assert!(c.recv().to_line().starts_with("OK COARSEN "));
-        c.send(1, b"SOLVE StocF-1465 gmres");
+        c.send(1, slow.as_bytes());
         c.send(2, b"MIS2 ecology2");
         let f = c.recv();
         assert_eq!(f.tag, 2, "{}", f.to_line());
         assert!(f.to_line().starts_with("OK MIS2 ecology2 "));
         let f = c.recv();
         assert_eq!(f.tag, 1, "{}", f.to_line());
-        assert!(f.to_line().starts_with("OK SOLVE StocF-1465 gmres "));
+        assert!(
+            f.to_line().starts_with(&format!("OK {slow} ")),
+            "{}",
+            f.to_line()
+        );
         h.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

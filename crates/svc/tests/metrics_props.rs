@@ -11,10 +11,12 @@
 //! * `HistoSnap::merge` is commutative and associative bucket-wise —
 //!   the property that makes cluster aggregation order-independent;
 //! * render → parse is the identity on the sample set, so the router can
-//!   merge what the server emitted.
+//!   merge what the server emitted;
+//! * how spans are grouped into `record_batch` calls never shows in the
+//!   exposition.
 
 use mis2_prim::hash::splitmix64;
-use mis2_svc::metrics::{self, bucket_bound, bucket_of, Histo, HistoSnap, Metrics, NBUCKETS};
+use mis2_svc::metrics::{self, bucket_bound, bucket_of, HistoSnap, Metrics, NBUCKETS};
 
 /// Deterministic stream of pseudo-random u64s for one test case.
 struct Rng(u64);
@@ -94,7 +96,7 @@ fn exact_boundaries_belong_to_the_lower_bucket() {
 fn bucket_counts_sum_to_count_and_sum_is_exact() {
     for case in 0..CASES {
         let mut rng = Rng::new(202, case);
-        let h = Histo::default();
+        let mut h = HistoSnap::default();
         let n = 1 + rng.next() % 512;
         let mut expect_sum = 0u64;
         for _ in 0..n {
@@ -102,21 +104,20 @@ fn bucket_counts_sum_to_count_and_sum_is_exact() {
             expect_sum = expect_sum.wrapping_add(ns);
             h.record(ns);
         }
-        let snap = h.snapshot();
-        let buckets: u64 = snap.buckets.iter().sum();
+        let buckets: u64 = h.buckets.iter().sum();
         assert_eq!(buckets, n, "case {case}");
-        assert_eq!(snap.count(), n, "case {case}");
-        assert_eq!(snap.sum, expect_sum, "case {case}");
+        assert_eq!(h.count(), n, "case {case}");
+        assert_eq!(h.sum, expect_sum, "case {case}");
     }
 }
 
-/// Record a fresh random histogram snapshot.
+/// A fresh random histogram.
 fn random_snap(rng: &mut Rng) -> HistoSnap {
-    let h = Histo::default();
+    let mut h = HistoSnap::default();
     for _ in 0..rng.next() % 128 {
         h.record(rng.ns());
     }
-    h.snapshot()
+    h
 }
 
 fn merged(a: &HistoSnap, b: &HistoSnap) -> HistoSnap {
@@ -181,7 +182,7 @@ fn render_parse_round_trips_under_random_load() {
             if rng.next() % 2 == 0 {
                 span.outcome = outcome;
             }
-            mx.record(&span, t0 + Duration::from_nanos(rng.ns()));
+            mx.record_batch([span], t0 + Duration::from_nanos(rng.ns()));
         }
         let text = mx.render(&[("extra_gauge", rng.next() % 1000)]);
         let exp =
@@ -196,5 +197,70 @@ fn render_parse_round_trips_under_random_load() {
         let twice = metrics::merge_expositions(&[Some(text.clone()), Some(text.clone())]);
         let m = metrics::parse_exposition(&twice).unwrap();
         assert_eq!(m.value("mis2_requests_total"), Some(128), "case {case}");
+    }
+}
+
+#[test]
+fn one_batch_renders_what_single_span_batches_render() {
+    use std::time::{Duration, Instant};
+    for case in 0..8 {
+        let mut rng = Rng::new(206, case);
+        // Every span starts within 4 ms before `retired`; slow-ms 1 sends
+        // about three in four of them to the ring.
+        let base = Instant::now();
+        let retired = base + Duration::from_millis(4);
+        let n = if case == 0 { 150 } else { 1 + rng.next() % 150 };
+        let spans: Vec<metrics::Span> = (0..n)
+            .map(|i| {
+                let started = Some(base + Duration::from_nanos(rng.next() % 4_000_000));
+                let op = metrics::OPS[(rng.next() % metrics::NOPS as u64) as usize];
+                let key = format!("graph-{i}");
+                if rng.next() % 2 == 0 {
+                    let outcome =
+                        metrics::OUTCOMES[(rng.next() % metrics::NOUTCOMES as u64) as usize];
+                    metrics::Span::fast(started, op, outcome, &key).unwrap()
+                } else {
+                    let mut span = metrics::Span::start(started, op, &key).unwrap();
+                    let job = span.attach_job();
+                    job.stamp_enqueued();
+                    job.stamp_start();
+                    job.stamp_end();
+                    span
+                }
+            })
+            .collect();
+        let batched = Metrics::new(1);
+        batched.record_batch(spans.clone(), retired);
+        let single = Metrics::new(1);
+        for span in spans {
+            single.record_batch([span], retired);
+        }
+        // Uptime is the one line that depends on when the render ran.
+        let render = |m: &Metrics| {
+            let text = m.render(&[]);
+            let kept: Vec<&str> = text
+                .lines()
+                .filter(|l| !l.starts_with("mis2_uptime_seconds "))
+                .collect();
+            kept.join("\n")
+        };
+        let text = render(&batched);
+        assert_eq!(text, render(&single), "case {case}");
+        let exp = metrics::parse_exposition(&text).unwrap();
+        assert_eq!(exp.value("mis2_requests_total"), Some(n), "case {case}");
+        let captured = exp.value("mis2_slow_captured_total").unwrap();
+        let ring = exp
+            .samples
+            .iter()
+            .filter(|s| s.name == "mis2_slow_request")
+            .count() as u64;
+        assert_eq!(
+            ring,
+            captured.min(metrics::SLOW_SLOTS as u64),
+            "case {case}"
+        );
+        if case == 0 {
+            assert!(captured > metrics::SLOW_SLOTS as u64, "the ring must wrap");
+        }
     }
 }
