@@ -1,7 +1,9 @@
 //! One function per table/figure of the paper's evaluation (Section VI).
 //!
 //! Every function returns a [`Table`] whose rows mirror the paper's
-//! artifact; EXPERIMENTS.md records a paper-vs-measured comparison for each.
+//! artifact. The claims that are counts (Tables I and III–VI, and Figure
+//! 2's set per ladder step) are asserted at `Scale::Tiny` by
+//! `tests/repro.rs`, through the same library calls.
 
 use crate::tables::{fmt_ms, fmt_x, Table};
 use crate::timing::{mean_ms, time_ms, TimedPrecond};
@@ -49,6 +51,8 @@ pub fn table1(opts: &RunOpts) -> Table {
     }
     t.note("Paper (V100, full-size graphs): Fixed 11-14, Xor 9-39, Xor* 8-12 iterations.");
     t.note("Expected shape: Xor* <= Fixed << Xor on most matrices.");
+    t.note("On the stand-ins Xor* <= Fixed holds on all 17, but Xor reads close to Fixed");
+    t.note("(5-14 vs 8-16 at tiny scale), so the \"<< Xor\" half does not hold here.");
     t
 }
 
@@ -363,6 +367,8 @@ pub fn table4(opts: &RunOpts) -> Table {
         ]);
     }
     t.note("All three should agree within ~1-2% (paper Table IV). CUSP/ViennaCL = Bell ports with independent random streams.");
+    t.note("On the stand-ins that holds where every set has 1000+ vertices; smaller sets spread wider,");
+    t.note("up to 10.7% on Elasticity3D_60 at tiny scale (sets of ~100 vertices).");
     t
 }
 
@@ -421,7 +427,8 @@ pub fn table5(opts: &RunOpts) -> Table {
         ]);
     }
     t.note("Paper (V100, 100^3): Serial Agg 25 iters / MIS2 Basic 49 / MIS2 Agg 22; MIS2 Agg fastest deterministic setup.");
-    t.note("* Det. column reports the paper's classification of the reference implementations; our reimplementations are all deterministic (see EXPERIMENTS.md).");
+    t.note("* Det. column reports the paper's classification of the reference implementations. Here the D2C leftover join is deterministic; NB D2C's speculative coloring still races across pool sizes (tests/determinism.rs).");
+    t.note("MIS2 Agg < MIS2 Basic in CG iterations is asserted at tiny scale by tests/repro.rs.");
     t
 }
 
@@ -504,6 +511,8 @@ pub fn table6(opts: &RunOpts) -> Table {
         ]);
     }
     t.note("Paper (V100): cluster wins setup and apply on all five systems; iterations ~5% lower (geomean).");
+    t.note("On the stand-ins Elasticity3D_60 is the one system where cluster SGS takes more");
+    t.note("iterations (19 vs 17 at tiny scale, 21 vs 19 at small); the geomean still favours cluster.");
     t.note("Systems are synthetic stand-ins with matched size/degree (substitution policy: mis2_graph::suite).");
     t
 }
@@ -534,42 +543,6 @@ mod tests {
             scale: Scale::Tiny,
             trials: 1,
             threads: crate::ThreadSweep::Default,
-        }
-    }
-
-    #[test]
-    fn table1_shape() {
-        let t = table1(&tiny_opts());
-        assert_eq!(t.rows.len(), 17);
-        assert_eq!(t.headers.len(), 4);
-        // All iteration counts positive.
-        for row in &t.rows {
-            for c in &row[1..] {
-                assert!(c.parse::<usize>().unwrap() > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn table3_sizes_proportional() {
-        let t = table3(&tiny_opts());
-        assert_eq!(t.rows.len(), 8);
-        // |MIS-2| fraction should be larger for Laplace (low degree) than
-        // Elasticity (high degree) — the paper's 9% vs 0.7% effect.
-        let ela_frac: f64 = t.rows[0][3].trim_end_matches('%').parse().unwrap();
-        let lap_frac: f64 = t.rows[4][3].trim_end_matches('%').parse().unwrap();
-        assert!(
-            lap_frac > 3.0 * ela_frac,
-            "laplace {lap_frac}% vs elasticity {ela_frac}%"
-        );
-    }
-
-    #[test]
-    fn table4_quality_close() {
-        let t = table4(&tiny_opts());
-        for row in &t.rows {
-            let spread: f64 = row[4].trim_end_matches('%').parse().unwrap();
-            assert!(spread < 12.0, "{}: spread {spread}% too wide", row[0]);
         }
     }
 

@@ -22,7 +22,6 @@
 //! architectures or OpenMP threads.
 
 pub mod bandwidth;
-pub mod criterion;
 pub mod experiments;
 pub mod tables;
 pub mod timing;

@@ -16,7 +16,7 @@
 //! MueLu); "NB D2C" uses the parallel net-based coloring. MueLu's leftover
 //! join races threads, which is why Table V marks both nondeterministic;
 //! this reimplementation resolves the join deterministically but keeps the
-//! paper's classification in the harness tables (see EXPERIMENTS.md).
+//! paper's classification in `repro table5` (counts: `tests/repro.rs`).
 
 use crate::agg::{join_leftovers, sweep_pockets, Aggregation, UNAGGREGATED};
 use mis2_color::{color_d2_serial, color_d2_speculative, ColorSets, Coloring};

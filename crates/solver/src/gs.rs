@@ -475,13 +475,6 @@ mod tests {
         for (name, a) in &matrices {
             let g = a.to_graph();
             for scheme in AggScheme::all() {
-                // The two D2C schemes colour the squared graph: seconds per
-                // stand-in of degree 30 to 80 in a debug build, so they
-                // run on the mesh-degree ones (9 of the 19) and the grid.
-                let squares = matches!(scheme, AggScheme::SerialD2C | AggScheme::NbD2C);
-                if squares && g.num_directed_edges() > 10 * a.nrows() {
-                    continue;
-                }
                 let agg = scheme.aggregate(&g, 3);
                 let coloring = color_d1(&quotient_graph(&g, &agg), 3);
                 sweep_matches_reference(&format!("{name}, {scheme:?}"), a, &agg, &coloring);

@@ -159,29 +159,6 @@ fn aggregation_feeds_valid_prolongator_chain() {
 }
 
 #[test]
-fn bench_experiments_smoke() {
-    // The harness experiment functions must run end-to-end at tiny scale.
-    use mis2_bench::{experiments, RunOpts, ThreadSweep};
-    let opts = RunOpts {
-        scale: Scale::Tiny,
-        trials: 1,
-        threads: ThreadSweep::Default,
-    };
-    let t3 = experiments::table3(&opts);
-    assert_eq!(t3.rows.len(), 8);
-    let t5 = experiments::table5(&opts);
-    assert_eq!(t5.rows.len(), 5);
-    // MIS2 Agg should converge in no more iterations than MIS2 Basic.
-    let iters: Vec<usize> = t5.rows.iter().map(|r| r[1].parse().unwrap()).collect();
-    assert!(
-        iters[4] <= iters[3],
-        "MIS2 Agg {} vs MIS2 Basic {}",
-        iters[4],
-        iters[3]
-    );
-}
-
-#[test]
 fn gs_iteration_hierarchy_seq_cluster_point() {
     // Section III-C's narrative end-to-end: sequential GS <= cluster GS <=
     // point GS in GMRES iterations (with slack for coloring accidents).
