@@ -49,10 +49,11 @@
 //! owning their graph, and the router is protocol-transparent — `client`
 //! and `workloads --pipeline N` work against it
 //! unchanged, with responses byte-identical to a single unsharded
-//! server's. `STATS` through the router answers the merged cluster line
-//! (every counter summed across shards, plus `shards= shards_up=
-//! shard_bytes= shard_evictions=` at the end); a dead shard fails fast
-//! with `ERR shard down` on its keys only.
+//! server's. `STATS` and `METRICS` through the router are printed from
+//! one merge of the shards' expositions: the `STATS` line carries every
+//! counter summed across shards (`uptime_s=` takes the minimum), plus
+//! `shards= shards_up= shard_bytes= shard_evictions=` at the end; a dead
+//! shard fails fast with `ERR shard down` on its keys only.
 
 use mis2_graph::{suite, Scale};
 use mis2_svc::{client::Client, client::V3Client, server, shard};

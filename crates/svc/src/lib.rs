@@ -55,6 +55,9 @@
 //!   write batch, and the
 //!   versioned `METRICS` text exposition that the router merges
 //!   bucket-wise across a cluster ([`metrics::merge_expositions`]).
+//!   `STATS` prints the same counters as one line: one table,
+//!   [`server::COUNTERS`], pairs each `STATS` key with its `METRICS`
+//!   series.
 //! * [`shard`] — cluster scale: a consistent-hash [`shard::Ring`] over
 //!   shard identities and the `mis2svc route` proxy ([`shard::route`])
 //!   fronting N server processes. The router runs the server's own
@@ -62,10 +65,10 @@
 //!   *upstream* service behind the machine's one seam (the *local* one
 //!   being registry + scheduler): ring lookup, one pipelined v3 upstream
 //!   per shard per downstream connection, tag remapping, fail-fast `ERR
-//!   shard down` containment when a shard dies, and per-shard
-//!   `STATS`/`METRICS` merged into one cluster body
-//!   ([`registry::merge_stats_bodies`]). The router is the one place
-//!   that shards: clients dial it like a single server.
+//!   shard down` containment when a shard dies, and cluster `STATS` and
+//!   `METRICS` bodies printed from one merge of the shards' expositions.
+//!   The router is the one place that shards: clients dial it like a
+//!   single server.
 //!
 //! The determinism contract of the underlying algorithms lifts to the
 //! service: a response's *payload* is **bitwise-identical** to a direct

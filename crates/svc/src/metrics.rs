@@ -24,11 +24,13 @@
 //! [`Metrics::render`] emits the Prometheus-style exposition (`# mis2svc
 //! metrics schema 2` header, counters, per-op × per-outcome histogram
 //! series with `_sum`/`_count`, per-stage series, and a slow-ring dump).
-//! [`parse_exposition`] and [`merge_expositions`] give the router a
-//! bucket-wise cluster merge that sums every series except
-//! `mis2_uptime_seconds` (min over live shards) and `mis2_slow_request`
-//! lines (passed through with the `shard` label rewritten to the source
-//! shard index).
+//! The router parses each shard's exposition with [`parse_exposition`]
+//! and merges the parsed values once, with [`merge_expositions`]: every
+//! series sums bucket-wise except `mis2_uptime_seconds` and
+//! `mis2_slow_threshold_ms` (min over live shards) and the
+//! `mis2_slow_request` lines (passed through with the `shard` label
+//! rewritten to the source shard index). Both of the router's bodies,
+//! `METRICS` and `STATS`, are printed from that one merge.
 //!
 //! Bucket scheme: bucket 0 holds `ns <= 1000`; bucket `i` holds
 //! `1000·2^(i-1) < ns <= 1000·2^i`; the top bucket (`le="33554432000"`)
@@ -490,20 +492,6 @@ impl Metrics {
         self.recorded().requests_total()
     }
 
-    pub fn latency_snapshot(&self, op: Op, outcome: Outcome) -> HistoSnap {
-        self.recorded().latency[op as usize][outcome as usize]
-    }
-
-    pub fn stage_snapshot(&self, stage: Stage) -> HistoSnap {
-        self.recorded().stages[stage as usize]
-    }
-
-    /// Total slow requests ever captured (including ones since
-    /// overwritten).
-    pub fn slow_captured(&self) -> u64 {
-        self.recorded().slow_captured
-    }
-
     /// Retire a batch of finished requests against one shared
     /// write-retired stamp: one clock read per write batch on the caller,
     /// one lock here.
@@ -520,19 +508,26 @@ impl Metrics {
     /// Render the exposition. `extra` carries server-level gauges and
     /// counters (cache hits, scheduler totals, bytes on the wire) that
     /// live outside this registry; each becomes a bare `name value`
-    /// line after the built-in counters.
+    /// line after the built-in counters. An entry naming a built-in
+    /// counter is skipped: the built-in value is the one read from this
+    /// scrape's snapshot.
     pub fn render(&self, extra: &[(&str, u64)]) -> String {
         // One copy under the lock; every line below reads it, so even with
         // batches retiring concurrently the emitted `mis2_requests_total`
         // equals the emitted `_count` sum.
         let rec = self.recorded().clone();
+        let own = [
+            ("mis2_uptime_seconds", self.uptime_s()),
+            ("mis2_requests_total", rec.requests_total()),
+            ("mis2_slow_threshold_ms", self.slow_ms),
+            ("mis2_slow_captured_total", rec.slow_captured),
+        ];
         let mut out = String::with_capacity(4096);
         out.push_str(&format!("# mis2svc metrics schema {SCHEMA}\n"));
-        out.push_str(&format!("mis2_uptime_seconds {}\n", self.uptime_s()));
-        out.push_str(&format!("mis2_requests_total {}\n", rec.requests_total()));
-        out.push_str(&format!("mis2_slow_threshold_ms {}\n", self.slow_ms));
-        out.push_str(&format!("mis2_slow_captured_total {}\n", rec.slow_captured));
-        for (name, v) in extra {
+        let extra = extra
+            .iter()
+            .filter(|(n, _)| own.iter().all(|(o, _)| o != n));
+        for (name, v) in own.iter().chain(extra) {
             out.push_str(&format!("{name} {v}\n"));
         }
         for op in OPS {
@@ -626,6 +621,25 @@ impl Exposition {
             .find(|s| s.name == name)
             .map(|s| s.value)
     }
+
+    /// The text form [`parse_exposition`] reads back: the schema header,
+    /// then one line per sample in order.
+    pub fn render(&self) -> String {
+        let mut out = format!("# mis2svc metrics schema {}\n", self.schema);
+        for s in &self.samples {
+            out.push_str(&s.name);
+            let labels: Vec<String> = s
+                .labels
+                .iter()
+                .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
+                .collect();
+            if !labels.is_empty() {
+                out.push_str(&format!("{{{}}}", labels.join(",")));
+            }
+            out.push_str(&format!(" {}\n", s.value));
+        }
+        out
+    }
 }
 
 /// Escape a label value for the exposition (`\` → `\\`, `"` → `\"`).
@@ -639,25 +653,6 @@ fn escape_label(s: &str) -> String {
         }
     }
     out
-}
-
-fn render_labels(labels: &[(String, String)]) -> String {
-    let mut out = String::new();
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{k}=\"{}\"", escape_label(v)));
-    }
-    out
-}
-
-fn render_sample(s: &Sample) -> String {
-    if s.labels.is_empty() {
-        format!("{} {}\n", s.name, s.value)
-    } else {
-        format!("{}{{{}}} {}\n", s.name, render_labels(&s.labels), s.value)
-    }
 }
 
 /// Parse a label block: the text between `{` and `}`. Honors `\\` and
@@ -758,33 +753,30 @@ pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
     Ok(Exposition { schema, samples })
 }
 
-/// Merge per-shard expositions for the router's `METRICS` response.
+/// Merge per-shard expositions into the cluster's one exposition, from
+/// which the router prints both its `METRICS` and its `STATS` body.
 ///
-/// - Every ordinary series (counters, histogram buckets, `_sum`,
-///   `_count`) is summed across live shards, keeping first-seen order.
-/// - `mis2_uptime_seconds` becomes the **min** over live shards — the
-///   youngest member bounds how much history the merged counters cover.
+/// - Every series (counters, histogram buckets, `_sum`, `_count`) is
+///   summed across live shards, keeping first-seen order — except
+///   `mis2_uptime_seconds` and `mis2_slow_threshold_ms`, which take the
+///   **minimum** over live shards: the youngest member bounds how much
+///   history the merged counters cover, and the lowest threshold is the
+///   one below which no shard's ring holds a request.
 /// - `mis2_slow_request` lines pass through unsummed, with the `shard`
 ///   label rewritten to the source shard's index.
 /// - `mis2_shards` / `mis2_shards_up` cluster gauges are appended.
 ///
-/// `bodies[i]` is shard `i`'s exposition, or `None` if it was down (or
+/// `shards[i]` is shard `i`'s exposition, or `None` if it was down (or
 /// answered garbage).
-pub fn merge_expositions(bodies: &[Option<String>]) -> String {
-    let mut order: Vec<Sample> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
+pub fn merge_expositions(shards: &[Option<Exposition>]) -> Exposition {
+    let mut samples: Vec<Sample> = Vec::new();
+    let mut index = HashMap::new();
     let mut slow: Vec<Sample> = Vec::new();
-    let mut uptimes: Vec<u64> = Vec::new();
-    let mut up = 0usize;
-    for (shard, body) in bodies.iter().enumerate() {
-        let Some(body) = body else { continue };
-        let Ok(exp) = parse_exposition(body) else {
-            continue;
-        };
-        up += 1;
-        for s in exp.samples {
+    for (shard, exp) in shards.iter().enumerate() {
+        let Some(exp) = exp else { continue };
+        for s in &exp.samples {
             if s.name == "mis2_slow_request" {
-                let mut s = s;
+                let mut s = s.clone();
                 let shard_label = shard.to_string();
                 match s.labels.iter_mut().find(|(k, _)| k == "shard") {
                     Some((_, v)) => *v = shard_label,
@@ -793,35 +785,32 @@ pub fn merge_expositions(bodies: &[Option<String>]) -> String {
                 slow.push(s);
                 continue;
             }
-            if s.name == "mis2_uptime_seconds" {
-                uptimes.push(s.value);
-            }
-            let key = format!("{}{{{}}}", s.name, render_labels(&s.labels));
-            match index.get(&key) {
-                Some(&i) => order[i].value = order[i].value.saturating_add(s.value),
-                None => {
-                    index.insert(key, order.len());
-                    order.push(s);
-                }
-            }
+            let key = (s.name.as_str(), s.labels.as_slice());
+            let Some(&i) = index.get(&key) else {
+                index.insert(key, samples.len());
+                samples.push(s.clone());
+                continue;
+            };
+            let into = &mut samples[i].value;
+            *into = match key.0 {
+                "mis2_uptime_seconds" | "mis2_slow_threshold_ms" => (*into).min(s.value),
+                _ => into.saturating_add(s.value),
+            };
         }
     }
-    if let Some(min) = uptimes.iter().min() {
-        if let Some(s) = order.iter_mut().find(|s| s.name == "mis2_uptime_seconds") {
-            s.value = *min;
-        }
+    let up = shards.iter().flatten().count();
+    for (name, value) in [("mis2_shards", shards.len()), ("mis2_shards_up", up)] {
+        samples.push(Sample {
+            name: name.to_string(),
+            labels: Vec::new(),
+            value: value as u64,
+        });
     }
-    let mut out = String::with_capacity(4096);
-    out.push_str(&format!("# mis2svc metrics schema {SCHEMA}\n"));
-    for s in &order {
-        out.push_str(&render_sample(s));
+    samples.extend(slow);
+    Exposition {
+        schema: SCHEMA,
+        samples,
     }
-    out.push_str(&format!("mis2_shards {}\n", bodies.len()));
-    out.push_str(&format!("mis2_shards_up {up}\n"));
-    for s in &slow {
-        out.push_str(&render_sample(s));
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -950,7 +939,7 @@ mod tests {
         let spans =
             (0..SLOW_SLOTS + 10).map(|_| Span::fast(Some(t0), Op::Mis2, Outcome::Computed, "g"));
         m.record_batch(spans.flatten(), Instant::now());
-        assert_eq!(m.slow_captured(), SLOW_SLOTS as u64 + 10);
+        assert_eq!(m.recorded().slow_captured, SLOW_SLOTS as u64 + 10);
         // Oldest surviving ticket is 10; newest is SLOW_SLOTS + 9.
         let seqs = slow_seqs(&m);
         assert_eq!(seqs, (10..SLOW_SLOTS as u64 + 10).collect::<Vec<u64>>());
@@ -977,7 +966,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(m.slow_captured(), THREADS * PUSHES);
+        assert_eq!(m.recorded().slow_captured, THREADS * PUSHES);
         let first = THREADS * PUSHES - SLOW_SLOTS as u64;
         assert_eq!(
             slow_seqs(&m),
@@ -996,11 +985,14 @@ mod tests {
         stamps.stamp_end();
         m.record_batch([span], Instant::now() + Duration::from_millis(1));
         assert_eq!(m.requests_total(), 1);
-        assert_eq!(m.latency_snapshot(Op::Mis2, Outcome::Computed).count(), 1);
+        assert_eq!(
+            m.recorded().latency[Op::Mis2 as usize][Outcome::Computed as usize].count(),
+            1
+        );
         for stage in STAGES {
-            assert_eq!(m.stage_snapshot(stage).count(), 1, "{stage:?}");
+            assert_eq!(m.recorded().stages[stage as usize].count(), 1, "{stage:?}");
         }
-        assert_eq!(m.slow_captured(), 1);
+        assert_eq!(m.recorded().slow_captured, 1);
 
         // An inline resp-hit records its latency total only — the stage
         // histograms are the scheduled requests' decomposition, and an
@@ -1014,11 +1006,14 @@ mod tests {
         );
         m.record_batch(span, Instant::now());
         for stage in STAGES {
-            assert_eq!(m.stage_snapshot(stage).count(), 1, "{stage:?}");
+            assert_eq!(m.recorded().stages[stage as usize].count(), 1, "{stage:?}");
         }
-        assert_eq!(m.latency_snapshot(Op::Mis2, Outcome::RespHit).count(), 1);
+        assert_eq!(
+            m.recorded().latency[Op::Mis2 as usize][Outcome::RespHit as usize].count(),
+            1
+        );
         assert_eq!(m.requests_total(), 2);
-        assert_eq!(m.slow_captured(), 2);
+        assert_eq!(m.recorded().slow_captured, 2);
         let hit = *m.recorded().slow.back().unwrap();
         assert_eq!((hit.parse_ns, hit.queue_ns, hit.run_ns), (0, 0, 0));
         assert_eq!(hit.write_ns, hit.total_ns);
@@ -1031,7 +1026,7 @@ mod tests {
         let span = Span::start(Some(Instant::now()), Op::Mis2, "g");
         m.record_batch(span, Instant::now());
         assert_eq!(m.requests_total(), 0);
-        assert_eq!(m.slow_captured(), 0);
+        assert_eq!(m.recorded().slow_captured, 0);
     }
 
     #[test]
@@ -1088,20 +1083,27 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_series_and_mins_uptime() {
-        let mk = |uptime: u64, requests: u64, b0: u64| {
-            format!(
-                "# mis2svc metrics schema 2\nmis2_uptime_seconds {uptime}\n\
-                 mis2_requests_total {requests}\n\
-                 mis2_request_latency_ns_bucket{{op=\"mis2\",outcome=\"computed\",le=\"1000\"}} {b0}\n\
-                 mis2_slow_request{{seq=\"0\",op=\"mis2\",outcome=\"computed\",key=\"g\",shard=\"0\",\
-                 total_ns=\"9\",parse_ns=\"1\",queue_ns=\"2\",run_ns=\"3\",\
-                 write_ns=\"3\"}} 1\n"
+    fn merge_sums_series_and_mins_uptime_and_threshold() {
+        let mk = |uptime: u64, requests: u64, b0: u64, slow_ms: u64| {
+            Some(
+                parse_exposition(&format!(
+                    "# mis2svc metrics schema 2\nmis2_uptime_seconds {uptime}\n\
+                     mis2_requests_total {requests}\n\
+                     mis2_slow_threshold_ms {slow_ms}\n\
+                     mis2_request_latency_ns_bucket{{op=\"mis2\",outcome=\"computed\",le=\"1000\"}} {b0}\n\
+                     mis2_slow_request{{seq=\"0\",op=\"mis2\",outcome=\"computed\",key=\"g\",shard=\"0\",\
+                     total_ns=\"9\",parse_ns=\"1\",queue_ns=\"2\",run_ns=\"3\",\
+                     write_ns=\"3\"}} 1\n"
+                ))
+                .unwrap(),
             )
         };
-        let merged = merge_expositions(&[Some(mk(100, 5, 2)), None, Some(mk(40, 7, 3))]);
-        let exp = parse_exposition(&merged).unwrap();
+        let merged = merge_expositions(&[mk(100, 5, 2, 500), None, mk(40, 7, 3, 250)]);
+        // The merge renders to text the parser reads back unchanged.
+        let exp = parse_exposition(&merged.render()).unwrap();
+        assert_eq!(exp.samples, merged.samples);
         assert_eq!(exp.value("mis2_uptime_seconds"), Some(40));
+        assert_eq!(exp.value("mis2_slow_threshold_ms"), Some(250));
         assert_eq!(exp.value("mis2_requests_total"), Some(12));
         assert_eq!(exp.value("mis2_shards"), Some(3));
         assert_eq!(exp.value("mis2_shards_up"), Some(2));
@@ -1123,7 +1125,8 @@ mod tests {
     #[test]
     fn merge_of_all_dead_shards_is_still_well_formed() {
         let merged = merge_expositions(&[None, None]);
-        let exp = parse_exposition(&merged).unwrap();
+        let exp = parse_exposition(&merged.render()).unwrap();
+        assert_eq!(exp.samples.len(), 2, "{exp:?}");
         assert_eq!(exp.value("mis2_shards"), Some(2));
         assert_eq!(exp.value("mis2_shards_up"), Some(0));
     }

@@ -616,78 +616,6 @@ pub fn parse_stats_body(body: &str) -> Vec<(&str, u64)> {
         .collect()
 }
 
-/// Merge per-shard `STATS` bodies into one cluster-wide line. Each shard
-/// slot is `Some(body)` for a reachable shard or `None` for a dead one
-/// (which contributes zeros).
-///
-/// The merged line keeps the single-server shape — every key a shard
-/// reported, in first-seen order, with values **summed** across shards —
-/// so existing greps (`bytes=`, `evictions=`, `inflight=`…) match the
-/// cluster totals exactly as they match one server's. Cluster-only
-/// gauges append at the END of the line, after every summed key:
-///
-/// ```text
-/// shards=<N> shards_up=<K> shard_bytes=b0,b1,… shard_evictions=e0,e1,…
-/// ```
-///
-/// where the comma lists give each shard's own `bytes` / `evictions` in
-/// ring order (zeros for a dead shard), letting callers attribute load
-/// per shard without a second round of per-shard STATS calls.
-///
-/// One key is not a sum: `uptime_s` takes the **minimum over live
-/// shards** — "the cluster has been fully up for this long" — since
-/// adding uptimes across processes is meaningless.
-pub fn merge_stats_bodies(shards: &[Option<String>]) -> String {
-    let parsed: Vec<Option<Vec<(&str, u64)>>> = shards
-        .iter()
-        .map(|b| b.as_deref().map(parse_stats_body))
-        .collect();
-    let mut keys: Vec<&str> = Vec::new();
-    for pairs in parsed.iter().flatten() {
-        for (k, _) in pairs {
-            if !keys.contains(k) {
-                keys.push(k);
-            }
-        }
-    }
-    let mut line = String::from("STATS");
-    for key in &keys {
-        let values = || {
-            parsed
-                .iter()
-                .flatten()
-                .flat_map(|pairs| pairs.iter().filter(|(k, _)| k == key).map(|(_, v)| *v))
-        };
-        let merged: u64 = if *key == "uptime_s" {
-            values().min().unwrap_or(0)
-        } else {
-            values().sum()
-        };
-        line.push_str(&format!(" {key}={merged}"));
-    }
-    let per_shard = |key: &str| -> String {
-        parsed
-            .iter()
-            .map(|p| {
-                p.as_ref()
-                    .and_then(|pairs| pairs.iter().find(|(k, _)| *k == key))
-                    .map_or(0, |(_, v)| *v)
-                    .to_string()
-            })
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let up = parsed.iter().filter(|p| p.is_some()).count();
-    line.push_str(&format!(
-        " shards={} shards_up={} shard_bytes={} shard_evictions={}",
-        shards.len(),
-        up,
-        per_shard("bytes"),
-        per_shard("evictions")
-    ));
-    line
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1242,50 +1170,5 @@ mod tests {
     fn stats_bodies_parse_and_skip_unknown_words() {
         let pairs = parse_stats_body("STATS graphs=2 bytes=100 note=x evictions=3");
         assert_eq!(pairs, vec![("graphs", 2), ("bytes", 100), ("evictions", 3)]);
-    }
-
-    #[test]
-    fn merged_stats_sum_keys_and_append_cluster_gauges() {
-        let shards = vec![
-            Some("STATS graphs=2 bytes=100 evictions=1 inflight=0".to_string()),
-            Some("STATS graphs=3 bytes=50 evictions=4 inflight=2".to_string()),
-        ];
-        let line = merge_stats_bodies(&shards);
-        assert_eq!(
-            line,
-            "STATS graphs=5 bytes=150 evictions=5 inflight=2 \
-             shards=2 shards_up=2 shard_bytes=100,50 shard_evictions=1,4"
-        );
-        // The grep contract: the FIRST `bytes=` / `evictions=` match on
-        // the line is the cluster sum, exactly where a single server
-        // puts its own.
-        let first_bytes = line.split_whitespace().find(|w| w.starts_with("bytes="));
-        assert_eq!(first_bytes, Some("bytes=150"));
-    }
-
-    #[test]
-    fn dead_shards_contribute_zeros_to_merged_stats() {
-        let shards = vec![
-            Some("STATS graphs=2 bytes=100 evictions=1".to_string()),
-            None,
-            Some("STATS graphs=1 bytes=7 evictions=0".to_string()),
-        ];
-        let line = merge_stats_bodies(&shards);
-        assert!(line.contains(" shards=3 shards_up=2 "), "{line}");
-        assert!(line.ends_with("shard_bytes=100,0,7 shard_evictions=1,0,0"));
-        assert!(line.starts_with("STATS graphs=3 bytes=107 evictions=1"));
-    }
-
-    #[test]
-    fn merged_stats_take_min_uptime_over_live_shards() {
-        let shards = vec![
-            Some("STATS jobs=4 uptime_s=120 requests=10".to_string()),
-            None, // dead shard must not drag uptime to zero
-            Some("STATS jobs=6 uptime_s=35 requests=7".to_string()),
-        ];
-        let line = merge_stats_bodies(&shards);
-        assert!(line.contains(" jobs=10 "), "{line}");
-        assert!(line.contains(" uptime_s=35 "), "{line}");
-        assert!(line.contains(" requests=17 "), "{line}");
     }
 }

@@ -239,8 +239,8 @@ impl Default for ServerConfig {
 #[derive(Debug, Default)]
 pub struct SvcStats {
     /// Requests accepted whose response has not yet been written, summed
-    /// over all connections (the `STATS` line subtracts the in-progress
-    /// `STATS` request itself, so an idle server reports 0).
+    /// over all connections (`STATS` and `METRICS` leave out the scrape
+    /// itself, so an idle server reports 0).
     pub inflight: AtomicU64,
     /// Deepest per-connection window ever observed.
     pub peak_inflight: AtomicU64,
@@ -1293,24 +1293,18 @@ impl ConnMachine {
                 );
                 Handled::Done(Flow::Continue)
             }
-            Ok(Request::Stats) => {
+            Ok(req @ (Request::Stats | Request::Metrics)) => {
                 // Acquire before rendering: the report counts itself in
-                // peak_inflight and subtracts itself from the in-flight
-                // gauge (see stats_body).
+                // peak_inflight and leaves itself out of the in-flight
+                // gauge (see counter_values).
                 io.acquire(cap);
-                let body = stats_body(cx);
+                let (body, op) = match req {
+                    Request::Stats => (stats_body(cx), Op::Stats),
+                    _ => (metrics_body(cx), Op::Metrics),
+                };
                 io.respond(Outgoing {
                     payload: framing.wrap(ops::Response::ok_text(body)),
-                    span: Span::fast(t0, Op::Stats, Outcome::Computed, ""),
-                });
-                Handled::Done(Flow::Continue)
-            }
-            Ok(Request::Metrics) => {
-                io.acquire(cap);
-                let body = metrics_body(cx);
-                io.respond(Outgoing {
-                    payload: framing.wrap(ops::Response::ok_text(body)),
-                    span: Span::fast(t0, Op::Metrics, Outcome::Computed, ""),
+                    span: Span::fast(t0, op, Outcome::Computed, ""),
                 });
                 Handled::Done(Flow::Continue)
             }
@@ -1491,105 +1485,123 @@ fn finish_quit(
     Ok(())
 }
 
-/// The `STATS` response body: registry, scheduler, wire-window and pool
-/// counters.
-fn stats_body(cx: &ConnShared) -> String {
-    let (registry, sched) = match &cx.service {
-        Service::Local { registry, sched } => (registry, sched),
-        Service::Upstream(up) => return up.stats_body(),
-    };
-    let (svc, mx, max_inflight) = (&*cx.stats, &*cx.mx, cx.max_inflight);
-    let r = registry.stats();
-    let s = sched.stats();
-    // The STATS request reporting this line is itself holding a window
-    // slot; subtract it so an otherwise-idle server reports inflight=0.
-    let inflight = svc.inflight.load(Ordering::Relaxed).saturating_sub(1);
-    // New gauges append at the END of the line: consumers (CI smoke
-    // scripts among them) grep for the first `bytes=` match, which must
-    // stay the registry's total. `io_backend=` is the only non-numeric
-    // value; the router's `parse_stats_body` skips it when merging.
-    format!(
-        "STATS graphs={} artifacts={} hits={} misses={} bytes={} mem_budget={} evictions={} \
-         graph_builds={} jobs={} queue_wait_us={} run_us={} \
-         panics={} inflight={} max_inflight={} peak_inflight={} \
-         workers={} team={} pool_spawned={} pool_contended={} \
-         resp={} resp_bytes={} resp_hits={} writev_batches={} bytes_tx={} \
-         queue_wait_count={} uptime_s={} requests={} conns={} derived={} io_backend={}",
-        r.graphs,
-        r.artifacts,
-        r.hits,
-        r.misses,
-        r.bytes,
-        r.mem_budget,
-        r.evictions,
-        r.graph_builds,
-        s.jobs.load(Ordering::Relaxed),
-        s.queue_wait_us.load(Ordering::Relaxed),
-        s.run_us.load(Ordering::Relaxed),
-        s.panics.load(Ordering::Relaxed),
-        inflight,
-        max_inflight,
-        svc.peak_inflight.load(Ordering::Relaxed),
-        sched.workers(),
-        sched.team(),
-        pool::spawned_workers(),
-        pool::contended_regions(),
-        r.resp,
-        r.resp_bytes,
-        r.resp_hits,
-        svc.writev_batches.load(Ordering::Relaxed),
-        svc.bytes_tx.load(Ordering::Relaxed),
-        s.queue_wait_count.load(Ordering::Relaxed),
-        mx.uptime_s(),
-        mx.requests_total(),
-        cx.conns.load(Ordering::Relaxed),
-        r.derived,
-        cx.backend.name(),
-    )
-}
+/// Every numeric `STATS` key, in line order, with the `METRICS` series
+/// that carries the same value. New keys append at the end: consumers
+/// (CI smoke scripts among them) grep for the first `bytes=` match,
+/// which must stay the registry's total.
+pub const COUNTERS: [(&str, &str); 29] = [
+    ("graphs", "mis2_cache_graphs"),
+    ("artifacts", "mis2_cache_artifacts"),
+    ("hits", "mis2_cache_hits_total"),
+    ("misses", "mis2_cache_misses_total"),
+    ("bytes", "mis2_cache_bytes"),
+    ("mem_budget", "mis2_cache_budget_bytes"),
+    ("evictions", "mis2_cache_evictions_total"),
+    ("graph_builds", "mis2_graph_builds_total"),
+    ("jobs", "mis2_jobs_total"),
+    ("queue_wait_us", "mis2_queue_wait_us_total"),
+    ("run_us", "mis2_run_us_total"),
+    ("panics", "mis2_job_panics_total"),
+    ("inflight", "mis2_inflight"),
+    ("max_inflight", "mis2_max_inflight"),
+    ("peak_inflight", "mis2_peak_inflight"),
+    ("workers", "mis2_sched_workers"),
+    ("team", "mis2_sched_team"),
+    ("pool_spawned", "mis2_pool_spawned"),
+    ("pool_contended", "mis2_pool_contended_total"),
+    ("resp", "mis2_resp_cached"),
+    ("resp_bytes", "mis2_resp_bytes"),
+    ("resp_hits", "mis2_resp_hits_total"),
+    ("writev_batches", "mis2_writev_batches_total"),
+    ("bytes_tx", "mis2_bytes_tx_total"),
+    ("queue_wait_count", "mis2_queue_wait_count_total"),
+    ("uptime_s", "mis2_uptime_seconds"),
+    ("requests", "mis2_requests_total"),
+    ("conns", "mis2_conns"),
+    ("derived", "mis2_cache_derived_total"),
+];
 
-/// The `METRICS` response body: the exposition of [`Metrics::render`]
-/// plus server-level counters mirrored in as extra gauges, newline-
-/// escaped into a single-line wire body (identical on every protocol —
-/// `mis2svc client` and the router unescape it back).
-fn metrics_body(cx: &ConnShared) -> String {
-    let (registry, sched) = match &cx.service {
-        Service::Local { registry, sched } => (registry, sched),
-        Service::Upstream(up) => return up.metrics_body(),
-    };
+/// The value of every [`COUNTERS`] entry, in table order. The request
+/// being answered holds a window slot; `inflight` leaves it out, so an
+/// otherwise idle server reports 0.
+fn counter_values(
+    cx: &ConnShared,
+    registry: &Registry,
+    sched: &Scheduler,
+) -> [u64; COUNTERS.len()] {
     let (svc, mx) = (&*cx.stats, &*cx.mx);
     let r = registry.stats();
     let s = sched.stats();
-    let extra = [
-        ("mis2_cache_graphs", r.graphs as u64),
-        ("mis2_cache_artifacts", r.artifacts as u64),
-        ("mis2_cache_hits_total", r.hits),
-        ("mis2_cache_misses_total", r.misses),
-        ("mis2_cache_derived_total", r.derived),
-        ("mis2_cache_bytes", r.bytes as u64),
-        ("mis2_cache_evictions_total", r.evictions),
-        ("mis2_graph_builds_total", r.graph_builds),
-        ("mis2_resp_cached", r.resp as u64),
-        ("mis2_resp_bytes", r.resp_bytes as u64),
-        ("mis2_resp_hits_total", r.resp_hits),
-        ("mis2_jobs_total", s.jobs.load(Ordering::Relaxed)),
-        ("mis2_job_panics_total", s.panics.load(Ordering::Relaxed)),
-        (
-            "mis2_queue_wait_us_total",
-            s.queue_wait_us.load(Ordering::Relaxed),
-        ),
-        (
-            "mis2_queue_wait_count_total",
-            s.queue_wait_count.load(Ordering::Relaxed),
-        ),
-        ("mis2_run_us_total", s.run_us.load(Ordering::Relaxed)),
-        (
-            "mis2_writev_batches_total",
-            svc.writev_batches.load(Ordering::Relaxed),
-        ),
-        ("mis2_bytes_tx_total", svc.bytes_tx.load(Ordering::Relaxed)),
-    ];
-    format!("METRICS {}", metrics::escape_body(&mx.render(&extra)))
+    let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+    [
+        r.graphs as u64,
+        r.artifacts as u64,
+        r.hits,
+        r.misses,
+        r.bytes as u64,
+        r.mem_budget as u64,
+        r.evictions,
+        r.graph_builds,
+        load(&s.jobs),
+        load(&s.queue_wait_us),
+        load(&s.run_us),
+        load(&s.panics),
+        load(&svc.inflight).saturating_sub(1),
+        cx.max_inflight as u64,
+        load(&svc.peak_inflight),
+        sched.workers() as u64,
+        sched.team() as u64,
+        pool::spawned_workers() as u64,
+        pool::contended_regions(),
+        r.resp as u64,
+        r.resp_bytes as u64,
+        r.resp_hits,
+        load(&svc.writev_batches),
+        load(&svc.bytes_tx),
+        load(&s.queue_wait_count),
+        mx.uptime_s(),
+        mx.requests_total(),
+        cx.conns.load(Ordering::Relaxed) as u64,
+        r.derived,
+    ]
+}
+
+/// `STATS` followed by ` key=value` for every [`COUNTERS`] entry.
+pub(crate) fn stats_line(values: [u64; COUNTERS.len()]) -> String {
+    let mut line = String::from("STATS");
+    for ((key, _), v) in COUNTERS.iter().zip(values) {
+        line.push_str(&format!(" {key}={v}"));
+    }
+    line
+}
+
+/// The `STATS` response body: the counter table, then the one
+/// non-numeric key, `io_backend=`. A router prints the cluster line.
+fn stats_body(cx: &ConnShared) -> String {
+    match &cx.service {
+        Service::Local { registry, sched } => {
+            let line = stats_line(counter_values(cx, registry, sched));
+            format!("{line} io_backend={}", cx.backend.name())
+        }
+        Service::Upstream(up) => shard::cluster_stats(&up.fetch()),
+    }
+}
+
+/// The `METRICS` response body: the exposition of [`Metrics::render`]
+/// with the counter table as its extra gauges — a router's is its
+/// shards' merged exposition — newline-escaped into a single-line wire
+/// body (identical on every protocol; `mis2svc client` and the router
+/// unescape it back).
+fn metrics_body(cx: &ConnShared) -> String {
+    let text = match &cx.service {
+        Service::Local { registry, sched } => {
+            let values = counter_values(cx, registry, sched);
+            let extra: Vec<_> = COUNTERS.iter().map(|&(_, s)| s).zip(values).collect();
+            cx.mx.render(&extra)
+        }
+        Service::Upstream(up) => metrics::merge_expositions(&up.fetch()).render(),
+    };
+    format!("METRICS {}", metrics::escape_body(&text))
 }
 
 #[cfg(test)]

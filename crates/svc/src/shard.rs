@@ -65,21 +65,22 @@
 //! response has been written — so a client that pipelines and then
 //! half-closes gets its answers, not `ERR shard down`.
 //!
-//! `STATS` through the router merges every shard's counters into one
-//! cluster-wide line ([`crate::registry::merge_stats_bodies`]): each key
-//! summed across shards in the single-server order, then the
-//! cluster-only gauges `shards= shards_up= shard_bytes= shard_evictions=`
-//! appended at the end.
+//! For `STATS` and `METRICS` alike, the router asks every shard for its
+//! `METRICS` once and merges the parsed expositions once
+//! ([`crate::metrics::merge_expositions`]). The cluster `METRICS` body is
+//! that merge rendered; the cluster `STATS` line reads the server's
+//! counter table out of it — each key in the single-server order — then
+//! appends the cluster-only gauges `shards= shards_up= shard_bytes=
+//! shard_evictions=`.
 
 use crate::client::Client;
 use crate::codec;
-use crate::metrics::{self, Metrics};
+use crate::metrics::{self, Exposition, Metrics};
 use crate::ops;
 use crate::proto::{GraphRef, Request};
-use crate::registry;
 use crate::server::{
-    spawn_accept, CompletionSink, ConnShared, ConnTable, Framing, IoBackend, Outgoing, Service,
-    SvcStats,
+    spawn_accept, stats_line, CompletionSink, ConnShared, ConnTable, Framing, IoBackend, Outgoing,
+    Service, SvcStats, COUNTERS,
 };
 use mis2_prim::hash::{hash2, splitmix64};
 use std::collections::HashMap;
@@ -232,10 +233,10 @@ impl RouterHandle {
 /// The I/O driver the router's connections run on. Pinned to threads, not
 /// [`IoBackend::platform_default`]: [`dial`] (a TCP connect plus a hello
 /// round trip, on the first request for a shard and on every due redial)
-/// and the cluster `STATS`/`METRICS` fetch (a round trip to every shard)
-/// **block their caller**. A connection's own reader thread can afford
-/// that; the single epoll loop thread, which serves every connection,
-/// cannot. Moving those two calls off the caller is what lets this
+/// and the cluster `STATS`/`METRICS` fetch (one `METRICS` round trip to
+/// every shard) **block their caller**. A connection's own reader thread
+/// can afford that; the single epoll loop thread, which serves every
+/// connection, cannot. Moving those two calls off the caller is what lets this
 /// become the platform default.
 const ROUTER_DRIVER: IoBackend = IoBackend::Threads;
 
@@ -349,44 +350,53 @@ impl Upstream {
         forward(&conn.shards[idx], &req.to_line(), framing, sink);
     }
 
-    /// The cluster `STATS` body: every shard's `STATS` fetched over a
-    /// short-lived v1 connection and merged into the cluster line. A
-    /// shard that cannot be reached (or answers garbage) contributes
-    /// zeros and drops out of `shards_up=`.
-    pub(crate) fn stats_body(&self) -> String {
-        registry::merge_stats_bodies(&self.fetch("STATS", "OK "))
-    }
-
-    /// The cluster `METRICS` body: every shard's exposition merged
-    /// bucket-wise ([`crate::metrics::merge_expositions`]) — counters and
-    /// histogram buckets sum, `mis2_uptime_seconds` takes the minimum
-    /// over live shards, and each shard's slow-request entries pass
-    /// through with the `shard` label rewritten to the shard's cluster
-    /// index. The body comes back in the same escaped single-line form
-    /// the server emits.
-    pub(crate) fn metrics_body(&self) -> String {
-        let bodies: Vec<Option<String>> = self
-            .fetch("METRICS", "OK METRICS ")
-            .into_iter()
-            .map(|b| b.map(|b| metrics::unescape_body(&b)))
-            .collect();
-        let merged = metrics::merge_expositions(&bodies);
-        format!("METRICS {}", metrics::escape_body(&merged))
-    }
-
-    /// Ask every shard `request` over a short-lived v1 connection; each
-    /// answer with `prefix` stripped, `None` for a shard that failed.
-    fn fetch(&self, request: &str, prefix: &str) -> Vec<Option<String>> {
-        let one = |addr: &String| -> Option<String> {
+    /// Ask every shard for its `METRICS` over a short-lived v1
+    /// connection; `None` for a shard that failed or answered garbage.
+    /// Both cluster bodies are printed from this one fetch: `METRICS` is
+    /// its [`metrics::merge_expositions`] rendered, `STATS` is
+    /// [`cluster_stats`].
+    pub(crate) fn fetch(&self) -> Vec<Option<Exposition>> {
+        let one = |addr: &String| -> Option<Exposition> {
             let mut c = Client::connect(addr.as_str()).ok()?;
             c.set_read_timeout(Some(Duration::from_secs(10))).ok()?;
-            let line = c.request(request).ok()?;
-            let body = line.strip_prefix(prefix)?.to_string();
+            let line = c.request("METRICS").ok()?;
             let _ = c.quit();
-            Some(body)
+            let body = line.strip_prefix("OK METRICS ")?;
+            metrics::parse_exposition(&metrics::unescape_body(body)).ok()
         };
         self.addrs.iter().map(one).collect()
     }
+}
+
+/// The cluster `STATS` line: the counter table read out of the shards'
+/// merged exposition, in the single-server key order, then the topology
+/// appended at the end:
+///
+/// ```text
+/// shards=<N> shards_up=<K> shard_bytes=b0,b1,… shard_evictions=e0,e1,…
+/// ```
+///
+/// where the comma lists give each shard's own `bytes` / `evictions` in
+/// ring order, letting callers attribute load per shard. A dead shard
+/// contributes zeros; with every shard dead, every key reads 0.
+pub(crate) fn cluster_stats(shards: &[Option<Exposition>]) -> String {
+    let merged = metrics::merge_expositions(shards);
+    let read = |exp: &Exposition, series: &str| exp.value(series).unwrap_or(0);
+    let per_shard = |series: &str| -> String {
+        let values: Vec<String> = shards
+            .iter()
+            .map(|e| e.as_ref().map_or(0, |e| read(e, series)).to_string())
+            .collect();
+        values.join(",")
+    };
+    format!(
+        "{} shards={} shards_up={} shard_bytes={} shard_evictions={}",
+        stats_line(COUNTERS.map(|(_, series)| read(&merged, series))),
+        shards.len(),
+        read(&merged, "mis2_shards_up"),
+        per_shard("mis2_cache_bytes"),
+        per_shard("mis2_cache_evictions_total"),
+    )
 }
 
 impl Drop for UpConn {
@@ -819,6 +829,107 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
         drop(release);
         mute.join().unwrap();
+    }
+
+    /// A live shard whose exposition carries these label-free series.
+    fn shard(series: &[(&str, u64)]) -> Option<Exposition> {
+        let samples = series.iter().map(|&(name, value)| metrics::Sample {
+            name: name.to_string(),
+            labels: Vec::new(),
+            value,
+        });
+        Some(Exposition {
+            schema: metrics::SCHEMA,
+            samples: samples.collect(),
+        })
+    }
+
+    /// The `key=value` words of a `STATS` line that `keys` names, in
+    /// line order.
+    fn picked<'a>(line: &'a str, keys: &[&str]) -> Vec<&'a str> {
+        let picked = line
+            .split_whitespace()
+            .filter(|w| w.split_once('=').is_some_and(|(k, _)| keys.contains(&k)));
+        picked.collect()
+    }
+
+    #[test]
+    fn cluster_stats_sum_keys_and_append_cluster_gauges() {
+        let line = cluster_stats(&[
+            shard(&[
+                ("mis2_cache_graphs", 2),
+                ("mis2_cache_bytes", 100),
+                ("mis2_cache_evictions_total", 1),
+                ("mis2_inflight", 0),
+            ]),
+            shard(&[
+                ("mis2_cache_graphs", 3),
+                ("mis2_cache_bytes", 50),
+                ("mis2_cache_evictions_total", 4),
+                ("mis2_inflight", 2),
+            ]),
+        ]);
+        let keys = ["graphs", "bytes", "evictions", "inflight"];
+        assert_eq!(
+            picked(&line, &keys),
+            ["graphs=5", "bytes=150", "evictions=5", "inflight=2"]
+        );
+        assert!(
+            line.ends_with(
+                " derived=0 shards=2 shards_up=2 shard_bytes=100,50 shard_evictions=1,4"
+            ),
+            "{line}"
+        );
+        // The grep contract: the FIRST `bytes=` match on the line is the
+        // cluster sum, exactly where a single server puts its own.
+        let first_bytes = line.split_whitespace().find(|w| w.starts_with("bytes="));
+        assert_eq!(first_bytes, Some("bytes=150"));
+    }
+
+    #[test]
+    fn dead_shards_contribute_zeros_to_cluster_stats() {
+        let line = cluster_stats(&[
+            shard(&[
+                ("mis2_cache_graphs", 2),
+                ("mis2_cache_bytes", 100),
+                ("mis2_cache_evictions_total", 1),
+            ]),
+            None,
+            shard(&[
+                ("mis2_cache_graphs", 1),
+                ("mis2_cache_bytes", 7),
+                ("mis2_cache_evictions_total", 0),
+            ]),
+        ]);
+        assert!(line.contains(" shards=3 shards_up=2 "), "{line}");
+        assert!(line.ends_with("shard_bytes=100,0,7 shard_evictions=1,0,0"));
+        let keys = ["graphs", "bytes", "evictions"];
+        assert_eq!(
+            picked(&line, &keys),
+            ["graphs=3", "bytes=107", "evictions=1"]
+        );
+    }
+
+    #[test]
+    fn cluster_stats_take_min_uptime_over_live_shards() {
+        let line = cluster_stats(&[
+            shard(&[
+                ("mis2_jobs_total", 4),
+                ("mis2_uptime_seconds", 120),
+                ("mis2_requests_total", 10),
+            ]),
+            None, // a dead shard must not drag uptime to zero
+            shard(&[
+                ("mis2_jobs_total", 6),
+                ("mis2_uptime_seconds", 35),
+                ("mis2_requests_total", 7),
+            ]),
+        ]);
+        let keys = ["jobs", "uptime_s", "requests"];
+        assert_eq!(
+            picked(&line, &keys),
+            ["jobs=10", "uptime_s=35", "requests=17"]
+        );
     }
 
     #[test]

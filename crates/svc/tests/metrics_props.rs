@@ -194,8 +194,8 @@ fn render_parse_round_trips_under_random_load() {
         assert!(!wire.contains('\n'), "case {case}: body must be one line");
         assert_eq!(metrics::unescape_body(&wire), text, "case {case}");
         // And a self-merge doubles every counter.
-        let twice = metrics::merge_expositions(&[Some(text.clone()), Some(text.clone())]);
-        let m = metrics::parse_exposition(&twice).unwrap();
+        let twice = metrics::merge_expositions(&[Some(exp.clone()), Some(exp)]);
+        let m = metrics::parse_exposition(&twice.render()).unwrap();
         assert_eq!(m.value("mis2_requests_total"), Some(128), "case {case}");
     }
 }
