@@ -7,7 +7,7 @@
 //! derives from MIS-2 maximality (Section III-B).
 
 use mis2_graph::{CsrGraph, VertexId};
-use mis2_prim::{par, SharedMut};
+use mis2_prim::par;
 use std::fmt;
 
 /// Sentinel for not-yet-aggregated vertices during construction.
@@ -159,25 +159,21 @@ impl Aggregation {
 // ---------------------------------------------------------------------------
 
 /// Every unaggregated vertex adjacent to a root takes that root's label
-/// (Algorithm 2 phase 1, which Algorithm 3 phase 1 repeats verbatim). The
-/// roots — the `is_root` vertices — already carry their labels. Two roots
-/// of an MIS-2 are at distance >= 3, so no vertex has two root neighbors:
-/// the assignment is conflict-free.
-pub(crate) fn absorb_root_neighbors(g: &CsrGraph, is_root: &[bool], labels: &mut [u32]) {
-    let n = g.num_vertices();
-    let lw = SharedMut::new(labels);
-    par::for_range(0..n as VertexId, |v| {
-        // SAFETY: each vertex writes only its own slot; reads go to root
-        // slots, which were finalized before this region.
-        let cur = unsafe { lw.read(v as usize) };
-        if cur != UNAGGREGATED {
-            return;
-        }
-        for &w in g.neighbors(v) {
-            if is_root[w as usize] {
-                let root_label = unsafe { lw.read(w as usize) };
-                unsafe { lw.write(v as usize, root_label) };
-                return;
+/// (Algorithm 2 phase 1, which Algorithm 3 phase 1 repeats verbatim). On
+/// entry the roots are exactly the labeled vertices. Two roots of an MIS-2
+/// are at distance >= 3, so no vertex has two root neighbors: the
+/// assignment is conflict-free. Each vertex writes only its own label and
+/// reads the labels copied on entry.
+pub(crate) fn absorb_root_neighbors(g: &CsrGraph, labels: &mut [u32]) {
+    let roots = labels.to_vec();
+    par::for_each_mut_indexed(labels, |v, label| {
+        if *label == UNAGGREGATED {
+            let mut near = g
+                .neighbors(v as VertexId)
+                .iter()
+                .map(|&w| roots[w as usize]);
+            if let Some(root) = near.find(|&l| l != UNAGGREGATED) {
+                *label = root;
             }
         }
     });
@@ -220,7 +216,6 @@ pub(crate) fn max_coupling(
 /// parallel **and** deterministic. Vertices with no aggregated neighbor
 /// stay unaggregated.
 pub(crate) fn join_leftovers(g: &CsrGraph, labels: &mut [u32], num_aggregates: usize) {
-    let n = g.num_vertices();
     let tent = labels.to_vec();
     let mut sizes = vec![0u32; num_aggregates];
     for &l in &tent {
@@ -228,15 +223,11 @@ pub(crate) fn join_leftovers(g: &CsrGraph, labels: &mut [u32], num_aggregates: u
             sizes[l as usize] += 1;
         }
     }
-    let lw = SharedMut::new(labels);
-    par::for_range(0..n as VertexId, |v| {
-        if tent[v as usize] != UNAGGREGATED {
-            return;
-        }
-        if let Some(a) = max_coupling(g, v, &tent, &sizes) {
-            // SAFETY: each vertex writes only its own slot, and every
-            // read goes to the frozen copy.
-            unsafe { lw.write(v as usize, a) };
+    par::for_each_mut_indexed(labels, |v, label| {
+        if *label == UNAGGREGATED {
+            if let Some(a) = max_coupling(g, v as VertexId, &tent, &sizes) {
+                *label = a;
+            }
         }
     });
 }

@@ -15,7 +15,6 @@ use crate::agg::{absorb_root_neighbors, Aggregation, UNAGGREGATED};
 use mis2_core::Mis2Result;
 use mis2_graph::{CsrGraph, VertexId};
 use mis2_prim::par;
-use mis2_prim::SharedMut;
 
 /// Algorithm 2 with a freshly computed MIS-2.
 pub fn mis2_basic(g: &CsrGraph) -> Aggregation {
@@ -37,29 +36,23 @@ pub fn mis2_basic_from(g: &CsrGraph, m: &Mis2Result) -> Aggregation {
     }
 
     // Phase 1: neighbors of roots.
-    absorb_root_neighbors(g, &m.is_in, &mut labels);
+    absorb_root_neighbors(g, &mut labels);
 
     // Phase 2: leftovers join the smallest adjacent aggregate. By MIS-2
     // maximality every leftover is at distance 2 from a root, i.e. adjacent
     // to a phase-1 vertex, so one pass reading the phase-1 labels suffices.
     let phase1 = labels.clone();
-    {
-        let lw = SharedMut::new(&mut labels);
-        par::for_range(0..n as VertexId, |v| {
-            if phase1[v as usize] != UNAGGREGATED {
-                return;
-            }
-            let best = g
-                .neighbors(v)
+    par::for_each_mut_indexed(&mut labels, |v, label| {
+        if *label == UNAGGREGATED {
+            let near = g
+                .neighbors(v as VertexId)
                 .iter()
-                .map(|&w| phase1[w as usize])
-                .filter(|&l| l != UNAGGREGATED)
-                .min();
-            if let Some(l) = best {
-                unsafe { lw.write(v as usize, l) };
+                .map(|&w| phase1[w as usize]);
+            if let Some(l) = near.filter(|&l| l != UNAGGREGATED).min() {
+                *label = l;
             }
-        });
-    }
+        }
+    });
 
     Aggregation {
         labels,

@@ -70,7 +70,7 @@ pub fn mis2_aggregation_from(g: &CsrGraph, cfg: &Mis2Config, m1: &Mis2Result) ->
         labels[r as usize] = a as u32;
         roots.push(r);
     }
-    absorb_root_neighbors(g, &m1.is_in, &mut labels);
+    absorb_root_neighbors(g, &mut labels);
 
     // ---- Phase 2: secondary MIS-2 on the unaggregated subgraph ----------
     let keep: Vec<bool> = par::map(&labels, |&l| l == UNAGGREGATED);

@@ -8,75 +8,18 @@
 //!
 //! * [`color_d2`] — deterministic parallel Jones–Plassmann over two-hop
 //!   neighborhoods (the parallel "net-based" coloring of Taş et al. that
-//!   the paper cites for NB D2C).
+//!   the paper cites for NB D2C); the round loop is [`crate::jp`]'s.
 //! * [`color_d2_serial`] — sequential greedy (Serial D2C's coloring step).
 
-use crate::jp::{smallest_free, UNCOLORED};
+use crate::jp::{all_near, free_color, jones_plassmann, UNCOLORED};
 use crate::Coloring;
 use mis2_graph::{CsrGraph, VertexId};
-use mis2_prim::par;
-use mis2_prim::{compact, SharedMut};
-
-/// Visit every vertex within distance <= 2 of `v` (excluding `v`),
-/// possibly with repeats.
-#[inline]
-fn for_two_hop(g: &CsrGraph, v: VertexId, mut f: impl FnMut(VertexId)) {
-    for &w in g.neighbors(v) {
-        f(w);
-        for &x in g.neighbors(w) {
-            if x != v {
-                f(x);
-            }
-        }
-    }
-}
+use mis2_prim::{compact, par};
 
 /// Deterministic parallel distance-2 coloring (Jones–Plassmann over
-/// two-hop neighborhoods). Priorities are cached in one array up front so
-/// each round costs one two-hop sweep, not one hash per visited edge.
+/// two-hop neighborhoods).
 pub fn color_d2(g: &CsrGraph, seed: u64) -> Coloring {
-    let n = g.num_vertices();
-    let mut colors = vec![UNCOLORED; n];
-    let prios: Vec<u64> = par::map_range(0..n as u64, |v| {
-        mis2_prim::hash::hash2(mis2_prim::hash::xorshift64_star, seed, v)
-    });
-    let pr = |v: VertexId| (prios[v as usize], v);
-    let mut wl: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut rounds = 0usize;
-
-    while !wl.is_empty() {
-        rounds += 1;
-        let winners: Vec<VertexId> = compact::par_filter(&wl, |&v| {
-            let pv = pr(v);
-            let mut win = true;
-            for_two_hop(g, v, |w| {
-                if win && colors[w as usize] == UNCOLORED && pr(w) > pv {
-                    win = false;
-                }
-            });
-            win
-        });
-        debug_assert!(!winners.is_empty(), "D2 JP round stalled");
-        {
-            // Winners are pairwise at distance > 2, hence never in each
-            // other's two-hop sets: concurrent reads below never observe a
-            // slot written in this round.
-            let cw = SharedMut::new(&mut colors);
-            par::for_each(&winners, |&v| {
-                let mut used: Vec<u32> = Vec::new();
-                for_two_hop(g, v, |w| {
-                    let c = unsafe { cw.read(w as usize) };
-                    if c != UNCOLORED {
-                        used.push(c);
-                    }
-                });
-                let c = smallest_free(&mut used);
-                unsafe { cw.write(v as usize, c) };
-            });
-        }
-        wl = compact::par_filter(&wl, |&v| colors[v as usize] == UNCOLORED);
-    }
-    Coloring::from_colors(colors, rounds)
+    jones_plassmann::<2>(g, seed)
 }
 
 /// Speculative parallel distance-2 coloring with conflict resolution — the
@@ -93,25 +36,13 @@ pub fn color_d2_speculative(g: &CsrGraph, _seed: u64) -> Coloring {
     let mut rounds = 0usize;
     while !wl.is_empty() {
         rounds += 1;
+        let color = |w: VertexId| colors[w as usize].load(Ordering::Relaxed);
         par::for_each(&wl, |&v| {
-            let mut used: Vec<u32> = Vec::new();
-            for_two_hop(g, v, |w| {
-                let c = colors[w as usize].load(Ordering::Relaxed);
-                if c != UNCOLORED {
-                    used.push(c);
-                }
-            });
-            let c = smallest_free(&mut used);
-            colors[v as usize].store(c, Ordering::Relaxed);
+            colors[v as usize].store(free_color::<2>(g, v, color), Ordering::Relaxed);
         });
         wl = compact::par_filter(&wl, |&v| {
-            let cv = colors[v as usize].load(Ordering::Relaxed);
-            let mut conflict = false;
-            for_two_hop(g, v, |w| {
-                if !conflict && w > v && colors[w as usize].load(Ordering::Relaxed) == cv {
-                    conflict = true;
-                }
-            });
+            let cv = color(v);
+            let conflict = !all_near::<2>(g, v, |w| !(w > v && color(w) == cv));
             if conflict {
                 colors[v as usize].store(UNCOLORED, Ordering::Relaxed);
             }
@@ -127,14 +58,7 @@ pub fn color_d2_serial(g: &CsrGraph) -> Coloring {
     let n = g.num_vertices();
     let mut colors = vec![UNCOLORED; n];
     for v in 0..n as VertexId {
-        let mut used: Vec<u32> = Vec::new();
-        for_two_hop(g, v, |w| {
-            let c = colors[w as usize];
-            if c != UNCOLORED {
-                used.push(c);
-            }
-        });
-        colors[v as usize] = smallest_free(&mut used);
+        colors[v as usize] = free_color::<2>(g, v, |w| colors[w as usize]);
     }
     Coloring::from_colors(colors, 1)
 }

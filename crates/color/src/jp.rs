@@ -1,27 +1,80 @@
-//! Deterministic parallel distance-1 coloring (Jones–Plassmann).
+//! Deterministic parallel Jones–Plassmann coloring, at distance 1 or 2.
 //!
 //! Each round, an uncolored vertex whose `(hash, id)` priority is the strict
-//! maximum among its uncolored neighbors claims the smallest color not used
-//! by its already-colored neighbors. Every round is a pure map over the
-//! previous round's color array, so the result is independent of thread
-//! count.
+//! maximum among the uncolored vertices of its neighborhood (one hop for
+//! [`color_d1`], two for [`crate::d2::color_d2`]) claims the smallest color
+//! its neighborhood does not hold. The winners of a round lie outside each
+//! other's neighborhoods, so they pick their colors in a map over the
+//! previous round's color array: the result is independent of thread count.
 
 use crate::Coloring;
 use mis2_graph::{CsrGraph, VertexId};
 use mis2_prim::hash::{hash2, xorshift64_star};
-use mis2_prim::par;
-use mis2_prim::{compact, SharedMut};
+use mis2_prim::{compact, par};
 
 pub(crate) const UNCOLORED: u32 = u32::MAX;
 
+/// `f(w)` for every `w` within `HOPS` (1 or 2) hops of `v` other than `v`,
+/// repeats possible, until `f` returns `false`; whether it never did.
 #[inline]
-pub(crate) fn prio(seed: u64, v: VertexId) -> (u64, VertexId) {
-    (hash2(xorshift64_star, seed, v as u64), v)
+pub(crate) fn all_near<const HOPS: usize>(
+    g: &CsrGraph,
+    v: VertexId,
+    mut f: impl FnMut(VertexId) -> bool,
+) -> bool {
+    g.neighbors(v)
+        .iter()
+        .all(|&w| f(w) && (HOPS == 1 || g.neighbors(w).iter().all(|&x| x == v || f(x))))
 }
 
-/// Smallest color not present in `used` (which must be sorted ascending).
+/// The Jones–Plassmann rounds over `HOPS`-hop neighborhoods. Priorities
+/// are hashed once per vertex.
+pub(crate) fn jones_plassmann<const HOPS: usize>(g: &CsrGraph, seed: u64) -> Coloring {
+    let n = g.num_vertices();
+    let prios: Vec<u64> = par::map_range(0..n as u64, |v| hash2(xorshift64_star, seed, v));
+    let pr = |v: VertexId| (prios[v as usize], v);
+    let mut colors = vec![UNCOLORED; n];
+    let mut wl: Vec<VertexId> = (0..n as VertexId).collect();
+    let mut rounds = 0usize;
+    while !wl.is_empty() {
+        rounds += 1;
+        let winners = compact::par_filter(&wl, |&v| {
+            let pv = pr(v);
+            all_near::<HOPS>(g, v, |w| colors[w as usize] != UNCOLORED || pr(w) < pv)
+        });
+        debug_assert!(!winners.is_empty(), "JP round stalled");
+        let picked = par::map(&winners, |&v| {
+            free_color::<HOPS>(g, v, |w| colors[w as usize])
+        });
+        for (&v, c) in winners.iter().zip(picked) {
+            colors[v as usize] = c;
+        }
+        wl = compact::par_filter(&wl, |&v| colors[v as usize] == UNCOLORED);
+    }
+    Coloring::from_colors(colors, rounds)
+}
+
+/// Smallest color that `color` gives no vertex within `HOPS` hops of `v`.
 #[inline]
-pub(crate) fn smallest_free(used: &mut Vec<u32>) -> u32 {
+pub(crate) fn free_color<const HOPS: usize>(
+    g: &CsrGraph,
+    v: VertexId,
+    color: impl Fn(VertexId) -> u32,
+) -> u32 {
+    let mut used = Vec::new();
+    all_near::<HOPS>(g, v, |w| {
+        let c = color(w);
+        if c != UNCOLORED {
+            used.push(c);
+        }
+        true
+    });
+    smallest_free(&mut used)
+}
+
+/// Smallest color not present in `used`, which it sorts and deduplicates.
+#[inline]
+fn smallest_free(used: &mut Vec<u32>) -> u32 {
     used.sort_unstable();
     used.dedup();
     let mut c = 0u32;
@@ -44,41 +97,7 @@ pub(crate) fn smallest_free(used: &mut Vec<u32>) -> u32 {
 /// assert!(c.num_colors <= 3);
 /// ```
 pub fn color_d1(g: &CsrGraph, seed: u64) -> Coloring {
-    let n = g.num_vertices();
-    let mut colors = vec![UNCOLORED; n];
-    let mut wl: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut rounds = 0usize;
-
-    while !wl.is_empty() {
-        rounds += 1;
-        // Decide which vertices win this round (pure read of `colors`).
-        let winners: Vec<VertexId> = compact::par_filter(&wl, |&v| {
-            let pv = prio(seed, v);
-            g.neighbors(v)
-                .iter()
-                .all(|&w| colors[w as usize] != UNCOLORED || prio(seed, w) < pv)
-        });
-        debug_assert!(!winners.is_empty(), "JP round stalled");
-        // Winners pick colors. Winners form an independent set among the
-        // uncolored vertices (strict local maxima), so reading `colors`
-        // while writing distinct winner slots never reads a slot written
-        // this round by a *neighbor*.
-        {
-            let cw = SharedMut::new(&mut colors);
-            par::for_each(&winners, |&v| {
-                let mut used: Vec<u32> = g
-                    .neighbors(v)
-                    .iter()
-                    .map(|&w| unsafe { cw.read(w as usize) })
-                    .filter(|&c| c != UNCOLORED)
-                    .collect();
-                let c = smallest_free(&mut used);
-                unsafe { cw.write(v as usize, c) };
-            });
-        }
-        wl = compact::par_filter(&wl, |&v| colors[v as usize] == UNCOLORED);
-    }
-    Coloring::from_colors(colors, rounds)
+    jones_plassmann::<1>(g, seed)
 }
 
 #[cfg(test)]

@@ -11,12 +11,19 @@
 //! Provided algorithms:
 //!
 //! * [`jp::color_d1`] — deterministic parallel distance-1 coloring
-//!   (Jones–Plassmann with xorshift\* priorities);
-//! * [`d2::color_d2`] — deterministic parallel distance-2 coloring
-//!   (Jones–Plassmann over two-hop neighborhoods, the "net-based" scheme);
+//!   (Jones–Plassmann with xorshift\* priorities, hashed once per vertex);
+//! * [`d2::color_d2`] — deterministic parallel distance-2 coloring: the
+//!   same Jones–Plassmann loop over two-hop neighborhoods (the
+//!   "net-based" scheme);
+//! * [`d2::color_d2_speculative`] — the nondeterministic speculative
+//!   distance-2 coloring of the "NB D2C" baseline;
 //! * [`d2::color_d2_serial`] — sequential greedy distance-2 coloring
 //!   (the "Serial D2C" baseline's coloring step);
-//! * [`sets::ColorSets`] — CRS-by-color layout for sweeping color classes.
+//! * [`sets::ColorSets`] — CRS-by-color layout for visiting color classes.
+//!
+//! Every parallel write here is owner-computes: a round's winners pick
+//! their colors in a map over the previous round's color array, and a
+//! plain loop writes them back.
 
 pub mod d2;
 pub mod jp;

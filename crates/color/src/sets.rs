@@ -1,10 +1,10 @@
 //! CRS-by-color layout.
 //!
-//! Both multicolor Gauss-Seidel variants sweep "for color in colors:
-//! parallel-for over the vertices/clusters of that color" (Algorithm 4
-//! lines 7-8). This structure groups vertex ids by color contiguously so
-//! each sweep is a cache-friendly slice, built deterministically with a
-//! counting sort.
+//! D2C aggregation (Table V) roots its aggregates one color class at a
+//! time: "for color in colors: parallel-for over the vertices of that
+//! color". This structure groups vertex ids by color contiguously so each
+//! wave is a cache-friendly slice, built deterministically with the
+//! workspace's one counting sort.
 
 use crate::Coloring;
 use mis2_graph::VertexId;
@@ -20,8 +20,9 @@ pub struct ColorSets {
 impl ColorSets {
     /// Build from a coloring.
     pub fn build(coloring: &Coloring) -> Self {
+        let colors = coloring.colors.iter().copied();
         let (offsets, members) =
-            mis2_prim::bucket::bucket_by_key(coloring.num_colors as usize, &coloring.colors);
+            mis2_prim::bucket_by_key(coloring.num_colors as usize, colors.zip(0u32..));
         ColorSets { offsets, members }
     }
 

@@ -68,17 +68,10 @@ pub fn bell_mis_k(g: &CsrGraph, k: usize, seed: u64) -> Mis2Result {
         par::for_each_mut_indexed(&mut cur, |i, c| *c = t[i]);
         // k propagation rounds: M^i_v = min(M^{i-1}_w : w in adj(v) ∪ {v}).
         for _ in 0..k {
-            {
-                let nw = SharedMut::new(&mut nxt);
-                let cur_ref: &[Unpacked] = &cur;
-                par::for_range(0..n as VertexId, |v| {
-                    let mut mv = cur_ref[v as usize];
-                    for &w in g.neighbors(v) {
-                        mv = mv.min(cur_ref[w as usize]);
-                    }
-                    unsafe { nw.write(v as usize, mv) };
-                });
-            }
+            par::for_each_mut_indexed(&mut nxt, |v, mv| {
+                let near = g.neighbors(v as VertexId).iter().map(|&w| cur[w as usize]);
+                *mv = near.fold(cur[v], |m, x| m.min(x));
+            });
             std::mem::swap(&mut cur, &mut nxt);
         }
 

@@ -40,10 +40,11 @@
 //! ## Execution: one flat worklist per phase, two fused passes per round
 //!
 //! A round is `column_pass(worklist2)` then `decide_pass(worklist1)`. Both
-//! have the same shape: blocks of `GRAIN` worklist entries go to the pool;
-//! each block writes its vertices' new tuples, one keep flag per entry and
-//! one count per block; an exclusive scan of the block counts then places
-//! each block's survivors in the compacted list (`scatter_kept`).
+//! have the same shape: blocks of `GRAIN` worklist entries go to the pool
+//! (`par::map_blocks`); each block writes its vertices' new tuples and one
+//! keep flag per entry, and returns its counts; `mis2_prim::compact::pack`
+//! then places each block's survivors in the compacted list from an
+//! exclusive scan of the block counts.
 //!
 //! The seed engine issued separate sweeps for Decide, the two
 //! `newly_in`/`newly_out` counts, worklist compaction and the next round's
@@ -79,8 +80,7 @@
 use crate::priority::PriorityScheme;
 use crate::tuple::{id_bits, Packed, TupleRepr, Unpacked};
 use mis2_graph::{CsrGraph, VertexId};
-use mis2_prim::{compact, exclusive_scan, par, SharedMut};
-use std::mem::MaybeUninit;
+use mis2_prim::{compact, par, SharedMut};
 
 /// Configuration of Algorithm 1. [`Default`] reproduces the full
 /// Kokkos Kernels configuration (all three optimizations on).
@@ -295,26 +295,25 @@ impl Exec<'_> {
 
     /// Refresh Column over `worklist2`: writes `M_v`, one keep flag per
     /// entry (`M_v != OUT`) and one keep count per block in a single sweep,
-    /// then compacts the list to its survivors.
+    /// then packs the list to its survivors.
     fn column_pass<T: TupleRepr>(
         &self,
         wl: &mut Vec<VertexId>,
         t: &[T],
         m: &mut [T],
-        flags: &mut Vec<u8>,
+        flags: &mut Vec<bool>,
     ) {
         let n = wl.len();
         flags.clear();
-        flags.resize(n, 0);
-        let mut kept = vec![0usize; n.div_ceil(GRAIN)];
-        {
+        flags.resize(n, false);
+        let kept = {
             let mw = SharedMut::new(m);
             let fw = SharedMut::new(flags.as_mut_slice());
-            let kw = SharedMut::new(kept.as_mut_slice());
-            par::for_chunks(wl, GRAIN, |b, chunk| {
+            let list: &[VertexId] = wl;
+            par::map_blocks(n.div_ceil(GRAIN), |b| {
                 let base = b * GRAIN;
                 let mut k = 0usize;
-                for (i, &v) in chunk.iter().enumerate() {
+                for (i, &v) in list[base..n.min(base + GRAIN)].iter().enumerate() {
                     let mv = self.column_value(t, v);
                     let keep = !mv.is_out();
                     // SAFETY: every vertex appears once in the worklist, so
@@ -322,113 +321,78 @@ impl Exec<'_> {
                     // written in this region.
                     unsafe {
                         mw.write(v as usize, mv);
-                        fw.write(base + i, keep as u8);
+                        fw.write(base + i, keep);
                     }
                     k += keep as usize;
                 }
-                // SAFETY: one write per block index.
-                unsafe { kw.write(b, k) };
-            });
-        }
+                k
+            })
+        };
         if self.compact {
-            *wl = scatter_kept(wl, flags, &kept);
+            *wl = compact::pack(flags, GRAIN, &kept, |i| wl[i]);
         }
     }
 
     /// Decide Set over `worklist1`, fused with the round's epilogue: decide,
     /// count the IN/OUT transitions per block, write the survivor's fresh
     /// round-`next_iter` tuple (the next round's Refresh Row), flag it, then
-    /// compact the list to its survivors. Returns `(newly_in, newly_out)`.
+    /// pack the list to its survivors. Returns `(newly_in, newly_out)`.
     fn decide_pass<T: TupleRepr>(
         &self,
         wl: &mut Vec<VertexId>,
         t: &mut [T],
         m: &[T],
         next_iter: u64,
-        flags: &mut Vec<u8>,
+        flags: &mut Vec<bool>,
     ) -> (usize, usize) {
         let n = wl.len();
         flags.clear();
-        flags.resize(n, 0);
+        flags.resize(n, false);
         // Per block: [survivors, newly IN, newly OUT].
-        let mut counts = vec![[0usize; 3]; n.div_ceil(GRAIN)];
-        {
+        let counts = {
             let tw = SharedMut::new(t);
             let fw = SharedMut::new(flags.as_mut_slice());
-            let cw = SharedMut::new(counts.as_mut_slice());
-            par::for_chunks(wl, GRAIN, |b, chunk| {
+            let list: &[VertexId] = wl;
+            par::map_blocks(n.div_ceil(GRAIN), |b| {
                 let base = b * GRAIN;
                 let mut c = [0usize; 3];
-                for (i, &v) in chunk.iter().enumerate() {
+                for (i, &v) in list[base..n.min(base + GRAIN)].iter().enumerate() {
                     // SAFETY: each worklist1 vertex appears once; only slot
                     // v is read and written (Decide reads M, never other
                     // T slots, so the inline refresh races with nothing).
                     let tv = unsafe { tw.read(v as usize) };
                     if !tv.is_undecided() {
                         // Only without compaction, where decided vertices
-                        // stay listed; their flag stays 0.
+                        // stay listed; their flag stays unset.
                         debug_assert!(!self.compact, "worklist1 must hold undecided only");
                         continue;
                     }
                     let nt = self.decide_value(tv, m, v, next_iter == 1);
-                    let class = if nt.is_in() {
-                        1
+                    let (class, new) = if nt.is_in() {
+                        (1, nt)
                     } else if nt.is_out() {
-                        2
+                        (2, nt)
                     } else {
-                        0
-                    };
-                    let new = if class == 0 {
-                        self.fresh::<T>(next_iter, v)
-                    } else {
-                        nt
+                        (0, self.fresh::<T>(next_iter, v))
                     };
                     // SAFETY: as above; flag base+i has one writer.
                     unsafe {
                         tw.write(v as usize, new);
-                        fw.write(base + i, (class == 0) as u8);
+                        fw.write(base + i, class == 0);
                     }
                     c[class] += 1;
                 }
-                // SAFETY: one write per block index.
-                unsafe { cw.write(b, c) };
-            });
-        }
+                c
+            })
+        };
         if self.compact {
             let kept: Vec<usize> = counts.iter().map(|c| c[0]).collect();
-            *wl = scatter_kept(wl, flags, &kept);
+            *wl = compact::pack(flags, GRAIN, &kept, |i| wl[i]);
         }
         let newly_in = counts.iter().map(|c| c[1]).sum();
         let newly_out = counts.iter().map(|c| c[2]).sum();
         (newly_in, newly_out)
     }
-}
-
-/// The flagged entries of `list`, in input order: an exclusive scan of the
-/// per-[`GRAIN`]-block keep counts gives each block its output range.
-fn scatter_kept(list: &[VertexId], flags: &[u8], kept: &[usize]) -> Vec<VertexId> {
-    let (offsets, total) = exclusive_scan(kept);
-    let mut out: Vec<VertexId> = Vec::with_capacity(total);
-    {
-        let ow = SharedMut::new(&mut out.spare_capacity_mut()[..total]);
-        par::for_chunks(flags, GRAIN, |b, fchunk| {
-            let base = b * GRAIN;
-            let mut w = offsets[b];
-            for (i, &k) in fchunk.iter().enumerate() {
-                if k != 0 {
-                    // SAFETY: block b writes the disjoint range
-                    // [offsets[b], offsets[b] + kept[b]) of the `total`
-                    // spare slots.
-                    unsafe { ow.write(w, MaybeUninit::new(list[base + i])) };
-                    w += 1;
-                }
-            }
-        });
-    }
-    // SAFETY: the blocks' ranges tile 0..total, so every slot below `total`
-    // was initialized above.
-    unsafe { out.set_len(total) };
-    out
 }
 
 fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> Mis2Result {
@@ -451,26 +415,18 @@ fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> Mis2Result {
         compact: cfg.use_worklists,
     };
 
-    // T and M arrays. M's initial content is never read: every vertex is in
-    // worklist2 for iteration 0 and is overwritten by Refresh Column.
-    let mut t: Vec<T> = vec![T::OUT; n];
+    // T is Refresh Row for iteration 0 (later rounds refresh survivors
+    // inside the decide pass). M's initial content is never read: every
+    // vertex is in worklist2 for iteration 0 and is overwritten by Refresh
+    // Column.
+    let mut t: Vec<T> = par::map_range(0..n as VertexId, |v| exec.fresh::<T>(0, v));
     let mut m: Vec<T> = vec![T::OUT; n];
-
-    // Refresh Row for iteration 0 (later rounds refresh survivors inside
-    // the decide pass).
-    {
-        let tw = SharedMut::new(&mut t);
-        par::for_range(0..n as VertexId, |v| {
-            // SAFETY: one write per distinct v.
-            unsafe { tw.write(v as usize, exec.fresh::<T>(0, v)) };
-        });
-    }
 
     // Both worklists start as the full vertex set.
     let mut wl1: Vec<VertexId> = (0..n as VertexId).collect();
     let mut wl2 = wl1.clone();
     // Keep-flag buffer shared by both passes.
-    let mut flags: Vec<u8> = Vec::new();
+    let mut flags: Vec<bool> = Vec::new();
     let mut history: Vec<RoundStats> = Vec::new();
     let mut undecided = n;
     let mut iter: u64 = 0;

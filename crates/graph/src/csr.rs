@@ -282,26 +282,11 @@ pub(crate) fn bucket_edges(
     n: usize,
     edges: &[(VertexId, VertexId)],
 ) -> (Vec<usize>, Vec<VertexId>) {
-    let mut offsets = vec![0usize; n + 1];
-    for &(u, v) in edges {
+    let directed = edges.iter().filter(|&&(u, v)| {
         assert!((u as usize) < n && (v as usize) < n, "edge out of bounds");
-        if u != v {
-            offsets[u as usize] += 1;
-            offsets[v as usize] += 1;
-        }
-    }
-    let total = mis2_prim::scan::exclusive_scan_in_place(&mut offsets);
-    let mut targets = vec![0 as VertexId; total];
-    let mut cursor = offsets.clone();
-    for &(u, v) in edges {
-        if u != v {
-            targets[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            targets[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
-    }
-    (offsets, targets)
+        u != v
+    });
+    mis2_prim::bucket_by_key(n, directed.flat_map(|&(u, v)| [(u, v), (v, u)]))
 }
 
 /// Sort and deduplicate `row[start..]` in place.

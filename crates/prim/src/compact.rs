@@ -14,6 +14,10 @@
 //! materialized flags — never by re-evaluating the closure. (An earlier
 //! version re-evaluated the predicate in the write pass; combined with a
 //! racy predicate that could leave uninitialized slots in the output.)
+//!
+//! Every compaction in the workspace ends in [`pack`], the one scatter:
+//! [`par_filter`] and [`par_filter_indices`] count their flags per block
+//! here, and Algorithm 1's engine counts them inside its own fused passes.
 
 use crate::par::{self, SendPtr};
 
@@ -34,11 +38,7 @@ where
     T: Copy + Send + Sync,
     F: Fn(&T) -> bool + Send + Sync,
 {
-    if input.len() < SEQ_CUTOFF {
-        return input.iter().filter(|x| pred(x)).copied().collect();
-    }
-    let keep: Vec<bool> = par::map(input, |x| pred(x));
-    compact_by_flags(input, &keep)
+    filter_map(input.len(), |i| pred(&input[i]), |i| input[i])
 }
 
 /// Indices `i` with `pred(&input[i])`, in increasing order. `pred` runs
@@ -48,56 +48,65 @@ where
     T: Send + Sync,
     F: Fn(&T) -> bool + Send + Sync,
 {
-    if input.len() < SEQ_CUTOFF {
-        return input
-            .iter()
-            .enumerate()
-            .filter(|(_, x)| pred(x))
-            .map(|(i, _)| i as u32)
-            .collect();
-    }
-    let keep: Vec<bool> = par::map(input, |x| pred(x));
-    let counts: Vec<usize> = par::map_chunks(&keep, BLOCK, |c| c.iter().filter(|&&k| k).count());
-    let (offsets, total) = crate::scan::exclusive_scan(&counts);
-    let mut out: Vec<u32> = Vec::with_capacity(total);
-    let ptr = SendPtr(out.as_mut_ptr());
-    par::for_chunks(&keep, BLOCK, |b, chunk| {
-        let mut w = offsets[b];
-        let base = b * BLOCK;
-        for (i, &k) in chunk.iter().enumerate() {
-            if k {
-                // SAFETY: each block writes the disjoint range
-                // [offsets[b], offsets[b] + counts[b]) inside capacity.
-                unsafe { ptr.get().add(w).write((base + i) as u32) };
-                w += 1;
-            }
-        }
-    });
-    // SAFETY: exactly `total` slots were initialized above.
-    unsafe { out.set_len(total) };
-    out
+    filter_map(input.len(), |i| pred(&input[i]), |i| i as u32)
 }
 
-/// Compact `input` keeping positions where `keep` is true (both length n).
-fn compact_by_flags<T: Copy + Send + Sync>(input: &[T], keep: &[bool]) -> Vec<T> {
-    debug_assert_eq!(input.len(), keep.len());
-    let counts: Vec<usize> = par::map_chunks(keep, BLOCK, |c| c.iter().filter(|&&k| k).count());
-    let (offsets, total) = crate::scan::exclusive_scan(&counts);
+/// `item(i)` for every `i < n` with `pred(i)`, in increasing `i`: one
+/// flag per index, one count per [`BLOCK`], then [`pack`].
+fn filter_map<T: Send>(
+    n: usize,
+    pred: impl Fn(usize) -> bool + Sync,
+    item: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    if n < SEQ_CUTOFF {
+        return (0..n).filter(|&i| pred(i)).map(item).collect();
+    }
+    let keep: Vec<bool> = par::map_range(0..n, pred);
+    let counts: Vec<usize> = par::map_chunks(&keep, BLOCK, |c| c.iter().filter(|&&k| k).count());
+    pack(&keep, BLOCK, &counts, item)
+}
+
+/// The order-preserving scatter: `item(i)` for every `i` with `keep[i]`,
+/// in increasing `i`. `counts[b]` must be the number of set flags in block
+/// `b` of `keep` (blocks of `block` flags, the last one short); an
+/// exclusive scan of the counts gives each block its output range, and the
+/// blocks fill their ranges in parallel. A count that disagrees with its
+/// block's flags panics.
+///
+/// ```
+/// let keep = [true, false, true, true, false];
+/// let out = mis2_prim::compact::pack(&keep, 2, &[1, 2, 0], |i| 10 * i);
+/// assert_eq!(out, vec![0, 20, 30]);
+/// ```
+pub fn pack<T: Send>(
+    keep: &[bool],
+    block: usize,
+    counts: &[usize],
+    item: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    assert!(block > 0 && counts.len() == keep.len().div_ceil(block));
+    // Bounding every count by its block length keeps the scan exact, so
+    // the ranges below tile 0..total.
+    let blocks = keep.chunks(block);
+    assert!(counts.iter().zip(blocks).all(|(&c, f)| c <= f.len()));
+    let (offsets, total) = crate::scan::exclusive_scan(counts);
     let mut out: Vec<T> = Vec::with_capacity(total);
     let ptr = SendPtr(out.as_mut_ptr());
-    par::for_chunks(keep, BLOCK, |b, kc| {
-        let lo = b * BLOCK;
-        let ic = &input[lo..lo + kc.len()];
-        let mut w = offsets[b];
-        for (x, &k) in ic.iter().zip(kc) {
+    par::for_chunks(keep, block, |b, flags| {
+        let (mut w, end) = (offsets[b], offsets[b] + counts[b]);
+        for (i, &k) in flags.iter().enumerate() {
             if k {
-                // SAFETY: disjoint ranges per block, within capacity.
-                unsafe { ptr.get().add(w).write(*x) };
+                assert!(w < end, "block {b} holds more flags than its count");
+                // SAFETY: block b alone writes [offsets[b], end), inside
+                // capacity since end <= total.
+                unsafe { ptr.get().add(w).write(item(b * block + i)) };
                 w += 1;
             }
         }
+        assert_eq!(w, end, "block {b} holds fewer flags than its count");
     });
-    // SAFETY: exactly `total` slots were initialized above.
+    // SAFETY: the blocks' ranges tile 0..total and each was filled above
+    // (a short block panics, and the region re-raises before this line).
     unsafe { out.set_len(total) };
     out
 }
@@ -191,6 +200,32 @@ mod tests {
         });
         let want: Vec<u32> = (0..n as u32).filter(|x| x % 3 == 0).collect();
         assert_eq!(out, want);
+    }
+
+    #[test]
+    fn pack_places_blocks_by_their_counts() {
+        let keep: Vec<bool> = (0..50_000).map(|i| i % 7 == 0 || i > 40_000).collect();
+        let counts: Vec<usize> = keep
+            .chunks(300)
+            .map(|c| c.iter().filter(|&&k| k).count())
+            .collect();
+        let want: Vec<usize> = (0..keep.len()).filter(|&i| keep[i]).collect();
+        for t in [1, 3] {
+            let got = crate::pool::with_pool(t, || pack(&keep, 300, &counts, |i| i));
+            assert_eq!(got, want, "{t} threads");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more flags than its count")]
+    fn pack_rejects_a_count_below_its_flags() {
+        pack(&[true, true, false], 2, &[1, 0], |i| i);
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer flags than its count")]
+    fn pack_rejects_a_count_above_its_flags() {
+        pack(&[true, false, false], 2, &[2, 0], |i| i);
     }
 
     #[test]

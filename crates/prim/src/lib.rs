@@ -14,9 +14,11 @@
 //!   Kokkos' `parallel_scan` to compact worklists (Section V-B); this module
 //!   is the Rust equivalent with identical output for any thread count.
 //! * [`compact`] — order-preserving parallel stream compaction (filter)
-//!   built on the scan, used to maintain the two worklists of Algorithm 1.
-//! * [`bucket`] — stable counting sort by small integer key (color sets,
-//!   cluster membership, aggregate members).
+//!   built on the scan; its one scatter, `pack`, also compacts the two
+//!   worklists of Algorithm 1.
+//! * [`bucket`] — the one stable counting sort by small integer key (color
+//!   sets, cluster membership, aggregate members, edges by source, matrix
+//!   entries by row or column).
 //! * [`rows`] — row-block CSR assembly: blocks of rows append to one
 //!   buffer each and are placed with one copy per block; the one builder
 //!   under every graph and matrix producer in the workspace.

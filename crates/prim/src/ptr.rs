@@ -1,11 +1,23 @@
 //! Shared mutable slice for disjoint parallel scatter writes.
 //!
-//! Algorithm 1's phases are parallel maps that write each vertex's slot
-//! exactly once (`T[v]` in Refresh Row / Decide, `M[v]` in Refresh Column)
-//! while iterating over a *worklist* of vertex ids, so the write indices are
-//! disjoint but not expressible as a mutable iteration over the array. This
-//! wrapper makes the (safe-in-aggregate) pattern explicit and keeps every
-//! `unsafe` block small and auditable.
+//! **The rule.** A loop whose task `i` writes only slot `i` (owner
+//! computes) uses `par`'s safe `&mut` forms — `for_each_mut_indexed`,
+//! `for_each_slice_mut`, `map_range`, `map_blocks` — and reads anything
+//! else from a copy taken before the loop. `SharedMut` is for the writes
+//! that are disjoint for a reason no slice split can express:
+//!
+//! * slots named by a *worklist*: Algorithm 1's `T[v]` / `M[v]` in
+//!   `mis2_core::engine` (with each block's keep flags beside them) and
+//!   Luby's status in `mis2_core::luby`;
+//! * a write fused with a count: Bell's decide in `mis2_core::bell`;
+//! * writes whose disjointness is an algorithm invariant: MIS-2 and
+//!   same-colored D2C roots labeling their *neighbors* in
+//!   `mis2_coarsen::{mis2_agg, d2c}`, and the color sweeps of
+//!   `mis2_solver::gs`, which read neighbor rows while writing their own;
+//! * the frozen seed engine, `mis2_core::reference`.
+//!
+//! `tests/surface.rs` holds that list as a table, so a new site has to be
+//! added there on purpose.
 
 use std::marker::PhantomData;
 

@@ -250,7 +250,7 @@ mod tests {
             max_iters: 600,
         };
         let (_, plain) = gmres(&a, &b, &Identity, 60, &opts);
-        let gs = crate::gs::PointMcSgs::new(&a, 0);
+        let gs = crate::gs::ClusterMcSgs::point(&a, 0);
         let (_, pre) = gmres(&a, &b, &gs, 60, &opts);
         assert!(pre.converged && plain.converged);
         assert!(

@@ -1,9 +1,5 @@
-//! Point and cluster multicolor (symmetric) Gauss-Seidel.
-//!
-//! **Point multicolor GS** (Deveci et al., reference 11 of the paper — the Kokkos Kernels
-//! production preconditioner): color the matrix graph; rows of one color
-//! are independent and update in parallel, colors sweep sequentially.
-//! Parallelism costs iterations vs. natural-order GS.
+//! Cluster multicolor (symmetric) Gauss-Seidel, and point multicolor GS as
+//! its singleton-cluster case.
 //!
 //! **Cluster multicolor GS** (the paper's Algorithm 4): coarsen the graph
 //! (Algorithm 3 by default), color the *coarse* graph, and sweep
@@ -13,9 +9,16 @@
 //! both setup (coloring a much smaller graph) and apply get faster
 //! (Table VI).
 //!
-//! Both are exposed as symmetric preconditioners (forward sweep then
-//! backward sweep; the cluster method also reverses the row order inside
-//! each cluster on the backward pass, per the paper).
+//! **Point multicolor GS** (Deveci et al., reference 11 of the paper — the
+//! Kokkos Kernels production preconditioner) colors the matrix graph
+//! itself; rows of one color are independent and update in parallel,
+//! colors sweep sequentially. That is cluster GS in which every row is its
+//! own cluster, so [`ClusterMcSgs::point`] builds it with the same sweep.
+//! Parallelism costs iterations vs. natural-order GS.
+//!
+//! Both are symmetric preconditioners (forward sweep then backward sweep,
+//! reversing the row order inside each cluster on the backward pass, per
+//! the paper).
 //!
 //! ## The cluster sweep's storage
 //!
@@ -39,10 +42,9 @@
 
 use crate::precond::Preconditioner;
 use mis2_coarsen::{quotient_graph, AggScheme, Aggregation};
-use mis2_color::{color_d1, ColorSets, Coloring};
+use mis2_color::{color_d1, Coloring};
 use mis2_graph::VertexId;
-use mis2_prim::par;
-use mis2_prim::SharedMut;
+use mis2_prim::{bucket_by_key, par, SharedMut};
 use mis2_sparse::CsrMatrix;
 
 /// Clusters one pool block of a cluster sweep holds. A MIS-2 aggregate is
@@ -66,76 +68,6 @@ const CLUSTERS_PER_BLOCK: usize = 32;
 /// order inside a cluster, so no result depends on it.
 const MIN_REGION_NNZ: usize = 1 << 17;
 
-/// Point multicolor symmetric Gauss-Seidel.
-pub struct PointMcSgs {
-    a: CsrMatrix,
-    sets: ColorSets,
-    dinv: Vec<f64>,
-    /// Setup wall time (seconds): graph extraction + coloring + sets.
-    pub setup_seconds: f64,
-    /// Colors used (determines the number of sequential sweep steps).
-    pub num_colors: usize,
-}
-
-impl PointMcSgs {
-    /// Color `a`'s graph and build the sweep schedule.
-    pub fn new(a: &CsrMatrix, seed: u64) -> Self {
-        let t = mis2_prim::timer::Timer::start();
-        let g = a.to_graph();
-        let coloring = color_d1(&g, seed);
-        let sets = ColorSets::build(&coloring);
-        let dinv = a.inv_diag();
-        let setup_seconds = t.elapsed_s();
-        PointMcSgs {
-            a: a.clone(),
-            num_colors: sets.num_colors(),
-            sets,
-            dinv,
-            setup_seconds,
-        }
-    }
-
-    fn sweep_color(&self, members: &[VertexId], b: &[f64], x: &mut [f64]) {
-        let a = &self.a;
-        let dinv = &self.dinv;
-        let xw = SharedMut::new(x);
-        par::for_each_grain(members, 64, |&i| {
-            let i = i as usize;
-            let (cols, vals) = a.row(i);
-            let mut acc = b[i];
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c as usize != i {
-                    // SAFETY: rows of one color are pairwise non-adjacent,
-                    // so no member of this parallel region writes slot c.
-                    acc -= v * unsafe { xw.read(c as usize) };
-                }
-            }
-            unsafe { xw.write(i, acc * dinv[i]) };
-        });
-    }
-
-    /// One symmetric sweep (forward colors then backward colors).
-    pub fn sgs_sweep(&self, b: &[f64], x: &mut [f64]) {
-        for c in 0..self.sets.num_colors() {
-            self.sweep_color(self.sets.members(c), b, x);
-        }
-        for c in (0..self.sets.num_colors()).rev() {
-            self.sweep_color(self.sets.members(c), b, x);
-        }
-    }
-}
-
-impl Preconditioner for PointMcSgs {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        z.iter_mut().for_each(|v| *v = 0.0);
-        self.sgs_sweep(r, z);
-    }
-
-    fn name(&self) -> &'static str {
-        "point multicolor SGS"
-    }
-}
-
 /// Cluster multicolor symmetric Gauss-Seidel (Algorithm 4).
 ///
 /// Holds no matrix: see the module doc for the sweep storage.
@@ -153,11 +85,12 @@ pub struct ClusterMcSgs {
     clusters: Vec<(usize, usize)>,
     /// Color `c` owns `clusters[color_ptr[c]..color_ptr[c + 1]]`.
     color_ptr: Vec<usize>,
-    /// Setup wall time (seconds): aggregation + quotient graph + coloring.
+    /// Setup wall time (seconds): aggregation + quotient graph + coloring
+    /// (for [`ClusterMcSgs::point`], coloring alone) + the sweep layout.
     pub setup_seconds: f64,
-    /// Colors on the coarse graph.
+    /// Colors on the coarse graph (the matrix graph for a point sweep).
     pub num_colors: usize,
-    /// Number of clusters (aggregates).
+    /// Number of clusters (aggregates; rows for a point sweep).
     pub num_clusters: usize,
 }
 
@@ -177,6 +110,24 @@ impl ClusterMcSgs {
         }
     }
 
+    /// Point multicolor SGS: every row its own cluster, colored by a
+    /// distance-1 coloring of `a`'s graph.
+    pub fn point(a: &CsrMatrix, seed: u64) -> Self {
+        let t = mis2_prim::timer::Timer::start();
+        let coloring = color_d1(&a.to_graph(), seed);
+        let rows: Vec<VertexId> = (0..a.nrows() as VertexId).collect();
+        let singletons = Aggregation {
+            labels: rows.clone(),
+            num_aggregates: rows.len(),
+            roots: rows,
+        };
+        let built = Self::from_parts(a, &singletons, &coloring);
+        ClusterMcSgs {
+            setup_seconds: t.elapsed_s(),
+            ..built
+        }
+    }
+
     /// Assemble from a precomputed aggregation and a coloring of its
     /// quotient graph: lay `a`'s rows out in sweep order.
     pub fn from_parts(a: &CsrMatrix, agg: &Aggregation, coloring: &Coloring) -> Self {
@@ -187,8 +138,10 @@ impl ClusterMcSgs {
         let num_colors = coloring.num_colors as usize;
         // Rows by cluster and clusters by color, both ascending inside a
         // bucket — the deterministic "natural" order.
-        let (members, by_cluster) = mis2_prim::bucket::bucket_by_key(nclusters, &agg.labels);
-        let (color_ptr, by_color) = mis2_prim::bucket::bucket_by_key(num_colors, &coloring.colors);
+        let labels = agg.labels.iter().copied();
+        let (members, by_cluster) = bucket_by_key(nclusters, labels.zip(0u32..));
+        let colors = coloring.colors.iter().copied();
+        let (color_ptr, by_color) = bucket_by_key(num_colors, colors.zip(0u32..));
 
         let a_dinv = a.inv_diag();
         let mut rows = Vec::with_capacity(a.nrows());
@@ -325,7 +278,7 @@ mod tests {
         // Poisson; on an 8x8 grid 120 double sweeps drive the residual
         // far down.
         let a = sgen::laplace2d_matrix(8, 8);
-        let gs = PointMcSgs::new(&a, 0);
+        let gs = ClusterMcSgs::point(&a, 0);
         assert!(gs.num_colors >= 2);
         let rel = run_richardson(&gs, &a, 120);
         assert!(rel < 1e-6, "relative residual {rel}");
@@ -346,7 +299,7 @@ mod tests {
         // iterations than point SGS (it is locally exact). Compare
         // Richardson residuals after a fixed iteration budget.
         let a = sgen::laplace2d_matrix(16, 16);
-        let point = PointMcSgs::new(&a, 0);
+        let point = ClusterMcSgs::point(&a, 0);
         let cluster = ClusterMcSgs::new(&a, AggScheme::Mis2Agg, 0);
         let rp = run_richardson(&point, &a, 25);
         let rc = run_richardson(&cluster, &a, 25);
@@ -360,34 +313,20 @@ mod tests {
     fn both_deterministic_across_threads() {
         let a = sgen::laplace2d_matrix(10, 10);
         let r: Vec<f64> = (0..100).map(|i| ((i * 37) % 19) as f64 / 19.0).collect();
-        for scheme in [AggScheme::Mis2Basic, AggScheme::Mis2Agg] {
-            let z1 = mis2_prim::pool::with_pool(1, || {
-                let gs = ClusterMcSgs::new(&a, scheme, 0);
-                let mut z = vec![0.0; 100];
-                gs.apply(&r, &mut z);
-                z
+        let build = |scheme: Option<AggScheme>| match scheme {
+            Some(scheme) => ClusterMcSgs::new(&a, scheme, 0),
+            None => ClusterMcSgs::point(&a, 0),
+        };
+        for scheme in [Some(AggScheme::Mis2Basic), Some(AggScheme::Mis2Agg), None] {
+            let [z1, z2] = [1, 4].map(|pool| {
+                mis2_prim::pool::with_pool(pool, || {
+                    let mut z = vec![0.0; 100];
+                    build(scheme).apply(&r, &mut z);
+                    z
+                })
             });
-            let z2 = mis2_prim::pool::with_pool(4, || {
-                let gs = ClusterMcSgs::new(&a, scheme, 0);
-                let mut z = vec![0.0; 100];
-                gs.apply(&r, &mut z);
-                z
-            });
-            assert_eq!(z1, z2, "cluster SGS nondeterministic for {scheme:?}");
+            assert_eq!(z1, z2, "SGS nondeterministic for {scheme:?} (None: point)");
         }
-        let z1 = mis2_prim::pool::with_pool(1, || {
-            let gs = PointMcSgs::new(&a, 0);
-            let mut z = vec![0.0; 100];
-            gs.apply(&r, &mut z);
-            z
-        });
-        let z2 = mis2_prim::pool::with_pool(4, || {
-            let gs = PointMcSgs::new(&a, 0);
-            let mut z = vec![0.0; 100];
-            gs.apply(&r, &mut z);
-            z
-        });
-        assert_eq!(z1, z2, "point SGS nondeterministic");
     }
 
     /// One symmetric cluster sweep the way it was written before the sweep
@@ -395,7 +334,8 @@ mod tests {
     /// nonzero, clusters found through the bucketed labels.
     fn reference_sweep(a: &CsrMatrix, agg: &Aggregation, col: &Coloring, b: &[f64], x: &mut [f64]) {
         let dinv = a.inv_diag();
-        let (off, rows) = mis2_prim::bucket::bucket_by_key(agg.num_aggregates, &agg.labels);
+        let labels = agg.labels.iter().copied();
+        let (off, rows) = bucket_by_key(agg.num_aggregates, labels.zip(0u32..));
         let mut update = |i: usize| {
             let (cols, vals) = a.row(i);
             let mut acc = b[i];
@@ -479,6 +419,15 @@ mod tests {
                 let coloring = color_d1(&quotient_graph(&g, &agg), 3);
                 sweep_matches_reference(&format!("{name}, {scheme:?}"), a, &agg, &coloring);
             }
+            // What `point` builds: one cluster per row, `g` colored.
+            let rows: Vec<u32> = (0..a.nrows() as u32).collect();
+            let singletons = Aggregation {
+                labels: rows.clone(),
+                num_aggregates: rows.len(),
+                roots: rows,
+            };
+            let coloring = color_d1(&g, 3);
+            sweep_matches_reference(&format!("{name}, point"), a, &singletons, &coloring);
         }
         // No color of a tiny stand-in reaches `MIN_REGION_NNZ`, so the pool
         // has not swept yet. The x-lines of a 40³ grid, checkerboarded over (y, z): two colors

@@ -5,9 +5,9 @@
 //! * [`amg`] — smoothed-aggregation algebraic multigrid with a pluggable
 //!   aggregation scheme and two Jacobi sweeps as the smoother (the
 //!   Table V "MueLu" experiment);
-//! * [`gs`] — point multicolor symmetric Gauss-Seidel (Deveci et al.) and
-//!   the paper's **cluster multicolor Gauss-Seidel** (Algorithm 4, the
-//!   Table VI experiment);
+//! * [`gs`] — the paper's **cluster multicolor Gauss-Seidel** (Algorithm 4,
+//!   the Table VI experiment), and point multicolor symmetric Gauss-Seidel
+//!   (Deveci et al.) as cluster SGS over singleton clusters;
 //! * [`cg`] / [`mod@gmres`] — deterministic preconditioned CG and restarted
 //!   right-preconditioned GMRES;
 //! * [`precond`] — the preconditioner trait, identity/Jacobi members and
@@ -22,5 +22,5 @@ pub mod precond;
 pub use amg::{AmgConfig, AmgHierarchy, AmgSetupStats};
 pub use cg::{pcg, SolveOpts, SolveResult};
 pub use gmres::{gmres, DEFAULT_RESTART};
-pub use gs::{ClusterMcSgs, PointMcSgs};
+pub use gs::ClusterMcSgs;
 pub use precond::{Identity, Jacobi, JacobiSmoother, Preconditioner};

@@ -89,33 +89,19 @@ impl CsrMatrix {
     /// assert_eq!(a.spmv(&[1.0, 1.0]), vec![3.0, 3.0]);
     /// ```
     pub fn from_coo(nrows: usize, ncols: usize, entries: &[(u32, u32, f64)]) -> Self {
-        let mut counts = vec![0usize; nrows + 1];
-        for &(r, _, _) in entries {
-            assert!((r as usize) < nrows, "row index out of bounds");
-            counts[r as usize] += 1;
-        }
-        let total = mis2_prim::scan::exclusive_scan_in_place(&mut counts);
-        let mut cols = vec![0u32; total];
-        let mut vals = vec![0f64; total];
-        let mut cursor = counts.clone();
-        for &(r, c, v) in entries {
-            assert!((c as usize) < ncols, "col index out of bounds");
-            let p = cursor[r as usize];
-            cols[p] = c;
-            vals[p] = v;
-            cursor[r as usize] += 1;
-        }
+        let (offsets, by_row) = mis2_prim::bucket_by_key(
+            nrows,
+            entries.iter().map(|&(r, c, v)| {
+                assert!((r as usize) < nrows, "row index out of bounds");
+                assert!((c as usize) < ncols, "col index out of bounds");
+                (r, (c, v))
+            }),
+        );
         // Sort (stably: duplicates are summed in input order) and combine
         // duplicates per row; the pair buffer is the block's scratch.
         Self::from_row_blocks(nrows, ncols, Vec::new, |pairs, r, out| {
-            let (lo, hi) = (counts[r], counts[r + 1]);
             pairs.clear();
-            pairs.extend(
-                cols[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(vals[lo..hi].iter().copied()),
-            );
+            pairs.extend_from_slice(&by_row[offsets[r]..offsets[r + 1]]);
             pairs.sort_by_key(|p| p.0);
             let start = out.cols.len();
             for &(c, v) in pairs.iter() {
@@ -240,31 +226,18 @@ impl CsrMatrix {
         });
     }
 
-    /// Transpose (parallel, deterministic).
+    /// Transpose (deterministic).
     pub fn transpose(&self) -> CsrMatrix {
-        let mut counts = vec![0usize; self.ncols + 1];
-        for &c in &self.col_idx {
-            counts[c as usize] += 1;
-        }
-        let total = mis2_prim::scan::exclusive_scan_in_place(&mut counts);
-        debug_assert_eq!(total, self.nnz());
-        let offsets = counts; // exclusive offsets per new row (old column)
-        let mut col_idx = vec![0u32; total];
-        let mut values = vec![0f64; total];
-        let mut cursor = offsets.clone();
-        // Sequential fill in row order so each transposed row ends up sorted
-        // by (old) row index automatically.
-        for r in 0..self.nrows {
+        // Entries bucketed by column in storage order, so each transposed
+        // row comes out sorted by (old) row index.
+        let entries = (0..self.nrows).flat_map(|r| {
             let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let p = cursor[c as usize];
-                col_idx[p] = r as u32;
-                values[p] = v;
-                cursor[c as usize] += 1;
-            }
-        }
-        let mut row_ptr = offsets;
-        row_ptr[self.ncols] = total;
+            cols.iter()
+                .zip(vals)
+                .map(move |(&c, &v)| (c, (r as u32, v)))
+        });
+        let (row_ptr, by_col) = mis2_prim::bucket_by_key(self.ncols, entries);
+        let (col_idx, values) = by_col.into_iter().unzip();
         CsrMatrix {
             nrows: self.ncols,
             ncols: self.nrows,

@@ -24,7 +24,7 @@ fn main() {
     );
 
     // Point multicolor SGS: colors the full matrix graph.
-    let point = PointMcSgs::new(&a, 0);
+    let point = ClusterMcSgs::point(&a, 0);
     let t = std::time::Instant::now();
     let (_, rp) = gmres(&a, &b, &point, 50, &opts);
     let tp = t.elapsed().as_secs_f64();

@@ -36,7 +36,7 @@
 //! | [`core`] | `mis2-core` | **Algorithm 1**, Bell baseline, Luby, oracle |
 //! | [`color`] | `mis2-color` | D1/D2 parallel colorings, color sets |
 //! | [`coarsen`] | `mis2-coarsen` | **Algorithms 2 & 3**, baselines, prolongators |
-//! | [`solver`] | `mis2-solver` | CG, GMRES, point/cluster SGS (**Algorithm 4**), SA-AMG |
+//! | [`solver`] | `mis2-solver` | CG, GMRES, cluster SGS (**Algorithm 4**; point SGS is its singleton-cluster case), SA-AMG |
 //! | [`svc`] | `mis2-svc` | graph registry, batching scheduler, loopback server |
 //!
 //! Benchmarks reproducing every table and figure live in the `mis2-bench`
@@ -65,7 +65,7 @@ pub mod prelude {
     };
     pub use mis2_graph::{CsrGraph, GraphStats, Scale, VertexId};
     pub use mis2_solver::{
-        gmres, pcg, AmgConfig, AmgHierarchy, ClusterMcSgs, PointMcSgs, Preconditioner, SolveOpts,
+        gmres, pcg, AmgConfig, AmgHierarchy, ClusterMcSgs, Preconditioner, SolveOpts,
     };
     pub use mis2_sparse::CsrMatrix;
 }

@@ -11,7 +11,8 @@
 //! Besides MIS-2 and aggregation, a solver path (CG preconditioned by one
 //! SA-AMG hierarchy, plus a raw V-cycle application) is pinned the same
 //! way, so the persistent worker pool behind `par` can't silently change
-//! floating-point numerics at any pool size.
+//! floating-point numerics at any pool size. So are the two Jones–Plassmann
+//! colorings (`color_d1`, `color_d2`): colors, color count and rounds.
 
 use mis2::prelude::*;
 use mis2::solver::{pcg, AmgConfig, AmgHierarchy, Preconditioner, SolveOpts};
@@ -113,6 +114,69 @@ const GOLDEN: [(&str, u64, u64); 3] = [
 /// backends and at every pool size; regenerate alongside [`GOLDEN`].
 const GOLDEN_SOLVER: u64 = 0x4efa85069df15636;
 
+/// The colors of `c`, then `num_colors` and `rounds`.
+fn coloring_fingerprint(c: &Coloring) -> u64 {
+    fingerprint(
+        c.colors
+            .iter()
+            .copied()
+            .chain([c.num_colors, c.rounds as u32]),
+    )
+}
+
+/// `(color_d1, color_d2)` fingerprints of one graph at one seed.
+fn colorings_fingerprint(g: &CsrGraph, seed: u64) -> (u64, u64) {
+    let d1 = color_d1(g, seed);
+    mis2::color::verify_coloring_d1(g, &d1.colors).unwrap();
+    let d2 = color_d2(g, seed);
+    mis2::color::verify_coloring_d2(g, &d2.colors).unwrap();
+    (coloring_fingerprint(&d1), coloring_fingerprint(&d2))
+}
+
+/// Seeds the colorings are pinned at.
+const COLOR_SEEDS: [u64; 2] = [0, 3];
+
+/// Golden `(graph, seed, color_d1, color_d2)` fingerprints, identical on
+/// both backends and at every pool size; regenerate alongside [`GOLDEN`].
+const GOLDEN_COLORINGS: [(&str, u64, u64, u64); 6] = [
+    ("laplace3d_12", 0, 0x3783ef7956b15819, 0x7bfe030ecfaedf3a),
+    ("laplace3d_12", 3, 0x8e73b7170bd4fe9d, 0xc389c5363a7f974e),
+    (
+        "erdos_renyi_1500",
+        0,
+        0xb89af6fcadd2bebd,
+        0xc2c073d0de587fda,
+    ),
+    (
+        "erdos_renyi_1500",
+        3,
+        0xf3d4c9ed5b11f3b2,
+        0xb3e1787718b3a72c,
+    ),
+    ("rmat_11", 0, 0xfe27233ba83a98a3, 0xbc4557a11a1a084d),
+    ("rmat_11", 3, 0xd2a89b5bfa6ae0e5, 0xf72586849cde61fd),
+];
+
+#[test]
+fn colorings_reproduce_golden_fingerprints() {
+    for (name, g) in graphs() {
+        for seed in COLOR_SEEDS {
+            let (_, _, d1, d2) = GOLDEN_COLORINGS
+                .iter()
+                .find(|(n, s, _, _)| *n == name && *s == seed)
+                .copied()
+                .unwrap_or_else(|| panic!("no golden coloring for {name} at seed {seed}"));
+            for threads in [1usize, 3] {
+                assert_eq!(
+                    with_pool(threads, || colorings_fingerprint(&g, seed)),
+                    (d1, d2),
+                    "{name}, seed {seed}: colorings differ from golden at {threads} threads"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn backends_reproduce_golden_fingerprints() {
     for (name, g) in graphs() {
@@ -190,4 +254,10 @@ fn print_fingerprints() {
         );
     }
     println!("const GOLDEN_SOLVER: u64 = {:#018x};", solver_fingerprint());
+    for (name, g) in graphs() {
+        for seed in COLOR_SEEDS {
+            let (d1, d2) = colorings_fingerprint(&g, seed);
+            println!("    (\"{name}\", {seed}, {d1:#018x}, {d2:#018x}),");
+        }
+    }
 }

@@ -98,7 +98,7 @@ fn point_vs_cluster_iteration_comparison() {
         tol: 1e-8,
         max_iters: 800,
     };
-    let point = PointMcSgs::new(&a, 0);
+    let point = ClusterMcSgs::point(&a, 0);
     let cluster = ClusterMcSgs::new(&a, AggScheme::Mis2Agg, 0);
     let (_, rp) = gmres(&a, &b, &point, 50, &opts);
     let (_, rc) = gmres(&a, &b, &cluster, 50, &opts);
@@ -185,7 +185,7 @@ fn gs_iteration_hierarchy_seq_cluster_point() {
         &Coloring::from_colors(vec![0], 1),
     ));
     let cluster = it(&ClusterMcSgs::new(&a, AggScheme::Mis2Agg, 0));
-    let point = it(&PointMcSgs::new(&a, 0));
+    let point = it(&ClusterMcSgs::point(&a, 0));
     assert!(seq <= cluster + 2, "seq {seq} > cluster {cluster}");
     assert!(cluster <= point + 2, "cluster {cluster} > point {point}");
 }

@@ -168,7 +168,7 @@ fn table6_cluster_sgs_needs_fewer_gmres_iterations_than_point_sgs() {
     let mut cluster_loses = Vec::new();
     for (name, a) in table6_systems(Scale::Tiny) {
         let b = vec![1.0; a.nrows()];
-        let (_, point) = gmres(&a, &b, &PointMcSgs::new(&a, 0), 50, &opts);
+        let (_, point) = gmres(&a, &b, &ClusterMcSgs::point(&a, 0), 50, &opts);
         let cluster = ClusterMcSgs::new(&a, AggScheme::Mis2Agg, 0);
         let (_, cluster) = gmres(&a, &b, &cluster, 50, &opts);
         assert!(point.converged && cluster.converged, "{name}");

@@ -20,7 +20,7 @@ use mis2::coarsen::AggScheme;
 use mis2::graph::{suite, Scale};
 use mis2::prim::pool::with_pool;
 use mis2::solver::{
-    gmres, pcg, AmgConfig, AmgHierarchy, ClusterMcSgs, Jacobi, PointMcSgs, SolveOpts, SolveResult,
+    gmres, pcg, AmgConfig, AmgHierarchy, ClusterMcSgs, Jacobi, SolveOpts, SolveResult,
 };
 use mis2::svc::ops::{self, fingerprint_f64, OpKey};
 use mis2::svc::proto::Method;
@@ -166,7 +166,7 @@ fn precond_lines((nx, ny, nz): (usize, usize, usize)) -> Vec<String> {
     };
     let amg = AmgHierarchy::build(&a, &AmgConfig::default());
     let cluster = ClusterMcSgs::new(&a, AggScheme::Mis2Agg, 0);
-    let point = PointMcSgs::new(&a, 0);
+    let point = ClusterMcSgs::point(&a, 0);
     let (x_amg, amg_res) = pcg(&a, &b, &amg, &opts(1e-10));
     let (x_c50, c50) = gmres(&a, &b, &cluster, 50, &opts(1e-8));
     let (x_c7, c7) = gmres(&a, &b, &cluster, 7, &opts(1e-8));

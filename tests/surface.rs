@@ -2,9 +2,14 @@
 //! library crates has a row in README's "Crate map" reason table naming the
 //! paper table, figure or algorithm, the served op or the benchmark
 //! workload that needs it, and every row names a module that exists.
+//!
+//! The same goes for shared mutable writes: every file outside `mis2-prim`
+//! that builds a `SharedMut` has a row naming the invariant or reason its
+//! writes need one, and the `unsafe` lines under `crates/` and `src/` stay
+//! at or below a literal. A new site has to update the table on purpose.
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const CRATES: [&str; 7] = [
     "prim", "graph", "sparse", "core", "color", "coarsen", "solver",
@@ -74,4 +79,106 @@ fn every_public_module_has_a_reason_in_readme() {
             "README's Crate map lists `{m}`, which is not a `pub mod`"
         );
     }
+}
+
+/// Every file outside `crates/prim` that calls `SharedMut::new`, with the
+/// reason its writes cannot go through `par`'s safe `&mut` forms (an
+/// index-owned write — slot `i` written by the task for `i` — always can).
+const SHARED_MUT_SITES: [(&str, &str); 7] = [
+    (
+        "crates/core/src/engine.rs",
+        "T[v] / M[v] written at worklist-listed v, beside each block's keep flags",
+    ),
+    (
+        "crates/core/src/luby.rs",
+        "winner flags and status written at worklist-listed v",
+    ),
+    (
+        "crates/core/src/bell.rs",
+        "decide: each T[v] write is fused with the IN/OUT count of a reduction",
+    ),
+    (
+        "crates/core/src/reference.rs",
+        "the frozen seed engine, kept as written",
+    ),
+    (
+        "crates/coarsen/src/mis2_agg.rs",
+        "secondary roots label their neighbors; roots of an MIS-2 share none",
+    ),
+    (
+        "crates/coarsen/src/d2c.rs",
+        "same-colored roots label their neighbors; a distance-2 coloring shares none",
+    ),
+    (
+        "crates/solver/src/gs.rs",
+        "a color's clusters read neighbor x while writing their own; no two are adjacent",
+    ),
+];
+
+/// Lines naming `unsafe` under `crates/` and `src/`, as counted by
+/// `grep -rw --include=*.rs unsafe crates src | wc -l`.
+const MAX_UNSAFE_LINES: usize = 60;
+
+/// Every `.rs` file under `dir`, relative to the repository root.
+fn rust_files(dir: &str) -> Vec<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut stack = vec![root.join(dir)];
+    let mut files = Vec::new();
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).unwrap_or_else(|e| panic!("{}: {e}", d.display())) {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                files.push(path.strip_prefix(root).unwrap().to_path_buf());
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// Whether `line` holds `word` with no identifier character on either side.
+fn has_word(line: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices(word).any(|(i, _)| {
+        let before = line[..i].chars().next_back();
+        let after = line[i + word.len()..].chars().next();
+        !before.is_some_and(ident) && !after.is_some_and(ident)
+    })
+}
+
+#[test]
+fn shared_mut_sites_and_unsafe_lines_are_the_audited_ones() {
+    let files: Vec<PathBuf> = ["crates", "src"]
+        .iter()
+        .flat_map(|d| rust_files(d))
+        .collect();
+    let sites: Vec<String> = files
+        .iter()
+        .filter(|f| !f.starts_with("crates/prim"))
+        .filter(|f| read(f.to_str().unwrap()).contains("SharedMut::new"))
+        .map(|f| f.display().to_string())
+        .collect();
+    let mut want: Vec<String> = SHARED_MUT_SITES
+        .iter()
+        .map(|(f, _)| f.to_string())
+        .collect();
+    want.sort();
+    assert_eq!(
+        sites, want,
+        "files building a `SharedMut` differ from the audited table"
+    );
+    assert!(SHARED_MUT_SITES.iter().all(|(_, why)| !why.is_empty()));
+    let unsafe_lines: usize = files
+        .iter()
+        .map(|f| {
+            let text = read(f.to_str().unwrap());
+            text.lines().filter(|l| has_word(l, "unsafe")).count()
+        })
+        .sum();
+    assert!(
+        unsafe_lines <= MAX_UNSAFE_LINES,
+        "{unsafe_lines} `unsafe` lines under crates/ and src/, at most {MAX_UNSAFE_LINES} audited"
+    );
 }
