@@ -12,10 +12,11 @@
 //! mis2svc workloads [--addr HOST:PORT --pipeline N]
 //! ```
 //!
-//! `--mem-budget` bounds the registry's cached bytes (graphs, artifacts,
-//! and interned response bytes; 0 or absent = unbounded): over budget,
-//! response bytes evict before artifacts before graphs in LRU order, and
-//! responses stay byte-identical either way. `--max-inflight` caps how
+//! `--mem-budget` bounds the registry's cached bytes (graphs, and
+//! artifacts with their interned response bytes; 0 or absent =
+//! unbounded): over budget, artifacts evict before graphs in LRU order, a
+//! response's bytes leaving only with their artifact, and responses stay
+//! byte-identical either way. `--max-inflight` caps how
 //! many pipelined (v3) requests one connection may keep outstanding
 //! (absent = 64). Zero is a usage error for every flag whose zero value
 //! the server cannot honor (`--threads`, `--workers`, `--queue-cap`,

@@ -51,7 +51,7 @@
 //! header stamp plus an ~71-byte append to the batch buffer, zero
 //! serialization.
 
-use crate::proto;
+use crate::{ops, proto};
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
@@ -272,7 +272,12 @@ pub fn write_frame(w: &mut impl Write, tag: u64, status: u8, payload: &[u8]) -> 
 /// max_inflight=<n>`, advertising the per-connection in-flight window
 /// cap. Binary framing starts on the next byte.
 pub fn hello_ok(max_inflight: usize) -> String {
-    proto::ok(&format!("{HELLO_V3} max_inflight={max_inflight}"))
+    hello_response(max_inflight).to_line()
+}
+
+/// [`hello_ok`] as the response the server sends.
+pub(crate) fn hello_response(max_inflight: usize) -> ops::Response {
+    ops::Response::ok_text(format!("{HELLO_V3} max_inflight={max_inflight}"))
 }
 
 /// Parse the window cap out of a [`hello_ok`] line; `None` if the line is

@@ -767,7 +767,7 @@ impl EvLoop {
 mod tests {
     use super::*;
     use crate::registry::RespBytes;
-    use crate::server::Payload;
+    use crate::server::Framing;
     use crate::{codec, ops};
     use mis2_prim::hash::splitmix64;
 
@@ -823,12 +823,13 @@ mod tests {
             let kind = if i == oversized_at { 3 } else { next(rng) % 3 };
             let frame = |resp, status, body: &[u8]| {
                 let wire = codec::encode_frame(tag, status, body);
-                (Payload::Frame { tag, resp }, wire)
+                (Framing::V3(tag), resp, wire)
             };
-            let (payload, wire) = match kind {
+            let (framing, resp, wire) = match kind {
                 0 => (
-                    Payload::Line(text.clone()),
-                    format!("{text}\n").into_bytes(),
+                    Framing::Bare,
+                    ops::Response::ok_text(text.clone()),
+                    format!("OK {text}\n").into_bytes(),
                 ),
                 1 => frame(
                     ops::Response::err(&text),
@@ -850,7 +851,8 @@ mod tests {
             };
             expect.extend(wire);
             batch.push(Outgoing {
-                payload,
+                framing,
+                resp,
                 span: None,
             });
         }
@@ -895,7 +897,8 @@ mod tests {
 
         let mut big = WireBatch::default();
         big.push(Outgoing {
-            payload: Payload::Line("x".repeat(HIGH_WATER)),
+            framing: Framing::Bare,
+            resp: ops::Response::ok_text("x".repeat(HIGH_WATER)),
             span: None,
         });
         assert!(big.buf.capacity() > HIGH_WATER);

@@ -8,11 +8,13 @@
 //!   `Arc<CsrGraph>`, and caches every derived artifact keyed by
 //!   `(graph, op, params)`. Multilevel pipelines re-coarsen the same
 //!   graphs over and over (Schulz, *Scalable Graph Algorithms*); the
-//!   registry turns the repeats into cache hits. Both caches are
-//!   **memory-bounded** (`--mem-budget`): approximate heap bytes are
-//!   accounted per entry and segmented-LRU eviction (artifacts before
-//!   graphs, pinned entries never) keeps the working set under the
-//!   budget without changing a single response byte. Graph interning and
+//!   registry turns the repeats into cache hits. An artifact's entry also
+//!   holds its interned response bytes once served, so a repeat on either
+//!   protocol is answered inline. Both caches are **memory-bounded**
+//!   (`--mem-budget`): approximate heap bytes are accounted per entry and
+//!   segmented-LRU eviction (artifacts, each with its bytes, before
+//!   graphs; pinned entries never) keeps the working set under the budget
+//!   without changing a single response byte. Graph interning and
 //!   artifact computes are both single-flight.
 //! * [`sched`] — a bounded MPMC job queue drained by a few worker-leader
 //!   threads, each running its job on a pool **sub-team**
@@ -33,7 +35,8 @@
 //!   reader keeps parsing while earlier jobs run (up to the
 //!   `max_inflight` window), responses leave in *completion* order with
 //!   the tag letting the client reassemble, response bytes are interned
-//!   in the registry and served zero-serialization on cache hits, and
+//!   in the registry and served zero-serialization on cache hits (on v1
+//!   too), and
 //!   the per-connection writer coalesces each batch into one buffer and
 //!   one write. [`client::Client`] is the blocking v1 client and
 //!   [`client::V3Client`] drives a v3 window, `request_many(..)`

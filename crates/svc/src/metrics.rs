@@ -4,12 +4,12 @@
 //! Everything here is std-only. What watching a request costs depends on
 //! how it was answered:
 //!
-//! - An inline answer — a v3 cache hit, `STATS`, `PING`, an error —
-//!   reads no clock of its own ([`Span::fast`]). Its latency runs from the
-//!   arrival stamp the driver takes once per socket read to the retire
-//!   stamp the writer takes once per write batch, both shared with every
-//!   other request of that read and that batch.
-//! - A scheduled request (a v3 miss, any v1 compute) reads the clock once
+//! - An inline answer — a cache hit on either protocol, `STATS`, `PING`,
+//!   an error — reads no clock of its own ([`Span::fast`]). Its latency
+//!   runs from the arrival stamp the driver takes once per socket read to
+//!   the retire stamp the writer takes once per write batch, both shared
+//!   with every other request of that read and that batch.
+//! - A scheduled request (a cache miss) reads the clock once
 //!   on the reader, after the failed cache probe, to end its `parse` stage
 //!   ([`Span::start`]); the scheduler worker stamps enqueue, job start and
 //!   job end into atomic [`JobStamps`], the only atomics left here.
@@ -164,7 +164,7 @@ impl Op {
 /// How the request was answered.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Outcome {
-    /// Served inline from the interned response-byte cache (v3 fast path).
+    /// Served inline from interned response bytes (either protocol).
     RespHit = 0,
     /// Went through the scheduler and computed (or answered inline for
     /// STATS/METRICS/PING-class requests).

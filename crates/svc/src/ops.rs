@@ -283,8 +283,8 @@ impl Response {
         }
     }
 
-    /// An error response (newlines collapsed, exactly like
-    /// [`crate::proto::err`], so the text rendering stays one line).
+    /// An error response (newlines collapsed, so the v1 rendering stays
+    /// one line).
     pub fn err(msg: &str) -> Response {
         Response {
             ok: false,

@@ -188,17 +188,6 @@ impl Request {
     }
 }
 
-/// Format a success response line.
-pub fn ok(body: &str) -> String {
-    format!("OK {body}")
-}
-
-/// Format an error response line (newlines collapsed so the response
-/// stays a single line).
-pub fn err(msg: &str) -> String {
-    format!("ERR {}", msg.replace('\n', "; "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,12 +244,6 @@ mod tests {
         ] {
             assert!(Request::parse(line).is_err(), "must reject {line:?}");
         }
-    }
-
-    #[test]
-    fn err_responses_stay_single_line() {
-        assert_eq!(err("a\nb"), "ERR a; b");
-        assert_eq!(ok("x=1"), "OK x=1");
     }
 
     #[test]

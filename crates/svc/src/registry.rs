@@ -1,15 +1,15 @@
 //! The graph registry: a **memory-bounded, cost-aware evicting cache** of
-//! interned graphs, their derived artifacts, and the artifacts'
+//! interned graphs and their derived artifacts, each artifact with its
 //! **serialized response bytes**.
 //!
 //! Graphs (suite workloads built at the registry's [`Scale`], or `.mtx`
 //! files) are interned behind `Arc<CsrGraph>`; every derived artifact
 //! (MIS-2 result, coarse hierarchy, solve result) is cached by
-//! `(graph ref, `[`OpKey`]`)`; and alongside each artifact the registry
-//! interns its rendered response body ([`RespBytes`], same key), so a
-//! repeat request can be answered without re-serializing the artifact —
-//! on the v3 binary protocol the writer copies the shared `Arc`'d bytes
-//! into its batch buffer behind a stamped header.
+//! `(graph ref, `[`OpKey`]`)`; and the artifact's entry also holds its
+//! rendered response body ([`RespBytes`]) once a response has been
+//! served, so a repeat request on either protocol is answered without
+//! re-serializing the artifact — the writer copies the shared `Arc`'d
+//! bytes into its batch buffer.
 //!
 //! ## Cache semantics
 //!
@@ -53,21 +53,22 @@
 //!   [`Artifact`]; 0 = unbounded, the [`Registry::new`] default). When an
 //!   insert pushes `bytes` over the budget, entries are evicted until it
 //!   fits again.
-//! * **Cost-aware segmented LRU eviction.** Victims are chosen from three
-//!   segments in order: *response bytes first* (a re-render from the
-//!   still-cached artifact is the cheapest possible recovery), then
-//!   *artifacts* (cheap to recompute from their still-interned graph),
-//!   then *graphs* (a rebuild pays file I/O or generation, and usually
-//!   invalidates nothing — artifacts outlive their graph's eviction).
-//!   Evicting an artifact also drops its interned response bytes — the
-//!   bytes are a rendering *of* that artifact, and must not outlive it.
-//!   Within a segment the least-recently-used entry
-//!   goes first. **Pinned entries are never dropped mid-use**: an entry
-//!   whose `Arc` is still shared (in-flight compute, a response being
-//!   rendered, a caller-held handle) is skipped, so `bytes` can
+//! * **Cost-aware segmented LRU eviction.** Victims are chosen from two
+//!   segments in order: *artifacts* (cheap to recompute from their
+//!   still-interned graph), then *graphs* (a rebuild pays file I/O or
+//!   generation, and usually invalidates nothing — artifacts outlive
+//!   their graph's eviction). A response's bytes live in its artifact's
+//!   entry and are charged there, so they leave only with that artifact
+//!   — one eviction — and a key still resident keeps answering from its
+//!   bytes under any pressure. Within a segment the least-recently-used
+//!   entry goes first. **Pinned entries are never dropped mid-use**: an
+//!   entry whose `Arc` is still shared (in-flight compute, a response
+//!   being rendered, a caller-held handle) is skipped, so `bytes` can
 //!   transiently exceed the budget under concurrent load but settles back
 //!   under it as handles drop (`stats()` re-enforces the budget before
-//!   reporting).
+//!   reporting). A held `Arc<RespBytes>` pins nothing: the bytes outlive
+//!   their artifact's eviction in the holder's hands, and the cache stops
+//!   serving them.
 //! * **Determinism is unaffected.** Every operation is deterministic, so
 //!   a hit, a recompute after eviction, and a fresh compute are observably
 //!   identical — the budget can change latency and the `evictions` /
@@ -103,9 +104,9 @@ pub struct RegistryStats {
     /// Graphs actually built/loaded (interning is single-flight, so a
     /// cold burst of N identical requests bumps this by exactly 1).
     pub graph_builds: u64,
-    /// Interned response-byte entries cached right now.
+    /// Artifact entries holding interned response bytes right now.
     pub resp: usize,
-    /// Approximate heap bytes of the interned response bytes (a subset of
+    /// Approximate heap bytes of those response bytes (a subset of
     /// `bytes`).
     pub resp_bytes: usize,
     /// Requests answered straight from interned response bytes — every
@@ -143,14 +144,30 @@ const ALIAS_CAP: usize = 1024;
 /// One cached value with its byte cost and LRU stamp.
 struct Entry<T> {
     value: Arc<T>,
+    /// The value's bytes plus those of `resp`.
     bytes: usize,
     last_used: u64,
+    /// An artifact's interned response bytes, once rendered; always
+    /// `None` on a graph. No in-flight marker: rendering from a cached
+    /// artifact is cheap enough that a rare concurrent double-render
+    /// (last insert wins, bytes identical) beats another wait/notify
+    /// protocol.
+    resp: Option<Arc<RespBytes>>,
 }
 
 impl<T> Entry<T> {
-    /// Evictable iff the registry holds the only reference — an `Arc`
-    /// shared with an in-flight compute or an outstanding response is
-    /// pinned and must not be dropped mid-use.
+    fn new(value: &Arc<T>, bytes: usize, last_used: u64) -> Entry<T> {
+        Entry {
+            value: Arc::clone(value),
+            bytes,
+            last_used,
+            resp: None,
+        }
+    }
+
+    /// Evictable iff the registry holds the only reference to the value
+    /// — an `Arc` shared with an in-flight compute or a caller is pinned
+    /// and must not be dropped mid-use.
     fn evictable(&self) -> bool {
         Arc::strong_count(&self.value) == 1
     }
@@ -161,11 +178,6 @@ impl<T> Entry<T> {
 struct State {
     graphs: HashMap<GraphRef, Entry<CsrGraph>>,
     artifacts: HashMap<ArtifactKey, Entry<Artifact>>,
-    /// Interned response bytes, keyed like artifacts. No in-flight set:
-    /// rendering from a cached artifact is cheap enough that a rare
-    /// concurrent double-render (last insert wins, bytes identical) beats
-    /// another wait/notify protocol.
-    resp: HashMap<ArtifactKey, Entry<RespBytes>>,
     graphs_inflight: HashSet<GraphRef>,
     artifacts_inflight: HashSet<ArtifactKey>,
     /// Memoized spelling → canonical key resolutions (successful ones
@@ -177,10 +189,8 @@ struct State {
     /// client-controlled, so letting it grow unbounded would reopen the
     /// very memory hole the budget closes.
     aliases: HashMap<GraphRef, GraphRef>,
-    /// Sum of `bytes` over all three maps.
+    /// Sum of `bytes` over both maps.
     bytes: usize,
-    /// Sum of `bytes` over the `resp` map alone (the `resp_bytes` gauge).
-    resp_bytes: usize,
     /// Monotonic access clock for LRU stamps.
     tick: u64,
 }
@@ -209,11 +219,11 @@ pub struct Registry {
 }
 
 /// Remove the least-recently-used *evictable* entry from one cache
-/// segment, returning its key and the bytes it freed (`None`: empty or
-/// all pinned). An O(n) scan — cache cardinality is the tenant/workload
-/// count, not the graph size, so scanning under the lock stays cheaper
-/// than maintaining an order structure that must also skip pinned entries.
-fn pop_lru<K, T>(map: &mut HashMap<K, Entry<T>>) -> Option<(K, usize)>
+/// segment, returning the bytes it freed (`None`: empty or all pinned).
+/// An O(n) scan — cache cardinality is the tenant/workload count, not the
+/// graph size, so scanning under the lock stays cheaper than maintaining
+/// an order structure that must also skip pinned entries.
+fn pop_lru<K, T>(map: &mut HashMap<K, Entry<T>>) -> Option<usize>
 where
     K: Clone + Eq + std::hash::Hash,
 {
@@ -222,8 +232,7 @@ where
         .filter(|(_, e)| e.evictable())
         .min_by_key(|(_, e)| e.last_used)
         .map(|(k, _)| k.clone())?;
-    let e = map.remove(&key).expect("victim key just observed");
-    Some((key, e.bytes))
+    map.remove(&key).map(|e| e.bytes)
 }
 
 /// Drop guard clearing an in-flight marker even if the build panics (a
@@ -264,12 +273,10 @@ impl Registry {
             state: Mutex::new(State {
                 graphs: HashMap::new(),
                 artifacts: HashMap::new(),
-                resp: HashMap::new(),
                 graphs_inflight: HashSet::new(),
                 artifacts_inflight: HashSet::new(),
                 aliases: HashMap::new(),
                 bytes: 0,
-                resp_bytes: 0,
                 tick: 0,
             }),
             inflight_done: Condvar::new(),
@@ -379,14 +386,7 @@ impl Registry {
         let mut st = self.state.lock().unwrap();
         let tick = st.next_tick();
         st.bytes += bytes;
-        st.graphs.insert(
-            key,
-            Entry {
-                value: Arc::clone(&value),
-                bytes,
-                last_used: tick,
-            },
-        );
+        st.graphs.insert(key, Entry::new(&value, bytes, tick));
         self.enforce_budget(&mut st);
         Ok(value)
     }
@@ -455,27 +455,21 @@ impl Registry {
         let mut st = self.state.lock().unwrap();
         let tick = st.next_tick();
         st.bytes += bytes;
-        st.artifacts.insert(
-            key,
-            Entry {
-                value: Arc::clone(&value),
-                bytes,
-                last_used: tick,
-            },
-        );
+        st.artifacts.insert(key, Entry::new(&value, bytes, tick));
         self.enforce_budget(&mut st);
         Ok(value)
     }
 
     /// Probe the interned response bytes for `(graph, op)`: `Some` iff the
-    /// bytes are cached *and* were rendered with this request's wire token
-    /// (response bodies echo the client's spelling). A hit counts in
+    /// artifact's entry holds bytes rendered with this request's wire
+    /// token (response bodies echo the client's spelling). A hit counts in
     /// `hits` (the artifact was logically reused) and in `resp_hits`, and
-    /// refreshes **all three** LRU stamps — response bytes, artifact, and
-    /// graph — so a key served purely through byte hits never looks cold.
+    /// refreshes the artifact's and the graph's LRU stamps, so a key
+    /// served purely through byte hits never looks cold.
     ///
     /// This is the server's inline fast path: cheap enough (one lock, one
-    /// probe) to run on the v3 reader thread before anything is scheduled.
+    /// probe) to run on a connection's reader before anything is
+    /// scheduled.
     pub fn try_response(&self, gref: &GraphRef, op: &OpKey) -> Option<Arc<RespBytes>> {
         let key = (self.canon_key(gref), op.clone());
         self.try_response_keyed(&key, gref.token())
@@ -485,15 +479,10 @@ impl Registry {
     fn try_response_keyed(&self, key: &ArtifactKey, token: &str) -> Option<Arc<RespBytes>> {
         let mut st = self.state.lock().unwrap();
         let tick = st.next_tick();
-        let e = st.resp.get_mut(key)?;
-        if e.value.token != token {
-            return None; // different spelling of the graph: re-render
-        }
+        let e = st.artifacts.get_mut(key)?;
+        // No bytes yet, or a different spelling of the graph: re-render.
+        let value = Arc::clone(e.resp.as_ref().filter(|r| r.token == token)?);
         e.last_used = tick;
-        let value = Arc::clone(&e.value);
-        if let Some(a) = st.artifacts.get_mut(key) {
-            a.last_used = tick;
-        }
         if let Some(g) = st.graphs.get_mut(&key.0) {
             g.last_used = tick;
         }
@@ -504,80 +493,52 @@ impl Registry {
 
     /// Get or render the interned response bytes for `(graph, op)`. A miss
     /// goes through the artifact cache (hit or single-flight compute, with
-    /// the usual counters), renders the body once, and interns it —
-    /// byte-costed against the memory budget like any entry. Every request
-    /// bumps exactly one of `hits`/`misses`, whichever cache level served
-    /// it, so the `hits + misses == requests` invariant is unchanged.
+    /// the usual counters), renders the body once, and stores it in the
+    /// artifact's entry, charged in that entry's bytes. Every request bumps
+    /// exactly one of `hits`/`misses`, whichever cache level served it, so
+    /// the `hits + misses == requests` invariant is unchanged.
     pub fn response(&self, gref: &GraphRef, op: &OpKey) -> Result<Arc<RespBytes>, String> {
         let key = (self.canon_key(gref), op.clone());
         if let Some(r) = self.try_response_keyed(&key, gref.token()) {
             return Ok(r);
         }
+        // Held until the bytes are in its entry: a pinned artifact cannot
+        // be evicted in between.
         let artifact = self.artifact_keyed(key.clone())?;
         let body = ops::body(gref.token(), op, &artifact);
         let value = Arc::new(RespBytes {
             token: gref.token().to_string(),
             body: body.into_bytes().into_boxed_slice(),
         });
-        let bytes = value.heap_bytes();
         let mut st = self.state.lock().unwrap();
-        let tick = st.next_tick();
-        if let Some(old) = st.resp.insert(
-            key,
-            Entry {
-                value: Arc::clone(&value),
-                bytes,
-                last_used: tick,
-            },
-        ) {
-            // Replaced (token mismatch or a concurrent render): the old
-            // entry's charge goes away with it.
-            st.bytes -= old.bytes;
-            st.resp_bytes -= old.bytes;
+        if let Some(e) = st.artifacts.get_mut(&key) {
+            // Replacing bytes (token mismatch or a concurrent render)
+            // takes the old charge away with them.
+            let old = e
+                .resp
+                .replace(Arc::clone(&value))
+                .map_or(0, |r| r.heap_bytes());
+            e.bytes = e.bytes - old + value.heap_bytes();
+            st.bytes = st.bytes - old + value.heap_bytes();
+            self.enforce_budget(&mut st);
         }
-        st.bytes += bytes;
-        st.resp_bytes += bytes;
-        self.enforce_budget(&mut st);
         Ok(value)
     }
 
     /// Evict until `bytes <= budget` or nothing evictable remains.
-    /// Segmented LRU: least-recently-used *response bytes* first (a
-    /// re-render from the cached artifact is nearly free), then artifacts
-    /// (recomputable from their interned graph) — taking each evicted
-    /// artifact's response bytes with it, since the bytes render that
-    /// artifact and must not outlive it — then graphs; pinned entries
-    /// (shared `Arc`s) are never dropped mid-use, except that an evicted
-    /// artifact's response-byte sibling is removed unconditionally
-    /// (invalidation, not a space decision; any outstanding `Arc` keeps
-    /// its bytes alive until the response is written).
+    /// Segmented LRU: least-recently-used artifacts first (recomputable
+    /// from their interned graph), each with its response bytes, then
+    /// graphs; pinned entries (shared `Arc`s) are never dropped mid-use.
     fn enforce_budget(&self, st: &mut State) {
         if self.budget == 0 {
             return;
         }
         while st.bytes > self.budget {
-            if let Some((_, freed)) = pop_lru(&mut st.resp) {
-                st.bytes -= freed;
-                st.resp_bytes -= freed;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            if let Some((key, freed)) = pop_lru(&mut st.artifacts) {
-                st.bytes -= freed;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                if let Some(sib) = st.resp.remove(&key) {
-                    st.bytes -= sib.bytes;
-                    st.resp_bytes -= sib.bytes;
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                continue;
-            }
-            if let Some((_, freed)) = pop_lru(&mut st.graphs) {
-                st.bytes -= freed;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            break; // everything left is pinned; retried on the next insert
+            let Some(freed) = pop_lru(&mut st.artifacts).or_else(|| pop_lru(&mut st.graphs)) else {
+                break; // everything left is pinned; retried on the next insert
+            };
+            st.bytes -= freed;
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -587,6 +548,11 @@ impl Registry {
     pub fn stats(&self) -> RegistryStats {
         let mut st = self.state.lock().unwrap();
         self.enforce_budget(&mut st);
+        let resp: Vec<usize> = st
+            .artifacts
+            .values()
+            .filter_map(|e| e.resp.as_ref().map(|r| r.heap_bytes()))
+            .collect();
         RegistryStats {
             graphs: st.graphs.len(),
             artifacts: st.artifacts.len(),
@@ -597,8 +563,8 @@ impl Registry {
             mem_budget: self.budget,
             evictions: self.evictions.load(Ordering::Relaxed),
             graph_builds: self.graph_builds.load(Ordering::Relaxed),
-            resp: st.resp.len(),
-            resp_bytes: st.resp_bytes,
+            resp: resp.len(),
+            resp_bytes: resp.iter().sum(),
             resp_hits: self.resp_hits.load(Ordering::Relaxed),
         }
     }
@@ -969,7 +935,7 @@ mod tests {
     }
 
     #[test]
-    fn response_bytes_evict_before_artifacts_and_graphs() {
+    fn a_surviving_key_keeps_its_bytes_under_pressure() {
         let r = GraphRef::Suite("ecology2".into());
         let ops3 = [
             OpKey::Mis2,
@@ -977,37 +943,40 @@ mod tests {
             OpKey::Coarsen { levels: 3 },
         ];
         let probe = Registry::new(Scale::Tiny);
-        for op in &ops3 {
+        let graph = probe.graph(&r).unwrap().heap_bytes();
+        probe.response(&r, &ops3[0]).unwrap();
+        // The first key's artifact and its bytes.
+        let first = probe.stats().bytes - graph;
+        for op in &ops3[1..] {
             probe.response(&r, op).unwrap();
         }
-        // One byte under the full working set: the final insert must evict
-        // exactly one entry, and the segmented order says it is the LRU
-        // *response bytes* — never an artifact or the graph.
-        let budget = probe.stats().bytes - 1;
+        // The full working set minus the first key: the third insert must
+        // evict exactly that key, bytes and all, and nothing else.
+        let budget = probe.stats().bytes - first;
         let reg = Registry::with_budget(Scale::Tiny, budget);
         for op in &ops3 {
             reg.response(&r, op).unwrap();
         }
         let s = reg.stats();
-        assert!(s.evictions >= 1, "{s:?}");
-        assert_eq!(
-            (s.artifacts, s.graphs),
-            (3, 1),
-            "artifacts and the graph must survive while response bytes go: {s:?}"
-        );
-        assert!(s.resp < 3, "{s:?}");
+        assert_eq!((s.artifacts, s.resp, s.graphs), (2, 2, 1), "{s:?}");
         assert!(
             reg.try_response(&r, &ops3[0]).is_none(),
-            "the LRU response entry must be the victim"
+            "the LRU key must be the victim"
         );
+        for op in &ops3[1..] {
+            assert!(
+                reg.try_response(&r, op).is_some(),
+                "{op:?} is resident and must answer from its bytes: {s:?}"
+            );
+        }
     }
 
     #[test]
     fn response_hit_refreshes_artifact_and_graph_stamps() {
         // A key served purely through byte hits must not look LRU-cold at
         // the artifact segment: touch (op1) via try_response, then apply
-        // enough pressure to drain the response segment and evict one
-        // artifact — the victim must be the untouched op2, not op1.
+        // enough pressure to evict one artifact — the victim must be the
+        // untouched op2, not op1.
         let r = GraphRef::Suite("ecology2".into());
         let (op1, op2, op3) = (
             OpKey::Mis2,
@@ -1019,16 +988,16 @@ mod tests {
             probe.artifact(&r, op).unwrap();
         }
         // Graph + all three artifacts minus one byte: holding every
-        // artifact is over budget, so exactly one artifact must go (after
-        // the small response entries drain first).
+        // artifact is over budget, so exactly one artifact must go, with
+        // its response bytes.
         let budget = probe.stats().bytes - 1;
         let reg = Registry::with_budget(Scale::Tiny, budget);
         reg.response(&r, &op1).unwrap();
         reg.response(&r, &op2).unwrap();
         assert!(reg.try_response(&r, &op1).is_some(), "refreshing hit");
-        reg.artifact(&r, &op3).unwrap();
+        reg.response(&r, &op3).unwrap();
         let s = reg.stats();
-        assert_eq!(s.resp, 0, "response segment must drain first: {s:?}");
+        assert_eq!(s.resp, s.artifacts, "survivors keep their bytes: {s:?}");
         assert_eq!(s.artifacts, 2, "{s:?}");
         assert_eq!(s.graphs, 1, "the graph must survive: {s:?}");
         // op1 (refreshed by the byte hit) must be resident, op2 evicted.

@@ -7,9 +7,10 @@
 //! Protocol behavior lives in ONE place — the shared **connection state
 //! machine** (`FrameDecoder` + `ConnMachine`): hello negotiation (the
 //! `V3` upgrade), v1 line framing and v3 binary framing, per-request
-//! window-slot accounting, inline `PING`/`STATS`/`METRICS`,
-//! the v3 zero-serialization cache probe, parse and framing errors, and
-//! the draining `QUIT`. The machine is sans-I/O: it consumes framed items
+//! window-slot accounting, inline `PING`/`STATS`/`METRICS`, the
+//! zero-serialization cache probe (one compute path for both framings),
+//! parse and framing errors, and the draining `QUIT`. The machine is
+//! sans-I/O: it consumes framed items
 //! extracted from a byte buffer and emits effects through the small
 //! `ConnIo` seam (acquire a window slot, enqueue a response, mint a
 //! `CompletionSink` for a completion).
@@ -36,8 +37,10 @@
 //!   shard computes, and the connection's upstream readers deliver.
 //!
 //! Every combination produces **bitwise-identical** wire bytes for every
-//! request — the e2e suites assert it — because every response byte is
-//! rendered by the shared machine and the shared batch encoder.
+//! request — the e2e suites assert it — because every response is one
+//! [`ops::Response`] under one `Framing`, turned into bytes by the one
+//! batch encoder. A server and a router also bind, stop and default their
+//! limits through one `Listener`.
 //!
 //! One teardown rule holds on both drivers: a connection's machine — and
 //! with it whatever the service hangs off the connection, the router's
@@ -59,7 +62,7 @@
 //! response straight into the writer channel, so responses are written in
 //! *completion* order (tagged, on v3 connections, so the client can
 //! reassemble; v1 connections cap the window at 1, which preserves the
-//! classic request-order contract). On v3 connections a request whose
+//! classic request-order contract). On either protocol a request whose
 //! serialized response bytes are already interned in the [`Registry`]
 //! never touches the scheduler at all: the reader probes
 //! [`Registry::try_response`] and forwards the shared bytes directly —
@@ -68,10 +71,11 @@
 //! The writer is a **batcher**: it drains the response channel greedily,
 //! encodes everything it found into one contiguous buffer and flushes it
 //! with one write, so a window's worth of responses retires in
-//! O(syscalls), not O(responses). A reply is ~84 bytes on the hit path
-//! (measured on `svc_hot`), so interned v3 response bytes are copied like
-//! any other body — a cache hit is a 13-byte header stamp plus a ~71-byte
-//! append; what interning saves is the render, not the copy.
+//! O(syscalls), not O(responses). A reply is ~84 bytes on the v3 hit path
+//! (measured on `svc_hot`), so interned response bytes are copied like
+//! any other body — a v3 hit is a 13-byte header stamp plus a ~71-byte
+//! append, a v1 hit the same append between `OK ` and a newline; what
+//! interning saves is the render, not the copy.
 //!
 //! Backpressure is layered: a per-connection in-flight **window**
 //! ([`ServerConfig::max_inflight`]) stops the reader when too many
@@ -330,31 +334,96 @@ impl ConnTable {
     }
 }
 
+/// The bound listener of a server or a router — its address, stop flag,
+/// accept thread, live-connection table and connection context — and the
+/// one place either binds, stops and defaults its limits.
+pub(crate) struct Listener {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    accept: Option<std::thread::JoinHandle<()>>,
+    conn_table: Arc<ConnTable>,
+    pub(crate) cx: Arc<ConnShared>,
+}
+
+impl Listener {
+    /// The configured `(max_conns, max_inflight)` with their defaults
+    /// applied: 0 means 1024 connections and 64 requests in flight.
+    pub(crate) fn limits(max_conns: usize, max_inflight: usize) -> (usize, usize) {
+        let or = |v: usize, default: usize| if v == 0 { default } else { v };
+        (or(max_conns, 1024), or(max_inflight, 64))
+    }
+
+    /// Bind `addr` and start the accept path of the driver `cx.backend`
+    /// names, admitting at most `max_conns` connections at once.
+    pub(crate) fn bind(addr: &str, max_conns: usize, cx: ConnShared) -> io::Result<Listener> {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let conn_table = Arc::new(ConnTable::default());
+        let cx = Arc::new(cx);
+        let (stop2, table2, cx2) = (Arc::clone(&stop), Arc::clone(&conn_table), Arc::clone(&cx));
+        let accept = match cx.backend {
+            #[cfg(target_os = "linux")]
+            IoBackend::Epoll => crate::evloop::spawn(listener, cx2, stop2, table2, max_conns),
+            #[cfg(not(target_os = "linux"))]
+            IoBackend::Epoll => {
+                unreachable!("IoBackend::effective falls back to threads off Linux")
+            }
+            IoBackend::Threads => spawn_threads_accept(listener, cx2, stop2, table2, max_conns),
+        }?;
+        Ok(Listener {
+            addr,
+            stop,
+            accept: Some(accept),
+            conn_table,
+            cx,
+        })
+    }
+
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Block until the accept thread exits (it never does on its own).
+    pub(crate) fn wait(&mut self) {
+        if let Some(t) = self.accept.take() {
+            let _ = t.join();
+        }
+    }
+
+    /// Stop accepting and join the accept thread; with `kill`, also
+    /// `shutdown(Both)` every live connection socket so its reads hit EOF
+    /// and it winds down.
+    pub(crate) fn stop(&mut self, kill: bool) {
+        self.stop.store(true, Ordering::SeqCst);
+        // Unblock the accept loop with a throwaway connection.
+        let _ = TcpStream::connect(self.addr);
+        self.wait();
+        if kill {
+            self.conn_table.kill_all();
+        }
+    }
+}
+
 /// A running server. Dropping the handle does *not* stop the server; call
 /// [`ServerHandle::shutdown`] (tests) or [`ServerHandle::wait`] (the
 /// `mis2svc` bin).
 pub struct ServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    listener: Listener,
     sched: Arc<Scheduler>,
     registry: Arc<Registry>,
-    svc_stats: Arc<SvcStats>,
-    metrics: Arc<Metrics>,
-    conn_table: Arc<ConnTable>,
-    io_backend: IoBackend,
 }
 
 impl ServerHandle {
     /// The address the server actually bound (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// The I/O backend actually driving connections (after the
     /// off-Linux fallback).
     pub fn io_backend(&self) -> IoBackend {
-        self.io_backend
+        self.listener.cx.backend
     }
 
     /// The shared graph/artifact registry.
@@ -364,19 +433,17 @@ impl ServerHandle {
 
     /// The service-wide wire counters (in-flight window gauges).
     pub fn svc_stats(&self) -> &Arc<SvcStats> {
-        &self.svc_stats
+        &self.listener.cx.stats
     }
 
     /// The request-observability registry (histograms, slow ring).
     pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.metrics
+        &self.listener.cx.mx
     }
 
     /// Block forever serving (the accept loop never returns on its own).
     pub fn wait(mut self) {
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
+        self.listener.wait();
     }
 
     /// Stop accepting, stop the scheduler (in-flight jobs finish, queued
@@ -384,12 +451,7 @@ impl ServerHandle {
     /// thread. Connection handler threads exit as their clients
     /// disconnect; any still alive only ever see the shut-down scheduler.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
+        self.listener.stop(false);
         self.sched.shutdown();
     }
 
@@ -400,12 +462,7 @@ impl ServerHandle {
     /// cleanly. Used by the kill-one-shard tests; a standalone `mis2svc`
     /// process gets the same effect from SIGKILL.
     pub fn kill(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        self.conn_table.kill_all();
+        self.listener.stop(true);
         self.sched.shutdown();
     }
 }
@@ -440,6 +497,25 @@ pub(crate) struct ConnShared {
     pub(crate) backend: IoBackend,
 }
 
+impl ConnShared {
+    /// A fresh context: zeroed gauges, no connection yet.
+    pub(crate) fn new(
+        service: Service,
+        mx: Metrics,
+        max_inflight: usize,
+        backend: IoBackend,
+    ) -> ConnShared {
+        ConnShared {
+            service,
+            stats: Arc::default(),
+            mx: Arc::new(mx),
+            conns: Arc::default(),
+            max_inflight,
+            backend,
+        }
+    }
+}
+
 /// Record a connection-level failure (over-cap `ERR server busy`, accept
 /// error) into the metrics registry as an `other` × `error` outcome —
 /// these never travel the request path, so without this they would be
@@ -455,80 +531,30 @@ pub(crate) fn record_conn_error(mx: &Metrics, key: &str) {
 
 /// Bind and start serving in background threads.
 pub fn serve(cfg: ServerConfig) -> io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&cfg.addr)?;
-    let addr = listener.local_addr()?;
     let registry = Arc::new(Registry::with_budget(cfg.scale, cfg.mem_budget));
     let sched = Arc::new(Scheduler::new(SchedConfig {
         threads: cfg.threads,
         workers: cfg.workers,
         queue_cap: cfg.queue_cap,
     }));
-    let stop = Arc::new(AtomicBool::new(false));
-    let svc_stats = Arc::new(SvcStats::default());
-    let mx = Arc::new(if cfg.metrics {
+    let mx = if cfg.metrics {
         Metrics::new(cfg.slow_ms)
     } else {
         Metrics::disabled(cfg.slow_ms)
-    });
-    let max_conns = if cfg.max_conns == 0 {
-        1024
-    } else {
-        cfg.max_conns
     };
-    let max_inflight = if cfg.max_inflight == 0 {
-        64
-    } else {
-        cfg.max_inflight
+    let (max_conns, max_inflight) = Listener::limits(cfg.max_conns, cfg.max_inflight);
+    let service = Service::Local {
+        registry: Arc::clone(&registry),
+        sched: Arc::clone(&sched),
     };
-    let conn_table = Arc::new(ConnTable::default());
-    let backend = cfg.io_backend.effective();
-    let cx = Arc::new(ConnShared {
-        service: Service::Local {
-            registry: Arc::clone(&registry),
-            sched: Arc::clone(&sched),
-        },
-        stats: Arc::clone(&svc_stats),
-        mx: Arc::clone(&mx),
-        conns: Arc::new(AtomicUsize::new(0)),
-        max_inflight,
-        backend,
-    });
-    let accept = spawn_accept(
-        listener,
-        cx,
-        Arc::clone(&stop),
-        Arc::clone(&conn_table),
-        max_conns,
-    )?;
+    let cx = ConnShared::new(service, mx, max_inflight, cfg.io_backend.effective());
+    // A failed bind must not leak the scheduler's worker threads.
+    let listener = Listener::bind(&cfg.addr, max_conns, cx).inspect_err(|_| sched.shutdown())?;
     Ok(ServerHandle {
-        addr,
-        stop,
-        accept: Some(accept),
+        listener,
         sched,
         registry,
-        svc_stats,
-        metrics: mx,
-        conn_table,
-        io_backend: backend,
     })
-}
-
-/// Start the accept path of the driver `cx.backend` names. The returned
-/// thread is the one `shutdown` joins, on a server and on a router.
-pub(crate) fn spawn_accept(
-    listener: TcpListener,
-    cx: Arc<ConnShared>,
-    stop: Arc<AtomicBool>,
-    conn_table: Arc<ConnTable>,
-    max_conns: usize,
-) -> io::Result<std::thread::JoinHandle<()>> {
-    match cx.backend {
-        #[cfg(target_os = "linux")]
-        IoBackend::Epoll => crate::evloop::spawn(listener, cx, stop, conn_table, max_conns),
-        #[cfg(not(target_os = "linux"))]
-        IoBackend::Epoll => unreachable!("IoBackend::effective falls back to threads off Linux"),
-        IoBackend::Threads => spawn_threads_accept(listener, cx, stop, conn_table, max_conns),
-    }
 }
 
 /// Admit one freshly accepted socket under the `--max-conns` rule — the
@@ -560,7 +586,9 @@ pub(crate) fn admit(
         // The socket is still blocking on either driver, but the busy
         // line is a handful of bytes into a fresh send buffer — it
         // cannot stall an accept loop.
-        let _ = writeln!(stream, "{}", proto::err("server busy"));
+        let mut line = Vec::new();
+        encode_outgoing(Framing::Bare, ops::Response::err("server busy"), &mut line);
+        let _ = stream.write_all(&line);
         return None; // drops the stream; `slot` releases the claim
     }
     // Only admitted connections enter the kill table; the same drop guard
@@ -663,33 +691,27 @@ impl ConnWindow {
 }
 
 /// One response travelling from the reader (inline answers) or a
-/// scheduler completion into the connection's writer: the wire payload
-/// plus the request's metrics span (if recording), which the writer
-/// retires after the bytes hit the socket.
+/// scheduler completion into the connection's writer: the response, how
+/// it is framed, and the request's metrics span (if recording), which the
+/// writer retires after the bytes hit the socket.
 pub(crate) struct Outgoing {
-    pub(crate) payload: Payload,
+    pub(crate) framing: Framing,
+    pub(crate) resp: ops::Response,
     pub(crate) span: Option<metrics::Span>,
 }
 
-/// The wire form of one outgoing response.
-pub(crate) enum Payload {
-    /// A v1 text line, written with a trailing `\n`.
-    Line(String),
-    /// A v3 response: 13-byte binary header stamped by the batch encoder,
-    /// then the body bytes — rendered text or interned registry bytes
-    /// alike (interning skips the render, not the copy).
-    Frame { tag: u64, resp: ops::Response },
-}
-
-/// Append one outgoing response's wire bytes to the batch buffer — the
-/// one encoder both drivers flush from.
-fn encode_outgoing(item: Payload, buf: &mut Vec<u8>) {
-    match item {
-        Payload::Line(line) => {
-            buf.extend_from_slice(line.as_bytes());
+/// Append one response's wire bytes to the batch buffer — the one
+/// encoder both drivers flush from. The body is copied once, rendered
+/// text or interned registry bytes alike (interning skips the render,
+/// not the copy).
+fn encode_outgoing(framing: Framing, resp: ops::Response, buf: &mut Vec<u8>) {
+    match framing {
+        Framing::Bare => {
+            buf.extend_from_slice(if resp.is_ok() { b"OK " } else { b"ERR " });
+            buf.extend_from_slice(resp.body_bytes());
             buf.push(b'\n');
         }
-        Payload::Frame { tag, resp } => {
+        Framing::V3(tag) => {
             // An over-MAX_PAYLOAD body cannot be framed: the header's u32
             // length would truncate (or advertise a length the peer
             // rejects as Oversized and poisons the connection on). Swap
@@ -708,13 +730,13 @@ fn encode_outgoing(item: Payload, buf: &mut Vec<u8>) {
 }
 
 /// Peel one response into the batch under construction: the span (if
-/// any) is parked until the batch's write retires, the payload's bytes
+/// any) is parked until the batch's write retires, the response's bytes
 /// are appended to the batch buffer.
 pub(crate) fn stage_outgoing(item: Outgoing, buf: &mut Vec<u8>, spans: &mut Vec<metrics::Span>) {
     if let Some(span) = item.span {
         spans.push(span);
     }
-    encode_outgoing(item.payload, buf);
+    encode_outgoing(item.framing, item.resp, buf);
 }
 
 /// The writer half of a connection: drains the bounded response channel
@@ -995,23 +1017,10 @@ fn req_span_parts(req: &Request) -> (metrics::Op, &str) {
 /// How one response is framed back to the client.
 #[derive(Clone, Copy)]
 pub(crate) enum Framing {
-    /// v1: the bare response line.
+    /// v1: the bare response line, `OK `/`ERR `, the body and `\n`.
     Bare,
-    /// v3: a binary frame under `tag`.
+    /// v3: a binary frame under `tag`, the 13-byte header and the body.
     V3(u64),
-}
-
-impl Framing {
-    /// Render `resp` under this framing: a text line for v1 (the
-    /// rendering [`ops::Response::to_line`] shares with `proto::ok`/
-    /// `proto::err`), a binary frame for v3 — where an interned body
-    /// stays the registry's `Arc` until the batch encoder copies it out.
-    pub(crate) fn wrap(self, resp: ops::Response) -> Payload {
-        match self {
-            Framing::Bare => Payload::Line(resp.to_line()),
-            Framing::V3(tag) => Payload::Frame { tag, resp },
-        }
-    }
 }
 
 /// What the driver must do after the machine handled one item.
@@ -1056,29 +1065,21 @@ pub(crate) trait ConnIo {
 /// one-in-flight, in-order contract.
 const V1_WINDOW: usize = 1;
 
-/// Outcome of [`ConnMachine::dispatch`]: either the item was fully
-/// handled, or it is a compute request the caller must schedule (after
-/// its protocol-specific cache-probe policy).
-enum Handled {
-    Done(Flow),
-    Compute(Request),
-}
-
 /// The connection state machine both I/O backends drive: hello
 /// negotiation (the `V3` upgrade), v1 lines and v3 binary frames,
 /// per-request window-slot accounting, inline
-/// `PING`/`STATS`/`METRICS`, the v3 zero-serialization cache probe,
+/// `PING`/`STATS`/`METRICS`, the zero-serialization cache probe,
 /// parse and framing errors, and the draining `QUIT`. Sans-I/O: items
 /// come from a [`FrameDecoder`], effects leave through a [`ConnIo`].
 ///
-/// The v3 fast path: a compute request whose serialized response bytes
-/// are already interned is answered straight from the reader via
-/// [`Registry::try_response`] — no scheduler, no re-render, no payload
-/// allocation. Every hit goes through that probe, so the entry's
-/// resp/artifact/graph LRU stamps and the `hits`/`resp_hits` counters
-/// refresh per request: a key answered from connection-local state
-/// instead would look LRU-coldest and be evicted first under
-/// `--mem-budget` pressure.
+/// One compute path for both framings: take the window slot, probe
+/// [`Registry::try_response`] (local service only — a router has no
+/// registry), answer a hit inline, submit a miss. A hit costs no
+/// scheduler hop, no re-render and no payload allocation. Every hit goes
+/// through that probe, so the artifact/graph LRU stamps and the
+/// `hits`/`resp_hits` counters refresh per request: a key answered from
+/// connection-local state instead would look LRU-coldest and be evicted
+/// first under `--mem-budget` pressure.
 pub(crate) struct ConnMachine {
     mode: WireMode,
     /// The upstream service's per-connection half (this connection's
@@ -1121,142 +1122,80 @@ impl ConnMachine {
         cx: &ConnShared,
         io: &mut dyn ConnIo,
     ) -> Flow {
-        match item {
-            Inbound::Line(bytes) => self.handle_line(bytes, t0, cx, io),
-            Inbound::Frame { tag, payload } => self.handle_frame(tag, payload, t0, cx, io),
+        use metrics::{Op, Outcome, Span};
+        let (framing, bytes) = match item {
+            Inbound::Line(bytes) => (Framing::Bare, bytes),
+            Inbound::Frame { tag, payload } => (Framing::V3(tag), payload),
             Inbound::OverlongLine => {
-                io.acquire(V1_WINDOW);
-                io.respond(Outgoing {
-                    payload: Framing::Bare.wrap(ops::Response::err("line too long")),
-                    span: metrics::Span::fast(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
-                });
-                Flow::Close // the rest of the line is unframeable
+                let resp = ops::Response::err("line too long");
+                let span = Span::fast(t0, Op::Other, Outcome::Error, "");
+                self.answer(Framing::Bare, resp, span, cx, io);
+                return Flow::Close; // the rest of the line is unframeable
             }
             Inbound::OversizedFrame { tag } => {
                 // The advertised length is hostile; nothing past this
                 // header can be trusted to frame. Answer under the
                 // frame's own tag (binary tags always parse) and close —
                 // the v3 analog of v1's over-long line.
-                io.acquire(cx.max_inflight);
-                io.respond(Outgoing {
-                    payload: Framing::V3(tag).wrap(ops::Response::err("frame too long")),
-                    span: None,
-                });
-                Flow::Close
+                let resp = ops::Response::err("frame too long");
+                self.answer(Framing::V3(tag), resp, None, cx, io);
+                return Flow::Close;
             }
-        }
-    }
-
-    fn handle_line(
-        &mut self,
-        bytes: &[u8],
-        t0: Option<Instant>,
-        cx: &ConnShared,
-        io: &mut dyn ConnIo,
-    ) -> Flow {
-        let Ok(line) = std::str::from_utf8(bytes) else {
-            // The line boundary itself is byte-based, so later lines
-            // still frame fine: answer and keep the connection.
-            io.acquire(V1_WINDOW);
-            io.respond(Outgoing {
-                payload: Framing::Bare.wrap(ops::Response::err("invalid utf-8")),
-                span: metrics::Span::fast(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
-            });
+        };
+        let Ok(text) = std::str::from_utf8(bytes) else {
+            // Line boundaries are byte-based and frame lengths explicit,
+            // so the stream stays framed: reject this request, keep the
+            // connection.
+            let span = Span::fast(t0, Op::Other, Outcome::Error, "");
+            self.answer(framing, ops::Response::err("invalid utf-8"), span, cx, io);
             return Flow::Continue;
         };
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
-            return Flow::Continue;
-        }
-        // Test-only fault injection: lets the unit tests prove a
-        // panicking connection still releases its slot on both backends
-        // (threads: the handler thread's drop guard; epoll: the loop
-        // catches the unwind and tears down only this connection).
-        #[cfg(test)]
-        if trimmed == "PANIC" {
-            panic!("injected connection-handler panic (test hook)");
-        }
-        if trimmed == codec::HELLO_V3 {
-            // Upgrade to binary framing: the hello answer is the last
-            // *text* line on the wire; from the next byte on, both
-            // directions speak 13-byte-header frames.
-            io.acquire(V1_WINDOW);
-            io.respond(Outgoing {
-                payload: Payload::Line(codec::hello_ok(cx.max_inflight)),
-                span: metrics::Span::fast(t0, metrics::Op::Other, metrics::Outcome::Computed, ""),
-            });
-            self.mode = WireMode::Frames;
-            return Flow::Continue;
-        }
-        match self.dispatch(Request::parse(trimmed), Framing::Bare, t0, cx, io) {
-            Handled::Done(flow) => flow,
-            Handled::Compute(req) => {
-                // Compute request: acquire the slot, then submit in
-                // completion mode. (No cache probe on the text protocol:
-                // its responses are re-rendered per request, so
-                // `execute_response` is the cache.)
-                io.acquire(V1_WINDOW);
-                let (op, key) = req_span_parts(&req);
-                let span = metrics::Span::start(t0, op, key);
-                self.submit(req, Framing::Bare, span, cx, io);
-                Flow::Continue
+        let text = text.trim_end_matches(['\r', '\n']);
+        if let Framing::Bare = framing {
+            if text.is_empty() {
+                return Flow::Continue;
             }
-        }
-    }
-
-    fn handle_frame(
-        &mut self,
-        tag: u64,
-        payload: &[u8],
-        t0: Option<Instant>,
-        cx: &ConnShared,
-        io: &mut dyn ConnIo,
-    ) -> Flow {
-        let cap = cx.max_inflight;
-        let framing = Framing::V3(tag);
-        let Ok(text) = std::str::from_utf8(payload) else {
-            // Lengths are explicit, so the stream stays framed: reject
-            // this request, keep the connection.
-            io.acquire(cap);
-            io.respond(Outgoing {
-                payload: framing.wrap(ops::Response::err("invalid utf-8")),
-                span: metrics::Span::fast(t0, metrics::Op::Other, metrics::Outcome::Error, ""),
-            });
-            return Flow::Continue;
-        };
-        let parsed = Request::parse(text.trim_end_matches(['\r', '\n']));
-        let req = match self.dispatch(parsed, framing, t0, cx, io) {
-            Handled::Done(flow) => return flow,
-            Handled::Compute(req) => req,
-        };
-        io.acquire(cap);
-        let (op, key) = req_span_parts(&req);
-        // Zero-serialization fast path (local service only — a router has
-        // no registry to probe): interned response bytes go straight to
-        // the writer. The registry counts this as a hit (and a resp_hit)
-        // and refreshes the entry's LRU stamps, so cache accounting stays
-        // exact and the hottest key is never the eviction victim. A hit
-        // reads no clock: its span is the clock-free inline one.
-        if let (Service::Local { registry, .. }, Some((graph, opkey))) =
-            (&cx.service, ops::request_op(&req))
-        {
-            if let Some(bytes) = registry.try_response(graph, &opkey) {
-                io.respond(Outgoing {
-                    payload: framing.wrap(ops::Response::interned(bytes)),
-                    span: metrics::Span::fast(t0, op, metrics::Outcome::RespHit, key),
-                });
+            // Test-only fault injection: lets the unit tests prove a
+            // panicking connection still releases its slot on both
+            // backends (threads: the handler thread's drop guard; epoll:
+            // the loop catches the unwind and tears down only this
+            // connection).
+            #[cfg(test)]
+            if text == "PANIC" {
+                panic!("injected connection-handler panic (test hook)");
+            }
+            if text == codec::HELLO_V3 {
+                // Upgrade to binary framing: the hello answer is the last
+                // *text* line on the wire; from the next byte on, both
+                // directions speak 13-byte-header frames.
+                let resp = codec::hello_response(cx.max_inflight);
+                let span = Span::fast(t0, Op::Other, Outcome::Computed, "");
+                self.answer(framing, resp, span, cx, io);
+                self.mode = WireMode::Frames;
                 return Flow::Continue;
             }
         }
-        // A miss: the parse stage ends here, after the failed probe.
-        let span = metrics::Span::start(t0, op, key);
-        self.submit(req, framing, span, cx, io);
-        Flow::Continue
+        self.dispatch(Request::parse(text), framing, t0, cx, io)
     }
 
-    /// Handle the protocol-level requests every framing shares. Returns
-    /// the compute request back to the caller (whose probe policy
-    /// differs by protocol) when the item needs the scheduler.
+    /// Answer inline under a fresh window slot.
+    fn answer(
+        &self,
+        framing: Framing,
+        resp: ops::Response,
+        span: Option<metrics::Span>,
+        cx: &ConnShared,
+        io: &mut dyn ConnIo,
+    ) {
+        io.acquire(self.cap(cx));
+        io.respond(Outgoing {
+            framing,
+            resp,
+            span,
+        });
+    }
+
+    /// Answer one parsed request, the same way under either framing.
     fn dispatch(
         &mut self,
         parsed: Result<Request, String>,
@@ -1264,89 +1203,96 @@ impl ConnMachine {
         t0: Option<Instant>,
         cx: &ConnShared,
         io: &mut dyn ConnIo,
-    ) -> Handled {
+    ) -> Flow {
         use metrics::{Op, Outcome, Span};
-        let cap = self.cap(cx);
-        let inline = |io: &mut dyn ConnIo, resp: ops::Response, op: Op, outcome: Outcome| {
-            io.acquire(cap);
-            io.respond(Outgoing {
-                payload: framing.wrap(resp),
-                span: Span::fast(t0, op, outcome, ""),
-            });
-        };
-        match parsed {
-            // Parse failures still carry the request's tag, so a
-            // pipelining client can correlate the error.
-            Err(e) => {
-                inline(io, ops::Response::err(&e), Op::Other, Outcome::Error);
-                Handled::Done(Flow::Continue)
-            }
-            // PING/STATS/METRICS answer inline — they never queue behind
-            // compute jobs (they still take a window slot, so a full
-            // window backpressures them like everything else).
-            Ok(Request::Ping) => {
-                inline(
-                    io,
-                    ops::Response::ok_text("PONG".into()),
-                    Op::Other,
-                    Outcome::Computed,
-                );
-                Handled::Done(Flow::Continue)
-            }
-            Ok(req @ (Request::Stats | Request::Metrics)) => {
-                // Acquire before rendering: the report counts itself in
-                // peak_inflight and leaves itself out of the in-flight
-                // gauge (see counter_values).
-                io.acquire(cap);
-                let (body, op) = match req {
-                    Request::Stats => (stats_body(cx), Op::Stats),
-                    _ => (metrics_body(cx), Op::Metrics),
-                };
-                io.respond(Outgoing {
-                    payload: framing.wrap(ops::Response::ok_text(body)),
-                    span: Span::fast(t0, op, Outcome::Computed, ""),
-                });
-                Handled::Done(Flow::Continue)
-            }
+        let req = match parsed {
             Ok(Request::Quit) => {
                 // The driver drains every in-flight response, acquires a
                 // fresh slot, and makes this BYE the last bytes on the
                 // wire.
-                Handled::Done(Flow::Quit(Outgoing {
-                    payload: framing.wrap(ops::Response::ok_text("BYE".into())),
+                return Flow::Quit(Outgoing {
+                    framing,
+                    resp: ops::Response::ok_text("BYE".into()),
                     span: Span::fast(t0, Op::Other, Outcome::Computed, ""),
-                }))
+                });
             }
-            Ok(req) => Handled::Compute(req),
-        }
+            Ok(req) => req,
+            // Parse failures still carry the request's tag, so a
+            // pipelining client can correlate the error.
+            Err(e) => {
+                let span = Span::fast(t0, Op::Other, Outcome::Error, "");
+                self.answer(framing, ops::Response::err(&e), span, cx, io);
+                return Flow::Continue;
+            }
+        };
+        // Every request takes its window slot first, so a full window
+        // backpressures inline answers like compute, and a report counts
+        // itself in peak_inflight and leaves itself out of the in-flight
+        // gauge (see counter_values).
+        io.acquire(self.cap(cx));
+        // PING/STATS/METRICS answer inline — never queued behind compute.
+        let (resp, op) = match req {
+            Request::Ping => (ops::Response::ok_text("PONG".into()), Op::Other),
+            Request::Stats => (ops::Response::ok_text(stats_body(cx)), Op::Stats),
+            Request::Metrics => (ops::Response::ok_text(metrics_body(cx)), Op::Metrics),
+            req => {
+                self.compute(req, framing, t0, cx, io);
+                return Flow::Continue;
+            }
+        };
+        io.respond(Outgoing {
+            framing,
+            resp,
+            span: Span::fast(t0, op, Outcome::Computed, ""),
+        });
+        Flow::Continue
     }
 
-    /// Run a compute request under an already-acquired slot and have the
-    /// framed response delivered through the backend's completion sink —
-    /// by the scheduler worker-leader that finishes the job (local), or
-    /// by the owning shard's upstream reader (upstream). Either way the
-    /// delivery runs on a foreign thread and must not block; the slot the
-    /// request holds guarantees it cannot.
-    fn submit(
+    /// Answer a compute request under its already-acquired slot. Interned
+    /// response bytes go straight to the writer (local service only — a
+    /// router has no registry to probe); the registry counts that as a
+    /// hit and a resp_hit and refreshes the entry's LRU stamps, so cache
+    /// accounting stays exact and the hottest key is never the eviction
+    /// victim. Otherwise the request runs and its response is delivered
+    /// through the backend's completion sink — by the scheduler
+    /// worker-leader that finishes the job (local), or by the owning
+    /// shard's upstream reader (upstream). Either way the delivery runs
+    /// on a foreign thread and must not block; the slot the request holds
+    /// guarantees it cannot.
+    fn compute(
         &mut self,
         req: Request,
         framing: Framing,
-        mut span: Option<metrics::Span>,
+        t0: Option<Instant>,
         cx: &ConnShared,
         io: &mut dyn ConnIo,
     ) {
-        let sink = io.sink();
         let (registry, sched) = match &cx.service {
-            Service::Local { registry, sched } => (Arc::clone(registry), sched),
+            Service::Local { registry, sched } => (registry, sched),
             Service::Upstream(up) => {
                 let conn = self.up.get_or_insert_with(|| up.connect());
-                return up.run(conn, &req, framing, &sink);
+                return up.run(conn, &req, framing, &io.sink());
             }
         };
+        let (op, key) = req_span_parts(&req);
+        if let Some((graph, opkey)) = ops::request_op(&req) {
+            if let Some(bytes) = registry.try_response(graph, &opkey) {
+                // A hit reads no clock: its span is the clock-free one.
+                io.respond(Outgoing {
+                    framing,
+                    resp: ops::Response::interned(bytes),
+                    span: metrics::Span::fast(t0, op, metrics::Outcome::RespHit, key),
+                });
+                return;
+            }
+        }
+        // A miss: the parse stage ends here, after the failed probe.
+        let mut span = metrics::Span::start(t0, op, key);
         let stamps = span.as_mut().map(|s| s.attach_job());
         if let Some(s) = &stamps {
             s.stamp_enqueued();
         }
+        let (registry, sink) = (Arc::clone(registry), io.sink());
         sched.submit_with(
             Box::new(move || {
                 if let Some(s) = &stamps {
@@ -1368,7 +1314,8 @@ impl ConnMachine {
                     };
                 }
                 sink.deliver(Outgoing {
-                    payload: framing.wrap(resp),
+                    framing,
+                    resp,
                     span,
                 });
             }),
@@ -2214,7 +2161,7 @@ mod tests {
         // per-tag ERR instead of truncating or poisoning the stream.
         let mut buf = Vec::new();
         let big = ops::Response::ok_text("x".repeat(codec::MAX_PAYLOAD + 1));
-        encode_outgoing(Payload::Frame { tag: 42, resp: big }, &mut buf);
+        encode_outgoing(Framing::V3(42), big, &mut buf);
         let (f, used) = codec::decode_frame(&buf).unwrap();
         assert_eq!(used, buf.len());
         assert_eq!((f.tag, f.status), (42, codec::STATUS_ERR));
@@ -2222,7 +2169,7 @@ mod tests {
         // Exactly MAX_PAYLOAD still frames intact.
         buf.clear();
         let max = ops::Response::ok_text("y".repeat(codec::MAX_PAYLOAD));
-        encode_outgoing(Payload::Frame { tag: 7, resp: max }, &mut buf);
+        encode_outgoing(Framing::V3(7), max, &mut buf);
         let (f, used) = codec::decode_frame(&buf).unwrap();
         assert_eq!(used, buf.len());
         assert_eq!((f.tag, f.status), (7, codec::STATUS_OK));

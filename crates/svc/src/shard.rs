@@ -15,8 +15,9 @@
 //!
 //! ## The router
 //!
-//! [`route`] is not a second server: it hands its listener to the
-//! server's own accept path and every downstream connection runs the
+//! [`route`] is not a second server: it binds, stops and defaults its
+//! limits through the server's own listener handle, hands the socket to
+//! the server's own accept path, and every downstream connection runs the
 //! server's own connection machine ([`crate::server`]) — the same hellos,
 //! framing, window slots, inline `PING`, error strings, `QUIT` drain and
 //! batching writer, from the same code. What it supplies is the
@@ -79,14 +80,13 @@ use crate::metrics::{self, Exposition, Metrics};
 use crate::ops;
 use crate::proto::{GraphRef, Request};
 use crate::server::{
-    spawn_accept, stats_line, CompletionSink, ConnShared, ConnTable, Framing, IoBackend, Outgoing,
-    Service, SvcStats, COUNTERS,
+    stats_line, CompletionSink, ConnShared, Framing, IoBackend, Listener, Outgoing, Service,
+    SvcStats, COUNTERS,
 };
 use mis2_prim::hash::{hash2, splitmix64};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -186,47 +186,35 @@ impl Default for RouterConfig {
 /// A running router. Call [`RouterHandle::shutdown`] to stop it (tests)
 /// or [`RouterHandle::wait`] to serve forever (the `mis2svc route` bin).
 pub struct RouterHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<std::thread::JoinHandle<()>>,
-    conn_table: Arc<ConnTable>,
-    svc_stats: Arc<SvcStats>,
-    max_inflight: usize,
+    listener: Listener,
 }
 
 impl RouterHandle {
     /// The address the router actually bound (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// The router's wire counters (downstream window gauges).
     pub fn svc_stats(&self) -> &Arc<SvcStats> {
-        &self.svc_stats
+        &self.listener.cx.stats
     }
 
     /// The downstream window cap after clamping to the shard windows.
     pub fn max_inflight(&self) -> usize {
-        self.max_inflight
+        self.listener.cx.max_inflight
     }
 
     /// Block forever serving.
     pub fn wait(mut self) {
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
+        self.listener.wait();
     }
 
     /// Stop accepting, join the accept thread, and hard-close every live
     /// downstream connection so its handler (and that handler's upstream
     /// connections) wind down.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        self.conn_table.kill_all();
+        self.listener.stop(true);
     }
 }
 
@@ -251,11 +239,7 @@ pub fn route(cfg: RouterConfig) -> io::Result<RouterHandle> {
             "router needs at least one shard",
         ));
     }
-    let mut max_inflight = if cfg.max_inflight == 0 {
-        64
-    } else {
-        cfg.max_inflight
-    };
+    let (max_conns, mut max_inflight) = Listener::limits(cfg.max_conns, cfg.max_inflight);
     for addr in &cfg.shards {
         // The probe connection drops right here; the shard treats the
         // EOF as a clean close.
@@ -263,41 +247,13 @@ pub fn route(cfg: RouterConfig) -> io::Result<RouterHandle> {
             .map_err(|e| io::Error::new(e.kind(), format!("shard {addr}: {e}")))?;
         max_inflight = max_inflight.min(window);
     }
-    let max_conns = if cfg.max_conns == 0 {
-        1024
-    } else {
-        cfg.max_conns
-    };
-    let listener = TcpListener::bind(&cfg.addr)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let svc_stats = Arc::new(SvcStats::default());
-    let conn_table = Arc::new(ConnTable::default());
-    let cx = Arc::new(ConnShared {
-        service: Service::Upstream(Upstream {
-            ring: Ring::new(&cfg.shards),
-            addrs: cfg.shards,
-        }),
-        stats: Arc::clone(&svc_stats),
-        mx: Arc::new(Metrics::disabled(0)),
-        conns: Arc::new(AtomicUsize::new(0)),
-        max_inflight,
-        backend: ROUTER_DRIVER,
+    let service = Service::Upstream(Upstream {
+        ring: Ring::new(&cfg.shards),
+        addrs: cfg.shards,
     });
-    let accept = spawn_accept(
-        listener,
-        cx,
-        Arc::clone(&stop),
-        Arc::clone(&conn_table),
-        max_conns,
-    )?;
+    let cx = ConnShared::new(service, Metrics::disabled(0), max_inflight, ROUTER_DRIVER);
     Ok(RouterHandle {
-        addr,
-        stop,
-        accept: Some(accept),
-        conn_table,
-        svc_stats,
-        max_inflight,
+        listener: Listener::bind(&cfg.addr, max_conns, cx)?,
     })
 }
 
@@ -594,7 +550,8 @@ fn try_revive(shard: &Arc<UpShard>, sink: &Arc<dyn CompletionSink>) {
 /// have produced under the same framing.
 fn reply(framing: Framing, status: u8, payload: &[u8]) -> Outgoing {
     Outgoing {
-        payload: framing.wrap(ops::Response::from_wire(status, payload)),
+        framing,
+        resp: ops::Response::from_wire(status, payload),
         span: None,
     }
 }
@@ -700,6 +657,7 @@ fn upstream_reader(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
     fn ids(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("127.0.0.1:90{i:02}")).collect()

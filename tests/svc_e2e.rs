@@ -142,7 +142,7 @@ fn stats_reports_cache_and_scheduler_counters() {
         stats.contains("graphs=1 artifacts=1 hits=1 misses=1"),
         "{stats}"
     );
-    assert!(stats.contains("jobs=2"), "{stats}");
+    assert!(stats.contains("jobs=1"), "{stats}");
     assert!(
         stats.contains("mem_budget=0") && stats.contains("evictions=0"),
         "unbounded server must report no budget and no evictions: {stats}"

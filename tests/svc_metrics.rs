@@ -134,7 +134,7 @@ fn stage_invariants_hold_on_a_live_server() {
     // Cache hits never touch the scheduler: the stage histograms are
     // the *scheduled* requests' decomposition, so every stage counts
     // exactly the 3 computed requests — inline answers record their
-    // latency total only. The v3 cache probe is part of `parse`; no
+    // latency total only. The cache probe is part of `parse`; no
     // series of its own survives.
     for stage in metrics::STAGES {
         assert_eq!(stage_count(&exp, stage.label()), 3, "{stage:?}: {exp:?}");
@@ -220,6 +220,57 @@ fn stage_invariants_hold_on_a_live_server() {
     assert_eq!(resp_hits(&after), want, "{after:?}");
     assert_eq!(stage_totals(&after), stage_totals(&exp), "{after:?}");
     handle.shutdown();
+}
+
+#[test]
+fn interned_answers_are_resp_hits_on_v1_and_v3_alike() {
+    // The same repeats on one v1 and one v3 connection: every answer from
+    // interned bytes is an inline `resp_hit` on either framing, and only
+    // the two first computes ever reach the scheduler.
+    let lines = [
+        "MIS2 ecology2",
+        "COARSEN ecology2 2",
+        "MIS2 ecology2",
+        "COARSEN ecology2 2",
+    ];
+    for backend in [IoBackend::Epoll, IoBackend::Threads] {
+        let handle = mis2::svc::serve(ServerConfig {
+            threads: 2,
+            scale: Scale::Tiny,
+            io_backend: backend,
+            ..Default::default()
+        })
+        .unwrap();
+        let mut v1 = Client::connect(handle.addr()).unwrap();
+        for line in lines {
+            let r = v1.request(line).unwrap();
+            assert!(r.starts_with("OK "), "{r}");
+        }
+        v1.quit().unwrap();
+        let mut v3 = V3Client::connect(handle.addr(), 4).unwrap();
+        for r in v3.request_many(&lines).unwrap() {
+            assert!(r.starts_with("OK "), "{r}");
+        }
+        v3.quit().unwrap();
+        // v1: four requests and QUIT; v3: the hello, four requests, QUIT.
+        let exp = scrape(handle.addr(), 11);
+        let resp_hits: u64 = metrics::OPS
+            .iter()
+            .map(|op| latency_count(&exp, op.label(), "resp_hit"))
+            .sum();
+        assert_eq!(
+            Some(resp_hits),
+            exp.value("mis2_resp_hits_total"),
+            "{backend}: {exp:?}"
+        );
+        let jobs = exp.value("mis2_jobs_total");
+        assert_eq!(jobs, Some(2), "{backend}: {exp:?}");
+        for stage in metrics::STAGES {
+            let count = stage_count(&exp, stage.label());
+            assert_eq!(Some(count), jobs, "{backend} {stage:?}: {exp:?}");
+        }
+        handle.shutdown();
+    }
 }
 
 #[test]
