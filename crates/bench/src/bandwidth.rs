@@ -8,6 +8,7 @@
 //! measured rather than datasheet numbers.
 
 use mis2_prim::par;
+use std::time::Instant;
 
 /// Measured triad bandwidth.
 #[derive(Debug, Clone, Copy)]
@@ -28,11 +29,11 @@ pub fn measure_triad(threads: usize, elements: usize, repeats: usize) -> Bandwid
         let mut a = vec![0.0f64; elements];
         // Warmup.
         par::for_each_mut_indexed(&mut a, |i, a| *a = b[i] + 3.0 * c[i]);
-        let t = mis2_prim::timer::Timer::start();
+        let t = Instant::now();
         for _ in 0..repeats {
             par::for_each_mut_indexed(&mut a, |i, a| *a = b[i] + 3.0 * c[i]);
         }
-        let secs = t.elapsed_s();
+        let secs = t.elapsed().as_secs_f64();
         std::hint::black_box(&a);
         // Triad moves 3 arrays (2 reads + 1 write) per pass.
         let bytes = 3.0 * elements as f64 * 8.0 * repeats as f64;

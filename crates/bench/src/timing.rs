@@ -1,21 +1,46 @@
-//! Timing utilities for the harness: repeated-trial measurement and a
-//! preconditioner wrapper that accumulates apply time (for the Table VI
-//! "Apply" columns).
+//! Timing utilities for the harness: repeated-trial measurement, the
+//! geometric mean the paper aggregates speedups with (Figure 2, Figures
+//! 4–5), and a preconditioner wrapper that accumulates apply time (for the
+//! Table VI "Apply" columns).
 
 use mis2_solver::Preconditioner;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
+
+/// Time `f` over `trials` runs (at least one, after one untimed warmup
+/// run); returns per-trial milliseconds.
+fn time_trials<R>(trials: usize, mut f: impl FnMut() -> R) -> Vec<f64> {
+    std::hint::black_box(f());
+    (0..trials.max(1))
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(f());
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect()
+}
 
 /// Median-of-trials milliseconds for `f` (after one warmup run).
-pub fn time_ms<R>(trials: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut samples = mis2_prim::timer::time_trials(1, trials.max(1), &mut f);
+pub fn time_ms<R>(trials: usize, f: impl FnMut() -> R) -> f64 {
+    let mut samples = time_trials(trials, f);
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     samples[samples.len() / 2]
 }
 
 /// Mean-of-trials milliseconds (the paper's Table II averages 100 trials).
-pub fn mean_ms<R>(trials: usize, mut f: impl FnMut() -> R) -> f64 {
-    let samples = mis2_prim::timer::time_trials(1, trials.max(1), &mut f);
-    mis2_prim::timer::SampleStats::from_samples(&samples).mean
+pub fn mean_ms<R>(trials: usize, f: impl FnMut() -> R) -> f64 {
+    let samples = time_trials(trials, f);
+    samples.iter().sum::<f64>() / samples.len() as f64
+}
+
+/// Geometric mean of strictly positive values (the paper's preferred
+/// aggregate for speedups). Returns 0 for empty input.
+pub fn geometric_mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let log_sum: f64 = values.iter().map(|&v| v.max(f64::MIN_POSITIVE).ln()).sum();
+    (log_sum / values.len() as f64).exp()
 }
 
 /// Wraps a preconditioner and accumulates total apply wall time.
@@ -74,6 +99,21 @@ mod tests {
         assert_eq!(tp.applies(), 2);
         assert!(tp.apply_seconds() >= 0.0);
         assert_eq!(z, r);
+    }
+
+    #[test]
+    fn geomean_known() {
+        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
+        assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
+        assert_eq!(geometric_mean(&[]), 0.0);
+    }
+
+    #[test]
+    fn trials_count() {
+        let samples = time_trials(5, || 1 + 1);
+        assert_eq!(samples.len(), 5);
+        assert_eq!(time_trials(0, || 1 + 1).len(), 1);
+        assert!(samples.iter().all(|&ms| ms >= 0.0));
     }
 
     #[test]

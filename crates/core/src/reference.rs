@@ -7,8 +7,8 @@
 //! It exists for two reasons:
 //!
 //! 1. **Oracle** — the engine must stay *bitwise-identical* to this
-//!    implementation for every configuration, pool size and feature
-//!    backend; `tests/engine_equiv.rs` asserts `engine == reference`
+//!    implementation for every configuration and pool size;
+//!    `tests/engine_equiv.rs` asserts `engine == reference`
 //!    across the full ladder/config matrix.
 //! 2. **Baseline** — the repo benchmark's `core.speedup_vs_ref` probe
 //!    reports the engine's end-to-end speedup *vs the seed engine*,

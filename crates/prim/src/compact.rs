@@ -19,12 +19,12 @@
 //! [`par_filter`] and [`par_filter_indices`] count their flags per block
 //! here, and Algorithm 1's engine counts them inside its own fused passes.
 
-use crate::par::{self, SendPtr};
+use crate::par::{self, SEQ_CUTOFF};
+use crate::ptr::SharedMut;
+use std::mem::MaybeUninit;
 
 /// Fixed block size (thread-count independent for determinism).
 const BLOCK: usize = par::DET_BLOCK;
-/// Below this length a sequential filter is faster.
-const SEQ_CUTOFF: usize = 1 << 14;
 
 /// Keep the elements of `input` satisfying `pred`, preserving order.
 /// `pred` runs exactly once per element.
@@ -91,19 +91,19 @@ pub fn pack<T: Send>(
     assert!(counts.iter().zip(blocks).all(|(&c, f)| c <= f.len()));
     let (offsets, total) = crate::scan::exclusive_scan(counts);
     let mut out: Vec<T> = Vec::with_capacity(total);
-    let ptr = SendPtr(out.as_mut_ptr());
+    let w = SharedMut::new(&mut out.spare_capacity_mut()[..total]);
     par::for_chunks(keep, block, |b, flags| {
-        let (mut w, end) = (offsets[b], offsets[b] + counts[b]);
+        let (mut at, end) = (offsets[b], offsets[b] + counts[b]);
         for (i, &k) in flags.iter().enumerate() {
             if k {
-                assert!(w < end, "block {b} holds more flags than its count");
-                // SAFETY: block b alone writes [offsets[b], end), inside
-                // capacity since end <= total.
-                unsafe { ptr.get().add(w).write(item(b * block + i)) };
-                w += 1;
+                assert!(at < end, "block {b} holds more flags than its count");
+                // SAFETY: block b alone writes [offsets[b], end), and
+                // end <= total.
+                unsafe { w.write(at, MaybeUninit::new(item(b * block + i))) };
+                at += 1;
             }
         }
-        assert_eq!(w, end, "block {b} holds fewer flags than its count");
+        assert_eq!(at, end, "block {b} holds fewer flags than its count");
     });
     // SAFETY: the blocks' ranges tile 0..total and each was filled above
     // (a short block panics, and the region re-raises before this line).

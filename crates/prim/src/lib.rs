@@ -2,11 +2,11 @@
 //!
 //! Low-level building blocks shared by every other crate in the workspace:
 //!
-//! * [`par`] — the portable execution layer: parallel for/map/reduce with a
-//!   serial backend and a threaded backend selected by the `parallel` cargo
-//!   feature, bitwise-identical results on both. Every algorithm crate
-//!   expresses its parallelism through this module — the Rust analogue of
-//!   the paper's Kokkos execution-space portability.
+//! * [`par`] — the portable execution layer: parallel for/map/reduce over
+//!   the worker pool, bitwise-identical results at every team size, a team
+//!   of one (the serial path) included. Every algorithm crate expresses its
+//!   parallelism through this module — the Rust analogue of the paper's
+//!   Kokkos execution-space portability.
 //! * [`hash`] — the Marsaglia xorshift family of hash functions used by the
 //!   paper's Algorithm 1 to derive fresh pseudo-random priorities each
 //!   iteration (Section V-A of the paper), plus splitmix64 for seeding.
@@ -24,12 +24,13 @@
 //!   under every graph and matrix producer in the workspace.
 //! * [`reduce`] — deterministic parallel reductions (sums, min/max) whose
 //!   results do not depend on the number of worker threads.
-//! * [`pool`] — the lazily initialized persistent worker pool behind the
-//!   threaded backend (OS threads that spin briefly, then park, between
-//!   regions), plus helpers to run closures with the team capped to a
-//!   fixed size (for the strong-scaling experiments of Figures 4 and 5).
-//! * [`timer`] — wall-clock timing and sample statistics used by the
-//!   benchmark harness.
+//! * [`ptr`] — `SharedMut`, the one raw-pointer wrapper: disjoint writes
+//!   from several threads into one slice.
+//! * [`pool`] — the lazily initialized persistent worker pool behind
+//!   [`par`] (OS threads that spin briefly, then park, between regions),
+//!   plus [`with_pool`], which caps the team at a fixed size: the
+//!   strong-scaling experiments of Figures 4 and 5, and serial execution
+//!   at a cap of one.
 //!
 //! Everything in this crate is deterministic: given the same inputs, the
 //! same outputs are produced regardless of thread count or scheduling.
@@ -43,7 +44,6 @@ pub mod ptr;
 pub mod reduce;
 pub mod rows;
 pub mod scan;
-pub mod timer;
 
 pub use bucket::bucket_by_key;
 pub use compact::{par_filter, par_filter_indices};
@@ -54,4 +54,3 @@ pub use pool::{
 pub use ptr::SharedMut;
 pub use reduce::{det_max, det_min};
 pub use scan::{exclusive_scan, exclusive_scan_in_place};
-pub use timer::{geometric_mean, SampleStats, Timer};

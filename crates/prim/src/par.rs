@@ -2,26 +2,25 @@
 //! data parallelism.
 //!
 //! The paper's central claim is *portability*: one expression of Algorithm 1
-//! running unchanged on serial and parallel substrates (Kokkos backends in
-//! the original; here, cargo features). Every hot loop in the workspace —
-//! the Algorithm 1 phases in `mis2-core`, aggregation in `mis2-coarsen`,
-//! the colorings in `mis2-color`, the multicolor Gauss-Seidel sweeps in
-//! `mis2-solver` — calls through this module instead of a concrete
-//! threading library, so swapping the backend never touches algorithm code.
+//! running unchanged on serial and parallel substrates (Kokkos execution
+//! spaces in the original; here, pool sizes). Every hot loop in the
+//! workspace — the Algorithm 1 phases in `mis2-core`, aggregation in
+//! `mis2-coarsen`, the colorings in `mis2-color`, the multicolor
+//! Gauss-Seidel sweeps in `mis2-solver` — calls through this module instead
+//! of a concrete threading library, so the team size never touches
+//! algorithm code.
 //!
-//! Two backends, selected at compile time by the `parallel` cargo feature:
-//!
-//! * **serial** (`--no-default-features`): every operation is a plain loop.
-//!   No threads are ever created and no synchronization is performed.
-//! * **threads** (default): operations split their index space into blocks
-//!   drained by the **persistent worker pool** in [`crate::pool`] — OS
-//!   threads that spin briefly and then park between regions, each claiming
-//!   whole blocks from an atomic counter. No thread is spawned or torn down
-//!   per region, and a region opened within the spin budget of the last
-//!   one finds its team awake, so the rapid back-to-back tiny regions of
-//!   iterative solvers pay two mutex acquisitions, not a wake-up. The team
-//!   size honors [`crate::pool::with_pool`], which caps how many workers
-//!   *participate* (not how many exist).
+//! Operations split their index space into blocks drained by the
+//! **persistent worker pool** in [`crate::pool`] — OS threads that spin
+//! briefly and then park between regions, each claiming whole blocks from
+//! an atomic counter. No thread is spawned or torn down per region, and a
+//! region opened within the spin budget of the last one finds its team
+//! awake, so the rapid back-to-back tiny regions of iterative solvers pay
+//! two mutex acquisitions, not a wake-up. The team size honors
+//! [`crate::pool::with_pool`], which caps how many workers *participate*
+//! (not how many exist); under `with_pool(1)` every operation is a plain
+//! loop on the caller, with no thread created and no lock taken. That is
+//! the serial execution space.
 //!
 //! ## When a region opens
 //!
@@ -43,24 +42,24 @@
 //!   *blocks*, each block being thousands of elements the caller already
 //!   sized ([`DET_BLOCK`] *elements* for every deterministic reduction).
 //!
-//! Either way a nested call, a team of one and the serial backend run the
-//! same blocks in order on the caller. The three sizes are constants, not
-//! options: `DET_BLOCK` fixes the bits of every `f64` reduction, and the
-//! other two only trade dispatch cost against balance, which no caller in
-//! the workspace needs to retune.
+//! Either way a nested call and a team of one run the same blocks in order
+//! on the caller. The three sizes are constants, not options: `DET_BLOCK`
+//! fixes the bits of every `f64` reduction, and the other two only trade
+//! dispatch cost against balance, which no caller in the workspace needs
+//! to retune.
 //!
 //! ## Determinism contract
 //!
-//! Both backends produce **bitwise-identical results** for every operation
-//! in this module, at every thread count:
+//! Every operation in this module produces **bitwise-identical results** at
+//! every thread count, one included:
 //!
 //! * maps and for-eachs write disjoint slots, so scheduling cannot reorder
 //!   anything observable;
 //! * reductions ([`map_reduce`], [`chunked_reduce`]) decompose the input
 //!   into **fixed-size blocks independent of the thread count**, compute
 //!   per-block partials in index order, and fold the partials sequentially
-//!   in block order — the exact decomposition the serial backend uses, so
-//!   even non-associative `f64` reductions match bit-for-bit;
+//!   in block order — the exact decomposition a team of one uses, so even
+//!   non-associative `f64` reductions match bit-for-bit;
 //! * [`find_map_range`] always returns the *globally first* match.
 //!
 //! Nested parallel regions (a `par` call made from inside a worker) run
@@ -69,13 +68,23 @@
 //! re-raised on the thread that opened it after the remaining blocks have
 //! drained, and the pool's workers survive to serve later regions.
 
+use crate::pool::{current_threads, in_region, run_region_on};
+use crate::ptr::SharedMut;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
 /// Fixed block size, in *elements*, shared by every deterministic
 /// reduction in the workspace (scans, compaction counts, f64 sums). Chosen
 /// once — never per thread count — so partial results are bitwise-stable
-/// across pool sizes and across the serial/threads backends.
+/// across pool sizes.
 pub const DET_BLOCK: usize = 1 << 13;
+
+/// Below this many *elements* a scan, a compaction or an `f64` reduction
+/// (`reduce::det_dot` and its fused forms) runs on the caller as one
+/// sequential pass; from here up it is cut into [`DET_BLOCK`] blocks. The
+/// value fixes the bits of `det_dot` (one sum below it, a sum of block sums
+/// above), so it is a constant shared by the three modules.
+pub(crate) const SEQ_CUTOFF: usize = 1 << 14;
 
 /// Below this many *elements* an element-range operation runs on the
 /// caller: a few thousand cheap elements cost less than a dispatch. It is
@@ -110,59 +119,10 @@ macro_rules! impl_par_index {
 }
 impl_par_index!(u32, u64, usize);
 
-/// Raw-pointer wrapper so disjoint parallel writes into one buffer are
-/// `Send + Sync`. The accessor keeps closures capturing the wrapper, not
-/// the raw pointer field.
-pub(crate) struct SendPtr<T>(pub(crate) *mut T);
-// SAFETY: the wrapper only carries the pointer across threads; every
-// dereference is an `unsafe` block at the use site that argues its slot
-// has one writer. `T: Send` because other threads write `T` values.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    #[inline]
-    pub(crate) fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Backends. `run_blocks(nblocks, body)` executes `body(b)` for every
-// `b in 0..nblocks`, each exactly once; that is the entire backend surface.
-// ---------------------------------------------------------------------------
-
-#[cfg(feature = "parallel")]
-mod backend {
-    pub(super) fn is_nested() -> bool {
-        crate::pool::in_region()
-    }
-
-    pub(super) fn run_blocks(nblocks: usize, body: &(dyn Fn(usize) + Sync)) {
-        // run_region_on handles the whole fallback ladder (empty region,
-        // team of one, nested call -> serial loop) so there is exactly one
-        // entry point into the pool's sub-team dispatch.
-        crate::pool::run_region_on(crate::pool::current_threads(), nblocks, body);
-    }
-}
-
-#[cfg(not(feature = "parallel"))]
-mod backend {
-    pub(super) fn is_nested() -> bool {
-        false
-    }
-
-    pub(super) fn run_blocks(nblocks: usize, body: &(dyn Fn(usize) + Sync)) {
-        for b in 0..nblocks {
-            body(b);
-        }
-    }
-}
-
 /// Adaptive block size for order-insensitive operations: enough blocks to
 /// load-balance across the pool, but never tiny.
 fn adaptive_block(n: usize) -> usize {
-    let threads = crate::pool::current_threads().max(1);
+    let threads = current_threads().max(1);
     n.div_ceil(threads * 4).max(MIN_GRAIN)
 }
 
@@ -170,7 +130,7 @@ fn adaptive_block(n: usize) -> usize {
 fn run_ranges(n: usize, block: usize, body: impl Fn(usize, usize, usize) + Sync) {
     let block = block.max(1);
     let nblocks = n.div_ceil(block);
-    backend::run_blocks(nblocks, &|b| {
+    run_region_on(current_threads(), nblocks, &|b| {
         let lo = b * block;
         let hi = (lo + block).min(n);
         body(b, lo, hi);
@@ -195,7 +155,7 @@ fn run_ranges(n: usize, block: usize, body: impl Fn(usize, usize, usize) + Sync)
 pub fn for_range<I: ParIndex>(range: Range<I>, f: impl Fn(I) + Sync) {
     let start = range.start.to_usize();
     let n = range.end.to_usize().saturating_sub(start);
-    if n < PAR_CUTOFF || backend::is_nested() {
+    if n < PAR_CUTOFF || in_region() {
         for i in 0..n {
             f(I::from_usize(start + i));
         }
@@ -213,38 +173,9 @@ pub fn for_each<T: Sync>(items: &[T], f: impl Fn(&T) + Sync) {
     for_range(0..items.len(), |i| f(&items[i]));
 }
 
-/// Parallel for over a slice of *expensive* items: parallelizes whenever
-/// more than `grain` items exist, with `grain` items per block.
-///
-/// [`for_each`] assumes items are cheap and serializes below a few
-/// thousand elements; use this when each element is itself a unit of work
-/// (a cluster row-range in the multicolor Gauss-Seidel sweeps, a matrix
-/// row block), passing the number of items worth one task: enough that a
-/// block is microseconds of work, since every block is one claim on the
-/// region's shared counter.
-pub fn for_each_grain<T: Sync>(items: &[T], grain: usize, f: impl Fn(&T) + Sync) {
-    let n = items.len();
-    if n <= grain.max(1) || backend::is_nested() {
-        for x in items {
-            f(x);
-        }
-        return;
-    }
-    run_ranges(n, grain, |_, lo, hi| {
-        for x in &items[lo..hi] {
-            f(x);
-        }
-    });
-}
-
 /// Parallel for over a slice with the element index.
 pub fn for_each_indexed<T: Sync>(items: &[T], f: impl Fn(usize, &T) + Sync) {
     for_range(0..items.len(), |i| f(i, &items[i]));
-}
-
-/// Parallel for over a mutable slice (each element visited exactly once).
-pub fn for_each_mut<T: Send>(items: &mut [T], f: impl Fn(&mut T) + Sync) {
-    for_each_mut_indexed(items, |_, x| f(x));
 }
 
 /// Parallel for over a mutable slice with the element index.
@@ -276,7 +207,7 @@ pub fn for_each_mut_indexed<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) 
 /// ```
 pub fn for_each_slice_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut [T]) + Sync) {
     let n = items.len();
-    if n < PAR_CUTOFF || backend::is_nested() {
+    if n < PAR_CUTOFF || in_region() {
         f(0, items);
         return;
     }
@@ -298,16 +229,16 @@ pub fn for_each_slice_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut [T]) 
 pub fn map_range<I: ParIndex, U: Send>(range: Range<I>, f: impl Fn(I) -> U + Sync) -> Vec<U> {
     let start = range.start.to_usize();
     let n = range.end.to_usize().saturating_sub(start);
-    if n < PAR_CUTOFF || backend::is_nested() {
+    if n < PAR_CUTOFF || in_region() {
         return (0..n).map(|i| f(I::from_usize(start + i))).collect();
     }
     let mut out: Vec<U> = Vec::with_capacity(n);
-    let ptr = SendPtr(out.as_mut_ptr());
+    let w = SharedMut::new(&mut out.spare_capacity_mut()[..n]);
     run_ranges(n, adaptive_block(n), |_, lo, hi| {
         for i in lo..hi {
-            // SAFETY: disjoint indices within capacity; every slot in 0..n
-            // is written exactly once before set_len.
-            unsafe { ptr.get().add(i).write(f(I::from_usize(start + i))) };
+            // SAFETY: the ranges are disjoint; every slot in 0..n is
+            // written exactly once before set_len.
+            unsafe { w.write(i, MaybeUninit::new(f(I::from_usize(start + i)))) };
         }
     });
     // SAFETY: all n slots initialized above.
@@ -334,12 +265,11 @@ pub fn for_chunks<T: Sync>(items: &[T], chunk: usize, f: impl Fn(usize, &[T]) + 
 /// Parallel for over fixed-size mutable chunks of a slice.
 pub fn for_chunks_mut<T: Send>(items: &mut [T], chunk: usize, f: impl Fn(usize, &mut [T]) + Sync) {
     let n = items.len();
-    let ptr = SendPtr(items.as_mut_ptr());
+    let w = SharedMut::new(items);
     run_ranges(n, chunk, |b, lo, hi| {
         // SAFETY: chunks [lo, hi) partition the slice; each is handed to
         // exactly one worker.
-        let slice = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(lo), hi - lo) };
-        f(b, slice);
+        f(b, unsafe { w.slice_mut(lo, hi) });
     });
 }
 
@@ -356,11 +286,11 @@ pub fn for_chunks_mut<T: Send>(items: &mut [T], chunk: usize, f: impl Fn(usize, 
 /// count — it would keep 16 M elements on one thread.
 pub fn map_blocks<U: Send>(nblocks: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
     let mut out: Vec<U> = Vec::with_capacity(nblocks);
-    let ptr = SendPtr(out.as_mut_ptr());
-    backend::run_blocks(nblocks, &|b| {
-        // SAFETY: the backend runs every `b in 0..nblocks` exactly once,
-        // so each slot within capacity is written once before set_len.
-        unsafe { ptr.get().add(b).write(f(b)) };
+    let w = SharedMut::new(&mut out.spare_capacity_mut()[..nblocks]);
+    run_region_on(current_threads(), nblocks, &|b| {
+        // SAFETY: the region runs every `b in 0..nblocks` exactly once, so
+        // each slot is written once before set_len.
+        unsafe { w.write(b, MaybeUninit::new(f(b))) };
     });
     // SAFETY: all nblocks slots initialized above.
     unsafe { out.set_len(nblocks) };
@@ -368,7 +298,7 @@ pub fn map_blocks<U: Send>(nblocks: usize, f: impl Fn(usize) -> U + Sync) -> Vec
 }
 
 /// Parallel map over fixed-size chunks: `out[b] = f(chunk_b)`. With a fixed
-/// `chunk` the output is identical for every thread count and backend.
+/// `chunk` the output is identical for every thread count.
 pub fn map_chunks<T: Sync, U: Send>(
     items: &[T],
     chunk: usize,
@@ -390,7 +320,7 @@ pub fn map_chunks<T: Sync, U: Send>(
 /// Deterministic parallel reduction: per-chunk partials (each computed
 /// serially in index order) folded sequentially in chunk order. Because the
 /// decomposition is a fixed `chunk` size, the result is bitwise-identical
-/// for any thread count and backend — even for non-associative `f64` ops.
+/// for any thread count — even for non-associative `f64` ops.
 pub fn chunked_reduce<T: Sync, U: Send>(
     items: &[T],
     chunk: usize,
@@ -405,7 +335,7 @@ pub fn chunked_reduce<T: Sync, U: Send>(
     }
     // One block, a nested context, or a single worker: still fold in the
     // same per-chunk structure so results match the parallel path exactly.
-    if n <= chunk || backend::is_nested() || crate::pool::current_threads() <= 1 {
+    if n <= chunk || in_region() || current_threads() <= 1 {
         return items
             .chunks(chunk)
             .fold(identity, |acc, c| combine(acc, map_chunk(c)));
@@ -433,7 +363,7 @@ pub fn map_reduce<T: Sync, U: Send + Sync + Clone>(
 
 /// Deterministic map + reduce over an index range: fixed [`DET_BLOCK`]
 /// sub-ranges folded serially in index order, partials folded in block
-/// order — bitwise-identical for any thread count and backend.
+/// order — bitwise-identical for any thread count.
 pub fn map_reduce_range<I: ParIndex, U: Send + Sync + Clone>(
     range: Range<I>,
     map: impl Fn(I) -> U + Sync,
@@ -453,7 +383,7 @@ pub fn map_reduce_range<I: ParIndex, U: Send + Sync + Clone>(
             .map(|i| map(I::from_usize(i)))
             .fold(identity.clone(), &combine)
     };
-    if nblocks == 1 || backend::is_nested() || crate::pool::current_threads() <= 1 {
+    if nblocks == 1 || in_region() || current_threads() <= 1 {
         return (0..nblocks).fold(identity.clone(), |acc, b| combine(acc, block_partial(b)));
     }
     let partials = map_blocks(nblocks, block_partial);
@@ -476,7 +406,7 @@ pub fn count<T: Sync>(items: &[T], pred: impl Fn(&T) -> bool + Sync) -> usize {
 // ---------------------------------------------------------------------------
 
 /// Parallel first-match search: returns `f(i)` for the smallest `i` with
-/// `f(i).is_some()`, or `None`. Deterministic on both backends: the
+/// `f(i).is_some()`, or `None`. Deterministic at every thread count: the
 /// *globally first* match is returned, never an arbitrary one.
 pub fn find_map_range<I: ParIndex, U: Send>(
     range: Range<I>,
@@ -487,7 +417,7 @@ pub fn find_map_range<I: ParIndex, U: Send>(
 
     let start = range.start.to_usize();
     let n = range.end.to_usize().saturating_sub(start);
-    if n < PAR_CUTOFF || backend::is_nested() || crate::pool::current_threads() <= 1 {
+    if n < PAR_CUTOFF || in_region() || current_threads() <= 1 {
         return (0..n).find_map(|i| f(I::from_usize(start + i)));
     }
     let block = adaptive_block(n);
@@ -511,11 +441,6 @@ pub fn find_map_range<I: ParIndex, U: Send>(
         }
     });
     best.into_inner().unwrap().map(|(_, u)| u)
-}
-
-/// Parallel universal quantifier over an index range.
-pub fn all_range<I: ParIndex>(range: Range<I>, pred: impl Fn(I) -> bool + Sync) -> bool {
-    find_map_range(range, |i| (!pred(i)).then_some(())).is_none()
 }
 
 #[cfg(test)]
@@ -653,13 +578,6 @@ mod tests {
         assert_eq!(got, Some(123_456));
         let none = find_map_range(0..n, |_| Option::<usize>::None);
         assert_eq!(none, None);
-    }
-
-    #[test]
-    fn all_range_finds_the_one_counterexample() {
-        let n = 100_000usize;
-        assert!(all_range(0..n, |_| true));
-        assert!(!all_range(0..n, |i| i != 99_999));
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! The persistent worker pool behind the `par` execution layer, plus
-//! thread-count capping for the strong-scaling experiments.
+//! thread-count capping for the strong-scaling experiments and for serial
+//! execution: [`with_pool`]`(1, f)` runs every region of `f` as a plain
+//! loop on the caller, and a process that never opens a wider region never
+//! spawns a worker.
 //!
 //! ## Pool lifecycle
 //!
@@ -44,7 +47,7 @@
 //! regions decompose into the same fixed blocks regardless of the team
 //! size (see [`crate::par`]), and workers claim whole blocks from one
 //! atomic counter. Results are therefore bitwise-identical at every pool
-//! size and on both backends — the property `tests/cross_backend.rs` and
+//! size, pool 1 included — the property `tests/cross_backend.rs` and
 //! `tests/pool_stress.rs` pin down.
 //!
 //! ## Concurrency semantics
@@ -66,6 +69,7 @@
 //!   region. Workers survive panics and return to the idle state.
 
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 thread_local! {
     /// 0 = no override (use all logical CPUs).
@@ -77,56 +81,27 @@ thread_local! {
 /// process with idle threads.
 pub const MAX_TEAM: usize = 256;
 
-/// Number of logical CPUs the parallel backend uses by default.
+/// Number of logical CPUs a region uses when no [`with_pool`] cap is
+/// installed. Read from the OS once per process: std recomputes
+/// `available_parallelism` on every call (a system call or a cgroup file
+/// read), and [`current_threads`] asks on every uncapped region.
 pub fn max_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Team size the next `par` region opened on this thread will request: the
-/// `with_pool` cap if one is installed, else [`max_threads`]. Always 1 on
-/// the serial backend (`parallel` feature disabled).
+/// `with_pool` cap if one is installed, else [`max_threads`].
 pub fn current_threads() -> usize {
-    if cfg!(not(feature = "parallel")) {
-        return 1;
-    }
     let cap = THREAD_CAP.with(|c| c.get());
     if cap == 0 {
         max_threads()
     } else {
         cap.min(MAX_TEAM)
-    }
-}
-
-/// Number of persistent workers the process-wide pool has spawned so far.
-/// Zero until the first parallel region dispatches (lazy init), and always
-/// zero on the serial backend. Grows monotonically, never shrinks.
-pub fn spawned_workers() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        team::spawned_workers()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        0
-    }
-}
-
-/// Number of regions (since process start) that wanted helpers but drained
-/// entirely inline because every pool worker was claimed by other regions
-/// and no new worker could be spawned. With sub-team dispatch this stays at
-/// zero under ordinary concurrent load — it climbs only when the
-/// [`MAX_TEAM`] ceiling (or OS thread exhaustion) forces the old
-/// winner-takes-all fallback. Always zero on the serial backend.
-pub fn contended_regions() -> u64 {
-    #[cfg(feature = "parallel")]
-    {
-        team::contended_regions()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        0
     }
 }
 
@@ -144,23 +119,19 @@ pub fn contended_regions() -> u64 {
 /// `with_pool(threads / K)`-capped jobs run side by side. Call it directly
 /// when you manage individual regions yourself.
 ///
-/// Degrades to a plain serial loop when `team <= 1`, when called from
-/// inside another parallel region (no oversubscription, no deadlock), or
-/// on the serial backend — with bitwise-identical results in every case.
+/// Degrades to a plain loop on the caller when `team <= 1` or when called
+/// from inside another parallel region (no oversubscription, no deadlock),
+/// with bitwise-identical results in every case. That loop is the serial
+/// path: a pool of one spawns no thread and takes no lock.
 pub fn run_region_on(team: usize, nblocks: usize, body: &(dyn Fn(usize) + Sync)) {
     if nblocks == 0 {
         return;
     }
-    #[cfg(feature = "parallel")]
-    {
-        let team = team.clamp(1, MAX_TEAM).min(nblocks);
-        if team >= 2 && !team::in_region() {
-            team::run_region(nblocks, team, body);
-            return;
-        }
+    let team = team.clamp(1, MAX_TEAM).min(nblocks);
+    if team >= 2 && !team::in_region() {
+        team::run_region(nblocks, team, body);
+        return;
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = team;
     for b in 0..nblocks {
         body(b);
     }
@@ -175,8 +146,8 @@ pub fn run_region_on(team: usize, nblocks: usize, body: &(dyn Fn(usize) + Sync))
 /// stay idle for the duration of `f`. All `par` parallelism inside `f`
 /// (including calls in other crates of this workspace) honors the cap,
 /// and — by the determinism contract of [`crate::par`] — produces results
-/// identical to every other pool size. On the serial backend the cap is
-/// irrelevant and `f` simply runs.
+/// identical to every other pool size. `with_pool(1, f)` is the serial
+/// path: every region inside `f` runs as a plain loop on the caller.
 pub fn with_pool<R: Send>(num_threads: usize, f: impl FnOnce() -> R + Send) -> R {
     let prev = THREAD_CAP.with(|c| c.replace(num_threads.clamp(1, MAX_TEAM)));
     struct Restore(usize);
@@ -189,14 +160,12 @@ pub fn with_pool<R: Send>(num_threads: usize, f: impl FnOnce() -> R + Send) -> R
     f()
 }
 
-#[cfg(feature = "parallel")]
 pub(crate) use team::in_region;
+pub use team::{contended_regions, spawned_workers};
 
 /// The persistent team: pool workers that spin briefly, then park, between
 /// regions, and the check-in/check-out handshake a leader staffs a region
-/// through. Compiled only with the `parallel` feature — the serial backend
-/// never creates a thread.
-#[cfg(feature = "parallel")]
+/// through.
 mod team {
     use std::cell::Cell;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -375,11 +344,21 @@ mod team {
         })
     }
 
-    pub(crate) fn spawned_workers() -> usize {
+    /// Number of persistent workers the process-wide pool has spawned so
+    /// far. Zero until the first region with a team of two or more
+    /// dispatches (lazy init), so zero for a process that only ever runs
+    /// under `with_pool(1)`. Grows monotonically, never shrinks.
+    pub fn spawned_workers() -> usize {
         shared().lock().spawned
     }
 
-    pub(crate) fn contended_regions() -> u64 {
+    /// Number of regions (since process start) that wanted helpers but
+    /// drained entirely inline because every pool worker was claimed by
+    /// other regions and no new worker could be spawned. With sub-team
+    /// dispatch this stays at zero under ordinary concurrent load — it
+    /// climbs only when the [`super::MAX_TEAM`] ceiling (or OS thread
+    /// exhaustion) forces the old winner-takes-all fallback.
+    pub fn contended_regions() -> u64 {
         shared().lock().contended
     }
 
@@ -557,7 +536,8 @@ mod team {
 
     /// Execute `body(b)` for every `b in 0..nblocks`, each exactly once,
     /// on a sub-team of at most `team` threads (the caller plus pool
-    /// workers). Called by the `par` backend for every parallel region.
+    /// workers). Reached through [`super::run_region_on`] by every region
+    /// with a team of two or more.
     pub(crate) fn run_region(nblocks: usize, team: usize, body: &(dyn Fn(usize) + Sync)) {
         debug_assert!(team >= 2 && nblocks > 0 && !in_region());
         let job = Job {
@@ -606,38 +586,22 @@ mod tests {
 
     #[test]
     fn pool_size_is_respected() {
-        let n = with_pool(3, current_threads);
-        if cfg!(feature = "parallel") {
-            assert_eq!(n, 3);
-        } else {
-            assert_eq!(n, 1);
-        }
+        assert_eq!(with_pool(3, current_threads), 3);
     }
 
     #[test]
     fn cap_is_restored_after_with_pool() {
         let ambient = current_threads();
         with_pool(2, || {
-            with_pool(5, || {
-                if cfg!(feature = "parallel") {
-                    assert_eq!(current_threads(), 5);
-                }
-            });
-            if cfg!(feature = "parallel") {
-                assert_eq!(current_threads(), 2);
-            }
+            with_pool(5, || assert_eq!(current_threads(), 5));
+            assert_eq!(current_threads(), 2);
         });
         assert_eq!(current_threads(), ambient);
     }
 
     #[test]
     fn oversized_cap_is_clamped() {
-        let n = with_pool(1_000_000, current_threads);
-        if cfg!(feature = "parallel") {
-            assert_eq!(n, MAX_TEAM);
-        } else {
-            assert_eq!(n, 1);
-        }
+        assert_eq!(with_pool(1_000_000, current_threads), MAX_TEAM);
     }
 
     #[test]
@@ -716,11 +680,7 @@ mod tests {
         assert_eq!(got.len(), n);
         let after = spawned_workers();
         assert!(after >= before, "pool must never shrink");
-        if cfg!(feature = "parallel") {
-            assert!(after >= 1, "a region at cap 3 must have spawned a worker");
-        } else {
-            assert_eq!(after, 0, "serial backend must never spawn");
-        }
+        assert!(after >= 1, "a region at cap 3 must have spawned a worker");
         assert!(after < MAX_TEAM);
     }
 }

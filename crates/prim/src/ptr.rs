@@ -18,6 +18,11 @@
 //!
 //! `tests/surface.rs` holds that list as a table, so a new site has to be
 //! added there on purpose.
+//!
+//! Inside this crate it is the one raw-pointer wrapper: `par::map_range`,
+//! `par::map_blocks` and `compact::pack` write their output through it
+//! over `Vec::spare_capacity_mut`, and `par::for_chunks_mut` cuts its
+//! chunks with [`SharedMut::slice_mut`].
 
 use std::marker::PhantomData;
 
@@ -31,6 +36,10 @@ pub struct SharedMut<'a, T> {
     _marker: PhantomData<&'a mut [T]>,
 }
 
+// SAFETY: the view carries only the slice's pointer and length across
+// threads. Every access through it is a method whose `# Safety` contract
+// makes the caller show that a slot has one writer and no reader in the
+// same region. `T: Send` because other threads write and read `T` values.
 unsafe impl<T: Send> Send for SharedMut<'_, T> {}
 unsafe impl<T: Send> Sync for SharedMut<'_, T> {}
 

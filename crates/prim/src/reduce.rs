@@ -19,12 +19,11 @@
 //! returns the bits of `axpy(α, x, y)` followed by `det_dot(y, z)` in one
 //! pass over the data and one region instead of two of each.
 
-use crate::par;
+use crate::par::{self, SEQ_CUTOFF};
 use crate::ptr::SharedMut;
 
 /// Fixed block size (thread-count independent).
 const BLOCK: usize = par::DET_BLOCK;
-const SEQ_CUTOFF: usize = 1 << 14;
 
 /// Sum of `block_sum(lo, hi)` over the blocks the rule in the module doc
 /// cuts `0..n` into, every block visited exactly once.

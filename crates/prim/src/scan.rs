@@ -14,7 +14,7 @@
 //! The block size is **independent of the number of worker threads**, so the
 //! result — and every intermediate value — is identical for any pool size.
 
-use crate::par;
+use crate::par::{self, SEQ_CUTOFF};
 
 /// Element type usable in a scan: a copyable additive monoid.
 pub trait ScanElem: Copy + Send + Sync {
@@ -35,9 +35,6 @@ macro_rules! impl_scan_elem {
 }
 impl_scan_elem!(usize, u32, u64, i64);
 
-/// Below this length the scan runs sequentially; parallel setup would only
-/// add overhead.
-const SEQ_CUTOFF: usize = 1 << 14;
 /// Fixed block size for the parallel scan. Chosen once (not per-pool) so
 /// output is bitwise-stable across thread counts.
 const BLOCK: usize = par::DET_BLOCK;
@@ -53,88 +50,46 @@ const BLOCK: usize = par::DET_BLOCK;
 /// ```
 pub fn exclusive_scan<T: ScanElem>(input: &[T]) -> (Vec<T>, T) {
     let mut out = vec![T::ZERO; input.len()];
-    let total = exclusive_scan_to(input, &mut out);
+    let total = scan_into(Some(input), &mut out);
     (out, total)
-}
-
-/// Exclusive prefix sum of `input` written into `out` (same length);
-/// returns the total sum.
-pub fn exclusive_scan_to<T: ScanElem>(input: &[T], out: &mut [T]) -> T {
-    assert_eq!(input.len(), out.len(), "scan output length mismatch");
-    let n = input.len();
-    if n == 0 {
-        return T::ZERO;
-    }
-    if n < SEQ_CUTOFF {
-        return seq_exclusive(input, out);
-    }
-    // Phase 1: block sums.
-    let nblocks = n.div_ceil(BLOCK);
-    let mut block_sums: Vec<T> =
-        par::map_chunks(input, BLOCK, |c| c.iter().fold(T::ZERO, |a, &b| a.add(b)));
-    // Phase 2: sequential exclusive scan of the block sums.
-    let mut run = T::ZERO;
-    for bs in block_sums.iter_mut().take(nblocks) {
-        let s = *bs;
-        *bs = run;
-        run = run.add(s);
-    }
-    let total = run;
-    // Phase 3: per-block exclusive scans seeded by the block offset.
-    par::for_chunks_mut(out, BLOCK, |b, oc| {
-        let lo = b * BLOCK;
-        let ic = &input[lo..lo + oc.len()];
-        let mut acc = block_sums[b];
-        for (o, &i) in oc.iter_mut().zip(ic) {
-            *o = acc;
-            acc = acc.add(i);
-        }
-    });
-    total
 }
 
 /// Exclusive scan performed in place; returns the total.
 pub fn exclusive_scan_in_place<T: ScanElem>(data: &mut [T]) -> T {
-    let n = data.len();
-    if n == 0 {
-        return T::ZERO;
+    scan_into(None, data)
+}
+
+/// The three phases, writing the exclusive scan of `input` (of `out`'s own
+/// values when `None`) into `out`; returns the total. Below
+/// `SEQ_CUTOFF` the whole slice is one block on the caller.
+fn scan_into<T: ScanElem>(input: Option<&[T]>, out: &mut [T]) -> T {
+    if out.len() < SEQ_CUTOFF {
+        return scan_block(T::ZERO, input, out);
     }
-    if n < SEQ_CUTOFF {
-        let mut run = T::ZERO;
-        for x in data.iter_mut() {
-            let v = *x;
-            *x = run;
-            run = run.add(v);
-        }
-        return run;
-    }
-    let mut block_sums: Vec<T> =
-        par::map_chunks(data, BLOCK, |c| c.iter().fold(T::ZERO, |a, &b| a.add(b)));
-    let mut run = T::ZERO;
-    for bs in block_sums.iter_mut() {
-        let s = *bs;
-        *bs = run;
-        run = run.add(s);
-    }
-    let total = run;
-    par::for_chunks_mut(data, BLOCK, |b, chunk| {
-        let mut acc = block_sums[b];
-        for x in chunk.iter_mut() {
-            let v = *x;
-            *x = acc;
-            acc = acc.add(v);
-        }
+    // Phase 1: block sums.
+    let mut offsets: Vec<T> = par::map_chunks(input.unwrap_or(&*out), BLOCK, |c| {
+        c.iter().fold(T::ZERO, |a, &b| a.add(b))
+    });
+    // Phase 2: sequential exclusive scan of the block sums.
+    let total = scan_block(T::ZERO, None, &mut offsets);
+    // Phase 3: per-block exclusive scans seeded by the block offset.
+    par::for_chunks_mut(out, BLOCK, |b, chunk| {
+        let lo = b * BLOCK;
+        scan_block(offsets[b], input.map(|i| &i[lo..lo + chunk.len()]), chunk);
     });
     total
 }
 
-fn seq_exclusive<T: ScanElem>(input: &[T], out: &mut [T]) -> T {
-    let mut run = T::ZERO;
-    for (o, &i) in out.iter_mut().zip(input) {
-        *o = run;
-        run = run.add(i);
+/// Sequential exclusive scan of one block seeded with `acc`: the values are
+/// `src`'s, or `dst`'s own when `None` (each read before it is
+/// overwritten). Returns the running sum past the block.
+fn scan_block<T: ScanElem>(mut acc: T, src: Option<&[T]>, dst: &mut [T]) -> T {
+    for (k, d) in dst.iter_mut().enumerate() {
+        let v = src.map_or(*d, |s| s[k]);
+        *d = acc;
+        acc = acc.add(v);
     }
-    run
+    acc
 }
 
 #[cfg(test)]
@@ -189,13 +144,14 @@ mod tests {
 
     #[test]
     fn in_place_matches_scan() {
-        let n = (1 << 16) + 7;
-        let input: Vec<usize> = (0..n).map(|i| i % 5).collect();
-        let (want, want_total) = reference(&input);
-        let mut data = input.clone();
-        let total = exclusive_scan_in_place(&mut data);
-        assert_eq!(data, want);
-        assert_eq!(total, want_total);
+        for n in [0, 1000, (1 << 16) + 7] {
+            let input: Vec<usize> = (0..n).map(|i| i % 5).collect();
+            let (want, want_total) = reference(&input);
+            let mut data = input.clone();
+            let total = exclusive_scan_in_place(&mut data);
+            assert_eq!(data, want, "n = {n}");
+            assert_eq!(total, want_total, "n = {n}");
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use mis2_prim::par;
 use mis2_sparse::kernels::axpy;
 use mis2_sparse::{galerkin_product, CsrMatrix, LuFactors};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// AMG configuration. Defaults mirror the paper's Table V experiment.
 #[derive(Debug, Clone, Copy)]
@@ -99,7 +100,7 @@ struct LevelScratch {
 impl AmgHierarchy {
     /// Build the hierarchy for `a`.
     pub fn build(a: &CsrMatrix, cfg: &AmgConfig) -> Self {
-        let t_total = mis2_prim::timer::Timer::start();
+        let t_total = Instant::now();
         let mut agg_seconds = 0.0f64;
         let mut levels: Vec<AmgLevel> = Vec::new();
         let mut level_sizes = vec![a.nrows()];
@@ -109,9 +110,9 @@ impl AmgHierarchy {
 
         while levels.len() + 1 < cfg.max_levels && cur.nrows() > cfg.min_coarse_size {
             let g = cur.to_graph();
-            let t_agg = mis2_prim::timer::Timer::start();
+            let t_agg = Instant::now();
             let agg = cfg.scheme.aggregate(&g, cfg.seed ^ levels.len() as u64);
-            agg_seconds += t_agg.elapsed_s();
+            agg_seconds += t_agg.elapsed().as_secs_f64();
             if agg.num_aggregates >= cur.nrows() {
                 break; // no coarsening progress (degenerate input)
             }
@@ -140,7 +141,7 @@ impl AmgHierarchy {
         let nlev = levels.len() + 1;
         let stats = AmgSetupStats {
             aggregation_seconds: agg_seconds,
-            setup_seconds: t_total.elapsed_s(),
+            setup_seconds: t_total.elapsed().as_secs_f64(),
             level_sizes,
             operator_complexity: nnz_total / fine_nnz.max(1.0),
         };

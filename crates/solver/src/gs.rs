@@ -46,6 +46,7 @@ use mis2_color::{color_d1, Coloring};
 use mis2_graph::VertexId;
 use mis2_prim::{bucket_by_key, par, SharedMut};
 use mis2_sparse::CsrMatrix;
+use std::time::Instant;
 
 /// Clusters one pool block of a cluster sweep holds. A MIS-2 aggregate is
 /// some 7 to 30 rows, a fraction of a microsecond of work, so claiming
@@ -98,14 +99,14 @@ impl ClusterMcSgs {
     /// Coarsen with `scheme` (the paper uses Algorithm 3), color the
     /// quotient graph, and group cluster rows by color.
     pub fn new(a: &CsrMatrix, scheme: AggScheme, seed: u64) -> Self {
-        let t = mis2_prim::timer::Timer::start();
+        let t = Instant::now();
         let g = a.to_graph();
         let agg = scheme.aggregate(&g, seed);
         let coarse = quotient_graph(&g, &agg);
         let coloring = color_d1(&coarse, seed);
         let built = Self::from_parts(a, &agg, &coloring);
         ClusterMcSgs {
-            setup_seconds: t.elapsed_s(),
+            setup_seconds: t.elapsed().as_secs_f64(),
             ..built
         }
     }
@@ -113,7 +114,7 @@ impl ClusterMcSgs {
     /// Point multicolor SGS: every row its own cluster, colored by a
     /// distance-1 coloring of `a`'s graph.
     pub fn point(a: &CsrMatrix, seed: u64) -> Self {
-        let t = mis2_prim::timer::Timer::start();
+        let t = Instant::now();
         let coloring = color_d1(&a.to_graph(), seed);
         let rows: Vec<VertexId> = (0..a.nrows() as VertexId).collect();
         let singletons = Aggregation {
@@ -123,7 +124,7 @@ impl ClusterMcSgs {
         };
         let built = Self::from_parts(a, &singletons, &coloring);
         ClusterMcSgs {
-            setup_seconds: t.elapsed_s(),
+            setup_seconds: t.elapsed().as_secs_f64(),
             ..built
         }
     }
@@ -221,8 +222,10 @@ impl ClusterMcSgs {
         if self.row_ptr[hi] - self.row_ptr[lo] < MIN_REGION_NNZ {
             self.sweep_rows(lo, hi, backward, b, xw);
         } else {
-            par::for_each_grain(clusters, CLUSTERS_PER_BLOCK, |&(lo, hi)| {
-                self.sweep_rows(lo, hi, backward, b, xw);
+            par::for_chunks(clusters, CLUSTERS_PER_BLOCK, |_, block| {
+                for &(lo, hi) in block {
+                    self.sweep_rows(lo, hi, backward, b, xw);
+                }
             });
         }
     }

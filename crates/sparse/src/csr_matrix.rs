@@ -312,16 +312,21 @@ impl CsrMatrix {
         let t = self.transpose();
         if t.row_ptr != self.row_ptr || t.col_idx != self.col_idx {
             // Pattern asymmetry: compare entrywise the slow way.
-            return par::all_range(0..self.nrows, |r| {
+            return par::find_map_range(0..self.nrows, |r| {
                 let (cols, vals) = self.row(r);
-                cols.iter()
+                let close = cols
+                    .iter()
                     .zip(vals)
-                    .all(|(&c, &v)| (self.get(c as usize, r as u32) - v).abs() <= tol)
-            });
+                    .all(|(&c, &v)| (self.get(c as usize, r as u32) - v).abs() <= tol);
+                (!close).then_some(())
+            })
+            .is_none();
         }
-        par::all_range(0..t.values.len(), |i| {
-            (t.values[i] - self.values[i]).abs() <= tol
+        par::find_map_range(0..t.values.len(), |i| {
+            let close = (t.values[i] - self.values[i]).abs() <= tol;
+            (!close).then_some(())
         })
+        .is_none()
     }
 
     /// Frobenius norm.

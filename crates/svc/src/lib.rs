@@ -76,7 +76,7 @@
 //! The determinism contract of the underlying algorithms lifts to the
 //! service: a response's *payload* is **bitwise-identical** to a direct
 //! library call, for every client, concurrency level, arrival order,
-//! sub-team size and backend — `tests/svc_e2e.rs` and `tests/svc_v3.rs`
+//! sub-team size and I/O backend — `tests/svc_e2e.rs` and `tests/svc_v3.rs`
 //! at the workspace root assert exactly that with concurrent blocking
 //! and pipelined clients. [`ops`] is the single
 //! definition of each request's semantics that both paths share.

@@ -9,7 +9,7 @@
 //! bytes a registry charges for `COARSEN 2` / `COARSEN 8`. The literals
 //! were generated on the commit *before* every row producer moved onto the
 //! row-block assembler of `mis2_prim::rows`; that move must keep every bit
-//! and every charged byte. CI runs the file on both feature sets.
+//! and every charged byte.
 //!
 //! Regenerate (only after an intentional change of an algorithm) with
 //! `cargo test -q --test coarsen_golden -- --ignored --nocapture print_goldens`.

@@ -1,12 +1,10 @@
-//! Cross-backend determinism: the serial backend (`--no-default-features`)
-//! and the threaded backend (default, at any pool size) must produce
-//! **bitwise-identical** MIS-2 and aggregation output.
+//! Cross-backend determinism: the serial path and the threaded pool must
+//! produce **bitwise-identical** MIS-2 and aggregation output.
 //!
-//! The two backends cannot coexist in one binary (they are selected by a
-//! compile-time feature), so equality is asserted transitively through
-//! golden fingerprints: each backend must reproduce the exact same
-//! fingerprint for the same input, therefore they match each other. CI
-//! runs this file under both feature sets.
+//! There is one build. The serial path is a pool of one (`with_pool(1)`,
+//! every region a plain loop on the caller, no worker spawned), so equality
+//! is asserted directly, in one process: pool 1 against pools {2, 3, 5, 8},
+//! and every one of them against the same golden literals.
 //!
 //! Besides MIS-2 and aggregation, a solver path (CG preconditioned by one
 //! SA-AMG hierarchy, plus a raw V-cycle application) is pinned the same
@@ -100,8 +98,8 @@ fn graphs() -> Vec<(&'static str, CsrGraph)> {
     ]
 }
 
-/// Golden `(mis2, aggregation)` fingerprints per graph. Identical on the
-/// serial and threaded backends — that identity *is* the portability claim.
+/// Golden `(mis2, aggregation)` fingerprints per graph. Identical at pool 1
+/// and every larger pool — that identity *is* the portability claim.
 /// If an intentional algorithm change shifts these, regenerate via
 /// `cargo test -q --test cross_backend -- --nocapture print_fingerprints`.
 const GOLDEN: [(&str, u64, u64); 3] = [
@@ -110,8 +108,8 @@ const GOLDEN: [(&str, u64, u64); 3] = [
     ("rmat_11", 0x4d1000cf150fb1bb, 0xf2f1e0bc0fb6ea27),
 ];
 
-/// Golden fingerprint for [`solver_fingerprint`]. Identical on both
-/// backends and at every pool size; regenerate alongside [`GOLDEN`].
+/// Golden fingerprint for [`solver_fingerprint`]. Identical at every pool
+/// size; regenerate alongside [`GOLDEN`].
 const GOLDEN_SOLVER: u64 = 0x4efa85069df15636;
 
 /// The colors of `c`, then `num_colors` and `rounds`.
@@ -136,8 +134,8 @@ fn colorings_fingerprint(g: &CsrGraph, seed: u64) -> (u64, u64) {
 /// Seeds the colorings are pinned at.
 const COLOR_SEEDS: [u64; 2] = [0, 3];
 
-/// Golden `(graph, seed, color_d1, color_d2)` fingerprints, identical on
-/// both backends and at every pool size; regenerate alongside [`GOLDEN`].
+/// Golden `(graph, seed, color_d1, color_d2)` fingerprints, identical at
+/// every pool size; regenerate alongside [`GOLDEN`].
 const GOLDEN_COLORINGS: [(&str, u64, u64, u64); 6] = [
     ("laplace3d_12", 0, 0x3783ef7956b15819, 0x7bfe030ecfaedf3a),
     ("laplace3d_12", 3, 0x8e73b7170bd4fe9d, 0xc389c5363a7f974e),
@@ -189,7 +187,7 @@ fn backends_reproduce_golden_fingerprints() {
             mis2_fingerprint(&g),
             want_mis,
             "MIS-2 fingerprint for {name} differs from golden \
-             (backend divergence or intentional algorithm change)"
+             (pool-size divergence or intentional algorithm change)"
         );
         assert_eq!(
             aggregation_fingerprint(&g),
@@ -225,7 +223,7 @@ fn backends_reproduce_golden_solver_fingerprint() {
         solver_fingerprint(),
         GOLDEN_SOLVER,
         "CG + AMG V-cycle numerics differ from golden \
-         (backend divergence or intentional solver change)"
+         (pool-size divergence or intentional solver change)"
     );
 }
 

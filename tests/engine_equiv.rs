@@ -1,14 +1,14 @@
 //! Engine equivalence: the flat-worklist, fused-pass engine must be
 //! **bitwise-identical** to the frozen seed engine
 //! ([`mis2_core::reference`]) — full `Mis2Result` equality, history
-//! included — for every configuration, pool size and feature backend.
+//! included — for every configuration and pool size.
 //!
 //! The config matrix is the full 12-point cube (3 priority schemes × 2
 //! worklist modes × 2 tuple representations), which contains the 4-step
 //! Figure 2 ablation ladder as a subset; pool sizes {1, 2, 3, 5, 8} cover
-//! the serial path, odd non-divisor team sizes and oversubscription. CI
-//! runs this file under both feature sets, so the serial backend is covered
-//! by the same assertions.
+//! the serial path (a pool of one: every region a plain loop on the
+//! caller), odd non-divisor team sizes and oversubscription, all in one
+//! build and one process.
 //!
 //! Graph selection targets the engine's one cutoff, the 4096-entry
 //! dispatch block (a list of one block runs inline, more go to the pool):

@@ -12,10 +12,20 @@
 //! lives as long as its process. So this file is a test binary of its own
 //! (no other suite warms the pool), and `each_op_opens_a_region_at_pool_2`
 //! goes one step further: it runs this binary again once per op, so that
-//! op is the first thing its process asks of the pool. (Of the five ops
-//! only the scan opened a region under the element cutoff, through its
+//! op is the first thing its process asks of the pool. (Of the five block
+//! ops only the scan opened a region under the element cutoff, through its
 //! seeding pass over `for_chunks_mut`; its block-sum pass did not.)
+//!
+//! The same child runs three whole algorithms: Algorithm 1 on a mesh of
+//! several 4096-entry dispatch blocks, Algorithm 3's aggregation, and the
+//! AMG-preconditioned CG solve of `tests/cross_backend.rs`. Serial
+//! execution is `with_pool(1)` in the one build, and this is its promise
+//! as a runtime property: a cold process that runs a whole algorithm at
+//! pool 1 has spawned zero workers, and pool 2 then spawns at least one
+//! and reproduces every bit.
 
+use mis2::coarsen::mis2_aggregation;
+use mis2::solver::{pcg, AmgConfig, AmgHierarchy, SolveOpts};
 use mis2_prim::hash::splitmix64;
 use mis2_prim::par::{self, DET_BLOCK};
 use mis2_prim::pool::{spawned_workers, with_pool};
@@ -23,12 +33,15 @@ use mis2_prim::{reduce, scan};
 use mis2_sparse::{gen, spgemm};
 use std::process::Command;
 
-const OPS: [&str; 5] = [
+const OPS: [&str; 8] = [
     "count",
     "chunked_reduce",
     "det_dot",
     "exclusive_scan",
     "spgemm",
+    "mis2",
+    "mis2_aggregation",
+    "amg_cg",
 ];
 
 /// Names the op a child process of `each_op_opens_a_region_at_pool_2` runs.
@@ -39,7 +52,8 @@ fn fingerprint(data: impl IntoIterator<Item = u64>) -> u64 {
         .fold(0xCBF2_9CE4_8422_2325, |h, x| splitmix64(h ^ x))
 }
 
-/// Run `op` on a four-block input (SpGEMM: four 256-row blocks) at the
+/// Run `op` on a four-block input (SpGEMM: four 256-row blocks; the
+/// algorithms: a 24³ mesh, 13 824 vertices, or Laplace3D(16)) at the
 /// ambient pool size and fingerprint every bit of its result.
 fn run_op(op: &str) -> u64 {
     let n = 4 * DET_BLOCK;
@@ -72,6 +86,44 @@ fn run_op(op: &str) -> u64 {
                 (c.row_ptr().iter().map(|&p| p as u64))
                     .chain(c.col_idx().iter().map(|&j| u64::from(j)))
                     .chain(c.values().iter().map(|v| v.to_bits())),
+            )
+        }
+        "mis2" => {
+            let r = mis2::mis2(&mis2_graph::gen::laplace3d(24, 24, 24));
+            fingerprint(
+                r.in_set
+                    .iter()
+                    .map(|&v| u64::from(v))
+                    .chain([r.iterations as u64]),
+            )
+        }
+        "mis2_aggregation" => {
+            let a = mis2_aggregation(&mis2_graph::gen::laplace3d(24, 24, 24));
+            fingerprint(
+                a.labels
+                    .iter()
+                    .map(|&l| u64::from(l))
+                    .chain([a.num_aggregates as u64]),
+            )
+        }
+        "amg_cg" => {
+            let a = gen::laplace3d_matrix(16, 16, 16);
+            let b: Vec<f64> = (0..a.nrows())
+                .map(|i| 1.0 + (i % 7) as f64 * 0.125)
+                .collect();
+            let cfg = AmgConfig {
+                min_coarse_size: 64,
+                ..Default::default()
+            };
+            let amg = AmgHierarchy::build(&a, &cfg);
+            let opts = SolveOpts {
+                tol: 1e-10,
+                max_iters: 300,
+            };
+            let (x, res) = pcg(&a, &b, &amg, &opts);
+            assert!(res.converged, "AMG-CG must converge on Laplace3D(16)");
+            fingerprint(
+                (x.iter().chain(&res.history).map(|v| v.to_bits())).chain([res.iterations as u64]),
             )
         }
         other => panic!("unknown op {other}"),
@@ -107,18 +159,7 @@ fn child_runs_one_op_on_a_cold_pool() {
     assert_eq!(spawned_workers(), 0, "{op}: a pool of one never dispatches");
     let got = with_pool(2, || run_op(&op));
     assert_eq!(got, want, "{op}: pool 2 differs from pool 1");
-    if cfg!(feature = "parallel") {
-        assert!(
-            spawned_workers() >= 1,
-            "{op}: four blocks at pool 2 must open a region"
-        );
-    } else {
-        assert_eq!(
-            spawned_workers(),
-            0,
-            "{op}: the serial backend never spawns"
-        );
-    }
+    assert!(spawned_workers() >= 1, "{op}: pool 2 must open a region");
 }
 
 #[test]

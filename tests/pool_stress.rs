@@ -8,9 +8,8 @@
 //! longer than the spin budget, nested re-entrancy, interleaved pool-size
 //! changes, panics inside workers, and many OS threads opening regions
 //! concurrently — and assert that every result stays **bitwise-identical
-//! to the serial backend** (the file also runs under
-//! `--no-default-features`, where all of this degenerates to plain loops;
-//! the assertions are the same).
+//! to the serial path**: plain sequential loops, which is also what a pool
+//! of one runs.
 //!
 //! Every test body runs under [`guarded`]: a lost wake-up or a leader
 //! waiting for a check-out that never comes fails the test after
@@ -74,7 +73,7 @@ fn fingerprint(data: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 /// The reference result computed with plain sequential loops — what every
-/// pool size and both backends must reproduce exactly.
+/// pool size must reproduce exactly.
 fn serial_map(n: usize, salt: u64) -> Vec<u64> {
     (0..n).map(|i| splitmix64(i as u64 ^ salt)).collect()
 }
@@ -309,9 +308,7 @@ fn pool_growth_is_bounded_and_monotone() {
         let after = spawned_workers();
         assert!(mid >= before && after >= mid, "pool must never shrink");
         assert!(after < MAX_TEAM, "pool must respect the hard team ceiling");
-        if cfg!(not(feature = "parallel")) {
-            assert_eq!(after, 0, "serial backend must never spawn a thread");
-        }
+        assert!(mid >= 1, "a region at cap 8 must have spawned a worker");
     });
 }
 
@@ -396,7 +393,7 @@ fn panic_in_a_worker_that_joined_from_the_spin() {
                         if !worker_ran.swap(true, Ordering::SeqCst) {
                             panic!("boom in worker block {b}");
                         }
-                    } else if cfg!(feature = "parallel") {
+                    } else {
                         let t = Instant::now();
                         while !worker_ran.load(Ordering::SeqCst)
                             && t.elapsed() < Duration::from_secs(10)
@@ -406,13 +403,9 @@ fn panic_in_a_worker_that_joined_from_the_spin() {
                     }
                 });
             }));
-            if cfg!(feature = "parallel") {
-                let err = result.expect_err("the worker's panic must reach the leader");
-                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-                assert!(msg.contains("boom in worker block"), "payload: {msg}");
-            } else {
-                result.expect("the serial backend has no worker to panic in");
-            }
+            let err = result.expect_err("the worker's panic must reach the leader");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("boom in worker block"), "payload: {msg}");
             // The worker caught the unwind and serves the next region.
             let got = with_pool(2, || {
                 par::map_range(0..n, |i| splitmix64(i as u64 ^ !round))

@@ -10,8 +10,8 @@
 
 use mis2::prelude::*;
 use mis2_bench::experiments::table6_systems;
+use mis2_bench::timing::geometric_mean;
 use mis2_graph::{gen, suite};
-use mis2_prim::timer::geometric_mean;
 
 /// `rounds ≤ ROUNDS_PER_LOG2_SQ · log₂²|V|` for Algorithm 1 over the suite at
 /// [`ROUND_SEEDS`] seeds, the dependence-length bound of random-order greedy

@@ -11,7 +11,7 @@
 //! every bit. The AMG and Gauss-Seidel solves further down were pinned the
 //! same way, on the commit before the vector kernels became slice loops,
 //! Gram-Schmidt one fused pass and the cluster sweep a stream of its own
-//! storage. CI runs the file on both feature sets.
+//! storage.
 //!
 //! Regenerate (only after an intentional change of the numerics) with
 //! `cargo test -q --test solve_golden -- --ignored --nocapture print_goldens`.

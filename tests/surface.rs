@@ -117,7 +117,7 @@ const SHARED_MUT_SITES: [(&str, &str); 7] = [
 
 /// Lines naming `unsafe` under `crates/` and `src/`, as counted by
 /// `grep -rw --include=*.rs unsafe crates src | wc -l`.
-const MAX_UNSAFE_LINES: usize = 60;
+const MAX_UNSAFE_LINES: usize = 57;
 
 /// Every `.rs` file under `dir`, relative to the repository root.
 fn rust_files(dir: &str) -> Vec<PathBuf> {

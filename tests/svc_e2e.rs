@@ -1,8 +1,7 @@
 //! End-to-end test of the `mis2-svc` subsystem: 16 concurrent clients
 //! hammer a loopback server with `MIS2` / `COARSEN` / `SOLVE` requests and
 //! every response must be **bitwise-identical** to a direct library call —
-//! under both backends (CI runs this file with and without the `parallel`
-//! feature) and at pool budgets {1, 2, 8}.
+//! at pool budgets {1, 2, 8}, pool 1 being the serial path.
 //!
 //! The "direct" side computes expected response lines through
 //! `mis2_svc::ops::execute` on a private registry in this process — the

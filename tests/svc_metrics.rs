@@ -4,7 +4,7 @@
 //! stay self-consistent (summed `_count` totals equal to the summed
 //! `mis2_requests_total` — the same counter `STATS requests=` reads).
 //!
-//! Runs under both backends, like every svc e2e test.
+//! The stage invariants are checked on both I/O backends.
 
 use mis2::svc::{
     client::{Client, V3Client},

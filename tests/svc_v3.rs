@@ -2,9 +2,8 @@
 //! keep deep windows of binary frames in flight, the server answers cache
 //! hits inline with interned response bytes and coalesces completions
 //! into vectored writes, and every payload must still be
-//! **bitwise-identical** to a direct library call — under both backends
-//! (CI runs this file with and without the `parallel` feature) and at
-//! pool budgets {1, 8}.
+//! **bitwise-identical** to a direct library call — at pool budgets
+//! {1, 8}, pool 1 being the serial path.
 //!
 //! The "direct" side computes expected payloads through
 //! `mis2::svc::ops::execute` on a private registry in this process — the
