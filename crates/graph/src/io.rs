@@ -184,6 +184,22 @@ pub fn read_graph<R: BufRead>(reader: R) -> Result<CsrGraph, MmError> {
             coo.nrows, coo.ncols
         )));
     }
+    // `from_edges` holds about three arrays of `nrows + 1` offsets at
+    // once (bucket offsets and cursor, then row pointers and block row
+    // ends). A size line may declare rows no entry touches, so `read_coo`'s
+    // entry reserve does not bound them, and a failed `vec!` aborts the
+    // process. Ask the allocator first, fallibly.
+    let rows_fit = coo
+        .nrows
+        .checked_add(1)
+        .and_then(|n| n.checked_mul(3))
+        .is_some_and(|n| Vec::<usize>::new().try_reserve_exact(n).is_ok());
+    if !rows_fit {
+        return Err(MmError::Format(format!(
+            "size line declares {} rows, more than can be allocated",
+            coo.nrows
+        )));
+    }
     let edges: Vec<(VertexId, VertexId)> = coo
         .entries
         .iter()
@@ -320,6 +336,21 @@ mod tests {
                 other => panic!("expected a format error, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_lying_row_count_is_a_format_error_not_an_allocation() {
+        // Ids in range, no entries: the entry reserve is empty, and only
+        // the rows-sized arrays of the CSR build could abort.
+        let mtx = "%%MatrixMarket matrix coordinate pattern general\n4294967294 4294967294 0\n";
+        match read_graph(Cursor::new(mtx)) {
+            Err(MmError::Format(m)) => assert!(m.contains("can be allocated"), "{m}"),
+            other => panic!("expected a format error, got {other:?}"),
+        }
+        // Isolated vertices stay legal.
+        let mtx = "%%MatrixMarket matrix coordinate pattern general\n5 5 1\n2 1\n";
+        let g = read_graph(Cursor::new(mtx)).unwrap();
+        assert_eq!((g.num_vertices(), g.num_edges()), (5, 1));
     }
 
     #[test]

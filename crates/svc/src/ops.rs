@@ -53,7 +53,7 @@ use std::sync::Arc;
 /// Cache key for a derived artifact: the operation plus every parameter
 /// that influences the result. Paired with a graph reference by the
 /// registry.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKey {
     Mis2,
     Coarsen { levels: usize },

@@ -30,6 +30,7 @@
 //! [`crate::ops`]), which is how the end-to-end tests assert that a served
 //! answer is bitwise-identical to a direct library call.
 
+use crate::ops::OpKey;
 use std::fmt;
 
 /// Maximum request line length in bytes (excluding the newline). Longer
@@ -54,10 +55,15 @@ impl GraphRef {
         if tok.is_empty() {
             return Err("empty graph name".into());
         }
-        if tok.ends_with(".mtx") {
-            Ok(GraphRef::Mtx(tok.to_string()))
+        Ok(GraphRef::from_token(tok))
+    }
+
+    /// [`GraphRef::parse`] on a token known to be non-empty.
+    fn from_token(tok: &str) -> GraphRef {
+        if names_file(tok) {
+            GraphRef::Mtx(tok.to_string())
         } else {
-            Ok(GraphRef::Suite(tok.to_string()))
+            GraphRef::Suite(tok.to_string())
         }
     }
 
@@ -85,6 +91,13 @@ impl GraphRef {
                 .map(|real| GraphRef::Mtx(real.to_string_lossy().into_owned())),
         }
     }
+}
+
+/// Whether a graph token names a Matrix Market file (it ends in `.mtx`)
+/// rather than a suite workload: the one rule [`GraphRef::parse`] and the
+/// registry's borrowed probe both classify by.
+pub(crate) fn names_file(tok: &str) -> bool {
+    tok.ends_with(".mtx")
 }
 
 impl fmt::Display for GraphRef {
@@ -132,36 +145,63 @@ pub enum Request {
     Quit,
 }
 
-impl Request {
-    /// Parse one request line (without the trailing newline).
-    pub fn parse(line: &str) -> Result<Request, String> {
-        let mut it = line.split_whitespace();
-        let cmd = it.next().ok_or_else(|| "empty request".to_string())?;
-        let req = match cmd {
-            "MIS2" => Request::Mis2 {
-                graph: GraphRef::parse(it.next().ok_or("MIS2 needs a graph")?)?,
+/// One request line parsed without allocating: the command and, for a
+/// compute request, the graph token as the line spells it and the
+/// [`OpKey`] it names. This is the request grammar; [`Request::parse`] is
+/// this view made owned. A server probes its cache straight from the view
+/// ([`crate::Registry::probe`]) and builds the owned request only on a
+/// miss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestView<'a> {
+    /// `MIS2`, `COARSEN` or `SOLVE`.
+    Compute {
+        graph: &'a str,
+        op: OpKey,
+    },
+    Stats,
+    Metrics,
+    Ping,
+    Quit,
+}
+
+impl<'a> RequestView<'a> {
+    /// Parse one request line (without the trailing newline). Only an
+    /// error allocates (its message).
+    pub fn parse(line: &'a str) -> Result<RequestView<'a>, String> {
+        let mut it = Tokens::new(line);
+        let cmd = it.next().ok_or("empty request")?;
+        let view = match cmd {
+            "MIS2" => RequestView::Compute {
+                graph: it.next().ok_or("MIS2 needs a graph")?,
+                op: OpKey::Mis2,
             },
             "COARSEN" => {
-                let graph = GraphRef::parse(it.next().ok_or("COARSEN needs a graph")?)?;
+                let graph = it.next().ok_or("COARSEN needs a graph")?;
                 let levels: usize = it
                     .next()
                     .ok_or("COARSEN needs a level count")?
                     .parse()
-                    .map_err(|_| "COARSEN levels must be an integer".to_string())?;
+                    .map_err(|_| "COARSEN levels must be an integer")?;
                 if levels == 0 || levels > MAX_LEVELS {
                     return Err(format!("COARSEN levels must be in 1..={MAX_LEVELS}"));
                 }
-                Request::Coarsen { graph, levels }
+                RequestView::Compute {
+                    graph,
+                    op: OpKey::Coarsen { levels },
+                }
             }
             "SOLVE" => {
-                let graph = GraphRef::parse(it.next().ok_or("SOLVE needs a graph")?)?;
+                let graph = it.next().ok_or("SOLVE needs a graph")?;
                 let method = Method::parse(it.next().ok_or("SOLVE needs cg|gmres")?)?;
-                Request::Solve { graph, method }
+                RequestView::Compute {
+                    graph,
+                    op: OpKey::Solve { method },
+                }
             }
-            "STATS" => Request::Stats,
-            "METRICS" => Request::Metrics,
-            "PING" => Request::Ping,
-            "QUIT" => Request::Quit,
+            "STATS" => RequestView::Stats,
+            "METRICS" => RequestView::Metrics,
+            "PING" => RequestView::Ping,
+            "QUIT" => RequestView::Quit,
             other => {
                 return Err(format!(
                     "unknown command: {other} (want MIS2|COARSEN|SOLVE|STATS|METRICS|PING|QUIT)"
@@ -171,7 +211,71 @@ impl Request {
         if let Some(extra) = it.next() {
             return Err(format!("trailing token: {extra}"));
         }
-        Ok(req)
+        Ok(view)
+    }
+
+    /// The owned request this view stands for.
+    pub fn to_request(self) -> Request {
+        match self {
+            RequestView::Compute { graph, op } => {
+                let graph = GraphRef::from_token(graph);
+                match op {
+                    OpKey::Mis2 => Request::Mis2 { graph },
+                    OpKey::Coarsen { levels } => Request::Coarsen { graph, levels },
+                    OpKey::Solve { method } => Request::Solve { graph, method },
+                }
+            }
+            RequestView::Stats => Request::Stats,
+            RequestView::Metrics => Request::Metrics,
+            RequestView::Ping => Request::Ping,
+            RequestView::Quit => Request::Quit,
+        }
+    }
+}
+
+/// The whitespace-separated tokens of a line: exactly those of
+/// [`str::split_whitespace`]. An ASCII line is split by bytes, on the six
+/// ASCII characters `char::is_whitespace` accepts (`\x0B` among them,
+/// which `u8::is_ascii_whitespace` leaves out); any other line goes
+/// through `split_whitespace` itself.
+enum Tokens<'a> {
+    Ascii(&'a str),
+    Unicode(std::str::SplitWhitespace<'a>),
+}
+
+impl<'a> Tokens<'a> {
+    fn new(line: &'a str) -> Tokens<'a> {
+        if line.is_ascii() {
+            Tokens::Ascii(line)
+        } else {
+            Tokens::Unicode(line.split_whitespace())
+        }
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = match self {
+            Tokens::Ascii(rest) => rest,
+            Tokens::Unicode(it) => return it.next(),
+        };
+        let sep = |b: &u8| matches!(b, b' ' | b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r');
+        let start = rest.as_bytes().iter().position(|b| !sep(b))?;
+        let tail = &rest[start..];
+        let len = tail.as_bytes().iter().position(sep).unwrap_or(tail.len());
+        let (tok, after) = tail.split_at(len);
+        *rest = after;
+        Some(tok)
+    }
+}
+
+impl Request {
+    /// Parse one request line (without the trailing newline): the
+    /// [`RequestView`] of the line, made owned.
+    pub fn parse(line: &str) -> Result<Request, String> {
+        RequestView::parse(line).map(RequestView::to_request)
     }
 
     /// Render back to the wire form (inverse of [`Request::parse`]).
@@ -252,5 +356,87 @@ mod tests {
             let e = Request::parse(line).unwrap_err();
             assert!(e.starts_with("unknown command: "), "{line:?} -> {e}");
         }
+    }
+
+    /// Seeded mutations of request lines (splitmix64, as in the root
+    /// `tests/proptests.rs`): every whitespace `split_whitespace` knows,
+    /// ASCII or not, between, before and after the tokens; empty tokens;
+    /// level spellings at and past the bounds; unknown methods and
+    /// commands; trailing tokens. On every line the byte tokenizer yields
+    /// `split_whitespace`'s tokens, and the view accepts exactly the lines
+    /// `Request::parse` turns into a compute request, with the same graph
+    /// and op, which are the line's own tokens.
+    #[test]
+    fn the_view_and_the_parser_agree_on_mutated_lines() {
+        use mis2_prim::hash::splitmix64;
+        const WS: [&str; 8] = [" ", "\t", "\x0B", "\x0C", "\r", "\n", "\u{A0}", "\u{3000}"];
+        const CMDS: [&str; 10] = [
+            "MIS2", "COARSEN", "SOLVE", "STATS", "METRICS", "PING", "QUIT", "FROB", "mis2", "V2",
+        ];
+        const GRAPHS: [&str; 6] = ["ecology2", "g.mtx", "./g.mtx", "é.mtx", "a\u{A0}b", "x"];
+        const ARGS: [&str; 10] = [
+            "0", "32", "33", "+3", "03", "-1", "2", "cg", "gmres", "jacobi",
+        ];
+        let mut state = 0x5EED_u64;
+        let mut next = |n: usize| {
+            state = splitmix64(state);
+            (state % n as u64) as usize
+        };
+        let mut accepted = 0;
+        for _ in 0..20_000 {
+            let mut line = String::new();
+            for t in 0..1 + next(4) {
+                if t > 0 || next(4) == 0 {
+                    for _ in 0..=next(2) {
+                        line += WS[next(WS.len())];
+                    }
+                }
+                let pool: &[&str] = match t {
+                    // Half the lines name a compute command.
+                    0 if next(2) == 0 => &CMDS[..3],
+                    0 => &CMDS,
+                    1 => &GRAPHS,
+                    2 => &ARGS,
+                    _ => [&CMDS[..], &GRAPHS, &ARGS][next(3)],
+                };
+                if next(8) > 0 {
+                    line += pool[next(pool.len())];
+                }
+            }
+            if next(4) == 0 {
+                line += WS[next(WS.len())];
+            }
+
+            let toks: Vec<&str> = line.split_whitespace().collect();
+            assert!(Tokens::new(&line).eq(toks.iter().copied()), "{line:?}");
+            let view = RequestView::parse(&line);
+            let owned = Request::parse(&line);
+            match (&view, &owned) {
+                (Ok(RequestView::Compute { graph, op }), Ok(req)) => {
+                    accepted += 1;
+                    let want = GraphRef::parse(graph).unwrap();
+                    assert_eq!(crate::ops::request_op(req), Some((&want, *op)), "{line:?}");
+                    assert_eq!(*graph, toks[1], "{line:?}");
+                    let from_toks = match (toks[0], toks.len()) {
+                        ("MIS2", 2) => OpKey::Mis2,
+                        ("COARSEN", 3) => OpKey::Coarsen {
+                            levels: toks[2].parse().unwrap(),
+                        },
+                        ("SOLVE", 3) => OpKey::Solve {
+                            method: Method::parse(toks[2]).unwrap(),
+                        },
+                        _ => panic!("accepted {line:?}"),
+                    };
+                    assert_eq!(*op, from_toks, "{line:?}");
+                }
+                (Ok(v), Ok(req)) => {
+                    assert_eq!(crate::ops::request_op(req), None, "{line:?}");
+                    assert_eq!(v.to_request(), *req, "{line:?}");
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b, "{line:?}"),
+                _ => panic!("{line:?}: view {view:?}, parse {owned:?}"),
+            }
+        }
+        assert!(accepted > 1_000, "only {accepted} compute lines drawn");
     }
 }

@@ -11,6 +11,15 @@
 //! re-serializing the artifact — the writer copies the shared `Arc`'d
 //! bytes into its batch buffer.
 //!
+//! Everything resident for one graph lives in one **slot**, found by one
+//! hash of the graph key: the graph while it is interned, and its
+//! artifacts (a handful per graph, scanned). That is what makes a repeat
+//! cheap: [`Registry::probe`] takes the graph token and [`OpKey`] borrowed
+//! from the request line, takes one lock, resolves a `.mtx` spelling
+//! through the alias memo under it, finds the slot, stamps the artifact
+//! and the graph, bumps `hits` / `resp_hits` under the same lock, and
+//! returns the shared bytes — no allocation and no clone of the key.
+//!
 //! ## Cache semantics
 //!
 //! * **Single-flight everywhere.** Both graph interning and artifact
@@ -75,10 +84,9 @@
 //!   `graph_builds` / `misses` counters, never a response byte.
 
 use crate::ops::{self, Artifact, OpKey};
-use crate::proto::GraphRef;
+use crate::proto::{self, GraphRef};
 use mis2_graph::{io, suite, CsrGraph, Scale};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Snapshot of the registry's counters for `STATS`.
@@ -171,34 +179,158 @@ impl<T> Entry<T> {
     fn evictable(&self) -> bool {
         Arc::strong_count(&self.value) == 1
     }
+
+    /// The interned bytes, if they were rendered with the wire `token`
+    /// (response bodies echo the client's spelling).
+    fn resp_for(&self, token: &str) -> Option<Arc<RespBytes>> {
+        self.resp.as_ref().filter(|r| r.token == token).cloned()
+    }
 }
 
-/// Both caches plus the keys currently being built (single-flight), under
+/// Everything resident under one graph key: the graph while it is
+/// interned, and its artifacts, each with its response bytes. One hash of
+/// the key finds all of them. Artifacts outlive their graph's eviction,
+/// and a slot goes only when both are gone.
+#[derive(Default)]
+struct Slot {
+    graph: Option<Entry<CsrGraph>>,
+    /// One per op asked of the graph (a handful), so a scan beats a map.
+    artifacts: Vec<(OpKey, Entry<Artifact>)>,
+}
+
+impl Slot {
+    fn artifact_mut(&mut self, op: &OpKey) -> Option<&mut Entry<Artifact>> {
+        self.artifacts
+            .iter_mut()
+            .find(|(k, _)| k == op)
+            .map(|(_, e)| e)
+    }
+
+    /// A use of `op`'s artifact: `read` its entry and, if that yields,
+    /// stamp the artifact and the graph with `tick`. A graph answered
+    /// purely through its artifacts must not look LRU-coldest and be
+    /// evicted first (the hottest tenant paying the rebuilds).
+    fn use_artifact<R>(
+        &mut self,
+        op: &OpKey,
+        tick: u64,
+        read: impl FnOnce(&Entry<Artifact>) -> Option<R>,
+    ) -> Option<R> {
+        let (_, e) = self.artifacts.iter_mut().find(|(k, _)| k == op)?;
+        let r = read(e)?;
+        e.last_used = tick;
+        if let Some(g) = &mut self.graph {
+            g.last_used = tick;
+        }
+        Some(r)
+    }
+
+    /// `(stamp, index)` of each evictable entry in one segment: the
+    /// artifacts (by index) or the graph (`None`).
+    fn evictable(&self, artifacts: bool) -> impl Iterator<Item = (u64, Option<usize>)> + '_ {
+        let graph = (self.graph.iter())
+            .filter(move |_| !artifacts)
+            .map(|e| (e.last_used, e.evictable(), None));
+        let arts = (self.artifacts.iter().enumerate())
+            .filter(move |_| artifacts)
+            .map(|(i, (_, e))| (e.last_used, e.evictable(), Some(i)));
+        graph
+            .chain(arts)
+            .filter(|&(_, evictable, _)| evictable)
+            .map(|(stamp, _, index)| (stamp, index))
+    }
+
+    /// Remove the entry [`Slot::evictable`] named, returning its bytes.
+    fn remove(&mut self, index: Option<usize>) -> usize {
+        match index {
+            Some(i) => self.artifacts.swap_remove(i).1.bytes,
+            None => self.graph.take().map_or(0, |e| e.bytes),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.graph.is_none() && self.artifacts.is_empty()
+    }
+}
+
+/// The registry's counters, bumped under the lock together with the
+/// change they count.
+#[derive(Default)]
+struct Counts {
+    hits: u64,
+    misses: u64,
+    derived: u64,
+    evictions: u64,
+    graph_builds: u64,
+    resp_hits: u64,
+}
+
+/// The slots plus the keys currently being built (single-flight), under
 /// one lock so the byte accounting and eviction see a consistent view.
 struct State {
-    graphs: HashMap<GraphRef, Entry<CsrGraph>>,
-    artifacts: HashMap<ArtifactKey, Entry<Artifact>>,
+    /// One map per [`GraphRef`] kind (suite names at 0, `.mtx` paths at
+    /// 1; see [`kind`]), keyed by the canonical token, so a probe hashes
+    /// the `&str` it was handed and clones nothing.
+    slots: [HashMap<String, Slot>; 2],
     graphs_inflight: HashSet<GraphRef>,
     artifacts_inflight: HashSet<ArtifactKey>,
-    /// Memoized spelling → canonical key resolutions (successful ones
-    /// only). Keeps every known `.mtx` spelling serving cache hits with
-    /// no per-request `fs::canonicalize` syscall — and keeps serving them
-    /// even after the backing file vanishes, like any resident entry.
-    /// Capped at [`ALIAS_CAP`] entries (cleared wholesale when full): the
-    /// memo is a pure performance/resilience cache, and spellings are
-    /// client-controlled, so letting it grow unbounded would reopen the
-    /// very memory hole the budget closes.
-    aliases: HashMap<GraphRef, GraphRef>,
-    /// Sum of `bytes` over both maps.
+    /// Memoized `.mtx` spelling → canonical key resolutions (successful
+    /// ones only). Keeps every known `.mtx` spelling serving cache hits
+    /// with no per-request `fs::canonicalize` syscall — and keeps serving
+    /// them even after the backing file vanishes, like any resident
+    /// entry. Capped at [`ALIAS_CAP`] entries (cleared wholesale when
+    /// full): the memo is a pure performance/resilience cache, and
+    /// spellings are client-controlled, so letting it grow unbounded would
+    /// reopen the very memory hole the budget closes.
+    aliases: HashMap<String, GraphRef>,
+    /// Sum of `bytes` over every entry.
     bytes: usize,
     /// Monotonic access clock for LRU stamps.
     tick: u64,
+    counts: Counts,
+}
+
+/// The index of a key's kind in [`State::slots`].
+fn kind(key: &GraphRef) -> usize {
+    matches!(key, GraphRef::Mtx(_)) as usize
 }
 
 impl State {
     fn next_tick(&mut self) -> u64 {
         self.tick += 1;
         self.tick
+    }
+
+    /// The slot of a canonical key.
+    fn slot_mut(&mut self, key: &GraphRef) -> Option<&mut Slot> {
+        self.slots[kind(key)].get_mut(key.token())
+    }
+
+    /// The slot a request's graph spelling names: a suite name is its own
+    /// key, and a `.mtx` spelling resolves through the alias memo only.
+    fn spelled_slot_mut(&mut self, mtx: bool, token: &str) -> Option<&mut Slot> {
+        if !mtx {
+            return self.slots[0].get_mut(token);
+        }
+        let canon = self.aliases.get(token)?;
+        self.slots[kind(canon)].get_mut(canon.token())
+    }
+
+    /// The slot of a canonical key, created empty if absent.
+    fn slot_entry(&mut self, key: &GraphRef) -> &mut Slot {
+        self.slots[kind(key)]
+            .entry(key.token().to_string())
+            .or_default()
+    }
+
+    /// Count a byte hit: every `resp_hits` is also a hit (the artifact
+    /// was logically reused).
+    fn counted(&mut self, hit: Option<Arc<RespBytes>>) -> Option<Arc<RespBytes>> {
+        if hit.is_some() {
+            self.counts.hits += 1;
+            self.counts.resp_hits += 1;
+        }
+        hit
     }
 }
 
@@ -210,29 +342,33 @@ pub struct Registry {
     state: Mutex<State>,
     /// Signaled whenever an in-flight build/compute finishes (either way).
     inflight_done: Condvar,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    derived: AtomicU64,
-    evictions: AtomicU64,
-    graph_builds: AtomicU64,
-    resp_hits: AtomicU64,
 }
 
-/// Remove the least-recently-used *evictable* entry from one cache
-/// segment, returning the bytes it freed (`None`: empty or all pinned).
-/// An O(n) scan — cache cardinality is the tenant/workload count, not the
-/// graph size, so scanning under the lock stays cheaper than maintaining
-/// an order structure that must also skip pinned entries.
-fn pop_lru<K, T>(map: &mut HashMap<K, Entry<T>>) -> Option<usize>
-where
-    K: Clone + Eq + std::hash::Hash,
-{
-    let key = map
+/// Remove the least-recently-used *evictable* entry of one cache
+/// segment (artifacts or graphs) across all slots, returning the bytes it
+/// freed (`None`: empty or all pinned); a slot left empty goes with it.
+/// Stamps are unique within a segment, so the victim does not depend on
+/// the maps' iteration order. An O(n) scan — cache cardinality is the
+/// tenant/workload count, not the graph size, so scanning under the lock
+/// stays cheaper than maintaining an order structure that must also skip
+/// pinned entries.
+fn pop_lru(slots: &mut [HashMap<String, Slot>; 2], artifacts: bool) -> Option<usize> {
+    let (k, key, index) = slots
         .iter()
-        .filter(|(_, e)| e.evictable())
-        .min_by_key(|(_, e)| e.last_used)
-        .map(|(k, _)| k.clone())?;
-    map.remove(&key).map(|e| e.bytes)
+        .enumerate()
+        .flat_map(|(k, map)| map.iter().map(move |(key, slot)| (k, key, slot)))
+        .flat_map(|(k, key, slot)| {
+            slot.evictable(artifacts)
+                .map(move |(stamp, index)| (stamp, k, key, index))
+        })
+        .min_by_key(|&(stamp, ..)| stamp)
+        .map(|(_, k, key, index)| (k, key.clone(), index))?;
+    let slot = slots[k].get_mut(&key)?;
+    let freed = slot.remove(index);
+    if slot.is_empty() {
+        slots[k].remove(&key);
+    }
+    Some(freed)
 }
 
 /// Drop guard clearing an in-flight marker even if the build panics (a
@@ -271,21 +407,15 @@ impl Registry {
             scale,
             budget: mem_budget,
             state: Mutex::new(State {
-                graphs: HashMap::new(),
-                artifacts: HashMap::new(),
+                slots: Default::default(),
                 graphs_inflight: HashSet::new(),
                 artifacts_inflight: HashSet::new(),
                 aliases: HashMap::new(),
                 bytes: 0,
                 tick: 0,
+                counts: Counts::default(),
             }),
             inflight_done: Condvar::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            derived: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            graph_builds: AtomicU64::new(0),
-            resp_hits: AtomicU64::new(0),
         }
     }
 
@@ -307,10 +437,10 @@ impl Registry {
     /// file). Failed resolutions are *not* memoized (the file may appear
     /// later) and fall back to the literal spelling.
     fn canon_key(&self, gref: &GraphRef) -> GraphRef {
-        if matches!(gref, GraphRef::Suite(_)) {
+        let GraphRef::Mtx(path) = gref else {
             return gref.clone();
-        }
-        if let Some(k) = self.state.lock().unwrap().aliases.get(gref) {
+        };
+        if let Some(k) = self.state.lock().unwrap().aliases.get(path) {
             return k.clone();
         }
         match gref.try_canonical() {
@@ -322,7 +452,7 @@ impl Registry {
                     // LRU machinery for what is client-controlled input.
                     st.aliases.clear();
                 }
-                st.aliases.insert(gref.clone(), canon.clone());
+                st.aliases.insert(path.clone(), canon.clone());
                 canon
             }
             None => gref.clone(),
@@ -346,7 +476,7 @@ impl Registry {
             let mut st = self.state.lock().unwrap();
             loop {
                 let tick = st.next_tick();
-                if let Some(e) = st.graphs.get_mut(&key) {
+                if let Some(e) = st.slot_mut(&key).and_then(|s| s.graph.as_mut()) {
                     e.last_used = tick;
                     return Ok(Arc::clone(&e.value));
                 }
@@ -380,13 +510,13 @@ impl Registry {
                 }
             },
         };
-        self.graph_builds.fetch_add(1, Ordering::Relaxed);
         let bytes = built.heap_bytes();
         let value = Arc::new(built);
         let mut st = self.state.lock().unwrap();
         let tick = st.next_tick();
         st.bytes += bytes;
-        st.graphs.insert(key, Entry::new(&value, bytes, tick));
+        st.counts.graph_builds += 1;
+        st.slot_entry(&key).graph = Some(Entry::new(&value, bytes, tick));
         self.enforce_budget(&mut st);
         Ok(value)
     }
@@ -396,7 +526,7 @@ impl Registry {
     /// others wait for its insert (or for its failure, in which case the
     /// next waiter takes over the compute).
     pub fn artifact(&self, gref: &GraphRef, op: &OpKey) -> Result<Arc<Artifact>, String> {
-        let key = (self.canon_key(gref), op.clone());
+        let key = (self.canon_key(gref), *op);
         self.artifact_keyed(key)
     }
 
@@ -404,22 +534,16 @@ impl Registry {
     /// as [`Registry::graph_canonical`]: canonicalization happens exactly
     /// once per request, at the public entry points.
     fn artifact_keyed(&self, key: ArtifactKey) -> Result<Arc<Artifact>, String> {
-        let op = key.1.clone();
+        let (graph, op) = &key;
         let prior = {
             let mut st = self.state.lock().unwrap();
             loop {
                 let tick = st.next_tick();
-                if let Some(e) = st.artifacts.get_mut(&key) {
-                    e.last_used = tick;
-                    let value = Arc::clone(&e.value);
-                    // The hit also counts as use of the underlying graph:
-                    // without this touch, a graph served purely through
-                    // artifact hits would look LRU-coldest and be evicted
-                    // first — the hottest tenant paying the rebuilds.
-                    if let Some(g) = st.graphs.get_mut(&key.0) {
-                        g.last_used = tick;
-                    }
-                    self.hits.fetch_add(1, Ordering::Relaxed);
+                let hit = st
+                    .slot_mut(graph)
+                    .and_then(|s| s.use_artifact(op, tick, |e| Some(Arc::clone(&e.value))));
+                if let Some(value) = hit {
+                    st.counts.hits += 1;
                     return Ok(value);
                 }
                 if st.artifacts_inflight.insert(key.clone()) {
@@ -430,10 +554,10 @@ impl Registry {
             // The derivation rule (module docs): the first of the op's
             // priors that is resident right now, as found — no stamp, no
             // counter, no wait.
-            let mut probe = key.clone();
-            op.priors().into_iter().find_map(|p| {
-                probe.1 = p;
-                st.artifacts.get(&probe).map(|e| Arc::clone(&e.value))
+            st.slot_mut(graph).and_then(|s| {
+                op.priors()
+                    .iter()
+                    .find_map(|p| s.artifact_mut(p).map(|e| Arc::clone(&e.value)))
             })
         };
         let _flight = Flight {
@@ -441,12 +565,9 @@ impl Registry {
             graph: None,
             artifact: Some(key.clone()),
         };
-        let g = self.graph_canonical(key.0.clone())?;
-        let computed = ops::compute_from(&g, &op, prior.as_deref());
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if prior.is_some() {
-            self.derived.fetch_add(1, Ordering::Relaxed);
-        }
+        let g = self.graph_canonical(graph.clone())?;
+        let computed = ops::compute_from(&g, op, prior.as_deref());
+        let derived = prior.is_some();
         // Unpin the prior before the insert, so that this insert may
         // already evict it.
         drop(prior);
@@ -455,7 +576,11 @@ impl Registry {
         let mut st = self.state.lock().unwrap();
         let tick = st.next_tick();
         st.bytes += bytes;
-        st.artifacts.insert(key, Entry::new(&value, bytes, tick));
+        st.counts.misses += 1;
+        st.counts.derived += derived as u64;
+        st.slot_entry(graph)
+            .artifacts
+            .push((*op, Entry::new(&value, bytes, tick)));
         self.enforce_budget(&mut st);
         Ok(value)
     }
@@ -467,28 +592,40 @@ impl Registry {
     /// refreshes the artifact's and the graph's LRU stamps, so a key
     /// served purely through byte hits never looks cold.
     ///
-    /// This is the server's inline fast path: cheap enough (one lock, one
-    /// probe) to run on a connection's reader before anything is
-    /// scheduled.
+    /// One lock, one hash of the graph key, no allocation and no clone:
+    /// the artifact and its graph share one slot, a `.mtx` spelling
+    /// resolves through the alias memo inside the same lock, and the
+    /// counters are bumped under it. A spelling the registry has not
+    /// resolved yet is a miss: resolving it is a filesystem call, which
+    /// belongs to the miss path ([`Registry::response`]).
     pub fn try_response(&self, gref: &GraphRef, op: &OpKey) -> Option<Arc<RespBytes>> {
-        let key = (self.canon_key(gref), op.clone());
-        self.try_response_keyed(&key, gref.token())
+        self.probe_spelled(matches!(gref, GraphRef::Mtx(_)), gref.token(), op)
+    }
+
+    /// [`Registry::try_response`] on a graph token as a request line
+    /// spells it ([`crate::proto::RequestView`]), classified the way
+    /// [`GraphRef::parse`] classifies it: a connection's inline hit path.
+    pub fn probe(&self, graph: &str, op: &OpKey) -> Option<Arc<RespBytes>> {
+        self.probe_spelled(proto::names_file(graph), graph, op)
+    }
+
+    fn probe_spelled(&self, mtx: bool, token: &str, op: &OpKey) -> Option<Arc<RespBytes>> {
+        let mut st = self.state.lock().unwrap();
+        let tick = st.next_tick();
+        let hit = st
+            .spelled_slot_mut(mtx, token)
+            .and_then(|s| s.use_artifact(op, tick, |e| e.resp_for(token)));
+        st.counted(hit)
     }
 
     /// [`Registry::try_response`] on an already-canonical key.
     fn try_response_keyed(&self, key: &ArtifactKey, token: &str) -> Option<Arc<RespBytes>> {
         let mut st = self.state.lock().unwrap();
         let tick = st.next_tick();
-        let e = st.artifacts.get_mut(key)?;
-        // No bytes yet, or a different spelling of the graph: re-render.
-        let value = Arc::clone(e.resp.as_ref().filter(|r| r.token == token)?);
-        e.last_used = tick;
-        if let Some(g) = st.graphs.get_mut(&key.0) {
-            g.last_used = tick;
-        }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.resp_hits.fetch_add(1, Ordering::Relaxed);
-        Some(value)
+        let hit = st
+            .slot_mut(&key.0)
+            .and_then(|s| s.use_artifact(&key.1, tick, |e| e.resp_for(token)));
+        st.counted(hit)
     }
 
     /// Get or render the interned response bytes for `(graph, op)`. A miss
@@ -498,7 +635,7 @@ impl Registry {
     /// exactly one of `hits`/`misses`, whichever cache level served it, so
     /// the `hits + misses == requests` invariant is unchanged.
     pub fn response(&self, gref: &GraphRef, op: &OpKey) -> Result<Arc<RespBytes>, String> {
-        let key = (self.canon_key(gref), op.clone());
+        let key = (self.canon_key(gref), *op);
         if let Some(r) = self.try_response_keyed(&key, gref.token()) {
             return Ok(r);
         }
@@ -511,7 +648,7 @@ impl Registry {
             body: body.into_bytes().into_boxed_slice(),
         });
         let mut st = self.state.lock().unwrap();
-        if let Some(e) = st.artifacts.get_mut(&key) {
+        if let Some(e) = st.slot_mut(&key.0).and_then(|s| s.artifact_mut(op)) {
             // Replacing bytes (token mismatch or a concurrent render)
             // takes the old charge away with them.
             let old = e
@@ -534,11 +671,13 @@ impl Registry {
             return;
         }
         while st.bytes > self.budget {
-            let Some(freed) = pop_lru(&mut st.artifacts).or_else(|| pop_lru(&mut st.graphs)) else {
+            let Some(freed) =
+                pop_lru(&mut st.slots, true).or_else(|| pop_lru(&mut st.slots, false))
+            else {
                 break; // everything left is pinned; retried on the next insert
             };
             st.bytes -= freed;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            st.counts.evictions += 1;
         }
     }
 
@@ -548,24 +687,25 @@ impl Registry {
     pub fn stats(&self) -> RegistryStats {
         let mut st = self.state.lock().unwrap();
         self.enforce_budget(&mut st);
-        let resp: Vec<usize> = st
-            .artifacts
-            .values()
+        let slots = || st.slots.iter().flat_map(HashMap::values);
+        let artifacts = || slots().flat_map(|s| s.artifacts.iter().map(|(_, e)| e));
+        let resp: Vec<usize> = artifacts()
             .filter_map(|e| e.resp.as_ref().map(|r| r.heap_bytes()))
             .collect();
+        let c = &st.counts;
         RegistryStats {
-            graphs: st.graphs.len(),
-            artifacts: st.artifacts.len(),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            derived: self.derived.load(Ordering::Relaxed),
+            graphs: slots().filter(|s| s.graph.is_some()).count(),
+            artifacts: artifacts().count(),
+            hits: c.hits,
+            misses: c.misses,
+            derived: c.derived,
             bytes: st.bytes,
             mem_budget: self.budget,
-            evictions: self.evictions.load(Ordering::Relaxed),
-            graph_builds: self.graph_builds.load(Ordering::Relaxed),
+            evictions: c.evictions,
+            graph_builds: c.graph_builds,
             resp: resp.len(),
             resp_bytes: resp.iter().sum(),
-            resp_hits: self.resp_hits.load(Ordering::Relaxed),
+            resp_hits: c.resp_hits,
         }
     }
 }
@@ -681,6 +821,24 @@ mod tests {
         let r = GraphRef::Mtx(path.to_str().unwrap().into());
         let loaded = reg.graph(&r).unwrap();
         assert_eq!(*loaded, g);
+    }
+
+    #[test]
+    fn an_mtx_lying_about_its_rows_is_an_error_not_an_abort() {
+        let dir = std::env::temp_dir().join("mis2_svc_registry_rows");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("huge.mtx");
+        std::fs::write(
+            &path,
+            "%%MatrixMarket matrix coordinate pattern general\n4294967294 4294967294 0\n",
+        )
+        .unwrap();
+        let reg = Registry::new(Scale::Tiny);
+        let r = GraphRef::Mtx(path.to_str().unwrap().into());
+        let e = reg.graph(&r).unwrap_err();
+        assert!(e.contains("can be allocated"), "{e}");
+        let s = reg.stats();
+        assert_eq!((s.graphs, s.graph_builds, s.bytes), (0, 0, 0), "{s:?}");
     }
 
     #[test]

@@ -65,8 +65,9 @@
 //! classic request-order contract). On either protocol a request whose
 //! serialized response bytes are already interned in the [`Registry`]
 //! never touches the scheduler at all: the reader probes
-//! [`Registry::try_response`] and forwards the shared bytes directly —
-//! the zero-serialization fast path.
+//! [`Registry::probe`] with the graph token and op borrowed from the
+//! request ([`proto::RequestView`]) and forwards the shared bytes
+//! directly — the zero-serialization fast path, which allocates nothing.
 //!
 //! The writer is a **batcher**: it drains the response channel greedily,
 //! encodes everything it found into one contiguous buffer and flushes it
@@ -95,7 +96,7 @@
 use crate::codec;
 use crate::metrics::{self, Metrics};
 use crate::ops;
-use crate::proto::{self, Request};
+use crate::proto::{self, RequestView};
 use crate::registry::Registry;
 use crate::sched::{SchedConfig, Scheduler};
 use crate::shard;
@@ -1002,15 +1003,12 @@ fn handle_connection(stream: TcpStream, cx: &Arc<ConnShared>) -> io::Result<()> 
     result
 }
 
-/// Map a parsed request to its metrics op label and graph key.
-fn req_span_parts(req: &Request) -> (metrics::Op, &str) {
-    match req {
-        Request::Mis2 { graph } => (metrics::Op::Mis2, graph.token()),
-        Request::Coarsen { graph, .. } => (metrics::Op::Coarsen, graph.token()),
-        Request::Solve { graph, .. } => (metrics::Op::Solve, graph.token()),
-        Request::Stats => (metrics::Op::Stats, ""),
-        Request::Metrics => (metrics::Op::Metrics, ""),
-        Request::Ping | Request::Quit => (metrics::Op::Other, ""),
+/// The metrics op label of a compute request.
+fn span_op(op: &ops::OpKey) -> metrics::Op {
+    match op {
+        ops::OpKey::Mis2 => metrics::Op::Mis2,
+        ops::OpKey::Coarsen { .. } => metrics::Op::Coarsen,
+        ops::OpKey::Solve { .. } => metrics::Op::Solve,
     }
 }
 
@@ -1072,14 +1070,18 @@ const V1_WINDOW: usize = 1;
 /// parse and framing errors, and the draining `QUIT`. Sans-I/O: items
 /// come from a [`FrameDecoder`], effects leave through a [`ConnIo`].
 ///
-/// One compute path for both framings: take the window slot, probe
-/// [`Registry::try_response`] (local service only — a router has no
-/// registry), answer a hit inline, submit a miss. A hit costs no
-/// scheduler hop, no re-render and no payload allocation. Every hit goes
-/// through that probe, so the artifact/graph LRU stamps and the
-/// `hits`/`resp_hits` counters refresh per request: a key answered from
-/// connection-local state instead would look LRU-coldest and be evicted
-/// first under `--mem-budget` pressure.
+/// One compute path for both framings: parse the item into a borrowed
+/// [`proto::RequestView`], take the window slot, probe
+/// [`Registry::probe`] with the view's graph token and op (local service
+/// only — a router has no registry), answer a hit inline, and build the
+/// owned [`proto::Request`] only for a miss, which is submitted. A hit
+/// costs no scheduler hop, no re-render and no allocation: one registry
+/// lock, one hash of the graph key. A miss takes that one probe, as
+/// before, and then the owned request. Every hit goes through the
+/// probe, so the artifact/graph LRU stamps and the `hits`/`resp_hits`
+/// counters refresh per request: a key answered from connection-local
+/// state instead would look LRU-coldest and be evicted first under
+/// `--mem-budget` pressure.
 pub(crate) struct ConnMachine {
     mode: WireMode,
     /// The upstream service's per-connection half (this connection's
@@ -1175,7 +1177,7 @@ impl ConnMachine {
                 return Flow::Continue;
             }
         }
-        self.dispatch(Request::parse(text), framing, t0, cx, io)
+        self.dispatch(RequestView::parse(text), framing, t0, cx, io)
     }
 
     /// Answer inline under a fresh window slot.
@@ -1198,15 +1200,15 @@ impl ConnMachine {
     /// Answer one parsed request, the same way under either framing.
     fn dispatch(
         &mut self,
-        parsed: Result<Request, String>,
+        parsed: Result<RequestView<'_>, String>,
         framing: Framing,
         t0: Option<Instant>,
         cx: &ConnShared,
         io: &mut dyn ConnIo,
     ) -> Flow {
         use metrics::{Op, Outcome, Span};
-        let req = match parsed {
-            Ok(Request::Quit) => {
+        let view = match parsed {
+            Ok(RequestView::Quit) => {
                 // The driver drains every in-flight response, acquires a
                 // fresh slot, and makes this BYE the last bytes on the
                 // wire.
@@ -1216,7 +1218,7 @@ impl ConnMachine {
                     span: Span::fast(t0, Op::Other, Outcome::Computed, ""),
                 });
             }
-            Ok(req) => req,
+            Ok(view) => view,
             // Parse failures still carry the request's tag, so a
             // pipelining client can correlate the error.
             Err(e) => {
@@ -1231,14 +1233,15 @@ impl ConnMachine {
         // gauge (see counter_values).
         io.acquire(self.cap(cx));
         // PING/STATS/METRICS answer inline — never queued behind compute.
-        let (resp, op) = match req {
-            Request::Ping => (ops::Response::ok_text("PONG".into()), Op::Other),
-            Request::Stats => (ops::Response::ok_text(stats_body(cx)), Op::Stats),
-            Request::Metrics => (ops::Response::ok_text(metrics_body(cx)), Op::Metrics),
-            req => {
-                self.compute(req, framing, t0, cx, io);
+        let (resp, op) = match view {
+            RequestView::Ping => (ops::Response::ok_text("PONG".into()), Op::Other),
+            RequestView::Stats => (ops::Response::ok_text(stats_body(cx)), Op::Stats),
+            RequestView::Metrics => (ops::Response::ok_text(metrics_body(cx)), Op::Metrics),
+            RequestView::Compute { graph, op } => {
+                self.compute(graph, op, framing, t0, cx, io);
                 return Flow::Continue;
             }
+            RequestView::Quit => unreachable!("QUIT returned before its slot"),
         };
         io.respond(Outgoing {
             framing,
@@ -1250,10 +1253,12 @@ impl ConnMachine {
 
     /// Answer a compute request under its already-acquired slot. Interned
     /// response bytes go straight to the writer (local service only — a
-    /// router has no registry to probe); the registry counts that as a
-    /// hit and a resp_hit and refreshes the entry's LRU stamps, so cache
-    /// accounting stays exact and the hottest key is never the eviction
-    /// victim. Otherwise the request runs and its response is delivered
+    /// router has no registry to probe): the probe reads the graph token
+    /// and op borrowed from the request line, so a hit allocates nothing.
+    /// The registry counts it as a hit and a resp_hit and refreshes the
+    /// entry's LRU stamps, so cache accounting stays exact and the hottest
+    /// key is never the eviction victim. Otherwise the owned [`proto::Request`]
+    /// is built, the request runs and its response is delivered
     /// through the backend's completion sink — by the scheduler
     /// worker-leader that finishes the job (local), or by the owning
     /// shard's upstream reader (upstream). Either way the delivery runs
@@ -1261,33 +1266,35 @@ impl ConnMachine {
     /// guarantees it cannot.
     fn compute(
         &mut self,
-        req: Request,
+        graph: &str,
+        opkey: ops::OpKey,
         framing: Framing,
         t0: Option<Instant>,
         cx: &ConnShared,
         io: &mut dyn ConnIo,
     ) {
+        let req = || RequestView::Compute { graph, op: opkey }.to_request();
         let (registry, sched) = match &cx.service {
             Service::Local { registry, sched } => (registry, sched),
             Service::Upstream(up) => {
                 let conn = self.up.get_or_insert_with(|| up.connect());
-                return up.run(conn, &req, framing, &io.sink());
+                return up.run(conn, &req(), framing, &io.sink());
             }
         };
-        let (op, key) = req_span_parts(&req);
-        if let Some((graph, opkey)) = ops::request_op(&req) {
-            if let Some(bytes) = registry.try_response(graph, &opkey) {
-                // A hit reads no clock: its span is the clock-free one.
-                io.respond(Outgoing {
-                    framing,
-                    resp: ops::Response::interned(bytes),
-                    span: metrics::Span::fast(t0, op, metrics::Outcome::RespHit, key),
-                });
-                return;
-            }
+        let op = span_op(&opkey);
+        if let Some(bytes) = registry.probe(graph, &opkey) {
+            // A hit reads no clock: its span is the clock-free one.
+            io.respond(Outgoing {
+                framing,
+                resp: ops::Response::interned(bytes),
+                span: metrics::Span::fast(t0, op, metrics::Outcome::RespHit, graph),
+            });
+            return;
         }
-        // A miss: the parse stage ends here, after the failed probe.
-        let mut span = metrics::Span::start(t0, op, key);
+        // A miss: the parse stage ends here, after the failed probe and
+        // the owned request.
+        let req = req();
+        let mut span = metrics::Span::start(t0, op, graph);
         let stamps = span.as_mut().map(|s| s.attach_job());
         if let Some(s) = &stamps {
             s.stamp_enqueued();
@@ -2097,7 +2104,7 @@ mod tests {
         // were once answered from connection-local state without touching
         // the registry, so the hot key's resp/artifact/graph stamps never
         // refreshed and a tight budget evicted exactly the hottest entry.
-        // Every repeat probes `try_response`, which refreshes all three
+        // Every repeat probes the registry, which refreshes all three
         // stamps.
         //
         // Churn distinct COARSEN levels on the *same* graph so the graph
