@@ -15,7 +15,7 @@
 //!   entry with an open slot checks in, drains blocks from that region's
 //!   shared atomic counter and checks out. Between regions a worker first
 //!   polls an atomic mirror of the open-slot count for a short fixed *time*
-//!   (the private `SPIN_BUDGET`; every miss is a `spin_loop` hint and a
+//!   ([`SPIN_BUDGET`]; every miss is a `spin_loop` hint and a
 //!   `yield_now`, so a pool larger than the host never starves its leader)
 //!   and only then blocks on a condvar (parked by the OS, zero CPU). A
 //!   solver iteration is regions separated by microseconds of serial work:
@@ -29,7 +29,11 @@
 //!   thread is created or torn down per region. There is one protocol, and
 //!   the budget is a constant, not an option: past it the pool is as idle
 //!   as a purely parked one (`tests/pool_stress.rs` measures that), and no
-//!   caller in the workspace wants another value.
+//!   caller in the workspace wants another value. The service's epoll
+//!   loop spins on the same constant between bursts of cache hits, so
+//!   there is one spin budget in the workspace. Like the other dispatch
+//!   sizes measured on 2 vCPUs, it stays unsettled until a reading from
+//!   a host with ≥ 8 cores exists.
 //! * **Cap semantics** — [`with_pool`]`(n)` does *not* control how many
 //!   threads exist; it caps how many pool workers *participate* in the
 //!   regions the closure runs (the calling thread counts toward `n`).
@@ -161,7 +165,7 @@ pub fn with_pool<R: Send>(num_threads: usize, f: impl FnOnce() -> R + Send) -> R
 }
 
 pub(crate) use team::in_region;
-pub use team::{contended_regions, spawned_workers};
+pub use team::{contended_regions, spawned_workers, SPIN_BUDGET};
 
 /// The persistent team: pool workers that spin briefly, then park, between
 /// regions, and the check-in/check-out handshake a leader staffs a region
@@ -185,7 +189,9 @@ mod team {
     /// worker only burns CPU a shared host has other uses for. It is a
     /// constant, not an option: no caller of this workspace needs another
     /// value, and after it the pool costs zero CPU exactly as before.
-    const SPIN_BUDGET: Duration = Duration::from_micros(100);
+    /// The service's epoll loop polls for its next readiness event for the
+    /// same budget after a wake that answered cache hits.
+    pub const SPIN_BUDGET: Duration = Duration::from_micros(100);
 
     thread_local! {
         /// Set while this thread is draining a region, so nested `par`

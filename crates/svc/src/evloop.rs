@@ -22,26 +22,58 @@
 //! read, process, and write. The per-connection window is enforced by
 //! **pre-gating**: the loop feeds the machine another item only while
 //! the connection's acquired-but-unretired count is under the window
-//! cap, so the machine's `acquire` never needs to wait. Accounting
-//! mirrors the threads writer exactly — the in-flight *gauge* retires
-//! when a flush takes a batch (pre-write), window slots retire after its
-//! bytes hit the socket, and the whole batch's metric spans are recorded
-//! with one clock read.
+//! cap, so the machine's `acquire` never needs to wait.
+//!
+//! **A request pays for itself; a burst pays for the rest.** One wake
+//! drives each ready connection through one quantum (read, feed the
+//! machine, flush). Per request the loop pays the parse, the registry
+//! probe and, on a cache hit, one copy of the interned bytes, framed
+//! straight into the wire batch under the probe's lock
+//! ([`ConnIo::respond_interned`]: no `Arc` clone, no [`Outgoing`]).
+//! Everything else is paid once per burst:
+//!
+//! * **Gauges.** `acquire` only counts; the burst's slots reach
+//!   `inflight` / `peak_inflight` in one [`ConnIo::publish`] at the end
+//!   of feeding the machine — before a flush takes a batch, before a
+//!   `STATS` / `METRICS` body renders, and before teardown gives slots
+//!   back — so every gauge value a client can read is the one a
+//!   per-slot publisher shows. The rest mirrors the threads writer: the
+//!   in-flight gauge retires when a flush takes a batch (pre-write),
+//!   window slots after its bytes hit the socket, and the batch's metric
+//!   spans are recorded with one clock read.
+//! * **Reads.** A short read or `WouldBlock` ends reading for the
+//!   quantum. The poller is level-triggered, so bytes that arrive later
+//!   are reported by the next wait rather than found by a read that can
+//!   only say `EAGAIN`.
+//! * **Buffers.** The fired tokens, the drained completions, the
+//!   connections they touched and the read chunk live in buffers the
+//!   loop keeps: a wake allocates nothing.
+//!
+//! **Wait policy.** After a wake that answered at least one cache hit
+//! inline, and only while nothing is in flight service-wide, the loop
+//! polls `epoll_wait` without blocking for the worker pool's
+//! [`SPIN_BUDGET`] (a `spin_loop` hint and a `yield_now` between polls,
+//! as an idle pool worker does) before it blocks, so a client's next
+//! batch of hits finds it awake instead of paying a cross-CPU wake-up.
+//! Every other wake (a completion, a miss, an accept) blocks at once and
+//! leaves the CPU to the scheduler's jobs.
 //!
 //! Teardown invariants: a connection's `epoll` registration is deleted
 //! *before* its socket drops (the kill-table holds a dup of the fd, so a
 //! close alone would leave a stale registration), responses still queued
-//! at death give their gauge increments back, undeliverable completions
-//! for dead connections are retired through the pending queue's dead-id
-//! path, and a panic inside one connection's machine tears down only
-//! that connection. The connection slot itself rides the same
-//! [`ConnSlot`] drop guard as the threads backend.
+//! at death give their (published) gauge increments back, undeliverable
+//! completions for dead connections are retired through the pending
+//! queue's dead-id path, and a panic inside one connection's machine
+//! tears down only that connection. The connection slot itself rides the
+//! same [`ConnSlot`] drop guard as the threads backend.
 
 use crate::metrics;
+use crate::registry::RespBytes;
 use crate::server::{
-    admit, record_conn_error, stage_outgoing, CompletionSink, ConnIo, ConnMachine, ConnShared,
-    ConnSlot, ConnTable, Flow, FrameDecoder, Outgoing, SvcStats, READ_CHUNK,
+    admit, encode_body, record_conn_error, stage_outgoing, CompletionSink, ConnIo, ConnMachine,
+    ConnShared, ConnSlot, ConnTable, Flow, FrameDecoder, Framing, Outgoing, SvcStats, READ_CHUNK,
 };
+use mis2_prim::pool::SPIN_BUDGET;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -128,15 +160,33 @@ impl Poller {
         self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    /// Block for the next readiness batch (EINTR retried).
-    fn wait(&self, events: &mut Vec<sys::EpollEvent>) -> io::Result<usize> {
+    /// The next readiness batch. With `spin`, poll without blocking for
+    /// up to [`SPIN_BUDGET`] first (see the module's wait policy); then
+    /// block.
+    fn wait(&self, events: &mut Vec<sys::EpollEvent>, spin: bool) -> io::Result<usize> {
+        if spin {
+            let deadline = Instant::now() + SPIN_BUDGET;
+            while Instant::now() < deadline {
+                let n = self.poll(events, 0)?;
+                if n > 0 {
+                    return Ok(n);
+                }
+                std::hint::spin_loop();
+                std::thread::yield_now();
+            }
+        }
+        self.poll(events, -1)
+    }
+
+    /// One `epoll_wait` with `timeout` ms (-1: block), EINTR retried.
+    fn poll(&self, events: &mut Vec<sys::EpollEvent>, timeout: i32) -> io::Result<usize> {
         loop {
             let rc = unsafe {
                 sys::epoll_wait(
                     self.fd.as_raw_fd(),
                     events.as_mut_ptr(),
                     events.capacity() as i32,
-                    -1,
+                    timeout,
                 )
             };
             if rc < 0 {
@@ -202,14 +252,17 @@ impl PendingQueue {
         self.doorbell.ring();
     }
 
+    /// Swap the posted items into `into` (empty; its capacity goes to
+    /// the next posts, so neither side allocates once both have grown).
     /// Drain the doorbell *before* taking the items: a post that lands
     /// after the take always rang after its push, so its wakeup is still
     /// pending and the item is picked up on the next event. (The
     /// reverse order could consume a ring whose item was not yet taken,
     /// stranding it until an unrelated wakeup.)
-    fn drain(&self) -> Vec<(u64, Outgoing)> {
+    fn drain(&self, into: &mut Vec<(u64, Outgoing)>) {
+        debug_assert!(into.is_empty());
         self.doorbell.drain();
-        std::mem::take(&mut *self.items.lock().unwrap())
+        std::mem::swap(&mut *self.items.lock().unwrap(), into);
     }
 }
 
@@ -229,12 +282,19 @@ impl CompletionSink for EvSink {
 }
 
 /// The epoll backend's [`ConnIo`]: window accounting is plain counters
-/// (the loop pre-gates on window room, so acquire never waits),
-/// responses are encoded into the batch the next flush takes.
+/// (the loop pre-gates on window room, so acquire never waits) published
+/// to the service gauges once per burst, responses are encoded into the
+/// batch the next flush takes.
 struct EvIo {
     /// Responses acquired but not yet retired by a completed write — the
     /// epoll analog of the threads backend's `ConnWindow` occupancy.
     held: usize,
+    /// Slots acquired since the last [`ConnIo::publish`]: their share of
+    /// the `inflight` gauge is not added yet.
+    unpublished: usize,
+    /// A cache hit was answered inline since the loop last looked: the
+    /// gate of the loop's spin (see the module's wait policy).
+    answered_hit: bool,
     /// The batch under construction. A flush takes it whole and swaps in
     /// the connection's spare (see [`WireBatch::into_spare`]).
     next: WireBatch,
@@ -245,14 +305,39 @@ struct EvIo {
 impl ConnIo for EvIo {
     fn acquire(&mut self, _cap: usize) {
         self.held += 1;
-        self.stats.inflight.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .peak_inflight
-            .fetch_max(self.held as u64, Ordering::Relaxed);
+        self.unpublished += 1;
     }
 
     fn respond(&mut self, item: Outgoing) {
         self.next.push(item);
+    }
+
+    fn respond_interned(
+        &mut self,
+        framing: Framing,
+        bytes: &Arc<RespBytes>,
+        span: Option<metrics::Span>,
+    ) -> Option<Outgoing> {
+        self.answered_hit = true;
+        self.next.push_hit(framing, &bytes.body, span);
+        None
+    }
+
+    /// `held` only shrinks when a flush retires a batch, and `process`
+    /// publishes before every flush, so its value here is the largest
+    /// any acquire of the burst saw.
+    fn publish(&mut self) {
+        if self.unpublished == 0 {
+            return;
+        }
+        let stats = &self.stats;
+        stats
+            .inflight
+            .fetch_add(self.unpublished as u64, Ordering::Relaxed);
+        stats
+            .peak_inflight
+            .fetch_max(self.held as u64, Ordering::Relaxed);
+        self.unpublished = 0;
     }
 
     fn sink(&self) -> Arc<dyn CompletionSink> {
@@ -277,6 +362,13 @@ impl WireBatch {
     fn push(&mut self, item: Outgoing) {
         self.count += 1;
         stage_outgoing(item, &mut self.buf, &mut self.spans);
+    }
+
+    /// [`WireBatch::push`] of a cache hit, from its interned body.
+    fn push_hit(&mut self, framing: Framing, body: &[u8], span: Option<metrics::Span>) {
+        self.count += 1;
+        self.spans.extend(span);
+        encode_body(framing, true, body, &mut self.buf);
     }
 
     /// A retired batch, emptied for reuse as the connection's next one so
@@ -355,11 +447,14 @@ struct EvConn {
 impl EvConn {
     /// One quantum of work: read what's available, feed the machine
     /// under window pre-gating, flush queued responses — repeated until
-    /// nothing moves. `Err` means the socket is dead and the caller
-    /// must tear the connection down.
-    fn drive(&mut self, cx: &ConnShared) -> io::Result<()> {
+    /// nothing moves. `chunk` is the loop's read buffer. `Err` means the
+    /// socket is dead and the caller must tear the connection down.
+    fn drive(&mut self, cx: &ConnShared, chunk: &mut [u8]) -> io::Result<()> {
+        // Cleared once a read says the socket is drained; the
+        // level-triggered poller reports anything newer on its next wait.
+        let mut readable = true;
         loop {
-            let mut progress = self.fill(cx);
+            let mut progress = readable && self.fill(cx, chunk, &mut readable);
             progress |= self.process(cx);
             progress |= self.flush(cx)?;
             progress |= self.transition();
@@ -369,18 +464,18 @@ impl EvConn {
         }
     }
 
-    /// Nonblocking reads into the decoder, up to the high-water mark.
-    /// Read errors are folded into EOF: in-flight responses still flush
-    /// (mirroring the threads teardown, where the writer drains after
-    /// the reader dies), and the next write surfaces the dead socket.
-    fn fill(&mut self, cx: &ConnShared) -> bool {
+    /// Nonblocking reads into the decoder, up to the high-water mark;
+    /// a short read or `WouldBlock` clears `readable`. Read errors are
+    /// folded into EOF: in-flight responses still flush (mirroring the
+    /// threads teardown, where the writer drains after the reader dies),
+    /// and the next write surfaces the dead socket.
+    fn fill(&mut self, cx: &ConnShared, chunk: &mut [u8], readable: &mut bool) -> bool {
         if self.read_closed || !matches!(self.state, ConnState::Open) {
             return false;
         }
         let mut progress = false;
-        let mut chunk = [0u8; READ_CHUNK];
         while self.dec.pending() < HIGH_WATER {
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(chunk) {
                 Ok(0) => {
                     self.read_closed = true;
                     progress = true;
@@ -393,10 +488,14 @@ impl EvConn {
                     self.t0 = cx.mx.enabled().then(Instant::now);
                     self.dec.push(&chunk[..n]);
                     if n < chunk.len() {
-                        break; // short read: the socket is drained
+                        *readable = false; // short read: the socket is drained
+                        break;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    *readable = false;
+                    break;
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.read_closed = true;
@@ -455,6 +554,7 @@ impl EvConn {
                 }
             }
         }
+        self.io.publish();
         progress
     }
 
@@ -462,6 +562,9 @@ impl EvConn {
     /// The batch retires from the in-flight *gauge* when taken, before
     /// any write — exactly where the threads writer does — while the
     /// window slots (`held`) retire only after the bytes are on the socket.
+    /// Its slots are published already: `process` publishes last, and
+    /// only `transition` acquires after it, on a drive that goes round
+    /// again through `process`.
     fn flush(&mut self, cx: &ConnShared) -> io::Result<bool> {
         let mut progress = false;
         loop {
@@ -555,6 +658,13 @@ struct EvLoop {
     /// Monotonic connection ids double as poller tokens — never reused,
     /// so a stale event for a closed connection can't alias a new one.
     next_id: u64,
+    /// A connection answered a cache hit inline during this wake.
+    answered_hit: bool,
+    /// Buffers kept across wakes: drained completions, the connections
+    /// they touched, and the read chunk every connection reads into.
+    completions: Vec<(u64, Outgoing)>,
+    touched: Vec<u64>,
+    chunk: Box<[u8]>,
 }
 
 /// Start the event loop on its own thread (the epoll backend's analog
@@ -585,6 +695,10 @@ pub(crate) fn spawn(
         pending,
         conns: HashMap::new(),
         next_id: 0,
+        answered_hit: false,
+        completions: Vec::new(),
+        touched: Vec::new(),
+        chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
     };
     std::thread::Builder::new()
         .name("mis2-svc-accept".into())
@@ -594,11 +708,16 @@ pub(crate) fn spawn(
 impl EvLoop {
     fn run(&mut self) {
         let mut events: Vec<sys::EpollEvent> = Vec::with_capacity(256);
+        let mut fired: Vec<u64> = Vec::with_capacity(256);
         loop {
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
-            if self.poller.wait(&mut events).is_err() {
+            // Spin only after a wake that answered hits inline, and only
+            // with no job to leave the CPU to (see the wait policy).
+            let spin = std::mem::take(&mut self.answered_hit)
+                && self.cx.stats.inflight.load(Ordering::Relaxed) == 0;
+            if self.poller.wait(&mut events, spin).is_err() {
                 break;
             }
             if self.stop.load(Ordering::SeqCst) {
@@ -606,8 +725,9 @@ impl EvLoop {
             }
             // Copy tokens out first: handling an event may mutate the
             // connection map.
-            let fired: Vec<u64> = events.iter().map(|e| e.data).collect();
-            for token in fired {
+            fired.clear();
+            fired.extend(events.iter().map(|e| e.data));
+            for &token in &fired {
                 match token {
                     LISTENER_TOKEN => self.accept_burst(),
                     DOORBELL_TOKEN => self.deliver_completions(),
@@ -655,6 +775,8 @@ impl EvLoop {
                 machine: ConnMachine::new(),
                 io: EvIo {
                     held: 0,
+                    unpublished: 0,
+                    answered_hit: false,
                     next: WireBatch::default(),
                     sink: Arc::new(EvSink {
                         id,
@@ -681,9 +803,12 @@ impl EvLoop {
     }
 
     fn deliver_completions(&mut self) {
-        let items = self.pending.drain();
-        let mut touched: Vec<u64> = Vec::new();
-        for (id, item) in items {
+        let (mut items, mut touched) = (
+            std::mem::take(&mut self.completions),
+            std::mem::take(&mut self.touched),
+        );
+        self.pending.drain(&mut items);
+        for (id, item) in items.drain(..) {
             match self.conns.get_mut(&id) {
                 Some(conn) => {
                     conn.io.respond(item);
@@ -702,9 +827,11 @@ impl EvLoop {
                 }
             }
         }
-        for id in touched {
+        for &id in &touched {
             self.drive_conn(id);
         }
+        touched.clear();
+        (self.completions, self.touched) = (items, touched);
     }
 
     fn drive_conn(&mut self, id: u64) {
@@ -715,7 +842,10 @@ impl EvLoop {
         // a real bug reaching the machine) tears down only this
         // connection — its slot releases through the drop guard — while
         // the loop keeps serving everyone else.
-        let drove = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| conn.drive(&self.cx)));
+        let drove = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            conn.drive(&self.cx, &mut self.chunk)
+        }));
+        self.answered_hit |= std::mem::take(&mut conn.io.answered_hit);
         if !matches!(drove, Ok(Ok(()))) {
             self.close(id, true);
             return;
@@ -736,7 +866,7 @@ impl EvLoop {
     }
 
     fn close(&mut self, id: u64, abort: bool) {
-        let Some(conn) = self.conns.remove(&id) else {
+        let Some(mut conn) = self.conns.remove(&id) else {
             return;
         };
         // Deregister from epoll FIRST: the kill-table's tracked dup
@@ -749,8 +879,12 @@ impl EvLoop {
         }
         // Responses encoded but never taken by a flush still hold their
         // gauge increments: give them back (their spans die unrecorded).
-        // A batch mid-write already retired its gauge share; completions
+        // A burst a panic cut short has not published its slots yet, so
+        // publish first: the give-back below, and the dead-id path for
+        // the burst's submitted jobs, subtract only what was added. A
+        // batch mid-write already retired its gauge share; completions
         // still in the scheduler come back through the dead-id path.
+        conn.io.publish();
         let undrained = conn.io.next.count as u64;
         if undrained > 0 {
             self.cx
@@ -809,9 +943,10 @@ mod tests {
         }
     }
 
-    /// A seeded batch mixing every reply shape — exactly one of them an
-    /// over-`MAX_PAYLOAD` body — and the bytes each reply makes when
-    /// `codec` encodes it alone, concatenated.
+    /// A seeded batch mixing every reply shape — cache hits framed from
+    /// their interned body among them, exactly one an over-`MAX_PAYLOAD`
+    /// body — and the bytes each reply makes when `codec` encodes it
+    /// alone, concatenated.
     fn mixed_batch(rng: &mut u64) -> (WireBatch, Vec<u8>) {
         let mut batch = WireBatch::default();
         let mut expect = Vec::new();
@@ -820,7 +955,17 @@ mod tests {
         for i in 0..n {
             let tag = next(rng) as u64;
             let text = "r".repeat(next(rng) % 200);
-            let kind = if i == oversized_at { 3 } else { next(rng) % 3 };
+            let kind = if i == oversized_at { 4 } else { next(rng) % 4 };
+            if kind == 3 {
+                // A cache hit, framed from its interned body.
+                let framing = [Framing::Bare, Framing::V3(tag)][next(rng) % 2];
+                batch.push_hit(framing, text.as_bytes(), None);
+                expect.extend(match framing {
+                    Framing::Bare => format!("OK {text}\n").into_bytes(),
+                    Framing::V3(_) => codec::encode_frame(tag, codec::STATUS_OK, text.as_bytes()),
+                });
+                continue;
+            }
             let frame = |resp, status, body: &[u8]| {
                 let wire = codec::encode_frame(tag, status, body);
                 (Framing::V3(tag), resp, wire)

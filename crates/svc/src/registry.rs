@@ -18,7 +18,9 @@
 //! from the request line, takes one lock, resolves a `.mtx` spelling
 //! through the alias memo under it, finds the slot, stamps the artifact
 //! and the graph, bumps `hits` / `resp_hits` under the same lock, and
-//! returns the shared bytes — no allocation and no clone of the key.
+//! hands the shared bytes to the caller's closure under that lock — no
+//! allocation, no clone of the key, and no clone of the bytes' `Arc`
+//! when the caller copies them straight onto its wire batch.
 //!
 //! ## Cache semantics
 //!
@@ -182,8 +184,8 @@ impl<T> Entry<T> {
 
     /// The interned bytes, if they were rendered with the wire `token`
     /// (response bodies echo the client's spelling).
-    fn resp_for(&self, token: &str) -> Option<Arc<RespBytes>> {
-        self.resp.as_ref().filter(|r| r.token == token).cloned()
+    fn resp_for(&self, token: &str) -> Option<&Arc<RespBytes>> {
+        self.resp.as_ref().filter(|r| r.token == token)
     }
 }
 
@@ -325,7 +327,7 @@ impl State {
 
     /// Count a byte hit: every `resp_hits` is also a hit (the artifact
     /// was logically reused).
-    fn counted(&mut self, hit: Option<Arc<RespBytes>>) -> Option<Arc<RespBytes>> {
+    fn counted<R>(&mut self, hit: Option<R>) -> Option<R> {
         if hit.is_some() {
             self.counts.hits += 1;
             self.counts.resp_hits += 1;
@@ -592,30 +594,50 @@ impl Registry {
     /// refreshes the artifact's and the graph's LRU stamps, so a key
     /// served purely through byte hits never looks cold.
     ///
-    /// One lock, one hash of the graph key, no allocation and no clone:
-    /// the artifact and its graph share one slot, a `.mtx` spelling
-    /// resolves through the alias memo inside the same lock, and the
-    /// counters are bumped under it. A spelling the registry has not
-    /// resolved yet is a miss: resolving it is a filesystem call, which
-    /// belongs to the miss path ([`Registry::response`]).
+    /// One lock, one hash of the graph key, no allocation: the artifact
+    /// and its graph share one slot, a `.mtx` spelling resolves through
+    /// the alias memo inside the same lock, and the counters are bumped
+    /// under it. A spelling the registry has not resolved yet is a miss:
+    /// resolving it is a filesystem call, which belongs to the miss path
+    /// ([`Registry::response`]).
     pub fn try_response(&self, gref: &GraphRef, op: &OpKey) -> Option<Arc<RespBytes>> {
-        self.probe_spelled(matches!(gref, GraphRef::Mtx(_)), gref.token(), op)
+        self.probe_spelled(
+            matches!(gref, GraphRef::Mtx(_)),
+            gref.token(),
+            op,
+            Arc::clone,
+        )
     }
 
     /// [`Registry::try_response`] on a graph token as a request line
     /// spells it ([`crate::proto::RequestView`]), classified the way
     /// [`GraphRef::parse`] classifies it: a connection's inline hit path.
-    pub fn probe(&self, graph: &str, op: &OpKey) -> Option<Arc<RespBytes>> {
-        self.probe_spelled(proto::names_file(graph), graph, op)
+    /// A hit hands the interned bytes to `hit` under the registry lock
+    /// and returns what it returns, so a caller that copies the bytes out
+    /// (the epoll loop frames them straight into its wire batch) clones
+    /// no `Arc`. `hit` must not block or call into the registry.
+    pub fn probe<R>(
+        &self,
+        graph: &str,
+        op: &OpKey,
+        hit: impl FnOnce(&Arc<RespBytes>) -> R,
+    ) -> Option<R> {
+        self.probe_spelled(proto::names_file(graph), graph, op, hit)
     }
 
-    fn probe_spelled(&self, mtx: bool, token: &str, op: &OpKey) -> Option<Arc<RespBytes>> {
+    fn probe_spelled<R>(
+        &self,
+        mtx: bool,
+        token: &str,
+        op: &OpKey,
+        hit: impl FnOnce(&Arc<RespBytes>) -> R,
+    ) -> Option<R> {
         let mut st = self.state.lock().unwrap();
         let tick = st.next_tick();
-        let hit = st
+        let r = st
             .spelled_slot_mut(mtx, token)
-            .and_then(|s| s.use_artifact(op, tick, |e| e.resp_for(token)));
-        st.counted(hit)
+            .and_then(|s| s.use_artifact(op, tick, |e| e.resp_for(token).map(hit)));
+        st.counted(r)
     }
 
     /// [`Registry::try_response`] on an already-canonical key.
@@ -624,7 +646,7 @@ impl Registry {
         let tick = st.next_tick();
         let hit = st
             .slot_mut(&key.0)
-            .and_then(|s| s.use_artifact(&key.1, tick, |e| e.resp_for(token)));
+            .and_then(|s| s.use_artifact(&key.1, tick, |e| e.resp_for(token).cloned()));
         st.counted(hit)
     }
 

@@ -67,7 +67,9 @@
 //! never touches the scheduler at all: the reader probes
 //! [`Registry::probe`] with the graph token and op borrowed from the
 //! request ([`proto::RequestView`]) and forwards the shared bytes
-//! directly — the zero-serialization fast path, which allocates nothing.
+//! directly — the zero-serialization fast path, which allocates nothing
+//! (the epoll loop copies them into its wire batch under the probe's
+//! lock, see `crate::evloop`).
 //!
 //! The writer is a **batcher**: it drains the response channel greedily,
 //! encodes everything it found into one contiguous buffer and flushes it
@@ -97,7 +99,7 @@ use crate::codec;
 use crate::metrics::{self, Metrics};
 use crate::ops;
 use crate::proto::{self, RequestView};
-use crate::registry::Registry;
+use crate::registry::{Registry, RespBytes};
 use crate::sched::{SchedConfig, Scheduler};
 use crate::shard;
 use mis2_graph::Scale;
@@ -701,15 +703,17 @@ pub(crate) struct Outgoing {
     pub(crate) span: Option<metrics::Span>,
 }
 
-/// Append one response's wire bytes to the batch buffer — the one
-/// encoder both drivers flush from. The body is copied once, rendered
-/// text or interned registry bytes alike (interning skips the render,
-/// not the copy).
-fn encode_outgoing(framing: Framing, resp: ops::Response, buf: &mut Vec<u8>) {
+/// Append one reply's wire bytes to the batch buffer — the one encoder
+/// both drivers flush from, whether the reply arrives as an
+/// [`ops::Response`] ([`encode_outgoing`]) or as interned bytes framed
+/// under the registry probe ([`ConnIo::respond_interned`]). The body is
+/// copied once, rendered text or interned registry bytes alike
+/// (interning skips the render, not the copy).
+pub(crate) fn encode_body(framing: Framing, ok: bool, body: &[u8], buf: &mut Vec<u8>) {
     match framing {
         Framing::Bare => {
-            buf.extend_from_slice(if resp.is_ok() { b"OK " } else { b"ERR " });
-            buf.extend_from_slice(resp.body_bytes());
+            buf.extend_from_slice(if ok { b"OK " } else { b"ERR " });
+            buf.extend_from_slice(body);
             buf.push(b'\n');
         }
         Framing::V3(tag) => {
@@ -718,16 +722,25 @@ fn encode_outgoing(framing: Framing, resp: ops::Response, buf: &mut Vec<u8>) {
             // rejects as Oversized and poisons the connection on). Swap
             // in a per-tag ERR so only this request fails and the stream
             // stays framed.
-            let resp = if resp.body_bytes().len() > codec::MAX_PAYLOAD {
-                ops::Response::err("response too large")
+            let (ok, body) = if body.len() > codec::MAX_PAYLOAD {
+                (false, &b"response too large"[..])
             } else {
-                resp
+                (ok, body)
             };
-            let body = resp.body_bytes();
-            buf.extend_from_slice(&codec::encode_header(tag, body.len() as u32, resp.status()));
+            let status = if ok {
+                codec::STATUS_OK
+            } else {
+                codec::STATUS_ERR
+            };
+            buf.extend_from_slice(&codec::encode_header(tag, body.len() as u32, status));
             buf.extend_from_slice(body);
         }
     }
+}
+
+/// [`encode_body`] of a whole response.
+fn encode_outgoing(framing: Framing, resp: ops::Response, buf: &mut Vec<u8>) {
+    encode_body(framing, resp.is_ok(), resp.body_bytes(), buf);
 }
 
 /// Peel one response into the batch under construction: the span (if
@@ -1048,13 +1061,37 @@ pub(crate) trait CompletionSink: Send + Sync {
 /// per-connection backpressure), inline response delivery, and minting
 /// the completion sink scheduler jobs deliver through.
 pub(crate) trait ConnIo {
-    /// Acquire one window slot under `cap` and bump the service gauges.
-    /// The threads backend blocks here at a full window; the epoll
-    /// backend pre-gates item delivery on window room, so its acquire
-    /// never waits.
+    /// Acquire one window slot under `cap`. The threads backend blocks
+    /// here at a full window and bumps the service gauges per slot; the
+    /// epoll backend pre-gates item delivery on window room, so its
+    /// acquire never waits, and only counts until [`ConnIo::publish`].
     fn acquire(&mut self, cap: usize);
     /// Queue one response for writing under an already-acquired slot.
     fn respond(&mut self, item: Outgoing);
+    /// Answer a cache hit from its interned bytes under an
+    /// already-acquired slot. Runs under the registry lock
+    /// ([`Registry::probe`]), so it must not block: the epoll backend
+    /// frames the bytes straight into its wire batch and returns `None`;
+    /// the default clones the `Arc` into the response it returns, which
+    /// the machine hands to [`ConnIo::respond`] once the lock is released
+    /// (on the threads backend that send may wake the writer thread).
+    fn respond_interned(
+        &mut self,
+        framing: Framing,
+        bytes: &Arc<RespBytes>,
+        span: Option<metrics::Span>,
+    ) -> Option<Outgoing> {
+        Some(Outgoing {
+            framing,
+            resp: ops::Response::interned(Arc::clone(bytes)),
+            span,
+        })
+    }
+    /// Add the slots acquired since the last call to the service gauges
+    /// (`inflight`, `peak_inflight`). The machine calls it before it
+    /// renders a `STATS` / `METRICS` body; a backend whose acquire
+    /// publishes already (threads) leaves it a no-op.
+    fn publish(&mut self) {}
     /// The sink this connection's scheduler completions deliver to.
     fn sink(&self) -> Arc<dyn CompletionSink>;
 }
@@ -1073,10 +1110,12 @@ const V1_WINDOW: usize = 1;
 /// One compute path for both framings: parse the item into a borrowed
 /// [`proto::RequestView`], take the window slot, probe
 /// [`Registry::probe`] with the view's graph token and op (local service
-/// only — a router has no registry), answer a hit inline, and build the
+/// only — a router has no registry), answer a hit inline through
+/// [`ConnIo::respond_interned`] under the probe's lock, and build the
 /// owned [`proto::Request`] only for a miss, which is submitted. A hit
 /// costs no scheduler hop, no re-render and no allocation: one registry
-/// lock, one hash of the graph key. A miss takes that one probe, as
+/// lock, one hash of the graph key, and on the epoll backend one copy of
+/// the bytes into the wire batch. A miss takes that one probe, as
 /// before, and then the owned request. Every hit goes through the
 /// probe, so the artifact/graph LRU stamps and the `hits`/`resp_hits`
 /// counters refresh per request: a key answered from connection-local
@@ -1153,18 +1192,19 @@ impl ConnMachine {
             return Flow::Continue;
         };
         let text = text.trim_end_matches(['\r', '\n']);
+        // Test-only fault injection, as a v1 line or a v3 payload: lets
+        // the unit tests prove a panicking connection still releases its
+        // slot on both backends (threads: the handler thread's drop
+        // guard; epoll: the loop catches the unwind and tears down only
+        // this connection) and gives back exactly the gauge share it
+        // holds.
+        #[cfg(test)]
+        if text == "PANIC" {
+            panic!("injected connection-handler panic (test hook)");
+        }
         if let Framing::Bare = framing {
             if text.is_empty() {
                 return Flow::Continue;
-            }
-            // Test-only fault injection: lets the unit tests prove a
-            // panicking connection still releases its slot on both
-            // backends (threads: the handler thread's drop guard; epoll:
-            // the loop catches the unwind and tears down only this
-            // connection).
-            #[cfg(test)]
-            if text == "PANIC" {
-                panic!("injected connection-handler panic (test hook)");
             }
             if text == codec::HELLO_V3 {
                 // Upgrade to binary framing: the hello answer is the last
@@ -1233,10 +1273,18 @@ impl ConnMachine {
         // gauge (see counter_values).
         io.acquire(self.cap(cx));
         // PING/STATS/METRICS answer inline — never queued behind compute.
+        // A report publishes the burst's slots first, so it reads the
+        // gauges a per-slot publisher would show.
         let (resp, op) = match view {
             RequestView::Ping => (ops::Response::ok_text("PONG".into()), Op::Other),
-            RequestView::Stats => (ops::Response::ok_text(stats_body(cx)), Op::Stats),
-            RequestView::Metrics => (ops::Response::ok_text(metrics_body(cx)), Op::Metrics),
+            RequestView::Stats => {
+                io.publish();
+                (ops::Response::ok_text(stats_body(cx)), Op::Stats)
+            }
+            RequestView::Metrics => {
+                io.publish();
+                (ops::Response::ok_text(metrics_body(cx)), Op::Metrics)
+            }
             RequestView::Compute { graph, op } => {
                 self.compute(graph, op, framing, t0, cx, io);
                 return Flow::Continue;
@@ -1254,7 +1302,9 @@ impl ConnMachine {
     /// Answer a compute request under its already-acquired slot. Interned
     /// response bytes go straight to the writer (local service only — a
     /// router has no registry to probe): the probe reads the graph token
-    /// and op borrowed from the request line, so a hit allocates nothing.
+    /// and op borrowed from the request line and hands the bytes to
+    /// [`ConnIo::respond_interned`] under its lock, so a hit allocates
+    /// nothing.
     /// The registry counts it as a hit and a resp_hit and refreshes the
     /// entry's LRU stamps, so cache accounting stays exact and the hottest
     /// key is never the eviction victim. Otherwise the owned [`proto::Request`]
@@ -1282,13 +1332,15 @@ impl ConnMachine {
             }
         };
         let op = span_op(&opkey);
-        if let Some(bytes) = registry.probe(graph, &opkey) {
+        let hit = registry.probe(graph, &opkey, |bytes| {
             // A hit reads no clock: its span is the clock-free one.
-            io.respond(Outgoing {
-                framing,
-                resp: ops::Response::interned(bytes),
-                span: metrics::Span::fast(t0, op, metrics::Outcome::RespHit, graph),
-            });
+            let span = metrics::Span::fast(t0, op, metrics::Outcome::RespHit, graph);
+            io.respond_interned(framing, bytes, span)
+        });
+        if let Some(unframed) = hit {
+            if let Some(item) = unframed {
+                io.respond(item);
+            }
             return;
         }
         // A miss: the parse stage ends here, after the failed probe and
@@ -2181,6 +2233,82 @@ mod tests {
         assert_eq!(used, buf.len());
         assert_eq!((f.tag, f.status), (7, codec::STATUS_OK));
         assert_eq!(f.payload.len(), codec::MAX_PAYLOAD);
+    }
+
+    #[test]
+    fn encode_body_is_encode_outgoing_byte_for_byte() {
+        // One encoder: a hit framed from its interned body and a whole
+        // response frame to the same bytes, and those are the wire
+        // format — `OK ` / `ERR `, the body and a newline on v1; a codec
+        // frame on v3, where a body past MAX_PAYLOAD becomes the per-tag
+        // `response too large` ERR.
+        let tag = 0x0123_4567_89ab_cdef;
+        for framing in [Framing::Bare, Framing::V3(tag)] {
+            for ok in [true, false] {
+                for len in [0, 70, codec::MAX_PAYLOAD, codec::MAX_PAYLOAD + 1] {
+                    let body = "b".repeat(len);
+                    let resp = match ok {
+                        true => ops::Response::ok_text(body.clone()),
+                        false => ops::Response::err(&body),
+                    };
+                    let (mut direct, mut whole) = (Vec::new(), Vec::new());
+                    encode_body(framing, ok, body.as_bytes(), &mut direct);
+                    encode_outgoing(framing, resp, &mut whole);
+                    let status = if ok {
+                        codec::STATUS_OK
+                    } else {
+                        codec::STATUS_ERR
+                    };
+                    let wire = match framing {
+                        Framing::Bare => {
+                            let prefix = if ok { "OK" } else { "ERR" };
+                            format!("{prefix} {body}\n").into_bytes()
+                        }
+                        Framing::V3(_) if len > codec::MAX_PAYLOAD => {
+                            codec::encode_frame(tag, codec::STATUS_ERR, b"response too large")
+                        }
+                        Framing::V3(_) => codec::encode_frame(tag, status, body.as_bytes()),
+                    };
+                    let v3 = matches!(framing, Framing::V3(_));
+                    // `assert!`, not `assert_eq!`: a failure must not
+                    // print megabytes of body.
+                    assert!(direct == whole, "v3={v3} ok={ok} len={len}");
+                    assert!(direct == wire, "v3={v3} ok={ok} len={len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_mid_burst_gives_back_only_published_gauge_slots() {
+        // Eight hits then PANIC in one write: the loop has acquired the
+        // hits' slots but not published them when the unwind tears the
+        // connection down. Teardown publishes before it gives the queued
+        // replies back, so the gauge returns to 0; giving back slots that
+        // were never added would wrap it.
+        let h = serve(ServerConfig {
+            threads: 2,
+            io_backend: IoBackend::Epoll,
+            ..Default::default()
+        })
+        .unwrap();
+        let mut c = RawV3::connect(h.addr());
+        c.send(0, b"MIS2 ecology2");
+        assert_eq!(c.recv().status, codec::STATUS_OK);
+        let mut burst = Vec::new();
+        for tag in 1..=8 {
+            burst.extend(codec::encode_frame(tag, codec::STATUS_OK, b"MIS2 ecology2"));
+        }
+        burst.extend(codec::encode_frame(9, codec::STATUS_OK, b"PANIC"));
+        c.w.write_all(&burst).unwrap();
+        // Torn down: EOF, after whatever replies a split read let out.
+        while let Ok(Some(_)) = codec::read_frame(&mut c.r) {}
+        let mut fresh = RawV3::connect(h.addr());
+        fresh.send(1, b"STATS");
+        let stats = fresh.recv().to_line();
+        assert!(stats.contains(" inflight=0 "), "{stats}");
+        assert!(stats.contains(" hits=8 "), "the burst was served: {stats}");
+        h.shutdown();
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use mis2_prim::hash::splitmix64;
 use mis2_prim::par;
-use mis2_prim::pool::{self, contended_regions, spawned_workers, with_pool, MAX_TEAM};
+use mis2_prim::pool::{self, contended_regions, spawned_workers, with_pool, MAX_TEAM, SPIN_BUDGET};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Barrier, PoisonError, RwLock};
@@ -26,10 +26,6 @@ use std::time::{Duration, Instant};
 /// Wall-clock limit of one test body. The whole file takes seconds; the
 /// limit is generous so a 1-CPU CI leg under load still passes.
 const GUARD: Duration = Duration::from_secs(120);
-
-/// The pool's private spin budget (`SPIN_BUDGET` in `pool.rs`), restated
-/// here only to place the serial gaps of the gapped tests around it.
-const SPIN_BUDGET: Duration = Duration::from_micros(100);
 
 /// Tests share the process-wide pool. All but one hold this lock shared;
 /// `workers_park_after_the_spin_budget` measures the process's CPU time
