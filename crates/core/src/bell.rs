@@ -26,8 +26,7 @@ use crate::engine::{Mis2Result, RoundStats};
 use crate::tuple::{Status3, TupleRepr, Unpacked};
 use mis2_graph::{CsrGraph, VertexId};
 use mis2_prim::hash::{hash2, xorshift64_star};
-use mis2_prim::par;
-use mis2_prim::{compact, SharedMut};
+use mis2_prim::{compact, par};
 
 /// Compute a maximal distance-`k` independent set with Bell's algorithm.
 ///
@@ -36,14 +35,6 @@ use mis2_prim::{compact, SharedMut};
 pub fn bell_mis_k(g: &CsrGraph, k: usize, seed: u64) -> Mis2Result {
     assert!(k >= 1, "distance must be >= 1");
     let n = g.num_vertices();
-    if n == 0 {
-        return Mis2Result {
-            in_set: vec![],
-            is_in: vec![],
-            iterations: 0,
-            history: vec![],
-        };
-    }
 
     // Fixed random tuples (status starts Undecided).
     let mut t: Vec<Unpacked> = par::map_range(0..n as u32, |v| Unpacked {
@@ -56,14 +47,18 @@ pub fn bell_mis_k(g: &CsrGraph, k: usize, seed: u64) -> Mis2Result {
     let mut cur: Vec<Unpacked> = vec![Unpacked::OUT; n];
     let mut nxt: Vec<Unpacked> = vec![Unpacked::OUT; n];
     let mut history = Vec::new();
-    let mut iterations = 0usize;
+    // `(undecided, in)` vertex counts of `t`.
+    let tally = |t: &[Unpacked]| {
+        par::map_reduce(
+            t,
+            |x| (x.is_undecided() as usize, x.is_in() as usize),
+            (0, 0),
+            |a, b| (a.0 + b.0, a.1 + b.1),
+        )
+    };
+    let (mut undecided, mut ins) = (n, 0);
 
-    loop {
-        let undecided = par::count(&t, |x| x.is_undecided());
-        if undecided == 0 {
-            break;
-        }
-
+    while undecided > 0 {
         // M^0 = T.
         par::for_each_mut_indexed(&mut cur, |i, c| *c = t[i]);
         // k propagation rounds: M^i_v = min(M^{i-1}_w : w in adj(v) ∪ {v}).
@@ -75,51 +70,20 @@ pub fn bell_mis_k(g: &CsrGraph, k: usize, seed: u64) -> Mis2Result {
             std::mem::swap(&mut cur, &mut nxt);
         }
 
-        // Decide.
-        let (newly_in, newly_out) = {
-            let tw = SharedMut::new(&mut t);
-            let cur_ref: &[Unpacked] = &cur;
-            par::map_reduce_range(
-                0..n as VertexId,
-                |v| {
-                    // SAFETY: slot v is read/written only by this task.
-                    let tv = unsafe { tw.read(v as usize) };
-                    if !tv.is_undecided() {
-                        return (0usize, 0usize);
-                    }
-                    let mv = cur_ref[v as usize];
-                    if mv == tv {
-                        unsafe {
-                            tw.write(
-                                v as usize,
-                                Unpacked {
-                                    status: Status3::In,
-                                    ..tv
-                                },
-                            )
-                        };
-                        (1, 0)
-                    } else if mv.is_in() {
-                        unsafe {
-                            tw.write(
-                                v as usize,
-                                Unpacked {
-                                    status: Status3::Out,
-                                    ..tv
-                                },
-                            )
-                        };
-                        (0, 1)
-                    } else {
-                        (0, 0)
-                    }
-                },
-                (0, 0),
-                |a, b| (a.0 + b.0, a.1 + b.1),
-            )
-        };
+        // Decide: T_v's new status reads only T_v and M^k_v.
+        par::for_each_mut_indexed(&mut t, |v, tv| {
+            if tv.is_undecided() {
+                if cur[v] == *tv {
+                    tv.status = Status3::In;
+                } else if cur[v].is_in() {
+                    tv.status = Status3::Out;
+                }
+            }
+        });
 
-        iterations += 1;
+        let (left, now_in) = tally(&t);
+        let newly_in = now_in - ins;
+        let newly_out = undecided - left - newly_in;
         history.push(RoundStats {
             undecided,
             newly_in,
@@ -129,6 +93,7 @@ pub fn bell_mis_k(g: &CsrGraph, k: usize, seed: u64) -> Mis2Result {
         // becomes IN (no IN vertex within distance k) or is knocked OUT by
         // one, so at least one vertex is decided per iteration.
         debug_assert!(newly_in + newly_out > 0, "Bell iteration made no progress");
+        (undecided, ins) = (left, now_in);
     }
 
     let is_in: Vec<bool> = par::map(&t, |x| x.is_in());
@@ -136,7 +101,7 @@ pub fn bell_mis_k(g: &CsrGraph, k: usize, seed: u64) -> Mis2Result {
     Mis2Result {
         in_set,
         is_in,
-        iterations,
+        iterations: history.len(),
         history,
     }
 }

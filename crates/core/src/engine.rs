@@ -73,9 +73,11 @@
 //! pure map reading the previous phase's arrays and writing disjoint slots;
 //! worklist compaction is order-preserving. Hence the output is
 //! bitwise-identical for every thread count — the property the paper
-//! advertises across CPUs and GPUs. The frozen seed engine is kept in
-//! [`crate::reference`] and `tests/engine_equiv.rs` asserts equality across
-//! the full config matrix.
+//! advertises across CPUs and GPUs. The result is also the one
+//! [`crate::spec::mis2`], a serial whole-array transcription of the
+//! paper's listing, computes from the priority scheme and seed alone:
+//! `tests/engine_equiv.rs` asserts that equality, history included, for
+//! every config of the full matrix at pools {1, 2, 3, 5, 8}.
 
 use crate::priority::PriorityScheme;
 use crate::tuple::{id_bits, Packed, TupleRepr, Unpacked};
@@ -725,18 +727,18 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_engine_on_all_configs() {
-        // The engine must be bitwise-identical to the frozen seed
-        // engine (full result struct, history included) on every config.
-        // The big cross-pool/backends matrix lives in tests/engine_equiv.rs.
+    fn matches_spec_on_all_configs() {
+        // The engine must be bitwise-identical to the serial spec (full
+        // result struct, history included) on every config. The big
+        // cross-pool matrix lives in tests/engine_equiv.rs.
         for g in [
             gen::erdos_renyi(1500, 6000, 13),
             gen::rmat(11, 16, 0.65, 0.15, 0.15, 5),
         ] {
             for cfg in all_configs() {
                 let got = mis2_with_config(&g, &cfg);
-                let want = crate::reference::mis2_with_config(&g, &cfg);
-                assert_eq!(got, want, "diverges from seed engine for {cfg:?}");
+                let want = crate::spec::mis2(&g, cfg.priorities, cfg.seed);
+                assert_eq!(got, want, "diverges from the spec for {cfg:?}");
             }
         }
     }

@@ -6,10 +6,9 @@
 //! `SIMD_MIN_DEGREE` branch, separate count / compact / refresh sweeps).
 //! It exists for two reasons:
 //!
-//! 1. **Oracle** — the engine must stay *bitwise-identical* to this
-//!    implementation for every configuration and pool size;
-//!    `tests/engine_equiv.rs` asserts `engine == reference`
-//!    across the full ladder/config matrix.
+//! 1. **Oracle** — the repo benchmark's kernel workloads check the
+//!    engine's answers against it; `tests/engine_equiv.rs` asserts that it
+//!    equals [`crate::spec::mis2`] (as the engine does) on every config.
 //! 2. **Baseline** — the repo benchmark's `core.speedup_vs_ref` probe
 //!    reports the engine's end-to-end speedup *vs the seed engine*,
 //!    which is this code.
@@ -30,7 +29,7 @@ pub fn mis2(g: &CsrGraph) -> Mis2Result {
 }
 
 /// Compute an MIS-2 with an explicit configuration using the frozen seed
-/// engine. Kept only as the equivalence oracle / bench baseline — use
+/// engine. Kept only as the benchmark's oracle and baseline — use
 /// [`crate::engine::mis2_with_config`] everywhere else.
 pub fn mis2_with_config(g: &CsrGraph, cfg: &Mis2Config) -> Mis2Result {
     if g.num_vertices() == 0 {

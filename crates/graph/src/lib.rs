@@ -11,7 +11,7 @@
 //! * [`suite`] — the 17-problem evaluation suite of the paper (Table II),
 //!   with synthetic stand-ins for the SuiteSparse matrices.
 //! * [`io`] — Matrix Market reading/writing for running on real inputs.
-//! * [`ops`] — graph squaring (`G²`, for the Lemma IV.2 oracle), induced
+//! * [`ops`] — graph squaring (`G²`, for the Lemma IV.2 tests), induced
 //!   subgraphs (needed by Algorithm 3's phase 2), connected components,
 //!   degree histograms.
 

@@ -2,8 +2,9 @@
 //! connected components, degree histograms.
 //!
 //! `square` implements the reduction behind Lemma IV.2 of the paper:
-//! an MIS-1 of `G²` (with self-loops) is a valid MIS-2 of `G`. The tests and
-//! the theory experiments use it as an oracle for Algorithm 1.
+//! an MIS-1 of `G²` (with self-loops) is a valid MIS-2 of `G`. The tests
+//! state the lemma with it as an identity: Bell's MIS-1 of `G²` is Bell's
+//! MIS-2 of `G`.
 
 use crate::csr::{sort_dedup_from, CsrGraph, VertexId};
 

@@ -7,9 +7,7 @@
 //! that are disjoint for a reason no slice split can express:
 //!
 //! * slots named by a *worklist*: Algorithm 1's `T[v]` / `M[v]` in
-//!   `mis2_core::engine` (with each block's keep flags beside them) and
-//!   Luby's status in `mis2_core::luby`;
-//! * a write fused with a count: Bell's decide in `mis2_core::bell`;
+//!   `mis2_core::engine` (with each block's keep flags beside them);
 //! * writes whose disjointness is an algorithm invariant: MIS-2 and
 //!   same-colored D2C roots labeling their *neighbors* in
 //!   `mis2_coarsen::{mis2_agg, d2c}`, and the color sweeps of

@@ -33,7 +33,7 @@
 //! | [`prim`] | `mis2-prim` | scans, compaction, hashes, pools, timing |
 //! | [`graph`] | `mis2-graph` | CSR graphs, generators, Matrix Market, G² |
 //! | [`sparse`] | `mis2-sparse` | CSR matrices, SpMV, SpGEMM, Galerkin, LU |
-//! | [`core`] | `mis2-core` | **Algorithm 1**, Bell baseline, Luby, oracle |
+//! | [`core`] | `mis2-core` | **Algorithm 1**, its serial spec, Bell baseline |
 //! | [`color`] | `mis2-color` | D1/D2 parallel colorings, color sets |
 //! | [`coarsen`] | `mis2-coarsen` | **Algorithms 2 & 3**, baselines, prolongators |
 //! | [`solver`] | `mis2-solver` | CG, GMRES, cluster SGS (**Algorithm 4**; point SGS is its singleton-cluster case), SA-AMG |
@@ -60,8 +60,7 @@ pub mod prelude {
     };
     pub use mis2_color::{color_d1, color_d2, Coloring};
     pub use mis2_core::{
-        bell_mis2, luby_mis1, mis2, mis2_with_config, verify_mis2, Mis2Config, Mis2Result,
-        PriorityScheme,
+        bell_mis2, mis2, mis2_with_config, verify_mis2, Mis2Config, Mis2Result, PriorityScheme,
     };
     pub use mis2_graph::{CsrGraph, GraphStats, Scale, VertexId};
     pub use mis2_solver::{

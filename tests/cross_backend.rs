@@ -10,7 +10,8 @@
 //! SA-AMG hierarchy, plus a raw V-cycle application) is pinned the same
 //! way, so the persistent worker pool behind `par` can't silently change
 //! floating-point numerics at any pool size. So are the two Jones–Plassmann
-//! colorings (`color_d1`, `color_d2`): colors, color count and rounds.
+//! colorings (`color_d1`, `color_d2`): colors, color count and rounds,
+//! and Bell's MIS-k baseline at k = 1, 2 and 3.
 
 use mis2::prelude::*;
 use mis2::solver::{pcg, AmgConfig, AmgHierarchy, Preconditioner, SolveOpts};
@@ -175,6 +176,59 @@ fn colorings_reproduce_golden_fingerprints() {
     }
 }
 
+/// Suite graphs Bell's MIS-k is pinned on: a 3D mesh, the honeycomb, an
+/// FE-mesh stand-in with hub rows and a skewed R-MAT.
+const BELL_GRAPHS: [&str; 4] = ["Laplace3D_100", "ecology2", "af_shell7", "rmat_18_skew"];
+
+/// `is_in`, then `iterations`, of `bell_mis_k(g, k, 0)`.
+fn bell_fingerprint(g: &CsrGraph, k: usize) -> u64 {
+    let r = mis2_core::bell_mis_k(g, k, 0);
+    fingerprint(
+        r.is_in
+            .iter()
+            .map(|&b| b as u32)
+            .chain([r.iterations as u32]),
+    )
+}
+
+/// Golden `(graph, k, bell_mis_k)` fingerprints at `Scale::Tiny`, identical
+/// at every pool size; regenerate alongside [`GOLDEN`].
+const GOLDEN_BELL: [(&str, usize, u64); 12] = [
+    ("Laplace3D_100", 1, 0x6dcc2884e297d2ac),
+    ("Laplace3D_100", 2, 0xf9325156cbc78fa9),
+    ("Laplace3D_100", 3, 0x8bcecfdb0bfd5be5),
+    ("ecology2", 1, 0x2955ce7628646612),
+    ("ecology2", 2, 0x3ecba07879f524fe),
+    ("ecology2", 3, 0x386342aad7c227db),
+    ("af_shell7", 1, 0xa569c9ffd878ce99),
+    ("af_shell7", 2, 0x10bd9dc1ff4e2253),
+    ("af_shell7", 3, 0x4f89669902d5b592),
+    ("rmat_18_skew", 1, 0x5405d082f8fdc1e7),
+    ("rmat_18_skew", 2, 0xaccfefb4ddff9096),
+    ("rmat_18_skew", 3, 0xa2e00f5940cbb3cf),
+];
+
+#[test]
+fn bell_reproduces_golden_fingerprints() {
+    for name in BELL_GRAPHS {
+        let g = mis2_graph::suite::build(name, Scale::Tiny);
+        for k in 1..=3 {
+            let (_, _, want) = GOLDEN_BELL
+                .iter()
+                .find(|(n, kk, _)| *n == name && *kk == k)
+                .copied()
+                .unwrap_or_else(|| panic!("no golden Bell entry for {name} at k = {k}"));
+            for threads in [1usize, 3] {
+                assert_eq!(
+                    with_pool(threads, || bell_fingerprint(&g, k)),
+                    want,
+                    "{name}: Bell MIS-{k} differs from golden at {threads} threads"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn backends_reproduce_golden_fingerprints() {
     for (name, g) in graphs() {
@@ -256,6 +310,12 @@ fn print_fingerprints() {
         for seed in COLOR_SEEDS {
             let (d1, d2) = colorings_fingerprint(&g, seed);
             println!("    (\"{name}\", {seed}, {d1:#018x}, {d2:#018x}),");
+        }
+    }
+    for name in BELL_GRAPHS {
+        let g = mis2_graph::suite::build(name, Scale::Tiny);
+        for k in 1..=3 {
+            println!("    (\"{name}\", {k}, {:#018x}),", bell_fingerprint(&g, k));
         }
     }
 }

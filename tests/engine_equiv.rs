@@ -1,7 +1,11 @@
 //! Engine equivalence: the flat-worklist, fused-pass engine must be
-//! **bitwise-identical** to the frozen seed engine
-//! ([`mis2_core::reference`]) — full `Mis2Result` equality, history
-//! included — for every configuration and pool size.
+//! **bitwise-identical** to the serial spec of Algorithm 1
+//! ([`mis2_core::spec`]) — full `Mis2Result` equality, history included —
+//! for every configuration and pool size. The spec takes only the priority
+//! scheme and the seed, so one answer per pair stands for every worklist
+//! and tuple layout setting. The frozen seed engine
+//! ([`mis2_core::reference`], the repo benchmark's oracle) must equal the
+//! spec too, at pool 1.
 //!
 //! The config matrix is the full 12-point cube (3 priority schemes × 2
 //! worklist modes × 2 tuple representations), which contains the 4-step
@@ -17,15 +21,14 @@
 //! * the same three classes at 8000-20 000 vertices (2-5 blocks), at the
 //!   default config only — mesh, random and power-law rows that cross
 //!   block boundaries, which `star` and `path` alone do not give;
-//! * `star` — 33 blocks, one of them holding a 2^17-degree row, against
-//!   the seed's chunked reduction of that row;
+//! * `star` — 33 blocks, one of them holding a 2^17-degree row;
 //! * `path` of 300 / 4096 / 4097 / 8193 vertices — one inline block from
 //!   round 0; exactly one block; two blocks; a short last block;
 //! * one vertex, and 4097 isolated vertices — every vertex IN in round 1,
 //!   so the column compaction keeps all of two blocks and the decide
 //!   compaction scatters zero survivors from them.
 
-use mis2_core::{mis2_with_config, reference, Mis2Config, PriorityScheme};
+use mis2_core::{mis2_with_config, reference, spec, Mis2Config, PriorityScheme};
 use mis2_graph::{gen, CsrGraph};
 use mis2_prim::hash::splitmix64;
 use mis2_prim::pool::with_pool;
@@ -56,21 +59,25 @@ fn all_configs() -> Vec<Mis2Config> {
 
 const POOLS: [usize; 5] = [1, 2, 3, 5, 8];
 
-/// Assert engine == reference for one config at every pool size. The
-/// reference result is computed once at pool 1 (the reference's own
-/// pool-independence is covered by the cross_backend goldens).
+/// Assert engine == spec for one config at every pool size, and
+/// reference == spec at pool 1. The spec is serial: it runs once.
 fn assert_equiv_at(name: &str, g: &CsrGraph, cfg: &Mis2Config) {
-    let want = with_pool(1, || reference::mis2_with_config(g, cfg));
+    let want = spec::mis2(g, cfg.priorities, cfg.seed);
     for threads in POOLS {
         let got = with_pool(threads, || mis2_with_config(g, cfg));
         assert_eq!(
             got, want,
-            "{name}: engine diverges from seed engine for {cfg:?} at {threads} threads"
+            "{name}: engine diverges from the spec for {cfg:?} at {threads} threads"
         );
     }
+    let seed_engine = with_pool(1, || reference::mis2_with_config(g, cfg));
+    assert_eq!(
+        seed_engine, want,
+        "{name}: seed engine diverges from the spec for {cfg:?}"
+    );
 }
 
-/// Assert engine == reference for every config at every pool size.
+/// [`assert_equiv_at`] for every config.
 fn assert_equiv(name: &str, g: &CsrGraph) {
     for cfg in all_configs() {
         assert_equiv_at(name, g, &cfg);
@@ -102,17 +109,16 @@ fn equiv_multi_block_mesh_random_powerlaw() {
 
 #[test]
 fn equiv_star_huge_hub() {
-    // Hub degree 2^17 + 9: the serial loop over that row, inside an
-    // ordinary block, must match the seed's chunked (nested, hence
-    // serial) reduction bit for bit.
+    // Hub degree 2^17 + 9: the engine's serial loop over that row, inside
+    // an ordinary block, and the seed's chunked (nested, hence serial)
+    // reduction of it must both match the spec bit for bit.
     assert_equiv("star", &gen::star((1 << 17) + 10));
 }
 
 #[test]
 fn equiv_single_inline_block_path() {
     // 300 vertices: every list of every round is one block, so the whole
-    // run is inline on the caller at every pool size; it must still match
-    // the seed engine's parallel primitives bit for bit.
+    // run is inline on the caller at every pool size.
     assert_equiv("path", &gen::path(300));
 }
 

@@ -1,10 +1,11 @@
 //! Cross-crate validity tests: Algorithm 1 (all configurations), the Bell
-//! baseline and the Lemma IV.2 oracle must produce valid MIS-2 sets on
-//! every graph family the generators can produce.
+//! baseline and the Lemma IV.2 reduction (Bell's MIS-1 of `G²`) must
+//! produce valid MIS-2 sets on every graph family the generators can
+//! produce, and Bell at k = 1 valid MIS-1 sets.
 
 use mis2::prelude::*;
-use mis2_core::verify_mis1;
-use mis2_graph::gen;
+use mis2_core::{bell_mis_k, verify_mis1};
+use mis2_graph::{gen, ops};
 
 fn family_zoo(seed: u64) -> Vec<(String, CsrGraph)> {
     vec![
@@ -56,15 +57,18 @@ fn bell_baseline_valid_on_all_families() {
 #[test]
 fn oracle_valid_on_all_families() {
     for (name, g) in family_zoo(2) {
-        let r = mis2_core::mis2_via_square(&g, 5);
+        let g2 = ops::square(&g);
+        let r = bell_mis_k(&g2, 1, 5);
+        verify_mis1(&g2, &r.is_in).unwrap_or_else(|e| panic!("{name}: G²: {e}"));
         verify_mis2(&g, &r.is_in).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(r, bell_mis2(&g, 5), "{name}: MIS-1(G²) != MIS-2(G)");
     }
 }
 
 #[test]
-fn luby_valid_on_all_families() {
+fn mis1_valid_on_all_families() {
     for (name, g) in family_zoo(3) {
-        let r = luby_mis1(&g, 7);
+        let r = bell_mis_k(&g, 1, 7);
         verify_mis1(&g, &r.is_in).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }

@@ -7,11 +7,13 @@
 //! * determinism: thread count never changes the result;
 //! * packed tuples preserve the lexicographic comparison;
 //! * aggregation is a complete partition into connected aggregates;
+//! * Lemma IV.2: Bell's MIS-1 of `G²` is its MIS-2 of `G`, in full;
 //! * colorings are proper;
 //! * the parallel scan equals the sequential prefix sum.
 
 use mis2::prelude::*;
 use mis2_core::tuple::{id_bits, Packed, TupleRepr, Unpacked};
+use mis2_core::{bell_mis_k, verify_mis1};
 use mis2_prim::hash::splitmix64;
 
 /// Deterministic stream of pseudo-random u64s for one test case.
@@ -226,22 +228,28 @@ fn spgemm_identity_is_identity() {
 }
 
 #[test]
-fn luby_mis1_valid() {
+fn bell_mis1_valid() {
     for case in 0..CASES {
         let mut rng = Rng::new(14, case);
         let g = arb_graph(&mut rng, 100, 300);
-        let r = luby_mis1(&g, rng.next());
-        assert!(mis2_core::verify_mis1(&g, &r.is_in).is_ok(), "case {case}");
+        let r = bell_mis_k(&g, 1, rng.next());
+        assert!(verify_mis1(&g, &r.is_in).is_ok(), "case {case}");
     }
 }
 
 #[test]
 fn oracle_matches_lemma() {
+    // Lemma IV.2 as an identity: Bell's MIS-1 of G² is an MIS-1 of G², an
+    // MIS-2 of G, and Bell's MIS-2 of G in full.
     for case in 0..CASES {
         let mut rng = Rng::new(15, case);
         let g = arb_graph(&mut rng, 60, 150);
-        let r = mis2_core::mis2_via_square(&g, rng.next());
+        let seed = rng.next();
+        let g2 = mis2::graph::ops::square(&g);
+        let r = bell_mis_k(&g2, 1, seed);
+        assert!(verify_mis1(&g2, &r.is_in).is_ok(), "case {case}: G²");
         assert!(verify_mis2(&g, &r.is_in).is_ok(), "case {case}");
+        assert_eq!(r, bell_mis2(&g, seed), "case {case}");
     }
 }
 

@@ -128,7 +128,10 @@ fn pipelined_hit_bursts_report_bounded_gauges_on_threads() {
     let got = readings(IoBackend::Threads);
     for ((got, max), want) in got.iter().zip(THREADS_MAX).zip(EPOLL) {
         assert!(got[0] <= max[0], "inflight: {got:?} against {max:?}");
-        assert!((1..=max[1]).contains(&got[1]), "peak: {got:?} against {max:?}");
+        assert!(
+            (1..=max[1]).contains(&got[1]),
+            "peak: {got:?} against {max:?}"
+        );
         assert_eq!(got[2..], want[2..], "hits, resp_hits");
     }
 }

@@ -1,8 +1,10 @@
 //! Section IV of the paper, checked empirically:
 //!
-//! * Lemma IV.1/IV.2 — `MIS-1(G²)` is a valid `MIS-2(G)`;
-//! * Luby's bound transported through the reduction — Algorithm 1 finishes
-//!   in O(log V) iterations in expectation;
+//! * Lemma IV.1/IV.2 — `MIS-1(G²)` is a valid `MIS-2(G)`, stated as an
+//!   identity: Bell's MIS-1 of `ops::square(g)` *is* Bell's MIS-2 of `g`,
+//!   set, rounds and history, since the radius-1 minimum in `G²` is the
+//!   radius-2 minimum in `G`;
+//! * Algorithm 1 finishes in O(log V) iterations in expectation;
 //! * Table III's shape — MIS-2 size proportional to |V| for a fixed
 //!   problem family, iteration growth ~1-2 per 4-8x size increase;
 //! * an oracle beyond validity — with `PriorityScheme::Fixed` the order
@@ -13,19 +15,35 @@
 //!   blocks its later neighbours meanwhile; that delays decisions, never
 //!   changes one: a vertex enters only once every earlier vertex within
 //!   distance 2 is `OUT`, and only an `IN` within distance 2 makes one.)
+//!   The serial spec must give that set too, so the engine's bitwise
+//!   oracle is itself checked against an independent one.
 
 use mis2::prelude::*;
 use mis2_core::tuple::id_bits;
+use mis2_core::{bell_mis_k, spec, verify_mis1};
 use mis2_graph::{gen, ops, suite};
 use mis2_prim::hash::splitmix64;
 use mis2_prim::pool::with_pool;
 
+/// Lemma IV.2 on `g` at `seed`: Bell's MIS-1 of `G²` is an MIS-1 of `G²`,
+/// an MIS-2 of `G`, and equals Bell's MIS-2 of `G` in full.
+fn assert_lemma_iv2(g: &CsrGraph, seed: u64) -> Mis2Result {
+    let g2 = ops::square(g);
+    let r = bell_mis_k(&g2, 1, seed);
+    verify_mis1(&g2, &r.is_in).unwrap();
+    verify_mis2(g, &r.is_in).unwrap();
+    assert_eq!(
+        r,
+        bell_mis2(g, seed),
+        "MIS-1(G²) != MIS-2(G) at seed {seed}"
+    );
+    r
+}
+
 #[test]
 fn lemma_iv2_oracle_agrees_with_direct_verification() {
     for seed in 0..5u64 {
-        let g = gen::erdos_renyi(300, 900, seed);
-        let r = mis2_core::mis2_via_square(&g, seed);
-        verify_mis2(&g, &r.is_in).unwrap();
+        assert_lemma_iv2(&gen::erdos_renyi(300, 900, seed), seed);
     }
 }
 
@@ -42,11 +60,11 @@ fn square_graph_distance_semantics() {
 
 #[test]
 fn mis1_of_square_is_mis2_size_class() {
-    // Both the oracle and Algorithm 1 produce maximal D2 sets, so both are
+    // Both MIS-1(G²) and Algorithm 1 produce maximal D2 sets, so both are
     // within the classic factor of each other on bounded-degree graphs.
     let g = gen::laplace3d(10, 10, 10);
     let direct = mis2::mis2(&g);
-    let oracle = mis2_core::mis2_via_square(&g, 0);
+    let oracle = assert_lemma_iv2(&g, 0);
     let ratio = direct.size() as f64 / oracle.size() as f64;
     assert!(
         (0.5..=2.0).contains(&ratio),
@@ -115,17 +133,18 @@ fn high_degree_family_has_smaller_fraction() {
 }
 
 #[test]
-fn luby_iterations_logarithmic_on_g2() {
-    // The reduction argument: Luby on G² needs O(log V) rounds too.
+fn mis1_of_square_is_bell_mis2_on_grid() {
+    // The reduction on a 2D mesh, where G² has 4x the edges of G.
     let g = gen::laplace2d(40, 40);
-    let g2 = ops::square(&g);
-    let r = luby_mis1(&g2, 0);
-    let logv = (g2.num_vertices() as f64).log2();
-    assert!(
-        (r.iterations as f64) < 2.5 * logv,
-        "{} rounds",
-        r.iterations
-    );
+    for seed in 0..3u64 {
+        let r = assert_lemma_iv2(&g, seed);
+        let logv = (g.num_vertices() as f64).log2();
+        assert!(
+            (r.iterations as f64) < 2.5 * logv,
+            "{} rounds",
+            r.iterations
+        );
+    }
 }
 
 #[test]
@@ -187,6 +206,10 @@ fn greedy_mis2_in_fixed_order(g: &CsrGraph, seed: u64) -> Vec<bool> {
 
 fn assert_engine_is_greedy(name: &str, g: &CsrGraph, seed: u64) {
     let want = greedy_mis2_in_fixed_order(g, seed);
+    assert!(
+        spec::mis2(g, PriorityScheme::Fixed, seed).is_in == want,
+        "{name}: the spec is not the lexicographically-first set (seed {seed})"
+    );
     for packed in [true, false] {
         let cfg = Mis2Config {
             priorities: PriorityScheme::Fixed,
