@@ -159,11 +159,12 @@ impl Aggregation {
 // ---------------------------------------------------------------------------
 
 /// Every unaggregated vertex adjacent to a root takes that root's label
-/// (Algorithm 2 phase 1, which Algorithm 3 phase 1 repeats verbatim). On
-/// entry the roots are exactly the labeled vertices. Two roots of an MIS-2
-/// are at distance >= 3, so no vertex has two root neighbors: the
-/// assignment is conflict-free. Each vertex writes only its own label and
-/// reads the labels copied on entry.
+/// (Algorithm 2 phase 1, which Algorithm 3 repeats verbatim in phase 1 and
+/// on its unaggregated subgraph in phase 2). On entry the roots are
+/// exactly the labeled vertices. Two roots of an MIS-2 are at least 3
+/// apart, so no vertex has two root neighbors: the assignment is
+/// conflict-free. Each vertex writes only its own label and reads the
+/// labels copied on entry.
 pub(crate) fn absorb_root_neighbors(g: &CsrGraph, labels: &mut [u32]) {
     let roots = labels.to_vec();
     par::for_each_mut_indexed(labels, |v, label| {

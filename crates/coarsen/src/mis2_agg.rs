@@ -34,7 +34,6 @@ use crate::agg::{absorb_root_neighbors, join_leftovers, sweep_pockets, Aggregati
 use mis2_core::{mis2_with_config, Mis2Config, Mis2Result};
 use mis2_graph::{ops, CsrGraph, VertexId};
 use mis2_prim::par;
-use mis2_prim::SharedMut;
 
 /// Algorithm 3 with the default MIS-2 configuration.
 ///
@@ -90,24 +89,19 @@ pub fn mis2_aggregation_from(g: &CsrGraph, cfg: &Mis2Config, m1: &Mis2Result) ->
             .copied()
             .filter(|&v2| sub.degree(v2) >= 2)
             .collect();
-        let base = roots.len() as u32;
+        // The secondary roots and their neighbors are labeled in `sub`,
+        // as phase 1 does in `g`: each still-unaggregated vertex takes the
+        // label of its adjacent secondary root, which is unique because
+        // secondary roots are distance >= 3 apart in `sub`, and every edge
+        // between two unaggregated vertices is a `sub` edge.
+        let mut sub_labels = vec![UNAGGREGATED; sub.num_vertices()];
         for (k, &v2) in accepted.iter().enumerate() {
-            let v = new_to_old[v2 as usize];
-            labels[v as usize] = base + k as u32;
-            roots.push(v);
+            sub_labels[v2 as usize] = (roots.len() + k) as u32;
         }
-        // Aggregate the secondary roots' unaggregated neighbors. Secondary
-        // roots are distance >= 3 apart in `sub`, so no unaggregated vertex
-        // neighbors two of them: conflict-free.
-        {
-            let lw = SharedMut::new(&mut labels);
-            par::for_each_indexed(&accepted, |k, &v2| {
-                let label = base + k as u32;
-                for &w2 in sub.neighbors(v2) {
-                    let w = new_to_old[w2 as usize];
-                    unsafe { lw.write(w as usize, label) };
-                }
-            });
+        roots.extend(accepted.iter().map(|&v2| new_to_old[v2 as usize]));
+        absorb_root_neighbors(&sub, &mut sub_labels);
+        for (&v, &label) in new_to_old.iter().zip(&sub_labels) {
+            labels[v as usize] = label;
         }
     }
 

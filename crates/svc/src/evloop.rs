@@ -1,7 +1,7 @@
-//! The epoll I/O backend: one nonblocking readiness loop driving every
-//! connection's shared state machine (Linux only).
+//! The epoll I/O driver: one nonblocking readiness loop driving every
+//! connection's machine (Linux only; the default there).
 //!
-//! Where the threads backend spends two threads per connection, this
+//! Where the threads driver spends two threads per connection, this
 //! module serves them all from **one** loop thread: a raw `epoll`
 //! instance (direct `extern "C"` declarations against the already-linked
 //! C library — std-only, no crates) watches the listener, every
@@ -9,20 +9,18 @@
 //! completions — which run on worker-leader threads — post their
 //! finished responses to a shared [`PendingQueue`] and ring the
 //! doorbell, so a completion becomes a readiness event instead of a
-//! blocking channel send; the loop routes each response to its
-//! connection, where the encoder the threads backend's writer uses
-//! ([`stage_outgoing`]) appends it to the batch's one contiguous buffer,
-//! and a flush retires the batch with plain `write`s from a single
-//! offset. C10K-style workloads — thousands of mostly-idle connections,
-//! a few active pipelined ones — cost one sleeping thread total instead
-//! of thousands.
+//! blocking channel send; the loop routes each response into its
+//! connection's [`WireBatch`], and a flush retires the batch with plain
+//! `write`s from a single offset. C10K-style workloads — thousands of
+//! mostly-idle connections, a few active pipelined ones — cost one
+//! sleeping thread total instead of thousands.
 //!
-//! Protocol behavior lives entirely in [`ConnMachine`] /
-//! [`FrameDecoder`] (see `server`): this module only decides *when* to
-//! read, process, and write. The per-connection window is enforced by
-//! **pre-gating**: the loop feeds the machine another item only while
-//! the connection's acquired-but-unretired count is under the window
-//! cap, so the machine's `acquire` never needs to wait.
+//! Protocol behavior lives entirely in the connection machine (`conn`),
+//! the only module besides `server` this one imports from: this module
+//! only decides *when* to read, process, and write. The per-connection
+//! window is enforced by **pre-gating**: the loop feeds the machine
+//! another item only while the connection's acquired-but-unretired count
+//! is under the window cap, so the machine's `acquire` never waits.
 //!
 //! **A request pays for itself; a burst pays for the rest.** One wake
 //! drives each ready connection through one quantum (read, feed the
@@ -37,10 +35,9 @@
 //!   of feeding the machine — before a flush takes a batch, before a
 //!   `STATS` / `METRICS` body renders, and before teardown gives slots
 //!   back — so every gauge value a client can read is the one a
-//!   per-slot publisher shows. The rest mirrors the threads writer: the
-//!   in-flight gauge retires when a flush takes a batch (pre-write),
-//!   window slots after its bytes hit the socket, and the batch's metric
-//!   spans are recorded with one clock read.
+//!   per-slot publisher shows. A batch retires through the same two
+//!   steps as the threads writer's ([`WireBatch::taken`],
+//!   [`WireBatch::written`]).
 //! * **Reads.** A short read or `WouldBlock` ends reading for the
 //!   quantum. The poller is level-triggered, so bytes that arrive later
 //!   are reported by the next wait rather than found by a read that can
@@ -67,12 +64,13 @@
 //! tears down only that connection. The connection slot itself rides the
 //! same [`ConnSlot`] drop guard as the threads backend.
 
+use crate::conn::{
+    CompletionSink, ConnIo, ConnMachine, Flow, FrameDecoder, Framing, Outgoing, WireBatch,
+    HIGH_WATER, READ_CHUNK,
+};
 use crate::metrics;
 use crate::registry::RespBytes;
-use crate::server::{
-    admit, encode_body, record_conn_error, stage_outgoing, CompletionSink, ConnIo, ConnMachine,
-    ConnShared, ConnSlot, ConnTable, Flow, FrameDecoder, Framing, Outgoing, SvcStats, READ_CHUNK,
-};
+use crate::server::{accept_failed, admit, ConnShared, ConnSlot, ConnTable, SvcStats};
 use mis2_prim::pool::SPIN_BUDGET;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -327,91 +325,16 @@ impl ConnIo for EvIo {
     /// publishes before every flush, so its value here is the largest
     /// any acquire of the burst saw.
     fn publish(&mut self) {
-        if self.unpublished == 0 {
-            return;
+        if self.unpublished > 0 {
+            let slots = std::mem::take(&mut self.unpublished);
+            self.stats.publish(slots, self.held);
         }
-        let stats = &self.stats;
-        stats
-            .inflight
-            .fetch_add(self.unpublished as u64, Ordering::Relaxed);
-        stats
-            .peak_inflight
-            .fetch_max(self.held as u64, Ordering::Relaxed);
-        self.unpublished = 0;
     }
 
     fn sink(&self) -> Arc<dyn CompletionSink> {
         Arc::clone(&self.sink) as Arc<dyn CompletionSink>
     }
 }
-
-/// One coalesced response batch: every reply's wire bytes in one buffer,
-/// plus the offset a partial (`WouldBlock`) write resumes from on the
-/// next `EPOLLOUT`.
-#[derive(Default)]
-struct WireBatch {
-    buf: Vec<u8>,
-    spans: Vec<metrics::Span>,
-    /// Responses in the batch — the window slots it retires on completion.
-    count: usize,
-    /// Bytes of `buf` the socket has accepted so far.
-    sent: usize,
-}
-
-impl WireBatch {
-    fn push(&mut self, item: Outgoing) {
-        self.count += 1;
-        stage_outgoing(item, &mut self.buf, &mut self.spans);
-    }
-
-    /// [`WireBatch::push`] of a cache hit, from its interned body.
-    fn push_hit(&mut self, framing: Framing, body: &[u8], span: Option<metrics::Span>) {
-        self.count += 1;
-        self.spans.extend(span);
-        encode_body(framing, true, body, &mut self.buf);
-    }
-
-    /// A retired batch, emptied for reuse as the connection's next one so
-    /// that a busy connection stops allocating per batch — or `None` when
-    /// its buffer has grown past [`HIGH_WATER`], so a connection that
-    /// once flushed a large batch and went idle does not keep it.
-    fn into_spare(mut self) -> Option<WireBatch> {
-        if self.buf.capacity() > HIGH_WATER {
-            return None;
-        }
-        self.buf.clear();
-        self.spans.clear();
-        self.count = 0;
-        self.sent = 0;
-        Some(self)
-    }
-
-    /// Push more bytes at the socket: `Ok(true)` when the batch is fully
-    /// written, `Ok(false)` on `WouldBlock` (wait for `EPOLLOUT`),
-    /// `Err` when the socket is dead.
-    fn write_some(&mut self, out: &mut impl Write) -> io::Result<bool> {
-        while self.sent < self.buf.len() {
-            match out.write(&self.buf[self.sent..]) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "socket accepted zero bytes of a response batch",
-                    ))
-                }
-                Ok(n) => self.sent += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(true)
-    }
-}
-
-/// Stop pulling bytes off a connection's socket once this many are
-/// buffered undecoded — the read-side analog of the window cap, bounding
-/// memory against a client that pipelines faster than it drains.
-const HIGH_WATER: usize = 256 * 1024;
 
 /// Where a connection is in its life: serving, draining for `QUIT`, or
 /// flushing its last bytes.
@@ -507,42 +430,19 @@ impl EvConn {
         progress
     }
 
-    /// Feed decoded items to the machine while the window has room.
+    /// Feed decoded items to the machine while the window has room (a
+    /// full window leaves them waiting in the decoder).
     fn process(&mut self, cx: &ConnShared) -> bool {
         let mut progress = false;
-        while matches!(self.state, ConnState::Open) {
-            if self.io.held >= self.machine.cap(cx) {
-                break; // window full: items wait in the decoder
-            }
-            let item = match self.dec.next(self.machine.wire_mode()) {
-                Some(item) => item,
-                None if self.read_closed => {
-                    // EOF: an unterminated final line is still served
-                    // (the shared-decoder contract), then the
-                    // connection drains and closes.
-                    match self.dec.take_remainder(self.machine.wire_mode()) {
-                        Some(item) => {
-                            progress = true;
-                            match self.machine.handle(item, self.t0, cx, &mut self.io) {
-                                Flow::Continue | Flow::Close => {
-                                    self.state = ConnState::Closing;
-                                }
-                                Flow::Quit(bye) => {
-                                    self.state = ConnState::Draining(Some(bye));
-                                }
-                            }
-                        }
-                        None => {
-                            self.state = ConnState::Closing;
-                            progress = true;
-                        }
-                    }
-                    break;
-                }
+        while matches!(self.state, ConnState::Open) && self.io.held < self.machine.cap(cx) {
+            let (machine, io) = (&mut self.machine, &mut self.io);
+            let flow = match self.dec.next(machine.wire_mode()) {
+                Some(item) => machine.handle(item, self.t0, cx, io),
+                None if self.read_closed => machine.eof(&mut self.dec, self.t0, cx, io),
                 None => break,
             };
             progress = true;
-            match self.machine.handle(item, self.t0, cx, &mut self.io) {
+            match flow {
                 Flow::Continue => {}
                 Flow::Close => {
                     self.read_closed = true;
@@ -558,12 +458,10 @@ impl EvConn {
         progress
     }
 
-    /// Take the encoded batch and push bytes until done or `WouldBlock`.
-    /// The batch retires from the in-flight *gauge* when taken, before
-    /// any write — exactly where the threads writer does — while the
-    /// window slots (`held`) retire only after the bytes are on the socket.
-    /// Its slots are published already: `process` publishes last, and
-    /// only `transition` acquires after it, on a drive that goes round
+    /// Take the encoded batch and push bytes until done or `WouldBlock`;
+    /// the window slots (`held`) retire only once the bytes are on the
+    /// socket. Its slots are published already: `process` publishes last,
+    /// and only `transition` acquires after it, on a drive that goes round
     /// again through `process`.
     fn flush(&mut self, cx: &ConnShared) -> io::Result<bool> {
         let mut progress = false;
@@ -571,57 +469,45 @@ impl EvConn {
             if self.batch.is_none() && self.io.next.count > 0 {
                 let spare = self.spare.take().unwrap_or_default();
                 let batch = std::mem::replace(&mut self.io.next, spare);
-                cx.stats
-                    .inflight
-                    .fetch_sub(batch.count as u64, Ordering::Relaxed);
+                batch.taken(&cx.stats);
                 self.batch = Some(batch);
                 progress = true;
             }
             let Some(batch) = self.batch.as_mut() else {
                 return Ok(progress);
             };
-            match batch.write_some(&mut self.stream)? {
-                true => {
-                    let mut batch = self.batch.take().expect("batch in progress");
-                    cx.stats.writev_batches.fetch_add(1, Ordering::Relaxed);
-                    cx.stats
-                        .bytes_tx
-                        .fetch_add(batch.sent as u64, Ordering::Relaxed);
-                    // Slots retire only now that the bytes are on the
-                    // socket; the batch's spans share one clock read.
-                    self.io.held -= batch.count;
-                    if !batch.spans.is_empty() {
-                        cx.mx.record_batch(batch.spans.drain(..), Instant::now());
-                    }
-                    self.spare = batch.into_spare();
-                    progress = true;
-                }
-                false => return Ok(progress), // EPOLLOUT resumes the batch
+            if !batch.write_some(&mut self.stream)? {
+                return Ok(progress); // EPOLLOUT resumes the batch
             }
+            let mut batch = self.batch.take().expect("batch in progress");
+            let held = &mut self.io.held;
+            batch.written(&cx.stats, &cx.mx, |slots| *held -= slots);
+            self.spare = batch.into_spare();
+            progress = true;
         }
     }
 
     /// The `QUIT` epilogue: once everything in flight has retired, the
     /// goodbye takes a fresh slot and becomes the last queued response.
+    /// (Every reply queued or mid-write holds a slot, so `held == 0`
+    /// means nothing is held, queued or mid-write.)
     fn transition(&mut self) -> bool {
-        if let ConnState::Draining(bye) = &mut self.state {
-            if self.io.held == 0 && self.io.next.count == 0 && self.batch.is_none() {
-                let bye = bye.take().expect("goodbye staged exactly once");
-                self.io.acquire(1);
-                self.io.respond(bye);
-                self.state = ConnState::Closing;
-                return true;
-            }
+        let ConnState::Draining(bye) = &mut self.state else {
+            return false;
+        };
+        if self.io.held > 0 {
+            return false;
         }
-        false
+        let bye = bye.take().expect("goodbye staged exactly once");
+        self.io.acquire(1);
+        self.io.respond(bye);
+        self.state = ConnState::Closing;
+        true
     }
 
     /// Fully drained and flushed: safe to close gracefully.
     fn finished(&self) -> bool {
-        matches!(self.state, ConnState::Closing)
-            && self.io.held == 0
-            && self.io.next.count == 0
-            && self.batch.is_none()
+        matches!(self.state, ConnState::Closing) && self.io.held == 0
     }
 
     /// The event mask this connection currently needs.
@@ -751,11 +637,9 @@ impl EvLoop {
                 Ok(s) => s,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(_) => {
-                    // Transient (often fd-exhaustion) accept failure:
-                    // record it and back off briefly instead of spinning
-                    // on the level-triggered error.
-                    record_conn_error(&self.cx.mx, "accept");
-                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    // Level-triggered: returning lets the next wait
+                    // report the listener again, after the back-off.
+                    accept_failed(&self.cx.mx);
                     return;
                 }
             };
@@ -894,168 +778,5 @@ impl EvLoop {
         }
         // `conn` drops here: the socket closes and the ConnSlot drop
         // guard releases the connection slot + kill-table entry.
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::registry::RespBytes;
-    use crate::server::Framing;
-    use crate::{codec, ops};
-    use mis2_prim::hash::splitmix64;
-
-    fn next(rng: &mut u64) -> usize {
-        *rng = splitmix64(*rng);
-        *rng as usize
-    }
-
-    /// A socket stand-in whose every `write` outcome comes off a seeded
-    /// schedule: `WouldBlock`, `Interrupted`, or 1..=len bytes accepted.
-    /// It checks each accepted byte against the expected stream as it
-    /// arrives, so a batch that re-sends or skips bytes fails at the
-    /// first wrong one instead of looping.
-    struct Scripted<'a> {
-        rng: u64,
-        expect: &'a [u8],
-        got: usize,
-    }
-
-    impl Write for Scripted<'_> {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            assert!(!buf.is_empty(), "a finished batch offers no bytes");
-            match next(&mut self.rng) % 8 {
-                0 => return Err(io::ErrorKind::WouldBlock.into()),
-                1 => return Err(io::ErrorKind::Interrupted.into()),
-                _ => {}
-            }
-            // Small accepts and whole-buffer accepts both matter.
-            let cap = [buf.len(), buf.len().min(40)][next(&mut self.rng) % 2];
-            let n = 1 + next(&mut self.rng) % cap;
-            let want = self.expect.get(self.got..self.got + n);
-            assert_eq!(Some(&buf[..n]), want, "wrong bytes at offset {}", self.got);
-            self.got += n;
-            Ok(n)
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    /// A seeded batch mixing every reply shape — cache hits framed from
-    /// their interned body among them, exactly one an over-`MAX_PAYLOAD`
-    /// body — and the bytes each reply makes when `codec` encodes it
-    /// alone, concatenated.
-    fn mixed_batch(rng: &mut u64) -> (WireBatch, Vec<u8>) {
-        let mut batch = WireBatch::default();
-        let mut expect = Vec::new();
-        let n = 2 + next(rng) % 12;
-        let oversized_at = next(rng) % n;
-        for i in 0..n {
-            let tag = next(rng) as u64;
-            let text = "r".repeat(next(rng) % 200);
-            let kind = if i == oversized_at { 4 } else { next(rng) % 4 };
-            if kind == 3 {
-                // A cache hit, framed from its interned body.
-                let framing = [Framing::Bare, Framing::V3(tag)][next(rng) % 2];
-                batch.push_hit(framing, text.as_bytes(), None);
-                expect.extend(match framing {
-                    Framing::Bare => format!("OK {text}\n").into_bytes(),
-                    Framing::V3(_) => codec::encode_frame(tag, codec::STATUS_OK, text.as_bytes()),
-                });
-                continue;
-            }
-            let frame = |resp, status, body: &[u8]| {
-                let wire = codec::encode_frame(tag, status, body);
-                (Framing::V3(tag), resp, wire)
-            };
-            let (framing, resp, wire) = match kind {
-                0 => (
-                    Framing::Bare,
-                    ops::Response::ok_text(text.clone()),
-                    format!("OK {text}\n").into_bytes(),
-                ),
-                1 => frame(
-                    ops::Response::err(&text),
-                    codec::STATUS_ERR,
-                    text.as_bytes(),
-                ),
-                2 => {
-                    let interned = Arc::new(RespBytes {
-                        token: String::new(),
-                        body: text.as_bytes().into(),
-                    });
-                    let resp = ops::Response::interned(interned);
-                    frame(resp, codec::STATUS_OK, text.as_bytes())
-                }
-                _ => {
-                    let big = ops::Response::ok_text("x".repeat(codec::MAX_PAYLOAD + 1));
-                    frame(big, codec::STATUS_ERR, b"response too large")
-                }
-            };
-            expect.extend(wire);
-            batch.push(Outgoing {
-                framing,
-                resp,
-                span: None,
-            });
-        }
-        assert_eq!(batch.count, n);
-        (batch, expect)
-    }
-
-    #[test]
-    fn partial_writes_resume_from_the_sent_offset() {
-        let mut blocked = 0usize;
-        for seed in 0..1500u64 {
-            let mut rng = seed;
-            let (mut batch, expect) = mixed_batch(&mut rng);
-            let mut out = Scripted {
-                rng,
-                expect: &expect,
-                got: 0,
-            };
-            // `Ok(false)` any number of times, then `Ok(true)` once.
-            while !batch.write_some(&mut out).unwrap() {
-                blocked += 1;
-                assert!(out.got < expect.len(), "seed {seed}: blocked when done");
-            }
-            assert_eq!(out.got, expect.len(), "seed {seed}");
-            assert_eq!(batch.sent, expect.len(), "seed {seed}");
-            // A finished batch stays finished and offers the writer nothing.
-            assert!(batch.write_some(&mut out).unwrap());
-        }
-        assert!(blocked > 1000, "the schedule must exercise resumption");
-    }
-
-    #[test]
-    fn a_retired_batch_is_reused_unless_it_outgrew_the_high_water_mark() {
-        let (mut batch, expect) = mixed_batch(&mut 3);
-        assert!(batch.write_some(&mut Vec::new()).unwrap());
-        let capacity = batch.buf.capacity();
-        let spare = batch.into_spare().expect("a small batch is kept");
-        assert_eq!((spare.buf.len(), spare.count, spare.sent), (0, 0, 0));
-        assert!(spare.spans.is_empty());
-        assert_eq!(spare.buf.capacity(), capacity);
-        assert!(capacity >= expect.len());
-
-        let mut big = WireBatch::default();
-        big.push(Outgoing {
-            framing: Framing::Bare,
-            resp: ops::Response::ok_text("x".repeat(HIGH_WATER)),
-            span: None,
-        });
-        assert!(big.buf.capacity() > HIGH_WATER);
-        assert!(big.into_spare().is_none());
-    }
-
-    #[test]
-    fn a_zero_byte_accept_is_write_zero() {
-        let (mut batch, _) = mixed_batch(&mut 7);
-        // A full `&mut [u8]` accepts `Ok(0)`.
-        let err = batch.write_some(&mut &mut [0u8; 0][..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
-        assert_eq!(batch.sent, 0);
     }
 }

@@ -47,10 +47,12 @@
 //!   default on Linux — the `evloop` readiness loop, one thread
 //!   multiplexing every connection over raw `epoll` with an `eventfd`
 //!   doorbell for scheduler completions. Both drive the same sans-I/O
-//!   connection state machine in [`server`], so responses are
-//!   bitwise-identical between backends; the epoll loop buys connection
-//!   *scale* (thousands of idle clients cost an fd each, not threads —
-//!   `tests/svc_c10k.rs` is the proof).
+//!   connection state machine (the private `conn` module, which names no
+//!   socket and no thread; each driver is one file importing only from
+//!   it and [`server`]), so responses are bitwise-identical between
+//!   backends; the epoll loop buys connection *scale* (thousands of idle
+//!   clients cost an fd each, not threads — `tests/svc_c10k.rs` is the
+//!   proof).
 //! * [`metrics`] — full-stack request observability, recorded on every
 //!   protocol: log2-bucket latency histograms per op × outcome, per-stage
 //!   spans (parse → queue → run → write), a ring of the last 64 slow
@@ -93,8 +95,9 @@
 
 pub mod client;
 pub mod codec;
+mod conn;
 #[cfg(target_os = "linux")]
-pub(crate) mod evloop;
+mod evloop;
 pub mod metrics;
 pub mod ops;
 pub mod proto;
@@ -102,6 +105,7 @@ pub mod registry;
 pub mod sched;
 pub mod server;
 pub mod shard;
+mod threads;
 
 pub use client::{Client, V3Client};
 pub use ops::OpKey;

@@ -4,41 +4,26 @@
 //!
 //! # One state machine, two I/O drivers, two services
 //!
-//! Protocol behavior lives in ONE place — the shared **connection state
-//! machine** (`FrameDecoder` + `ConnMachine`): hello negotiation (the
-//! `V3` upgrade), v1 line framing and v3 binary framing, per-request
-//! window-slot accounting, inline `PING`/`STATS`/`METRICS`, the
-//! zero-serialization cache probe (one compute path for both framings),
-//! parse and framing errors, and the draining `QUIT`. The machine is
-//! sans-I/O: it consumes framed items
-//! extracted from a byte buffer and emits effects through the small
-//! `ConnIo` seam (acquire a window slot, enqueue a response, mint a
-//! `CompletionSink` for a completion).
+//! The connection path has three parts:
 //!
-//! Two **drivers** feed it bytes ([`ServerConfig::io_backend`]):
-//!
-//! * **threads** (this module; the portable fallback and the only
-//!   backend off Linux) — a **reader** thread per connection feeds the
-//!   machine from blocking reads, and a **writer** thread joined by a
-//!   bounded response channel retires batches; completions send into the
-//!   channel.
-//! * **epoll** (the `crate::evloop` module; the Linux default) — one
-//!   nonblocking readiness loop drives every connection's machine from
-//!   `epoll` events; completions post to a per-loop `eventfd` and become
-//!   write-readiness work instead of channel sends.
-//!
-//! Two **services** answer it (`Service`, the one seam for what differs
-//! between a server and a router: the `STATS` body, the `METRICS` body,
-//! and "run this compute request, deliver the framed response to this
-//! sink"):
-//!
-//! * **local** ([`serve`]) — the registry answers, the scheduler computes.
-//! * **upstream** ([`crate::shard::route`]) — the ring picks a shard, the
-//!   shard computes, and the connection's upstream readers deliver.
+//! * **the connection machine** (`conn`, sans-I/O) — hello negotiation,
+//!   v1 lines and v3 frames, window slots, inline `PING`/`STATS`/`METRICS`,
+//!   the cache probe, parse and framing errors, the draining `QUIT`, and
+//!   the one write batch every reply is encoded into. It names no socket
+//!   and no thread.
+//! * **two drivers** that feed it bytes ([`ServerConfig::io_backend`]):
+//!   `evloop` (one `epoll` readiness loop; the Linux default) and
+//!   `threads` (a reader and a writer thread per connection; the only
+//!   backend off Linux, and the one that is leaving). Each imports from
+//!   the machine and from this module, never from the other driver.
+//! * **this module**, the process: configuration, the bound [`serve`]
+//!   listener, admission under `--max-conns`, the `Service` a machine
+//!   asks (a server's registry and scheduler, or a router's shards —
+//!   [`crate::shard::route`]), and the `STATS` / `METRICS` bodies.
 //!
 //! Every combination produces **bitwise-identical** wire bytes for every
 //! request — the e2e suites assert it — because every response is one
-//! [`ops::Response`] under one `Framing`, turned into bytes by the one
+//! [`ops::Response`] under one framing, turned into bytes by the one
 //! batch encoder. A server and a router also bind, stop and default their
 //! limits through one `Listener`.
 //!
@@ -46,70 +31,20 @@
 //! with it whatever the service hangs off the connection, the router's
 //! upstream sockets among it — **outlives its last in-flight response**.
 //! A client that pipelines and then half-closes still gets every answer.
-//! The threads driver waits for the window to empty after its read loop
-//! returns; the epoll driver closes a connection only once nothing is
-//! held, queued or mid-write.
-//!
-//! # The threads backend
-//!
-//! Each connection gets a **reader** thread (the handler) and a **writer**
-//! thread joined by a bounded response channel. The reader parses request
-//! lines (or, after the `V3` hello, binary frames — see [`crate::codec`])
-//! and keeps going while earlier jobs run: `PING`/`STATS` are answered
-//! inline (never queued behind compute), `QUIT` drains and says goodbye,
-//! and compute requests are submitted to the shared [`Scheduler`] in
-//! completion mode — the worker-leader that finishes a job pushes its
-//! response straight into the writer channel, so responses are written in
-//! *completion* order (tagged, on v3 connections, so the client can
-//! reassemble; v1 connections cap the window at 1, which preserves the
-//! classic request-order contract). On either protocol a request whose
-//! serialized response bytes are already interned in the [`Registry`]
-//! never touches the scheduler at all: the reader probes
-//! [`Registry::probe`] with the graph token and op borrowed from the
-//! request ([`proto::RequestView`]) and forwards the shared bytes
-//! directly — the zero-serialization fast path, which allocates nothing
-//! (the epoll loop copies them into its wire batch under the probe's
-//! lock, see `crate::evloop`).
-//!
-//! The writer is a **batcher**: it drains the response channel greedily,
-//! encodes everything it found into one contiguous buffer and flushes it
-//! with one write, so a window's worth of responses retires in
-//! O(syscalls), not O(responses). A reply is ~84 bytes on the v3 hit path
-//! (measured on `svc_hot`), so interned response bytes are copied like
-//! any other body — a v3 hit is a 13-byte header stamp plus a ~71-byte
-//! append, a v1 hit the same append between `OK ` and a newline; what
-//! interning saves is the render, not the copy.
-//!
-//! Backpressure is layered: a per-connection in-flight **window**
-//! ([`ServerConfig::max_inflight`]) stops the reader when too many
-//! responses are outstanding, and the scheduler's bounded queue stops it
-//! globally when the whole service is saturated. The window-slot protocol
-//! also guarantees completions never block on the response channel: a
-//! slot is acquired per request before anything may be sent, and released
-//! by the writer only after the response leaves the channel (per batch,
-//! after its write — every channel item's slot is still held, so
-//! occupancy can never reach capacity (= the window cap) while a send is
-//! in flight). Teardown (EOF, error, `QUIT`, over-long line) waits for the
-//! window to empty — the writer releases slots even behind a broken
-//! socket, so a vanished client cannot wedge it — then drops the machine
-//! and the reader's sender and joins the writer: nothing leaks the
-//! connection slot and nothing wedges the scheduler.
 
-use crate::codec;
+use crate::conn::{encode_outgoing, Framing};
 use crate::metrics::{self, Metrics};
 use crate::ops;
-use crate::proto::{self, RequestView};
-use crate::registry::{Registry, RespBytes};
+use crate::registry::Registry;
 use crate::sched::{SchedConfig, Scheduler};
 use crate::shard;
 use mis2_graph::Scale;
 use mis2_prim::pool;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Which I/O engine drives connections. Both backends run the same
 /// connection state machine and produce bitwise-identical wire bytes;
@@ -261,6 +196,17 @@ pub struct SvcStats {
     pub bytes_tx: AtomicU64,
 }
 
+impl SvcStats {
+    /// Add `slots` newly acquired window slots to the in-flight gauge, the
+    /// connection's window holding `depth` with them — the one gauge step
+    /// of both drivers (per slot on threads, per burst on epoll).
+    pub(crate) fn publish(&self, slots: usize, depth: usize) {
+        self.inflight.fetch_add(slots as u64, Ordering::Relaxed);
+        self.peak_inflight
+            .fetch_max(depth as u64, Ordering::Relaxed);
+    }
+}
+
 /// Owned claim on one connection slot: releases the slot on drop, so the
 /// count stays correct on every exit path — handler return, handler
 /// *panic*, failed thread spawn, or an over-cap rejection. (Before this
@@ -372,7 +318,7 @@ impl Listener {
             IoBackend::Epoll => {
                 unreachable!("IoBackend::effective falls back to threads off Linux")
             }
-            IoBackend::Threads => spawn_threads_accept(listener, cx2, stop2, table2, max_conns),
+            IoBackend::Threads => crate::threads::spawn(listener, cx2, stop2, table2, max_conns),
         }?;
         Ok(Listener {
             addr,
@@ -474,7 +420,7 @@ impl ServerHandle {
 /// connection machine and the process it runs in. Three things differ
 /// between a server and a router — the `STATS` body, the `METRICS` body,
 /// and how a compute request is run and its framed response delivered
-/// ([`ConnMachine::submit`]) — and each is one `match` on this enum. The
+/// (`ConnMachine::compute`) — and each is one `match` on this enum. The
 /// v3 registry probe exists on the local side only.
 pub(crate) enum Service {
     /// A server: the registry answers, the scheduler computes.
@@ -523,7 +469,7 @@ impl ConnShared {
 /// error) into the metrics registry as an `other` × `error` outcome —
 /// these never travel the request path, so without this they would be
 /// invisible to `METRICS`.
-pub(crate) fn record_conn_error(mx: &Metrics, key: &str) {
+fn record_conn_error(mx: &Metrics, key: &str) {
     if !mx.enabled() {
         return;
     }
@@ -601,894 +547,12 @@ pub(crate) fn admit(
     Some((stream, slot))
 }
 
-/// The thread-per-connection accept loop: one blocking `accept`, one
-/// handler (reader) thread and one writer thread per admitted connection.
-fn spawn_threads_accept(
-    listener: TcpListener,
-    cx: Arc<ConnShared>,
-    stop: Arc<AtomicBool>,
-    conn_table: Arc<ConnTable>,
-    max_conns: usize,
-) -> io::Result<std::thread::JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name("mis2-svc-accept".into())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else {
-                    // Transient (often fd-exhaustion) accept failure:
-                    // back off instead of spinning the core; existing
-                    // connections keep their handler threads.
-                    record_conn_error(&cx.mx, "accept");
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    continue;
-                };
-                let Some((stream, slot)) = admit(stream, &cx, &conn_table, max_conns) else {
-                    continue;
-                };
-                let cx = Arc::clone(&cx);
-                // On spawn failure the closure (and `slot` inside it)
-                // is dropped by Builder::spawn, releasing the claim.
-                let _ = std::thread::Builder::new()
-                    .name("mis2-svc-conn".into())
-                    .spawn(move || {
-                        let _slot = slot;
-                        let _ = handle_connection(stream, &cx);
-                    });
-            }
-        })
-}
-
-/// Per-connection in-flight window: counts requests accepted whose
-/// response has not yet been written to the socket. The reader acquires a
-/// slot per request (blocking at the cap — that is the per-connection
-/// backpressure); the writer releases a slot per response it dequeues.
-///
-/// The slot protocol is what makes scheduler completions safe: a
-/// completion only ever sends while its request's slot is held, and the
-/// response channel's capacity equals the window cap, so occupancy is
-/// always strictly below capacity at the moment of a send — completions
-/// (which run on scheduler worker-leaders) can never block on a full
-/// channel, no matter how slow or dead the client is.
-struct ConnWindow {
-    inflight: Mutex<usize>,
-    changed: Condvar,
-}
-
-impl ConnWindow {
-    fn new() -> ConnWindow {
-        ConnWindow {
-            inflight: Mutex::new(0),
-            changed: Condvar::new(),
-        }
-    }
-
-    /// Block until the window has room under `cap`, then take a slot.
-    /// Returns the depth after acquisition (for peak tracking).
-    fn acquire(&self, cap: usize) -> usize {
-        let mut n = self.inflight.lock().unwrap();
-        while *n >= cap {
-            n = self.changed.wait(n).unwrap();
-        }
-        *n += 1;
-        *n
-    }
-
-    fn release(&self) {
-        let mut n = self.inflight.lock().unwrap();
-        *n -= 1;
-        self.changed.notify_all();
-    }
-
-    /// Block until every outstanding response has been written (`QUIT`
-    /// waits here so `BYE` is the last line on the wire, teardown so the
-    /// machine outlives its last in-flight response).
-    fn wait_empty(&self) {
-        let mut n = self.inflight.lock().unwrap();
-        while *n > 0 {
-            n = self.changed.wait(n).unwrap();
-        }
-    }
-}
-
-/// One response travelling from the reader (inline answers) or a
-/// scheduler completion into the connection's writer: the response, how
-/// it is framed, and the request's metrics span (if recording), which the
-/// writer retires after the bytes hit the socket.
-pub(crate) struct Outgoing {
-    pub(crate) framing: Framing,
-    pub(crate) resp: ops::Response,
-    pub(crate) span: Option<metrics::Span>,
-}
-
-/// Append one reply's wire bytes to the batch buffer — the one encoder
-/// both drivers flush from, whether the reply arrives as an
-/// [`ops::Response`] ([`encode_outgoing`]) or as interned bytes framed
-/// under the registry probe ([`ConnIo::respond_interned`]). The body is
-/// copied once, rendered text or interned registry bytes alike
-/// (interning skips the render, not the copy).
-pub(crate) fn encode_body(framing: Framing, ok: bool, body: &[u8], buf: &mut Vec<u8>) {
-    match framing {
-        Framing::Bare => {
-            buf.extend_from_slice(if ok { b"OK " } else { b"ERR " });
-            buf.extend_from_slice(body);
-            buf.push(b'\n');
-        }
-        Framing::V3(tag) => {
-            // An over-MAX_PAYLOAD body cannot be framed: the header's u32
-            // length would truncate (or advertise a length the peer
-            // rejects as Oversized and poisons the connection on). Swap
-            // in a per-tag ERR so only this request fails and the stream
-            // stays framed.
-            let (ok, body) = if body.len() > codec::MAX_PAYLOAD {
-                (false, &b"response too large"[..])
-            } else {
-                (ok, body)
-            };
-            let status = if ok {
-                codec::STATUS_OK
-            } else {
-                codec::STATUS_ERR
-            };
-            buf.extend_from_slice(&codec::encode_header(tag, body.len() as u32, status));
-            buf.extend_from_slice(body);
-        }
-    }
-}
-
-/// [`encode_body`] of a whole response.
-fn encode_outgoing(framing: Framing, resp: ops::Response, buf: &mut Vec<u8>) {
-    encode_body(framing, resp.is_ok(), resp.body_bytes(), buf);
-}
-
-/// Peel one response into the batch under construction: the span (if
-/// any) is parked until the batch's write retires, the response's bytes
-/// are appended to the batch buffer.
-pub(crate) fn stage_outgoing(item: Outgoing, buf: &mut Vec<u8>, spans: &mut Vec<metrics::Span>) {
-    if let Some(span) = item.span {
-        spans.push(span);
-    }
-    encode_outgoing(item.framing, item.resp, buf);
-}
-
-/// The writer half of a connection: drains the bounded response channel
-/// in greedy batches — one blocking `recv`, then everything `try_recv`
-/// yields — encodes the whole batch (text lines and/or binary frames)
-/// into one buffer, and retires it with one `write_all`. Window slots
-/// are released per batch *after* its write, which both preserves the
-/// completion-send safety argument (every channel item's slot is still
-/// held) and keeps `QUIT`'s drain honest (`wait_empty` cannot pass until
-/// the bytes are on the socket). Responses already queued behind a broken
-/// socket are still dequeued and their slots released, so the reader and
-/// in-flight completions wind down instead of wedging.
-///
-/// On the first write failure the whole socket is shut down: the reader
-/// may be parked in a read happily accepting new requests for a client
-/// that can no longer receive a byte, and the shutdown is what turns its
-/// next read into EOF so the connection winds down instead of burning
-/// scheduler compute on undeliverable responses.
-fn writer_loop(
-    rx: Receiver<Outgoing>,
-    stream: TcpStream,
-    win: &ConnWindow,
-    stats: &SvcStats,
-    mx: &Metrics,
-) {
-    let mut out = stream;
-    let mut broken = false;
-    let mut spans: Vec<metrics::Span> = Vec::new();
-    let mut disconnected = false;
-    while !disconnected {
-        // Park until the next response (or until every sender is gone,
-        // which is the teardown signal).
-        let Ok(first) = rx.recv() else { break };
-        // Allocated per batch, not reused: a reused buffer would leave
-        // every idle connection thread pinning its largest batch ever (up
-        // to window x MAX_PAYLOAD), and this is one allocation per ~5 KB
-        // batch, not per reply. (The epoll loop keeps one spare batch per
-        // connection instead, dropped once it outgrows its read
-        // high-water mark.)
-        let mut buf: Vec<u8> = Vec::new();
-        spans.clear();
-        let mut batch = 1usize;
-        stage_outgoing(first, &mut buf, &mut spans);
-        loop {
-            match rx.try_recv() {
-                Ok(next) => {
-                    batch += 1;
-                    stage_outgoing(next, &mut buf, &mut spans);
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
-        }
-        // Retire the batch from the in-flight *gauge* before the write:
-        // a client that has read its last response (e.g. BYE) must not
-        // observe a stale non-zero gauge just because this thread hasn't
-        // run its post-write bookkeeping yet. The window slots — the
-        // accounting QUIT's drain actually waits on — are still released
-        // only after the bytes are on the socket.
-        stats.inflight.fetch_sub(batch as u64, Ordering::Relaxed);
-        if !broken {
-            match out.write_all(&buf) {
-                Ok(()) => {
-                    stats.writev_batches.fetch_add(1, Ordering::Relaxed);
-                    stats
-                        .bytes_tx
-                        .fetch_add(buf.len() as u64, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    broken = true;
-                    let _ = out.shutdown(std::net::Shutdown::Both);
-                }
-            }
-        }
-        if broken {
-            // Responses that never reached the socket drop their spans
-            // unrecorded: the client never observed them, so the
-            // histograms don't either.
-            spans.clear();
-        }
-        for _ in 0..batch {
-            win.release();
-        }
-        // Retire the batch's metric spans with ONE clock read as the
-        // shared write-retired stamp and one metrics lock — per-response
-        // clocks or locks would put their cost back on the path the
-        // batching exists to amortize. Recording runs *after* the window
-        // slots are released so it overlaps with the reader's next burst
-        // instead of gating admission.
-        if !spans.is_empty() {
-            mx.record_batch(spans.drain(..), Instant::now());
-        }
-    }
-}
-
-/// How bytes on the wire are framed right now — which is also the whole
-/// protocol mode of a connection: newline-terminated lines (v1, until an
-/// upgrade hello arrives) or 13-byte-header binary frames (v3, after the
-/// `V3` hello).
-#[derive(Clone, Copy, PartialEq)]
-pub(crate) enum WireMode {
-    Lines,
-    Frames,
-}
-
-/// One framed inbound item extracted from a connection's byte stream,
-/// borrowing the decoder's buffer (zero copy).
-pub(crate) enum Inbound<'a> {
-    /// A complete line, terminating newline stripped (a trailing `\r`
-    /// stays attached — the machine trims it, as the old reader did).
-    Line(&'a [u8]),
-    /// More than [`proto::MAX_LINE`] bytes arrived without a newline:
-    /// unframeable, the connection must close after the error.
-    OverlongLine,
-    /// A complete v3 frame (header already decoded).
-    Frame { tag: u64, payload: &'a [u8] },
-    /// A v3 header advertising more than [`codec::MAX_PAYLOAD`] bytes:
-    /// hostile — nothing past it can be trusted to frame.
-    OversizedFrame { tag: u64 },
-}
-
-/// Incremental framer shared by both I/O backends: raw socket bytes in,
-/// framed [`Inbound`] items out. Framing is byte-based and runs before
-/// any UTF-8 validation, so the over-long check fires even when the cap
-/// lands mid-codepoint — exactly the semantics the old bounded
-/// `take(MAX_LINE+1).read_until` reader had.
-pub(crate) struct FrameDecoder {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl FrameDecoder {
-    pub(crate) fn new() -> FrameDecoder {
-        FrameDecoder {
-            buf: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    /// Bytes buffered but not yet consumed (the epoll backend's read
-    /// high-water check).
-    pub(crate) fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Append freshly read bytes, compacting consumed ones first so the
-    /// buffer holds at most one burst plus one partial item.
-    pub(crate) fn push(&mut self, bytes: &[u8]) {
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Extract the next complete item under `mode`, or `None` when more
-    /// bytes are needed.
-    pub(crate) fn next(&mut self, mode: WireMode) -> Option<Inbound<'_>> {
-        let avail = &self.buf[self.pos..];
-        match mode {
-            WireMode::Lines => {
-                // One byte past MAX_LINE without a newline is the proof
-                // of an over-long line; a newline inside the window
-                // keeps even an exactly-MAX_LINE line served.
-                let scan = &avail[..avail.len().min(proto::MAX_LINE + 1)];
-                match scan.iter().position(|&b| b == b'\n') {
-                    Some(i) => {
-                        let start = self.pos;
-                        self.pos += i + 1;
-                        Some(Inbound::Line(&self.buf[start..start + i]))
-                    }
-                    None if avail.len() > proto::MAX_LINE => {
-                        self.pos = self.buf.len();
-                        Some(Inbound::OverlongLine)
-                    }
-                    None => None,
-                }
-            }
-            WireMode::Frames => {
-                if avail.len() < codec::HEADER_LEN {
-                    return None;
-                }
-                let hdr: [u8; codec::HEADER_LEN] = avail[..codec::HEADER_LEN]
-                    .try_into()
-                    .expect("header length");
-                let (tag, len, _status) = codec::decode_header(&hdr);
-                let len = len as usize;
-                if len > codec::MAX_PAYLOAD {
-                    self.pos = self.buf.len();
-                    return Some(Inbound::OversizedFrame { tag });
-                }
-                if avail.len() < codec::HEADER_LEN + len {
-                    return None;
-                }
-                let start = self.pos + codec::HEADER_LEN;
-                self.pos = start + len;
-                Some(Inbound::Frame {
-                    tag,
-                    payload: &self.buf[start..start + len],
-                })
-            }
-        }
-    }
-
-    /// The unterminated final line at EOF, if any — the old blocking
-    /// reader served it (`read_until` returns what it got), so both
-    /// backends do too. Partial v3 frames die with the connection.
-    pub(crate) fn take_remainder(&mut self, mode: WireMode) -> Option<Inbound<'_>> {
-        if mode != WireMode::Lines || self.pending() == 0 {
-            return None;
-        }
-        let start = self.pos;
-        self.pos = self.buf.len();
-        Some(Inbound::Line(&self.buf[start..]))
-    }
-}
-
-/// Serve one connection until EOF, error, or `QUIT` — the **reader** side
-/// of the threads backend.
-///
-/// The reader feeds the shared [`ConnMachine`] and keeps accepting while
-/// earlier jobs run; every response (inline or completed) flows through
-/// the bounded channel into the writer thread. On exit the reader waits
-/// for the window to empty, drops the machine and its sender, and joins
-/// the writer — so teardown drains naturally and the connection slot
-/// (held by this thread) is released only after everything is accounted
-/// for.
-fn handle_connection(stream: TcpStream, cx: &Arc<ConnShared>) -> io::Result<()> {
-    let write_stream = stream.try_clone()?;
-    let win = Arc::new(ConnWindow::new());
-    // Capacity = window cap: see ConnWindow for why this bound makes
-    // completion sends non-blocking.
-    let (tx, rx) = sync_channel::<Outgoing>(cx.max_inflight);
-    let writer = {
-        let (win, cx) = (Arc::clone(&win), Arc::clone(cx));
-        std::thread::Builder::new()
-            .name("mis2-svc-write".into())
-            .spawn(move || writer_loop(rx, write_stream, &win, &cx.stats, &cx.mx))?
-    };
-    let mut io = ThreadIo {
-        sink: Arc::new(ThreadSink {
-            tx,
-            win,
-            stats: Arc::clone(&cx.stats),
-        }),
-    };
-    let mut machine = ConnMachine::new();
-    let result = read_loop(stream, cx, &mut machine, &mut io);
-    // Drain before teardown: the machine (and the upstream sockets a
-    // router's machine owns) outlives its last in-flight response, so a
-    // client that pipelined and then half-closed still gets every answer.
-    // The writer releases slots even behind a broken socket, so a
-    // vanished client cannot wedge this wait.
-    io.sink.win.wait_empty();
-    drop(machine);
-    // Drop our sender; every completion has delivered, so the writer
-    // sees the channel disconnect and exits.
-    drop(io);
-    let _ = writer.join();
-    result
-}
-
-/// The metrics op label of a compute request.
-fn span_op(op: &ops::OpKey) -> metrics::Op {
-    match op {
-        ops::OpKey::Mis2 => metrics::Op::Mis2,
-        ops::OpKey::Coarsen { .. } => metrics::Op::Coarsen,
-        ops::OpKey::Solve { .. } => metrics::Op::Solve,
-    }
-}
-
-/// How one response is framed back to the client.
-#[derive(Clone, Copy)]
-pub(crate) enum Framing {
-    /// v1: the bare response line, `OK `/`ERR `, the body and `\n`.
-    Bare,
-    /// v3: a binary frame under `tag`, the 13-byte header and the body.
-    V3(u64),
-}
-
-/// What the driver must do after the machine handled one item.
-pub(crate) enum Flow {
-    /// Keep going.
-    Continue,
-    /// Stop reading and close once already-queued responses have
-    /// flushed (over-long line, hostile frame header).
-    Close,
-    /// `QUIT`: drain every in-flight response, then send this `BYE`
-    /// under one freshly acquired slot as the last bytes on the wire,
-    /// and close.
-    Quit(Outgoing),
-}
-
-/// A backend's completion-delivery handle: scheduler completions (which
-/// run on worker-leader threads) and a router's upstream readers hand
-/// finished responses here. A sink must never block — the threads backend
-/// sends into the response channel under the window-slot guarantee, the
-/// epoll backend pushes to an unbounded pending queue and rings an
-/// `eventfd` doorbell.
-pub(crate) trait CompletionSink: Send + Sync {
-    fn deliver(&self, item: Outgoing);
-}
-
-/// The machine's window onto its backend: slot acquisition (the
-/// per-connection backpressure), inline response delivery, and minting
-/// the completion sink scheduler jobs deliver through.
-pub(crate) trait ConnIo {
-    /// Acquire one window slot under `cap`. The threads backend blocks
-    /// here at a full window and bumps the service gauges per slot; the
-    /// epoll backend pre-gates item delivery on window room, so its
-    /// acquire never waits, and only counts until [`ConnIo::publish`].
-    fn acquire(&mut self, cap: usize);
-    /// Queue one response for writing under an already-acquired slot.
-    fn respond(&mut self, item: Outgoing);
-    /// Answer a cache hit from its interned bytes under an
-    /// already-acquired slot. Runs under the registry lock
-    /// ([`Registry::probe`]), so it must not block: the epoll backend
-    /// frames the bytes straight into its wire batch and returns `None`;
-    /// the default clones the `Arc` into the response it returns, which
-    /// the machine hands to [`ConnIo::respond`] once the lock is released
-    /// (on the threads backend that send may wake the writer thread).
-    fn respond_interned(
-        &mut self,
-        framing: Framing,
-        bytes: &Arc<RespBytes>,
-        span: Option<metrics::Span>,
-    ) -> Option<Outgoing> {
-        Some(Outgoing {
-            framing,
-            resp: ops::Response::interned(Arc::clone(bytes)),
-            span,
-        })
-    }
-    /// Add the slots acquired since the last call to the service gauges
-    /// (`inflight`, `peak_inflight`). The machine calls it before it
-    /// renders a `STATS` / `METRICS` body; a backend whose acquire
-    /// publishes already (threads) leaves it a no-op.
-    fn publish(&mut self) {}
-    /// The sink this connection's scheduler completions deliver to.
-    fn sink(&self) -> Arc<dyn CompletionSink>;
-}
-
-/// The window of a v1 connection: text lines keep the classic
-/// one-in-flight, in-order contract.
-const V1_WINDOW: usize = 1;
-
-/// The connection state machine both I/O backends drive: hello
-/// negotiation (the `V3` upgrade), v1 lines and v3 binary frames,
-/// per-request window-slot accounting, inline
-/// `PING`/`STATS`/`METRICS`, the zero-serialization cache probe,
-/// parse and framing errors, and the draining `QUIT`. Sans-I/O: items
-/// come from a [`FrameDecoder`], effects leave through a [`ConnIo`].
-///
-/// One compute path for both framings: parse the item into a borrowed
-/// [`proto::RequestView`], take the window slot, probe
-/// [`Registry::probe`] with the view's graph token and op (local service
-/// only — a router has no registry), answer a hit inline through
-/// [`ConnIo::respond_interned`] under the probe's lock, and build the
-/// owned [`proto::Request`] only for a miss, which is submitted. A hit
-/// costs no scheduler hop, no re-render and no allocation: one registry
-/// lock, one hash of the graph key, and on the epoll backend one copy of
-/// the bytes into the wire batch. A miss takes that one probe, as
-/// before, and then the owned request. Every hit goes through the
-/// probe, so the artifact/graph LRU stamps and the `hits`/`resp_hits`
-/// counters refresh per request: a key answered from connection-local
-/// state instead would look LRU-coldest and be evicted first under
-/// `--mem-budget` pressure.
-pub(crate) struct ConnMachine {
-    mode: WireMode,
-    /// The upstream service's per-connection half (this connection's
-    /// shard sockets), opened by its first forwarded request; always
-    /// `None` on a server. Dropping the machine tears it down.
-    up: Option<shard::UpConn>,
-}
-
-impl ConnMachine {
-    pub(crate) fn new() -> ConnMachine {
-        ConnMachine {
-            mode: WireMode::Lines,
-            up: None,
-        }
-    }
-
-    /// The wire framing the decoder should apply to the *next* item.
-    pub(crate) fn wire_mode(&self) -> WireMode {
-        self.mode
-    }
-
-    /// The in-flight window cap in force right now: [`V1_WINDOW`] until
-    /// the upgrade, then v3 opens the window to the configured cap.
-    pub(crate) fn cap(&self, cx: &ConnShared) -> usize {
-        match self.mode {
-            WireMode::Lines => V1_WINDOW,
-            WireMode::Frames => cx.max_inflight,
-        }
-    }
-
-    /// Feed one framed item through the protocol. `t0` is the span clock
-    /// zero — stamped once per socket read, shared by every item parsed
-    /// from that burst (one clock read per syscall, not per request;
-    /// `None` when recording is off, so the disabled path pays no clock
-    /// reads at all).
-    pub(crate) fn handle(
-        &mut self,
-        item: Inbound<'_>,
-        t0: Option<Instant>,
-        cx: &ConnShared,
-        io: &mut dyn ConnIo,
-    ) -> Flow {
-        use metrics::{Op, Outcome, Span};
-        let (framing, bytes) = match item {
-            Inbound::Line(bytes) => (Framing::Bare, bytes),
-            Inbound::Frame { tag, payload } => (Framing::V3(tag), payload),
-            Inbound::OverlongLine => {
-                let resp = ops::Response::err("line too long");
-                let span = Span::fast(t0, Op::Other, Outcome::Error, "");
-                self.answer(Framing::Bare, resp, span, cx, io);
-                return Flow::Close; // the rest of the line is unframeable
-            }
-            Inbound::OversizedFrame { tag } => {
-                // The advertised length is hostile; nothing past this
-                // header can be trusted to frame. Answer under the
-                // frame's own tag (binary tags always parse) and close —
-                // the v3 analog of v1's over-long line.
-                let resp = ops::Response::err("frame too long");
-                self.answer(Framing::V3(tag), resp, None, cx, io);
-                return Flow::Close;
-            }
-        };
-        let Ok(text) = std::str::from_utf8(bytes) else {
-            // Line boundaries are byte-based and frame lengths explicit,
-            // so the stream stays framed: reject this request, keep the
-            // connection.
-            let span = Span::fast(t0, Op::Other, Outcome::Error, "");
-            self.answer(framing, ops::Response::err("invalid utf-8"), span, cx, io);
-            return Flow::Continue;
-        };
-        let text = text.trim_end_matches(['\r', '\n']);
-        // Test-only fault injection, as a v1 line or a v3 payload: lets
-        // the unit tests prove a panicking connection still releases its
-        // slot on both backends (threads: the handler thread's drop
-        // guard; epoll: the loop catches the unwind and tears down only
-        // this connection) and gives back exactly the gauge share it
-        // holds.
-        #[cfg(test)]
-        if text == "PANIC" {
-            panic!("injected connection-handler panic (test hook)");
-        }
-        if let Framing::Bare = framing {
-            if text.is_empty() {
-                return Flow::Continue;
-            }
-            if text == codec::HELLO_V3 {
-                // Upgrade to binary framing: the hello answer is the last
-                // *text* line on the wire; from the next byte on, both
-                // directions speak 13-byte-header frames.
-                let resp = codec::hello_response(cx.max_inflight);
-                let span = Span::fast(t0, Op::Other, Outcome::Computed, "");
-                self.answer(framing, resp, span, cx, io);
-                self.mode = WireMode::Frames;
-                return Flow::Continue;
-            }
-        }
-        self.dispatch(RequestView::parse(text), framing, t0, cx, io)
-    }
-
-    /// Answer inline under a fresh window slot.
-    fn answer(
-        &self,
-        framing: Framing,
-        resp: ops::Response,
-        span: Option<metrics::Span>,
-        cx: &ConnShared,
-        io: &mut dyn ConnIo,
-    ) {
-        io.acquire(self.cap(cx));
-        io.respond(Outgoing {
-            framing,
-            resp,
-            span,
-        });
-    }
-
-    /// Answer one parsed request, the same way under either framing.
-    fn dispatch(
-        &mut self,
-        parsed: Result<RequestView<'_>, String>,
-        framing: Framing,
-        t0: Option<Instant>,
-        cx: &ConnShared,
-        io: &mut dyn ConnIo,
-    ) -> Flow {
-        use metrics::{Op, Outcome, Span};
-        let view = match parsed {
-            Ok(RequestView::Quit) => {
-                // The driver drains every in-flight response, acquires a
-                // fresh slot, and makes this BYE the last bytes on the
-                // wire.
-                return Flow::Quit(Outgoing {
-                    framing,
-                    resp: ops::Response::ok_text("BYE".into()),
-                    span: Span::fast(t0, Op::Other, Outcome::Computed, ""),
-                });
-            }
-            Ok(view) => view,
-            // Parse failures still carry the request's tag, so a
-            // pipelining client can correlate the error.
-            Err(e) => {
-                let span = Span::fast(t0, Op::Other, Outcome::Error, "");
-                self.answer(framing, ops::Response::err(&e), span, cx, io);
-                return Flow::Continue;
-            }
-        };
-        // Every request takes its window slot first, so a full window
-        // backpressures inline answers like compute, and a report counts
-        // itself in peak_inflight and leaves itself out of the in-flight
-        // gauge (see counter_values).
-        io.acquire(self.cap(cx));
-        // PING/STATS/METRICS answer inline — never queued behind compute.
-        // A report publishes the burst's slots first, so it reads the
-        // gauges a per-slot publisher would show.
-        let (resp, op) = match view {
-            RequestView::Ping => (ops::Response::ok_text("PONG".into()), Op::Other),
-            RequestView::Stats => {
-                io.publish();
-                (ops::Response::ok_text(stats_body(cx)), Op::Stats)
-            }
-            RequestView::Metrics => {
-                io.publish();
-                (ops::Response::ok_text(metrics_body(cx)), Op::Metrics)
-            }
-            RequestView::Compute { graph, op } => {
-                self.compute(graph, op, framing, t0, cx, io);
-                return Flow::Continue;
-            }
-            RequestView::Quit => unreachable!("QUIT returned before its slot"),
-        };
-        io.respond(Outgoing {
-            framing,
-            resp,
-            span: Span::fast(t0, op, Outcome::Computed, ""),
-        });
-        Flow::Continue
-    }
-
-    /// Answer a compute request under its already-acquired slot. Interned
-    /// response bytes go straight to the writer (local service only — a
-    /// router has no registry to probe): the probe reads the graph token
-    /// and op borrowed from the request line and hands the bytes to
-    /// [`ConnIo::respond_interned`] under its lock, so a hit allocates
-    /// nothing.
-    /// The registry counts it as a hit and a resp_hit and refreshes the
-    /// entry's LRU stamps, so cache accounting stays exact and the hottest
-    /// key is never the eviction victim. Otherwise the owned [`proto::Request`]
-    /// is built, the request runs and its response is delivered
-    /// through the backend's completion sink — by the scheduler
-    /// worker-leader that finishes the job (local), or by the owning
-    /// shard's upstream reader (upstream). Either way the delivery runs
-    /// on a foreign thread and must not block; the slot the request holds
-    /// guarantees it cannot.
-    fn compute(
-        &mut self,
-        graph: &str,
-        opkey: ops::OpKey,
-        framing: Framing,
-        t0: Option<Instant>,
-        cx: &ConnShared,
-        io: &mut dyn ConnIo,
-    ) {
-        let req = || RequestView::Compute { graph, op: opkey }.to_request();
-        let (registry, sched) = match &cx.service {
-            Service::Local { registry, sched } => (registry, sched),
-            Service::Upstream(up) => {
-                let conn = self.up.get_or_insert_with(|| up.connect());
-                return up.run(conn, &req(), framing, &io.sink());
-            }
-        };
-        let op = span_op(&opkey);
-        let hit = registry.probe(graph, &opkey, |bytes| {
-            // A hit reads no clock: its span is the clock-free one.
-            let span = metrics::Span::fast(t0, op, metrics::Outcome::RespHit, graph);
-            io.respond_interned(framing, bytes, span)
-        });
-        if let Some(unframed) = hit {
-            if let Some(item) = unframed {
-                io.respond(item);
-            }
-            return;
-        }
-        // A miss: the parse stage ends here, after the failed probe and
-        // the owned request.
-        let req = req();
-        let mut span = metrics::Span::start(t0, op, graph);
-        let stamps = span.as_mut().map(|s| s.attach_job());
-        if let Some(s) = &stamps {
-            s.stamp_enqueued();
-        }
-        let (registry, sink) = (Arc::clone(registry), io.sink());
-        sched.submit_with(
-            Box::new(move || {
-                if let Some(s) = &stamps {
-                    s.stamp_start();
-                }
-                let resp = ops::execute_response(&registry, &req);
-                if let Some(s) = &stamps {
-                    s.stamp_end();
-                }
-                resp
-            }),
-            Box::new(move |resp| {
-                let mut span = span;
-                if let Some(s) = span.as_mut() {
-                    s.outcome = if resp.is_ok() {
-                        metrics::Outcome::Computed
-                    } else {
-                        metrics::Outcome::Error
-                    };
-                }
-                sink.deliver(Outgoing {
-                    framing,
-                    resp,
-                    span,
-                });
-            }),
-        );
-    }
-}
-
-/// The threads backend's completion sink: the bounded response channel
-/// (capacity = window cap keeps completion sends non-blocking).
-struct ThreadSink {
-    tx: SyncSender<Outgoing>,
-    win: Arc<ConnWindow>,
-    stats: Arc<SvcStats>,
-}
-
-impl CompletionSink for ThreadSink {
-    /// Send one response into the writer channel under an
-    /// already-acquired slot. The send cannot block (see [`ConnWindow`]);
-    /// a send error means the writer is already gone, so the slot is
-    /// released directly to keep accounting exact (the span dies with the
-    /// item — an undeliverable response is not recorded).
-    fn deliver(&self, item: Outgoing) {
-        if self.tx.send(item).is_err() {
-            self.win.release();
-            self.stats.inflight.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The threads backend's [`ConnIo`]: acquire blocks on the shared
-/// [`ConnWindow`], responses go into the writer channel.
-struct ThreadIo {
-    sink: Arc<ThreadSink>,
-}
-
-impl ConnIo for ThreadIo {
-    /// Blocks at `cap` (the per-connection backpressure), then records
-    /// the slot in the service-wide gauges.
-    fn acquire(&mut self, cap: usize) {
-        let depth = self.sink.win.acquire(cap);
-        let stats = &self.sink.stats;
-        stats.inflight.fetch_add(1, Ordering::Relaxed);
-        stats
-            .peak_inflight
-            .fetch_max(depth as u64, Ordering::Relaxed);
-    }
-
-    fn respond(&mut self, item: Outgoing) {
-        self.sink.deliver(item);
-    }
-
-    fn sink(&self) -> Arc<dyn CompletionSink> {
-        Arc::clone(&self.sink) as Arc<dyn CompletionSink>
-    }
-}
-
-/// Bytes pulled from a socket per `read` call, on both backends.
-pub(crate) const READ_CHUNK: usize = 16 * 1024;
-
-/// The threads backend's read driver: blocking chunked reads feeding the
-/// shared decoder and machine.
-fn read_loop(
-    mut stream: TcpStream,
-    cx: &ConnShared,
-    machine: &mut ConnMachine,
-    io: &mut ThreadIo,
-) -> io::Result<()> {
-    let mut dec = FrameDecoder::new();
-    let mut chunk = vec![0u8; READ_CHUNK];
-    let mut t0: Option<Instant> = None;
-    loop {
-        while let Some(item) = dec.next(machine.wire_mode()) {
-            match machine.handle(item, t0, cx, io) {
-                Flow::Continue => {}
-                Flow::Close => return Ok(()),
-                Flow::Quit(bye) => return finish_quit(bye, machine, cx, io),
-            }
-        }
-        let n = match stream.read(&mut chunk) {
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if n == 0 {
-            // EOF: the old blocking reader served an unterminated final
-            // line (`read_until` returns what it got); keep that
-            // contract on both backends.
-            if let Some(item) = dec.take_remainder(machine.wire_mode()) {
-                if let Flow::Quit(bye) = machine.handle(item, t0, cx, io) {
-                    return finish_quit(bye, machine, cx, io);
-                }
-            }
-            return Ok(());
-        }
-        // Span clock zero: stamped once per socket read, shared by every
-        // item parsed from the burst.
-        t0 = cx.mx.enabled().then(Instant::now);
-        dec.push(&chunk[..n]);
-    }
-}
-
-/// The threads backend's `QUIT` epilogue: drain every in-flight response
-/// (so `BYE` is the last bytes on the wire), take a fresh slot, send the
-/// goodbye.
-fn finish_quit(
-    bye: Outgoing,
-    machine: &ConnMachine,
-    cx: &ConnShared,
-    io: &mut ThreadIo,
-) -> io::Result<()> {
-    io.sink.win.wait_empty();
-    io.acquire(machine.cap(cx));
-    io.respond(bye);
-    Ok(())
+/// A failed `accept` — transient, often fd exhaustion — on either driver:
+/// record it and back off 10 ms instead of spinning the core on the
+/// error; connections already admitted keep being served.
+pub(crate) fn accept_failed(mx: &Metrics) {
+    record_conn_error(mx, "accept");
+    std::thread::sleep(Duration::from_millis(10));
 }
 
 /// Every numeric `STATS` key, in line order, with the `METRICS` series
@@ -1583,7 +647,7 @@ pub(crate) fn stats_line(values: [u64; COUNTERS.len()]) -> String {
 
 /// The `STATS` response body: the counter table, then the one
 /// non-numeric key, `io_backend=`. A router prints the cluster line.
-fn stats_body(cx: &ConnShared) -> String {
+pub(crate) fn stats_body(cx: &ConnShared) -> String {
     match &cx.service {
         Service::Local { registry, sched } => {
             let line = stats_line(counter_values(cx, registry, sched));
@@ -1598,7 +662,7 @@ fn stats_body(cx: &ConnShared) -> String {
 /// shards' merged exposition — newline-escaped into a single-line wire
 /// body (identical on every protocol; `mis2svc client` and the router
 /// unescape it back).
-fn metrics_body(cx: &ConnShared) -> String {
+pub(crate) fn metrics_body(cx: &ConnShared) -> String {
     let text = match &cx.service {
         Service::Local { registry, sched } => {
             let values = counter_values(cx, registry, sched);
@@ -1614,6 +678,7 @@ fn metrics_body(cx: &ConnShared) -> String {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::{codec, proto};
     use std::io::{BufRead, BufReader};
 
     #[test]
@@ -2211,72 +1276,6 @@ mod tests {
         c.send(999, b"QUIT");
         assert_eq!(c.recv().payload, b"BYE");
         h.shutdown();
-    }
-
-    #[test]
-    fn oversized_response_body_becomes_a_per_tag_err_frame() {
-        // The v3 header's length field is a u32 capped at MAX_PAYLOAD; a
-        // body past the cap cannot be framed, so the batcher swaps in a
-        // per-tag ERR instead of truncating or poisoning the stream.
-        let mut buf = Vec::new();
-        let big = ops::Response::ok_text("x".repeat(codec::MAX_PAYLOAD + 1));
-        encode_outgoing(Framing::V3(42), big, &mut buf);
-        let (f, used) = codec::decode_frame(&buf).unwrap();
-        assert_eq!(used, buf.len());
-        assert_eq!((f.tag, f.status), (42, codec::STATUS_ERR));
-        assert_eq!(f.payload, b"response too large");
-        // Exactly MAX_PAYLOAD still frames intact.
-        buf.clear();
-        let max = ops::Response::ok_text("y".repeat(codec::MAX_PAYLOAD));
-        encode_outgoing(Framing::V3(7), max, &mut buf);
-        let (f, used) = codec::decode_frame(&buf).unwrap();
-        assert_eq!(used, buf.len());
-        assert_eq!((f.tag, f.status), (7, codec::STATUS_OK));
-        assert_eq!(f.payload.len(), codec::MAX_PAYLOAD);
-    }
-
-    #[test]
-    fn encode_body_is_encode_outgoing_byte_for_byte() {
-        // One encoder: a hit framed from its interned body and a whole
-        // response frame to the same bytes, and those are the wire
-        // format — `OK ` / `ERR `, the body and a newline on v1; a codec
-        // frame on v3, where a body past MAX_PAYLOAD becomes the per-tag
-        // `response too large` ERR.
-        let tag = 0x0123_4567_89ab_cdef;
-        for framing in [Framing::Bare, Framing::V3(tag)] {
-            for ok in [true, false] {
-                for len in [0, 70, codec::MAX_PAYLOAD, codec::MAX_PAYLOAD + 1] {
-                    let body = "b".repeat(len);
-                    let resp = match ok {
-                        true => ops::Response::ok_text(body.clone()),
-                        false => ops::Response::err(&body),
-                    };
-                    let (mut direct, mut whole) = (Vec::new(), Vec::new());
-                    encode_body(framing, ok, body.as_bytes(), &mut direct);
-                    encode_outgoing(framing, resp, &mut whole);
-                    let status = if ok {
-                        codec::STATUS_OK
-                    } else {
-                        codec::STATUS_ERR
-                    };
-                    let wire = match framing {
-                        Framing::Bare => {
-                            let prefix = if ok { "OK" } else { "ERR" };
-                            format!("{prefix} {body}\n").into_bytes()
-                        }
-                        Framing::V3(_) if len > codec::MAX_PAYLOAD => {
-                            codec::encode_frame(tag, codec::STATUS_ERR, b"response too large")
-                        }
-                        Framing::V3(_) => codec::encode_frame(tag, status, body.as_bytes()),
-                    };
-                    let v3 = matches!(framing, Framing::V3(_));
-                    // `assert!`, not `assert_eq!`: a failure must not
-                    // print megabytes of body.
-                    assert!(direct == whole, "v3={v3} ok={ok} len={len}");
-                    assert!(direct == wire, "v3={v3} ok={ok} len={len}");
-                }
-            }
-        }
     }
 
     #[test]

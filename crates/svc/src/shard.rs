@@ -18,9 +18,9 @@
 //! [`route`] is not a second server: it binds, stops and defaults its
 //! limits through the server's own listener handle, hands the socket to
 //! the server's own accept path, and every downstream connection runs the
-//! server's own connection machine ([`crate::server`]) — the same hellos,
-//! framing, window slots, inline `PING`, error strings, `QUIT` drain and
-//! batching writer, from the same code. What it supplies is the
+//! server's own connection machine (the crate-private `conn` module) —
+//! the same hellos, framing, window slots, inline `PING`, error strings,
+//! `QUIT` drain and write batch, from the same code. What it supplies is the
 //! **upstream service** behind that machine's one seam: `Upstream`
 //! (shared: the ring and the shard addresses) and `UpConn` (per
 //! downstream connection: one pipelined v3 socket per shard, dialed by
@@ -76,13 +76,11 @@
 
 use crate::client::Client;
 use crate::codec;
+use crate::conn::{CompletionSink, Framing, Outgoing};
 use crate::metrics::{self, Exposition, Metrics};
 use crate::ops;
 use crate::proto::{GraphRef, Request};
-use crate::server::{
-    stats_line, CompletionSink, ConnShared, Framing, IoBackend, Listener, Outgoing, Service,
-    SvcStats, COUNTERS,
-};
+use crate::server::{stats_line, ConnShared, IoBackend, Listener, Service, SvcStats, COUNTERS};
 use mis2_prim::hash::{hash2, splitmix64};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -224,8 +222,9 @@ impl RouterHandle {
 /// and the cluster `STATS`/`METRICS` fetch (one `METRICS` round trip to
 /// every shard) **block their caller**. A connection's own reader thread
 /// can afford that; the single epoll loop thread, which serves every
-/// connection, cannot. Moving those two calls off the caller is what lets this
-/// become the platform default.
+/// connection, cannot. Moving those two calls off the caller is what lets
+/// this become the platform default — and what lets the threads driver
+/// (`threads.rs`, which nothing else imports) be deleted with `IoBackend`.
 const ROUTER_DRIVER: IoBackend = IoBackend::Threads;
 
 /// Bind and start the shard router in background threads. Every shard
