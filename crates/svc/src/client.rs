@@ -5,7 +5,8 @@
 //! responses by tag — what every program that pipelines uses.
 //!
 //! Both are used by the e2e tests, the `mis2svc` bin, and the CI smoke
-//! legs.
+//! legs. The `V3` upgrade is one function, which [`V3Client::connect`]
+//! and the router's shard dials both call.
 
 use crate::codec;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -45,6 +46,31 @@ fn poisoned_error() -> io::Error {
         io::ErrorKind::BrokenPipe,
         "connection poisoned by an earlier request error; reconnect",
     )
+}
+
+/// Connect to `addr` and upgrade to v3, for [`V3Client`] and the
+/// router's shard dials alike: write the hello, read the answer as a
+/// whole line (cut off by EOF is an error), and return the two halves and
+/// the server's `max_inflight` (0 or a refused answer is `InvalidData`).
+/// `hello_timeout` bounds the wait for the answer only.
+pub(crate) fn connect_v3<A: ToSocketAddrs>(
+    addr: A,
+    hello_timeout: Option<Duration>,
+) -> io::Result<(TcpStream, BufReader<TcpStream>, usize)> {
+    let mut writer = TcpStream::connect(addr)?;
+    writer.set_nodelay(true)?;
+    writer.set_read_timeout(hello_timeout)?;
+    let mut reader = BufReader::new(writer.try_clone()?);
+    writer.write_all(format!("{}\n", codec::HELLO_V3).as_bytes())?;
+    let hello = read_response_line(&mut reader)?;
+    let max = codec::parse_hello_ok(&hello)
+        .filter(|max| *max > 0)
+        .ok_or_else(|| {
+            let msg = format!("server rejected the V3 hello: {hello}");
+            io::Error::new(io::ErrorKind::InvalidData, msg)
+        })?;
+    writer.set_read_timeout(None)?;
+    Ok((writer, reader, max))
 }
 
 /// A connected blocking (v1) protocol client.
@@ -135,26 +161,13 @@ pub struct V3Client {
 }
 
 impl V3Client {
-    /// Connect and upgrade to v3 framing, keeping up to `window` requests
-    /// in flight (clamped to `1..=server max_inflight`).
+    /// Connect and upgrade to v3 framing (the crate's one `V3` upgrade),
+    /// keeping up to `window` requests in flight (clamped to
+    /// `1..=server max_inflight`).
     pub fn connect<A: ToSocketAddrs>(addr: A, window: usize) -> io::Result<V3Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        let mut reader = BufReader::new(stream);
-        writeln!(writer, "{}", codec::HELLO_V3)?;
-        writer.flush()?;
-        let hello = read_response_line(&mut reader)?;
-        let server_max = codec::parse_hello_ok(&hello)
-            .filter(|max| *max > 0)
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("server rejected the V3 hello: {hello}"),
-                )
-            })?;
+        let (stream, reader, server_max) = connect_v3(addr, None)?;
         Ok(V3Client {
-            writer,
+            writer: BufWriter::new(stream),
             reader,
             next_tag: 0,
             window: window.clamp(1, server_max),
@@ -264,16 +277,7 @@ impl V3Client {
                             format!("response frame for unknown or duplicate tag {tag}"),
                         )
                     })?;
-                // Render back to the v1 text line (status byte -> prefix).
-                let prefix = if status == codec::STATUS_OK {
-                    "OK "
-                } else {
-                    "ERR "
-                };
-                let mut line = String::with_capacity(prefix.len() + payload.len());
-                line.push_str(prefix);
-                line.push_str(&String::from_utf8_lossy(&payload));
-                results[index] = Some(line);
+                results[index] = Some(codec::status_line(status, &payload));
                 self.latencies_ns[index] = sent_at[index].elapsed().as_nanos() as u64;
                 received += 1;
                 // Another frame's header already buffered? Keep draining.
@@ -357,6 +361,15 @@ mod tests {
         let e = cut.request("PING").unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
         assert!(e.to_string().contains("truncated"), "{e}");
+    }
+
+    #[test]
+    fn a_hello_answer_cut_off_by_eof_fails_the_upgrade() {
+        let e = connect_v3(fake_server(b"OK V3 max_inflight=4"), None).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(e.to_string().contains("truncated"), "{e}");
+        let (_, _, max) = connect_v3(fake_server(b"OK V3 max_inflight=4\n"), None).unwrap();
+        assert_eq!(max, 4);
     }
 
     #[test]

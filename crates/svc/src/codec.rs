@@ -19,9 +19,14 @@
 //! `COARSEN g 3`, ... — see [`crate::proto`]); a *response* payload is
 //! the v1 response body, i.e. everything after the `OK ` / `ERR ` prefix,
 //! with the prefix folded into the `status` byte. That makes the mapping
-//! between a v3 frame and its v1 line mechanical ([`Frame::to_line`]),
-//! which is how the e2e tests and the CI v3 smoke leg prove every v3
-//! payload byte-identical to the v1 text.
+//! between a v3 frame and its v1 line mechanical ([`status_line`], the
+//! one place the prefix is spelled), which is how the e2e tests and the
+//! CI v3 smoke leg prove every v3 payload byte-identical to the v1 text.
+//!
+//! Every frame reader — the server's [`FrameDecoder`] (which frames v1
+//! lines too), [`decode_frame`] and [`read_frame_into`] — decodes the
+//! header and bounds its length through one private borrowing parser, so
+//! they cannot disagree on a frame (`tests/svc_inbound_mutator.rs`).
 //!
 //! ## Negotiation
 //!
@@ -30,7 +35,8 @@
 //! `OK V3 max_inflight=<n>` ([`hello_ok`]) and both directions switch to
 //! binary frames from the next byte on. v1 connections are unchanged
 //! and mix freely with v3 on one server — the framing mode is
-//! per-connection.
+//! per-connection. Every client-side upgrade is one function in
+//! [`crate::client`].
 //!
 //! The codec itself is payload-agnostic: tags and arbitrary payload bytes
 //! round-trip unchanged ([`encode_frame`] / [`decode_frame`] are exact
@@ -82,19 +88,37 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Render the frame back to its v1 text line (`OK <payload>` /
-    /// `ERR <payload>`): the mechanical inverse mapping the e2e diffs
-    /// rely on. Response payloads are always UTF-8 (the server renders
-    /// them from strings); invalid bytes are replaced rather than
-    /// panicking because this also runs on untrusted test input.
+    /// Render the frame back to its v1 text line ([`status_line`]): the
+    /// mechanical inverse mapping the e2e diffs rely on.
     pub fn to_line(&self) -> String {
-        let body = String::from_utf8_lossy(&self.payload);
-        if self.status == STATUS_OK {
-            format!("OK {body}")
-        } else {
-            format!("ERR {body}")
-        }
+        status_line(self.status, &self.payload)
     }
+}
+
+/// The status byte of a response that succeeded (`ok`) or failed.
+pub(crate) fn status_byte(ok: bool) -> u8 {
+    if ok {
+        STATUS_OK
+    } else {
+        STATUS_ERR
+    }
+}
+
+/// The v1 prefix of a status byte: `OK ` for [`STATUS_OK`], `ERR ` for
+/// anything else — the one place the prefix is spelled.
+pub(crate) fn status_prefix(status: u8) -> &'static str {
+    if status == STATUS_OK {
+        "OK "
+    } else {
+        "ERR "
+    }
+}
+
+/// The v1 text line (`OK <body>` / `ERR <body>`, no newline) of a
+/// response's status byte and body. Invalid UTF-8 is replaced, not
+/// trusted: this also runs on untrusted input.
+pub fn status_line(status: u8, body: &[u8]) -> String {
+    [status_prefix(status), &String::from_utf8_lossy(body)].concat()
 }
 
 /// Why a byte buffer failed to decode as a frame.
@@ -136,24 +160,49 @@ pub fn decode_header(hdr: &[u8; HEADER_LEN]) -> (u64, u32, u8) {
     (tag, len, hdr[12])
 }
 
-/// Encode one whole frame into a fresh buffer (test/client convenience —
-/// the server's writer stamps headers into its batch buffer instead).
-///
-/// Panics if `payload` exceeds [`MAX_PAYLOAD`]: an oversized body would
-/// otherwise truncate the length through the `u32` cast and emit a frame
-/// the peer rejects as `Oversized`, poisoning the connection. Callers
-/// that can see untrusted sizes use [`write_frame`], which returns an
-/// error instead.
+/// [`write_frame`] into a fresh buffer (a test and bench convenience).
+/// Panics where `write_frame` errs: on a payload past [`MAX_PAYLOAD`].
 pub fn encode_frame(tag: u64, status: u8, payload: &[u8]) -> Vec<u8> {
-    assert!(
-        payload.len() <= MAX_PAYLOAD,
-        "{}",
-        FrameError::Oversized { len: payload.len() }
-    );
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    buf.extend_from_slice(&encode_header(tag, payload.len() as u32, status));
-    buf.extend_from_slice(payload);
+    write_frame(&mut buf, tag, status, payload).unwrap_or_else(|e| panic!("{e}"));
     buf
+}
+
+/// A v3 header as [`parse_frame`] reads it.
+#[derive(Clone, Copy, Default)]
+struct Header {
+    tag: u64,
+    len: usize,
+    status: u8,
+}
+
+/// The front of a byte buffer, read by [`parse_frame`].
+enum Parsed<'a> {
+    /// Fewer than [`HEADER_LEN`] bytes.
+    NoHeader,
+    /// A header within [`MAX_PAYLOAD`], and its payload once all of it
+    /// is in the buffer.
+    Frame(Header, Option<&'a [u8]>),
+    /// A header past [`MAX_PAYLOAD`]: nothing after it frames.
+    Oversized(Header),
+}
+
+/// The v3 frame rule, written once: decode the header at the front of
+/// `buf` and bound its length by [`MAX_PAYLOAD`], copying nothing.
+fn parse_frame(buf: &[u8]) -> Parsed<'_> {
+    let Some(hdr) = buf.first_chunk::<HEADER_LEN>() else {
+        return Parsed::NoHeader;
+    };
+    let (tag, len, status) = decode_header(hdr);
+    let header = Header {
+        tag,
+        len: len as usize,
+        status,
+    };
+    if header.len > MAX_PAYLOAD {
+        return Parsed::Oversized(header);
+    }
+    Parsed::Frame(header, buf.get(HEADER_LEN..HEADER_LEN + header.len))
 }
 
 /// Decode one frame from the front of `buf`, returning it and the bytes
@@ -161,93 +210,171 @@ pub fn encode_frame(tag: u64, status: u8, payload: &[u8]) -> Vec<u8> {
 /// payload bytes (property-tested); rejects truncated buffers and
 /// headers advertising more than [`MAX_PAYLOAD`].
 pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
-    if buf.len() < HEADER_LEN {
-        return Err(FrameError::Truncated {
-            need: HEADER_LEN,
-            have: buf.len(),
-        });
-    }
-    let hdr: &[u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().expect("length checked");
-    let (tag, len, status) = decode_header(hdr);
-    let len = len as usize;
-    if len > MAX_PAYLOAD {
-        return Err(FrameError::Oversized { len });
-    }
-    let total = HEADER_LEN + len;
-    if buf.len() < total {
-        return Err(FrameError::Truncated {
-            need: total,
-            have: buf.len(),
-        });
-    }
-    Ok((
-        Frame {
-            tag,
-            status,
-            payload: buf[HEADER_LEN..total].to_vec(),
-        },
-        total,
-    ))
+    let (h, payload) = match parse_frame(buf) {
+        Parsed::Frame(h, payload) => (h, payload),
+        Parsed::NoHeader => (Header::default(), None),
+        Parsed::Oversized(h) => return Err(FrameError::Oversized { len: h.len }),
+    };
+    let (need, have) = (HEADER_LEN + h.len, buf.len());
+    let Some(payload) = payload else {
+        return Err(FrameError::Truncated { need, have });
+    };
+    let frame = Frame {
+        tag: h.tag,
+        status: h.status,
+        payload: payload.to_vec(),
+    };
+    Ok((frame, need))
 }
 
-/// Read exactly one header from a stream. `Ok(None)` is a clean EOF (the
-/// peer closed between frames); EOF *inside* a header is an
-/// `UnexpectedEof` error (the peer died mid-frame).
-pub fn read_header(r: &mut impl BufRead) -> io::Result<Option<[u8; HEADER_LEN]>> {
-    let mut hdr = [0u8; HEADER_LEN];
-    let mut got = 0;
-    while got < HEADER_LEN {
-        let n = r.read(&mut hdr[got..])?;
-        if n == 0 {
-            if got == 0 {
-                return Ok(None);
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("connection closed mid-header ({got} of {HEADER_LEN} bytes)"),
-            ));
-        }
-        got += n;
+/// How a connection's bytes are framed: v1 lines until the [`HELLO_V3`]
+/// hello, v3 frames after it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WireMode {
+    Lines,
+    Frames,
+}
+
+/// One framed inbound item extracted from a connection's byte stream,
+/// borrowing the decoder's buffer (zero copy).
+#[derive(Debug, PartialEq, Eq)]
+pub enum Inbound<'a> {
+    /// A complete line, terminating newline stripped (a trailing `\r`
+    /// stays attached — the connection machine trims it).
+    Line(&'a [u8]),
+    /// More than [`proto::MAX_LINE`] bytes arrived without a newline:
+    /// unframeable, the connection must close after the error.
+    OverlongLine,
+    /// A complete v3 frame (a request's status byte carries nothing).
+    Frame { tag: u64, payload: &'a [u8] },
+    /// A v3 header advertising more than [`MAX_PAYLOAD`] bytes: nothing
+    /// past it can be trusted to frame.
+    OversizedFrame { tag: u64 },
+}
+
+/// The server's incremental framer, fed by both I/O drivers: raw socket
+/// bytes in, framed [`Inbound`] items out. Framing is byte-based and
+/// runs before any UTF-8 validation, so the over-long check fires even
+/// when the cap lands mid-codepoint.
+#[derive(Default)]
+pub struct FrameDecoder {
+    buf: Vec<u8>,
+    pos: usize,
+}
+
+impl FrameDecoder {
+    /// Bytes buffered but not yet consumed (the epoll backend's read
+    /// high-water check).
+    pub fn pending(&self) -> usize {
+        self.buf.len() - self.pos
     }
-    Ok(Some(hdr))
+
+    /// Append freshly read bytes, compacting consumed ones first so the
+    /// buffer holds at most one burst plus one partial item.
+    pub fn push(&mut self, bytes: &[u8]) {
+        if self.pos > 0 {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Extract the next complete item under `mode`, or `None` when more
+    /// bytes are needed.
+    pub fn next(&mut self, mode: WireMode) -> Option<Inbound<'_>> {
+        let avail = &self.buf[self.pos..];
+        match mode {
+            WireMode::Lines => {
+                // One byte past MAX_LINE without a newline is the proof
+                // of an over-long line; a newline inside the window
+                // keeps even an exactly-MAX_LINE line served.
+                let scan = &avail[..avail.len().min(proto::MAX_LINE + 1)];
+                match scan.iter().position(|&b| b == b'\n') {
+                    Some(i) => {
+                        self.pos += i + 1;
+                        Some(Inbound::Line(&avail[..i]))
+                    }
+                    None if avail.len() > proto::MAX_LINE => {
+                        self.pos = self.buf.len();
+                        Some(Inbound::OverlongLine)
+                    }
+                    None => None,
+                }
+            }
+            WireMode::Frames => match parse_frame(avail) {
+                Parsed::Frame(Header { tag, len, .. }, Some(payload)) => {
+                    self.pos += HEADER_LEN + len;
+                    Some(Inbound::Frame { tag, payload })
+                }
+                Parsed::Oversized(Header { tag, .. }) => {
+                    self.pos = self.buf.len();
+                    Some(Inbound::OversizedFrame { tag })
+                }
+                Parsed::Frame(_, None) | Parsed::NoHeader => None,
+            },
+        }
+    }
+
+    /// The unterminated final line at EOF, if any — a v1 client that
+    /// closes without a final newline still gets its last line served.
+    /// Partial v3 frames die with the connection.
+    pub fn take_remainder(&mut self, mode: WireMode) -> Option<Inbound<'_>> {
+        if mode != WireMode::Lines || self.pending() == 0 {
+            return None;
+        }
+        let start = self.pos;
+        self.pos = self.buf.len();
+        Some(Inbound::Line(&self.buf[start..]))
+    }
 }
 
 /// Read one whole frame (header + payload) from a stream; `Ok(None)` is a
-/// clean EOF between frames. An oversized header is `InvalidData` — used
-/// by the client, which trusts the server to respect [`MAX_PAYLOAD`].
+/// clean EOF between frames, EOF inside a frame is `UnexpectedEof`, and
+/// an oversized header is `InvalidData`.
 pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Frame>> {
     let mut payload = Vec::new();
-    Ok(
-        read_frame_into(r, &mut payload)?.map(|(tag, status)| Frame {
-            tag,
-            status,
-            payload,
-        }),
-    )
+    let head = read_frame_into(r, &mut payload)?;
+    Ok(head.map(|(tag, status)| Frame {
+        tag,
+        status,
+        payload,
+    }))
 }
 
 /// [`read_frame`] without the per-frame allocation: the payload lands in
 /// the caller's buffer (cleared and refilled), and only `(tag, status)`
 /// is returned. This is the hot-loop read for clients pulling a window's
-/// worth of responses.
+/// worth of responses. The buffer grows with the bytes that arrive, not
+/// with the length a header claims, so a header lying about its length
+/// costs no more memory than the bytes behind it.
 pub fn read_frame_into(
     r: &mut impl BufRead,
     payload: &mut Vec<u8>,
 ) -> io::Result<Option<(u64, u8)>> {
-    let Some(hdr) = read_header(r)? else {
+    if r.fill_buf()?.is_empty() {
         return Ok(None);
-    };
-    let (tag, len, status) = decode_header(&hdr);
-    if len as usize > MAX_PAYLOAD {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            FrameError::Oversized { len: len as usize }.to_string(),
-        ));
     }
+    let mut hdr = [0u8; HEADER_LEN];
+    r.read_exact(&mut hdr)?;
+    let h = match parse_frame(&hdr) {
+        Parsed::Frame(h, _) => h,
+        Parsed::Oversized(h) => {
+            let e = FrameError::Oversized { len: h.len };
+            return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
+        }
+        Parsed::NoHeader => unreachable!("a whole header was read"),
+    };
     payload.clear();
-    payload.resize(len as usize, 0);
-    r.read_exact(payload)?;
-    Ok(Some((tag, status)))
+    while payload.len() < h.len {
+        let chunk = r.fill_buf()?;
+        if chunk.is_empty() {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        let n = chunk.len().min(h.len - payload.len());
+        payload.extend_from_slice(&chunk[..n]);
+        r.consume(n);
+    }
+    Ok(Some((h.tag, h.status)))
 }
 
 /// Write one frame (client convenience; callers batch via `BufWriter`).
@@ -281,10 +408,14 @@ pub(crate) fn hello_response(max_inflight: usize) -> ops::Response {
 }
 
 /// Parse the window cap out of a [`hello_ok`] line; `None` if the line is
-/// not the v3 hello answer.
+/// not the v3 hello answer (its first word after `OK` must be exactly
+/// [`HELLO_V3`]).
 pub fn parse_hello_ok(line: &str) -> Option<usize> {
-    let rest = line.strip_prefix("OK ")?.strip_prefix(HELLO_V3)?;
-    rest.split_whitespace()
+    let mut words = line.strip_prefix("OK ")?.split(' ');
+    if words.next() != Some(HELLO_V3) {
+        return None;
+    }
+    words
         .find_map(|f| f.strip_prefix("max_inflight="))
         .and_then(|v| v.parse().ok())
 }
@@ -415,5 +546,12 @@ mod tests {
         assert_eq!(parse_hello_ok(&line), Some(64));
         assert_eq!(parse_hello_ok("OK PONG max_inflight=64"), None);
         assert_eq!(parse_hello_ok("ERR nope"), None);
+    }
+
+    #[test]
+    fn the_hello_answer_names_v3_as_a_whole_word() {
+        assert_eq!(parse_hello_ok("OK V3x max_inflight=4"), None);
+        assert_eq!(parse_hello_ok("OK V31 max_inflight=4"), None);
+        assert_eq!(parse_hello_ok("OK V3 max_inflight=4"), Some(4));
     }
 }

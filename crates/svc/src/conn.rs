@@ -28,12 +28,13 @@
 //! streams cut at seeded offsets, the real scheduler's completions
 //! released in a seeded order.
 
+use crate::codec::{self, FrameDecoder, Inbound, WireMode};
 use crate::metrics::{self, Metrics};
 use crate::ops;
-use crate::proto::{self, RequestView};
+use crate::proto::RequestView;
 use crate::registry::RespBytes;
 use crate::server::{metrics_body, stats_body, ConnShared, Service, SvcStats};
-use crate::{codec, shard};
+use crate::shard;
 use std::io::{self, Write};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -56,30 +57,21 @@ pub(crate) struct Outgoing {
 /// or interned registry bytes alike (interning skips the render, not the
 /// copy).
 pub(crate) fn encode_body(framing: Framing, ok: bool, body: &[u8], buf: &mut Vec<u8>) {
+    let status = codec::status_byte(ok);
     match framing {
         Framing::Bare => {
-            buf.extend_from_slice(if ok { b"OK " } else { b"ERR " });
+            buf.extend_from_slice(codec::status_prefix(status).as_bytes());
             buf.extend_from_slice(body);
             buf.push(b'\n');
         }
         Framing::V3(tag) => {
-            // An over-MAX_PAYLOAD body cannot be framed: the header's u32
-            // length would truncate (or advertise a length the peer
-            // rejects as Oversized and poisons the connection on). Swap
-            // in a per-tag ERR so only this request fails and the stream
-            // stays framed.
-            let (ok, body) = if body.len() > codec::MAX_PAYLOAD {
-                (false, &b"response too large"[..])
-            } else {
-                (ok, body)
-            };
-            let status = if ok {
-                codec::STATUS_OK
-            } else {
-                codec::STATUS_ERR
-            };
-            buf.extend_from_slice(&codec::encode_header(tag, body.len() as u32, status));
-            buf.extend_from_slice(body);
+            // An over-MAX_PAYLOAD body cannot be framed (`write_frame`
+            // refuses it, writing nothing): a per-tag ERR takes its place,
+            // so only this request fails and the stream stays framed.
+            if codec::write_frame(buf, tag, status, body).is_err() {
+                let err = codec::write_frame(buf, tag, codec::STATUS_ERR, b"response too large");
+                err.expect("a short body frames");
+            }
         }
     }
 }
@@ -87,128 +79,6 @@ pub(crate) fn encode_body(framing: Framing, ok: bool, body: &[u8], buf: &mut Vec
 /// [`encode_body`] of a whole response.
 pub(crate) fn encode_outgoing(framing: Framing, resp: ops::Response, buf: &mut Vec<u8>) {
     encode_body(framing, resp.is_ok(), resp.body_bytes(), buf);
-}
-
-/// How bytes on the wire are framed right now — which is also the whole
-/// protocol mode of a connection: newline-terminated lines (v1, until an
-/// upgrade hello arrives) or 13-byte-header binary frames (v3, after the
-/// `V3` hello).
-#[derive(Clone, Copy, PartialEq)]
-pub(crate) enum WireMode {
-    Lines,
-    Frames,
-}
-
-/// One framed inbound item extracted from a connection's byte stream,
-/// borrowing the decoder's buffer (zero copy).
-pub(crate) enum Inbound<'a> {
-    /// A complete line, terminating newline stripped (a trailing `\r`
-    /// stays attached — the machine trims it, as the old reader did).
-    Line(&'a [u8]),
-    /// More than [`proto::MAX_LINE`] bytes arrived without a newline:
-    /// unframeable, the connection must close after the error.
-    OverlongLine,
-    /// A complete v3 frame (header already decoded).
-    Frame { tag: u64, payload: &'a [u8] },
-    /// A v3 header advertising more than [`codec::MAX_PAYLOAD`] bytes:
-    /// hostile — nothing past it can be trusted to frame.
-    OversizedFrame { tag: u64 },
-}
-
-/// Incremental framer shared by both I/O backends: raw socket bytes in,
-/// framed [`Inbound`] items out. Framing is byte-based and runs before
-/// any UTF-8 validation, so the over-long check fires even when the cap
-/// lands mid-codepoint — exactly the semantics the old bounded
-/// `take(MAX_LINE+1).read_until` reader had.
-pub(crate) struct FrameDecoder {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl FrameDecoder {
-    pub(crate) fn new() -> FrameDecoder {
-        FrameDecoder {
-            buf: Vec::new(),
-            pos: 0,
-        }
-    }
-
-    /// Bytes buffered but not yet consumed (the epoll backend's read
-    /// high-water check).
-    pub(crate) fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Append freshly read bytes, compacting consumed ones first so the
-    /// buffer holds at most one burst plus one partial item.
-    pub(crate) fn push(&mut self, bytes: &[u8]) {
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Extract the next complete item under `mode`, or `None` when more
-    /// bytes are needed.
-    pub(crate) fn next(&mut self, mode: WireMode) -> Option<Inbound<'_>> {
-        let avail = &self.buf[self.pos..];
-        match mode {
-            WireMode::Lines => {
-                // One byte past MAX_LINE without a newline is the proof
-                // of an over-long line; a newline inside the window
-                // keeps even an exactly-MAX_LINE line served.
-                let scan = &avail[..avail.len().min(proto::MAX_LINE + 1)];
-                match scan.iter().position(|&b| b == b'\n') {
-                    Some(i) => {
-                        let start = self.pos;
-                        self.pos += i + 1;
-                        Some(Inbound::Line(&self.buf[start..start + i]))
-                    }
-                    None if avail.len() > proto::MAX_LINE => {
-                        self.pos = self.buf.len();
-                        Some(Inbound::OverlongLine)
-                    }
-                    None => None,
-                }
-            }
-            WireMode::Frames => {
-                if avail.len() < codec::HEADER_LEN {
-                    return None;
-                }
-                let hdr: [u8; codec::HEADER_LEN] = avail[..codec::HEADER_LEN]
-                    .try_into()
-                    .expect("header length");
-                let (tag, len, _status) = codec::decode_header(&hdr);
-                let len = len as usize;
-                if len > codec::MAX_PAYLOAD {
-                    self.pos = self.buf.len();
-                    return Some(Inbound::OversizedFrame { tag });
-                }
-                if avail.len() < codec::HEADER_LEN + len {
-                    return None;
-                }
-                let start = self.pos + codec::HEADER_LEN;
-                self.pos = start + len;
-                Some(Inbound::Frame {
-                    tag,
-                    payload: &self.buf[start..start + len],
-                })
-            }
-        }
-    }
-
-    /// The unterminated final line at EOF, if any — the old blocking
-    /// reader served it (`read_until` returns what it got), so both
-    /// backends do too. Partial v3 frames die with the connection.
-    pub(crate) fn take_remainder(&mut self, mode: WireMode) -> Option<Inbound<'_>> {
-        if mode != WireMode::Lines || self.pending() == 0 {
-            return None;
-        }
-        let start = self.pos;
-        self.pos = self.buf.len();
-        Some(Inbound::Line(&self.buf[start..]))
-    }
 }
 
 /// The metrics op label of a compute request.
@@ -694,6 +564,7 @@ pub(crate) const HIGH_WATER: usize = 256 * 1024;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto;
     use crate::registry::Registry;
     use crate::sched::{SchedConfig, Scheduler};
     use crate::server::IoBackend;
@@ -1037,7 +908,7 @@ mod tests {
             sink: Arc::clone(&sink),
             stats: Arc::clone(&cx.stats),
         };
-        let (mut dec, mut machine) = (FrameDecoder::new(), ConnMachine::new());
+        let (mut dec, mut machine) = (FrameDecoder::default(), ConnMachine::new());
         let (mut arrived, mut wire) = (Vec::new(), Vec::new());
         let (mut t0, mut eof, mut open, mut bye) = (None, false, true, None);
         loop {

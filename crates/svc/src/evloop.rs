@@ -64,9 +64,9 @@
 //! tears down only that connection. The connection slot itself rides the
 //! same [`ConnSlot`] drop guard as the threads backend.
 
+use crate::codec::FrameDecoder;
 use crate::conn::{
-    CompletionSink, ConnIo, ConnMachine, Flow, FrameDecoder, Framing, Outgoing, WireBatch,
-    HIGH_WATER, READ_CHUNK,
+    CompletionSink, ConnIo, ConnMachine, Flow, Framing, Outgoing, WireBatch, HIGH_WATER, READ_CHUNK,
 };
 use crate::metrics;
 use crate::registry::RespBytes;
@@ -655,7 +655,7 @@ impl EvLoop {
             let fd = stream.as_raw_fd();
             let conn = EvConn {
                 stream,
-                dec: FrameDecoder::new(),
+                dec: FrameDecoder::default(),
                 machine: ConnMachine::new(),
                 io: EvIo {
                     held: 0,

@@ -23,7 +23,9 @@
 //!
 //! [`Metrics::render`] emits the Prometheus-style exposition (`# mis2svc
 //! metrics schema 2` header, counters, per-op × per-outcome histogram
-//! series with `_sum`/`_count`, per-stage series, and a slow-ring dump).
+//! series with `_sum`/`_count`, per-stage series, and a slow-ring dump)
+//! as an [`Exposition`], written by [`Exposition::render`] like the
+//! router's merged body: the format has one writer.
 //! The router parses each shard's exposition with [`parse_exposition`]
 //! and merges the parsed values once, with [`merge_expositions`]: every
 //! series sums bucket-wise except `mis2_uptime_seconds` and
@@ -40,6 +42,7 @@
 //! away for anyone exporting for real.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -522,66 +525,49 @@ impl Metrics {
             ("mis2_slow_threshold_ms", self.slow_ms),
             ("mis2_slow_captured_total", rec.slow_captured),
         ];
-        let mut out = String::with_capacity(4096);
-        out.push_str(&format!("# mis2svc metrics schema {SCHEMA}\n"));
         let extra = extra
             .iter()
             .filter(|(n, _)| own.iter().all(|(o, _)| o != n));
-        for (name, v) in own.iter().chain(extra) {
-            out.push_str(&format!("{name} {v}\n"));
+        let mut exp = Exposition {
+            schema: SCHEMA,
+            samples: Vec::new(),
+        };
+        for &(name, value) in own.iter().chain(extra) {
+            exp.push(name, &[], value);
         }
         for op in OPS {
             for outcome in OUTCOMES {
+                let labels = [("op", op.label()), ("outcome", outcome.label())];
                 let snap = &rec.latency[op as usize][outcome as usize];
-                if !snap.is_empty() {
-                    render_histo(
-                        &mut out,
-                        "mis2_request_latency_ns",
-                        &format!("op=\"{}\",outcome=\"{}\"", op.label(), outcome.label()),
-                        snap,
-                    );
-                }
+                exp.push_histo("mis2_request_latency_ns", &labels, snap);
             }
         }
         for stage in STAGES {
             let snap = &rec.stages[stage as usize];
-            if !snap.is_empty() {
-                render_histo(
-                    &mut out,
-                    "mis2_stage_ns",
-                    &format!("stage=\"{}\"", stage.label()),
-                    snap,
-                );
-            }
+            exp.push_histo("mis2_stage_ns", &[("stage", stage.label())], snap);
         }
         for e in &rec.slow {
-            out.push_str(&format!(
-                "mis2_slow_request{{seq=\"{}\",op=\"{}\",outcome=\"{}\",key=\"{}\",shard=\"0\",\
-                 total_ns=\"{}\",parse_ns=\"{}\",queue_ns=\"{}\",run_ns=\"{}\",write_ns=\"{}\"}} 1\n",
-                e.seq,
-                e.op.label(),
-                e.outcome.label(),
-                escape_label(&e.key.display()),
-                e.total_ns,
-                e.parse_ns,
-                e.queue_ns,
-                e.run_ns,
-                e.write_ns,
-            ));
+            let [seq, total, parse, queue, run, write] = [
+                e.seq, e.total_ns, e.parse_ns, e.queue_ns, e.run_ns, e.write_ns,
+            ]
+            .map(|v| v.to_string());
+            let key = e.key.display();
+            let labels = [
+                ("seq", seq.as_str()),
+                ("op", e.op.label()),
+                ("outcome", e.outcome.label()),
+                ("key", key.as_str()),
+                ("shard", "0"),
+                ("total_ns", total.as_str()),
+                ("parse_ns", parse.as_str()),
+                ("queue_ns", queue.as_str()),
+                ("run_ns", run.as_str()),
+                ("write_ns", write.as_str()),
+            ];
+            exp.push("mis2_slow_request", &labels, 1);
         }
-        out
+        exp.render()
     }
-}
-
-fn render_histo(out: &mut String, name: &str, labels: &str, snap: &HistoSnap) {
-    for (i, &b) in snap.buckets.iter().enumerate() {
-        out.push_str(&format!(
-            "{name}_bucket{{{labels},le=\"{}\"}} {b}\n",
-            bucket_bound(i)
-        ));
-    }
-    out.push_str(&format!("{name}_sum{{{labels}}} {}\n", snap.sum));
-    out.push_str(&format!("{name}_count{{{labels}}} {}\n", snap.count()));
 }
 
 // ---------------------------------------------------------------------------
@@ -625,20 +611,45 @@ impl Exposition {
     /// The text form [`parse_exposition`] reads back: the schema header,
     /// then one line per sample in order.
     pub fn render(&self) -> String {
-        let mut out = format!("# mis2svc metrics schema {}\n", self.schema);
+        let mut out = String::with_capacity(32 + 80 * self.samples.len());
+        let _ = writeln!(out, "# mis2svc metrics schema {}", self.schema);
         for s in &self.samples {
             out.push_str(&s.name);
-            let labels: Vec<String> = s
-                .labels
-                .iter()
-                .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-                .collect();
-            if !labels.is_empty() {
-                out.push_str(&format!("{{{}}}", labels.join(",")));
+            for (i, (k, v)) in s.labels.iter().enumerate() {
+                out.push(if i == 0 { '{' } else { ',' });
+                let _ = write!(out, "{k}=\"{}\"", escape_label(v));
             }
-            out.push_str(&format!(" {}\n", s.value));
+            if !s.labels.is_empty() {
+                out.push('}');
+            }
+            let _ = writeln!(out, " {}", s.value);
         }
         out
+    }
+
+    /// Append one sample.
+    fn push(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
+        let labels = labels.iter().map(|&(k, v)| (k.into(), v.into()));
+        self.samples.push(Sample {
+            name: name.to_string(),
+            labels: labels.collect(),
+            value,
+        });
+    }
+
+    /// Append a non-empty histogram as its series: one `_bucket` sample
+    /// per bucket (labelled `le`), then `_sum` and `_count`.
+    fn push_histo(&mut self, name: &str, labels: &[(&str, &str)], snap: &HistoSnap) {
+        if snap.is_empty() {
+            return;
+        }
+        for (i, &b) in snap.buckets.iter().enumerate() {
+            let le = bucket_bound(i).to_string();
+            let with_le: Vec<_> = labels.iter().copied().chain([("le", &*le)]).collect();
+            self.push(&format!("{name}_bucket"), &with_le, b);
+        }
+        self.push(&format!("{name}_sum"), labels, snap.sum);
+        self.push(&format!("{name}_count"), labels, snap.count());
     }
 }
 
@@ -769,7 +780,10 @@ pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
 /// `shards[i]` is shard `i`'s exposition, or `None` if it was down (or
 /// answered garbage).
 pub fn merge_expositions(shards: &[Option<Exposition>]) -> Exposition {
-    let mut samples: Vec<Sample> = Vec::new();
+    let mut merged = Exposition {
+        schema: SCHEMA,
+        samples: Vec::new(),
+    };
     let mut index = HashMap::new();
     let mut slow: Vec<Sample> = Vec::new();
     for (shard, exp) in shards.iter().enumerate() {
@@ -787,11 +801,11 @@ pub fn merge_expositions(shards: &[Option<Exposition>]) -> Exposition {
             }
             let key = (s.name.as_str(), s.labels.as_slice());
             let Some(&i) = index.get(&key) else {
-                index.insert(key, samples.len());
-                samples.push(s.clone());
+                index.insert(key, merged.samples.len());
+                merged.samples.push(s.clone());
                 continue;
             };
-            let into = &mut samples[i].value;
+            let into = &mut merged.samples[i].value;
             *into = match key.0 {
                 "mis2_uptime_seconds" | "mis2_slow_threshold_ms" => (*into).min(s.value),
                 _ => into.saturating_add(s.value),
@@ -799,18 +813,10 @@ pub fn merge_expositions(shards: &[Option<Exposition>]) -> Exposition {
         }
     }
     let up = shards.iter().flatten().count();
-    for (name, value) in [("mis2_shards", shards.len()), ("mis2_shards_up", up)] {
-        samples.push(Sample {
-            name: name.to_string(),
-            labels: Vec::new(),
-            value: value as u64,
-        });
-    }
-    samples.extend(slow);
-    Exposition {
-        schema: SCHEMA,
-        samples,
-    }
+    merged.push("mis2_shards", &[], shards.len() as u64);
+    merged.push("mis2_shards_up", &[], up as u64);
+    merged.samples.extend(slow);
+    merged
 }
 
 // ---------------------------------------------------------------------------

@@ -320,11 +320,7 @@ impl Response {
 
     /// The v3 frame status byte this response carries.
     pub fn status(&self) -> u8 {
-        if self.ok {
-            codec::STATUS_OK
-        } else {
-            codec::STATUS_ERR
-        }
+        codec::status_byte(self.ok)
     }
 
     /// The body bytes as they go on a v3 wire (no `OK `/`ERR ` prefix).
@@ -335,10 +331,9 @@ impl Response {
         }
     }
 
-    /// Render the v1 text line (`OK <body>` / `ERR <body>`).
+    /// Render the v1 text line ([`codec::status_line`]).
     pub fn to_line(&self) -> String {
-        let prefix = if self.ok { "OK" } else { "ERR" };
-        format!("{prefix} {}", String::from_utf8_lossy(self.body_bytes()))
+        codec::status_line(self.status(), self.body_bytes())
     }
 }
 

@@ -24,13 +24,14 @@
 //!
 //! ## Cache semantics
 //!
-//! * **Single-flight everywhere.** Both graph interning and artifact
-//!   computation use the same in-flight protocol: of N concurrent requests
-//!   for a cold key, exactly one builds/computes while the rest wait on
-//!   the in-flight marker — a cold burst for one graph pays **one** build
-//!   (`graph_builds` counts the real builds). The marker is cleared by a
-//!   panic-safe drop guard, so a failed or panicked flight never parks
-//!   later requests forever; the next waiter simply takes over.
+//! * **Single-flight everywhere.** Graph interning and artifact
+//!   computation share one in-flight protocol (`Registry::claim`): of N
+//!   concurrent requests for a cold key, exactly one builds/computes
+//!   while the rest wait on the in-flight marker — a cold burst for one
+//!   graph pays **one** build (`graph_builds` counts the real builds).
+//!   The marker is cleared by a panic-safe drop guard, so a failed or
+//!   panicked flight never parks later requests forever; the next waiter
+//!   simply takes over.
 //! * **Canonical keys.** `.mtx` paths are canonicalized before keying
 //!   ([`GraphRef::try_canonical`]), so `./g.mtx` and `g.mtx` intern one
 //!   graph. Successful resolutions are memoized, so a spelling pays the
@@ -89,7 +90,7 @@ use crate::ops::{self, Artifact, OpKey};
 use crate::proto::{self, GraphRef};
 use mis2_graph::{io, suite, CsrGraph, Scale};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Snapshot of the registry's counters for `STATS`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,8 +275,8 @@ struct State {
     /// 1; see [`kind`]), keyed by the canonical token, so a probe hashes
     /// the `&str` it was handed and clones nothing.
     slots: [HashMap<String, Slot>; 2],
-    graphs_inflight: HashSet<GraphRef>,
-    artifacts_inflight: HashSet<ArtifactKey>,
+    /// The keys being built or computed right now (single-flight).
+    inflight: HashSet<FlightKey>,
     /// Memoized `.mtx` spelling → canonical key resolutions (successful
     /// ones only). Keeps every known `.mtx` spelling serving cache hits
     /// with no per-request `fs::canonicalize` syscall — and keeps serving
@@ -373,27 +374,29 @@ fn pop_lru(slots: &mut [HashMap<String, Slot>; 2], artifacts: bool) -> Option<us
     Some(freed)
 }
 
+/// What a flight builds: a graph (`None`) or one of its artifacts.
+type FlightKey = (GraphRef, Option<OpKey>);
+
 /// Drop guard clearing an in-flight marker even if the build panics (a
 /// leaked marker would park every later request for this key forever; the
 /// scheduler catches job panics, so the process lives on).
 struct Flight<'a> {
     reg: &'a Registry,
-    graph: Option<GraphRef>,
-    artifact: Option<ArtifactKey>,
+    key: FlightKey,
 }
 
 impl Drop for Flight<'_> {
     fn drop(&mut self) {
-        let mut st = self.reg.state.lock().unwrap();
-        if let Some(k) = self.graph.take() {
-            st.graphs_inflight.remove(&k);
-        }
-        if let Some(k) = self.artifact.take() {
-            st.artifacts_inflight.remove(&k);
-        }
-        drop(st);
+        self.reg.state.lock().unwrap().inflight.remove(&self.key);
         self.reg.inflight_done.notify_all();
     }
+}
+
+/// How [`Registry::claim`] ended: the cache held it, or this caller
+/// builds it (the lock, still held, and the flight).
+enum Claim<'a, R> {
+    Resident(R),
+    Ours(MutexGuard<'a, State>, Flight<'a>),
 }
 
 impl Registry {
@@ -410,8 +413,7 @@ impl Registry {
             budget: mem_budget,
             state: Mutex::new(State {
                 slots: Default::default(),
-                graphs_inflight: HashSet::new(),
-                artifacts_inflight: HashSet::new(),
+                inflight: HashSet::new(),
                 aliases: HashMap::new(),
                 bytes: 0,
                 tick: 0,
@@ -461,6 +463,27 @@ impl Registry {
         }
     }
 
+    /// The single-flight protocol, written once: under the lock,
+    /// `resident` looks in the cache; on a miss the first caller claims
+    /// `key` and builds, and every other caller waits for that flight to
+    /// end (either way) and looks again.
+    fn claim<R>(
+        &self,
+        key: FlightKey,
+        mut resident: impl FnMut(&mut State) -> Option<R>,
+    ) -> Claim<'_, R> {
+        let mut st = self.state.lock().unwrap();
+        loop {
+            if let Some(r) = resident(&mut st) {
+                return Claim::Resident(r);
+            }
+            if st.inflight.insert(key.clone()) {
+                return Claim::Ours(st, Flight { reg: self, key });
+            }
+            st = self.inflight_done.wait(st).unwrap();
+        }
+    }
+
     /// Intern (load or generate) a graph, single-flight: a cold burst of N
     /// identical requests pays exactly one build.
     pub fn graph(&self, gref: &GraphRef) -> Result<Arc<CsrGraph>, String> {
@@ -474,24 +497,15 @@ impl Registry {
     /// re-pointed between the two calls) and file an artifact computed
     /// from one file under another file's key.
     fn graph_canonical(&self, key: GraphRef) -> Result<Arc<CsrGraph>, String> {
-        {
-            let mut st = self.state.lock().unwrap();
-            loop {
-                let tick = st.next_tick();
-                if let Some(e) = st.slot_mut(&key).and_then(|s| s.graph.as_mut()) {
-                    e.last_used = tick;
-                    return Ok(Arc::clone(&e.value));
-                }
-                if st.graphs_inflight.insert(key.clone()) {
-                    break; // our flight: build below
-                }
-                st = self.inflight_done.wait(st).unwrap();
-            }
-        }
-        let _flight = Flight {
-            reg: self,
-            graph: Some(key.clone()),
-            artifact: None,
+        let claim = self.claim((key.clone(), None), |st| {
+            let tick = st.next_tick();
+            let e = st.slot_mut(&key)?.graph.as_mut()?;
+            e.last_used = tick;
+            Some(Arc::clone(&e.value))
+        });
+        let _flight = match claim {
+            Claim::Resident(g) => return Ok(g),
+            Claim::Ours(_st, flight) => flight, // the lock drops here
         };
         let built = match &key {
             GraphRef::Suite(name) => suite::try_build(name, self.scale)?,
@@ -537,36 +551,26 @@ impl Registry {
     /// once per request, at the public entry points.
     fn artifact_keyed(&self, key: ArtifactKey) -> Result<Arc<Artifact>, String> {
         let (graph, op) = &key;
-        let prior = {
-            let mut st = self.state.lock().unwrap();
-            loop {
-                let tick = st.next_tick();
-                let hit = st
-                    .slot_mut(graph)
-                    .and_then(|s| s.use_artifact(op, tick, |e| Some(Arc::clone(&e.value))));
-                if let Some(value) = hit {
-                    st.counts.hits += 1;
-                    return Ok(value);
-                }
-                if st.artifacts_inflight.insert(key.clone()) {
-                    break; // our flight: compute below
-                }
-                st = self.inflight_done.wait(st).unwrap();
-            }
-            // The derivation rule (module docs): the first of the op's
-            // priors that is resident right now, as found — no stamp, no
-            // counter, no wait.
-            st.slot_mut(graph).and_then(|s| {
-                op.priors()
-                    .iter()
-                    .find_map(|p| s.artifact_mut(p).map(|e| Arc::clone(&e.value)))
-            })
+        let claim = self.claim((graph.clone(), Some(*op)), |st| {
+            let tick = st.next_tick();
+            let s = st.slot_mut(graph)?;
+            let value = s.use_artifact(op, tick, |e| Some(Arc::clone(&e.value)))?;
+            st.counts.hits += 1;
+            Some(value)
+        });
+        let (mut st, _flight) = match claim {
+            Claim::Resident(value) => return Ok(value),
+            Claim::Ours(st, flight) => (st, flight),
         };
-        let _flight = Flight {
-            reg: self,
-            graph: None,
-            artifact: Some(key.clone()),
-        };
+        // The derivation rule (module docs): the first of the op's priors
+        // that is resident right now, as found — no stamp, no counter, no
+        // wait.
+        let prior = st.slot_mut(graph).and_then(|s| {
+            op.priors()
+                .iter()
+                .find_map(|p| s.artifact_mut(p).map(|e| Arc::clone(&e.value)))
+        });
+        drop(st);
         let g = self.graph_canonical(graph.clone())?;
         let computed = ops::compute_from(&g, op, prior.as_deref());
         let derived = prior.is_some();

@@ -59,7 +59,8 @@
 //! don't redial in lockstep — and a successful redial restores service
 //! on a fresh connection generation (in-flight tags of the dead one
 //! still answer `ERR shard down` exactly once each). A shard that accepts
-//! a dial and then says nothing fails it after `HELLO_TIMEOUT`.
+//! a dial and then says nothing fails it after `HELLO_TIMEOUT`. The dial
+//! is the client module's one `V3` upgrade.
 //!
 //! A downstream connection's upstream sockets live exactly as long as
 //! its machine, and the driver keeps the machine until the last in-flight
@@ -74,7 +75,7 @@
 //! appends the cluster-only gauges `shards= shards_up= shard_bytes=
 //! shard_evictions=`.
 
-use crate::client::Client;
+use crate::client::{self, Client};
 use crate::codec;
 use crate::conn::{CompletionSink, Framing, Outgoing};
 use crate::metrics::{self, Exposition, Metrics};
@@ -83,7 +84,7 @@ use crate::proto::{GraphRef, Request};
 use crate::server::{stats_line, ConnShared, IoBackend, Listener, Service, SvcStats, COUNTERS};
 use mis2_prim::hash::{hash2, splitmix64};
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -217,7 +218,7 @@ impl RouterHandle {
 }
 
 /// The I/O driver the router's connections run on. Pinned to threads, not
-/// [`IoBackend::platform_default`]: [`dial`] (a TCP connect plus a hello
+/// [`IoBackend::platform_default`]: a shard dial (a TCP connect plus a hello
 /// round trip, on the first request for a shard and on every due redial)
 /// and the cluster `STATS`/`METRICS` fetch (one `METRICS` round trip to
 /// every shard) **block their caller**. A connection's own reader thread
@@ -242,7 +243,7 @@ pub fn route(cfg: RouterConfig) -> io::Result<RouterHandle> {
     for addr in &cfg.shards {
         // The probe connection drops right here; the shard treats the
         // EOF as a clean close.
-        let (_, _, window) = dial(addr, HELLO_TIMEOUT)
+        let (_, _, window) = client::connect_v3(addr.as_str(), Some(HELLO_TIMEOUT))
             .map_err(|e| io::Error::new(e.kind(), format!("shard {addr}: {e}")))?;
         max_inflight = max_inflight.min(window);
     }
@@ -455,36 +456,6 @@ const DIAL_BACKOFF_CAP: Duration = Duration::from_millis(2000);
 /// and, on a redial, the downstream connection's reader forever.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Dial and v3-upgrade one upstream shard socket — the router's one v3
-/// handshake. Returns the write half, the buffered read half, and the
-/// window the shard advertised; the hello must arrive within
-/// `hello_timeout` (cleared again before the socket is handed back).
-fn dial(
-    addr: &str,
-    hello_timeout: Duration,
-) -> io::Result<(TcpStream, BufReader<TcpStream>, usize)> {
-    let mut writer = TcpStream::connect(addr)?;
-    writer.set_nodelay(true)?;
-    writer.set_read_timeout(Some(hello_timeout))?;
-    let mut reader = BufReader::new(writer.try_clone()?);
-    writer.write_all(format!("{}\n", codec::HELLO_V3).as_bytes())?;
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "shard closed during the hello",
-        ));
-    }
-    let window = codec::parse_hello_ok(line.trim_end_matches(['\r', '\n']))
-        .filter(|max| *max > 0)
-        .ok_or_else(|| {
-            let msg = format!("shard rejected the V3 hello: {}", line.trim_end());
-            io::Error::new(io::ErrorKind::InvalidData, msg)
-        })?;
-    writer.set_read_timeout(None)?;
-    Ok((writer, reader, window))
-}
-
 /// Record a dial attempt and schedule the earliest next one:
 /// exponential backoff doubling to [`DIAL_BACKOFF_CAP`], jittered
 /// uniformly into `[backoff/2, backoff]` so N downstream connections
@@ -519,7 +490,7 @@ fn pace_dial(st: &mut UpState, addr: &str) {
 /// dial itself runs without the shard lock — responses and poisoning on
 /// other generations proceed meanwhile.
 fn try_revive(shard: &Arc<UpShard>, sink: &Arc<dyn CompletionSink>) {
-    let dialed = dial(&shard.addr, HELLO_TIMEOUT);
+    let dialed = client::connect_v3(shard.addr.as_str(), Some(HELLO_TIMEOUT));
     let mut st = shard.state.lock().unwrap();
     // The fresh socket is still paced like a failure until it proves
     // itself with a response frame (the reader resets the cadence then)
@@ -586,10 +557,8 @@ fn forward(shard: &Arc<UpShard>, line: &str, framing: Framing, sink: &Arc<dyn Co
     // request's canonical line is never longer than the inbound line it
     // came from, so it fits a frame.)
     st.frame.clear();
-    let hdr = codec::encode_header(tag, line.len() as u32, codec::STATUS_OK);
-    st.frame.extend_from_slice(&hdr);
-    st.frame.extend_from_slice(line.as_bytes());
-    if writer.write_all(&st.frame).is_ok() {
+    let framed = codec::write_frame(&mut st.frame, tag, codec::STATUS_OK, line.as_bytes());
+    if framed.and_then(|()| writer.write_all(&st.frame)).is_ok() {
         return;
     }
     // The shard died under our pen: poison it here. Draining the map (our
@@ -774,7 +743,8 @@ mod tests {
             let _ = held.recv();
         });
         let t0 = Instant::now();
-        let err = dial(&addr, Duration::from_millis(100)).expect_err("a mute shard fails the dial");
+        let err = client::connect_v3(addr.as_str(), Some(Duration::from_millis(100)))
+            .expect_err("a mute shard fails the dial");
         assert!(
             matches!(
                 err.kind(),

@@ -31,9 +31,9 @@
 //! behind a broken socket, so a vanished client cannot wedge it — then
 //! drops the machine and the reader's sender and joins the writer.
 
+use crate::codec::FrameDecoder;
 use crate::conn::{
-    CompletionSink, ConnIo, ConnMachine, Flow, FrameDecoder, Framing, Outgoing, WireBatch,
-    READ_CHUNK,
+    CompletionSink, ConnIo, ConnMachine, Flow, Framing, Outgoing, WireBatch, READ_CHUNK,
 };
 use crate::metrics::{self, Metrics};
 use crate::ops;
@@ -313,7 +313,7 @@ fn read_loop(
     machine: &mut ConnMachine,
     io: &mut ThreadIo,
 ) -> io::Result<()> {
-    let mut dec = FrameDecoder::new();
+    let mut dec = FrameDecoder::default();
     let mut chunk = vec![0u8; READ_CHUNK];
     let mut t0: Option<Instant> = None;
     loop {

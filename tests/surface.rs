@@ -13,6 +13,11 @@
 //!
 //! The service's connection machine stays sans-I/O, and its two I/O
 //! drivers never import from each other.
+//!
+//! And each rule of the service's wire and report contract is written in
+//! one function of `crates/svc/src`: the v3 frame length check, the
+//! client's `V3` hello, the `OK `/`ERR ` status prefix, the exposition's
+//! schema header, and the registry's single-flight wait.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -232,5 +237,125 @@ fn the_connection_machine_is_sans_io_and_the_drivers_never_meet() {
                 i + 1
             );
         }
+    }
+}
+
+/// The identifier a declaration word starts with (`name(..` → `name`).
+fn ident<'a>(word: Option<&&'a str>) -> &'a str {
+    word.map_or("", |w| w.split(['(', '<']).next().unwrap())
+}
+
+/// `(file::Type::function, line)` for every non-test, non-comment line of
+/// `crates/svc/src`, the function being the innermost `fn` the line sits
+/// in and `Type` the `impl` around it (each empty outside one).
+fn svc_code_lines() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for file in rust_files("crates/svc/src") {
+        let text = read(file.to_str().unwrap());
+        let above_tests = text.split("#[cfg(test)]").next().unwrap();
+        let name = file.file_name().unwrap().to_string_lossy().into_owned();
+        // (indent, name) of each open `impl` or `fn` block, innermost last.
+        let mut open: Vec<(usize, String)> = Vec::new();
+        for line in above_tests.lines() {
+            let code = line.trim_start();
+            let indent = line.len() - code.len();
+            if code.starts_with("//") || code.is_empty() {
+                continue;
+            }
+            if code.starts_with('}') && open.last().is_some_and(|(i, _)| *i == indent) {
+                open.pop();
+                continue;
+            }
+            // A one-line item (`fn f() {}`, `fn g();`) opens no block.
+            let opens = !code.ends_with(';') && !code.ends_with('}');
+            let words: Vec<&str> = code.split_whitespace().collect();
+            let is_impl = words[0] == "impl" || words[0].starts_with("impl<");
+            let fn_at = words.iter().position(|w| *w == "fn").filter(|&at| {
+                words[..at]
+                    .iter()
+                    .all(|w| w.starts_with("pub") || matches!(*w, "const" | "unsafe"))
+            });
+            if opens && is_impl {
+                let ty = match words.iter().position(|w| *w == "for") {
+                    Some(at) => ident(words.get(at + 1)),
+                    None => ident(words.get(1)),
+                };
+                open.push((indent, format!("{ty}::")));
+            } else if let Some(at) = fn_at.filter(|_| opens) {
+                open.push((indent, ident(words.get(at + 1)).to_string()));
+            }
+            let ty = open.iter().rev().find(|(_, n)| n.ends_with("::"));
+            let f = open.last().filter(|(_, n)| !n.ends_with("::"));
+            let label = format!(
+                "{name}::{}{}",
+                ty.map_or("", |(_, t)| t.as_str()),
+                f.map_or("", |(_, f)| f.as_str())
+            );
+            out.push((label, code.to_string()));
+        }
+    }
+    out
+}
+
+/// The functions holding a line that `is_site` picks out.
+fn sites(lines: &[(String, String)], is_site: impl Fn(&str) -> bool) -> Vec<String> {
+    let mut fns: Vec<String> = lines
+        .iter()
+        .filter(|(_, code)| is_site(code))
+        .map(|(f, _)| f.clone())
+        .collect();
+    fns.sort();
+    fns.dedup();
+    fns
+}
+
+#[test]
+fn each_wire_and_report_rule_of_the_service_is_written_once() {
+    let lines = svc_code_lines();
+    // An operand of a comparison, not a word in a message.
+    let compared = |c: &str| {
+        let c = c.replace("codec::", "");
+        [">", "<", ">=", "<="].iter().any(|op| {
+            c.contains(&format!("{op} MAX_PAYLOAD")) || c.contains(&format!("MAX_PAYLOAD {op}"))
+        })
+    };
+    let rules: [(&str, Vec<String>, &str); 5] = [
+        (
+            "`MAX_PAYLOAD` compared against a header length",
+            sites(&lines, |c| compared(c) && !c.contains(".len()")),
+            "codec.rs::parse_frame",
+        ),
+        (
+            "`HELLO_V3` written to a socket",
+            sites(&lines, |c| c.contains("HELLO_V3") && c.contains("write")),
+            "client.rs::connect_v3",
+        ),
+        (
+            "the `ERR ` status prefix",
+            sites(&lines, |c| c.contains("\"ERR ")),
+            "codec.rs::status_prefix",
+        ),
+        (
+            "the `# mis2svc metrics schema` header written",
+            sites(&lines, |c| {
+                c.contains("# mis2svc metrics schema")
+                    && ["format!", "write", "push_str"]
+                        .iter()
+                        .any(|w| c.contains(w))
+            }),
+            "metrics.rs::Exposition::render",
+        ),
+        (
+            "the registry's single-flight wait",
+            sites(&lines, |c| c.contains("inflight_done.wait(")),
+            "registry.rs::Registry::claim",
+        ),
+    ];
+    for (rule, found, want) in rules {
+        assert_eq!(
+            found,
+            [want],
+            "{rule}: written in {found:?}, want one function"
+        );
     }
 }
