@@ -183,32 +183,40 @@ pub(crate) fn absorb_root_neighbors(g: &CsrGraph, labels: &mut [u32]) {
 /// The aggregate adjacent to `v` with maximum coupling (number of `v`'s
 /// neighbors in it); ties go to the smaller aggregate by `sizes`, then to
 /// the smaller id. `None` when no neighbor is aggregated.
+///
+/// Allocation-free: each sweep of the row finds the smallest aggregate id
+/// above the previous one and its coupling, so the candidates arrive in
+/// ascending id and a tie keeps the one already held. `O(deg · k)` for `k`
+/// adjacent aggregates, as a candidate list would be.
 pub(crate) fn max_coupling(
     g: &CsrGraph,
     v: VertexId,
     labels: &[u32],
     sizes: &[u32],
 ) -> Option<u32> {
-    // Degree-bounded linear scan; degrees are small for the PDE graphs
-    // this serves.
-    let mut cand: Vec<(u32, u32)> = Vec::new(); // (agg, coupling)
-    for &w in g.neighbors(v) {
-        let a = labels[w as usize];
+    let row = g.neighbors(v);
+    let mut best: Option<(u32, u32)> = None; // (agg, coupling)
+    let mut floor = 0u32; // every id below it has been a candidate
+    loop {
+        // Selects, not branches: which label is smallest is data, not
+        // pattern. While `a` is UNAGGREGATED, `c` counts nothing used.
+        let (mut a, mut c) = (UNAGGREGATED, 0u32);
+        for &w in row {
+            let l = labels[w as usize];
+            let lower = (l >= floor) & (l < a);
+            c = if lower { 1 } else { c + (l == a) as u32 };
+            a = if lower { l } else { a };
+        }
         if a == UNAGGREGATED {
-            continue;
+            return best.map(|(a, _)| a);
         }
-        match cand.iter_mut().find(|(ca, _)| *ca == a) {
-            Some((_, c)) => *c += 1,
-            None => cand.push((a, 1)),
+        let better =
+            best.is_none_or(|(b, bc)| c > bc || (c == bc && sizes[a as usize] < sizes[b as usize]));
+        if better {
+            best = Some((a, c));
         }
+        floor = a + 1;
     }
-    cand.into_iter()
-        .min_by(|&(a1, c1), &(a2, c2)| {
-            c2.cmp(&c1)
-                .then(sizes[a1 as usize].cmp(&sizes[a2 as usize]))
-                .then(a1.cmp(&a2))
-        })
-        .map(|(a, _)| a)
 }
 
 /// Every unaggregated vertex joins its [`max_coupling`] aggregate
@@ -275,6 +283,25 @@ mod tests {
         a.validate(&g).unwrap();
         assert_eq!(a.sizes(), vec![2, 2]);
         assert_eq!(a.mean_size(), 2.0);
+    }
+
+    #[test]
+    fn max_coupling_prefers_coupling_then_size_then_id() {
+        // Vertex 0 is the hub of a star; `labels[w]` is leaf w's aggregate.
+        let g = gen::star(8);
+        let un = UNAGGREGATED;
+        let pick = |labels: &[u32], sizes: &[u32]| max_coupling(&g, 0, labels, sizes);
+        // Aggregate 3 holds two leaves, 1 and 2 one each.
+        let labels = [un, 3, 1, 3, un, 2, un, un];
+        assert_eq!(pick(&labels, &[5, 5, 5, 5]), Some(3));
+        // 1 and 3 tie on coupling 2: the smaller aggregate wins, then the
+        // smaller id.
+        let labels = [un, 3, 1, 3, 1, 2, un, un];
+        assert_eq!(pick(&labels, &[5, 6, 5, 4]), Some(3));
+        assert_eq!(pick(&labels, &[5, 4, 5, 6]), Some(1));
+        assert_eq!(pick(&labels, &[5, 4, 5, 4]), Some(1));
+        // No aggregated neighbour.
+        assert_eq!(pick(&[un; 8], &[]), None);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! can be reproduced):
 //!
 //! 1. fresh xorshift\* priorities each iteration ([`PriorityScheme`]);
-//! 2. worklists compacted by parallel scans ([`Mis2Config::use_worklists`]);
+//! 2. worklists compacted by parallel scans, and filtered rows once most
+//!    neighbours are decided ([`Mis2Config::use_worklists`]);
 //! 3. packed single-word status tuples ([`Mis2Config::packed`]).
 //!
 //! The paper's fourth step (Section V-D, "SIMD") maps the neighbors of one
@@ -67,6 +68,29 @@
 //! caller with no wake-up. The block decomposition depends only on list
 //! lengths, never on the pool size.
 //!
+//! ## Filtered rows
+//!
+//! The worklists drop decided *vertices*, but each listed vertex's row
+//! still holds all its neighbours, and a few rounds in most of them are
+//! `OUT`: on the repo benchmark's graphs, 67 % (mesh) and 88 % (R-MAT) of
+//! the entries the round-3 column pass reads, 89 % and 98 % in round 5.
+//! `OUT` is the largest tuple and permanent, so a min that skips an `OUT`
+//! neighbour is the same min, now and in every later round.
+//!
+//! So the column pass switches rows once, at a gate. The decide pass sums
+//! the degrees of the vertices it leaves undecided (what a filtered pass
+//! would read: only their entries are not `OUT`), the column pass the row
+//! lengths it reads. When the first sum is at most `1 / FILTER_SHARE` of
+//! the second, the next column pass writes each kept vertex's non-`OUT`
+//! neighbours, from the same reads that take its min, into one exact-size
+//! list per block (`RowLists::column_value`). Each `worklist2` entry then
+//! carries its row as a slice of those lists (`Worklist2::Filtered`), which
+//! `compact::pack` compacts with the list, and every later column pass
+//! reads the slices instead of `g.neighbors(v)`. The lists are built once
+//! and only with worklists. The decide pass always reads whole rows: it
+//! reads `M`, not `T`, and a neighbour whose `T` is `OUT` can still hold
+//! the `M` that decides.
+//!
 //! ## Determinism
 //!
 //! Priorities depend only on `(scheme, seed, iter, v)`; each phase is a
@@ -83,6 +107,7 @@ use crate::priority::PriorityScheme;
 use crate::tuple::{id_bits, Packed, TupleRepr, Unpacked};
 use mis2_graph::{CsrGraph, VertexId};
 use mis2_prim::{compact, par, SharedMut};
+use std::cell::OnceCell;
 
 /// Configuration of Algorithm 1. [`Default`] reproduces the full
 /// Kokkos Kernels configuration (all three optimizations on).
@@ -90,8 +115,10 @@ use mis2_prim::{compact, par, SharedMut};
 pub struct Mis2Config {
     /// Priority scheme (Section V-A). Default: xorshift\* per iteration.
     pub priorities: PriorityScheme,
-    /// Maintain scan-compacted worklists (Section V-B). When `false`, all
-    /// vertices are processed every iteration, as in Bell's algorithm.
+    /// Maintain scan-compacted worklists (Section V-B), and once most
+    /// neighbours are `OUT`, let the column pass read filtered rows (see
+    /// the module docs). When `false`, all vertices are processed every
+    /// iteration over their whole rows, as in Bell's algorithm.
     pub use_worklists: bool,
     /// Pack status tuples into one 64-bit word (Section V-C). When
     /// `false`, explicit 3-field tuples are used.
@@ -121,6 +148,7 @@ impl Mis2Config {
     /// fixed priorities, which is the closest in-engine equivalent. The
     /// paper's fifth step (`+SIMD`, Section V-D) is a GPU vector-lane
     /// optimization with no CPU counterpart (see the module docs).
+    /// `+Worklists` includes the filtered rows of the late column passes.
     pub fn ladder() -> Vec<(&'static str, Mis2Config)> {
         let base = Mis2Config {
             priorities: PriorityScheme::Fixed,
@@ -206,8 +234,14 @@ pub fn mis2(g: &CsrGraph) -> Mis2Result {
 
 /// Compute an MIS-2 with an explicit configuration.
 pub fn mis2_with_config(g: &CsrGraph, cfg: &Mis2Config) -> Mis2Result {
+    mis2_probed(g, cfg).0
+}
+
+/// [`mis2_with_config`], and the round whose column pass built the
+/// filtered rows (`None` when none did).
+pub(crate) fn mis2_probed(g: &CsrGraph, cfg: &Mis2Config) -> (Mis2Result, Option<usize>) {
     if g.num_vertices() == 0 {
-        return Mis2Result::empty();
+        return (Mis2Result::empty(), None);
     }
     if cfg.packed {
         run::<Packed>(g, cfg)
@@ -221,6 +255,81 @@ pub fn mis2_with_config(g: &CsrGraph, cfg: &Mis2Config) -> Mis2Result {
 /// region's team to its block count), which is what keeps the late, sparse
 /// rounds free of region wake-ups.
 const GRAIN: usize = 4096;
+
+/// The column pass switches to filtered rows once they would read at most
+/// `1 / FILTER_SHARE` of what the last full pass read (see the module
+/// docs). Measured break-even, median of 64 `mis2_with_config` at pool 2
+/// on a 2-CPU host, interleaved, on the repo benchmark's graphs (the
+/// 500 000-vertex mesh; the scale-18 R-MAT), never filtering against
+/// filtering at the share `1/k`: mesh 74.7 ms never, 82.7 at 1/1 (from
+/// round 2, when no neighbour is `OUT` yet), 75.0 at 1/2, 73.7 at 1/3,
+/// 73.2 at 1/4, 69.6 at 1/8; R-MAT 81.0 never, 88.0 at 1/1, 62.5, 62.0,
+/// 61.9, 62.6. The mesh breaks even near 1/2. The R-MAT ratio falls from
+/// about 1 to 1/9 in one round, so every share from 1/2 to 1/8 builds in
+/// round 3 (1/8 misses it on some seeds). Like [`GRAIN`], the value
+/// changes no result.
+const FILTER_SHARE: usize = 4;
+
+/// `worklist2`: every entry a vertex and the row its column pass reads.
+enum Worklist2<'r> {
+    /// `adj(v)`, read from the graph.
+    Full(Vec<VertexId>),
+    /// The filtered row: `adj(v)` less the neighbours already `OUT` when it
+    /// was built.
+    Filtered(Vec<(VertexId, &'r [VertexId])>),
+}
+
+/// What one block of a column pass returns.
+#[derive(Default)]
+struct ColumnBlock {
+    /// Entries kept (`M_v != OUT`).
+    kept: usize,
+    /// Row entries the pass read.
+    reads: usize,
+    /// The kept entries' filtered rows (a building pass only).
+    rows: RowLists,
+}
+
+/// The filtered rows one block of the building pass writes: one after the
+/// other in `cols[..len]`, entry `i`'s ending at `ends[i]`.
+#[derive(Default)]
+struct RowLists {
+    cols: Vec<VertexId>,
+    len: usize,
+    ends: Vec<usize>,
+}
+
+impl RowLists {
+    /// [`Exec::column_value`] that also appends the neighbours `w` with
+    /// `T_w != OUT` when the result is kept (not `OUT`), from the same
+    /// reads. Three in four are `OUT` when the lists are built, so each `w`
+    /// is written and kept by advancing the end: no branch to mispredict.
+    /// `cols` grows geometrically ahead of `len`, never per row.
+    #[inline]
+    fn column_value<T: TupleRepr>(&mut self, t: &[T], v: VertexId, row: &[VertexId]) -> T {
+        let need = self.len + row.len();
+        if self.cols.len() < need {
+            self.cols.resize(need.max(2 * self.cols.len()), 0);
+        }
+        let cols = &mut self.cols[..];
+        let mut end = self.len;
+        let mv = Exec::column_value(t, v, row, |w, tw| {
+            cols[end] = w;
+            end += !tw.is_out() as usize;
+        });
+        if !mv.is_out() {
+            self.len = end;
+        }
+        self.ends.push(self.len);
+        mv
+    }
+
+    /// Trim `cols` to exactly the rows.
+    fn finish(&mut self) {
+        self.cols.truncate(self.len);
+        self.cols.shrink_to_fit();
+    }
+}
 
 /// Per-run execution context: everything the per-vertex kernels need.
 struct Exec<'a> {
@@ -241,13 +350,22 @@ impl Exec<'_> {
         T::undecided(p, v, self.bits)
     }
 
-    /// Refresh Column for one vertex: `min(T_w : w in adj(v) ∪ {v})`,
-    /// collapsed to `OUT` if the min is `IN`.
+    /// Refresh Column for one vertex: `min(T_w : w in row ∪ {v})`,
+    /// collapsed to `OUT` if the min is `IN`. `row` is `adj(v)`, or `adj(v)`
+    /// without neighbours that were already `OUT` (see the module docs).
+    /// `each(w, T_w)` sees every neighbour the min reads.
     #[inline]
-    fn column_value<T: TupleRepr>(&self, t: &[T], v: VertexId) -> T {
+    fn column_value<T: TupleRepr>(
+        t: &[T],
+        v: VertexId,
+        row: &[VertexId],
+        mut each: impl FnMut(VertexId, T),
+    ) -> T {
         let mut mv = t[v as usize];
-        for &w in self.g.neighbors(v) {
-            mv = mv.min(t[w as usize]);
+        for &w in row {
+            let tw = t[w as usize];
+            mv = mv.min(tw);
+            each(w, tw);
         }
         if mv.is_in() {
             T::OUT
@@ -296,49 +414,106 @@ impl Exec<'_> {
     }
 
     /// Refresh Column over `worklist2`: writes `M_v`, one keep flag per
-    /// entry (`M_v != OUT`) and one keep count per block in a single sweep,
-    /// then packs the list to its survivors.
-    fn column_pass<T: TupleRepr>(
+    /// entry (`M_v != OUT`) and one [`ColumnBlock`] per block in a single
+    /// sweep. `row(e)` is entry `e`'s vertex and the row its min reads.
+    /// With `BUILD` (a parameter, so the other passes keep the plain loop),
+    /// each block also writes its kept vertices' non-`OUT` neighbours to
+    /// one exact-size list.
+    fn column_pass<'r, T: TupleRepr, E: Copy + Sync, const BUILD: bool>(
         &self,
-        wl: &mut Vec<VertexId>,
+        wl: &[E],
+        row: impl Fn(E) -> (VertexId, &'r [VertexId]) + Sync,
         t: &[T],
         m: &mut [T],
         flags: &mut Vec<bool>,
-    ) {
+    ) -> Vec<ColumnBlock> {
         let n = wl.len();
         flags.clear();
         flags.resize(n, false);
-        let kept = {
-            let mw = SharedMut::new(m);
-            let fw = SharedMut::new(flags.as_mut_slice());
-            let list: &[VertexId] = wl;
-            par::map_blocks(n.div_ceil(GRAIN), |b| {
-                let base = b * GRAIN;
-                let mut k = 0usize;
-                for (i, &v) in list[base..n.min(base + GRAIN)].iter().enumerate() {
-                    let mv = self.column_value(t, v);
-                    let keep = !mv.is_out();
-                    // SAFETY: every vertex appears once in the worklist, so
-                    // slot v (and flag base+i) has one writer; `t` is not
-                    // written in this region.
-                    unsafe {
-                        mw.write(v as usize, mv);
-                        fw.write(base + i, keep);
-                    }
-                    k += keep as usize;
+        let mw = SharedMut::new(m);
+        let fw = SharedMut::new(flags.as_mut_slice());
+        par::map_blocks(n.div_ceil(GRAIN), |b| {
+            let base = b * GRAIN;
+            let mut out = ColumnBlock::default();
+            let (mut kept, mut reads) = (0, 0);
+            for (i, &e) in wl[base..n.min(base + GRAIN)].iter().enumerate() {
+                let (v, nbrs) = row(e);
+                let mv = if BUILD {
+                    out.rows.column_value(t, v, nbrs)
+                } else {
+                    Self::column_value(t, v, nbrs, |_, _| {})
+                };
+                let keep = !mv.is_out();
+                // SAFETY: every vertex appears once in the worklist, so
+                // slot v (and flag base+i) has one writer; `t` is not
+                // written in this region.
+                unsafe {
+                    mw.write(v as usize, mv);
+                    fw.write(base + i, keep);
                 }
-                k
-            })
+                kept += keep as usize;
+                reads += nbrs.len();
+            }
+            (out.kept, out.reads) = (kept, reads);
+            out.rows.finish();
+            out
+        })
+    }
+
+    /// One Refresh Column over `worklist2`, then its compaction. `build`
+    /// turns a `Full` list into a `Filtered` one whose rows go to `store`.
+    /// Returns how many row entries the pass read.
+    fn refresh_column<'r, T: TupleRepr>(
+        &self,
+        wl2: &mut Worklist2<'r>,
+        store: &'r OnceCell<Vec<Vec<VertexId>>>,
+        build: bool,
+        t: &[T],
+        m: &mut [T],
+        flags: &mut Vec<bool>,
+    ) -> usize {
+        let blocks = match wl2 {
+            Worklist2::Full(list) => {
+                let row = |v| (v, self.g.neighbors(v));
+                if build {
+                    self.column_pass::<T, _, true>(list, row, t, m, flags)
+                } else {
+                    self.column_pass::<T, _, false>(list, row, t, m, flags)
+                }
+            }
+            Worklist2::Filtered(list) => self.column_pass::<T, _, false>(list, |e| e, t, m, flags),
         };
-        if self.compact {
-            *wl = compact::pack(flags, GRAIN, &kept, |i| wl[i]);
+        let kept: Vec<usize> = blocks.iter().map(|c| c.kept).collect();
+        let reads = blocks.iter().map(|c| c.reads).sum();
+        match wl2 {
+            Worklist2::Full(list) if build => {
+                let (cols, ends): (Vec<_>, Vec<_>) = blocks
+                    .into_iter()
+                    .map(|c| (c.rows.cols, c.rows.ends))
+                    .unzip();
+                let cols = store.get_or_init(|| cols);
+                let rows = compact::pack(flags, GRAIN, &kept, |i| {
+                    let (b, k) = (i / GRAIN, i % GRAIN);
+                    let lo = if k == 0 { 0 } else { ends[b][k - 1] };
+                    (list[i], &cols[b][lo..ends[b][k]])
+                });
+                *wl2 = Worklist2::Filtered(rows);
+            }
+            Worklist2::Full(list) => {
+                if self.compact {
+                    *list = compact::pack(flags, GRAIN, &kept, |i| list[i]);
+                }
+            }
+            Worklist2::Filtered(list) => *list = compact::pack(flags, GRAIN, &kept, |i| list[i]),
         }
+        reads
     }
 
     /// Decide Set over `worklist1`, fused with the round's epilogue: decide,
     /// count the IN/OUT transitions per block, write the survivor's fresh
     /// round-`next_iter` tuple (the next round's Refresh Row), flag it, then
-    /// pack the list to its survivors. Returns `(newly_in, newly_out)`.
+    /// pack the list to its survivors. Returns `(newly_in, newly_out)` and
+    /// the survivors' degree sum, what a filtered column pass would read.
     fn decide_pass<T: TupleRepr>(
         &self,
         wl: &mut Vec<VertexId>,
@@ -346,18 +521,18 @@ impl Exec<'_> {
         m: &[T],
         next_iter: u64,
         flags: &mut Vec<bool>,
-    ) -> (usize, usize) {
+    ) -> (usize, usize, usize) {
         let n = wl.len();
         flags.clear();
         flags.resize(n, false);
-        // Per block: [survivors, newly IN, newly OUT].
+        // Per block: [survivors, newly IN, newly OUT, survivors' degrees].
         let counts = {
             let tw = SharedMut::new(t);
             let fw = SharedMut::new(flags.as_mut_slice());
             let list: &[VertexId] = wl;
             par::map_blocks(n.div_ceil(GRAIN), |b| {
                 let base = b * GRAIN;
-                let mut c = [0usize; 3];
+                let mut c = [0usize; 4];
                 for (i, &v) in list[base..n.min(base + GRAIN)].iter().enumerate() {
                     // SAFETY: each worklist1 vertex appears once; only slot
                     // v is read and written (Decide reads M, never other
@@ -383,6 +558,9 @@ impl Exec<'_> {
                         fw.write(base + i, class == 0);
                     }
                     c[class] += 1;
+                    if class == 0 {
+                        c[3] += self.g.degree(v);
+                    }
                 }
                 c
             })
@@ -393,11 +571,12 @@ impl Exec<'_> {
         }
         let newly_in = counts.iter().map(|c| c[1]).sum();
         let newly_out = counts.iter().map(|c| c[2]).sum();
-        (newly_in, newly_out)
+        let reads = counts.iter().map(|c| c[3]).sum();
+        (newly_in, newly_out, reads)
     }
 }
 
-fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> Mis2Result {
+fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> (Mis2Result, Option<usize>) {
     let n = g.num_vertices();
     let bits = id_bits(n);
     // Both representations see the same truncated priorities so that the
@@ -424,18 +603,31 @@ fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> Mis2Result {
     let mut t: Vec<T> = par::map_range(0..n as VertexId, |v| exec.fresh::<T>(0, v));
     let mut m: Vec<T> = vec![T::OUT; n];
 
-    // Both worklists start as the full vertex set.
+    // Both worklists start as the full vertex set; the filtered rows, once
+    // built, live in `store` until the run ends.
+    let store = OnceCell::new();
     let mut wl1: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut wl2 = wl1.clone();
+    let mut wl2 = Worklist2::Full(wl1.clone());
     // Keep-flag buffer shared by both passes.
     let mut flags: Vec<bool> = Vec::new();
     let mut history: Vec<RoundStats> = Vec::new();
     let mut undecided = n;
     let mut iter: u64 = 0;
+    // What the last column pass read, and what a filtered one would read.
+    let (mut full_reads, mut filtered_reads) = (0, 0);
+    let mut built = None;
     while undecided > 0 {
-        exec.column_pass(&mut wl2, &t, &mut m, &mut flags);
+        let build = exec.compact
+            && iter > 0
+            && matches!(wl2, Worklist2::Full(_))
+            && FILTER_SHARE * filtered_reads <= full_reads;
+        full_reads = exec.refresh_column(&mut wl2, &store, build, &t, &mut m, &mut flags);
         iter += 1;
-        let (newly_in, newly_out) = exec.decide_pass(&mut wl1, &mut t, &m, iter, &mut flags);
+        if build {
+            built = Some(iter as usize);
+        }
+        let (newly_in, newly_out, reads) = exec.decide_pass(&mut wl1, &mut t, &m, iter, &mut flags);
+        filtered_reads = reads;
         history.push(RoundStats {
             undecided,
             newly_in,
@@ -446,12 +638,13 @@ fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> Mis2Result {
 
     let is_in: Vec<bool> = par::map(&t, |x| x.is_in());
     let in_set = compact::par_filter_indices(&is_in, |&b| b);
-    Mis2Result {
+    let result = Mis2Result {
         in_set,
         is_in,
         iterations: iter as usize,
         history,
-    }
+    };
+    (result, built)
 }
 
 #[cfg(test)]
@@ -724,6 +917,35 @@ mod tests {
         let r = mis2(&g);
         assert_eq!(r.size(), 1, "adjacent vertices both IN — self-loop bug");
         verify_mis2(&g, &r.is_in).unwrap();
+    }
+
+    #[test]
+    fn filtered_rows_are_built_with_worklists_only_and_change_no_bit() {
+        let mut graphs: Vec<(String, CsrGraph)> = (11..=14)
+            .map(|scale| {
+                let g = gen::rmat(scale, 16, 0.57, 0.19, 0.19, scale as u64);
+                (format!("R-MAT scale {scale}"), g)
+            })
+            .collect();
+        graphs.push(("Laplace3D 20^3".into(), gen::laplace3d(20, 20, 20)));
+        for (name, g) in &graphs {
+            for cfg in all_configs() {
+                let (got, built) = mis2_probed(g, &cfg);
+                if cfg.use_worklists {
+                    // Built, and read by at least one later column pass.
+                    let read = built.is_some_and(|r| r < got.iterations);
+                    assert!(
+                        read,
+                        "{name}: {cfg:?} built in {built:?} of {}",
+                        got.iterations
+                    );
+                } else {
+                    assert_eq!(built, None, "{name}: {cfg:?}");
+                }
+                let want = crate::spec::mis2(g, cfg.priorities, cfg.seed);
+                assert_eq!(got, want, "{name}: diverges from the spec for {cfg:?}");
+            }
+        }
     }
 
     #[test]

@@ -134,9 +134,15 @@ impl CsrMatrix {
                 out.vals.len(),
                 "row {r}: one value per column"
             );
+            // Checked in every build: the cluster Gauss-Seidel sweep reads
+            // `x` at these columns through `SharedMut::read`, whose bound
+            // is checked only in debug builds.
             let new = &out.cols[start..];
-            debug_assert!(new.windows(2).all(|w| w[0] < w[1]), "row {r} unsorted");
-            debug_assert!(new.last().is_none_or(|&c| (c as usize) < ncols));
+            assert!(new.windows(2).all(|w| w[0] < w[1]), "row {r} unsorted");
+            assert!(
+                new.last().is_none_or(|&c| (c as usize) < ncols),
+                "row {r}: column out of range"
+            );
         });
         CsrMatrix {
             nrows,
@@ -514,6 +520,31 @@ mod tests {
     #[should_panic(expected = "row index out of bounds")]
     fn from_coo_rejects_bad_row() {
         CsrMatrix::from_coo(2, 2, &[(5, 0, 1.0)]);
+    }
+
+    /// One row of `from_row_blocks` holding `cols` (unit values).
+    fn one_row(ncols: usize, cols: &'static [u32]) -> CsrMatrix {
+        CsrMatrix::from_row_blocks(
+            1,
+            ncols,
+            || (),
+            |_, _, out| {
+                out.cols.extend_from_slice(cols);
+                out.vals.extend(cols.iter().map(|_| 1.0));
+            },
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "row 0: column out of range")]
+    fn from_row_blocks_rejects_a_column_out_of_range() {
+        one_row(3, &[0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 0 unsorted")]
+    fn from_row_blocks_rejects_an_unsorted_row() {
+        one_row(3, &[2, 1]);
     }
 
     #[test]
