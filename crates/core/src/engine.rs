@@ -23,12 +23,13 @@
 //! * **Refresh Column** — every live column vertex computes
 //!   `M_v = min(T_w : w in adj(v) ∪ {v})`; if the min is an `IN` tuple,
 //!   `M_v` becomes `OUT` permanently (v is distance-1 from the set, so
-//!   every neighbor of v is within distance 2).
+//!   every neighbor of v is within distance 2). The column that turns
+//!   `OUT` marks `v` and the row it has just read.
 //! * **Decide Set** — an undecided `v` becomes `OUT` if any
-//!   `w in adj(v) ∪ {v}` has `M_w = OUT`, and `IN` if every such `w` has
-//!   `M_w = T_v` (v is the strict minimum of its radius-2 neighborhood —
-//!   no other vertex can conclude the same, which is what makes the
-//!   algorithm race-free and deterministic).
+//!   `w in adj(v) ∪ {v}` has `M_w = OUT`, which is `v`'s mark, and `IN` if
+//!   every such `w` has `M_w = T_v` (v is the strict minimum of its
+//!   radius-2 neighborhood — no other vertex can conclude the same, which
+//!   is what makes the algorithm race-free and deterministic).
 //! * **Compact worklists** — `worklist1` keeps undecided vertices,
 //!   `worklist2` keeps vertices with `M_v != OUT`.
 //!
@@ -45,20 +46,22 @@
 //! (`par::map_blocks`); each block writes its vertices' new tuples and one
 //! keep flag per entry, and returns its counts; `mis2_prim::compact::pack`
 //! then places each block's survivors in the compacted list from an
-//! exclusive scan of the block counts.
+//! exclusive scan of the block counts. A list that keeps every entry (the
+//! column pass of round 1, where no column can be `OUT`) is not copied.
 //!
 //! The seed engine issued separate sweeps for Decide, the two
 //! `newly_in`/`newly_out` counts, worklist compaction and the next round's
 //! Refresh Row. `decide_pass` does all of it in one sweep: decide, classify
 //! into keep/in/out, count per block, and write the survivor's fresh tuple
-//! for round `i+1`. Fusion invariants: Decide reads only `M` (the column
-//! pass has completed) and slot `T[v]` itself, so writing the survivor's
-//! fresh tuple inside the pass races with nothing; the final round has no
-//! survivors, so nothing is refreshed — exactly the seed ordering. Without
-//! worklists ([`Mis2Config::use_worklists`] `= false`) the same two passes
-//! run over the full vertex list every round, skip decided vertices on
-//! read and skip the scatter; the per-block counts still yield
-//! `newly_in`/`newly_out`, so no full-array count is ever needed.
+//! for round `i+1`. Fusion invariants: Decide reads only `M` and the marks
+//! (the column pass has completed) and slot `T[v]` itself, so writing the
+//! survivor's fresh tuple inside the pass races with nothing; the final
+//! round has no survivors, so nothing is refreshed — exactly the seed
+//! ordering. Without worklists ([`Mis2Config::use_worklists`] `= false`)
+//! the same two passes run over the full vertex list every round, skip
+//! decided vertices on read and skip the scatter; the per-block counts
+//! still yield `newly_in`/`newly_out`, so no full-array count is ever
+//! needed.
 //!
 //! There is no separate path for the late, sparse rounds. The undecided
 //! frontier shrinks geometrically (Blelloch, Fineman & Shun), so late
@@ -87,9 +90,29 @@
 //! carries its row as a slice of those lists (`Worklist2::Filtered`), which
 //! `compact::pack` compacts with the list, and every later column pass
 //! reads the slices instead of `g.neighbors(v)`. The lists are built once
-//! and only with worklists. The decide pass always reads whole rows: it
-//! reads `M`, not `T`, and a neighbour whose `T` is `OUT` can still hold
-//! the `M` that decides.
+//! and only with worklists.
+//!
+//! ## Marks: the column that turns `OUT` tells its row
+//!
+//! Decide Set asks whether some `M_w` over `adj(v) ∪ {v}` is `OUT`. The
+//! column pass has the answer first: a column turns `OUT` only through an
+//! `IN` min, read from its own row. So when an entry's raw min is `IN`
+//! and its `M` was not `OUT` already, the pass sets one byte per vertex
+//! of that row and of the entry itself (`Exec::marks`, relaxed atomic
+//! stores: every writer stores the same `true`), and Decide reads `v`'s
+//! byte instead of rescanning its row for an `OUT`. It reads the row only
+//! to test `M_w == T_v`, up to the first mismatch, the same rule in every
+//! round.
+//!
+//! The mark equals the scan it replaces for every undecided `v` (checked
+//! under `debug_assertions` in `decide_value`). An `OUT` column older than
+//! this round would have made `v` `OUT` already, so the column turned
+//! `OUT` in this round, through an `IN` min, and marked `v`. Its row may be
+//! a filtered one, but that drops only neighbours whose `T` was `OUT`,
+//! never an undecided `v`. Without worklists every column is recomputed
+//! each round: one that was `OUT` already marks nothing again. A min that
+//! is itself `OUT` marks nothing either: every tuple it read is `OUT`, so
+//! no vertex of that row is undecided.
 //!
 //! ## Determinism
 //!
@@ -108,6 +131,7 @@ use crate::tuple::{id_bits, Packed, TupleRepr, Unpacked};
 use mis2_graph::{CsrGraph, VertexId};
 use mis2_prim::{compact, par, SharedMut};
 use std::cell::OnceCell;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 /// Configuration of Algorithm 1. [`Default`] reproduces the full
 /// Kokkos Kernels configuration (all three optimizations on).
@@ -301,10 +325,10 @@ struct RowLists {
 
 impl RowLists {
     /// [`Exec::column_value`] that also appends the neighbours `w` with
-    /// `T_w != OUT` when the result is kept (not `OUT`), from the same
-    /// reads. Three in four are `OUT` when the lists are built, so each `w`
-    /// is written and kept by advancing the end: no branch to mispredict.
-    /// `cols` grows geometrically ahead of `len`, never per row.
+    /// `T_w != OUT` when the column is kept (its min is undecided), from
+    /// the same reads. Three in four are `OUT` when the lists are built, so
+    /// each `w` is written and kept by advancing the end: no branch to
+    /// mispredict. `cols` grows geometrically ahead of `len`, never per row.
     #[inline]
     fn column_value<T: TupleRepr>(&mut self, t: &[T], v: VertexId, row: &[VertexId]) -> T {
         let need = self.len + row.len();
@@ -313,15 +337,15 @@ impl RowLists {
         }
         let cols = &mut self.cols[..];
         let mut end = self.len;
-        let mv = Exec::column_value(t, v, row, |w, tw| {
+        let min = Exec::column_value(t, v, row, |w, tw| {
             cols[end] = w;
             end += !tw.is_out() as usize;
         });
-        if !mv.is_out() {
+        if min.is_undecided() {
             self.len = end;
         }
         self.ends.push(self.len);
-        mv
+        min
     }
 
     /// Trim `cols` to exactly the rows.
@@ -341,6 +365,13 @@ struct Exec<'a> {
     /// [`Mis2Config::use_worklists`]: compact each list to its survivors
     /// after its pass. When `false` both lists stay the full vertex set.
     compact: bool,
+    /// Per vertex: some `w in adj(v) ∪ {v}` has `M_w = OUT`. The column
+    /// pass that turns `M_w` `OUT` sets it for the row it has just read;
+    /// Decide Set reads it instead of that row (see the module docs). Set
+    /// once, never cleared: an `OUT` column stays `OUT`. `Relaxed` is
+    /// enough: a mark publishes no other data, and the column pass's region
+    /// ends (the pool joins it) before the decide pass reads.
+    marks: Vec<AtomicBool>,
 }
 
 impl Exec<'_> {
@@ -350,10 +381,12 @@ impl Exec<'_> {
         T::undecided(p, v, self.bits)
     }
 
-    /// Refresh Column for one vertex: `min(T_w : w in row ∪ {v})`,
-    /// collapsed to `OUT` if the min is `IN`. `row` is `adj(v)`, or `adj(v)`
-    /// without neighbours that were already `OUT` (see the module docs).
-    /// `each(w, T_w)` sees every neighbour the min reads.
+    /// Refresh Column's raw min for one vertex: `min(T_w : w in row ∪ {v})`.
+    /// The caller collapses an `IN` min to `OUT`, and tells a column that
+    /// collapses from `IN` (it marks `row ∪ {v}`) from one whose every
+    /// neighbour is already `OUT` (it marks nothing). `row` is `adj(v)`, or
+    /// `adj(v)` without neighbours that were already `OUT` (see the module
+    /// docs). `each(w, T_w)` sees every neighbour the min reads.
     #[inline]
     fn column_value<T: TupleRepr>(
         t: &[T],
@@ -361,52 +394,40 @@ impl Exec<'_> {
         row: &[VertexId],
         mut each: impl FnMut(VertexId, T),
     ) -> T {
-        let mut mv = t[v as usize];
+        let mut min = t[v as usize];
         for &w in row {
             let tw = t[w as usize];
-            mv = mv.min(tw);
+            min = min.min(tw);
             each(w, tw);
         }
-        if mv.is_in() {
-            T::OUT
-        } else {
-            mv
+        min
+    }
+
+    /// Record that `M_v` has just turned `OUT`: mark `v` and the row its
+    /// min read.
+    #[inline]
+    fn mark(&self, v: VertexId, row: &[VertexId]) {
+        self.marks[v as usize].store(true, Relaxed);
+        for &w in row {
+            self.marks[w as usize].store(true, Relaxed);
         }
     }
 
-    /// Decide Set for one undecided vertex: the new `T_v` (`OUT`, `IN`, or
-    /// `tv` unchanged). The early break on an `OUT` neighbor can leave
-    /// `all_eq` stale, but `any_out` dominates the decision.
-    ///
-    /// `first` is round 1: before the first Decide no vertex is `IN`, so no
-    /// `M_w` is `OUT` and the answer is `IN` or `tv` — settled at the first
-    /// `M_w != T_v` (for most vertices `M_v` itself) instead of after a
-    /// scan of every neighbor for an `OUT` that cannot exist.
+    /// Decide Set for one undecided vertex: the new `T_v`. `OUT` if `v` is
+    /// marked (some `w in adj(v) ∪ {v}` has `M_w = OUT`), else `IN` if
+    /// every such `M_w` is `T_v`, read up to the first that is not, else
+    /// `tv` unchanged.
     #[inline]
-    fn decide_value<T: TupleRepr>(&self, tv: T, m: &[T], v: VertexId, first: bool) -> T {
-        let mv = m[v as usize];
-        if first {
-            let all_eq = mv == tv && self.g.neighbors(v).iter().all(|&w| m[w as usize] == tv);
-            return if all_eq { T::IN } else { tv };
-        }
-        // Self contribution of the implicit self-loop.
-        let mut any_out = mv.is_out();
-        let mut all_eq = mv == tv;
-        if !any_out {
-            for &w in self.g.neighbors(v) {
-                let mw = m[w as usize];
-                if mw.is_out() {
-                    any_out = true;
-                    break;
-                }
-                if mw != tv {
-                    all_eq = false;
-                }
-            }
-        }
-        if any_out {
+    fn decide_value<T: TupleRepr>(&self, tv: T, m: &[T], v: VertexId) -> T {
+        let marked = self.marks[v as usize].load(Relaxed);
+        debug_assert_eq!(
+            marked,
+            m[v as usize].is_out() || self.g.neighbors(v).iter().any(|&w| m[w as usize].is_out()),
+            "the mark of vertex {v} disagrees with the columns of adj(v) ∪ {{v}}"
+        );
+        if marked {
             T::OUT
-        } else if all_eq {
+        } else if m[v as usize] == tv && self.g.neighbors(v).iter().all(|&w| m[w as usize] == tv) {
             T::IN
         } else {
             tv
@@ -415,7 +436,8 @@ impl Exec<'_> {
 
     /// Refresh Column over `worklist2`: writes `M_v`, one keep flag per
     /// entry (`M_v != OUT`) and one [`ColumnBlock`] per block in a single
-    /// sweep. `row(e)` is entry `e`'s vertex and the row its min reads.
+    /// sweep, and marks each column that turns `OUT` ([`Exec::mark`]).
+    /// `row(e)` is entry `e`'s vertex and the row its min reads.
     /// With `BUILD` (a parameter, so the other passes keep the plain loop),
     /// each block also writes its kept vertices' non-`OUT` neighbours to
     /// one exact-size list.
@@ -438,18 +460,24 @@ impl Exec<'_> {
             let (mut kept, mut reads) = (0, 0);
             for (i, &e) in wl[base..n.min(base + GRAIN)].iter().enumerate() {
                 let (v, nbrs) = row(e);
-                let mv = if BUILD {
+                let min = if BUILD {
                     out.rows.column_value(t, v, nbrs)
                 } else {
                     Self::column_value(t, v, nbrs, |_, _| {})
                 };
-                let keep = !mv.is_out();
+                let keep = min.is_undecided();
+                let mv = if min.is_in() { T::OUT } else { min };
                 // SAFETY: every vertex appears once in the worklist, so
-                // slot v (and flag base+i) has one writer; `t` is not
-                // written in this region.
-                unsafe {
+                // slot v (and flag base+i) has one writer and no other
+                // reader; `t` is not written in this region.
+                let turned_out = unsafe {
+                    let turned_out = min.is_in() && !mw.read(v as usize).is_out();
                     mw.write(v as usize, mv);
                     fw.write(base + i, keep);
+                    turned_out
+                };
+                if turned_out {
+                    self.mark(v, nbrs);
                 }
                 kept += keep as usize;
                 reads += nbrs.len();
@@ -501,10 +529,10 @@ impl Exec<'_> {
             }
             Worklist2::Full(list) => {
                 if self.compact {
-                    *list = compact::pack(flags, GRAIN, &kept, |i| list[i]);
+                    pack_kept(list, flags, &kept);
                 }
             }
-            Worklist2::Filtered(list) => *list = compact::pack(flags, GRAIN, &kept, |i| list[i]),
+            Worklist2::Filtered(list) => pack_kept(list, flags, &kept),
         }
         reads
     }
@@ -544,7 +572,7 @@ impl Exec<'_> {
                         debug_assert!(!self.compact, "worklist1 must hold undecided only");
                         continue;
                     }
-                    let nt = self.decide_value(tv, m, v, next_iter == 1);
+                    let nt = self.decide_value(tv, m, v);
                     let (class, new) = if nt.is_in() {
                         (1, nt)
                     } else if nt.is_out() {
@@ -567,12 +595,21 @@ impl Exec<'_> {
         };
         if self.compact {
             let kept: Vec<usize> = counts.iter().map(|c| c[0]).collect();
-            *wl = compact::pack(flags, GRAIN, &kept, |i| wl[i]);
+            pack_kept(wl, flags, &kept);
         }
         let newly_in = counts.iter().map(|c| c[1]).sum();
         let newly_out = counts.iter().map(|c| c[2]).sum();
         let reads = counts.iter().map(|c| c[3]).sum();
         (newly_in, newly_out, reads)
+    }
+}
+
+/// Compact `list` to the entries `flags` keeps (`kept[b]` of block `b`).
+/// A list that keeps every entry, as round 1's column pass does, stays as
+/// it is instead of being copied.
+fn pack_kept<E: Copy + Send + Sync>(list: &mut Vec<E>, flags: &[bool], kept: &[usize]) {
+    if kept.iter().sum::<usize>() < list.len() {
+        *list = compact::pack(flags, GRAIN, kept, |i| list[i]);
     }
 }
 
@@ -594,14 +631,18 @@ fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> (Mis2Result, Option<usiz
         bits,
         prio_mask,
         compact: cfg.use_worklists,
+        marks: std::iter::repeat_with(|| AtomicBool::new(false))
+            .take(n)
+            .collect(),
     };
 
     // T is Refresh Row for iteration 0 (later rounds refresh survivors
     // inside the decide pass). M's initial content is never read: every
     // vertex is in worklist2 for iteration 0 and is overwritten by Refresh
-    // Column.
+    // Column, which reads the old `M_v` only behind an `IN` min, and round
+    // 1 has none. It starts non-`OUT`, as a column no pass has marked.
     let mut t: Vec<T> = par::map_range(0..n as VertexId, |v| exec.fresh::<T>(0, v));
-    let mut m: Vec<T> = vec![T::OUT; n];
+    let mut m: Vec<T> = vec![T::IN; n];
 
     // Both worklists start as the full vertex set; the filtered rows, once
     // built, live in `store` until the run ends.

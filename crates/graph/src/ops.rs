@@ -6,31 +6,37 @@
 //! state the lemma with it as an identity: Bell's MIS-1 of `G²` is Bell's
 //! MIS-2 of `G`.
 
-use crate::csr::{sort_dedup_from, CsrGraph, VertexId};
+use crate::csr::{CsrGraph, VertexId};
 
 /// `G²`: vertices `u != v` adjacent iff a path of length 1 or 2 connects
 /// them in `g` (self-loops excluded, consistent with [`CsrGraph`]'s
 /// invariants — callers treat the self relation implicitly).
 ///
-/// Cost is `O(sum_v (d(v) + sum_{w in N(v)} d(w)))`; intended for tests and
-/// oracles, not for the production MIS-2 path (avoiding exactly this blow-up
-/// is the point of Bell's direct MIS-k scheme the paper builds on).
+/// Cost is `O(sum_v (d(v) + sum_{w in N(v)} d(w)))`, plus an `O(|V|)` stamp
+/// array per block of `ROW_BLOCK` rows; intended for tests and oracles, not
+/// for the production MIS-2 path (avoiding exactly this blow-up is the
+/// point of Bell's direct MIS-k scheme the paper builds on).
 pub fn square(g: &CsrGraph) -> CsrGraph {
+    let n = g.num_vertices();
+    // One stamp per vertex per row block, like `spgemm`'s accumulator:
+    // `seen[x] == v` once row `v` holds `x` (or `x` is `v`), so a vertex
+    // reached by several paths is pushed once and only the row is sorted.
     CsrGraph::from_row_blocks(
-        g.num_vertices(),
-        || (),
-        |_, v, row| {
+        n,
+        || vec![VertexId::MAX; n],
+        |seen, v, row| {
             let v = v as VertexId;
             let start = row.len();
-            row.extend_from_slice(g.neighbors(v));
+            seen[v as usize] = v;
             for &w in g.neighbors(v) {
-                row.extend_from_slice(g.neighbors(w));
+                for &x in std::iter::once(&w).chain(g.neighbors(w)) {
+                    if seen[x as usize] != v {
+                        seen[x as usize] = v;
+                        row.push(x);
+                    }
+                }
             }
-            sort_dedup_from(row, start);
-            // Drop the self entry introduced via w -> v paths.
-            if let Ok(pos) = row[start..].binary_search(&v) {
-                row.remove(start + pos);
-            }
+            row[start..].sort_unstable();
         },
     )
 }

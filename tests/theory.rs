@@ -177,14 +177,14 @@ fn torus_removes_boundary_effects_in_mis_fraction() {
     assert!((0.05..0.13).contains(&f_torus));
 }
 
-/// Sequential greedy MIS on `G²`, visiting vertices in increasing
-/// `(fixed priority, id)` — the order Algorithm 1's tuples realize, the
-/// priority truncated to the bits a packed tuple keeps. A chosen vertex's
-/// `G²` row is walked as its two hops in `G` (what `ops::square` stores,
-/// per `square_graph_distance_semantics` above) rather than materializing
-/// every row of the suite's squares for the ~8% of vertices that enter.
+/// Sequential greedy MIS-1 on `G² = ops::square(g)`, visiting vertices in
+/// increasing `(fixed priority, id)` — the order Algorithm 1's tuples
+/// realize, the priority truncated to the bits a packed tuple keeps. It
+/// shares no code with Algorithm 1 or the spec: the distance-2 rows are
+/// the squared graph's, built by `ops`.
 fn greedy_mis2_in_fixed_order(g: &CsrGraph, seed: u64) -> Vec<bool> {
     let n = g.num_vertices();
+    let g2 = ops::square(g);
     let prio_mask = u64::MAX >> id_bits(n);
     let mut order: Vec<VertexId> = (0..n as VertexId).collect();
     order.sort_by_key(|&v| (PriorityScheme::Fixed.priority(seed, 0, v) & prio_mask, v));
@@ -193,11 +193,8 @@ fn greedy_mis2_in_fixed_order(g: &CsrGraph, seed: u64) -> Vec<bool> {
     for v in order {
         if !blocked[v as usize] {
             is_in[v as usize] = true;
-            for &w in g.neighbors(v) {
+            for &w in g2.neighbors(v) {
                 blocked[w as usize] = true;
-                for &x in g.neighbors(w) {
-                    blocked[x as usize] = true;
-                }
             }
         }
     }
