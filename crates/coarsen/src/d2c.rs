@@ -21,8 +21,8 @@
 use crate::agg::{join_leftovers, sweep_pockets, Aggregation, UNAGGREGATED};
 use mis2_color::{color_d2_serial, color_d2_speculative, ColorSets, Coloring};
 use mis2_graph::{CsrGraph, VertexId};
-use mis2_prim::par;
-use mis2_prim::SharedMut;
+use mis2_prim::{cells, par};
+use std::sync::atomic::Ordering::Relaxed;
 
 /// Minimum unaggregated neighbors a root candidate needs (matches the
 /// "sufficiently many unaggregated neighbors" rule of the paper's Serial
@@ -47,23 +47,18 @@ pub fn d2c_aggregation(g: &CsrGraph, coloring: &Coloring) -> Aggregation {
                     .count()
                     >= MIN_UNAGG_NEIGHBORS
         });
-        // Claim aggregates (same-color roots share no neighbors).
+        // Claim aggregates. Same-colored roots share no neighbor, so each
+        // slot has one writer; under a wrong coloring a root still keeps
+        // itself, and a neighbor goes to one of the roots that claim it.
         let base = roots.len() as u32;
-        {
-            let lw = SharedMut::new(&mut labels);
-            par::for_each_indexed(&candidates, |k, &v| {
-                let label = base + k as u32;
-                unsafe { lw.write(v as usize, label) };
-                for &w in g.neighbors(v) {
-                    // SAFETY: w was unaggregated and no other root of this
-                    // color neighbors it; roots themselves are distance > 2
-                    // apart so v's slot is also exclusive.
-                    if unsafe { lw.read(w as usize) } == UNAGGREGATED {
-                        unsafe { lw.write(w as usize, label) };
-                    }
-                }
-            });
-        }
+        let cells = cells::u32_cells(&mut labels);
+        par::for_each_indexed(&candidates, |k, &v| {
+            let label = base + k as u32;
+            cells[v as usize].store(label, Relaxed);
+            for &w in g.neighbors(v) {
+                let _ = cells[w as usize].compare_exchange(UNAGGREGATED, label, Relaxed, Relaxed);
+            }
+        });
         roots.extend_from_slice(&candidates);
     }
 
@@ -146,6 +141,20 @@ mod tests {
         let a = d2c_aggregation(&g, &coloring);
         let b = mis2_prim::pool::with_pool(1, || d2c_aggregation(&g, &coloring));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn an_invalid_coloring_still_covers_every_vertex() {
+        // Every vertex one color: same-colored roots are adjacent and share
+        // neighbors, and the 8 000 candidates of that color claim on the
+        // pool. Through relaxed cells which root a neighbor joins may vary,
+        // but each root keeps itself and each aggregate stays a star.
+        let g = gen::laplace3d(20, 20, 20);
+        let coloring = Coloring::from_colors(vec![0; g.num_vertices()], 1);
+        for pool in [1, 3] {
+            let a = mis2_prim::pool::with_pool(pool, || d2c_aggregation(&g, &coloring));
+            a.validate(&g).unwrap();
+        }
     }
 
     #[test]

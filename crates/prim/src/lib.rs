@@ -25,7 +25,11 @@
 //! * [`reduce`] — deterministic parallel reductions (sums, min/max) whose
 //!   results do not depend on the number of worker threads.
 //! * [`ptr`] — `SharedMut`, the one raw-pointer wrapper: disjoint writes
-//!   from several threads into one slice.
+//!   from several threads into one slice, under this crate's own forms and
+//!   the frozen seed engine.
+//! * [`cells`] — relaxed atomic cells over a `&mut [u32]` or `&mut [f64]`:
+//!   the writes whose disjointness rests on a caller's coloring (D2C's
+//!   roots, Algorithm 4's sweeps) cannot race whatever the coloring.
 //! * [`pool`] — the lazily initialized persistent worker pool behind
 //!   [`par`] (OS threads that spin briefly, then park, between regions),
 //!   plus [`with_pool`], which caps the team at a fixed size: the
@@ -36,6 +40,7 @@
 //! same outputs are produced regardless of thread count or scheduling.
 
 pub mod bucket;
+pub mod cells;
 pub mod compact;
 pub mod hash;
 pub mod par;

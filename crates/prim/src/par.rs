@@ -38,7 +38,7 @@
 //!   [`map_chunks`], [`chunked_reduce`], [`map_reduce_range`], the scans,
 //!   compaction counts, `reduce::det_dot`, the row blocks of
 //!   `rows::assemble` under every CSR producer; and the
-//!   `for_chunks*` pair): a region opens when there are at least two
+//!   `for_chunks*` pair, with [`map_windows`] on top): a region opens when there are at least two
 //!   *blocks*, each block being thousands of elements the caller already
 //!   sized ([`DET_BLOCK`] *elements* for every deterministic reduction).
 //!
@@ -71,7 +71,7 @@
 use crate::pool::{current_threads, in_region, run_region_on};
 use crate::ptr::SharedMut;
 use std::mem::MaybeUninit;
-use std::ops::Range;
+use std::ops::{Index, IndexMut, Range};
 
 /// Fixed block size, in *elements*, shared by every deterministic
 /// reduction in the workspace (scans, compaction counts, f64 sums). Chosen
@@ -295,6 +295,107 @@ pub fn map_blocks<U: Send>(nblocks: usize, f: impl Fn(usize) -> U + Sync) -> Vec
     // SAFETY: all nblocks slots initialized above.
     unsafe { out.set_len(nblocks) };
     out
+}
+
+/// One block's window of an output slice, addressed by the absolute index:
+/// `w[i]` is `out[i]` for `i` inside the window, and a bounds panic in
+/// every build outside it.
+pub struct Window<'a, T> {
+    lo: usize,
+    slots: &'a mut [T],
+}
+
+impl<T> Index<usize> for Window<'_, T> {
+    type Output = T;
+    #[inline]
+    fn index(&self, i: usize) -> &T {
+        &self.slots[i.wrapping_sub(self.lo)]
+    }
+}
+
+impl<T> IndexMut<usize> for Window<'_, T> {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        &mut self.slots[i.wrapping_sub(self.lo)]
+    }
+}
+
+/// Parallel map over the blocks of a strictly ascending list, each block
+/// writing its own entries' slots of `out`: `f(entries, window, per)` for
+/// every block of `block` entries, one pool task each, as [`map_blocks`]
+/// runs them; the results come back in block order.
+///
+/// `key(e)` is entry `e`'s slot of `out`. The windows cut `out` at the
+/// first key of every block but the first, so a block may write from its
+/// own first key up to the next block's, and nothing else: a list whose
+/// keys ascend strictly puts every entry's slot in its own block's
+/// window, and the windows are disjoint `&mut` borrows. `per` is the
+/// block's chunk of `per_entry`, one slot per entry (Algorithm 1's keep
+/// flags). A block's first key below the previous one panics here; an
+/// entry outside its window panics when the block indexes it. Strict
+/// ascent inside a block is checked under `debug_assertions`.
+///
+/// ```
+/// let list = [1u32, 2, 5, 6, 9];
+/// let mut out = [0u32; 10];
+/// let mut flags = [false; 5];
+/// let sums = mis2_prim::par::map_windows(&list, 2, |&v| v as usize, &mut out, &mut flags, |entries, w, keep| {
+///     for (&v, k) in entries.iter().zip(keep) {
+///         w[v as usize] = 10 * v;
+///         *k = v % 2 == 1;
+///     }
+///     entries.iter().sum::<u32>()
+/// });
+/// assert_eq!(sums, [3, 11, 9]);
+/// assert_eq!(out, [0, 10, 20, 0, 0, 50, 60, 0, 0, 90]);
+/// assert_eq!(flags, [true, false, true, false, true]);
+/// ```
+pub fn map_windows<E: Sync, T: Send, F: Send, U: Send>(
+    list: &[E],
+    block: usize,
+    key: impl Fn(&E) -> usize + Sync,
+    out: &mut [T],
+    per_entry: &mut [F],
+    f: impl Fn(&[E], &mut Window<'_, T>, &mut [F]) -> U + Sync,
+) -> Vec<U> {
+    struct Task<'a, E, T, F, U> {
+        entries: &'a [E],
+        window: Window<'a, T>,
+        per: &'a mut [F],
+        result: Option<U>,
+    }
+    assert_eq!(per_entry.len(), list.len(), "one per-entry slot per entry");
+    let block = block.max(1);
+    let mut tasks = Vec::with_capacity(list.len().div_ceil(block));
+    let (mut rest, mut per_rest, mut lo) = (out, per_entry, 0);
+    for (b, entries) in list.chunks(block).enumerate() {
+        let hi = list.get((b + 1) * block).map_or(lo + rest.len(), &key);
+        assert!(lo <= hi, "list keys descend at block {}", b + 1);
+        let (slots, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+        let (per, per_tail) = std::mem::take(&mut per_rest).split_at_mut(entries.len());
+        tasks.push(Task {
+            entries,
+            window: Window { lo, slots },
+            per,
+            result: None,
+        });
+        (rest, per_rest, lo) = (tail, per_tail, hi);
+    }
+    for_chunks_mut(&mut tasks, 1, |b, task| {
+        let Task {
+            entries,
+            window,
+            per,
+            result,
+        } = &mut task[0];
+        debug_assert!(
+            entries.windows(2).all(|p| key(&p[0]) < key(&p[1])),
+            "list keys do not ascend strictly in block {b}"
+        );
+        *result = Some(f(entries, window, per));
+    });
+    let done = |t: Task<'_, E, T, F, U>| t.result.expect("every block ran");
+    tasks.into_iter().map(done).collect()
 }
 
 /// Parallel map over fixed-size chunks: `out[b] = f(chunk_b)`. With a fixed
@@ -602,6 +703,64 @@ mod tests {
                 assert_eq!(got, want, "{nblocks} blocks at {t} threads");
             }
         }
+    }
+
+    /// `out[v] += 1` and `per[i] = v` through [`map_windows`] over `list`
+    /// in blocks of `block`; returns `(out, per, per-block entry counts)`.
+    fn window_hits(list: &[u32], n: usize, block: usize) -> (Vec<u32>, Vec<u32>, Vec<usize>) {
+        let mut out = vec![0u32; n];
+        let mut per = vec![0u32; list.len()];
+        let counts = map_windows(
+            list,
+            block,
+            |&v| v as usize,
+            &mut out,
+            &mut per,
+            |e, w, p| {
+                for (&v, p) in e.iter().zip(p) {
+                    w[v as usize] += 1;
+                    *p = v;
+                }
+                e.len()
+            },
+        );
+        (out, per, counts)
+    }
+
+    #[test]
+    fn windows_hand_each_entry_its_own_slot() {
+        let n = 50_000;
+        let list: Vec<u32> = (0..n as u32).filter(|v| v % 3 != 1).collect();
+        let want_out: Vec<u32> = (0..n as u32).map(|v| (v % 3 != 1) as u32).collect();
+        for t in [1usize, 2, 5] {
+            for block in [1usize, 7, 4096, n] {
+                let (out, per, counts) = crate::pool::with_pool(t, || window_hits(&list, n, block));
+                assert_eq!(out, want_out, "block {block} at {t} threads");
+                assert_eq!(per, list);
+                assert_eq!(counts.len(), list.len().div_ceil(block));
+                assert_eq!(counts.iter().sum::<usize>(), list.len());
+            }
+        }
+        assert_eq!(window_hits(&[], 3, 4), (vec![0; 3], vec![], vec![]));
+    }
+
+    #[test]
+    #[should_panic(expected = "descend")]
+    fn a_block_starting_below_the_last_panics() {
+        window_hits(&[1, 2, 5, 6, 3, 4], 8, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_vertex_repeated_across_blocks_is_outside_the_window() {
+        window_hits(&[1, 3, 3, 4], 6, 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ascend strictly")]
+    fn a_vertex_repeated_inside_a_block_panics_under_debug_assertions() {
+        window_hits(&[1, 3, 3, 4], 6, 4);
     }
 
     #[test]

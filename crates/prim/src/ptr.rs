@@ -2,25 +2,22 @@
 //!
 //! **The rule.** A loop whose task `i` writes only slot `i` (owner
 //! computes) uses `par`'s safe `&mut` forms — `for_each_mut_indexed`,
-//! `for_each_slice_mut`, `map_range`, `map_blocks` — and reads anything
-//! else from a copy taken before the loop. `SharedMut` is for the writes
-//! that are disjoint for a reason no slice split can express:
+//! `for_each_slice_mut`, `map_range`, `map_blocks`. A loop over a strictly
+//! ascending worklist that writes each entry's slot (Algorithm 1's `T[v]` /
+//! `M[v]` in `mis2_core::engine`, with each block's keep flags) uses
+//! `par::map_windows`, which hands each block its own `&mut` window. A
+//! loop whose writes are disjoint only because a caller's coloring says
+//! so (D2C's roots labeling their neighbors, the color sweeps of
+//! `mis2_solver::gs`) goes through [`crate::cells`], where a wrong
+//! coloring changes bits but cannot race.
 //!
-//! * slots named by a *worklist*: Algorithm 1's `T[v]` / `M[v]` in
-//!   `mis2_core::engine` (with each block's keep flags beside them);
-//! * writes whose disjointness is an algorithm invariant: MIS-2 and
-//!   same-colored D2C roots labeling their *neighbors* in
-//!   `mis2_coarsen::{mis2_agg, d2c}`, and the color sweeps of
-//!   `mis2_solver::gs`, which read neighbor rows while writing their own;
-//! * the frozen seed engine, `mis2_core::reference`.
-//!
-//! `tests/surface.rs` holds that list as a table, so a new site has to be
-//! added there on purpose.
-//!
-//! Inside this crate it is the one raw-pointer wrapper: `par::map_range`,
-//! `par::map_blocks` and `compact::pack` write their output through it
-//! over `Vec::spare_capacity_mut`, and `par::for_chunks_mut` cuts its
-//! chunks with [`SharedMut::slice_mut`].
+//! So `SharedMut` is this crate's own: `par::map_range`, `par::map_blocks`
+//! and `compact::pack` write their output through it over
+//! `Vec::spare_capacity_mut`, and `par::for_chunks_mut` (under
+//! `par::map_windows`) and `reduce`'s fused forms cut their chunks with
+//! [`SharedMut::slice_mut`]. Outside it, only the frozen seed engine,
+//! `mis2_core::reference`, still builds one; `tests/surface.rs` holds that
+//! list as a table, so a new site has to be added there on purpose.
 
 use std::marker::PhantomData;
 

@@ -39,12 +39,24 @@
 //! 13 824-row operator swept *slower* on two threads than on one before
 //! this rule). Which thread sweeps a cluster never changes the order of
 //! the rows inside it, so the bits are the same either way.
+//!
+//! ## `x` is read and written through relaxed cells
+//!
+//! The clusters of one color read their neighbors' `x` while writing their
+//! own. That is disjoint only because the coloring makes no two of them
+//! adjacent, and the coloring is the caller's (`from_parts` takes any
+//! [`Coloring`]). So a sweep views `x` as `mis2_prim::cells::F64Cells`:
+//! every access is a relaxed 8-byte load or store, a plain `mov` on
+//! x86-64, and bounds-checked. With a valid coloring no cluster reads a
+//! slot another one writes, so the bits are those of plain loads and
+//! stores; with an invalid one they may change, but nothing races.
 
 use crate::precond::Preconditioner;
 use mis2_coarsen::{quotient_graph, AggScheme, Aggregation};
 use mis2_color::{color_d1, Coloring};
 use mis2_graph::VertexId;
-use mis2_prim::{bucket_by_key, par, SharedMut};
+use mis2_prim::cells::F64Cells;
+use mis2_prim::{bucket_by_key, par};
 use mis2_sparse::CsrMatrix;
 use std::time::Instant;
 
@@ -182,30 +194,26 @@ impl ClusterMcSgs {
 
     /// Gauss-Seidel update of the row at sweep position `k`.
     #[inline]
-    fn update_row(&self, k: usize, b: &[f64], xw: &SharedMut<'_, f64>) {
+    fn update_row(&self, k: usize, b: &[f64], x: &F64Cells<'_>) {
         let i = self.rows[k] as usize;
         let (lo, hi) = (self.row_ptr[k], self.row_ptr[k + 1]);
         let mut acc = b[i];
         for (&c, &v) in self.cols[lo..hi].iter().zip(&self.vals[lo..hi]) {
-            // SAFETY: same-colored clusters are non-adjacent in the
-            // quotient graph, so every off-cluster neighbor row is
-            // stable during this color's parallel region; in-cluster
-            // neighbors are updated by *this* task sequentially.
-            acc -= v * unsafe { xw.read(c as usize) };
+            acc -= v * x.get(c as usize);
         }
-        unsafe { xw.write(i, acc * self.dinv[k]) };
+        x.set(i, acc * self.dinv[k]);
     }
 
     /// Update sweep positions `lo..hi` front to back, or back to front.
     #[inline]
-    fn sweep_rows(&self, lo: usize, hi: usize, backward: bool, b: &[f64], xw: &SharedMut<'_, f64>) {
+    fn sweep_rows(&self, lo: usize, hi: usize, backward: bool, b: &[f64], x: &F64Cells<'_>) {
         if backward {
             for k in (lo..hi).rev() {
-                self.update_row(k, b, xw);
+                self.update_row(k, b, x);
             }
         } else {
             for k in lo..hi {
-                self.update_row(k, b, xw);
+                self.update_row(k, b, x);
             }
         }
     }
@@ -214,17 +222,17 @@ impl ClusterMcSgs {
     /// reversed when `backward`. A color of at least [`MIN_REGION_NNZ`]
     /// nonzeros goes to the pool, [`CLUSTERS_PER_BLOCK`] clusters to a
     /// block; a smaller one is one run of sweep positions on the caller.
-    fn sweep_color(&self, color: usize, backward: bool, b: &[f64], xw: &SharedMut<'_, f64>) {
+    fn sweep_color(&self, color: usize, backward: bool, b: &[f64], x: &F64Cells<'_>) {
         let clusters = &self.clusters[self.color_ptr[color]..self.color_ptr[color + 1]];
         let (Some(&(lo, _)), Some(&(_, hi))) = (clusters.first(), clusters.last()) else {
             return;
         };
         if self.row_ptr[hi] - self.row_ptr[lo] < MIN_REGION_NNZ {
-            self.sweep_rows(lo, hi, backward, b, xw);
+            self.sweep_rows(lo, hi, backward, b, x);
         } else {
             par::for_chunks(clusters, CLUSTERS_PER_BLOCK, |_, block| {
                 for &(lo, hi) in block {
-                    self.sweep_rows(lo, hi, backward, b, xw);
+                    self.sweep_rows(lo, hi, backward, b, x);
                 }
             });
         }
@@ -234,12 +242,12 @@ impl ClusterMcSgs {
     /// cluster), then backward colors (rows reversed inside each cluster).
     pub fn sgs_sweep(&self, b: &[f64], x: &mut [f64]) {
         assert!(b.len() == self.rows.len() && x.len() == self.rows.len());
-        let xw = SharedMut::new(x);
+        let x = F64Cells::new(x);
         for color in 0..self.num_colors {
-            self.sweep_color(color, false, b, &xw);
+            self.sweep_color(color, false, b, &x);
         }
         for color in (0..self.num_colors).rev() {
-            self.sweep_color(color, true, b, &xw);
+            self.sweep_color(color, true, b, &x);
         }
     }
 }
@@ -450,6 +458,32 @@ mod tests {
             &agg,
             &coloring
         ));
+    }
+
+    #[test]
+    fn adjacent_clusters_of_one_color_sweep_without_a_race() {
+        // An invalid coloring through the public constructor: the x-lines of
+        // a 40³ grid all colored 0, so every line is adjacent to four lines
+        // of its own color and the one color (380 K nonzeros) goes to the
+        // pool. The sweep's reads and writes of neighbor `x` then overlap;
+        // through relaxed cells that changes bits, never soundness.
+        let (d, lines) = (40usize, 40 * 40);
+        let a = sgen::spd_from_graph(&mis2_graph::gen::laplace3d(d, d, d), 7);
+        let agg = Aggregation {
+            labels: (0..d * lines).map(|i| (i / d) as u32).collect(),
+            num_aggregates: lines,
+            roots: (0..lines).map(|l| (l * d) as u32).collect(),
+        };
+        let coloring = Coloring::from_colors(vec![0; lines], 1);
+        let gs = ClusterMcSgs::from_parts(&a, &agg, &coloring);
+        let b = vec![1.0; a.nrows()];
+        let mut x = vec![0.0; a.nrows()];
+        mis2_prim::pool::with_pool(3, || {
+            for _ in 0..4 {
+                gs.sgs_sweep(&b, &mut x);
+            }
+        });
+        assert!(x.iter().all(|v| v.is_finite()));
     }
 
     #[test]

@@ -134,9 +134,11 @@ impl CsrMatrix {
                 out.vals.len(),
                 "row {r}: one value per column"
             );
-            // Checked in every build: the cluster Gauss-Seidel sweep reads
-            // `x` at these columns through `SharedMut::read`, whose bound
-            // is checked only in debug builds.
+            // Checked in every build: `row` is any caller's closure (this
+            // is a public constructor), and every consumer of a matrix
+            // (`transpose`, SpGEMM's merges, the sweep layout of `gs`)
+            // assumes sorted, in-range rows. A bad row panics here, at the
+            // row that made it, not as a wrong answer further on.
             let new = &out.cols[start..];
             assert!(new.windows(2).all(|w| w[0] < w[1]), "row {r} unsorted");
             assert!(

@@ -3,10 +3,11 @@
 //! paper table, figure or algorithm, the served op or the benchmark
 //! workload that needs it, and every row names a module that exists.
 //!
-//! The same goes for shared mutable writes: every file outside `mis2-prim`
-//! that builds a `SharedMut` has a row naming the invariant or reason its
-//! writes need one, and the `unsafe` lines under `crates/` and `src/` stay
-//! at or below a literal. A new site has to update the table on purpose.
+//! The same goes for shared mutable writes and `unsafe`: every file
+//! outside `mis2-prim` that builds a `SharedMut`, and every one with a line
+//! naming `unsafe`, has a row naming the reason, and the `unsafe` lines
+//! under `crates/` and `src/` stay at or below a literal. A new site has to
+//! update a table on purpose.
 //!
 //! And the serial spec of Algorithm 1, the engine's bitwise oracle, stays
 //! a spec: short, safe, and free of the primitives the engine runs on.
@@ -94,29 +95,30 @@ fn every_public_module_has_a_reason_in_readme() {
 
 /// Every file outside `crates/prim` that calls `SharedMut::new`, with the
 /// reason its writes cannot go through `par`'s safe `&mut` forms (an
-/// index-owned write — slot `i` written by the task for `i` — always can).
-const SHARED_MUT_SITES: [(&str, &str); 4] = [
-    (
-        "crates/core/src/engine.rs",
-        "T[v] / M[v] written at worklist-listed v, beside each block's keep flags",
-    ),
+/// index-owned write — slot `i` written by the task for `i` — always can,
+/// a worklist's ascending writes go through `par::map_windows`, and writes
+/// whose disjointness rests on a caller's coloring through `prim::cells`).
+const SHARED_MUT_SITES: [(&str, &str); 1] = [(
+    "crates/core/src/reference.rs",
+    "the frozen seed engine, kept as written",
+)];
+
+/// Every file outside `crates/prim` with a line naming `unsafe`, with the
+/// reason it cannot leave that to `prim`. The algorithm crates name none.
+const UNSAFE_FILES: [(&str, &str); 2] = [
     (
         "crates/core/src/reference.rs",
         "the frozen seed engine, kept as written",
     ),
     (
-        "crates/coarsen/src/d2c.rs",
-        "same-colored roots label their neighbors; a distance-2 coloring shares none",
-    ),
-    (
-        "crates/solver/src/gs.rs",
-        "a color's clusters read neighbor x while writing their own; no two are adjacent",
+        "crates/svc/src/evloop.rs",
+        "epoll and eventfd syscalls, and the fds they return",
     ),
 ];
 
 /// Lines naming `unsafe` under `crates/` and `src/`, as counted by
 /// `grep -rw --include=*.rs unsafe crates src | wc -l`.
-const MAX_UNSAFE_LINES: usize = 50;
+const MAX_UNSAFE_LINES: usize = 44;
 
 /// Every `.rs` file under `dir`, relative to the repository root.
 fn rust_files(dir: &str) -> Vec<PathBuf> {
@@ -169,13 +171,27 @@ fn shared_mut_sites_and_unsafe_lines_are_the_audited_ones() {
         "files building a `SharedMut` differ from the audited table"
     );
     assert!(SHARED_MUT_SITES.iter().all(|(_, why)| !why.is_empty()));
-    let unsafe_lines: usize = files
+    let unsafe_per_file: Vec<(String, usize)> = files
         .iter()
         .map(|f| {
             let text = read(f.to_str().unwrap());
-            text.lines().filter(|l| has_word(l, "unsafe")).count()
+            let lines = text.lines().filter(|l| has_word(l, "unsafe")).count();
+            (f.display().to_string(), lines)
         })
-        .sum();
+        .collect();
+    let unsafe_files: Vec<&str> = unsafe_per_file
+        .iter()
+        .filter(|(f, lines)| *lines > 0 && !f.starts_with("crates/prim"))
+        .map(|(f, _)| f.as_str())
+        .collect();
+    let mut want: Vec<&str> = UNSAFE_FILES.iter().map(|(f, _)| *f).collect();
+    want.sort();
+    assert_eq!(
+        unsafe_files, want,
+        "files outside `crates/prim` naming `unsafe` differ from the audited table"
+    );
+    assert!(UNSAFE_FILES.iter().all(|(_, why)| !why.is_empty()));
+    let unsafe_lines: usize = unsafe_per_file.iter().map(|(_, lines)| lines).sum();
     assert!(
         unsafe_lines <= MAX_UNSAFE_LINES,
         "{unsafe_lines} `unsafe` lines under crates/ and src/, at most {MAX_UNSAFE_LINES} audited"
