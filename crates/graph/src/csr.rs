@@ -147,6 +147,40 @@ impl CsrGraph {
         )
     }
 
+    /// [`CsrGraph::from_edges`] for an edge list that is mostly in row
+    /// order (a Matrix Market file's). When every row leaves the bucket
+    /// strictly ascending, the bucket's arrays are the CSR arrays, with
+    /// nothing copied or sorted; otherwise the rows are assembled as
+    /// `from_edges` assembles them, and only the rows that are unsorted or
+    /// repeated get sorted and deduplicated. Either way the arrays are
+    /// exact-size and the graph equals `from_edges`'.
+    pub(crate) fn from_edges_in_order(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
+        let (offsets, targets) = bucket_edges(n, edges);
+        let strictly_ascending = |v: usize| {
+            targets[offsets[v]..offsets[v + 1]]
+                .windows(2)
+                .all(|w| w[0] < w[1])
+        };
+        if (0..n).all(strictly_ascending) {
+            return CsrGraph {
+                n,
+                row_ptr: offsets,
+                col_idx: targets,
+            };
+        }
+        Self::from_row_blocks(
+            n,
+            || (),
+            |_, v, row| {
+                let start = row.len();
+                row.extend_from_slice(&targets[offsets[v]..offsets[v + 1]]);
+                if !strictly_ascending(v) {
+                    sort_dedup_from(row, start);
+                }
+            },
+        )
+    }
+
     /// Assemble from per-vertex neighbor lists written in row blocks
     /// ([`mis2_prim::rows::assemble`]): `row(state, v, out)` appends `v`'s
     /// sorted, deduplicated, loop-free neighbors to `out`, whose tail from
@@ -423,6 +457,32 @@ mod tests {
         assert!(g.has_edge(1, 0));
         assert!(!g.has_edge(0, 2));
         assert!(!g.has_edge(0, 0));
+    }
+
+    #[test]
+    fn from_edges_in_order_equals_from_edges_bytes_included() {
+        // The lower triangle in row order takes the bucket as it stands;
+        // the same edges reversed, with repeats and a loop, re-assemble
+        // every row.
+        let g = crate::gen::erdos_renyi(300, 1500, 5);
+        let lower: Vec<(VertexId, VertexId)> = (0..300)
+            .flat_map(|v| {
+                g.neighbors(v)
+                    .iter()
+                    .filter(move |&&u| u < v)
+                    .map(move |&u| (v, u))
+            })
+            .collect();
+        let mut messy: Vec<_> = lower.iter().rev().copied().collect();
+        messy.extend_from_slice(&lower[..100]);
+        messy.push((3, 3));
+        for edges in [&lower, &messy] {
+            let fast = CsrGraph::from_edges_in_order(300, edges);
+            let slow = CsrGraph::from_edges(300, edges);
+            assert_eq!(fast, slow);
+            assert_eq!(fast.heap_bytes(), slow.heap_bytes());
+        }
+        assert_eq!(CsrGraph::from_edges_in_order(300, &lower), g);
     }
 
     #[test]

@@ -2,13 +2,58 @@
 //!
 //! The paper's 15 non-synthetic matrices come from the SuiteSparse
 //! collection, which distributes Matrix Market (`.mtx`) files. This module
-//! reads the `matrix coordinate` format (real / integer / pattern; general
-//! or symmetric) into a [`CsrGraph`] so the benchmarks can run on the real
-//! inputs when they are available locally; the synthetic suite
-//! ([`crate::suite`]) stands in otherwise.
+//! reads the `matrix coordinate` format (real / integer / pattern; general,
+//! symmetric or skew-symmetric) into a [`CsrGraph`] so the benchmarks can
+//! run on the real inputs when they are available locally; the synthetic
+//! suite ([`crate::suite`]) stands in otherwise. Every graph the service is
+//! asked for by path comes through here.
 //!
-//! Reading a graph symmetrizes the pattern and drops the diagonal, matching
-//! how KokkosKernels consumes these matrices for MIS-2.
+//! # The read path
+//!
+//! The input is read once. Lines are taken in place from the reader's
+//! buffer (a line is copied only when it straddles two fills), and one
+//! tokenizer reads every entry line into `(row, col, value)` for a sink:
+//!
+//! * [`read_coo`] keeps the triplets, with symmetric entries mirrored;
+//! * [`read_graph`] keeps each off-diagonal entry once, as a `(row, col)`
+//!   pair, and buckets both orientations by source with one stable
+//!   counting sort. A file in [`write_graph`]'s order (lower triangle, rows
+//!   ascending) leaves the bucket with every row sorted and free of
+//!   duplicates, and the bucket's arrays are then the CSR as they stand;
+//!   only rows that are not get sorted and deduplicated. The diagonal is
+//!   dropped, matching how KokkosKernels consumes these matrices for MIS-2.
+//!
+//! The common entry line (two runs of ASCII digits, a value token of
+//! printable ASCII, spaces, tabs or `\r` between them) is read in one pass
+//! over its bytes. Every other line (a comment, `+2`, a U+00A0 separator,
+//! an extra token) is read by `str` rules (`split_whitespace`,
+//! `str::parse`), and values always are (`str::parse::<f64>`), so a file
+//! reads token for token as it would through `BufRead::lines`. Tests hold
+//! the two forms to each other: a line carried across two fills is read by
+//! `str` rules, so reading through one-byte fills is the `str`-rules
+//! reference.
+//!
+//! # What is checked
+//!
+//! * Every line must be UTF-8, or the read fails with an `InvalidData`
+//!   [`MmError::Io`]. Lines are checked in file order with the entry
+//!   lines, so the first bad line is the one reported.
+//! * The size line is checked, not trusted: dimensions must fit
+//!   [`VertexId`] and bound every index, memory grows with the entry lines
+//!   read rather than with the declared count, and the file must hold
+//!   exactly as many entry lines as it declares.
+//! * [`read_graph`] asks the allocator for its row arrays fallibly before
+//!   it builds them, since a size line may declare rows no entry touches.
+//!
+//! # What it costs
+//!
+//! One pass over the bytes, 8 bytes per off-diagonal entry for the pairs,
+//! one bucket pass over both orientations, and one pass that checks the
+//! rows are sorted. The repo benchmark's traced `svc_cold` (2 vCPUs, 11
+//! runs) reads its 6.1 MB mesh file in 17–31 ms (`graph.mtx_read_ms`) and
+//! interns it in 21–31 ms (`registry.graph_load_ms`). With a `String` per
+//! line, a triplet list and two symmetrizations that took 106–181 ms and
+//! 96–151 ms.
 
 use crate::csr::{CsrGraph, VertexId};
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -58,14 +103,305 @@ pub struct CooMatrix {
 /// not trusted: dimensions must fit [`VertexId`], memory grows with the
 /// entry lines read rather than with the declared count, and the file
 /// must hold exactly as many entry lines as it declares.
-pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
-    let mut lines = reader.lines().enumerate();
+pub fn read_coo<R: BufRead>(mut reader: R) -> Result<CooMatrix, MmError> {
+    coo_from(&mut reader)
+}
 
-    // Header: %%MatrixMarket matrix coordinate <field> <symmetry>
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| MmError::Format("empty file".into()))?;
-    let header = header?;
+/// Read a Matrix Market file as an undirected structural graph: the pattern
+/// is symmetrized and diagonal entries are dropped.
+pub fn read_graph<R: BufRead>(mut reader: R) -> Result<CsrGraph, MmError> {
+    graph_from(&mut reader)
+}
+
+/// Read a graph from a `.mtx` file on disk.
+pub fn read_graph_file<P: AsRef<Path>>(path: P) -> Result<CsrGraph, MmError> {
+    let f = std::fs::File::open(path)?;
+    graph_from(&mut BufReader::with_capacity(1 << 16, f))
+}
+
+// The readers proper take `dyn BufRead` (called once per fill), so each is
+// compiled once, here, whatever reader type a caller passes, and no
+// caller's own code moves with them: instantiated in the repo benchmark's
+// crate, a generic reader shifted its yardstick loop's speed by 9–16 %.
+
+fn coo_from(reader: &mut dyn BufRead) -> Result<CooMatrix, MmError> {
+    let mut entries = Vec::new();
+    let (nrows, ncols) = read_entries(reader, |h, r, c, v| {
+        entries.push((r, c, v));
+        if h.symmetric && r != c {
+            entries.push((c, r, if h.skew { -v } else { v }));
+        }
+    })?;
+    Ok(CooMatrix {
+        nrows,
+        ncols,
+        entries,
+    })
+}
+
+fn graph_from(reader: &mut dyn BufRead) -> Result<CsrGraph, MmError> {
+    // Each off-diagonal entry once, in file order: the bucket adds the
+    // other orientation, whatever the header's symmetry.
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
+    let (nrows, ncols) = read_entries(reader, |_, r, c, _| {
+        if r != c {
+            edges.push((r, c));
+        }
+    })?;
+    if nrows != ncols {
+        return Err(MmError::Format(format!(
+            "graph requires a square matrix, got {nrows}x{ncols}"
+        )));
+    }
+    // The build holds up to three arrays of `nrows + 1` offsets at once
+    // (bucket offsets and cursor, then the row pointers of a row-block
+    // re-assembly). A size line may declare rows no entry touches, so the
+    // edge list does not bound them, and a failed `vec!` aborts the
+    // process. Ask the allocator first, fallibly.
+    let rows_fit = nrows
+        .checked_add(1)
+        .and_then(|n| n.checked_mul(3))
+        .is_some_and(|n| Vec::<usize>::new().try_reserve_exact(n).is_ok());
+    if !rows_fit {
+        return Err(MmError::Format(format!(
+            "size line declares {nrows} rows, more than can be allocated"
+        )));
+    }
+    Ok(CsrGraph::from_edges_in_order(nrows, &edges))
+}
+
+/// The header's field and symmetry, as the sinks need them.
+struct Header {
+    pattern: bool,
+    symmetric: bool,
+    skew: bool,
+}
+
+/// The one reader under both sinks: checks the header, the size line and
+/// every entry line, hands each entry to `sink` as 0-based `(row, col,
+/// value)` (`1.0` for a pattern), and returns the declared dimensions.
+///
+/// Lines are read in place from the reader's buffer; one that straddles
+/// two fills is gathered in `carry`, the only copy.
+fn read_entries(
+    reader: &mut dyn BufRead,
+    mut sink: impl FnMut(&Header, VertexId, VertexId, f64),
+) -> Result<(usize, usize), MmError> {
+    let mut scan = Scan::default();
+    let mut carry = Vec::new();
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok([]) => break,
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        let mut rest = chunk;
+        if !carry.is_empty() {
+            let end = line_end(rest).unwrap_or(rest.len());
+            carry.extend_from_slice(&rest[..end]);
+            rest = &rest[end..];
+            if carry.ends_with(b"\n") {
+                scan.line(&carry, &mut sink)?;
+                carry.clear();
+            }
+        }
+        loop {
+            rest = &rest[scan.quick_entries(rest, &mut sink)?..];
+            let Some(end) = line_end(rest) else { break };
+            scan.line(&rest[..end], &mut sink)?;
+            rest = &rest[end..];
+        }
+        carry.extend_from_slice(rest);
+        let used = chunk.len();
+        reader.consume(used);
+    }
+    if !carry.is_empty() {
+        scan.line(&carry, &mut sink)?;
+    }
+    scan.finish()
+}
+
+/// What the lines read so far have declared.
+#[derive(Default)]
+struct Scan {
+    /// Lines read so far.
+    lines: usize,
+    header: Option<Header>,
+    /// Rows, columns and entry count, from the size line.
+    dims: Option<(usize, usize, usize)>,
+    /// Entry lines read so far.
+    read: usize,
+}
+
+impl Scan {
+    /// Read the entry lines at the front of `buf` that take
+    /// [`quick_entry`]'s one pass, and return their length.
+    fn quick_entries(
+        &mut self,
+        buf: &[u8],
+        sink: &mut impl FnMut(&Header, VertexId, VertexId, f64),
+    ) -> Result<usize, MmError> {
+        let (Some(h), Some((nr, nc, _))) = (&self.header, self.dims) else {
+            return Ok(0);
+        };
+        let mut at = 0;
+        while let Some((r, c, value, used)) = quick_entry(&buf[at..], h.pattern) {
+            self.lines += 1;
+            self.read += 1;
+            entry(h, (nr, nc), self.lines, (r, c), Some(value), sink)?;
+            at += used;
+        }
+        Ok(at)
+    }
+
+    /// Read one line (with its `\n`, when it has one) by `str` rules.
+    fn line(
+        &mut self,
+        bytes: &[u8],
+        sink: &mut impl FnMut(&Header, VertexId, VertexId, f64),
+    ) -> Result<(), MmError> {
+        self.lines += 1;
+        let line = self.lines;
+        let Some(h) = &self.header else {
+            self.header = Some(parse_header(bytes)?);
+            return Ok(());
+        };
+        let text = std::str::from_utf8(bytes).map_err(|_| invalid_utf8())?;
+        let mut toks = text.split_whitespace().map(str::as_bytes).peekable();
+        if toks.peek().is_none_or(|t| t[0] == b'%') {
+            return Ok(()); // blank or comment
+        }
+        let mut next = |what| field(toks.next(), line, what, index);
+        let Some((nr, nc, _)) = self.dims else {
+            // The size line: the first that is not a comment.
+            let (nr, nc, nnz) = (next("rows")?, next("cols")?, next("nnz")?);
+            if nr.max(nc) > VertexId::MAX as usize {
+                return Err(MmError::Format(format!(
+                    "dimensions {nr}x{nc} exceed the {} vertex ids available",
+                    VertexId::MAX
+                )));
+            }
+            // The count is untrusted input, so nothing is reserved for
+            // it: the sinks grow with the lines that arrive, and the count
+            // is checked against them at the end.
+            self.dims = Some((nr, nc, nnz));
+            return Ok(());
+        };
+        self.read += 1;
+        let (r, c) = (next("row index")?, next("col index")?);
+        entry(h, (nr, nc), line, (r, c), toks.next(), sink)
+    }
+
+    /// The declared dimensions, once the whole input is read.
+    fn finish(self) -> Result<(usize, usize), MmError> {
+        if self.header.is_none() {
+            return Err(MmError::Format("empty file".into()));
+        }
+        let (nrows, ncols, nnz) = self
+            .dims
+            .ok_or_else(|| MmError::Format("missing size line".into()))?;
+        if self.read != nnz {
+            return Err(MmError::Format(format!(
+                "size line declares {nnz} entries, file has {}",
+                self.read
+            )));
+        }
+        Ok((nrows, ncols))
+    }
+}
+
+/// Check entry `(r, c)` (1-based) of line `line` against the size line's
+/// dimensions, read its value token, and hand it to `sink`.
+fn entry(
+    h: &Header,
+    (nr, nc): (usize, usize),
+    line: usize,
+    (r, c): (usize, usize),
+    value: Option<&[u8]>,
+    sink: &mut impl FnMut(&Header, VertexId, VertexId, f64),
+) -> Result<(), MmError> {
+    if r == 0 || c == 0 || r > nr || c > nc {
+        return Err(MmError::Parse {
+            line,
+            msg: format!("index ({r},{c}) out of bounds ({nr}x{nc})"),
+        });
+    }
+    let v = if h.pattern {
+        1.0
+    } else {
+        field(value, line, "value", parse_value)?
+    };
+    sink(h, (r - 1) as VertexId, (c - 1) as VertexId, v);
+    Ok(())
+}
+
+/// The length of `buf`'s first line with its `\n`, if it has a `\n`.
+fn line_end(buf: &[u8]) -> Option<usize> {
+    buf.iter().position(|&b| b == b'\n').map(|i| i + 1)
+}
+
+/// The common entry line, in one pass over its bytes: two runs of ASCII
+/// digits and, for a value file, one token of printable ASCII, each
+/// preceded by spaces, tabs or `\r`, which may also end the line before
+/// its `\n`. Returns the two indices, the value token (empty for a
+/// pattern) and the line's length. Anything else (a comment, a sign, a
+/// long index, another separator, an extra token, no `\n` in `buf`) is
+/// `None`, and the line is read by `str` rules instead.
+fn quick_entry(buf: &[u8], pattern: bool) -> Option<(usize, usize, &[u8], usize)> {
+    let r = quick_index(buf, 0)?;
+    let c = quick_index(buf, r.1)?;
+    let (value, at) = if pattern {
+        (&buf[..0], c.1)
+    } else {
+        let start = skip_blanks(buf, c.1);
+        let len = buf[start..]
+            .iter()
+            .position(|&b| !b.is_ascii_graphic())
+            .filter(|&len| len > 0)?;
+        (&buf[start..start + len], start + len)
+    };
+    let at = skip_blanks(buf, at);
+    (*buf.get(at)? == b'\n').then_some((r.0, c.0, value, at + 1))
+}
+
+/// A run of ASCII digits after the blanks at `at`, ended by a blank or
+/// `\n`: its value and where it ends. A run past `usize` is `None`, and
+/// its line is read by `str` rules, which report it. Read through
+/// `str::parse` instead, the indices took the benchmark's mesh file from
+/// a 28 to a 54 ms load (medians of 15, 2 vCPUs).
+fn quick_index(buf: &[u8], at: usize) -> Option<(usize, usize)> {
+    let start = skip_blanks(buf, at);
+    let (mut n, mut end) = (0usize, start);
+    while let Some(d) = buf
+        .get(end)
+        .map(|b| b.wrapping_sub(b'0'))
+        .filter(|&d| d <= 9)
+    {
+        n = n.checked_mul(10)?.checked_add(d as usize)?;
+        end += 1;
+    }
+    if end == start || !matches!(buf.get(end)?, b' ' | b'\t' | b'\r' | b'\n') {
+        return None;
+    }
+    Some((n, end))
+}
+
+fn skip_blanks(buf: &[u8], mut at: usize) -> usize {
+    while matches!(buf.get(at), Some(b' ' | b'\t' | b'\r')) {
+        at += 1;
+    }
+    at
+}
+
+/// `%%MatrixMarket matrix coordinate <field> <symmetry>`: the first line,
+/// less its `\n` and then a `\r`, as `BufRead::lines` yields it.
+fn parse_header(bytes: &[u8]) -> Result<Header, MmError> {
+    let line = match bytes.strip_suffix(b"\n") {
+        Some(l) => l.strip_suffix(b"\r").unwrap_or(l),
+        None => bytes,
+    };
+    let header = std::str::from_utf8(line).map_err(|_| invalid_utf8())?;
     let toks: Vec<String> = header
         .split_whitespace()
         .map(|t| t.to_lowercase())
@@ -84,126 +420,40 @@ pub fn read_coo<R: BufRead>(reader: R) -> Result<CooMatrix, MmError> {
     if !matches!(symmetry, "general" | "symmetric" | "skew-symmetric") {
         return Err(MmError::Format(format!("unsupported symmetry: {symmetry}")));
     }
-    let pattern = field == "pattern";
-    let symmetric = symmetry != "general";
-
-    // Size line: first non-comment line.
-    let mut dims: Option<(usize, usize, usize)> = None;
-    let mut entries: Vec<(u32, u32, f64)> = Vec::new();
-    let mut read = 0usize; // entry lines seen so far
-    for (lineno, line) in lines {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        let mut it = t.split_whitespace();
-        if dims.is_none() {
-            let nr: usize = parse_tok(&mut it, lineno, "rows")?;
-            let nc: usize = parse_tok(&mut it, lineno, "cols")?;
-            let nnz: usize = parse_tok(&mut it, lineno, "nnz")?;
-            if nr.max(nc) > VertexId::MAX as usize {
-                return Err(MmError::Format(format!(
-                    "dimensions {nr}x{nc} exceed the {} vertex ids available",
-                    VertexId::MAX
-                )));
-            }
-            // The count is untrusted input, so nothing is reserved for
-            // it: the entries grow with the lines that arrive, and the
-            // count is checked against them at the end.
-            dims = Some((nr, nc, nnz));
-            continue;
-        }
-        read += 1;
-        let (nr, nc, _) = dims.unwrap();
-        let r: usize = parse_tok(&mut it, lineno, "row index")?;
-        let c: usize = parse_tok(&mut it, lineno, "col index")?;
-        if r == 0 || c == 0 || r > nr || c > nc {
-            return Err(MmError::Parse {
-                line: lineno + 1,
-                msg: format!("index ({r},{c}) out of bounds ({nr}x{nc})"),
-            });
-        }
-        let v: f64 = if pattern {
-            1.0
-        } else {
-            parse_tok(&mut it, lineno, "value")?
-        };
-        let (r, c) = ((r - 1) as u32, (c - 1) as u32);
-        entries.push((r, c, v));
-        if symmetric && r != c {
-            entries.push((c, r, if symmetry == "skew-symmetric" { -v } else { v }));
-        }
-    }
-    let (nrows, ncols, nnz) = dims.ok_or_else(|| MmError::Format("missing size line".into()))?;
-    if read != nnz {
-        return Err(MmError::Format(format!(
-            "size line declares {nnz} entries, file has {read}"
-        )));
-    }
-    Ok(CooMatrix {
-        nrows,
-        ncols,
-        entries,
+    Ok(Header {
+        pattern: field == "pattern",
+        symmetric: symmetry != "general",
+        skew: symmetry == "skew-symmetric",
     })
 }
 
-fn parse_tok<'a, T: std::str::FromStr>(
-    it: &mut impl Iterator<Item = &'a str>,
-    lineno: usize,
+/// The error `BufRead::lines` gives for a line that is not UTF-8.
+fn invalid_utf8() -> MmError {
+    MmError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        "stream did not contain valid UTF-8",
+    ))
+}
+
+/// A token read by `parse`, or the entry error naming `what`.
+fn field<T>(
+    tok: Option<&[u8]>,
+    line: usize,
     what: &str,
+    parse: fn(&[u8]) -> Option<T>,
 ) -> Result<T, MmError> {
-    it.next()
-        .ok_or_else(|| MmError::Parse {
-            line: lineno + 1,
-            msg: format!("missing {what}"),
-        })?
-        .parse()
-        .map_err(|_| MmError::Parse {
-            line: lineno + 1,
-            msg: format!("bad {what}"),
-        })
+    let err = |msg| MmError::Parse { line, msg };
+    let tok = tok.ok_or_else(|| err(format!("missing {what}")))?;
+    parse(tok).ok_or_else(|| err(format!("bad {what}")))
 }
 
-/// Read a Matrix Market file as an undirected structural graph: the pattern
-/// is symmetrized and diagonal entries are dropped.
-pub fn read_graph<R: BufRead>(reader: R) -> Result<CsrGraph, MmError> {
-    let coo = read_coo(reader)?;
-    if coo.nrows != coo.ncols {
-        return Err(MmError::Format(format!(
-            "graph requires a square matrix, got {}x{}",
-            coo.nrows, coo.ncols
-        )));
-    }
-    // `from_edges` holds about three arrays of `nrows + 1` offsets at
-    // once (bucket offsets and cursor, then row pointers and block row
-    // ends). A size line may declare rows no entry touches, so `read_coo`'s
-    // entry reserve does not bound them, and a failed `vec!` aborts the
-    // process. Ask the allocator first, fallibly.
-    let rows_fit = coo
-        .nrows
-        .checked_add(1)
-        .and_then(|n| n.checked_mul(3))
-        .is_some_and(|n| Vec::<usize>::new().try_reserve_exact(n).is_ok());
-    if !rows_fit {
-        return Err(MmError::Format(format!(
-            "size line declares {} rows, more than can be allocated",
-            coo.nrows
-        )));
-    }
-    let edges: Vec<(VertexId, VertexId)> = coo
-        .entries
-        .iter()
-        .filter(|(r, c, _)| r != c)
-        .map(|&(r, c, _)| (r, c))
-        .collect();
-    Ok(CsrGraph::from_edges(coo.nrows, &edges))
+/// An index or count, as `usize::from_str` reads it.
+fn index(tok: &[u8]) -> Option<usize> {
+    std::str::from_utf8(tok).ok()?.parse().ok()
 }
 
-/// Read a graph from a `.mtx` file on disk.
-pub fn read_graph_file<P: AsRef<Path>>(path: P) -> Result<CsrGraph, MmError> {
-    let f = std::fs::File::open(path)?;
-    read_graph(BufReader::new(f))
+fn parse_value(tok: &[u8]) -> Option<f64> {
+    std::str::from_utf8(tok).ok()?.parse().ok()
 }
 
 /// Write a graph as a `pattern symmetric` Matrix Market file (lower
@@ -376,6 +626,295 @@ mod tests {
 1 1
 ";
         assert!(read_graph(Cursor::new(mtx)).is_err());
+    }
+
+    /// What one input gives: `read_coo`'s triplets in order (`{:?}` each,
+    /// space-separated) and `read_graph`'s undirected edges, or the one
+    /// error both report, as displayed (variant, message and line).
+    enum Want {
+        Ok {
+            n: usize,
+            coo: &'static str,
+            edges: &'static [(VertexId, VertexId)],
+        },
+        Err(&'static str),
+    }
+
+    const PG: &str = "%%MatrixMarket matrix coordinate pattern general\n";
+    const PS: &str = "%%MatrixMarket matrix coordinate pattern symmetric\n";
+    const RG: &str = "%%MatrixMarket matrix coordinate real general\n";
+    const UTF8: &str = "I/O error: stream did not contain valid UTF-8";
+
+    fn pinned_inputs() -> Vec<(&'static str, Vec<u8>, Want)> {
+        let text = |parts: &[&str]| parts.concat().into_bytes();
+        let bytes = |parts: &[&[u8]]| parts.concat();
+        vec![
+            (
+                "signed and zero-padded indices",
+                text(&[PS, "3 3 2\n+2 1\n003 002\n"]),
+                Want::Ok {
+                    n: 3,
+                    coo: "(1, 0, 1.0) (0, 1, 1.0) (2, 1, 1.0) (1, 2, 1.0)",
+                    edges: &[(1, 0), (2, 1)],
+                },
+            ),
+            (
+                "tab, vertical tab and form feed separators",
+                text(&[PS, "3\t3\t2\n2\t1\n3\x0B\x0C1\n"]),
+                Want::Ok {
+                    n: 3,
+                    coo: "(1, 0, 1.0) (0, 1, 1.0) (2, 0, 1.0) (0, 2, 1.0)",
+                    edges: &[(1, 0), (2, 0)],
+                },
+            ),
+            (
+                "CRLF line ends",
+                text(&[PS.trim_end(), "\r\n3 3 2\r\n2 1\r\n3 2\r\n"]),
+                Want::Ok {
+                    n: 3,
+                    coo: "(1, 0, 1.0) (0, 1, 1.0) (2, 1, 1.0) (1, 2, 1.0)",
+                    edges: &[(1, 0), (2, 1)],
+                },
+            ),
+            (
+                "trailing extra tokens",
+                text(&[PG, "3 3 2 extra\n2 1 7\n1 3 x \u{FC}\n"]),
+                Want::Ok {
+                    n: 3,
+                    coo: "(1, 0, 1.0) (0, 2, 1.0)",
+                    edges: &[(1, 0), (0, 2)],
+                },
+            ),
+            (
+                "blank and % lines between entries, no final newline",
+                text(&[PS, "3 3 2\n2 1\n\n   \n% note\n \t%indented\n3 1"]),
+                Want::Ok {
+                    n: 3,
+                    coo: "(1, 0, 1.0) (0, 1, 1.0) (2, 0, 1.0) (0, 2, 1.0)",
+                    edges: &[(1, 0), (2, 0)],
+                },
+            ),
+            (
+                "U+00A0, U+2003 and U+0085 separators",
+                text(&[PS, "3 3 2\n2\u{A0}1\n3 \u{2003}2\u{85}\n"]),
+                Want::Ok {
+                    n: 3,
+                    coo: "(1, 0, 1.0) (0, 1, 1.0) (2, 1, 1.0) (1, 2, 1.0)",
+                    edges: &[(1, 0), (2, 1)],
+                },
+            ),
+            (
+                "real values 1e3, nan and -.5",
+                text(&[RG, "2 2 3\n1 2 1e3\n2 1 nan\n2 2 -.5\n"]),
+                Want::Ok {
+                    n: 2,
+                    coo: "(0, 1, 1000.0) (1, 0, NaN) (1, 1, -0.5)",
+                    edges: &[(0, 1)],
+                },
+            ),
+            (
+                "skew-symmetric values mirror negated",
+                text(&[
+                    "%%MatrixMarket matrix coordinate real skew-symmetric\n",
+                    "3 3 2\n2 1 1.5\n3 3 2\n",
+                ]),
+                Want::Ok {
+                    n: 3,
+                    coo: "(1, 0, 1.5) (0, 1, -1.5) (2, 2, 2.0)",
+                    edges: &[(1, 0)],
+                },
+            ),
+            (
+                "general, both orientations, out of order and repeated",
+                text(&[PG, "4 4 6\n3 1\n1 3\n2 4\n4 2\n3 1\n2 2\n"]),
+                Want::Ok {
+                    n: 4,
+                    coo: "(2, 0, 1.0) (0, 2, 1.0) (1, 3, 1.0) (3, 1, 1.0) (2, 0, 1.0) (1, 1, 1.0)",
+                    edges: &[(0, 2), (1, 3)],
+                },
+            ),
+            (
+                "empty file",
+                Vec::new(),
+                Want::Err("format error: empty file"),
+            ),
+            (
+                "header ended by CR alone keeps the CR",
+                text(&["%%NotMatrixMarket\r"]),
+                Want::Err("format error: bad header: %%NotMatrixMarket\r"),
+            ),
+            (
+                "header ended by CRLF loses it",
+                text(&["%%MatrixMarket matrix array real general\r\n"]),
+                Want::Err("format error: unsupported storage: array"),
+            ),
+            (
+                "no size line",
+                text(&[PG, "% only a comment\n"]),
+                Want::Err("format error: missing size line"),
+            ),
+            (
+                "bad size line",
+                text(&[PG, "3 x 1\n"]),
+                Want::Err("parse error at line 2: bad cols"),
+            ),
+            (
+                "20-digit index",
+                text(&[PG, "3 3 1\n99999999999999999999 1\n"]),
+                Want::Err("parse error at line 3: bad row index"),
+            ),
+            (
+                "one index",
+                text(&[PG, "3 3 1\n% c\n2\n"]),
+                Want::Err("parse error at line 4: missing col index"),
+            ),
+            (
+                "zero index",
+                text(&[PG, "3 3 1\n0 1\n"]),
+                Want::Err("parse error at line 3: index (0,1) out of bounds (3x3)"),
+            ),
+            (
+                "negative index",
+                text(&[PG, "3 3 1\n-2 1\n"]),
+                Want::Err("parse error at line 3: bad row index"),
+            ),
+            (
+                "NUL and U+001F are not separators",
+                text(&[PG, "3 3 2\n2 1\x1F\n3\x001\n"]),
+                Want::Err("parse error at line 3: bad col index"),
+            ),
+            (
+                "bad value",
+                text(&[RG, "3 3 1\n2 1 x\n"]),
+                Want::Err("parse error at line 3: bad value"),
+            ),
+            (
+                "missing value",
+                text(&[RG, "3 3 1\n2 1\n"]),
+                Want::Err("parse error at line 3: missing value"),
+            ),
+            (
+                "out of bounds is checked before the value",
+                text(&[RG, "3 3 1\n4 1 x\n"]),
+                Want::Err("parse error at line 3: index (4,1) out of bounds (3x3)"),
+            ),
+            (
+                "invalid UTF-8 in a comment",
+                bytes(&[PG.as_bytes(), b"% caf\xE9\n3 3 1\n2 1\n"]),
+                Want::Err(UTF8),
+            ),
+            (
+                "invalid UTF-8 in the header",
+                bytes(&[b"%%MatrixMarket matrix coordinate pattern g\xFFeneral\n3 3 0\n"]),
+                Want::Err(UTF8),
+            ),
+            (
+                "a bad entry line before invalid UTF-8 is reported",
+                bytes(&[PG.as_bytes(), b"3 3 2\n2 x\n% \xFF\n3 1\n"]),
+                Want::Err("parse error at line 3: bad col index"),
+            ),
+            (
+                "invalid UTF-8 before a bad entry line is reported",
+                bytes(&[PG.as_bytes(), b"3 3 2\n% \xFF\n2 x\n"]),
+                Want::Err(UTF8),
+            ),
+            (
+                "too many entries",
+                text(&[PS, "3 3 1\n2 1\n3 1\n"]),
+                Want::Err("format error: size line declares 1 entries, file has 2"),
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_pinned_input_gives_its_graph_or_error() {
+        for (name, input, want) in pinned_inputs() {
+            let coo = read_coo(Cursor::new(&input));
+            let graph = read_graph(Cursor::new(&input));
+            match want {
+                Want::Ok {
+                    n,
+                    coo: triplets,
+                    edges,
+                } => {
+                    let coo = coo.unwrap_or_else(|e| panic!("{name}: read_coo: {e}"));
+                    let shown: Vec<String> = coo.entries.iter().map(|t| format!("{t:?}")).collect();
+                    assert_eq!(shown.join(" "), triplets, "{name}: triplets");
+                    let g = graph.unwrap_or_else(|e| panic!("{name}: read_graph: {e}"));
+                    assert_eq!(g, CsrGraph::from_edges(n, edges), "{name}: graph");
+                }
+                Want::Err(shown) => {
+                    for got in [coo.map(|_| ()), graph.map(|_| ())] {
+                        let e = got.expect_err(name);
+                        assert_eq!(e.to_string(), shown, "{name}");
+                        if shown == UTF8 {
+                            assert!(
+                                matches!(&e, MmError::Io(io) if io.kind() == std::io::ErrorKind::InvalidData),
+                                "{name}: {e:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Lines cut across the reader's fills read as whole lines: every
+    /// pinned input, through buffers of a few bytes, reads as in one fill.
+    #[test]
+    fn lines_straddling_fills_read_as_in_one_fill() {
+        let coo = |r: Result<CooMatrix, MmError>| r.map(|c| format!("{:?}", c.entries));
+        let graph = |r: Result<CsrGraph, MmError>| r.map(|g| format!("{g:?}"));
+        let shown = |r: Result<String, MmError>| r.unwrap_or_else(|e| e.to_string());
+        let mut written = Vec::new();
+        write_graph(&gen::laplace3d(4, 3, 3), &mut written).unwrap();
+        let inputs = pinned_inputs()
+            .into_iter()
+            .map(|(name, input, _)| (name, input));
+        for (name, input) in inputs.chain([("written", written)]) {
+            let whole = (
+                shown(coo(read_coo(Cursor::new(&input)))),
+                shown(graph(read_graph(Cursor::new(&input)))),
+            );
+            for cap in [1, 2, 3, 7, 16] {
+                let cut = (
+                    shown(coo(read_coo(BufReader::with_capacity(cap, &input[..])))),
+                    shown(graph(read_graph(BufReader::with_capacity(cap, &input[..])))),
+                );
+                assert_eq!(cut, whole, "{name}, fills of {cap} bytes");
+            }
+        }
+    }
+
+    /// Every entry line of up to four bytes over an alphabet of digits,
+    /// the bytes either side of them, blanks, other separators and signs
+    /// reads the same in one fill (the one-pass form, where it applies) as
+    /// through one-byte fills, which carry every line to the `str` rules.
+    #[test]
+    fn short_entry_lines_read_the_same_by_either_path() {
+        let alphabet = b"12/: \t\r\0\x0B%+.e";
+        let shown = |r: Result<CooMatrix, MmError>| match r {
+            Ok(c) => format!("{:?}", c.entries),
+            Err(e) => e.to_string(),
+        };
+        let mut lines: Vec<Vec<u8>> = vec![Vec::new()];
+        for len in 1..=4 {
+            let mut longer = Vec::new();
+            for line in lines.iter().filter(|l| l.len() == len - 1) {
+                for &b in alphabet {
+                    longer.push([&line[..], &[b]].concat());
+                }
+            }
+            lines.extend(longer);
+        }
+        for head in [PG, RG] {
+            for line in &lines {
+                let input = [head.as_bytes(), b"2 2 1\n", line, b"\n"].concat();
+                let one_fill = shown(read_coo(Cursor::new(&input)));
+                let carried = shown(read_coo(BufReader::with_capacity(1, &input[..])));
+                assert_eq!(one_fill, carried, "{:?}", String::from_utf8_lossy(line));
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! [`LINE_BOUND`], [`MTX_BOUND`]), counted by this binary's global
 //! allocator on the parsing thread. The three frame readers must agree
 //! item for item and on where the stream ends: cleanly, cut short, or at
-//! an oversized header.
+//! an oversized header. On every `.mtx` input, `read_coo` must read as it
+//! does with every line carried across one-byte fills (`str` rules only),
+//! and `read_graph` must give its error or the graph of its off-diagonal
+//! pairs.
 //!
 //! A failure prints `failing seed N` for the parser it broke. Tier-1 runs
 //! [`SEEDS`] seeds per parser; the long form runs [`LONG_SEEDS`]:
@@ -22,10 +25,11 @@
 
 use mis2::svc::codec::{self, FrameDecoder, FrameError, Inbound, WireMode, HEADER_LEN};
 use mis2::svc::proto::{RequestView, MAX_LINE};
-use mis2_graph::io::read_coo;
+use mis2_graph::io::{read_coo, read_graph, MmError};
+use mis2_graph::CsrGraph;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::io::{self, Cursor};
+use std::io::{self, BufReader, Cursor};
 
 const SEEDS: u64 = 300;
 const LONG_SEEDS: u64 = 200_000;
@@ -102,9 +106,11 @@ const FRAME_BOUND: Bound = Bound { k: 2, c: 256 };
 /// token of the line.
 const LINE_BOUND: Bound = Bound { k: 2, c: 256 };
 
-/// `read_coo`: one `String` per line, the header's tokens, and the
-/// entries (16 bytes each, two per symmetric entry line of at least four
-/// bytes, in a vector grown by doubling).
+/// `read_coo`: the header's tokens, an error's message, and the entries
+/// (16 bytes each, two per symmetric entry line of at least four bytes, in
+/// a vector grown by doubling). A `Cursor` hands over its bytes in one
+/// fill, so the only copied line is a final one without a `\n`, gathered
+/// in `carry` (at most the input's length).
 const MTX_BOUND: Bound = Bound { k: 32, c: 1024 };
 
 // ---------------------------------------------------------------------------
@@ -553,11 +559,48 @@ fn check_mtx(seed: u64) {
     let buf = mtx_text(seed);
     let (coo, asked) = counted(|| read_coo(Cursor::new(&buf)));
     MTX_BOUND.check("read_coo", asked, buf.len());
-    if let Ok(coo) = coo {
+    // Fills of one byte carry every line, and a carried line is read by
+    // `str` rules: the reader's one-pass form of an entry line must agree.
+    let by_str_rules = read_coo(BufReader::with_capacity(1, &buf[..]));
+    assert_eq!(format!("{by_str_rules:?}"), format!("{coo:?}"));
+    if let Ok(coo) = &coo {
         let n = coo.nrows.max(coo.ncols);
         assert!(coo.entries.iter().all(|&(r, c, _)| (r.max(c) as usize) < n));
     }
+    let graph = || read_graph(Cursor::new(&buf));
+    match coo {
+        Ok(coo) if coo.nrows != coo.ncols => match graph() {
+            Err(MmError::Format(m)) => assert!(m.contains("square matrix"), "{m}"),
+            other => panic!(
+                "read_graph of a {}x{} matrix: {other:?}",
+                coo.nrows, coo.ncols
+            ),
+        },
+        // A size line past `GRAPH_ROWS` (4294967295 rows) is left to
+        // `io`'s own tests: building it could allocate 100 GB.
+        Ok(coo) if coo.nrows > GRAPH_ROWS => {}
+        Ok(coo) => {
+            let pairs: Vec<(u32, u32)> = coo
+                .entries
+                .iter()
+                .filter(|(r, c, _)| r != c)
+                .map(|&(r, c, _)| (r, c))
+                .collect();
+            let want = CsrGraph::from_edges(coo.nrows, &pairs);
+            let got = graph().unwrap_or_else(|e| panic!("read_coo read it, read_graph: {e}"));
+            assert_eq!(got, want);
+            assert_eq!(got.heap_bytes(), want.heap_bytes());
+        }
+        Err(e) => {
+            let got = graph().expect_err("read_coo failed, read_graph did not");
+            assert_eq!(format!("{got:?}"), format!("{e:?}"));
+        }
+    }
 }
+
+/// The most rows a square `.mtx` input may declare for `check_mtx` to
+/// build its graph.
+const GRAPH_ROWS: usize = 1 << 20;
 
 // ---------------------------------------------------------------------------
 // Tests
