@@ -128,6 +128,13 @@ impl CsrGraph {
     /// directions are stored. Self-loops and duplicates are silently dropped.
     /// Construction is parallel and deterministic.
     ///
+    /// Both orientations are bucketed by source with one stable counting
+    /// sort. When every row leaves the bucket strictly ascending (a lower
+    /// triangle in row order, as a Matrix Market file or a sorted edge list
+    /// gives it), the bucket's arrays are the CSR, with nothing copied or
+    /// sorted; otherwise only the rows that are unsorted or repeated get
+    /// sorted and deduplicated. Either way the arrays are exact-size.
+    ///
     /// ```
     /// use mis2_graph::CsrGraph;
     /// let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
@@ -135,26 +142,6 @@ impl CsrGraph {
     /// assert_eq!(g.num_edges(), 2);
     /// ```
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        let (offsets, targets) = bucket_edges(n, edges);
-        Self::from_row_blocks(
-            n,
-            || (),
-            |_, v, row| {
-                let start = row.len();
-                row.extend_from_slice(&targets[offsets[v]..offsets[v + 1]]);
-                sort_dedup_from(row, start);
-            },
-        )
-    }
-
-    /// [`CsrGraph::from_edges`] for an edge list that is mostly in row
-    /// order (a Matrix Market file's). When every row leaves the bucket
-    /// strictly ascending, the bucket's arrays are the CSR arrays, with
-    /// nothing copied or sorted; otherwise the rows are assembled as
-    /// `from_edges` assembles them, and only the rows that are unsorted or
-    /// repeated get sorted and deduplicated. Either way the arrays are
-    /// exact-size and the graph equals `from_edges`'.
-    pub(crate) fn from_edges_in_order(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
         let (offsets, targets) = bucket_edges(n, edges);
         let strictly_ascending = |v: usize| {
             targets[offsets[v]..offsets[v + 1]]
@@ -460,10 +447,10 @@ mod tests {
     }
 
     #[test]
-    fn from_edges_in_order_equals_from_edges_bytes_included() {
+    fn from_edges_in_row_order_or_not_gives_one_graph_bytes_included() {
         // The lower triangle in row order takes the bucket as it stands;
         // the same edges reversed, with repeats and a loop, re-assemble
-        // every row.
+        // every row. Both give the generator's graph, at exact size.
         let g = crate::gen::erdos_renyi(300, 1500, 5);
         let lower: Vec<(VertexId, VertexId)> = (0..300)
             .flat_map(|v| {
@@ -477,12 +464,14 @@ mod tests {
         messy.extend_from_slice(&lower[..100]);
         messy.push((3, 3));
         for edges in [&lower, &messy] {
-            let fast = CsrGraph::from_edges_in_order(300, edges);
-            let slow = CsrGraph::from_edges(300, edges);
-            assert_eq!(fast, slow);
-            assert_eq!(fast.heap_bytes(), slow.heap_bytes());
+            let built = CsrGraph::from_edges(300, edges);
+            assert_eq!(built, g);
+            assert_eq!(built.heap_bytes(), g.heap_bytes());
+            assert_eq!(
+                built.heap_bytes(),
+                301 * std::mem::size_of::<usize>() + g.num_directed_edges() * 4
+            );
         }
-        assert_eq!(CsrGraph::from_edges_in_order(300, &lower), g);
     }
 
     #[test]

@@ -300,31 +300,53 @@ pub fn random_regular_ish(n: usize, d: usize, seed: u64) -> CsrGraph {
 
 /// RMAT power-law generator (Graph500-style): `2^scale` vertices,
 /// `edge_factor * 2^scale` edge samples with partition probabilities
-/// `(a, b, c, 1-a-b-c)`.
+/// `(a, b, c, 1-a-b-c)`. `scale` is at most 31, so that every vertex id
+/// fits a [`VertexId`].
 pub fn rmat(scale: u32, edge_factor: usize, a: f64, b: f64, c: f64, seed: u64) -> CsrGraph {
-    let n = 1usize << scale;
-    let m = edge_factor * n;
-    let edges: Vec<(VertexId, VertexId)> = par::map_range(0..m as u64, |e| {
+    assert!(
+        scale <= 31,
+        "rmat scale {scale} > 31: vertex ids would not fit"
+    );
+    CsrGraph::from_edges(
+        1usize << scale,
+        &rmat_edges(scale, edge_factor, a, b, c, seed),
+    )
+}
+
+/// The edge samples [`rmat`] builds its graph from, in sample order.
+///
+/// Each level draws `r = k / 2^53` from the top 53 bits `k` of a hash and
+/// picks the first quadrant whose running sum `a`, `a + b`, `a + b + c`
+/// exceeds `r`. The division is exact, so `r < x` holds exactly when
+/// `k < ceil(x * 2^53)`: the level compares `k` with three integer
+/// thresholds and counts, with no branch. The running max keeps the
+/// first-match order when `b` or `c` is negative. A NaN or negative sum
+/// gives threshold 0 (no `k` is below it) and a sum above 1 one above
+/// every `k`, as the `f64` compares do.
+fn rmat_edges(
+    scale: u32,
+    edge_factor: usize,
+    a: f64,
+    b: f64,
+    c: f64,
+    seed: u64,
+) -> Vec<(VertexId, VertexId)> {
+    let threshold = |x: f64| (x * (1u64 << 53) as f64).ceil().max(0.0) as u64;
+    let ta = threshold(a);
+    let tab = threshold(a + b).max(ta);
+    let tabc = threshold(a + b + c).max(tab);
+    let m = edge_factor << scale;
+    par::map_range(0..m as u64, |e| {
         let mut u = 0usize;
         let mut v = 0usize;
         for lvl in 0..scale {
-            let h = splitmix64(seed ^ splitmix64(e * 64 + lvl as u64));
-            let r = (h >> 11) as f64 / (1u64 << 53) as f64;
-            let (du, dv) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            u = (u << 1) | du;
-            v = (v << 1) | dv;
+            let k = splitmix64(seed ^ splitmix64(e * 64 + lvl as u64)) >> 11;
+            let q = (k >= ta) as usize + (k >= tab) as usize + (k >= tabc) as usize;
+            u = (u << 1) | (q >> 1);
+            v = (v << 1) | (q & 1);
         }
         (u as VertexId, v as VertexId)
-    });
-    CsrGraph::from_edges(n, &edges)
+    })
 }
 
 /// Mesh-like graph: a 3D box with the `base_deg` nearest-offset stencil,
@@ -502,6 +524,91 @@ mod tests {
         g.validate_symmetric().unwrap();
         // Power-law: max degree much larger than average.
         assert!(g.max_degree() as f64 > 3.0 * g.avg_degree());
+    }
+
+    /// Edge `e` of [`rmat`] as the generator first drew it: one `f64`
+    /// compare chain per level. The oracle for the integer draw.
+    fn rmat_edge_spec(
+        e: u64,
+        scale: u32,
+        a: f64,
+        b: f64,
+        c: f64,
+        seed: u64,
+    ) -> (VertexId, VertexId) {
+        let mut u = 0usize;
+        let mut v = 0usize;
+        for lvl in 0..scale {
+            let h = splitmix64(seed ^ splitmix64(e * 64 + lvl as u64));
+            let r = (h >> 11) as f64 / (1u64 << 53) as f64;
+            let (du, dv) = if r < a {
+                (0, 0)
+            } else if r < a + b {
+                (0, 1)
+            } else if r < a + b + c {
+                (1, 0)
+            } else {
+                (1, 1)
+            };
+            u = (u << 1) | du;
+            v = (v << 1) | dv;
+        }
+        (u as VertexId, v as VertexId)
+    }
+
+    fn assert_rmat_edges_match_spec(scale: u32, edge_factor: usize, (a, b, c): (f64, f64, f64)) {
+        let seed = splitmix64(scale as u64 ^ a.to_bits() ^ b.to_bits().rotate_left(21));
+        let got = rmat_edges(scale, edge_factor, a, b, c, seed);
+        assert_eq!(got.len(), edge_factor << scale);
+        for (e, &edge) in got.iter().enumerate() {
+            let want = rmat_edge_spec(e as u64, scale, a, b, c, seed);
+            assert_eq!(
+                edge, want,
+                "edge {e}, scale {scale}, (a, b, c) = ({a}, {b}, {c})"
+            );
+        }
+    }
+
+    /// Graph500 and skewed parameters, sums that fall below an earlier
+    /// threshold (a negative `b` or `c`) or pass 1, empty partitions, and
+    /// NaN and infinite thresholds.
+    const RMAT_PARAMS: [(f64, f64, f64); 17] = [
+        (0.57, 0.19, 0.19),
+        (0.65, 0.15, 0.15),
+        (0.6, 0.2, 0.1),
+        (0.3, -0.1, 0.5),
+        (0.5, 0.0, 0.0),
+        (0.2, 0.9, 0.4),
+        (-0.1, 0.3, 0.3),
+        (1.0, 0.0, 0.0),
+        (0.25, 0.25, 0.25),
+        (f64::NAN, 0.2, 0.2),
+        (0.2, f64::NAN, 0.2),
+        (0.2, 0.2, f64::NAN),
+        (f64::INFINITY, 0.0, 0.0),
+        (0.2, f64::INFINITY, 0.1),
+        (0.2, 0.3, f64::INFINITY),
+        (f64::NEG_INFINITY, 0.5, 0.5),
+        (0.2, f64::NEG_INFINITY, f64::INFINITY),
+    ];
+
+    #[test]
+    fn rmat_draws_the_edges_of_the_compare_chain() {
+        for params in RMAT_PARAMS {
+            for scale in 8..=14 {
+                assert_rmat_edges_match_spec(scale, 2, params);
+            }
+        }
+    }
+
+    /// `kernel_rmat`'s and `rmat_18_skew`'s scale and edge factor:
+    /// `cargo test --release -p mis2-graph --lib rmat_draws -- --ignored`.
+    #[test]
+    #[ignore]
+    fn rmat_draws_the_edges_of_the_compare_chain_at_scale_18() {
+        for params in [(0.57, 0.19, 0.19), (0.65, 0.15, 0.15)] {
+            assert_rmat_edges_match_spec(18, 16, params);
+        }
     }
 
     #[test]

@@ -56,7 +56,9 @@
 //! 96–151 ms.
 
 use crate::csr::{CsrGraph, VertexId};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use mis2_prim::par;
+use mis2_prim::rows::ROW_BLOCK;
+use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
 /// Errors from Matrix Market parsing.
@@ -167,7 +169,7 @@ fn graph_from(reader: &mut dyn BufRead) -> Result<CsrGraph, MmError> {
             "size line declares {nrows} rows, more than can be allocated"
         )));
     }
-    Ok(CsrGraph::from_edges_in_order(nrows, &edges))
+    Ok(CsrGraph::from_edges(nrows, &edges))
 }
 
 /// The header's field and symmetry, as the sinks need them.
@@ -458,28 +460,65 @@ fn parse_value(tok: &[u8]) -> Option<f64> {
 
 /// Write a graph as a `pattern symmetric` Matrix Market file (lower
 /// triangle only, 1-based indices).
-pub fn write_graph<W: Write>(g: &CsrGraph, out: W) -> std::io::Result<()> {
-    let mut w = BufWriter::new(out);
-    writeln!(w, "%%MatrixMarket matrix coordinate pattern symmetric")?;
-    writeln!(w, "% written by mis2-graph")?;
-    let nnz_lower: usize = (0..g.num_vertices() as VertexId)
-        .map(|v| g.neighbors(v).iter().filter(|&&u| u <= v).count())
-        .sum();
-    writeln!(w, "{} {} {}", g.num_vertices(), g.num_vertices(), nnz_lower)?;
-    for v in 0..g.num_vertices() as VertexId {
-        for &u in g.neighbors(v) {
-            if u <= v {
-                writeln!(w, "{} {}", v + 1, u + 1)?;
-            }
-        }
-    }
-    w.flush()
+pub fn write_graph<W: Write>(g: &CsrGraph, mut out: W) -> std::io::Result<()> {
+    write_to(g, &mut out)
 }
 
 /// Write a graph to a `.mtx` file on disk.
 pub fn write_graph_file<P: AsRef<Path>>(g: &CsrGraph, path: P) -> std::io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    write_graph(g, f)
+    write_to(g, &mut std::fs::File::create(path)?)
+}
+
+// Like the readers, the writer proper takes `dyn Write`, so it is compiled
+// once, here, and moves no caller's code.
+//
+// Rows are formatted in blocks of `ROW_BLOCK`, in parallel, one buffer
+// each; the size line needs the blocks' entry counts, so it is written
+// after they are all formatted, and the buffers follow in row order.
+fn write_to(g: &CsrGraph, out: &mut dyn Write) -> std::io::Result<()> {
+    let n = g.num_vertices();
+    let blocks: Vec<(usize, Vec<u8>)> = par::map_blocks(n.div_ceil(ROW_BLOCK), |b| {
+        let mut count = 0;
+        let mut buf = Vec::new();
+        let (mut row_digits, mut col_digits) = ([0u8; 20], [0u8; 20]);
+        for v in b * ROW_BLOCK..n.min((b + 1) * ROW_BLOCK) {
+            // Rows are sorted and loop-free: the lower triangle is the
+            // prefix below the row's own id.
+            let row = g.neighbors(v as VertexId);
+            let lower = &row[..row.partition_point(|&u| (u as usize) < v)];
+            let head = decimal(v + 1, &mut row_digits);
+            for &u in lower {
+                buf.extend_from_slice(head);
+                buf.push(b' ');
+                buf.extend_from_slice(decimal(u as usize + 1, &mut col_digits));
+                buf.push(b'\n');
+            }
+            count += lower.len();
+        }
+        (count, buf)
+    });
+    let nnz_lower: usize = blocks.iter().map(|(count, _)| count).sum();
+    let header = format!(
+        "%%MatrixMarket matrix coordinate pattern symmetric\n% written by mis2-graph\n{n} {n} {nnz_lower}\n"
+    );
+    out.write_all(header.as_bytes())?;
+    for (_, buf) in &blocks {
+        out.write_all(buf)?;
+    }
+    out.flush()
+}
+
+/// `x` in decimal, written into the tail of `digits`.
+fn decimal(mut x: usize, digits: &mut [u8; 20]) -> &[u8] {
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            return &digits[i..];
+        }
+    }
 }
 
 #[cfg(test)]
@@ -913,6 +952,50 @@ mod tests {
                 let one_fill = shown(read_coo(Cursor::new(&input)));
                 let carried = shown(read_coo(BufReader::with_capacity(1, &input[..])));
                 assert_eq!(one_fill, carried, "{:?}", String::from_utf8_lossy(line));
+            }
+        }
+    }
+
+    /// `write_graph`'s bytes, pinned as length and fingerprint (a
+    /// splitmix64 fold over the bytes): a mesh, a jittered mesh with hubs,
+    /// an R-MAT over several row blocks, an edgeless graph, and a graph
+    /// that is not symmetric, whose size line still counts exactly the
+    /// lower entries written.
+    #[test]
+    fn written_files_keep_their_bytes() {
+        let lopsided =
+            CsrGraph::from_csr(5, vec![0, 2, 3, 3, 6, 7], vec![3, 4, 0, 0, 1, 4, 2]).unwrap();
+        let cases = [
+            (
+                "laplace3d(4, 3, 3)",
+                gen::laplace3d(4, 3, 3),
+                499,
+                0xff7c_0c58_b660_df63,
+            ),
+            (
+                "mesh3d(600, ...)",
+                gen::mesh3d(600, 12, 0.05, 2, 20, 2, 40, 9),
+                25_442,
+                0xe45a_c51f_512a_2f8f,
+            ),
+            (
+                "rmat(10, 8, ...)",
+                gen::rmat(10, 8, 0.57, 0.19, 0.19, 3),
+                42_847,
+                0xf8a8_72e4_86b6_bbbc,
+            ),
+            ("empty(3)", CsrGraph::empty(3), 81, 0xce03_faab_4565_e911),
+            ("lopsided", lopsided, 97, 0xea82_c3a1_7af6_54cb),
+        ];
+        for (name, g, len, print) in cases {
+            let mut bytes = Vec::new();
+            write_graph(&g, &mut bytes).unwrap();
+            let fold = bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+                mis2_prim::hash::splitmix64(h ^ b as u64)
+            });
+            assert_eq!((bytes.len(), fold), (len, print), "{name}");
+            if name == "lopsided" {
+                assert!(bytes.windows(7).any(|w| w == b"\n5 5 4\n"), "{name}");
             }
         }
     }
