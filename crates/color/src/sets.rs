@@ -20,9 +20,8 @@ pub struct ColorSets {
 impl ColorSets {
     /// Build from a coloring.
     pub fn build(coloring: &Coloring) -> Self {
-        let colors = coloring.colors.iter().copied();
         let (offsets, members) =
-            mis2_prim::bucket_by_key(coloring.num_colors as usize, colors.zip(0u32..));
+            mis2_prim::bucket_indices(coloring.num_colors as usize, &coloring.colors);
         ColorSets { offsets, members }
     }
 

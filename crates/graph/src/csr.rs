@@ -16,7 +16,8 @@
 //!   self-loops; storing them would only waste bandwidth);
 //! * the graph is symmetric (undirected): `(u,v)` present iff `(v,u)` is.
 
-use mis2_prim::{par, rows};
+use mis2_prim::par;
+use mis2_prim::rows::{self, ROW_BLOCK};
 use std::fmt;
 
 /// Vertex index type. The paper packs vertex ids into 32 bits; all supported
@@ -128,12 +129,12 @@ impl CsrGraph {
     /// directions are stored. Self-loops and duplicates are silently dropped.
     /// Construction is parallel and deterministic.
     ///
-    /// Both orientations are bucketed by source with one stable counting
-    /// sort. When every row leaves the bucket strictly ascending (a lower
-    /// triangle in row order, as a Matrix Market file or a sorted edge list
-    /// gives it), the bucket's arrays are the CSR, with nothing copied or
-    /// sorted; otherwise only the rows that are unsorted or repeated get
-    /// sorted and deduplicated. Either way the arrays are exact-size.
+    /// The graph is built in the arrays of one stable counting sort, which
+    /// buckets both orientations by source: blocks of rows sort and
+    /// deduplicate their rows in place, in parallel, and when some row lost
+    /// a duplicate the gaps close in one move in block order. The bucket's
+    /// offsets and targets are then `row_ptr` and `col_idx`, exact-size,
+    /// and no second copy of the graph is made.
     ///
     /// ```
     /// use mis2_graph::CsrGraph;
@@ -142,30 +143,13 @@ impl CsrGraph {
     /// assert_eq!(g.num_edges(), 2);
     /// ```
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        let (offsets, targets) = bucket_edges(n, edges);
-        let strictly_ascending = |v: usize| {
-            targets[offsets[v]..offsets[v + 1]]
-                .windows(2)
-                .all(|w| w[0] < w[1])
-        };
-        if (0..n).all(strictly_ascending) {
-            return CsrGraph {
-                n,
-                row_ptr: offsets,
-                col_idx: targets,
-            };
-        }
-        Self::from_row_blocks(
+        let (mut row_ptr, mut col_idx) = bucket_edges(n, edges);
+        sort_dedup_rows(&mut row_ptr, &mut col_idx);
+        CsrGraph {
             n,
-            || (),
-            |_, v, row| {
-                let start = row.len();
-                row.extend_from_slice(&targets[offsets[v]..offsets[v + 1]]);
-                if !strictly_ascending(v) {
-                    sort_dedup_from(row, start);
-                }
-            },
-        )
+            row_ptr,
+            col_idx,
+        }
     }
 
     /// Assemble from per-vertex neighbor lists written in row blocks
@@ -303,24 +287,101 @@ pub(crate) fn bucket_edges(
     n: usize,
     edges: &[(VertexId, VertexId)],
 ) -> (Vec<usize>, Vec<VertexId>) {
-    let directed = edges.iter().filter(|&&(u, v)| {
-        assert!((u as usize) < n && (v as usize) < n, "edge out of bounds");
-        u != v
-    });
-    mis2_prim::bucket_by_key(n, directed.flat_map(|&(u, v)| [(u, v), (v, u)]))
+    mis2_prim::bucket_by_key(n, edges.len(), |range| {
+        let directed = edges[range].iter().filter(|&&(u, v)| {
+            assert!((u as usize) < n && (v as usize) < n, "edge out of bounds");
+            u != v
+        });
+        directed.flat_map(|&(u, v)| [(u, v), (v, u)])
+    })
 }
 
-/// Sort and deduplicate `row[start..]` in place.
-pub(crate) fn sort_dedup_from(row: &mut Vec<VertexId>, start: usize) {
-    row[start..].sort_unstable();
-    let mut kept = start;
-    for i in start..row.len() {
-        if kept == start || row[kept - 1] != row[i] {
+/// Sort and deduplicate every row of `(row_ptr, col_idx)` in place,
+/// leaving `col_idx` exact-size.
+///
+/// Each block of [`ROW_BLOCK`] rows owns its rows' ends and its window of
+/// `col_idx`. It sorts the rows that are not strictly ascending, moves
+/// each row's distinct entries to the front of the window, one row after
+/// the other, and rewrites the ends relative to the window. Then the
+/// blocks' kept entries move down over the gaps, in block order (a block
+/// never moves past its own start), and the ends are made absolute.
+/// Rows left strictly ascending by the bucket, as a lower triangle in row
+/// order leaves them, are not sorted, and then nothing moves.
+fn sort_dedup_rows(row_ptr: &mut [usize], col_idx: &mut Vec<VertexId>) {
+    struct Block<'a> {
+        ends: &'a mut [usize],
+        cols: &'a mut [VertexId],
+        kept: usize,
+    }
+    let n = row_ptr.len() - 1;
+    let cuts: Vec<usize> = (0..=n.div_ceil(ROW_BLOCK))
+        .map(|b| row_ptr[(b * ROW_BLOCK).min(n)])
+        .collect();
+    let mut blocks = Vec::with_capacity(cuts.len() - 1);
+    let mut rest = &mut col_idx[..];
+    for (ends, cut) in row_ptr[1..].chunks_mut(ROW_BLOCK).zip(cuts.windows(2)) {
+        let (cols, tail) = std::mem::take(&mut rest).split_at_mut(cut[1] - cut[0]);
+        blocks.push(Block {
+            ends,
+            cols,
+            kept: 0,
+        });
+        rest = tail;
+    }
+    par::for_chunks_mut(&mut blocks, 1, |b, block| {
+        let Block { ends, cols, kept } = &mut block[0];
+        let mut start = 0;
+        for end in ends.iter_mut() {
+            let stop = *end - cuts[b];
+            let len = sort_dedup(&mut cols[start..stop]);
+            if *kept < start {
+                cols.copy_within(start..start + len, *kept);
+            }
+            *kept += len;
+            (start, *end) = (stop, *kept);
+        }
+    });
+    let kept: Vec<usize> = blocks.into_iter().map(|block| block.kept).collect();
+
+    let mut at = 0;
+    let mut starts = Vec::with_capacity(kept.len());
+    for (&len, &cut) in kept.iter().zip(&cuts) {
+        if at < cut {
+            col_idx.copy_within(cut..cut + len, at);
+        }
+        starts.push(at);
+        at += len;
+    }
+    par::for_chunks_mut(&mut row_ptr[1..], ROW_BLOCK, |b, ends| {
+        ends.iter_mut().for_each(|end| *end += starts[b]);
+    });
+    if at < col_idx.len() {
+        col_idx.truncate(at);
+        col_idx.shrink_to_fit();
+    }
+}
+
+/// Sort `row` and move its distinct entries to its front; returns how
+/// many there are. A strictly ascending row is left as it is.
+fn sort_dedup(row: &mut [VertexId]) -> usize {
+    if row.windows(2).all(|w| w[0] < w[1]) {
+        return row.len();
+    }
+    row.sort_unstable();
+    let mut kept = 0;
+    for i in 0..row.len() {
+        if kept == 0 || row[kept - 1] != row[i] {
             row[kept] = row[i];
             kept += 1;
         }
     }
-    row.truncate(kept);
+    kept
+}
+
+/// Sort and deduplicate `row[start..]` in place.
+pub(crate) fn sort_dedup_from(row: &mut Vec<VertexId>, start: usize) {
+    let len = sort_dedup(&mut row[start..]);
+    row.truncate(start + len);
 }
 
 /// Graph summary statistics.
@@ -449,8 +510,9 @@ mod tests {
     #[test]
     fn from_edges_in_row_order_or_not_gives_one_graph_bytes_included() {
         // The lower triangle in row order takes the bucket as it stands;
-        // the same edges reversed, with repeats and a loop, re-assemble
-        // every row. Both give the generator's graph, at exact size.
+        // the same edges reversed, with repeats and a loop, sort every row
+        // and close the gaps. Both give the generator's graph, at exact
+        // size.
         let g = crate::gen::erdos_renyi(300, 1500, 5);
         let lower: Vec<(VertexId, VertexId)> = (0..300)
             .flat_map(|v| {
@@ -472,6 +534,97 @@ mod tests {
                 301 * std::mem::size_of::<usize>() + g.num_directed_edges() * 4
             );
         }
+    }
+
+    /// The build `from_edges` replaced, kept as its oracle, at pool 1:
+    /// the edges bucketed by source, then every row re-assembled through
+    /// `from_row_blocks`, sorted and deduplicated.
+    fn oracle_from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> CsrGraph {
+        mis2_prim::pool::with_pool(1, || {
+            let (offsets, targets) = bucket_edges(n, edges);
+            CsrGraph::from_row_blocks(
+                n,
+                || (),
+                |_, v, row| {
+                    let start = row.len();
+                    row.extend_from_slice(&targets[offsets[v]..offsets[v + 1]]);
+                    sort_dedup_from(row, start);
+                },
+            )
+        })
+    }
+
+    /// `from_edges` at pools {1, 2, 3, 5, 8} against the oracle, bytes
+    /// charged included.
+    fn assert_builds_as_the_oracle(what: &str, n: usize, edges: &[(VertexId, VertexId)]) {
+        let want = oracle_from_edges(n, edges);
+        for pool in [1usize, 2, 3, 5, 8] {
+            let got = mis2_prim::pool::with_pool(pool, || CsrGraph::from_edges(n, edges));
+            assert_eq!(got, want, "{what}, pool {pool}");
+            assert_eq!(got.heap_bytes(), want.heap_bytes(), "{what}, pool {pool}");
+        }
+    }
+
+    #[test]
+    fn from_edges_builds_the_graph_of_the_oracle_at_every_pool_size() {
+        use mis2_prim::rows::ROW_BLOCK;
+        // Scale 14 is the first whose samples the bucket counts and
+        // places in parallel.
+        for scale in [8, 9, 10, 11, 12, 14] {
+            let edges = crate::gen::rmat_edges(scale, 16, 0.57, 0.19, 0.19, scale as u64);
+            let n = 1usize << scale;
+            let split = mis2_prim::pool::with_pool(2, || mis2_prim::bucket::chunks(n, edges.len()));
+            assert_eq!(split > 1, scale == 14, "scale {scale}");
+            assert_builds_as_the_oracle(&format!("rmat {scale}"), n, &edges);
+            let reversed: Vec<_> = edges.iter().rev().copied().collect();
+            assert_builds_as_the_oracle(&format!("rmat {scale} reversed"), n, &reversed);
+        }
+        // Every row strictly ascending as bucketed: the lower triangle in
+        // row order.
+        let g = crate::gen::rmat(12, 16, 0.57, 0.19, 0.19, 3);
+        let lower: Vec<(VertexId, VertexId)> = (0..g.num_vertices() as VertexId)
+            .flat_map(|v| {
+                g.neighbors(v)
+                    .iter()
+                    .filter(move |&&u| u < v)
+                    .map(move |&u| (v, u))
+            })
+            .collect();
+        assert_builds_as_the_oracle("lower triangle", g.num_vertices(), &lower);
+        // Self-loops among the samples, and rows left empty at the edges
+        // of row blocks, a whole empty block among them.
+        let n = 4 * ROW_BLOCK + 7;
+        let empty = |v: VertexId| {
+            let v = v as usize;
+            v % ROW_BLOCK == 0 || v % ROW_BLOCK == ROW_BLOCK - 1 || v / ROW_BLOCK == 2
+        };
+        let edges: Vec<(VertexId, VertexId)> = (0..40_000u64)
+            .map(|i| {
+                let h = mis2_prim::hash::splitmix64(i);
+                let u = (h % n as u64) as VertexId;
+                let v = if h >> 60 == 0 {
+                    u
+                } else {
+                    ((h >> 32) % n as u64) as VertexId
+                };
+                (u, v)
+            })
+            .filter(|&(u, v)| !empty(u) && !empty(v))
+            .collect();
+        assert!(edges.iter().any(|&(u, v)| u == v));
+        assert_builds_as_the_oracle("loops, empty rows", n, &edges);
+        assert_builds_as_the_oracle("n = 0", 0, &[]);
+        assert_builds_as_the_oracle("n = 1", 1, &[]);
+        assert_builds_as_the_oracle("n = 1, a loop", 1, &[(0, 0), (0, 0)]);
+    }
+
+    /// `kernel_rmat`'s graph against the oracle:
+    /// `cargo test --release -p mis2-graph --lib from_edges_at_scale_18 -- --ignored`.
+    #[test]
+    #[ignore]
+    fn from_edges_at_scale_18_builds_the_graph_of_the_oracle() {
+        let edges = crate::gen::rmat_edges(18, 16, 0.57, 0.19, 0.19, 1);
+        assert_builds_as_the_oracle("rmat 18", 1 << 18, &edges);
     }
 
     #[test]

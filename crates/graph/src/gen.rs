@@ -323,7 +323,7 @@ pub fn rmat(scale: u32, edge_factor: usize, a: f64, b: f64, c: f64, seed: u64) -
 /// first-match order when `b` or `c` is negative. A NaN or negative sum
 /// gives threshold 0 (no `k` is below it) and a sum above 1 one above
 /// every `k`, as the `f64` compares do.
-fn rmat_edges(
+pub fn rmat_edges(
     scale: u32,
     edge_factor: usize,
     a: f64,

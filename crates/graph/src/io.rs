@@ -16,12 +16,14 @@
 //!
 //! * [`read_coo`] keeps the triplets, with symmetric entries mirrored;
 //! * [`read_graph`] keeps each off-diagonal entry once, as a `(row, col)`
-//!   pair, and buckets both orientations by source with one stable
-//!   counting sort. A file in [`write_graph`]'s order (lower triangle, rows
-//!   ascending) leaves the bucket with every row sorted and free of
-//!   duplicates, and the bucket's arrays are then the CSR as they stand;
-//!   only rows that are not get sorted and deduplicated. The diagonal is
-//!   dropped, matching how KokkosKernels consumes these matrices for MIS-2.
+//!   pair, and hands the pairs to [`CsrGraph::from_edges`]: both
+//!   orientations are bucketed by source with one stable counting sort
+//!   (counted and placed in parallel when the file has many entries per
+//!   row), and the graph is built in the bucket's own arrays. A file in
+//!   [`write_graph`]'s order (lower triangle, rows ascending) leaves every
+//!   row sorted and free of duplicates, so no row is sorted and nothing
+//!   moves. The diagonal is dropped, matching how KokkosKernels consumes
+//!   these matrices for MIS-2.
 //!
 //! The common entry line (two runs of ASCII digits, a value token of
 //! printable ASCII, spaces, tabs or `\r` between them) is read in one pass
@@ -42,14 +44,18 @@
 //!   [`VertexId`] and bound every index, memory grows with the entry lines
 //!   read rather than with the declared count, and the file must hold
 //!   exactly as many entry lines as it declares.
-//! * [`read_graph`] asks the allocator for its row arrays fallibly before
-//!   it builds them, since a size line may declare rows no entry touches.
+//! * [`read_graph`] asks the allocator for its rows-sized arrays
+//!   fallibly before it builds them, since a size line may declare rows
+//!   no entry touches: the bucket's offsets, plus the per-chunk counts
+//!   when the count pass splits. It splits only with several entries per
+//!   row per chunk ([`mis2_prim::bucket::chunks`]), so a size line that
+//!   declares many rows over few entries never gets per-chunk counts.
 //!
 //! # What it costs
 //!
 //! One pass over the bytes, 8 bytes per off-diagonal entry for the pairs,
-//! one bucket pass over both orientations, and one pass that checks the
-//! rows are sorted. The repo benchmark's traced `svc_cold` (2 vCPUs, 11
+//! and `from_edges`' two bucket passes over both orientations and one
+//! pass over the rows. The repo benchmark's traced `svc_cold` (2 vCPUs, 11
 //! runs) reads its 6.1 MB mesh file in 17–31 ms (`graph.mtx_read_ms`) and
 //! interns it in 21–31 ms (`registry.graph_load_ms`). With a `String` per
 //! line, a triplet list and two symmetrizations that took 106–181 ms and
@@ -155,14 +161,17 @@ fn graph_from(reader: &mut dyn BufRead) -> Result<CsrGraph, MmError> {
             "graph requires a square matrix, got {nrows}x{ncols}"
         )));
     }
-    // The build holds up to three arrays of `nrows + 1` offsets at once
-    // (bucket offsets and cursor, then the row pointers of a row-block
-    // re-assembly). A size line may declare rows no entry touches, so the
-    // edge list does not bound them, and a failed `vec!` aborts the
-    // process. Ask the allocator first, fallibly.
+    // Per declared row the build holds the bucket's `nrows + 1` offsets
+    // (they become `row_ptr`), plus one 8-byte count per chunk when the
+    // count pass splits, which it does only with several entries per row.
+    // A size line may declare rows no entry touches, so the edge list
+    // does not bound them, and a failed `vec!` aborts the process. Ask
+    // the allocator first, fallibly.
+    let chunks = mis2_prim::bucket::chunks(nrows, edges.len());
+    let per_row = if chunks > 1 { 1 + chunks } else { 1 };
     let rows_fit = nrows
         .checked_add(1)
-        .and_then(|n| n.checked_mul(3))
+        .and_then(|n| n.checked_mul(per_row))
         .is_some_and(|n| Vec::<usize>::new().try_reserve_exact(n).is_ok());
     if !rows_fit {
         return Err(MmError::Format(format!(

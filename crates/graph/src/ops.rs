@@ -91,7 +91,7 @@ pub fn quotient(g: &CsrGraph, labels: &[u32], nc: usize) -> CsrGraph {
         labels.iter().all(|&l| (l as usize) < nc),
         "label out of range"
     );
-    let (offsets, members) = mis2_prim::bucket_by_key(nc, labels.iter().copied().zip(0u32..));
+    let (offsets, members) = mis2_prim::bucket_indices(nc, labels);
     CsrGraph::from_row_blocks(
         nc,
         || vec![u32::MAX; nc],

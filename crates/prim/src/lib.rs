@@ -50,7 +50,7 @@ pub mod reduce;
 pub mod rows;
 pub mod scan;
 
-pub use bucket::bucket_by_key;
+pub use bucket::{bucket_by_key, bucket_indices};
 pub use compact::{par_filter, par_filter_indices};
 pub use hash::{hash2, splitmix64, xorshift64, xorshift64_star};
 pub use pool::{

@@ -56,7 +56,7 @@ use mis2_coarsen::{quotient_graph, AggScheme, Aggregation};
 use mis2_color::{color_d1, Coloring};
 use mis2_graph::VertexId;
 use mis2_prim::cells::F64Cells;
-use mis2_prim::{bucket_by_key, par};
+use mis2_prim::{bucket_indices, par};
 use mis2_sparse::CsrMatrix;
 use std::time::Instant;
 
@@ -151,10 +151,8 @@ impl ClusterMcSgs {
         let num_colors = coloring.num_colors as usize;
         // Rows by cluster and clusters by color, both ascending inside a
         // bucket — the deterministic "natural" order.
-        let labels = agg.labels.iter().copied();
-        let (members, by_cluster) = bucket_by_key(nclusters, labels.zip(0u32..));
-        let colors = coloring.colors.iter().copied();
-        let (color_ptr, by_color) = bucket_by_key(num_colors, colors.zip(0u32..));
+        let (members, by_cluster) = bucket_indices(nclusters, &agg.labels);
+        let (color_ptr, by_color) = bucket_indices(num_colors, &coloring.colors);
 
         let a_dinv = a.inv_diag();
         let mut rows = Vec::with_capacity(a.nrows());
@@ -345,8 +343,7 @@ mod tests {
     /// nonzero, clusters found through the bucketed labels.
     fn reference_sweep(a: &CsrMatrix, agg: &Aggregation, col: &Coloring, b: &[f64], x: &mut [f64]) {
         let dinv = a.inv_diag();
-        let labels = agg.labels.iter().copied();
-        let (off, rows) = bucket_by_key(agg.num_aggregates, labels.zip(0u32..));
+        let (off, rows) = bucket_indices(agg.num_aggregates, &agg.labels);
         let mut update = |i: usize| {
             let (cols, vals) = a.row(i);
             let mut acc = b[i];

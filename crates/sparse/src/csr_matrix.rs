@@ -89,14 +89,13 @@ impl CsrMatrix {
     /// assert_eq!(a.spmv(&[1.0, 1.0]), vec![3.0, 3.0]);
     /// ```
     pub fn from_coo(nrows: usize, ncols: usize, entries: &[(u32, u32, f64)]) -> Self {
-        let (offsets, by_row) = mis2_prim::bucket_by_key(
-            nrows,
-            entries.iter().map(|&(r, c, v)| {
+        let (offsets, by_row) = mis2_prim::bucket_by_key(nrows, entries.len(), |range| {
+            entries[range].iter().map(|&(r, c, v)| {
                 assert!((r as usize) < nrows, "row index out of bounds");
                 assert!((c as usize) < ncols, "col index out of bounds");
                 (r, (c, v))
-            }),
-        );
+            })
+        });
         // Sort (stably: duplicates are summed in input order) and combine
         // duplicates per row; the pair buffer is the block's scratch.
         Self::from_row_blocks(nrows, ncols, Vec::new, |pairs, r, out| {
@@ -237,14 +236,15 @@ impl CsrMatrix {
     /// Transpose (deterministic).
     pub fn transpose(&self) -> CsrMatrix {
         // Entries bucketed by column in storage order, so each transposed
-        // row comes out sorted by (old) row index.
-        let entries = (0..self.nrows).flat_map(|r| {
-            let (cols, vals) = self.row(r);
-            cols.iter()
-                .zip(vals)
-                .map(move |(&c, &v)| (c, (r as u32, v)))
+        // row comes out sorted by (old) row index. The source is the rows.
+        let (row_ptr, by_col) = mis2_prim::bucket_by_key(self.ncols, self.nrows, |rows| {
+            rows.flat_map(|r| {
+                let (cols, vals) = self.row(r);
+                cols.iter()
+                    .zip(vals)
+                    .map(move |(&c, &v)| (c, (r as u32, v)))
+            })
         });
-        let (row_ptr, by_col) = mis2_prim::bucket_by_key(self.ncols, entries);
         let (col_idx, values) = by_col.into_iter().unzip();
         CsrMatrix {
             nrows: self.ncols,

@@ -117,8 +117,10 @@ const UNSAFE_FILES: [(&str, &str); 2] = [
 ];
 
 /// Lines naming `unsafe` under `crates/` and `src/`, as counted by
-/// `grep -rw --include=*.rs unsafe crates src | wc -l`.
-const MAX_UNSAFE_LINES: usize = 44;
+/// `grep -rw --include=*.rs unsafe crates src | wc -l`. The last one added
+/// is `bucket_by_key`'s split place pass, a scatter of a generic item
+/// through `SharedMut` into the chunks' disjoint spans.
+const MAX_UNSAFE_LINES: usize = 45;
 
 /// Every `.rs` file under `dir`, relative to the repository root.
 fn rust_files(dir: &str) -> Vec<PathBuf> {
