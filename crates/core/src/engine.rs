@@ -44,10 +44,11 @@
 //! A round is `column_pass(worklist2)` then `decide_pass(worklist1)`. Both
 //! have the same shape: blocks of `GRAIN` worklist entries go to the pool
 //! (`par::map_windows`); each block writes its vertices' new tuples and one
-//! keep flag per entry, and returns its counts; `mis2_prim::compact::pack`
-//! then places each block's survivors in the compacted list from an
-//! exclusive scan of the block counts. A list that keeps every entry (the
-//! column pass of round 1, where no column can be `OUT`) is not copied.
+//! keep flag per entry, and returns its counts; `mis2_prim::compact::pack_into`
+//! then places each block's survivors in a spare vector from an exclusive
+//! scan of the block counts, and the spare and the list change places. A
+//! list that keeps every entry (the column pass of round 1, where no column
+//! can be `OUT`) is not copied.
 //!
 //! The scatter is safe code because both lists ascend strictly: they start
 //! as `0..n`, and `pack` keeps order, so the `Filtered` list built from a
@@ -98,12 +99,25 @@
 //! would read: only their entries are not `OUT`), the column pass the row
 //! lengths it reads. When the first sum is at most `1 / FILTER_SHARE` of
 //! the second, the next column pass writes each kept vertex's non-`OUT`
-//! neighbours, from the same reads that take its min, into one exact-size
-//! list per block (`RowLists::column_value`). Each `worklist2` entry then
-//! carries its row as a slice of those lists (`Worklist2::Filtered`), which
-//! `compact::pack` compacts with the list, and every later column pass
-//! reads the slices instead of `g.neighbors(v)`. The lists are built once
-//! and only with worklists.
+//! neighbours, from the same reads that take its min, into one list per
+//! block (`RowLists::column_value`). Each `worklist2` entry then carries
+//! its row as a range of those lists (`Filtered`), which the compaction
+//! moves with the entry, and every later column pass reads the ranges
+//! instead of `g.neighbors(v)`. The lists are built once and only with
+//! worklists.
+//!
+//! ## Work arrays: kept by the thread, from one run to the next
+//!
+//! A run works in `T`, `M`, the marks, both worklists with the vectors
+//! they are packed into, the keep flags and the filtered rows (`Work`).
+//! Like the work views of a Kokkos handle, they outlive the call: the
+//! thread that ran Algorithm 1 keeps them, and its next run writes each
+//! one for its own graph before reading it, so a second run on a graph of
+//! the same size allocates little more than its result. Without that, an
+//! op's speed followed the allocator: with the graph built once, glibc
+//! handed the freed arrays back to the system between ops, and each op
+//! faulted them in again. A thread holds one set, of its last run's graph
+//! and tuple type.
 //!
 //! ## Marks: the column that turns `OUT` tells its row
 //!
@@ -144,8 +158,10 @@ use crate::priority::PriorityScheme;
 use crate::tuple::{id_bits, Packed, TupleRepr, Unpacked};
 use mis2_graph::{CsrGraph, VertexId};
 use mis2_prim::{compact, par};
-use std::cell::OnceCell;
+use std::any::Any;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::Mutex;
 
 /// Configuration of Algorithm 1. [`Default`] reproduces the full
 /// Kokkos Kernels configuration (all three optimizations on).
@@ -308,13 +324,15 @@ const GRAIN: usize = 4096;
 /// changes no result.
 const FILTER_SHARE: usize = 4;
 
-/// `worklist2`: every entry a vertex and the row its column pass reads.
-enum Worklist2<'r> {
-    /// `adj(v)`, read from the graph.
-    Full(Vec<VertexId>),
-    /// The filtered row: `adj(v)` less the neighbours already `OUT` when it
-    /// was built.
-    Filtered(Vec<(VertexId, &'r [VertexId])>),
+/// A `worklist2` entry once the rows are filtered: vertex `v` and its
+/// row, `adj(v)` less the neighbours already `OUT` when it was built, at
+/// `lo..hi` of the building pass's block `block` ([`Lists::rows`]).
+#[derive(Clone, Copy)]
+struct Filtered {
+    v: VertexId,
+    block: u32,
+    lo: u32,
+    hi: u32,
 }
 
 /// What one block of a column pass returns.
@@ -334,7 +352,7 @@ struct ColumnBlock {
 struct RowLists {
     cols: Vec<VertexId>,
     len: usize,
-    ends: Vec<usize>,
+    ends: Vec<u32>,
 }
 
 impl RowLists {
@@ -342,7 +360,8 @@ impl RowLists {
     /// `T_w != OUT` when the column is kept (its min is undecided), from
     /// the same reads. Three in four are `OUT` when the lists are built, so
     /// each `w` is written and kept by advancing the end: no branch to
-    /// mispredict. `cols` grows geometrically ahead of `len`, never per row.
+    /// mispredict. `cols` grows geometrically ahead of `len`, never per row,
+    /// and keeps its length for the next run's lists.
     #[inline]
     fn column_value<T: TupleRepr>(&mut self, t: &[T], v: VertexId, row: &[VertexId]) -> T {
         let need = self.len + row.len();
@@ -358,14 +377,120 @@ impl RowLists {
         if min.is_undecided() {
             self.len = end;
         }
-        self.ends.push(self.len);
+        let end = u32::try_from(self.len).expect("a block's filtered rows fit u32 offsets");
+        self.ends.push(end);
         min
     }
 
-    /// Trim `cols` to exactly the rows.
-    fn finish(&mut self) {
-        self.cols.truncate(self.len);
-        self.cols.shrink_to_fit();
+    /// Entry `f`'s row.
+    #[inline]
+    fn row(&self, f: Filtered) -> &[VertexId] {
+        &self.cols[f.lo as usize..f.hi as usize]
+    }
+}
+
+/// The worklists, the buffers their passes write and the vectors they are
+/// packed into: the part of [`Work`] that does not depend on the tuple
+/// type.
+#[derive(Default)]
+struct Lists {
+    wl1: Vec<VertexId>,
+    /// `worklist2` while its column pass reads the graph's rows.
+    wl2: Vec<VertexId>,
+    /// `worklist2` once its rows are filtered, which `is_filtered` says.
+    filtered: Vec<Filtered>,
+    is_filtered: bool,
+    /// The filtered rows, one [`RowLists`] per block of the pass that
+    /// built them.
+    rows: Vec<RowLists>,
+    /// The keep flags of the last pass, one per entry of its list.
+    flags: Vec<bool>,
+    /// What the next compaction of `wl1` or `wl2` is packed into; it then
+    /// changes places with the list.
+    spare: Vec<VertexId>,
+    /// The same for `filtered`.
+    filtered_spare: Vec<Filtered>,
+}
+
+impl Lists {
+    /// Both worklists the full vertex set `0..n`, reading the graph's rows.
+    /// The lists take the larger of the vectors their compactions change
+    /// places with, so that a run like the last one fits the vectors it
+    /// left.
+    fn reset(&mut self, n: usize) {
+        use std::mem::swap;
+        if self.spare.capacity() > self.wl1.capacity() {
+            swap(&mut self.spare, &mut self.wl1);
+        }
+        if self.spare.capacity() > self.wl2.capacity() {
+            swap(&mut self.spare, &mut self.wl2);
+        }
+        if self.filtered_spare.capacity() > self.filtered.capacity() {
+            swap(&mut self.filtered_spare, &mut self.filtered);
+        }
+        self.wl1.clear();
+        self.wl1.extend(0..n as VertexId);
+        self.wl2.clone_from(&self.wl1);
+        self.is_filtered = false;
+    }
+}
+
+/// Compact `list` to the entries `flags` keeps (`kept[b]` of block `b`),
+/// through `spare`, which then changes places with it. A list that keeps
+/// every entry, as round 1's column pass does, stays as it is instead of
+/// being copied.
+fn pack_kept<E: Copy + Send + Sync>(
+    list: &mut Vec<E>,
+    spare: &mut Vec<E>,
+    flags: &[bool],
+    kept: &[usize],
+) {
+    if kept.iter().sum::<usize>() < list.len() {
+        compact::pack_into(spare, flags, GRAIN, kept, |i| list[i]);
+        std::mem::swap(list, spare);
+    }
+}
+
+/// The arrays a run works in: `T`, `M`, the marks and the [`Lists`]. The
+/// thread that runs Algorithm 1 keeps them for its next run
+/// ([`Work::take`], [`Work::keep`]), which writes each one for its own
+/// graph before it reads it. A run therefore allocates little more than
+/// its result, and its speed does not depend on what the allocator did
+/// with memory freed since the last one. The set is one per thread, of the
+/// tuple type its last run used: on the repo benchmark's mesh, packed,
+/// about 30 bytes per vertex, and as much again for the filtered rows.
+struct Work<T> {
+    t: Vec<T>,
+    m: Vec<T>,
+    marks: Vec<AtomicBool>,
+    lists: Lists,
+}
+
+thread_local! {
+    /// This thread's [`Work`], between two of its runs.
+    static WORK: Cell<Option<Box<dyn Any>>> = const { Cell::new(None) };
+}
+
+impl<T: TupleRepr + 'static> Work<T> {
+    /// This thread's arrays from its last run, or empty ones when that run
+    /// used the other tuple type (whose arrays are then freed) or there was
+    /// none.
+    fn take() -> Box<Self> {
+        WORK.take()
+            .and_then(|w| w.downcast().ok())
+            .unwrap_or_else(|| {
+                Box::new(Work {
+                    t: Vec::new(),
+                    m: Vec::new(),
+                    marks: Vec::new(),
+                    lists: Lists::default(),
+                })
+            })
+    }
+
+    /// Keep the arrays for this thread's next run.
+    fn keep(self: Box<Self>) {
+        WORK.set(Some(self));
     }
 }
 
@@ -385,7 +510,7 @@ struct Exec<'a> {
     /// once, never cleared: an `OUT` column stays `OUT`. `Relaxed` is
     /// enough: a mark publishes no other data, and the column pass's region
     /// ends (the pool joins it) before the decide pass reads.
-    marks: Vec<AtomicBool>,
+    marks: &'a [AtomicBool],
 }
 
 impl Exec<'_> {
@@ -453,8 +578,8 @@ impl Exec<'_> {
     /// sweep, and marks each column that turns `OUT` ([`Exec::mark`]).
     /// `row(e)` is entry `e`'s vertex and the row its min reads.
     /// With `BUILD` (a parameter, so the other passes keep the plain loop),
-    /// each block also writes its kept vertices' non-`OUT` neighbours to
-    /// one exact-size list.
+    /// block `b` also writes its kept vertices' non-`OUT` neighbours to the
+    /// lists it takes from `reuse[b]`.
     fn column_pass<'r, T: TupleRepr, E: Copy + Sync, const BUILD: bool>(
         &self,
         wl: &[E],
@@ -462,12 +587,20 @@ impl Exec<'_> {
         t: &[T],
         m: &mut [T],
         flags: &mut Vec<bool>,
+        reuse: &[Mutex<RowLists>],
     ) -> Vec<ColumnBlock> {
         flags.clear();
         flags.resize(wl.len(), false);
         let key = |&e: &E| row(e).0 as usize;
-        par::map_windows(wl, GRAIN, key, m, flags, |entries, m, keep| {
+        par::map_windows(wl, GRAIN, key, m, flags, |b, entries, m, keep| {
             let mut out = ColumnBlock::default();
+            if BUILD {
+                if let Some(lists) = reuse.get(b) {
+                    out.rows = std::mem::take(&mut *lists.lock().unwrap());
+                    out.rows.len = 0;
+                    out.rows.ends.clear();
+                }
+            }
             let (mut kept, mut reads) = (0, 0);
             for (&e, keep) in entries.iter().zip(keep) {
                 let (v, nbrs) = row(e);
@@ -489,56 +622,66 @@ impl Exec<'_> {
                 reads += nbrs.len();
             }
             (out.kept, out.reads) = (kept, reads);
-            out.rows.finish();
             out
         })
     }
 
     /// One Refresh Column over `worklist2`, then its compaction. `build`
-    /// turns a `Full` list into a `Filtered` one whose rows go to `store`.
+    /// turns `wl2` into `filtered`, whose rows go to `lists.rows`.
     /// Returns how many row entries the pass read.
-    fn refresh_column<'r, T: TupleRepr>(
+    fn refresh_column<T: TupleRepr>(
         &self,
-        wl2: &mut Worklist2<'r>,
-        store: &'r OnceCell<Vec<Vec<VertexId>>>,
+        lists: &mut Lists,
         build: bool,
         t: &[T],
         m: &mut [T],
-        flags: &mut Vec<bool>,
     ) -> usize {
-        let blocks = match wl2 {
-            Worklist2::Full(list) => {
-                let row = |v| (v, self.g.neighbors(v));
-                if build {
-                    self.column_pass::<T, _, true>(list, row, t, m, flags)
-                } else {
-                    self.column_pass::<T, _, false>(list, row, t, m, flags)
-                }
-            }
-            Worklist2::Filtered(list) => self.column_pass::<T, _, false>(list, |e| e, t, m, flags),
+        let Lists {
+            wl2,
+            filtered,
+            is_filtered,
+            rows,
+            flags,
+            spare,
+            filtered_spare,
+            ..
+        } = lists;
+        let graph_row = |v| (v, self.g.neighbors(v));
+        let mut blocks = if *is_filtered {
+            let rows = &rows[..];
+            let row = |f: Filtered| (f.v, rows[f.block as usize].row(f));
+            self.column_pass::<T, _, false>(filtered, row, t, m, flags, &[])
+        } else if build {
+            // The lists of the thread's last build, block by block.
+            let reuse: Vec<Mutex<RowLists>> =
+                std::mem::take(rows).into_iter().map(Mutex::new).collect();
+            self.column_pass::<T, _, true>(wl2, graph_row, t, m, flags, &reuse)
+        } else {
+            self.column_pass::<T, _, false>(wl2, graph_row, t, m, flags, &[])
         };
         let kept: Vec<usize> = blocks.iter().map(|c| c.kept).collect();
         let reads = blocks.iter().map(|c| c.reads).sum();
-        match wl2 {
-            Worklist2::Full(list) if build => {
-                let (cols, ends): (Vec<_>, Vec<_>) = blocks
-                    .into_iter()
-                    .map(|c| (c.rows.cols, c.rows.ends))
-                    .unzip();
-                let cols = store.get_or_init(|| cols);
-                let rows = compact::pack(flags, GRAIN, &kept, |i| {
-                    let (b, k) = (i / GRAIN, i % GRAIN);
-                    let lo = if k == 0 { 0 } else { ends[b][k - 1] };
-                    (list[i], &cols[b][lo..ends[b][k]])
-                });
-                *wl2 = Worklist2::Filtered(rows);
-            }
-            Worklist2::Full(list) => {
-                if self.compact {
-                    pack_kept(list, flags, &kept);
+        if *is_filtered {
+            pack_kept(filtered, filtered_spare, flags, &kept);
+        } else if build {
+            *rows = blocks
+                .iter_mut()
+                .map(|c| std::mem::take(&mut c.rows))
+                .collect();
+            compact::pack_into(filtered, flags, GRAIN, &kept, |i| {
+                let (b, k) = (i / GRAIN, i % GRAIN);
+                let ends = &rows[b].ends;
+                let lo = if k == 0 { 0 } else { ends[k - 1] };
+                Filtered {
+                    v: wl2[i],
+                    block: b as u32,
+                    lo,
+                    hi: ends[k],
                 }
-            }
-            Worklist2::Filtered(list) => pack_kept(list, flags, &kept),
+            });
+            *is_filtered = true;
+        } else if self.compact {
+            pack_kept(wl2, spare, flags, &kept);
         }
         reads
     }
@@ -550,17 +693,19 @@ impl Exec<'_> {
     /// the survivors' degree sum, what a filtered column pass would read.
     fn decide_pass<T: TupleRepr>(
         &self,
-        wl: &mut Vec<VertexId>,
+        lists: &mut Lists,
         t: &mut [T],
         m: &[T],
         next_iter: u64,
-        flags: &mut Vec<bool>,
     ) -> (usize, usize, usize) {
+        let Lists {
+            wl1, flags, spare, ..
+        } = lists;
         flags.clear();
-        flags.resize(wl.len(), false);
+        flags.resize(wl1.len(), false);
         // Per block: [survivors, newly IN, newly OUT, survivors' degrees].
         let key = |&v: &VertexId| v as usize;
-        let counts = par::map_windows(wl, GRAIN, key, t, flags, |list, t, keep| {
+        let counts = par::map_windows(wl1, GRAIN, key, t, flags, |_, list, t, keep| {
             let mut c = [0usize; 4];
             for (&v, keep) in list.iter().zip(keep) {
                 let tv = t[v as usize];
@@ -589,7 +734,7 @@ impl Exec<'_> {
         });
         if self.compact {
             let kept: Vec<usize> = counts.iter().map(|c| c[0]).collect();
-            pack_kept(wl, flags, &kept);
+            pack_kept(wl1, spare, flags, &kept);
         }
         let newly_in = counts.iter().map(|c| c[1]).sum();
         let newly_out = counts.iter().map(|c| c[2]).sum();
@@ -598,16 +743,7 @@ impl Exec<'_> {
     }
 }
 
-/// Compact `list` to the entries `flags` keeps (`kept[b]` of block `b`).
-/// A list that keeps every entry, as round 1's column pass does, stays as
-/// it is instead of being copied.
-fn pack_kept<E: Copy + Send + Sync>(list: &mut Vec<E>, flags: &[bool], kept: &[usize]) {
-    if kept.iter().sum::<usize>() < list.len() {
-        *list = compact::pack(flags, GRAIN, kept, |i| list[i]);
-    }
-}
-
-fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> (Mis2Result, Option<usize>) {
+fn run<T: TupleRepr + 'static>(g: &CsrGraph, cfg: &Mis2Config) -> (Mis2Result, Option<usize>) {
     let n = g.num_vertices();
     let bits = id_bits(n);
     // Both representations see the same truncated priorities so that the
@@ -618,6 +754,12 @@ fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> (Mis2Result, Option<usiz
     } else {
         ((1u128 << (64 - bits)) - 1) as u64
     };
+    // Every array of the thread's last run is written for this graph
+    // before it is read.
+    let mut work = Work::<T>::take();
+    let Work { t, m, marks, lists } = &mut *work;
+    marks.clear();
+    marks.resize_with(n, || AtomicBool::new(false));
     let exec = Exec {
         g,
         priorities: cfg.priorities,
@@ -625,9 +767,7 @@ fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> (Mis2Result, Option<usiz
         bits,
         prio_mask,
         compact: cfg.use_worklists,
-        marks: std::iter::repeat_with(|| AtomicBool::new(false))
-            .take(n)
-            .collect(),
+        marks,
     };
 
     // T is Refresh Row for iteration 0 (later rounds refresh survivors
@@ -635,16 +775,12 @@ fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> (Mis2Result, Option<usiz
     // vertex is in worklist2 for iteration 0 and is overwritten by Refresh
     // Column, which reads the old `M_v` only behind an `IN` min, and round
     // 1 has none. It starts non-`OUT`, as a column no pass has marked.
-    let mut t: Vec<T> = par::map_range(0..n as VertexId, |v| exec.fresh::<T>(0, v));
-    let mut m: Vec<T> = vec![T::IN; n];
+    t.resize(n, T::IN);
+    par::for_each_mut_indexed(t, |v, tv| *tv = exec.fresh::<T>(0, v as VertexId));
+    m.resize(n, T::IN);
+    par::for_each_slice_mut(m, |_, m| m.fill(T::IN));
 
-    // Both worklists start as the full vertex set; the filtered rows, once
-    // built, live in `store` until the run ends.
-    let store = OnceCell::new();
-    let mut wl1: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut wl2 = Worklist2::Full(wl1.clone());
-    // Keep-flag buffer shared by both passes.
-    let mut flags: Vec<bool> = Vec::new();
+    lists.reset(n);
     let mut history: Vec<RoundStats> = Vec::new();
     let mut undecided = n;
     let mut iter: u64 = 0;
@@ -654,14 +790,14 @@ fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> (Mis2Result, Option<usiz
     while undecided > 0 {
         let build = exec.compact
             && iter > 0
-            && matches!(wl2, Worklist2::Full(_))
+            && !lists.is_filtered
             && FILTER_SHARE * filtered_reads <= full_reads;
-        full_reads = exec.refresh_column(&mut wl2, &store, build, &t, &mut m, &mut flags);
+        full_reads = exec.refresh_column(lists, build, t, m);
         iter += 1;
         if build {
             built = Some(iter as usize);
         }
-        let (newly_in, newly_out, reads) = exec.decide_pass(&mut wl1, &mut t, &m, iter, &mut flags);
+        let (newly_in, newly_out, reads) = exec.decide_pass(lists, t, m, iter);
         filtered_reads = reads;
         history.push(RoundStats {
             undecided,
@@ -671,8 +807,9 @@ fn run<T: TupleRepr>(g: &CsrGraph, cfg: &Mis2Config) -> (Mis2Result, Option<usiz
         undecided -= newly_in + newly_out;
     }
 
-    let is_in: Vec<bool> = par::map(&t, |x| x.is_in());
+    let is_in: Vec<bool> = par::map(t, |x| x.is_in());
     let in_set = compact::par_filter_indices(&is_in, |&b| b);
+    work.keep();
     let result = Mis2Result {
         in_set,
         is_in,
@@ -981,6 +1118,38 @@ mod tests {
                 assert_eq!(got, want, "{name}: diverges from the spec for {cfg:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_run_after_other_runs_on_the_same_thread_equals_the_spec() {
+        // One thread runs every ladder config in turn, on a large graph, a
+        // smaller one, then the large one again, packed and unpacked
+        // alternating: whatever an earlier run left in the thread's work
+        // arrays must not show.
+        let large = gen::mesh3d(20_000, 22, 0.02, 2, 40, 3, 26, 5);
+        let small = gen::rmat(10, 8, 0.57, 0.19, 0.19, 2);
+        mis2_prim::pool::with_pool(1, || {
+            for (name, g) in [
+                ("large", &large),
+                ("small", &small),
+                ("large again", &large),
+            ] {
+                for packed in [true, false] {
+                    for (label, cfg) in Mis2Config::ladder() {
+                        for seed in [3, 4] {
+                            let cfg = Mis2Config {
+                                packed,
+                                seed,
+                                ..cfg
+                            };
+                            let want = crate::spec::mis2(g, cfg.priorities, cfg.seed);
+                            let got = mis2_with_config(g, &cfg);
+                            assert_eq!(got, want, "{name}, {label}: {cfg:?}");
+                        }
+                    }
+                }
+            }
+        });
     }
 
     #[test]

@@ -144,7 +144,38 @@ impl CsrGraph {
     /// ```
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
         let (mut row_ptr, mut col_idx) = bucket_edges(n, edges);
-        sort_dedup_rows(&mut row_ptr, &mut col_idx);
+        sort_dedup_rows(&mut row_ptr, &mut col_idx, |_, _| {});
+        CsrGraph {
+            n,
+            row_ptr,
+            col_idx,
+        }
+    }
+
+    /// Build from rows whose lengths are known before they are written:
+    /// `fill(v, row)` writes `v`'s neighbours, in any order, repeats
+    /// allowed, into `row`, a slice of exactly `len(v)` entries of the
+    /// final `col_idx`. No neighbour may be `v` itself or `>= n`.
+    ///
+    /// The lengths are scanned into `row_ptr`, and `col_idx` is allocated
+    /// once, at their sum. Each block of [`ROW_BLOCK`] rows then fills its
+    /// own window of `col_idx`, sorting and deduplicating every row right
+    /// after writing it, and the gaps close as in [`CsrGraph::from_edges`]:
+    /// a row written strictly ascending is not sorted, and when no row
+    /// lost an entry nothing moves. No other copy of the graph is made.
+    pub(crate) fn from_sized_rows(
+        n: usize,
+        len: impl Fn(usize) -> usize + Sync,
+        fill: impl Fn(usize, &mut [VertexId]) + Sync,
+    ) -> Self {
+        let mut row_ptr = vec![0usize; n + 1];
+        par::for_each_mut_indexed(&mut row_ptr[..n], |v, start| *start = len(v));
+        row_ptr[n] = mis2_prim::scan::exclusive_scan_in_place(&mut row_ptr[..n]);
+        let mut col_idx = vec![0; row_ptr[n]];
+        sort_dedup_rows(&mut row_ptr, &mut col_idx, |v, row| {
+            fill(v, row);
+            debug_assert!(row.iter().all(|&w| (w as usize) < n && w as usize != v));
+        });
         CsrGraph {
             n,
             row_ptr,
@@ -156,7 +187,9 @@ impl CsrGraph {
     /// ([`mis2_prim::rows::assemble`]): `row(state, v, out)` appends `v`'s
     /// sorted, deduplicated, loop-free neighbors to `out`, whose tail from
     /// `out.len()` on entry is the row under construction. Used by the
-    /// builders and generators that guarantee the invariants themselves.
+    /// builders of [`crate::ops`], which learn a row's length only by
+    /// writing it; a producer that knows it first uses
+    /// [`CsrGraph::from_sized_rows`].
     pub(crate) fn from_row_blocks<S>(
         n: usize,
         scratch: impl Fn() -> S + Sync,
@@ -296,18 +329,23 @@ pub(crate) fn bucket_edges(
     })
 }
 
-/// Sort and deduplicate every row of `(row_ptr, col_idx)` in place,
+/// Let `fill(v, row)` write every row of `(row_ptr, col_idx)` in place (a
+/// no-op when the rows are there already), then sort and deduplicate each,
 /// leaving `col_idx` exact-size.
 ///
 /// Each block of [`ROW_BLOCK`] rows owns its rows' ends and its window of
-/// `col_idx`. It sorts the rows that are not strictly ascending, moves
-/// each row's distinct entries to the front of the window, one row after
+/// `col_idx`. It fills each row, sorts it unless it is strictly ascending,
+/// moves its distinct entries to the front of the window, one row after
 /// the other, and rewrites the ends relative to the window. Then the
 /// blocks' kept entries move down over the gaps, in block order (a block
 /// never moves past its own start), and the ends are made absolute.
-/// Rows left strictly ascending by the bucket, as a lower triangle in row
-/// order leaves them, are not sorted, and then nothing moves.
-fn sort_dedup_rows(row_ptr: &mut [usize], col_idx: &mut Vec<VertexId>) {
+/// Rows strictly ascending as written, as a lower triangle in row order
+/// leaves a bucket, are not sorted, and then nothing moves.
+fn sort_dedup_rows(
+    row_ptr: &mut [usize],
+    col_idx: &mut Vec<VertexId>,
+    fill: impl Fn(usize, &mut [VertexId]) + Sync,
+) {
     struct Block<'a> {
         ends: &'a mut [usize],
         cols: &'a mut [VertexId],
@@ -331,8 +369,9 @@ fn sort_dedup_rows(row_ptr: &mut [usize], col_idx: &mut Vec<VertexId>) {
     par::for_chunks_mut(&mut blocks, 1, |b, block| {
         let Block { ends, cols, kept } = &mut block[0];
         let mut start = 0;
-        for end in ends.iter_mut() {
+        for (r, end) in ends.iter_mut().enumerate() {
             let stop = *end - cuts[b];
+            fill(b * ROW_BLOCK + r, &mut cols[start..stop]);
             let len = sort_dedup(&mut cols[start..stop]);
             if *kept < start {
                 cols.copy_within(start..start + len, *kept);
@@ -379,6 +418,7 @@ fn sort_dedup(row: &mut [VertexId]) -> usize {
 }
 
 /// Sort and deduplicate `row[start..]` in place.
+#[cfg(test)]
 pub(crate) fn sort_dedup_from(row: &mut Vec<VertexId>, start: usize) {
     let len = sort_dedup(&mut row[start..]);
     row.truncate(start + len);

@@ -16,8 +16,18 @@
 //! All generators are deterministic functions of their parameters (random
 //! models take an explicit seed and use splitmix64 streams, never global
 //! RNG state).
+//!
+//! The grid generators ([`stencil3d`] and the problems on it,
+//! [`elasticity3d`], [`torus3d`], [`mesh3d`]) and [`merge_edges`] know each
+//! row's length before they write it, so they write their rows straight
+//! into the graph's final arrays (`CsrGraph::from_sized_rows`), one graph
+//! alive at a time. A stencil's offsets are sorted once by their linear
+//! delta, so a row of an open box comes out strictly ascending and is not
+//! sorted again. `mesh3d` writes each row as its stencil neighbours, then
+//! its extra edges; only rows with extras are sorted. The random models
+//! build through `CsrGraph::from_edges`.
 
-use crate::csr::{bucket_edges, sort_dedup_from, CsrGraph, VertexId};
+use crate::csr::{bucket_edges, CsrGraph, VertexId};
 use mis2_prim::hash::splitmix64;
 use mis2_prim::par;
 
@@ -52,8 +62,9 @@ pub fn offsets_27pt() -> Vec<(i32, i32, i32)> {
 /// `k` cuts through a distance shell. Odd `k` rounds up to the next even
 /// count. Used by [`mesh3d`] to hit a target average degree.
 pub fn offsets_nearest(k: usize) -> Vec<(i32, i32, i32)> {
-    let r = 4i32; // radius 4 gives (9^3 - 1)/2 = 364 pairs, plenty
-                  // Enumerate only the lexicographically-positive half space.
+    // Radius 4 gives (9^3 - 1) / 2 = 364 pairs, plenty. Enumerate only the
+    // lexicographically-positive half space.
+    let r = 4i32;
     let mut cand: Vec<(i32, (i32, i32, i32))> = Vec::new();
     for dz in -r..=r {
         for dy in -r..=r {
@@ -76,9 +87,109 @@ pub fn offsets_nearest(k: usize) -> Vec<(i32, i32, i32)> {
     out
 }
 
-#[inline]
-fn grid_id(nx: usize, ny: usize, x: usize, y: usize, z: usize) -> VertexId {
-    (x + nx * (y + ny * z)) as VertexId
+/// A stencil on an `nx x ny x nz` grid, its offsets sorted once by their
+/// linear delta `Δ(o) = dx + nx * (dy + ny * dz)`. Inside the box the
+/// neighbour of `v` at `o` is `v + Δ(o)`, so an open box's rows come out
+/// strictly ascending, and a vertex at least the offsets' reach away from
+/// every face has all of them, with no bounds check.
+struct Stencil {
+    dims: [usize; 3],
+    offsets: Vec<[i64; 3]>,
+    deltas: Vec<i64>,
+    /// The largest `|o[a]|` on each axis `a`.
+    reach: [usize; 3],
+}
+
+impl Stencil {
+    fn new(
+        nx: usize,
+        ny: usize,
+        nz: usize,
+        offsets: impl IntoIterator<Item = (i32, i32, i32)>,
+    ) -> Self {
+        let delta = |o: &[i64; 3]| o[0] + nx as i64 * (o[1] + ny as i64 * o[2]);
+        let mut offsets: Vec<[i64; 3]> = offsets
+            .into_iter()
+            .map(|(dx, dy, dz)| [dx as i64, dy as i64, dz as i64])
+            .collect();
+        offsets.sort_by_key(|o| (delta(o), *o));
+        let reach = |a: usize| {
+            offsets
+                .iter()
+                .map(|o| o[a].unsigned_abs() as usize)
+                .max()
+                .unwrap_or(0)
+        };
+        Stencil {
+            dims: [nx, ny, nz],
+            deltas: offsets.iter().map(delta).collect(),
+            reach: [reach(0), reach(1), reach(2)],
+            offsets,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.dims.iter().product()
+    }
+
+    #[inline]
+    fn coords(&self, v: usize) -> [usize; 3] {
+        let [nx, ny, _] = self.dims;
+        [v % nx, (v / nx) % ny, v / (nx * ny)]
+    }
+
+    /// Every offset of `c` lands in the box.
+    #[inline]
+    fn interior(&self, c: [usize; 3]) -> bool {
+        (0..3).all(|a| c[a] >= self.reach[a] && c[a] + self.reach[a] < self.dims[a])
+    }
+
+    #[inline]
+    fn inside(&self, c: [usize; 3], o: &[i64; 3]) -> bool {
+        (0..3).all(|a| (0..self.dims[a] as i64).contains(&(c[a] as i64 + o[a])))
+    }
+
+    /// How many neighbours `v` has in the open box.
+    fn count(&self, v: usize) -> usize {
+        let c = self.coords(v);
+        if self.interior(c) {
+            self.offsets.len()
+        } else {
+            self.offsets.iter().filter(|o| self.inside(c, o)).count()
+        }
+    }
+
+    /// Write `v`'s neighbours in the open box, ascending, to the front of
+    /// `out`; returns how many there are.
+    #[inline]
+    fn write(&self, v: usize, out: &mut [VertexId]) -> usize {
+        let c = self.coords(v);
+        if self.interior(c) {
+            for (slot, &d) in out.iter_mut().zip(&self.deltas) {
+                *slot = (v as i64 + d) as VertexId;
+            }
+            return self.deltas.len();
+        }
+        let mut k = 0;
+        for (o, &d) in self.offsets.iter().zip(&self.deltas) {
+            if self.inside(c, o) {
+                out[k] = (v as i64 + d) as VertexId;
+                k += 1;
+            }
+        }
+        k
+    }
+
+    /// The graph of the stencil on the open box.
+    fn graph(&self) -> CsrGraph {
+        CsrGraph::from_sized_rows(
+            self.len(),
+            |v| self.count(v),
+            |v, row| {
+                self.write(v, row);
+            },
+        )
+    }
 }
 
 /// General 3D stencil graph on an open (non-periodic) `nx x ny x nz` grid.
@@ -86,33 +197,9 @@ fn grid_id(nx: usize, ny: usize, x: usize, y: usize, z: usize) -> VertexId {
 /// The offset list must be symmetric (contain `-o` for each `o`) for the
 /// result to be undirected; all built-in offset sets are.
 pub fn stencil3d(nx: usize, ny: usize, nz: usize, offsets: &[(i32, i32, i32)]) -> CsrGraph {
-    CsrGraph::from_row_blocks(
-        nx * ny * nz,
-        || (),
-        |_, v, row| {
-            let start = row.len();
-            let x = v % nx;
-            let y = (v / nx) % ny;
-            let z = v / (nx * ny);
-            for &(dx, dy, dz) in offsets {
-                let (xx, yy, zz) = (
-                    x as i64 + dx as i64,
-                    y as i64 + dy as i64,
-                    z as i64 + dz as i64,
-                );
-                if xx >= 0
-                    && (xx as usize) < nx
-                    && yy >= 0
-                    && (yy as usize) < ny
-                    && zz >= 0
-                    && (zz as usize) < nz
-                {
-                    row.push(grid_id(nx, ny, xx as usize, yy as usize, zz as usize));
-                }
-            }
-            row[start..].sort_unstable();
-        },
-    )
+    // The origin would make a self-loop.
+    let offsets = offsets.iter().copied().filter(|&o| o != (0, 0, 0));
+    Stencil::new(nx, ny, nz, offsets).graph()
 }
 
 /// 7-point Laplacian grid graph — the paper's `Laplace3D` (Galeri
@@ -140,45 +227,22 @@ pub fn laplace2d(nx: usize, ny: usize) -> CsrGraph {
 /// `elasticity3d(60, 60, 60, 3)` is the exact `Elasticity3D_60` problem
 /// (|V| = 648 000, avg degree just under 81).
 pub fn elasticity3d(nx: usize, ny: usize, nz: usize, dof: usize) -> CsrGraph {
-    let nodes = nx * ny * nz;
-    let n = nodes * dof;
-    let offsets = offsets_27pt();
-    CsrGraph::from_row_blocks(
-        n,
-        || (),
-        |_, v, row| {
-            let start = row.len();
-            let node = v / dof;
-            let my_dof = v % dof;
-            let x = node % nx;
-            let y = (node / nx) % ny;
-            let z = node / (nx * ny);
-            // Other dofs of my own node.
-            for d in 0..dof {
-                if d != my_dof {
-                    row.push((node * dof + d) as VertexId);
-                }
+    // The node's own offset sorts among the others, so a row of dofs
+    // node by node, less `v` itself, is strictly ascending.
+    let nodes = Stencil::new(nx, ny, nz, offsets_27pt().into_iter().chain([(0, 0, 0)]));
+    CsrGraph::from_sized_rows(
+        nodes.len() * dof,
+        |v| nodes.count(v / dof) * dof - 1,
+        |v, row| {
+            let mut near = [0; 27];
+            let count = nodes.write(v / dof, &mut near);
+            let dofs = near[..count]
+                .iter()
+                .flat_map(|&nb| (0..dof).map(move |d| nb as usize * dof + d))
+                .filter(|&w| w != v);
+            for (slot, w) in row.iter_mut().zip(dofs) {
+                *slot = w as VertexId;
             }
-            for &(dx, dy, dz) in &offsets {
-                let (xx, yy, zz) = (
-                    x as i64 + dx as i64,
-                    y as i64 + dy as i64,
-                    z as i64 + dz as i64,
-                );
-                if xx >= 0
-                    && (xx as usize) < nx
-                    && yy >= 0
-                    && (yy as usize) < ny
-                    && zz >= 0
-                    && (zz as usize) < nz
-                {
-                    let nb = grid_id(nx, ny, xx as usize, yy as usize, zz as usize) as usize;
-                    for d in 0..dof {
-                        row.push((nb * dof + d) as VertexId);
-                    }
-                }
-            }
-            row[start..].sort_unstable();
         },
     )
 }
@@ -191,26 +255,31 @@ pub fn torus3d(nx: usize, ny: usize, nz: usize, offsets: &[(i32, i32, i32)]) -> 
         nx >= 3 && ny >= 3 && nz >= 1,
         "torus needs >= 3 cells per periodic dim"
     );
-    CsrGraph::from_row_blocks(
-        nx * ny * nz,
-        || (),
-        |_, v, row| {
-            let start = row.len();
-            let x = v % nx;
-            let y = (v / nx) % ny;
-            let z = v / (nx * ny);
-            row.extend(
-                offsets
-                    .iter()
-                    .map(|&(dx, dy, dz)| {
-                        let xx = (x as i64 + dx as i64).rem_euclid(nx as i64) as usize;
-                        let yy = (y as i64 + dy as i64).rem_euclid(ny as i64) as usize;
-                        let zz = (z as i64 + dz as i64).rem_euclid(nz as i64) as usize;
-                        grid_id(nx, ny, xx, yy, zz)
-                    })
-                    .filter(|&w| w as usize != v),
-            );
-            sort_dedup_from(row, start);
+    // An offset that wraps onto the vertex itself (the origin among them)
+    // does so at every vertex.
+    let dims = [nx as i64, ny as i64, nz as i64];
+    let elsewhere = |&(dx, dy, dz): &(i32, i32, i32)| {
+        [dx, dy, dz]
+            .iter()
+            .zip(dims)
+            .any(|(&d, n)| (d as i64).rem_euclid(n) != 0)
+    };
+    let st = Stencil::new(nx, ny, nz, offsets.iter().copied().filter(elsewhere));
+    CsrGraph::from_sized_rows(
+        st.len(),
+        |_| st.offsets.len(),
+        |v, row| {
+            let c = st.coords(v);
+            if st.interior(c) {
+                st.write(v, row);
+                return;
+            }
+            // Rows that wrap are sorted, and deduplicated where two
+            // offsets wrap onto one vertex.
+            for (slot, o) in row.iter_mut().zip(&st.offsets) {
+                let w = [0, 1, 2].map(|a| (c[a] as i64 + o[a]).rem_euclid(dims[a]) as usize);
+                *slot = (w[0] + nx * (w[1] + ny * w[2])) as VertexId;
+            }
         },
     )
 }
@@ -369,10 +438,9 @@ pub fn mesh3d(
     let (nx, ny) = (side, side);
     let nz = n_target.div_ceil(nx * ny).max(1);
     let n = nx * ny * nz;
-    let offsets = offsets_nearest(base_deg);
-    let g = stencil3d(nx, ny, nz, &offsets);
+    let stencil = Stencil::new(nx, ny, nz, offsets_nearest(base_deg));
     if extra_frac <= 0.0 && hub_count == 0 {
-        return g;
+        return stencil.graph();
     }
     // Random local extras.
     let mut extra_edges: Vec<(VertexId, VertexId)> = Vec::new();
@@ -402,21 +470,33 @@ pub fn mesh3d(
             }
         }
     }
-    merge_edges(&g, &extra_edges)
+    // Each row is its stencil neighbours, then its extras: only a row
+    // with extras is sorted.
+    let (starts, targets) = bucket_edges(n, &extra_edges);
+    drop(extra_edges);
+    let extras = |v: usize| &targets[starts[v]..starts[v + 1]];
+    CsrGraph::from_sized_rows(
+        n,
+        |v| stencil.count(v) + extras(v).len(),
+        |v, row| {
+            let k = stencil.write(v, row);
+            row[k..].copy_from_slice(extras(v));
+        },
+    )
 }
 
 /// Union of an existing graph and extra undirected edges.
 pub fn merge_edges(g: &CsrGraph, extra: &[(VertexId, VertexId)]) -> CsrGraph {
     let n = g.num_vertices();
-    let (offsets, targets) = bucket_edges(n, extra);
-    CsrGraph::from_row_blocks(
+    let (starts, targets) = bucket_edges(n, extra);
+    let extras = |v: usize| &targets[starts[v]..starts[v + 1]];
+    CsrGraph::from_sized_rows(
         n,
-        || (),
-        |_, v, row| {
-            let start = row.len();
-            row.extend_from_slice(g.neighbors(v as VertexId));
-            row.extend_from_slice(&targets[offsets[v]..offsets[v + 1]]);
-            sort_dedup_from(row, start);
+        |v| g.degree(v as VertexId) + extras(v).len(),
+        |v, row| {
+            let (own, more) = row.split_at_mut(g.degree(v as VertexId));
+            own.copy_from_slice(g.neighbors(v as VertexId));
+            more.copy_from_slice(extras(v));
         },
     )
 }
@@ -424,6 +504,323 @@ pub fn merge_edges(g: &CsrGraph, extra: &[(VertexId, VertexId)]) -> CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The generators as they were first written, kept as the oracle of
+    /// the ones above: each row pushed onto a row-block buffer
+    /// (`from_row_blocks`) and sorted there, and `mesh3d` as the stencil
+    /// graph merged with its extra edges.
+    mod oracle {
+        use crate::csr::{bucket_edges, sort_dedup_from, CsrGraph, VertexId};
+        use crate::gen::{offsets_27pt, offsets_nearest};
+        use mis2_prim::hash::splitmix64;
+
+        fn grid_id(nx: usize, ny: usize, x: usize, y: usize, z: usize) -> VertexId {
+            (x + nx * (y + ny * z)) as VertexId
+        }
+
+        pub fn stencil3d(nx: usize, ny: usize, nz: usize, offsets: &[(i32, i32, i32)]) -> CsrGraph {
+            CsrGraph::from_row_blocks(
+                nx * ny * nz,
+                || (),
+                |_, v, row| {
+                    let start = row.len();
+                    let (x, y, z) = (v % nx, (v / nx) % ny, v / (nx * ny));
+                    for &(dx, dy, dz) in offsets {
+                        let (xx, yy, zz) = (
+                            x as i64 + dx as i64,
+                            y as i64 + dy as i64,
+                            z as i64 + dz as i64,
+                        );
+                        if xx >= 0
+                            && (xx as usize) < nx
+                            && yy >= 0
+                            && (yy as usize) < ny
+                            && zz >= 0
+                            && (zz as usize) < nz
+                        {
+                            row.push(grid_id(nx, ny, xx as usize, yy as usize, zz as usize));
+                        }
+                    }
+                    row[start..].sort_unstable();
+                },
+            )
+        }
+
+        pub fn elasticity3d(nx: usize, ny: usize, nz: usize, dof: usize) -> CsrGraph {
+            let offsets = offsets_27pt();
+            CsrGraph::from_row_blocks(
+                nx * ny * nz * dof,
+                || (),
+                |_, v, row| {
+                    let start = row.len();
+                    let (node, my_dof) = (v / dof, v % dof);
+                    let (x, y, z) = (node % nx, (node / nx) % ny, node / (nx * ny));
+                    for d in 0..dof {
+                        if d != my_dof {
+                            row.push((node * dof + d) as VertexId);
+                        }
+                    }
+                    for &(dx, dy, dz) in &offsets {
+                        let (xx, yy, zz) = (
+                            x as i64 + dx as i64,
+                            y as i64 + dy as i64,
+                            z as i64 + dz as i64,
+                        );
+                        if xx >= 0
+                            && (xx as usize) < nx
+                            && yy >= 0
+                            && (yy as usize) < ny
+                            && zz >= 0
+                            && (zz as usize) < nz
+                        {
+                            let nb = grid_id(nx, ny, xx as usize, yy as usize, zz as usize);
+                            for d in 0..dof {
+                                row.push((nb as usize * dof + d) as VertexId);
+                            }
+                        }
+                    }
+                    row[start..].sort_unstable();
+                },
+            )
+        }
+
+        pub fn torus3d(nx: usize, ny: usize, nz: usize, offsets: &[(i32, i32, i32)]) -> CsrGraph {
+            CsrGraph::from_row_blocks(
+                nx * ny * nz,
+                || (),
+                |_, v, row| {
+                    let start = row.len();
+                    let (x, y, z) = (v % nx, (v / nx) % ny, v / (nx * ny));
+                    row.extend(
+                        offsets
+                            .iter()
+                            .map(|&(dx, dy, dz)| {
+                                let xx = (x as i64 + dx as i64).rem_euclid(nx as i64) as usize;
+                                let yy = (y as i64 + dy as i64).rem_euclid(ny as i64) as usize;
+                                let zz = (z as i64 + dz as i64).rem_euclid(nz as i64) as usize;
+                                grid_id(nx, ny, xx, yy, zz)
+                            })
+                            .filter(|&w| w as usize != v),
+                    );
+                    sort_dedup_from(row, start);
+                },
+            )
+        }
+
+        pub fn merge_edges(g: &CsrGraph, extra: &[(VertexId, VertexId)]) -> CsrGraph {
+            let n = g.num_vertices();
+            let (offsets, targets) = bucket_edges(n, extra);
+            CsrGraph::from_row_blocks(
+                n,
+                || (),
+                |_, v, row| {
+                    let start = row.len();
+                    row.extend_from_slice(g.neighbors(v as VertexId));
+                    row.extend_from_slice(&targets[offsets[v]..offsets[v + 1]]);
+                    sort_dedup_from(row, start);
+                },
+            )
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub fn mesh3d(
+            n_target: usize,
+            base_deg: usize,
+            extra_frac: f64,
+            extra_deg: usize,
+            window: usize,
+            hub_count: usize,
+            hub_deg: usize,
+            seed: u64,
+        ) -> CsrGraph {
+            let side = (n_target as f64).cbrt().round().max(2.0) as usize;
+            let (nx, ny) = (side, side);
+            let nz = n_target.div_ceil(nx * ny).max(1);
+            let n = nx * ny * nz;
+            let g = stencil3d(nx, ny, nz, &offsets_nearest(base_deg));
+            if extra_frac <= 0.0 && hub_count == 0 {
+                return g;
+            }
+            let mut extra_edges: Vec<(VertexId, VertexId)> = Vec::new();
+            for k in 0..(n as f64 * extra_frac) as usize {
+                let h = splitmix64(seed ^ splitmix64(k as u64));
+                let v = (h % n as u64) as usize;
+                for j in 0..extra_deg {
+                    let h2 = splitmix64(h ^ splitmix64(j as u64 + 7));
+                    let delta = (h2 % (2 * window as u64 + 1)) as i64 - window as i64;
+                    let u = v as i64 + delta;
+                    if u >= 0 && (u as usize) < n && u as usize != v {
+                        extra_edges.push((v as VertexId, u as VertexId));
+                    }
+                }
+            }
+            for k in 0..hub_count {
+                let h = splitmix64(seed ^ splitmix64(0xDEAD ^ k as u64));
+                let v = (h % n as u64) as usize;
+                for j in 0..hub_deg {
+                    let h2 = splitmix64(h ^ splitmix64(j as u64));
+                    let delta = (h2 % (4 * window as u64 + 1)) as i64 - 2 * window as i64;
+                    let u = v as i64 + delta;
+                    if u >= 0 && (u as usize) < n && u as usize != v {
+                        extra_edges.push((v as VertexId, u as VertexId));
+                    }
+                }
+            }
+            merge_edges(&g, &extra_edges)
+        }
+    }
+
+    /// `got()` at pools {1, 2, 3, 5, 8} against the oracle's graph at pool
+    /// 1: the same rows, the same bytes charged, capacity equal to length.
+    fn assert_builds_as_the_oracle(
+        what: &str,
+        got: impl Fn() -> CsrGraph + Sync,
+        want: impl FnOnce() -> CsrGraph + Send,
+    ) {
+        let want = mis2_prim::pool::with_pool(1, want);
+        want.validate_symmetric().unwrap();
+        let exact = std::mem::size_of_val(want.row_ptr()) + std::mem::size_of_val(want.col_idx());
+        assert_eq!(want.heap_bytes(), exact, "{what}: the oracle");
+        for pool in [1usize, 2, 3, 5, 8] {
+            let g = mis2_prim::pool::with_pool(pool, &got);
+            assert_eq!(g, want, "{what}, pool {pool}");
+            assert_eq!(g.heap_bytes(), exact, "{what}, pool {pool}");
+        }
+    }
+
+    #[test]
+    fn every_row_generator_builds_the_graph_of_the_oracle_at_every_pool_size() {
+        // Without extras or hubs, extras alone, hubs alone, both, and
+        // windows wider than the box, so draws fall off both of its ends.
+        let meshes = [
+            (3000, 22, 0.0, 0, 0, 0, 0, 1),
+            (8000, 18, 0.1, 4, 50, 0, 0, 2),
+            (8000, 18, 0.0, 0, 50, 5, 30, 3),
+            (8000, 18, 0.1, 4, 50, 5, 30, 99),
+            (20_000, 22, 0.02, 2, 40, 3, 26, 5),
+            (500, 12, 0.5, 6, 400, 3, 40, 7),
+            (30, 26, 0.9, 8, 1000, 4, 60, 8),
+            (1, 6, 0.5, 2, 3, 1, 4, 9),
+        ];
+        for (n, base, frac, deg, window, hubs, hub_deg, seed) in meshes {
+            assert_builds_as_the_oracle(
+                &format!("mesh3d({n}, {base}, {frac}, {deg}, {window}, {hubs}, {hub_deg})"),
+                || mesh3d(n, base, frac, deg, window, hubs, hub_deg, seed),
+                || oracle::mesh3d(n, base, frac, deg, window, hubs, hub_deg, seed),
+            );
+        }
+        let plane = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0)];
+        // Dimension 3 with offsets of length 2, which wrap onto those of
+        // length 1 (the dedup path), 2-D slabs, and a z of 2, where both
+        // z offsets reach the same vertex.
+        for (dims, offsets) in [
+            ((3, 3, 3), OFFSETS_7PT.to_vec()),
+            ((3, 3, 3), offsets_nearest(40)),
+            ((3, 4, 5), offsets_27pt()),
+            ((6, 6, 1), plane.to_vec()),
+            ((5, 4, 1), OFFSETS_7PT.to_vec()),
+            ((4, 3, 2), OFFSETS_7PT.to_vec()),
+            ((17, 13, 11), offsets_nearest(18)),
+        ] {
+            let (nx, ny, nz) = dims;
+            assert_builds_as_the_oracle(
+                &format!("torus3d({nx}, {ny}, {nz}), {} offsets", offsets.len()),
+                || torus3d(nx, ny, nz, &offsets),
+                || oracle::torus3d(nx, ny, nz, &offsets),
+            );
+        }
+        for (dims, dof) in [
+            ((5, 4, 3), 1),
+            ((4, 4, 4), 3),
+            ((9, 7, 6), 3),
+            ((2, 1, 1), 2),
+        ] {
+            let (nx, ny, nz) = dims;
+            assert_builds_as_the_oracle(
+                &format!("elasticity3d({nx}, {ny}, {nz}, {dof})"),
+                || elasticity3d(nx, ny, nz, dof),
+                || oracle::elasticity3d(nx, ny, nz, dof),
+            );
+        }
+        assert_builds_as_the_oracle(
+            "laplace2d(30, 20)",
+            || laplace2d(30, 20),
+            || oracle::stencil3d(30, 20, 1, &plane),
+        );
+        assert_builds_as_the_oracle(
+            "laplace3d(17, 9, 5)",
+            || laplace3d(17, 9, 5),
+            || oracle::stencil3d(17, 9, 5, &OFFSETS_7PT),
+        );
+        for (dims, k) in [
+            ((5, 4, 3), 10),
+            ((23, 19, 7), 60),
+            ((1, 1, 1), 6),
+            ((2, 9, 1), 26),
+        ] {
+            let (nx, ny, nz) = dims;
+            let offsets = offsets_nearest(k);
+            assert_builds_as_the_oracle(
+                &format!("stencil3d({nx}, {ny}, {nz}), {k} offsets"),
+                || stencil3d(nx, ny, nz, &offsets),
+                || oracle::stencil3d(nx, ny, nz, &offsets),
+            );
+        }
+        // Extras with self-loops, repeats in both orientations, edges the
+        // graph already has, in no order; and none at all.
+        let g = laplace3d(12, 11, 7);
+        let n = g.num_vertices() as u64;
+        let mut extra: Vec<(VertexId, VertexId)> = (0..3000u64)
+            .map(|i| {
+                let h = splitmix64(i ^ 0x5EED);
+                let u = (h % n) as VertexId;
+                let v = if h >> 61 == 0 {
+                    u
+                } else {
+                    ((h >> 32) % n) as VertexId
+                };
+                (u, v)
+            })
+            .collect();
+        extra.extend([(0, 1), (1, 0), (0, 1), (5, 5), (900, 3), (3, 900)]);
+        assert!(extra.iter().any(|&(u, v)| u == v));
+        for (what, extra) in [("merge_edges", &extra[..]), ("merge_edges, no extras", &[])] {
+            assert_builds_as_the_oracle(
+                what,
+                || merge_edges(&g, extra),
+                || oracle::merge_edges(&g, extra),
+            );
+        }
+    }
+
+    #[test]
+    fn stencil_rows_come_out_strictly_ascending_as_written() {
+        // What lets `from_sized_rows` leave a row of an open box unsorted:
+        // the offsets in delta order give ascending ids, interior vertices
+        // and those on faces, edges and corners alike.
+        let sets = [
+            OFFSETS_7PT.to_vec(),
+            offsets_nearest(22),
+            offsets_nearest(60),
+            offsets_27pt().into_iter().chain([(0, 0, 0)]).collect(),
+        ];
+        for (nx, ny, nz) in [(9, 8, 7), (3, 5, 2), (1, 1, 4), (12, 1, 1)] {
+            for offsets in &sets {
+                let st = Stencil::new(nx, ny, nz, offsets.iter().copied());
+                let mut row = vec![0; offsets.len()];
+                for v in 0..st.len() {
+                    let k = st.write(v, &mut row);
+                    assert_eq!(k, st.count(v), "{nx}x{ny}x{nz}, vertex {v}");
+                    assert!(
+                        row[..k].windows(2).all(|w| w[0] < w[1]),
+                        "{nx}x{ny}x{nz}, {} offsets, vertex {v}: {:?}",
+                        offsets.len(),
+                        &row[..k]
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn laplace3d_shape() {

@@ -15,9 +15,11 @@
 //! version re-evaluated the predicate in the write pass; combined with a
 //! racy predicate that could leave uninitialized slots in the output.)
 //!
-//! Every compaction in the workspace ends in [`pack`], the one scatter:
-//! [`par_filter`] and [`par_filter_indices`] count their flags per block
-//! here, and Algorithm 1's engine counts them inside its own fused passes.
+//! Every compaction in the workspace ends in [`pack_into`], the one
+//! scatter: [`par_filter`] and [`par_filter_indices`] count their flags per
+//! block here and [`pack`] into a fresh vector, and Algorithm 1's engine
+//! counts them inside its own fused passes and packs into the vectors it
+//! keeps from run to run.
 
 use crate::par::{self, SEQ_CUTOFF};
 use crate::ptr::SharedMut;
@@ -71,7 +73,7 @@ fn filter_map<T: Send>(
 /// `b` of `keep` (blocks of `block` flags, the last one short); an
 /// exclusive scan of the counts gives each block its output range, and the
 /// blocks fill their ranges in parallel. A count that disagrees with its
-/// block's flags panics.
+/// block's flags panics. The output is allocated at its exact length.
 ///
 /// ```
 /// let keep = [true, false, true, true, false];
@@ -84,13 +86,36 @@ pub fn pack<T: Send>(
     counts: &[usize],
     item: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
+    let mut out = Vec::new();
+    pack_into(&mut out, keep, block, counts, item);
+    out
+}
+
+/// [`pack`] into `out`, replacing what it held: a caller that packs a
+/// list round after round into the same few vectors reuses their capacity
+/// and allocates only when a list outgrows it.
+///
+/// ```
+/// let mut out = Vec::with_capacity(8);
+/// mis2_prim::compact::pack_into(&mut out, &[false, true, true], 2, &[1, 1], |i| i);
+/// assert_eq!(out, [1, 2]);
+/// assert_eq!(out.capacity(), 8);
+/// ```
+pub fn pack_into<T: Send>(
+    out: &mut Vec<T>,
+    keep: &[bool],
+    block: usize,
+    counts: &[usize],
+    item: impl Fn(usize) -> T + Sync,
+) {
     assert!(block > 0 && counts.len() == keep.len().div_ceil(block));
     // Bounding every count by its block length keeps the scan exact, so
     // the ranges below tile 0..total.
     let blocks = keep.chunks(block);
     assert!(counts.iter().zip(blocks).all(|(&c, f)| c <= f.len()));
     let (offsets, total) = crate::scan::exclusive_scan(counts);
-    let mut out: Vec<T> = Vec::with_capacity(total);
+    out.clear();
+    out.reserve_exact(total);
     let w = SharedMut::new(&mut out.spare_capacity_mut()[..total]);
     par::for_chunks(keep, block, |b, flags| {
         let (mut at, end) = (offsets[b], offsets[b] + counts[b]);
@@ -108,7 +133,6 @@ pub fn pack<T: Send>(
     // SAFETY: the blocks' ranges tile 0..total and each was filled above
     // (a short block panics, and the region re-raises before this line).
     unsafe { out.set_len(total) };
-    out
 }
 
 #[cfg(test)]
@@ -213,6 +237,19 @@ mod tests {
         for t in [1, 3] {
             let got = crate::pool::with_pool(t, || pack(&keep, 300, &counts, |i| i));
             assert_eq!(got, want, "{t} threads");
+            assert_eq!(got.capacity(), got.len());
+            // Into a vector that holds more than the output, and one that
+            // holds less: the old entries are gone, the capacity is reused
+            // when it suffices.
+            for old in [60_000, 10] {
+                let mut out: Vec<usize> = (0..old).rev().collect();
+                let cap = out.capacity();
+                crate::pool::with_pool(t, || pack_into(&mut out, &keep, 300, &counts, |i| i));
+                assert_eq!(out, want, "{t} threads, {old} old entries");
+                if cap >= want.len() {
+                    assert_eq!(out.capacity(), cap);
+                }
+            }
         }
     }
 

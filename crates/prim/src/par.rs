@@ -321,9 +321,9 @@ impl<T> IndexMut<usize> for Window<'_, T> {
 }
 
 /// Parallel map over the blocks of a strictly ascending list, each block
-/// writing its own entries' slots of `out`: `f(entries, window, per)` for
-/// every block of `block` entries, one pool task each, as [`map_blocks`]
-/// runs them; the results come back in block order.
+/// writing its own entries' slots of `out`: `f(b, entries, window, per)`
+/// for every block `b` of `block` entries, one pool task each, as
+/// [`map_blocks`] runs them; the results come back in block order.
 ///
 /// `key(e)` is entry `e`'s slot of `out`. The windows cut `out` at the
 /// first key of every block but the first, so a block may write from its
@@ -339,14 +339,14 @@ impl<T> IndexMut<usize> for Window<'_, T> {
 /// let list = [1u32, 2, 5, 6, 9];
 /// let mut out = [0u32; 10];
 /// let mut flags = [false; 5];
-/// let sums = mis2_prim::par::map_windows(&list, 2, |&v| v as usize, &mut out, &mut flags, |entries, w, keep| {
+/// let sums = mis2_prim::par::map_windows(&list, 2, |&v| v as usize, &mut out, &mut flags, |b, entries, w, keep| {
 ///     for (&v, k) in entries.iter().zip(keep) {
 ///         w[v as usize] = 10 * v;
 ///         *k = v % 2 == 1;
 ///     }
-///     entries.iter().sum::<u32>()
+///     100 * b as u32 + entries.iter().sum::<u32>()
 /// });
-/// assert_eq!(sums, [3, 11, 9]);
+/// assert_eq!(sums, [3, 111, 209]);
 /// assert_eq!(out, [0, 10, 20, 0, 0, 50, 60, 0, 0, 90]);
 /// assert_eq!(flags, [true, false, true, false, true]);
 /// ```
@@ -356,7 +356,7 @@ pub fn map_windows<E: Sync, T: Send, F: Send, U: Send>(
     key: impl Fn(&E) -> usize + Sync,
     out: &mut [T],
     per_entry: &mut [F],
-    f: impl Fn(&[E], &mut Window<'_, T>, &mut [F]) -> U + Sync,
+    f: impl Fn(usize, &[E], &mut Window<'_, T>, &mut [F]) -> U + Sync,
 ) -> Vec<U> {
     struct Task<'a, E, T, F, U> {
         entries: &'a [E],
@@ -392,7 +392,7 @@ pub fn map_windows<E: Sync, T: Send, F: Send, U: Send>(
             entries.windows(2).all(|p| key(&p[0]) < key(&p[1])),
             "list keys do not ascend strictly in block {b}"
         );
-        *result = Some(f(entries, window, per));
+        *result = Some(f(b, entries, window, per));
     });
     let done = |t: Task<'_, E, T, F, U>| t.result.expect("every block ran");
     tasks.into_iter().map(done).collect()
@@ -716,7 +716,7 @@ mod tests {
             |&v| v as usize,
             &mut out,
             &mut per,
-            |e, w, p| {
+            |_, e, w, p| {
                 for (&v, p) in e.iter().zip(p) {
                     w[v as usize] += 1;
                     *p = v;

@@ -1,28 +1,47 @@
-//! `CsrGraph::from_edges` builds the graph in the arrays of its bucket:
-//! beyond the edge list it is given, the heap it holds at its peak is the
-//! bucket's offsets and targets, plus at most a quarter more (the
-//! per-participant counts of a split count pass, the row blocks' cuts).
-//! A build that re-assembles its rows into block buffers and then into
-//! fresh final arrays holds about twice the bucket, and fails here.
+//! Heap bounds of the graph builds and of Algorithm 1, counted by the
+//! allocator, so they hold whatever the allocator does with freed memory.
 //!
-//! This binary's global allocator counts live bytes over all threads and
-//! keeps their high-water mark, so allocations made on pool workers count
-//! too.
+//! * `CsrGraph::from_edges` builds the graph in the arrays of its bucket:
+//!   beyond the edge list it is given, the heap it holds at its peak is
+//!   the bucket's offsets and targets, plus at most a quarter more (the
+//!   per-participant counts of a split count pass, the row blocks' cuts).
+//!   A build that re-assembles its rows into block buffers and then into
+//!   fresh final arrays holds about twice the bucket, and fails here.
+//! * `gen::mesh3d` writes its rows straight into the graph's arrays: at
+//!   its peak it holds the graph and the bucket of its extra edges, plus
+//!   at most a quarter of the graph. Building the stencil graph first and
+//!   merging the extras into a second one holds about three graphs.
+//! * The MIS-2 engine keeps its work arrays on the calling thread: a
+//!   second run on the same thread and graph allocates at most a quarter
+//!   of what the first did (the result, the per-block counts).
+//!
+//! This binary's global allocator counts live bytes over all threads, their
+//! high-water mark, and the bytes ever asked for, so allocations made on
+//! pool workers count too. The tests take one lock, so that no two of
+//! them count at once.
 
-use mis2_graph::gen::rmat_edges;
+use mis2_core::{mis2_with_config, Mis2Config};
+use mis2_graph::gen::{self, rmat_edges};
 use mis2_graph::{CsrGraph, VertexId};
 use mis2_prim::pool::with_pool;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
 
-/// The system allocator, counting the bytes live across all threads and
-/// their high-water mark since the last [`reset_peak`].
+/// The system allocator, counting the bytes live across all threads, their
+/// high-water mark since [`peak_above_start`] reset it, and the bytes
+/// allocated in all.
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+
+/// Held by every test for as long as it counts.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn grow(bytes: usize) {
+    ALLOCATED.fetch_add(bytes, Relaxed);
     let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
     PEAK.fetch_max(live, Relaxed);
 }
@@ -75,8 +94,16 @@ fn peak_above_start<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (r, PEAK.load(Relaxed) - start)
 }
 
+/// Run `f` and return what it returned with the bytes allocated during it.
+fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let start = ALLOCATED.load(Relaxed);
+    let r = f();
+    (r, ALLOCATED.load(Relaxed) - start)
+}
+
 #[test]
 fn from_edges_holds_about_the_bucket_and_no_second_copy() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let scale = 14;
     let n = 1usize << scale;
     let edges: Vec<(VertexId, VertexId)> = rmat_edges(scale, 16, 0.57, 0.19, 0.19, 1);
@@ -94,5 +121,59 @@ fn from_edges_holds_about_the_bucket_and_no_second_copy() {
                 "pool {pool}: {peak} bytes at the peak, more than 1.25 x the bucket's {bucket}"
             );
         });
+    }
+}
+
+#[test]
+fn mesh3d_holds_its_graph_and_the_bucket_of_its_extras() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // `kernel_mesh`'s shape at two fifths of its size: 22 stencil
+    // neighbours, 2 % of the vertices with 2 extras, 8 hubs of 26.
+    let (n_target, frac, deg, hubs, hub_deg) = (200_000, 0.02, 2, 8, 26);
+    let mesh = || gen::mesh3d(n_target, 22, frac, deg, 40, hubs, hub_deg, 1);
+    for pool in [1usize, 2, 3] {
+        with_pool(pool, || {
+            let want = mesh();
+            let n = want.num_vertices();
+            // At most this many extra edges are drawn; their bucket holds
+            // offsets and both orientations of each.
+            let extras = (n as f64 * frac) as usize * deg + hubs * hub_deg;
+            let bucket = (n + 1) * size_of::<usize>() + 2 * extras * size_of::<VertexId>();
+            let (g, peak) = peak_above_start(mesh);
+            assert_eq!(g, want);
+            let graph = g.heap_bytes();
+            assert!(
+                4 * peak <= 5 * graph + 4 * bucket,
+                "pool {pool}: {peak} bytes at the peak, more than 1.25 x the graph's {graph} \
+                 and the extras' bucket of at most {bucket}"
+            );
+        });
+    }
+}
+
+#[test]
+fn a_second_mis2_on_the_same_thread_reuses_the_first_ones_work_arrays() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let g = gen::mesh3d(60_000, 22, 0.02, 2, 40, 3, 26, 1);
+    for pool in [1usize, 2] {
+        for packed in [true, false] {
+            let cfg = Mis2Config {
+                packed,
+                ..Default::default()
+            };
+            with_pool(pool, || {
+                // Another graph's run first, so the one measured finds
+                // arrays of the wrong size.
+                mis2_with_config(&gen::laplace3d(9, 9, 9), &cfg);
+                let (first, bytes) = allocated_by(|| mis2_with_config(&g, &cfg));
+                let (second, again) = allocated_by(|| mis2_with_config(&g, &cfg));
+                assert_eq!(first, second);
+                assert!(
+                    4 * again <= bytes,
+                    "pool {pool}, packed {packed}: the second run allocated {again} bytes, \
+                     the first {bytes}"
+                );
+            });
+        }
     }
 }
