@@ -180,6 +180,18 @@ impl Stencil {
         k
     }
 
+    /// `u` is one of `v`'s neighbours in the open box.
+    fn contains(&self, v: usize, u: usize) -> bool {
+        let d = u as i64 - v as i64;
+        let c = self.coords(v);
+        let first = self.deltas.partition_point(|&x| x < d);
+        self.deltas[first..]
+            .iter()
+            .zip(&self.offsets[first..])
+            .take_while(|&(&x, _)| x == d)
+            .any(|(_, o)| self.inside(c, o))
+    }
+
     /// The graph of the stencil on the open box.
     fn graph(&self) -> CsrGraph {
         CsrGraph::from_sized_rows(
@@ -470,17 +482,29 @@ pub fn mesh3d(
             }
         }
     }
-    // Each row is its stencil neighbours, then its extras: only a row
-    // with extras is sorted.
+    // Each row is its stencil neighbours, then its extras that repeat
+    // neither a stencil neighbour nor an earlier extra, so the row lengths
+    // are exact: only a row with extras is sorted, and no entry moves.
     let (starts, targets) = bucket_edges(n, &extra_edges);
     drop(extra_edges);
-    let extras = |v: usize| &targets[starts[v]..starts[v + 1]];
+    let stencil = &stencil;
+    let fresh = |v: usize| {
+        let extras = &targets[starts[v]..starts[v + 1]];
+        extras
+            .iter()
+            .enumerate()
+            .filter(move |&(k, &u)| !extras[..k].contains(&u) && !stencil.contains(v, u as usize))
+            .map(|(_, &u)| u)
+    };
     CsrGraph::from_sized_rows(
         n,
-        |v| stencil.count(v) + extras(v).len(),
+        |v| stencil.count(v) + fresh(v).count(),
         |v, row| {
             let k = stencil.write(v, row);
-            row[k..].copy_from_slice(extras(v));
+            row[k..]
+                .iter_mut()
+                .zip(fresh(v))
+                .for_each(|(slot, u)| *slot = u);
         },
     )
 }

@@ -7,15 +7,27 @@
 //! the main solver."
 //!
 //! Setup: aggregate (any [`AggScheme`]) → tentative prolongator → smoothed
-//! prolongator `P = (I − ω D⁻¹ A) P_tent` → Galerkin `A_c = Pᵀ A P`,
-//! recursively until the coarse system is small enough for a dense LU.
-//! Apply: standard V-cycle with pre/post Jacobi smoothing.
+//! prolongator `P = (I − ω D⁻¹ A) P_tent` → its transpose `Pᵀ`, made once
+//! and kept → Galerkin `A_c = Pᵀ (A P)`, recursively until the coarse
+//! system is small enough for a dense LU.
+//!
+//! Apply: standard V-cycle with pre/post Jacobi smoothing. It restricts
+//! with an SpMV over the kept `Pᵀ`, in a pool region: each row of `Pᵀ`
+//! lists its old rows of `P` in ascending order, so every coarse entry
+//! sums the same products in the same order, from `0.0`, as a scatter
+//! over the rows of `P` would. Every pre-smooth starts from `x = 0`; on a
+//! level whose operator holds only finite values its first Jacobi sweep
+//! skips the SpMV, whose result is `+0.0` in every row
+//! ([`JacobiSmoother::smooth_from_zero`]), and a level with a non-finite
+//! value runs it in full. The residual `b − A x` and the correction
+//! `x += P x_c` are one pass each ([`CsrMatrix::spmv_with`]), as is each
+//! Jacobi sweep, with the bits of an SpMV followed by its elementwise
+//! pass. Every vector a V-cycle needs lives in the hierarchy's per-level
+//! scratch, so a V-cycle after the first allocates none.
 
 use crate::precond::{JacobiSmoother, Preconditioner};
 use mis2_coarsen::{smoothed_prolongator, tentative_prolongator, AggScheme};
-use mis2_prim::par;
-use mis2_sparse::kernels::axpy;
-use mis2_sparse::{galerkin_product, CsrMatrix, LuFactors};
+use mis2_sparse::{spgemm, CsrMatrix, LuFactors};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -69,6 +81,8 @@ pub struct AmgSetupStats {
 struct AmgLevel {
     a: CsrMatrix,
     p: CsrMatrix,
+    /// `Pᵀ`, the restriction.
+    pt: CsrMatrix,
     smoother: JacobiSmoother,
 }
 
@@ -91,10 +105,14 @@ enum CoarseSolve {
     Jacobi(JacobiSmoother),
 }
 
+/// One level's vectors: `tmp` has the level's rows (the smoother's other
+/// iterate, then the residual), `bc` (the restricted residual) and `xc`
+/// (the coarse correction) the next level's.
 #[derive(Default, Clone)]
 struct LevelScratch {
-    r: Vec<f64>,
     tmp: Vec<f64>,
+    bc: Vec<f64>,
+    xc: Vec<f64>,
 }
 
 impl AmgHierarchy {
@@ -122,13 +140,16 @@ impl AmgHierarchy {
             } else {
                 p_tent
             };
-            let coarse = galerkin_product(&cur, &p);
+            // `galerkin_product`'s body, keeping its one transpose.
+            let pt = p.transpose();
+            let coarse = spgemm(&pt, &spgemm(&cur, &p));
             let smoother = JacobiSmoother::new(&cur, cfg.omega, cfg.smoother_sweeps);
             level_sizes.push(coarse.nrows());
             nnz_total += coarse.nnz() as f64;
             levels.push(AmgLevel {
                 a: cur,
                 p,
+                pt,
                 smoother,
             });
             cur = coarse;
@@ -159,15 +180,15 @@ impl AmgHierarchy {
         self.levels.len() + 1
     }
 
-    /// One V-cycle from `level` down; `scratch[0]` belongs to `level`, the
-    /// rest of the slice to the levels below it.
+    /// One V-cycle from `level` down, writing every entry of `x` (its
+    /// input is not read); `scratch[0]` belongs to `level`, the rest of the
+    /// slice to the levels below it.
     fn v_cycle(&self, level: usize, b: &[f64], x: &mut [f64], scratch: &mut [LevelScratch]) {
         if level == self.levels.len() {
             match &self.coarse {
-                CoarseSolve::Lu(lu) => x.copy_from_slice(&lu.solve(b)),
+                CoarseSolve::Lu(lu) => lu.solve_into(b, x),
                 CoarseSolve::Jacobi(sm) => {
-                    x.iter_mut().for_each(|v| *v = 0.0);
-                    sm.smooth(&self.coarse_a, b, x, &mut scratch[0].tmp);
+                    sm.smooth_from_zero(&self.coarse_a, b, x, &mut scratch[0].tmp)
                 }
             }
             return;
@@ -176,49 +197,29 @@ impl AmgHierarchy {
         let (s, deeper) = scratch
             .split_first_mut()
             .expect("one scratch slot per level");
-        // Pre-smooth.
-        lvl.smoother.smooth(&lvl.a, b, x, &mut s.tmp);
-        // Residual r = b - A x, in the level's own buffer.
-        s.r.resize(x.len(), 0.0);
-        lvl.a.spmv_into(x, &mut s.r);
-        par::for_each_slice_mut(&mut s.r, |lo, r| {
-            for (r, b) in r.iter_mut().zip(&b[lo..]) {
-                *r = b - *r;
-            }
-        });
-        // Restrict: bc = P^T r, without materializing the transpose.
-        let bc = transpose_spmv(&lvl.p, &s.r);
-        let mut xc = vec![0.0; bc.len()];
-        // Recurse.
-        self.v_cycle(level + 1, &bc, &mut xc, deeper);
-        // Prolong and correct.
-        s.tmp.resize(x.len(), 0.0);
-        lvl.p.spmv_into(&xc, &mut s.tmp);
-        axpy(1.0, &s.tmp, x);
+        // Pre-smooth from x = 0: the first sweep skips its SpMV when the
+        // level's operator is finite, and runs it in full otherwise.
+        lvl.smoother.smooth_from_zero(&lvl.a, b, x, &mut s.tmp);
+        // Residual r = b - A x, in one pass, in the level's own buffer.
+        let r = &mut s.tmp;
+        lvl.a.spmv_with(x, r, |i, ax, _| b[i] - ax);
+        // Restrict: bc = Pᵀ r through the kept transpose. Each coarse entry
+        // sums its rows of P in ascending order from 0.0.
+        s.bc.resize(lvl.pt.nrows(), 0.0);
+        lvl.pt.spmv_into(r, &mut s.bc);
+        // Recurse; the coarse level writes all of xc.
+        s.xc.resize(s.bc.len(), 0.0);
+        self.v_cycle(level + 1, &s.bc, &mut s.xc, deeper);
+        // Prolong and correct, in one pass: x += 1.0 · P xc.
+        lvl.p.spmv_with(&s.xc, x, |_, pxc, x| x + 1.0 * pxc);
         // Post-smooth.
         lvl.smoother.smooth(&lvl.a, b, x, &mut s.tmp);
     }
 }
 
-/// `y = Aᵀ x` without materializing the transpose (deterministic: each
-/// output entry accumulates sequentially over a fixed traversal order).
-#[allow(clippy::needless_range_loop)]
-fn transpose_spmv(a: &CsrMatrix, x: &[f64]) -> Vec<f64> {
-    let mut y = vec![0.0f64; a.ncols()];
-    for r in 0..a.nrows() {
-        let (cols, vals) = a.row(r);
-        let xr = x[r];
-        for (&c, &v) in cols.iter().zip(vals) {
-            y[c as usize] += v * xr;
-        }
-    }
-    y
-}
-
 impl Preconditioner for AmgHierarchy {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         assert_eq!(r.len(), z.len());
-        z.iter_mut().for_each(|v| *v = 0.0);
         let mut scratch = self.scratch.lock().unwrap();
         self.v_cycle(0, r, z, &mut scratch);
     }
@@ -234,6 +235,7 @@ mod tests {
     use crate::cg::{pcg, SolveOpts};
     use crate::precond::Identity;
     use mis2_sparse::gen as sgen;
+    use mis2_sparse::kernels::axpy;
 
     #[test]
     fn builds_multilevel_hierarchy() {
@@ -381,6 +383,141 @@ mod tests {
             amg.apply(&b, &mut z);
             assert_eq!(z, want);
         }
+    }
+
+    /// The V-cycle as it was written before `AmgLevel` kept `Pᵀ`: every
+    /// pre-smooth runs its full first sweep from `x = 0`, the restriction
+    /// is a serial scatter over the rows of `P`, and the coarse vectors are
+    /// allocated per call.
+    fn oracle_v_cycle(amg: &AmgHierarchy, level: usize, b: &[f64], x: &mut [f64]) {
+        let mut tmp = Vec::new();
+        if level == amg.levels.len() {
+            match &amg.coarse {
+                CoarseSolve::Lu(lu) => x.copy_from_slice(&lu.solve(b)),
+                CoarseSolve::Jacobi(sm) => {
+                    x.iter_mut().for_each(|v| *v = 0.0);
+                    sm.smooth(&amg.coarse_a, b, x, &mut tmp);
+                }
+            }
+            return;
+        }
+        let lvl = &amg.levels[level];
+        lvl.smoother.smooth(&lvl.a, b, x, &mut tmp);
+        let mut r = lvl.a.spmv(x);
+        for (r, b) in r.iter_mut().zip(b) {
+            *r = b - *r;
+        }
+        let mut bc = vec![0.0f64; lvl.p.ncols()];
+        for (row, &rr) in r.iter().enumerate() {
+            let (cols, vals) = lvl.p.row(row);
+            for (&c, &v) in cols.iter().zip(vals) {
+                bc[c as usize] += v * rr;
+            }
+        }
+        let mut xc = vec![0.0; bc.len()];
+        oracle_v_cycle(amg, level + 1, &bc, &mut xc);
+        axpy(1.0, &lvl.p.spmv(&xc), x);
+        lvl.smoother.smooth(&lvl.a, b, x, &mut tmp);
+    }
+
+    /// A right-hand side with both signs, exact zeros and a `-0.0`.
+    fn oracle_rhs(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| match i % 11 {
+                3 => 0.0,
+                7 => -0.0,
+                _ => {
+                    let h = mis2_prim::hash::splitmix64(i as u64);
+                    (h % 2001) as f64 / 1000.0 - 1.0
+                }
+            })
+            .collect()
+    }
+
+    /// `apply` equals [`oracle_v_cycle`] bit for bit at pools 1-3, on its
+    /// first call and on a second that reuses the scratch, for every
+    /// aggregation scheme. `finite` is whether the finest level's
+    /// pre-smooth may skip its first SpMV.
+    fn assert_apply_is_the_oracle(name: &str, a: &CsrMatrix, min_coarse_size: usize, finite: bool) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let b = oracle_rhs(a.nrows());
+        for scheme in AggScheme::all() {
+            let cfg = AmgConfig {
+                scheme,
+                min_coarse_size,
+                ..Default::default()
+            };
+            let amg = AmgHierarchy::build(a, &cfg);
+            assert!(amg.num_levels() >= 2, "{name}: one level");
+            assert_eq!(amg.levels[0].smoother.finite, finite, "{name}");
+            let mut want = vec![0.0; a.nrows()];
+            oracle_v_cycle(&amg, 0, &b, &mut want);
+            for pool in [1, 2, 3] {
+                mis2_prim::pool::with_pool(pool, || {
+                    for call in 0..2 {
+                        let mut z = vec![f64::NAN; a.nrows()];
+                        amg.apply(&b, &mut z);
+                        assert!(
+                            bits(&z) == bits(&want),
+                            "{name}, {}, pool {pool}, call {call}: apply is not the oracle",
+                            scheme.label()
+                        );
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn v_cycle_equals_the_oracle_on_grids() {
+        assert_apply_is_the_oracle(
+            "Laplace3D 12^3",
+            &sgen::laplace3d_matrix(12, 12, 12),
+            200,
+            true,
+        );
+        assert_apply_is_the_oracle(
+            "Laplace3D 24^3",
+            &sgen::laplace3d_matrix(24, 24, 24),
+            200,
+            true,
+        );
+        assert_apply_is_the_oracle(
+            "Elasticity3D 6^3",
+            &sgen::elasticity3d_matrix(6, 6, 6),
+            200,
+            true,
+        );
+    }
+
+    #[test]
+    fn v_cycle_equals_the_oracle_on_the_tiny_suite() {
+        use mis2_graph::suite::{build_all, Scale};
+        for (name, g) in build_all(Scale::Tiny) {
+            assert_apply_is_the_oracle(name, &sgen::spd_from_graph(&g, 7), 200, true);
+        }
+    }
+
+    #[test]
+    fn v_cycle_equals_the_oracle_with_an_infinite_entry() {
+        // `inf · 0` is NaN, so the finest level keeps its full first sweep.
+        // A skipped SpMV would give the same output bits here (the NaN
+        // reaches every level through P and the Galerkin product), so the
+        // smoother's own test is the one that sees it.
+        let a = sgen::laplace3d_matrix(8, 8, 8);
+        let (k, _) = a.row(100);
+        let j = k[0] as usize;
+        let coo: Vec<(u32, u32, f64)> = (0..a.nrows())
+            .flat_map(|r| {
+                let (cols, vals) = a.row(r);
+                cols.iter().zip(vals).map(move |(&c, &v)| {
+                    let off = (r, c as usize) == (100, j) || (r, c as usize) == (j, 100);
+                    (r as u32, c, if off { f64::INFINITY } else { v })
+                })
+            })
+            .collect();
+        let a = CsrMatrix::from_coo(a.nrows(), a.ncols(), &coo);
+        assert_apply_is_the_oracle("Laplace3D 8^3 with inf", &a, 40, false);
     }
 
     #[test]

@@ -221,6 +221,14 @@ impl CsrMatrix {
 
     /// `y = A x`, writing into an existing buffer.
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
+        self.spmv_with(x, y, |_, ax, _| ax);
+    }
+
+    /// `y[r] = f(r, (A x)[r], y[r])` for every row `r`: an SpMV and the
+    /// elementwise pass that consumes it, in one pass and one pool region.
+    /// Each row's product is summed as [`CsrMatrix::spmv_into`] sums it,
+    /// in stored order from `0.0`.
+    pub fn spmv_with(&self, x: &[f64], y: &mut [f64], f: impl Fn(usize, f64, f64) -> f64 + Sync) {
         assert_eq!(x.len(), self.ncols, "x length mismatch");
         assert_eq!(y.len(), self.nrows, "y length mismatch");
         par::for_each_mut_indexed(y, |r, yr| {
@@ -229,7 +237,7 @@ impl CsrMatrix {
             for (&c, &v) in cols.iter().zip(vals) {
                 acc += v * x[c as usize];
             }
-            *yr = acc;
+            *yr = f(r, acc, *yr);
         });
     }
 
@@ -397,6 +405,17 @@ mod tests {
         let m = small();
         let y = m.spmv(&[1.0, 2.0, 3.0]);
         assert_eq!(y, vec![0.0, 0.0, 4.0]);
+    }
+
+    #[test]
+    fn spmv_with_hands_each_row_its_product_and_old_value() {
+        // (A x) = [0, 0, 4]: y[r] becomes r + 10 (A x)[r] - y[r].
+        let m = small();
+        let mut y = vec![1.0, 2.0, 3.0];
+        m.spmv_with(&[1.0, 2.0, 3.0], &mut y, |r, ax, old| {
+            r as f64 + 10.0 * ax - old
+        });
+        assert_eq!(y, vec![-1.0, -1.0, 39.0]);
     }
 
     #[test]

@@ -123,12 +123,23 @@ pub struct LuFactors {
 
 impl LuFactors {
     /// Solve `A x = b`.
-    #[allow(clippy::needless_range_loop)]
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let mut x = vec![0.0; self.n];
+        self.solve_into(b, &mut x);
+        x
+    }
+
+    /// Solve `A x = b` into `x`, with the arithmetic of [`LuFactors::solve`]
+    /// and no allocation.
+    #[allow(clippy::needless_range_loop)]
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
         assert_eq!(b.len(), self.n);
+        assert_eq!(x.len(), self.n);
         let n = self.n;
         // Apply permutation.
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
+        for (x, &p) in x.iter_mut().zip(&self.perm) {
+            *x = b[p];
+        }
         // Forward substitution (L has unit diagonal).
         for i in 1..n {
             let mut acc = x[i];
@@ -145,7 +156,6 @@ impl LuFactors {
             }
             x[i] = acc / self.lu[i * n + i];
         }
-        x
     }
 }
 

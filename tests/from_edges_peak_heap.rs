@@ -14,6 +14,9 @@
 //! * The MIS-2 engine keeps its work arrays on the calling thread: a
 //!   second run on the same thread and graph allocates at most a quarter
 //!   of what the first did (the result, the per-block counts).
+//! * An AMG V-cycle keeps every vector it needs in the hierarchy's
+//!   per-level scratch: from its second call on, `AmgHierarchy::apply`
+//!   on one thread allocates at most 1 KiB.
 //!
 //! This binary's global allocator counts live bytes over all threads, their
 //! high-water mark, and the bytes ever asked for, so allocations made on
@@ -24,6 +27,7 @@ use mis2_core::{mis2_with_config, Mis2Config};
 use mis2_graph::gen::{self, rmat_edges};
 use mis2_graph::{CsrGraph, VertexId};
 use mis2_prim::pool::with_pool;
+use mis2_solver::{AmgConfig, AmgHierarchy, Preconditioner};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
@@ -176,4 +180,24 @@ fn a_second_mis2_on_the_same_thread_reuses_the_first_ones_work_arrays() {
             });
         }
     }
+}
+
+#[test]
+fn an_amg_v_cycle_after_the_first_allocates_no_vectors() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let a = mis2_sparse::gen::laplace3d_matrix(24, 24, 24);
+    let b: Vec<f64> = (0..a.nrows()).map(|i| (i % 7) as f64 - 3.0).collect();
+    with_pool(1, || {
+        let amg = AmgHierarchy::build(&a, &AmgConfig::default());
+        assert!(amg.num_levels() >= 3, "{} levels", amg.num_levels());
+        let mut z = vec![0.0; a.nrows()];
+        amg.apply(&b, &mut z);
+        for call in 2..5 {
+            let ((), bytes) = allocated_by(|| amg.apply(&b, &mut z));
+            assert!(
+                bytes <= 1024,
+                "call {call} of apply allocated {bytes} bytes"
+            );
+        }
+    });
 }
