@@ -434,9 +434,9 @@ pub fn chunked_reduce<T: Sync, U: Send>(
     if n == 0 {
         return identity;
     }
-    // One block, a nested context, or a single worker: still fold in the
-    // same per-chunk structure so results match the parallel path exactly.
-    if n <= chunk || in_region() || current_threads() <= 1 {
+    // One block or a nested context: still fold in the same per-chunk
+    // structure so results match the parallel path exactly.
+    if n <= chunk || in_region() {
         return items
             .chunks(chunk)
             .fold(identity, |acc, c| combine(acc, map_chunk(c)));
@@ -484,7 +484,7 @@ pub fn map_reduce_range<I: ParIndex, U: Send + Sync + Clone>(
             .map(|i| map(I::from_usize(i)))
             .fold(identity.clone(), &combine)
     };
-    if nblocks == 1 || in_region() || current_threads() <= 1 {
+    if nblocks == 1 || in_region() {
         return (0..nblocks).fold(identity.clone(), |acc, b| combine(acc, block_partial(b)));
     }
     let partials = map_blocks(nblocks, block_partial);
@@ -518,7 +518,7 @@ pub fn find_map_range<I: ParIndex, U: Send>(
 
     let start = range.start.to_usize();
     let n = range.end.to_usize().saturating_sub(start);
-    if n < PAR_CUTOFF || in_region() || current_threads() <= 1 {
+    if n < PAR_CUTOFF || in_region() {
         return (0..n).find_map(|i| f(I::from_usize(start + i)));
     }
     let block = adaptive_block(n);

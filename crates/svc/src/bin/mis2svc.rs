@@ -1,8 +1,7 @@
 //! `mis2svc` — the graph-service daemon and its command-line client.
 //!
 //! ```text
-//! mis2svc serve  [--addr HOST:PORT] [--threads N] [--workers K]
-//!                [--queue-cap N] [--scale tiny|small|paper]
+//! mis2svc serve  [--addr HOST:PORT] [--threads N] [--scale tiny|small|paper]
 //!                [--mem-budget BYTES[k|m|g]] [--max-inflight N]
 //!                [--max-conns N] [--slow-ms MS]
 //!                [--io-backend epoll|threads]
@@ -18,18 +17,19 @@
 //! response's bytes leaving only with their artifact, and responses stay
 //! byte-identical either way. `--max-inflight` caps how
 //! many pipelined (v3) requests one connection may keep outstanding
-//! (absent = 64). Zero is a usage error for every flag whose zero value
-//! the server cannot honor (`--threads`, `--workers`, `--queue-cap`,
-//! `--max-conns`, `--max-inflight`): the explicit `0` would silently
-//! become a default — worse, a `--max-inflight 0` hello would advertise
-//! a window no client accepts — so the daemon refuses it up front,
-//! mirroring the client's `max_inflight=0` hello rejection. `--slow-ms`
-//! sets the slow-request ring's capture threshold (default 500); `0` is
-//! legal and captures **every** request — the knob CI uses to prove the
-//! ring works. `--io-backend` selects the connection engine: `epoll`
-//! (one nonblocking readiness loop, the Linux default) or `threads`
-//! (reader+writer thread per connection, the portable fallback and the
-//! default elsewhere). Responses are bitwise-identical either way; an
+//! (absent = 64). `--threads` is the compute budget (absent = every
+//! CPU): the scheduler runs `min(4, N)` worker-leaders over a fixed
+//! 64-job queue. Zero is a usage error for every flag whose zero value
+//! the server cannot honor (`--threads`, `--max-conns`,
+//! `--max-inflight`): the explicit `0` would silently become a default
+//! — worse, a `--max-inflight 0` hello would advertise a window no client
+//! accepts — so the daemon refuses it up front, mirroring the client's
+//! `max_inflight=0` hello rejection. `--slow-ms` sets the slow-request
+//! ring's capture threshold (default 500); `0` is legal and captures
+//! **every** request — the knob CI uses to prove the ring works.
+//! `--io-backend` selects the connection engine: `epoll` (one nonblocking
+//! readiness loop, the Linux default) or `threads` (reader+writer thread
+//! per connection, the portable fallback and the default elsewhere). Responses are bitwise-identical either way; an
 //! explicit `epoll` on a non-Linux host is a usage error rather than a
 //! silent downgrade.
 //!
@@ -61,8 +61,7 @@ use mis2_svc::{client::Client, client::V3Client, server, shard};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mis2svc serve  [--addr HOST:PORT] [--threads N] [--workers K]\n\
-         \x20                     [--queue-cap N] [--scale tiny|small|paper]\n\
+        "usage: mis2svc serve  [--addr HOST:PORT] [--threads N] [--scale tiny|small|paper]\n\
          \x20                     [--mem-budget BYTES[k|m|g]] [--max-inflight N]\n\
          \x20                     [--max-conns N] [--slow-ms MS]\n\
          \x20                     [--io-backend epoll|threads]\n\
@@ -158,8 +157,6 @@ fn cmd_serve(argv: &[String]) {
         match argv[i].as_str() {
             "--addr" => cfg.addr = take(&mut i).to_string(),
             "--threads" => cfg.threads = parse_nonzero("--threads", take(&mut i)),
-            "--workers" => cfg.workers = parse_nonzero("--workers", take(&mut i)),
-            "--queue-cap" => cfg.queue_cap = parse_nonzero("--queue-cap", take(&mut i)),
             "--max-conns" => cfg.max_conns = parse_nonzero("--max-conns", take(&mut i)),
             "--mem-budget" => cfg.mem_budget = parse_bytes("--mem-budget", take(&mut i)),
             "--max-inflight" => cfg.max_inflight = parse_nonzero("--max-inflight", take(&mut i)),

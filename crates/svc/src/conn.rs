@@ -1051,11 +1051,7 @@ mod tests {
         overlong.extend_from_slice(b"PING\n");
         let at_eof = format!("PING\n{}\nQUIT", requests[0]);
         let at_eof_wire = format!("OK PONG\n{}\nOK BYE\n", want[0]);
-        let sched = Arc::new(Scheduler::new(SchedConfig {
-            threads: 2,
-            workers: 2,
-            queue_cap: 0,
-        }));
+        let sched = Arc::new(Scheduler::new(SchedConfig { threads: 2 }));
         let mut registry = Arc::new(Registry::new(Scale::Tiny));
         for seed in seeds {
             if seed % COLD_EVERY == 0 {

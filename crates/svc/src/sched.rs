@@ -11,7 +11,8 @@
 //! bursty (Blelloch et al.: expected polylog depth per MIS pass), so the
 //! winning shape is a *few* warm leaders batching many cheap jobs:
 //!
-//! * `K = workers` leader threads pull jobs from one bounded queue;
+//! * `K = min(4, threads)` leader threads pull jobs from one bounded queue
+//!   of 64 slots;
 //! * each leader runs its job under `with_pool(team)` where
 //!   `team = threads / K`, so the K concurrent jobs *split* the parked
 //!   workers via `mis2_prim::pool`'s sub-team dispatch instead of fighting
@@ -68,18 +69,21 @@ pub type Job = Box<dyn FnOnce() -> crate::ops::Response + Send>;
 /// module docs).
 pub type Completion = Box<dyn FnOnce(crate::ops::Response) + Send>;
 
-/// Scheduler sizing. Zeros mean "pick a sensible default".
+/// Scheduler sizing. The leaders follow from the budget: `min(4, threads)`
+/// worker-leaders, each job on a sub-team of `threads / workers`; the
+/// queue holds 64 jobs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedConfig {
     /// Total thread budget shared by all concurrently running jobs
     /// (0 = all logical CPUs).
     pub threads: usize,
-    /// Worker-leader threads pulling from the queue
-    /// (0 = `min(4, threads)`).
-    pub workers: usize,
-    /// Bounded queue capacity; producers block when full (0 = 64).
-    pub queue_cap: usize,
 }
+
+/// Most worker-leader threads, whatever the thread budget.
+const MAX_WORKERS: usize = 4;
+
+/// Jobs the bounded queue holds; producers block while it is full.
+const QUEUE_CAP: usize = 64;
 
 /// Aggregated per-job statistics (durations in microseconds).
 #[derive(Debug, Default)]
@@ -153,7 +157,6 @@ struct Inner {
     queue: Mutex<Queue>,
     not_empty: Condvar,
     not_full: Condvar,
-    queue_cap: usize,
     team: usize,
     stats: SchedStats,
 }
@@ -175,21 +178,12 @@ impl Scheduler {
         // Never more leaders than budgeted threads: each leader runs a job
         // concurrently, so workers > threads would oversubscribe the very
         // budget `threads` declares.
-        let nworkers = if cfg.workers == 0 {
-            threads.min(4)
-        } else {
-            cfg.workers.clamp(1, threads)
-        };
-        let queue_cap = if cfg.queue_cap == 0 {
-            64
-        } else {
-            cfg.queue_cap
-        };
+        let nworkers = threads.min(MAX_WORKERS);
         // K concurrent jobs split the thread budget; each leader thread
         // counts toward its own sub-team. Floor division keeps the sum of
         // sub-teams within the budget (at most nworkers - 1 budgeted
         // threads stay idle from the remainder).
-        let team = (threads / nworkers).max(1);
+        let team = threads / nworkers;
         let inner = Arc::new(Inner {
             queue: Mutex::new(Queue {
                 jobs: VecDeque::new(),
@@ -197,7 +191,6 @@ impl Scheduler {
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            queue_cap,
             team,
             stats: SchedStats::default(),
         });
@@ -241,7 +234,7 @@ impl Scheduler {
     /// must obey.
     pub fn submit_with(&self, job: Job, done: Completion) {
         let mut q = self.inner.queue.lock().unwrap();
-        while q.jobs.len() >= self.inner.queue_cap && !q.shutdown {
+        while q.jobs.len() >= QUEUE_CAP && !q.shutdown {
             q = self.inner.not_full.wait(q).unwrap();
         }
         if q.shutdown {
@@ -350,17 +343,13 @@ mod tests {
         Response::ok_text(body.to_string())
     }
 
-    fn sched(threads: usize, workers: usize, cap: usize) -> Scheduler {
-        Scheduler::new(SchedConfig {
-            threads,
-            workers,
-            queue_cap: cap,
-        })
+    fn sched(threads: usize) -> Scheduler {
+        Scheduler::new(SchedConfig { threads })
     }
 
     #[test]
     fn jobs_complete_with_their_own_results() {
-        let s = sched(2, 2, 8);
+        let s = sched(2);
         let handles: Vec<JobHandle> = (0..20)
             .map(|i| s.submit(Box::new(move || Response::ok_text(format!("job {i}")))))
             .collect();
@@ -385,23 +374,22 @@ mod tests {
 
     #[test]
     fn team_splits_thread_budget_across_workers() {
-        let s = sched(8, 4, 4);
-        assert_eq!(s.team(), 2);
-        assert_eq!(s.workers(), 4);
-        s.shutdown();
-        let s = sched(1, 0, 0);
-        assert_eq!((s.team(), s.workers()), (1, 1));
-        s.shutdown();
-        // An explicit worker count is clamped to the thread budget: a
-        // 2-thread budget must never run 8 concurrent leaders.
-        let s = sched(2, 8, 4);
-        assert_eq!((s.team(), s.workers()), (1, 2));
-        s.shutdown();
+        // At most four leaders, never more than the budget, and each job's
+        // sub-team is the budget's share per leader, rounded down.
+        for (threads, workers, team) in [(1, 1, 1), (2, 2, 1), (3, 3, 1), (8, 4, 2)] {
+            let s = sched(threads);
+            assert_eq!(
+                (s.workers(), s.team()),
+                (workers, team),
+                "threads {threads}"
+            );
+            s.shutdown();
+        }
     }
 
     #[test]
     fn panicking_job_yields_err_and_worker_survives() {
-        let s = sched(1, 1, 4);
+        let s = sched(1);
         let bad = s.submit(Box::new(|| panic!("kaboom")));
         assert!(bad.wait().starts_with("ERR "));
         let good = s.submit(Box::new(|| ok("fine")));
@@ -412,24 +400,36 @@ mod tests {
 
     #[test]
     fn bounded_queue_applies_backpressure_but_completes_everything() {
-        // Queue of 2 with 1 worker and 8 producers: submits block rather
-        // than grow unboundedly, and every job still completes.
-        let s = Arc::new(sched(1, 1, 2));
-        let done = Arc::new(AtomicU64::new(0));
+        // One worker held on a gate and a full queue of 64 behind it: the
+        // 65th submit blocks until the gate opens, and every job completes.
+        let s = sched(1);
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        let held = s.submit(Box::new(move || {
+            started_tx.send(()).unwrap();
+            gate_rx.recv().unwrap();
+            ok("held")
+        }));
+        started_rx.recv().unwrap();
+        let queued: Vec<JobHandle> = (0..QUEUE_CAP)
+            .map(|i| s.submit(Box::new(move || Response::ok_text(format!("{i}")))))
+            .collect();
+        let (returned_tx, returned_rx) = std::sync::mpsc::channel::<JobHandle>();
         std::thread::scope(|scope| {
-            for p in 0..8u64 {
-                let s = Arc::clone(&s);
-                let done = Arc::clone(&done);
-                scope.spawn(move || {
-                    for j in 0..5u64 {
-                        let h = s.submit(Box::new(move || Response::ok_text(format!("{p}/{j}"))));
-                        assert_eq!(h.wait(), format!("OK {p}/{j}"));
-                        done.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
+            scope.spawn(|| returned_tx.send(s.submit(Box::new(|| ok("last")))).unwrap());
+            let wait = std::time::Duration::from_millis(100);
+            assert!(
+                returned_rx.recv_timeout(wait).is_err(),
+                "a submit past a full queue returned"
+            );
+            gate_tx.send(()).unwrap();
+            assert_eq!(returned_rx.recv().unwrap().wait(), "OK last");
         });
-        assert_eq!(done.load(Ordering::Relaxed), 40);
+        assert_eq!(held.wait(), "OK held");
+        for (i, h) in queued.into_iter().enumerate() {
+            assert_eq!(h.wait(), format!("OK {i}"));
+        }
+        assert_eq!(s.stats().jobs.load(Ordering::Relaxed), QUEUE_CAP as u64 + 2);
         s.shutdown();
     }
 
@@ -439,7 +439,7 @@ mod tests {
         // The fast job's completion must arrive first — the scheduler
         // delivers in completion order, which is the whole point of the
         // pipelined v3 protocol.
-        let s = sched(2, 2, 8);
+        let s = sched(2);
         let (tx, rx) = std::sync::mpsc::channel::<String>();
         let slow_tx = tx.clone();
         s.submit_with(
@@ -464,7 +464,7 @@ mod tests {
         // One worker busy with a slow job; three more queue behind it.
         // Shutdown must hand every queued job's completion an ERR line
         // (exactly-once delivery), while the in-flight job finishes.
-        let s = sched(1, 1, 8);
+        let s = sched(1);
         let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
         let (tx, rx) = std::sync::mpsc::channel::<String>();
         let slow_tx = tx.clone();
@@ -505,7 +505,7 @@ mod tests {
 
     #[test]
     fn panicking_completion_does_not_kill_the_worker() {
-        let s = sched(1, 1, 4);
+        let s = sched(1);
         s.submit_with(
             Box::new(|| ok("doomed")),
             Box::new(|_| panic!("completion kaboom")),
@@ -519,7 +519,7 @@ mod tests {
 
     #[test]
     fn shutdown_rejects_new_jobs_and_is_idempotent() {
-        let s = sched(1, 1, 4);
+        let s = sched(1);
         let slow = s.submit(Box::new(|| {
             std::thread::sleep(std::time::Duration::from_millis(50));
             ok("slow")

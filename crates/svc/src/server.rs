@@ -122,12 +122,9 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (the default — read
     /// the actual address from [`ServerHandle::addr`]).
     pub addr: String,
-    /// Thread budget shared by concurrently running jobs (0 = all CPUs).
+    /// Thread budget shared by concurrently running jobs (0 = all CPUs),
+    /// which the scheduler splits among its leaders ([`SchedConfig`]).
     pub threads: usize,
-    /// Scheduler worker-leaders (0 = auto).
-    pub workers: usize,
-    /// Bounded job-queue capacity (0 = default).
-    pub queue_cap: usize,
     /// Maximum concurrent connections; one past the cap is accepted only
     /// to be told `ERR server busy` and dropped (0 = 1024).
     pub max_conns: usize,
@@ -163,8 +160,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             threads: 0,
-            workers: 0,
-            queue_cap: 0,
             max_conns: 0,
             scale: Scale::Tiny,
             mem_budget: 0,
@@ -483,8 +478,6 @@ pub fn serve(cfg: ServerConfig) -> io::Result<ServerHandle> {
     let registry = Arc::new(Registry::with_budget(cfg.scale, cfg.mem_budget));
     let sched = Arc::new(Scheduler::new(SchedConfig {
         threads: cfg.threads,
-        workers: cfg.workers,
-        queue_cap: cfg.queue_cap,
     }));
     let mx = if cfg.metrics {
         Metrics::new(cfg.slow_ms)
@@ -1042,12 +1035,11 @@ mod tests {
 
     #[test]
     fn ping_and_stats_answer_inline_while_compute_is_in_flight() {
-        // One scheduler worker, so the cold compute occupies the only
-        // leader; PING/STATS must still answer immediately because the
-        // reader never queues them.
+        // A one-thread budget runs one scheduler worker, so the cold
+        // compute occupies the only leader; PING/STATS must still answer
+        // immediately because the reader never queues them.
         let h = serve(ServerConfig {
             threads: 1,
-            workers: 1,
             ..Default::default()
         })
         .unwrap();
@@ -1075,12 +1067,11 @@ mod tests {
 
     #[test]
     fn v3_responses_arrive_in_completion_order() {
-        // Two scheduler workers, a slow compute tagged first and a fast
-        // one tagged second: the fast response must arrive first, each
-        // under its own tag.
+        // Two threads run two scheduler workers, a slow compute tagged
+        // first and a fast one tagged second: the fast response must
+        // arrive first, each under its own tag.
         let h = serve(ServerConfig {
             threads: 2,
-            workers: 2,
             ..Default::default()
         })
         .unwrap();

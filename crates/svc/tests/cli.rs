@@ -18,13 +18,7 @@ fn stderr(out: &Output) -> String {
 
 #[test]
 fn zero_valued_serve_flags_are_usage_errors() {
-    for flag in [
-        "--threads",
-        "--workers",
-        "--queue-cap",
-        "--max-conns",
-        "--max-inflight",
-    ] {
+    for flag in ["--threads", "--max-conns", "--max-inflight"] {
         let out = mis2svc(&["serve", flag, "0"]);
         assert_eq!(out.status.code(), Some(2), "{flag} 0 must exit 2");
         let err = stderr(&out);
@@ -33,6 +27,22 @@ fn zero_valued_serve_flags_are_usage_errors() {
             "{flag}: {err}"
         );
         assert!(err.contains("usage:"), "{flag}: {err}");
+    }
+}
+
+/// `--workers` and `--queue-cap` are not flags: the scheduler's leaders
+/// and queue follow from `--threads`.
+#[test]
+fn scheduler_sizing_flags_are_usage_errors() {
+    for flag in ["--workers", "--queue-cap"] {
+        let out = mis2svc(&["serve", flag, "2"]);
+        assert_eq!(out.status.code(), Some(2), "{flag} must exit 2");
+        let err = stderr(&out);
+        assert!(err.contains("usage:"), "{flag}: {err}");
+        assert!(
+            !err.contains(flag),
+            "{flag} is still in the usage text: {err}"
+        );
     }
 }
 

@@ -17,6 +17,11 @@
 //! * An AMG V-cycle keeps every vector it needs in the hierarchy's
 //!   per-level scratch: from its second call on, `AmgHierarchy::apply`
 //!   on one thread allocates at most 1 KiB.
+//! * An AMG hierarchy borrows the operator it is built for as its finest
+//!   level: on Laplace3D 24^3 it holds its prolongators, their transposes
+//!   and the coarse levels, about 2.1 x the operator's bytes, and at most
+//!   2.5 x. A hierarchy that keeps its own copy of the operator holds
+//!   about 3.1 x, and fails here.
 //!
 //! This binary's global allocator counts live bytes over all threads, their
 //! high-water mark, and the bytes ever asked for, so allocations made on
@@ -200,4 +205,27 @@ fn an_amg_v_cycle_after_the_first_allocates_no_vectors() {
             );
         }
     });
+}
+
+#[test]
+fn an_amg_hierarchy_holds_no_copy_of_its_operator() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let a = mis2_sparse::gen::laplace3d_matrix(24, 24, 24);
+    let ((), operator) = allocated_by(|| drop(a.clone()));
+    for pool in [1usize, 2, 3] {
+        with_pool(pool, || {
+            // The first build sizes the per-thread MIS-2 work arrays and
+            // spawns the pool's workers, which the second then reuses.
+            drop(AmgHierarchy::build(&a, &AmgConfig::default()));
+            let start = LIVE.load(Relaxed);
+            let amg = AmgHierarchy::build(&a, &AmgConfig::default());
+            let held = LIVE.load(Relaxed) - start;
+            assert!(amg.num_levels() >= 3, "{} levels", amg.num_levels());
+            assert!(
+                2 * held <= 5 * operator,
+                "pool {pool}: the hierarchy holds {held} bytes, more than 2.5 x \
+                 the operator's {operator}"
+            );
+        });
+    }
 }

@@ -3,6 +3,11 @@
 //! paper table, figure or algorithm, the served op or the benchmark
 //! workload that needs it, and every row names a module that exists.
 //!
+//! The same holds for settings: every `pub` field of the six config
+//! structs has a row in README's "Settings" table naming the caller that
+//! needs a value other than the default, or the deployment setting it is,
+//! and every row names a field that exists.
+//!
 //! The same goes for shared mutable writes and `unsafe`: every file
 //! outside `mis2-prim` that builds a `SharedMut`, and every one with a line
 //! naming `unsafe`, has a row naming the reason, and the `unsafe` lines
@@ -48,14 +53,14 @@ fn public_modules() -> Vec<String> {
     mods
 }
 
-/// Module → reason, from the rows `` | `crate::module` | reason | `` of the
-/// "Crate map" section.
-fn reason_table() -> BTreeMap<String, String> {
+/// Item → reason, from the rows `` | `a::b` | reason | `` of README's
+/// `## {heading}` section.
+fn reason_table(heading: &str) -> BTreeMap<String, String> {
     let readme = read("README.md");
     let section = readme
         .split("\n## ")
-        .find(|s| s.starts_with("Crate map"))
-        .expect("README has a `## Crate map` section");
+        .find(|s| s.starts_with(heading))
+        .unwrap_or_else(|| panic!("README has a `## {heading}` section"));
     let mut table = BTreeMap::new();
     for line in section.lines() {
         let cells: Vec<&str> = line.split('|').map(str::trim).collect();
@@ -78,7 +83,7 @@ fn reason_table() -> BTreeMap<String, String> {
 fn every_public_module_has_a_reason_in_readme() {
     let mods = public_modules();
     assert!(mods.len() >= CRATES.len(), "parsed only {mods:?}");
-    let table = reason_table();
+    let table = reason_table("Crate map");
     for m in &mods {
         match table.get(m) {
             None => panic!("`{m}` is `pub mod` but has no row in README's Crate map"),
@@ -89,6 +94,62 @@ fn every_public_module_has_a_reason_in_readme() {
         assert!(
             mods.contains(m),
             "README's Crate map lists `{m}`, which is not a `pub mod`"
+        );
+    }
+}
+
+/// The config structs whose `pub` fields are the settings of the library
+/// and the service, with the file each is declared in.
+const CONFIG_STRUCTS: [(&str, &str); 6] = [
+    ("AmgConfig", "crates/solver/src/amg.rs"),
+    ("SolveOpts", "crates/solver/src/cg.rs"),
+    ("Mis2Config", "crates/core/src/engine.rs"),
+    ("ServerConfig", "crates/svc/src/server.rs"),
+    ("SchedConfig", "crates/svc/src/sched.rs"),
+    ("RouterConfig", "crates/svc/src/shard.rs"),
+];
+
+/// `Struct::field` for every `pub field:` line inside each config struct's
+/// braces.
+fn settings() -> Vec<String> {
+    let mut fields = Vec::new();
+    for (name, file) in CONFIG_STRUCTS {
+        let text = read(file);
+        let body = text
+            .split_once(&format!("pub struct {name} {{\n"))
+            .and_then(|(_, rest)| rest.split_once("\n}"))
+            .unwrap_or_else(|| panic!("{file} declares no `pub struct {name} {{`"))
+            .0;
+        let before = fields.len();
+        for line in body.lines() {
+            if let Some(field) = line
+                .trim_start()
+                .strip_prefix("pub ")
+                .and_then(|rest| rest.split_once(':'))
+                .map(|(field, _)| field.trim())
+            {
+                fields.push(format!("{name}::{field}"));
+            }
+        }
+        assert!(fields.len() > before, "`{name}` has no `pub` field");
+    }
+    fields
+}
+
+#[test]
+fn every_setting_names_its_caller_in_readme() {
+    let fields = settings();
+    let table = reason_table("Settings");
+    for f in &fields {
+        match table.get(f) {
+            None => panic!("`{f}` is a `pub` setting but has no row in README's Settings"),
+            Some(caller) => assert!(!caller.is_empty(), "`{f}` names no caller in README"),
+        }
+    }
+    for f in table.keys() {
+        assert!(
+            fields.contains(f),
+            "README's Settings lists `{f}`, which is not a `pub` field of a config struct"
         );
     }
 }
