@@ -22,8 +22,6 @@
 //! keeps from run to run.
 
 use crate::par::{self, SEQ_CUTOFF};
-use crate::ptr::SharedMut;
-use std::mem::MaybeUninit;
 
 /// Fixed block size (thread-count independent for determinism).
 const BLOCK: usize = par::DET_BLOCK;
@@ -70,10 +68,11 @@ fn filter_map<T: Send>(
 
 /// The order-preserving scatter: `item(i)` for every `i` with `keep[i]`,
 /// in increasing `i`. `counts[b]` must be the number of set flags in block
-/// `b` of `keep` (blocks of `block` flags, the last one short); an
-/// exclusive scan of the counts gives each block its output range, and the
-/// blocks fill their ranges in parallel. A count that disagrees with its
-/// block's flags panics. The output is allocated at its exact length.
+/// `b` of `keep` (blocks of `block` flags, the last one short); the
+/// counts cut the output, in block order, into one `&mut` window per
+/// block, and the blocks fill their windows in parallel. A count that
+/// disagrees with its block's flags panics. The output is allocated at its
+/// exact length.
 ///
 /// ```
 /// let keep = [true, false, true, true, false];
@@ -109,29 +108,34 @@ pub fn pack_into<T: Send>(
     item: impl Fn(usize) -> T + Sync,
 ) {
     assert!(block > 0 && counts.len() == keep.len().div_ceil(block));
-    // Bounding every count by its block length keeps the scan exact, so
-    // the ranges below tile 0..total.
+    // Bounding every count by its block length keeps the total exact, so
+    // the windows below tile 0..total.
     let blocks = keep.chunks(block);
     assert!(counts.iter().zip(blocks).all(|(&c, f)| c <= f.len()));
-    let (offsets, total) = crate::scan::exclusive_scan(counts);
+    let total = counts.iter().sum();
     out.clear();
     out.reserve_exact(total);
-    let w = SharedMut::new(&mut out.spare_capacity_mut()[..total]);
-    par::for_chunks(keep, block, |b, flags| {
-        let (mut at, end) = (offsets[b], offsets[b] + counts[b]);
-        for (i, &k) in flags.iter().enumerate() {
-            if k {
-                assert!(at < end, "block {b} holds more flags than its count");
-                // SAFETY: block b alone writes [offsets[b], end), and
-                // end <= total.
-                unsafe { w.write(at, MaybeUninit::new(item(b * block + i))) };
-                at += 1;
-            }
+    // Each block's flags and its window of the output, in block order.
+    let mut rest = &mut out.spare_capacity_mut()[..total];
+    let mut blocks: Vec<_> = keep
+        .chunks(block)
+        .zip(counts)
+        .map(|(flags, &c)| (flags, par::cut_front(&mut rest, c)))
+        .collect();
+    par::for_chunks_mut(&mut blocks, 1, |b, task| {
+        let (flags, window) = &mut task[0];
+        let mut slots = window.iter_mut();
+        for (i, _) in flags.iter().enumerate().filter(|(_, &k)| k) {
+            let Some(slot) = slots.next() else {
+                panic!("block {b} holds more flags than its count");
+            };
+            slot.write(item(b * block + i));
         }
-        assert_eq!(at, end, "block {b} holds fewer flags than its count");
+        let short = slots.next().is_some();
+        assert!(!short, "block {b} holds fewer flags than its count");
     });
-    // SAFETY: the blocks' ranges tile 0..total and each was filled above
-    // (a short block panics, and the region re-raises before this line).
+    // SAFETY: the windows tile 0..total and each block filled its own (a
+    // short block panics, and the region re-raises before this line).
     unsafe { out.set_len(total) };
 }
 
@@ -263,6 +267,82 @@ mod tests {
     #[should_panic(expected = "fewer flags than its count")]
     fn pack_rejects_a_count_above_its_flags() {
         pack(&[true, false, false], 2, &[2, 0], |i| i);
+    }
+
+    /// A value that counts its drops in `drops[id]`.
+    struct Counted<'a> {
+        id: usize,
+        drops: &'a [AtomicUsize],
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.drops[self.id].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The output of `op` over `0..keep.len()`, every value a [`Counted`];
+    /// making value `panic_at` panics.
+    fn write_counted<'a>(
+        op: &str,
+        keep: &[bool],
+        panic_at: usize,
+        drops: &'a [AtomicUsize],
+    ) -> Vec<Counted<'a>> {
+        let n = keep.len();
+        let make = |id: usize| {
+            assert_ne!(id, panic_at, "making value {id} panics");
+            Counted { id, drops }
+        };
+        match op {
+            "map_range" => par::map_range(0..n, make),
+            "map_blocks" => par::map_blocks(n, make),
+            "par_filter" => filter_map(n, |i| keep[i], make),
+            "pack_into" => {
+                let counts: Vec<usize> = keep
+                    .chunks(BLOCK)
+                    .map(|c| c.iter().filter(|&&k| k).count())
+                    .collect();
+                let mut out = Vec::new();
+                pack_into(&mut out, keep, BLOCK, &counts, make);
+                out
+            }
+            other => panic!("unknown op {other}"),
+        }
+    }
+
+    #[test]
+    fn uninitialized_outputs_hold_and_drop_each_value_once() {
+        // Four blocks of every writer's parallel path, and a panic in the
+        // third.
+        let n = 3 * BLOCK + 5;
+        let keep: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+        for op in ["map_range", "map_blocks", "par_filter", "pack_into"] {
+            let filters = matches!(op, "par_filter" | "pack_into");
+            let held = |i: usize| keep[i] || !filters;
+            let want: Vec<usize> = (0..n).filter(|&i| held(i)).collect();
+            for pool in [1, 2, 3] {
+                let drops: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let out = crate::pool::with_pool(pool, || write_counted(op, &keep, n, &drops));
+                let ids: Vec<usize> = out.iter().map(|c| c.id).collect();
+                assert_eq!(ids, want, "{op} at pool {pool}");
+                drop(out);
+                let dropped: Vec<usize> = drops.iter().map(|d| d.load(Ordering::Relaxed)).collect();
+                let once: Vec<usize> = (0..n).map(|i| held(i) as usize).collect();
+                assert!(dropped == once, "{op} at pool {pool}: drops differ");
+
+                let drops: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let panicked = std::panic::catch_unwind(|| {
+                    crate::pool::with_pool(pool, || write_counted(op, &keep, 2 * BLOCK + 7, &drops))
+                });
+                assert!(
+                    panicked.is_err(),
+                    "{op} at pool {pool}: the panic is re-raised"
+                );
+                let twice = drops.iter().position(|d| d.load(Ordering::Relaxed) > 1);
+                assert_eq!(twice, None, "{op} at pool {pool}: a value dropped twice");
+            }
+        }
     }
 
     #[test]

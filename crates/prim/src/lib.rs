@@ -29,8 +29,10 @@
 //! * [`reduce`] — deterministic parallel reductions (sums, min/max) whose
 //!   results do not depend on the number of worker threads.
 //! * [`ptr`] — `SharedMut`, the one raw-pointer wrapper: disjoint writes
-//!   from several threads into one slice, under this crate's own forms and
-//!   the frozen seed engine.
+//!   from several threads into one slice, built only by
+//!   `par::for_chunks_mut` (the one hand-off of a `&mut` piece of a slice
+//!   to a pool block), `bucket_by_key`'s place pass and the frozen seed
+//!   engine.
 //! * [`cells`] — relaxed atomic cells over a `&mut [u32]` or `&mut [f64]`:
 //!   the writes whose disjointness rests on a caller's coloring (D2C's
 //!   roots, Algorithm 4's sweeps) cannot race whatever the coloring.

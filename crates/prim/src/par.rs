@@ -36,11 +36,12 @@
 //!   the element loop over them, so there is one dispatch path.
 //! * **block indices** ([`map_blocks`] and everything built on it:
 //!   [`map_chunks`], [`chunked_reduce`], [`map_reduce_range`], the scans,
-//!   compaction counts, `reduce::det_dot`, the row blocks of
-//!   `rows::assemble` under every CSR producer; and the
-//!   `for_chunks*` pair, with [`map_windows`] on top): a region opens when there are at least two
-//!   *blocks*, each block being thousands of elements the caller already
-//!   sized ([`DET_BLOCK`] *elements* for every deterministic reduction).
+//!   compaction counts, the row blocks of `rows::assemble` under every
+//!   CSR producer; and the `for_chunks*` pair, under `reduce::det_dot`,
+//!   compaction's scatter and [`map_windows`]): a region opens when there
+//!   are at least two *blocks*, each block being thousands of elements the
+//!   caller already sized ([`DET_BLOCK`] *elements* for every
+//!   deterministic reduction).
 //!
 //! Either way a nested call and a team of one run the same blocks in order
 //! on the caller. The three sizes are constants, not options: `DET_BLOCK`
@@ -70,7 +71,6 @@
 
 use crate::pool::{current_threads, in_region, run_region_on};
 use crate::ptr::SharedMut;
-use std::mem::MaybeUninit;
 use std::ops::{Index, IndexMut, Range};
 
 /// Fixed block size, in *elements*, shared by every deterministic
@@ -232,16 +232,21 @@ pub fn map_range<I: ParIndex, U: Send>(range: Range<I>, f: impl Fn(I) -> U + Syn
     if n < PAR_CUTOFF || in_region() {
         return (0..n).map(|i| f(I::from_usize(start + i))).collect();
     }
-    let mut out: Vec<U> = Vec::with_capacity(n);
-    let w = SharedMut::new(&mut out.spare_capacity_mut()[..n]);
-    run_ranges(n, adaptive_block(n), |_, lo, hi| {
-        for i in lo..hi {
-            // SAFETY: the ranges are disjoint; every slot in 0..n is
-            // written exactly once before set_len.
-            unsafe { w.write(i, MaybeUninit::new(f(I::from_usize(start + i)))) };
+    collect_chunks(n, adaptive_block(n), |i| f(I::from_usize(start + i)))
+}
+
+/// `f(i)` for every `i < n` into a fresh vector, each block of `block`
+/// slots writing its own window of the vector's spare capacity through
+/// [`for_chunks_mut`].
+fn collect_chunks<U: Send>(n: usize, block: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
+    let mut out = Vec::with_capacity(n);
+    for_chunks_mut(&mut out.spare_capacity_mut()[..n], block, |b, window| {
+        for (k, slot) in window.iter_mut().enumerate() {
+            slot.write(f(b * block + k));
         }
     });
-    // SAFETY: all n slots initialized above.
+    // SAFETY: the windows tile `0..n` and every block wrote each slot of
+    // its own; a block that panicked is re-raised before this line.
     unsafe { out.set_len(n) };
     out
 }
@@ -262,7 +267,14 @@ pub fn for_chunks<T: Sync>(items: &[T], chunk: usize, f: impl Fn(usize, &[T]) + 
     run_ranges(items.len(), chunk, |b, lo, hi| f(b, &items[lo..hi]));
 }
 
-/// Parallel for over fixed-size mutable chunks of a slice.
+/// Parallel for over fixed-size mutable chunks of a slice; `f(b, chunk)`
+/// receives the chunk index. The last chunk may be short.
+///
+/// This is the one place in the crate that hands a pool block a `&mut`
+/// piece of a slice. A split write whose pieces vary in length (a
+/// compaction's output ranges, `rows::assemble`'s placement, the windows
+/// of [`map_windows`]) cuts them first, one `&mut` window per block, and
+/// passes the list of windows here in chunks of one.
 pub fn for_chunks_mut<T: Send>(items: &mut [T], chunk: usize, f: impl Fn(usize, &mut [T]) + Sync) {
     let n = items.len();
     let w = SharedMut::new(items);
@@ -273,28 +285,29 @@ pub fn for_chunks_mut<T: Send>(items: &mut [T], chunk: usize, f: impl Fn(usize, 
     });
 }
 
+/// The first `len` items of `rest`, cut off it: `rest` keeps the tail.
+/// Cutting a slice in order this way gives each block its own `&mut`
+/// window for [`for_chunks_mut`].
+pub(crate) fn cut_front<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (front, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    front
+}
+
 /// Parallel map over *block indices*: `out[b] = f(b)` for `b in 0..nblocks`,
 /// every index one task of the pool.
 ///
 /// This is the entry point for callers that have already cut their input
-/// into blocks ([`map_chunks`], [`map_reduce_range`], `reduce::det_dot`, the
+/// into blocks ([`map_chunks`], [`map_reduce_range`], the
 /// [`crate::rows::ROW_BLOCK`]-row blocks of every CSR producer). The rule
 /// that decides whether a region opens counts **blocks**, not elements: it
 /// opens when there are at least two blocks and the caller is not nested
 /// ([`crate::pool::run_region_on`] applies exactly that), because one block
-/// is already thousands of elements of work. [`map_range`]'s element cutoff must never see a block
-/// count — it would keep 16 M elements on one thread.
+/// is already thousands of elements of work. [`map_range`]'s element
+/// cutoff must never see a block count — it would keep 16 M elements on
+/// one thread.
 pub fn map_blocks<U: Send>(nblocks: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
-    let mut out: Vec<U> = Vec::with_capacity(nblocks);
-    let w = SharedMut::new(&mut out.spare_capacity_mut()[..nblocks]);
-    run_region_on(current_threads(), nblocks, &|b| {
-        // SAFETY: the region runs every `b in 0..nblocks` exactly once, so
-        // each slot is written once before set_len.
-        unsafe { w.write(b, MaybeUninit::new(f(b))) };
-    });
-    // SAFETY: all nblocks slots initialized above.
-    unsafe { out.set_len(nblocks) };
-    out
+    collect_chunks(nblocks, 1, f)
 }
 
 /// One block's window of an output slice, addressed by the absolute index:
@@ -371,15 +384,14 @@ pub fn map_windows<E: Sync, T: Send, F: Send, U: Send>(
     for (b, entries) in list.chunks(block).enumerate() {
         let hi = list.get((b + 1) * block).map_or(lo + rest.len(), &key);
         assert!(lo <= hi, "list keys descend at block {}", b + 1);
-        let (slots, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
-        let (per, per_tail) = std::mem::take(&mut per_rest).split_at_mut(entries.len());
+        let slots = cut_front(&mut rest, hi - lo);
         tasks.push(Task {
             entries,
             window: Window { lo, slots },
-            per,
+            per: cut_front(&mut per_rest, entries.len()),
             result: None,
         });
-        (rest, per_rest, lo) = (tail, per_tail, hi);
+        lo = hi;
     }
     for_chunks_mut(&mut tasks, 1, |b, task| {
         let Task {

@@ -11,13 +11,21 @@
 //! `mis2_solver::gs`) goes through [`crate::cells`], where a wrong
 //! coloring changes bits but cannot race.
 //!
-//! So `SharedMut` is this crate's own: `par::map_range`, `par::map_blocks`
-//! and `compact::pack` write their output through it over
-//! `Vec::spare_capacity_mut`, and `par::for_chunks_mut` (under
-//! `par::map_windows`) and `reduce`'s fused forms cut their chunks with
-//! [`SharedMut::slice_mut`]. Outside it, only the frozen seed engine,
-//! `mis2_core::reference`, still builds one; `tests/surface.rs` holds that
-//! list as a table, so a new site has to be added there on purpose.
+//! A write split into contiguous pieces, one per block, cuts the pieces
+//! as `&mut` windows first and hands them out through
+//! `par::for_chunks_mut`: `par::map_range` and `par::map_blocks` fill
+//! windows of their output's `Vec::spare_capacity_mut`, `compact::pack`
+//! one window per block of flags, `reduce`'s fused axpy forms one window
+//! of `y` per block, `rows::assemble` one window of `cols` and of `vals`
+//! per row block, and `par::map_windows` one window per worklist block.
+//!
+//! So `SharedMut` is built in two places, both in this crate:
+//! `par::for_chunks_mut`, which hands each pool block its chunk with
+//! [`SharedMut::slice_mut`], and the place pass of `bucket_by_key` over
+//! several chunks, where each chunk scatters into one span per key with
+//! [`SharedMut::write`]. Outside the crate, only the frozen seed engine,
+//! `mis2_core::reference`, still builds one. `tests/surface.rs` holds
+//! both lists as a table, so a new site has to be added there on purpose.
 
 use std::marker::PhantomData;
 
@@ -71,7 +79,8 @@ impl<'a, T> SharedMut<'a, T> {
         unsafe { self.ptr.add(index).write(value) };
     }
 
-    /// The sub-slice `[lo, hi)`, mutably.
+    /// The sub-slice `[lo, hi)`, mutably; `par::for_chunks_mut` is its one
+    /// caller.
     ///
     /// # Safety
     /// No other thread may read or write any index in `[lo, hi)` while the

@@ -15,33 +15,37 @@
 //! caller; from there up the range is cut into [`par::DET_BLOCK`]-element
 //! blocks, each block one `Iterator::sum` in index order, and the block
 //! sums are folded by one more `Iterator::sum` in block order. The fused
-//! forms update `y` inside that same walk, so `det_axpy_dot(α, x, y, z)`
+//! forms update `y` inside that same walk, each block through its own
+//! `&mut` window of `y`, so `det_axpy_dot(α, x, y, z)`
 //! returns the bits of `axpy(α, x, y)` followed by `det_dot(y, z)` in one
 //! pass over the data and one region instead of two of each.
 
 use crate::par::{self, SEQ_CUTOFF};
-use crate::ptr::SharedMut;
 
 /// Fixed block size (thread-count independent).
 const BLOCK: usize = par::DET_BLOCK;
 
-/// Sum of `block_sum(lo, hi)` over the blocks the rule in the module doc
-/// cuts `0..n` into, every block visited exactly once.
-fn blocked_sum(n: usize, block_sum: impl Fn(usize, usize) -> f64 + Sync) -> f64 {
-    if n < SEQ_CUTOFF {
-        return block_sum(0, n);
+/// Sum of `block_sum(lo, window)` over the blocks the rule in the module
+/// doc cuts `y` into, every block visited exactly once with its own `&mut`
+/// window `y[lo..lo + window.len()]`.
+fn blocked_sum<T: Send>(y: &mut [T], block_sum: impl Fn(usize, &mut [T]) -> f64 + Sync) -> f64 {
+    if y.len() < SEQ_CUTOFF {
+        return block_sum(0, y);
     }
-    let partials: Vec<f64> = par::map_blocks(n.div_ceil(BLOCK), |blk| {
-        let lo = blk * BLOCK;
-        block_sum(lo, (lo + BLOCK).min(n))
+    let mut blocks: Vec<(&mut [T], f64)> = y.chunks_mut(BLOCK).map(|w| (w, 0.0)).collect();
+    par::for_chunks_mut(&mut blocks, 1, |b, task| {
+        let (window, sum) = &mut task[0];
+        *sum = block_sum(b * BLOCK, window);
     });
-    partials.iter().sum()
+    blocks.iter().map(|(_, sum)| sum).sum()
 }
 
 /// Deterministic parallel dot product.
 pub fn det_dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot product length mismatch");
-    blocked_sum(a.len(), |lo, hi| {
+    // A dot writes nothing: its windows are of `()`.
+    blocked_sum(&mut vec![(); a.len()], |lo, w| {
+        let hi = lo + w.len();
         a[lo..hi].iter().zip(&b[lo..hi]).map(|(x, y)| x * y).sum()
     })
 }
@@ -51,13 +55,10 @@ pub fn det_dot(a: &[f64], b: &[f64]) -> f64 {
 pub fn det_axpy_dot(alpha: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
     assert_eq!(z.len(), y.len(), "dot product length mismatch");
-    let yw = SharedMut::new(y);
-    blocked_sum(x.len(), |lo, hi| {
-        // SAFETY: `blocked_sum` visits disjoint ranges, each exactly once.
-        let y = unsafe { yw.slice_mut(lo, hi) };
+    blocked_sum(y, |lo, y| {
         y.iter_mut()
-            .zip(&x[lo..hi])
-            .zip(&z[lo..hi])
+            .zip(&x[lo..])
+            .zip(&z[lo..])
             .map(|((y, x), z)| {
                 *y += alpha * x;
                 *y * z
@@ -69,12 +70,9 @@ pub fn det_axpy_dot(alpha: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
 /// [`det_axpy_dot`] with `z = y`: `y += alpha * x`, then `⟨y, y⟩`.
 pub fn det_axpy_norm_sq(alpha: f64, x: &[f64], y: &mut [f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    let yw = SharedMut::new(y);
-    blocked_sum(x.len(), |lo, hi| {
-        // SAFETY: `blocked_sum` visits disjoint ranges, each exactly once.
-        let y = unsafe { yw.slice_mut(lo, hi) };
+    blocked_sum(y, |lo, y| {
         y.iter_mut()
-            .zip(&x[lo..hi])
+            .zip(&x[lo..])
             .map(|(y, x)| {
                 *y += alpha * x;
                 *y * *y

@@ -10,8 +10,9 @@
 //! `Vec` per row copied into place afterwards, [`assemble`] hands blocks of
 //! [`ROW_BLOCK`] consecutive rows to the pool; a block appends its rows,
 //! one after the other, to one contiguous buffer ([`RowBuf`]) and records
-//! where each row ends. A serial pass turns the ends into `row_ptr`, and
-//! one `copy_from_slice` per block places the buffers in the final arrays.
+//! where each row ends. A serial pass turns the ends into `row_ptr` and
+//! cuts the final arrays into one `&mut` window per block, and one
+//! `copy_from_slice` per block places its buffers in its windows.
 //!
 //! The block decomposition depends on the row count only, never on the
 //! pool size, and rows land in row order with their entries in the order
@@ -21,7 +22,6 @@
 //! charge capacities).
 
 use crate::par;
-use crate::SharedMut;
 
 /// Rows per block. One block is one task of the pool and the lifetime of
 /// one scratch state; a constant, because it shapes no result.
@@ -86,37 +86,32 @@ where
         (buf, ends)
     });
 
-    // Where each block's buffers start in the final arrays.
     let mut row_ptr = Vec::with_capacity(nrows + 1);
     row_ptr.push(0usize);
-    let mut starts = Vec::with_capacity(blocks.len());
     let (mut ncols, mut nvals) = (0usize, 0usize);
     for (buf, ends) in &blocks {
         row_ptr.extend(ends.iter().map(|&e| ncols + e));
-        starts.push((ncols, nvals));
         ncols += buf.cols.len();
         nvals += buf.vals.len();
     }
 
     let mut cols = vec![0u32; ncols];
     let mut vals = vec![V::default(); nvals];
-    {
-        let cw = SharedMut::new(&mut cols);
-        let vw = SharedMut::new(&mut vals);
-        par::for_chunks(&blocks, 1, |b, block| {
-            let (buf, _) = &block[0];
-            let (c0, v0) = starts[b];
-            // SAFETY: block b owns [c0, c0 + its length) of `cols` and
-            // [v0, v0 + its length) of `vals`; the ranges of different
-            // blocks are disjoint by the running sums above.
-            unsafe {
-                cw.slice_mut(c0, c0 + buf.cols.len())
-                    .copy_from_slice(&buf.cols);
-                vw.slice_mut(v0, v0 + buf.vals.len())
-                    .copy_from_slice(&buf.vals);
-            }
-        });
-    }
+    // Each block's buffers and its windows of the final arrays, cut in
+    // block order.
+    let (mut cols_rest, mut vals_rest) = (&mut cols[..], &mut vals[..]);
+    let mut places: Vec<_> = blocks
+        .iter()
+        .map(|(buf, _)| {
+            let c = par::cut_front(&mut cols_rest, buf.cols.len());
+            (buf, c, par::cut_front(&mut vals_rest, buf.vals.len()))
+        })
+        .collect();
+    par::for_chunks_mut(&mut places, 1, |_, place| {
+        let (buf, cols, vals) = &mut place[0];
+        cols.copy_from_slice(&buf.cols);
+        vals.copy_from_slice(&buf.vals);
+    });
     (row_ptr, cols, vals)
 }
 

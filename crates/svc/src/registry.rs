@@ -64,7 +64,10 @@
 //!   heap bytes of everything cached (`heap_bytes()` on [`CsrGraph`] and
 //!   [`Artifact`]; 0 = unbounded, the [`Registry::new`] default). When an
 //!   insert pushes `bytes` over the budget, entries are evicted until it
-//!   fits again.
+//!   fits again. Outside the budget, each scheduler leader (at most
+//!   `min(4, threads)`) keeps Algorithm 1's work arrays from its last
+//!   MIS-2 run, about 60 bytes per vertex; a `Vec` never shrinks, so that
+//!   is of the largest graph the leader has run MIS-2 on.
 //! * **Cost-aware segmented LRU eviction.** Victims are chosen from two
 //!   segments in order: *artifacts* (cheap to recompute from their
 //!   still-interned graph), then *graphs* (a rebuild pays file I/O or

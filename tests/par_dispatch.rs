@@ -1,8 +1,9 @@
 //! Block-granular `par` callers must dispatch by *blocks*, not elements.
 //!
-//! `par::count`, `par::chunked_reduce`, `reduce::det_dot`, the scans and
-//! SpGEMM cut their input into fixed blocks (`DET_BLOCK` elements, 256
-//! rows) and hand the pool one task per block. The rule that opens a
+//! `par::count`, `par::chunked_reduce`, `reduce::det_dot` and its fused
+//! `det_axpy_dot`, the scans, `par_filter`'s compaction and SpGEMM cut
+//! their input into fixed blocks (`DET_BLOCK` elements, 256 rows) and
+//! hand the pool one task per block. The rule that opens a
 //! region for them counts blocks — two are enough — and never compares a
 //! block count with `par`'s element cutoff, which kept every one of them
 //! on a single thread below 2048 blocks.
@@ -29,15 +30,17 @@ use mis2::solver::{pcg, AmgConfig, AmgHierarchy, SolveOpts};
 use mis2_prim::hash::splitmix64;
 use mis2_prim::par::{self, DET_BLOCK};
 use mis2_prim::pool::{spawned_workers, with_pool};
-use mis2_prim::{reduce, scan};
+use mis2_prim::{par_filter, reduce, scan};
 use mis2_sparse::{gen, spgemm};
 use std::process::Command;
 
-const OPS: [&str; 8] = [
+const OPS: [&str; 10] = [
     "count",
     "chunked_reduce",
     "det_dot",
+    "det_axpy_dot",
     "exclusive_scan",
+    "par_filter",
     "spgemm",
     "mis2",
     "mis2_aggregation",
@@ -73,11 +76,17 @@ fn run_op(op: &str) -> u64 {
         )
         .to_bits(),
         "det_dot" => reduce::det_dot(&reals, &reals[..]).to_bits(),
+        "det_axpy_dot" => {
+            let mut y: Vec<f64> = reals.iter().rev().copied().collect();
+            let dot = reduce::det_axpy_dot(-0.75, &reals, &mut y, &reals);
+            fingerprint(y.iter().map(|v| v.to_bits()).chain([dot.to_bits()]))
+        }
         "exclusive_scan" => {
             let small: Vec<u64> = ints.iter().map(|x| x & 0xFF).collect();
             let (out, total) = scan::exclusive_scan(&small);
             fingerprint(out.into_iter().chain([total]))
         }
+        "par_filter" => fingerprint(par_filter(&ints, |&x| x % 3 == 0)),
         "spgemm" => {
             let a = gen::laplace2d_matrix(32, 32);
             assert_eq!(a.nrows(), 1024);

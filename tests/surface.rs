@@ -154,15 +154,31 @@ fn every_setting_names_its_caller_in_readme() {
     }
 }
 
-/// Every file outside `crates/prim` that calls `SharedMut::new`, with the
-/// reason its writes cannot go through `par`'s safe `&mut` forms (an
-/// index-owned write — slot `i` written by the task for `i` — always can,
-/// a worklist's ascending writes go through `par::map_windows`, and writes
-/// whose disjointness rests on a caller's coloring through `prim::cells`).
-const SHARED_MUT_SITES: [(&str, &str); 1] = [(
-    "crates/core/src/reference.rs",
-    "the frozen seed engine, kept as written",
-)];
+/// Every file that calls `SharedMut::new`, with the reason its writes
+/// cannot go through `par`'s safe `&mut` forms (an index-owned write —
+/// slot `i` written by the task for `i` — always can, a write split into
+/// contiguous pieces cuts them as `&mut` windows and hands them out
+/// through `par::for_chunks_mut`, a worklist's ascending writes go through
+/// `par::map_windows`, and writes whose disjointness rests on a caller's
+/// coloring through `prim::cells`).
+const SHARED_MUT_SITES: [(&str, &str); 4] = [
+    (
+        "crates/core/src/reference.rs",
+        "the frozen seed engine, kept as written",
+    ),
+    (
+        "crates/prim/src/bucket.rs",
+        "the place pass over several chunks scatters each chunk into one span per key",
+    ),
+    (
+        "crates/prim/src/par.rs",
+        "`for_chunks_mut`, the one hand-off of a `&mut` piece of a slice to a pool block",
+    ),
+    (
+        "crates/prim/src/ptr.rs",
+        "the unit tests of `SharedMut::write` and `SharedMut::read`",
+    ),
+];
 
 /// Every file outside `crates/prim` with a line naming `unsafe`, with the
 /// reason it cannot leave that to `prim`. The algorithm crates name none.
@@ -178,10 +194,11 @@ const UNSAFE_FILES: [(&str, &str); 2] = [
 ];
 
 /// Lines naming `unsafe` under `crates/` and `src/`, as counted by
-/// `grep -rw --include=*.rs unsafe crates src | wc -l`. The last one added
-/// is `bucket_by_key`'s split place pass, a scatter of a generic item
-/// through `SharedMut` into the chunks' disjoint spans.
-const MAX_UNSAFE_LINES: usize = 45;
+/// `grep -rw --include=*.rs unsafe crates src | wc -l`. The last seven
+/// went when `map_range`, `map_blocks`, `compact::pack_into`, `reduce`'s
+/// fused forms and `rows::assemble` moved to `&mut` windows handed out by
+/// `par::for_chunks_mut`, with one `set_len` under both maps.
+const MAX_UNSAFE_LINES: usize = 38;
 
 /// Every `.rs` file under `dir`, relative to the repository root.
 fn rust_files(dir: &str) -> Vec<PathBuf> {
@@ -220,7 +237,6 @@ fn shared_mut_sites_and_unsafe_lines_are_the_audited_ones() {
         .collect();
     let sites: Vec<String> = files
         .iter()
-        .filter(|f| !f.starts_with("crates/prim"))
         .filter(|f| read(f.to_str().unwrap()).contains("SharedMut::new"))
         .map(|f| f.display().to_string())
         .collect();
