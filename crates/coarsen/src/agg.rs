@@ -7,8 +7,9 @@
 //! derives from MIS-2 maximality (Section III-B).
 
 use mis2_graph::{CsrGraph, VertexId};
-use mis2_prim::par;
+use mis2_prim::{cells, par};
 use std::fmt;
+use std::sync::atomic::Ordering::Relaxed;
 
 /// Sentinel for not-yet-aggregated vertices during construction.
 pub const UNAGGREGATED: u32 = u32::MAX;
@@ -155,27 +156,33 @@ impl Aggregation {
 }
 
 // ---------------------------------------------------------------------------
-// Construction steps shared by the schemes
+// Construction steps shared by the schemes: `claim` roots aggregates,
+// `join_leftovers` attaches what the roots left (Algorithm 3 phase 3, D2C),
+// and `sweep_pockets` roots what nothing could reach.
 // ---------------------------------------------------------------------------
 
-/// Every unaggregated vertex adjacent to a root takes that root's label
-/// (Algorithm 2 phase 1, which Algorithm 3 repeats verbatim in phase 1 and
-/// on its unaggregated subgraph in phase 2). On entry the roots are
-/// exactly the labeled vertices. Two roots of an MIS-2 are at least 3
-/// apart, so no vertex has two root neighbors: the assignment is
-/// conflict-free. Each vertex writes only its own label and reads the
-/// labels copied on entry.
-pub(crate) fn absorb_root_neighbors(g: &CsrGraph, labels: &mut [u32]) {
-    let roots = labels.to_vec();
-    par::for_each_mut_indexed(labels, |v, label| {
-        if *label == UNAGGREGATED {
-            let mut near = g
-                .neighbors(v as VertexId)
-                .iter()
-                .map(|&w| roots[w as usize]);
-            if let Some(root) = near.find(|&l| l != UNAGGREGATED) {
-                *label = root;
-            }
+/// Unaggregated neighbours a root needs: Algorithm 3's phase 2 rejects a
+/// secondary root with fewer (it would cause fill-in during smoothing), and
+/// D2C's "sufficiently many unaggregated neighbors" rule is the same one.
+pub(crate) const MIN_UNAGG_NEIGHBORS: usize = 2;
+
+/// Root `roots[k]` takes label `base + k`, and so does each of its
+/// neighbours that is still [`UNAGGREGATED`]: the one step that gives a
+/// root's label to its neighbours (Algorithm 2, both phases of Algorithm
+/// 3, each color wave of D2C). The roots of one call share no unaggregated neighbour — MIS-2
+/// roots are at least 3 apart, phase 2's are an MIS-2 of the unaggregated
+/// subgraph, and one color of a distance-2 coloring is distance-2
+/// independent — so each slot has at most one writer and the result is
+/// that of a serial loop. Through relaxed cells a set that breaks this
+/// changes which root a neighbour joins, but cannot race: each root keeps
+/// itself and each aggregate stays a star.
+pub(crate) fn claim(g: &CsrGraph, labels: &mut [u32], roots: &[VertexId], base: u32) {
+    let cells = cells::u32_cells(labels);
+    par::for_each_indexed(roots, |k, &v| {
+        let label = base + k as u32;
+        cells[v as usize].store(label, Relaxed);
+        for &w in g.neighbors(v) {
+            let _ = cells[w as usize].compare_exchange(UNAGGREGATED, label, Relaxed, Relaxed);
         }
     });
 }
@@ -219,6 +226,12 @@ pub(crate) fn max_coupling(
     }
 }
 
+/// The smallest aggregate among the `labels` of `v`'s neighbors, if any.
+pub(crate) fn smallest_adjacent(g: &CsrGraph, v: VertexId, labels: &[u32]) -> Option<u32> {
+    let near = g.neighbors(v).iter().map(|&w| labels[w as usize]);
+    near.filter(|&l| l != UNAGGREGATED).min()
+}
+
 /// Every unaggregated vertex joins its [`max_coupling`] aggregate
 /// (Algorithm 3 phase 3). Coupling and aggregate sizes are computed
 /// against the labels frozen on entry, which is what keeps the step
@@ -252,13 +265,7 @@ pub(crate) fn sweep_pockets(g: &CsrGraph, labels: &mut [u32], roots: &mut Vec<Ve
         }
         // Join any adjacent aggregate formed earlier in this sweep (keeps
         // pockets of size 2 together) ...
-        let adjacent = g
-            .neighbors(v)
-            .iter()
-            .map(|&w| labels[w as usize])
-            .filter(|&l| l != UNAGGREGATED)
-            .min();
-        labels[v as usize] = adjacent.unwrap_or_else(|| {
+        labels[v as usize] = smallest_adjacent(g, v, labels).unwrap_or_else(|| {
             // ... or root a new aggregate.
             roots.push(v);
             (roots.len() - 1) as u32

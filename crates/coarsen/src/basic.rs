@@ -1,6 +1,7 @@
 //! Algorithm 2 — basic MIS-2 coarsening (Bell et al. / ViennaCL scheme).
 //!
-//! Each MIS-2 vertex becomes a root; roots absorb their direct neighbors;
+//! Each MIS-2 vertex becomes a root and claims its direct neighbors
+//! (`agg::claim`, the step Algorithm 3 and D2C root with too);
 //! leftover vertices (at distance exactly 2 from some root, guaranteed by
 //! maximality) join an adjacent aggregate "arbitrarily". For determinism we
 //! resolve "arbitrarily" as the smallest adjacent aggregate id — Bell's GPU
@@ -11,7 +12,7 @@
 //! iterations — which is what Algorithm 3 ([`crate::mis2_agg`]) fixes and
 //! Table V quantifies (MIS2 Basic: 49 CG iterations vs MIS2 Agg: 22).
 
-use crate::agg::{absorb_root_neighbors, Aggregation, UNAGGREGATED};
+use crate::agg::{claim, smallest_adjacent, Aggregation, UNAGGREGATED};
 use mis2_core::Mis2Result;
 use mis2_graph::{CsrGraph, VertexId};
 use mis2_prim::par;
@@ -29,14 +30,9 @@ pub fn mis2_basic_from(g: &CsrGraph, m: &Mis2Result) -> Aggregation {
     let num_aggregates = m.in_set.len();
     let mut labels = vec![UNAGGREGATED; n];
 
-    // Roots get aggregate ids in MIS order (sorted by vertex id —
-    // deterministic).
-    for (a, &r) in m.in_set.iter().enumerate() {
-        labels[r as usize] = a as u32;
-    }
-
-    // Phase 1: neighbors of roots.
-    absorb_root_neighbors(g, &mut labels);
+    // Phase 1: roots and their neighbors, aggregate ids in MIS order
+    // (sorted by vertex id — deterministic).
+    claim(g, &mut labels, &m.in_set, 0);
 
     // Phase 2: leftovers join the smallest adjacent aggregate. By MIS-2
     // maximality every leftover is at distance 2 from a root, i.e. adjacent
@@ -44,13 +40,7 @@ pub fn mis2_basic_from(g: &CsrGraph, m: &Mis2Result) -> Aggregation {
     let phase1 = labels.clone();
     par::for_each_mut_indexed(&mut labels, |v, label| {
         if *label == UNAGGREGATED {
-            let near = g
-                .neighbors(v as VertexId)
-                .iter()
-                .map(|&w| phase1[w as usize]);
-            if let Some(l) = near.filter(|&l| l != UNAGGREGATED).min() {
-                *label = l;
-            }
+            *label = smallest_adjacent(g, v as VertexId, &phase1).unwrap_or(UNAGGREGATED);
         }
     });
 

@@ -6,10 +6,11 @@
 //! root aggregates wave by wave:
 //!
 //! * for each color `c` in increasing order: every still-unaggregated
-//!   vertex of color `c` with at least `min_unagg` unaggregated neighbors
-//!   roots an aggregate with those neighbors (conflict-free within a color:
-//!   two same-colored vertices are at distance > 2, so they share no
-//!   neighbor);
+//!   vertex of color `c` with at least `MIN_UNAGG_NEIGHBORS` unaggregated
+//!   neighbors roots an aggregate with those neighbors through
+//!   `agg::claim`, the step Algorithms 2 and 3 root with
+//!   (conflict-free within a color: two same-colored vertices are at
+//!   distance > 2, so they share no neighbor);
 //! * leftovers join an adjacent aggregate.
 //!
 //! "Serial D2C" uses a sequential coloring (reverse-offloaded to host in
@@ -18,16 +19,11 @@
 //! this reimplementation resolves the join deterministically but keeps the
 //! paper's classification in `repro table5` (counts: `tests/repro.rs`).
 
-use crate::agg::{join_leftovers, sweep_pockets, Aggregation, UNAGGREGATED};
+use crate::agg::{
+    claim, join_leftovers, sweep_pockets, Aggregation, MIN_UNAGG_NEIGHBORS, UNAGGREGATED,
+};
 use mis2_color::{color_d2_serial, color_d2_speculative, ColorSets, Coloring};
 use mis2_graph::{CsrGraph, VertexId};
-use mis2_prim::{cells, par};
-use std::sync::atomic::Ordering::Relaxed;
-
-/// Minimum unaggregated neighbors a root candidate needs (matches the
-/// "sufficiently many unaggregated neighbors" rule of the paper's Serial
-/// D2C description and Algorithm 3's phase 2 constant).
-const MIN_UNAGG_NEIGHBORS: usize = 2;
 
 /// Aggregation driven by a distance-2 coloring.
 pub fn d2c_aggregation(g: &CsrGraph, coloring: &Coloring) -> Aggregation {
@@ -47,18 +43,8 @@ pub fn d2c_aggregation(g: &CsrGraph, coloring: &Coloring) -> Aggregation {
                     .count()
                     >= MIN_UNAGG_NEIGHBORS
         });
-        // Claim aggregates. Same-colored roots share no neighbor, so each
-        // slot has one writer; under a wrong coloring a root still keeps
-        // itself, and a neighbor goes to one of the roots that claim it.
-        let base = roots.len() as u32;
-        let cells = cells::u32_cells(&mut labels);
-        par::for_each_indexed(&candidates, |k, &v| {
-            let label = base + k as u32;
-            cells[v as usize].store(label, Relaxed);
-            for &w in g.neighbors(v) {
-                let _ = cells[w as usize].compare_exchange(UNAGGREGATED, label, Relaxed, Relaxed);
-            }
-        });
+        // Same-colored roots share no neighbor (see `claim`).
+        claim(g, &mut labels, &candidates, roots.len() as u32);
         roots.extend_from_slice(&candidates);
     }
 
@@ -84,8 +70,8 @@ pub fn serial_d2c_aggregation(g: &CsrGraph) -> Aggregation {
 /// "NB D2C": parallel net-based distance-2 coloring + parallel aggregation.
 /// Uses the speculative coloring, like the production implementation the
 /// paper classifies as nondeterministic.
-pub fn nb_d2c_aggregation(g: &CsrGraph, seed: u64) -> Aggregation {
-    let coloring = color_d2_speculative(g, seed);
+pub fn nb_d2c_aggregation(g: &CsrGraph) -> Aggregation {
+    let coloring = color_d2_speculative(g);
     d2c_aggregation(g, &coloring)
 }
 
@@ -99,7 +85,7 @@ mod tests {
         let g = gen::laplace3d(7, 7, 7);
         let a = serial_d2c_aggregation(&g);
         a.validate(&g).unwrap();
-        let b = nb_d2c_aggregation(&g, 0);
+        let b = nb_d2c_aggregation(&g);
         b.validate(&g).unwrap();
     }
 
@@ -108,7 +94,7 @@ mod tests {
         for seed in 0..3 {
             let g = gen::erdos_renyi(300, 900, seed);
             serial_d2c_aggregation(&g).validate(&g).unwrap();
-            nb_d2c_aggregation(&g, seed).validate(&g).unwrap();
+            nb_d2c_aggregation(&g).validate(&g).unwrap();
         }
     }
 
@@ -124,7 +110,7 @@ mod tests {
         // vertex ends up with a label that is not one of its neighbors'
         // roots or its own.
         let g = gen::laplace2d(15, 15);
-        let a = nb_d2c_aggregation(&g, 3);
+        let a = nb_d2c_aggregation(&g);
         a.validate(&g).unwrap();
         for v in 0..g.num_vertices() as u32 {
             let l = a.labels[v as usize];

@@ -14,7 +14,10 @@
 //! * [`scheme`] — one enum over all five Table V schemes.
 //! * [`prolongator`] — tentative and smoothed prolongators for SA-AMG.
 //! * [`hierarchy`] — quotient graphs and recursive multilevel coarsening.
-//! * [`agg`] — the [`Aggregation`] type and validation.
+//! * [`agg`] — the [`Aggregation`] type, validation, and the construction
+//!   steps the schemes share.
+//! * [`spec`] — Algorithms 2 and 3 as serial specifications, the schemes'
+//!   bitwise oracles.
 //! * [`stats`] — aggregate shape metrics, among them the root radius that
 //!   Algorithms 2 and 3 bound by 2.
 
@@ -26,6 +29,7 @@ pub mod mis2_agg;
 pub mod prolongator;
 pub mod scheme;
 pub mod serial;
+pub mod spec;
 pub mod stats;
 
 pub use agg::{AggViolation, Aggregation, UNAGGREGATED};

@@ -4,11 +4,14 @@
 //! sequential MIS-2 aggregation (Tuminaro & Tong):
 //!
 //! * **Phase 1**: compute MIS-2, make each member a root, aggregate it with
-//!   its direct neighbors (as Algorithm 2).
+//!   its direct neighbors (as Algorithm 2; both phases root through
+//!   `agg::claim`).
 //! * **Phase 2**: compute a *second* MIS-2 on the subgraph induced by the
 //!   unaggregated vertices; each member with at least 2 unaggregated
 //!   neighbors becomes a secondary root (smaller candidates are rejected —
-//!   they would cause fill-in during smoothing).
+//!   they would cause fill-in during smoothing) and claims its
+//!   unaggregated neighbors in `g` itself: the subgraph serves only the
+//!   MIS-2 run and the degree test.
 //! * **Phase 3**: every remaining vertex joins the adjacent aggregate with
 //!   maximum *coupling* (number of neighbors in that aggregate), breaking
 //!   ties toward the smaller aggregate. Coupling and sizes are computed
@@ -30,7 +33,9 @@
 //! output is byte-identical to the seed engine's because the engine
 //! itself is.
 
-use crate::agg::{absorb_root_neighbors, join_leftovers, sweep_pockets, Aggregation, UNAGGREGATED};
+use crate::agg::{
+    claim, join_leftovers, sweep_pockets, Aggregation, MIN_UNAGG_NEIGHBORS, UNAGGREGATED,
+};
 use mis2_core::{mis2_with_config, Mis2Config, Mis2Result};
 use mis2_graph::{ops, CsrGraph, VertexId};
 use mis2_prim::par;
@@ -65,45 +70,33 @@ pub fn mis2_aggregation_from(g: &CsrGraph, cfg: &Mis2Config, m1: &Mis2Result) ->
     let mut roots: Vec<VertexId> = Vec::new();
 
     // ---- Phase 1: primary MIS-2 roots + their neighbors -----------------
-    for (a, &r) in m1.in_set.iter().enumerate() {
-        labels[r as usize] = a as u32;
+    // Pushed one by one: the capacity this leaves is part of what a cache
+    // charges for the result (`Aggregation::heap_bytes`).
+    for &r in &m1.in_set {
         roots.push(r);
     }
-    absorb_root_neighbors(g, &mut labels);
+    claim(g, &mut labels, &roots, 0);
 
     // ---- Phase 2: secondary MIS-2 on the unaggregated subgraph ----------
     let keep: Vec<bool> = par::map(&labels, |&l| l == UNAGGREGATED);
     let (sub, new_to_old) = ops::induced_subgraph(g, &keep);
-    if sub.num_vertices() > 0 {
-        let cfg2 = Mis2Config {
-            seed: cfg.seed ^ 0xA66E_57A7,
-            ..*cfg
-        };
-        let m2 = mis2_with_config(&sub, &cfg2);
-        // Secondary roots need >= 2 unaggregated neighbors. All neighbors of
-        // an unaggregated vertex that are unaggregated appear in `sub`, so
-        // the subgraph degree *is* the unaggregated-neighbor count.
-        let accepted: Vec<VertexId> = m2
-            .in_set
-            .iter()
-            .copied()
-            .filter(|&v2| sub.degree(v2) >= 2)
-            .collect();
-        // The secondary roots and their neighbors are labeled in `sub`,
-        // as phase 1 does in `g`: each still-unaggregated vertex takes the
-        // label of its adjacent secondary root, which is unique because
-        // secondary roots are distance >= 3 apart in `sub`, and every edge
-        // between two unaggregated vertices is a `sub` edge.
-        let mut sub_labels = vec![UNAGGREGATED; sub.num_vertices()];
-        for (k, &v2) in accepted.iter().enumerate() {
-            sub_labels[v2 as usize] = (roots.len() + k) as u32;
-        }
-        roots.extend(accepted.iter().map(|&v2| new_to_old[v2 as usize]));
-        absorb_root_neighbors(&sub, &mut sub_labels);
-        for (&v, &label) in new_to_old.iter().zip(&sub_labels) {
-            labels[v as usize] = label;
-        }
-    }
+    let cfg2 = Mis2Config {
+        seed: cfg.seed ^ 0xA66E_57A7,
+        ..*cfg
+    };
+    let m2 = mis2_with_config(&sub, &cfg2);
+    // All unaggregated neighbors of an unaggregated vertex are in `sub`, so
+    // the subgraph degree *is* the unaggregated-neighbor count. Every edge
+    // between two unaggregated vertices is a `sub` edge, so the accepted
+    // roots claim in `g` as they would in `sub`.
+    let accepted: Vec<VertexId> = m2
+        .in_set
+        .iter()
+        .filter(|&&v2| sub.degree(v2) >= MIN_UNAGG_NEIGHBORS)
+        .map(|&v2| new_to_old[v2 as usize])
+        .collect();
+    claim(g, &mut labels, &accepted, roots.len() as u32);
+    roots.extend_from_slice(&accepted);
 
     // ---- Phase 3: join leftovers by max coupling -------------------------
     join_leftovers(g, &mut labels, roots.len());

@@ -54,12 +54,14 @@ impl AggScheme {
         )
     }
 
-    /// Run the scheme.
-    pub fn aggregate(self, g: &CsrGraph, seed: u64) -> Aggregation {
+    /// Run the scheme. No scheme reads `_seed`: each runs at its default
+    /// configuration, so the seed changes nothing. It stays in the
+    /// signature because the repo benchmark passes one.
+    pub fn aggregate(self, g: &CsrGraph, _seed: u64) -> Aggregation {
         match self {
             AggScheme::SerialAgg => crate::serial::serial_aggregation(g),
             AggScheme::SerialD2C => crate::d2c::serial_d2c_aggregation(g),
-            AggScheme::NbD2C => crate::d2c::nb_d2c_aggregation(g, seed),
+            AggScheme::NbD2C => crate::d2c::nb_d2c_aggregation(g),
             AggScheme::Mis2Basic => crate::basic::mis2_basic(g),
             AggScheme::Mis2Agg => crate::mis2_agg::mis2_aggregation(g),
         }

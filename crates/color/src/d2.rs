@@ -28,7 +28,7 @@ pub fn color_d2(g: &CsrGraph, seed: u64) -> Coloring {
 /// vertex speculatively claims the smallest color not visible in its
 /// two-hop neighborhood; conflicts (same color within distance 2) uncolor
 /// the lower-id endpoint and retry.
-pub fn color_d2_speculative(g: &CsrGraph, _seed: u64) -> Coloring {
+pub fn color_d2_speculative(g: &CsrGraph) -> Coloring {
     use std::sync::atomic::{AtomicU32, Ordering};
     let n = g.num_vertices();
     let colors: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
@@ -142,25 +142,25 @@ mod tests {
     fn empty_graph() {
         assert_eq!(color_d2(&CsrGraph::empty(0), 0).num_colors, 0);
         assert_eq!(color_d2_serial(&CsrGraph::empty(0)).num_colors, 0);
-        assert_eq!(color_d2_speculative(&CsrGraph::empty(0), 0).num_colors, 0);
+        assert_eq!(color_d2_speculative(&CsrGraph::empty(0)).num_colors, 0);
     }
 
     #[test]
     fn speculative_valid_on_random_and_grid() {
         for seed in 0..3u64 {
             let g = gen::erdos_renyi(150, 450, seed);
-            let c = color_d2_speculative(&g, seed);
+            let c = color_d2_speculative(&g);
             verify_coloring_d2(&g, &c.colors).unwrap();
         }
         let g = gen::laplace2d(15, 15);
-        let c = color_d2_speculative(&g, 0);
+        let c = color_d2_speculative(&g);
         verify_coloring_d2(&g, &c.colors).unwrap();
     }
 
     #[test]
     fn speculative_single_thread_one_round() {
         let g = gen::erdos_renyi(200, 600, 1);
-        let c = mis2_prim::pool::with_pool(1, || color_d2_speculative(&g, 0));
+        let c = mis2_prim::pool::with_pool(1, || color_d2_speculative(&g));
         verify_coloring_d2(&g, &c.colors).unwrap();
         assert_eq!(c.rounds, 1);
     }

@@ -2,16 +2,17 @@
 //! at the same slots, with no undefined behaviour whatever they do.
 //!
 //! Two loops in the workspace write slots that are disjoint only if their
-//! input is right: the roots of one color of D2C aggregation label their
-//! neighbors (`mis2_coarsen::d2c`; a distance-2 coloring gives no two of
-//! them a shared neighbor), and the clusters of one color of the cluster
+//! input is right: the roots of one `mis2_coarsen::agg::claim` call label
+//! their neighbors (Algorithms 2 and 3 root MIS-2 sets, D2C one color of
+//! a distance-2 coloring at a time; either way no two roots share an
+//! unaggregated neighbor), and the clusters of one color of the cluster
 //! Gauss-Seidel sweep read neighbor `x` while writing their own
 //! (`mis2_solver::gs`; a coloring of the quotient graph makes no two of
-//! them adjacent). Both take the coloring from their caller. Through these
-//! cells a wrong coloring changes which write lands, and so the result's
+//! them adjacent). Both take that input from their caller. Through these
+//! cells a wrong input changes which write lands, and so the result's
 //! bits, but every access is a relaxed atomic load or store, so it cannot
-//! race in the language's sense. With a right coloring no slot is
-//! touched by two tasks, so the bits are those of plain loads and stores.
+//! race in the language's sense. With a right input no slot is touched
+//! by two tasks, so the bits are those of plain loads and stores.
 //!
 //! The module owns the one layout cast that makes this free: `&mut [u32]`
 //! as `&[AtomicU32]`, and `&mut [f64]` as 64-bit cells that hold the

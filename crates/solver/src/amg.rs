@@ -44,7 +44,9 @@ pub struct AmgConfig {
     pub scheme: AggScheme,
     /// Stop coarsening below this many rows (dense LU takes over).
     pub min_coarse_size: usize,
-    /// Seed forwarded to the aggregation scheme.
+    /// Seed forwarded to the aggregation scheme, which reads none
+    /// ([`AggScheme::aggregate`]): it changes no hierarchy. It stays
+    /// because the repo benchmark sets it.
     pub seed: u64,
 }
 

@@ -109,7 +109,8 @@ pub struct ClusterMcSgs {
 
 impl ClusterMcSgs {
     /// Coarsen with `scheme` (the paper uses Algorithm 3), color the
-    /// quotient graph, and group cluster rows by color.
+    /// quotient graph, and group cluster rows by color. `seed` drives the
+    /// coloring only: no scheme reads it ([`AggScheme::aggregate`]).
     pub fn new(a: &CsrMatrix, scheme: AggScheme, seed: u64) -> Self {
         let t = Instant::now();
         let g = a.to_graph();

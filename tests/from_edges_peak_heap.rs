@@ -14,6 +14,10 @@
 //! * The MIS-2 engine keeps its work arrays on the calling thread: a
 //!   second run on the same thread and graph allocates at most a quarter
 //!   of what the first did (the result, the per-block counts).
+//! * Algorithm 2 from a given MIS-2 allocates its labels, the phase-1
+//!   labels its leftovers read, and its roots: about 2.1 x the labels'
+//!   bytes, and at most 2.25 x. Rooting through an n-sized copy of the
+//!   labels as well allocates about 3.1 x, and fails here.
 //! * An AMG V-cycle keeps every vector it needs in the hierarchy's
 //!   per-level scratch: from its second call on, `AmgHierarchy::apply`
 //!   on one thread allocates at most 1 KiB.
@@ -28,6 +32,7 @@
 //! pool workers count too. The tests take one lock, so that no two of
 //! them count at once.
 
+use mis2_coarsen::mis2_basic_from;
 use mis2_core::{mis2_with_config, Mis2Config};
 use mis2_graph::gen::{self, rmat_edges};
 use mis2_graph::{CsrGraph, VertexId};
@@ -184,6 +189,35 @@ fn a_second_mis2_on_the_same_thread_reuses_the_first_ones_work_arrays() {
                 );
             });
         }
+    }
+}
+
+#[test]
+fn algorithm_2_allocates_its_labels_twice_and_its_roots() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let g = gen::laplace3d(24, 24, 24);
+    let m = mis2_core::mis2(&g);
+    let labels = g.num_vertices() * size_of::<u32>();
+    for pool in [1usize, 2] {
+        with_pool(pool, || {
+            // The first call spawns the pool's workers. The least of three
+            // counts leaves out what the test harness allocates on its own
+            // threads meanwhile.
+            let want = mis2_basic_from(&g, &m);
+            let bytes = (0..3)
+                .map(|_| {
+                    let (agg, bytes) = allocated_by(|| mis2_basic_from(&g, &m));
+                    assert_eq!(agg, want);
+                    bytes
+                })
+                .min()
+                .unwrap();
+            assert!(
+                4 * bytes <= 9 * labels,
+                "pool {pool}: Algorithm 2 allocated {bytes} bytes, more than 2.25 x \
+                 the labels' {labels}"
+            );
+        });
     }
 }
 
