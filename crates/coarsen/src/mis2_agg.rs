@@ -10,8 +10,9 @@
 //!   unaggregated vertices; each member with at least 2 unaggregated
 //!   neighbors becomes a secondary root (smaller candidates are rejected —
 //!   they would cause fill-in during smoothing) and claims its
-//!   unaggregated neighbors in `g` itself: the subgraph serves only the
-//!   MIS-2 run and the degree test.
+//!   unaggregated neighbors. The subgraph is never built: the MIS-2 is
+//!   [`mis2_masked`] on `g` under the unaggregated mask, and each root
+//!   counts its unaggregated neighbors in its row of `g`.
 //! * **Phase 3**: every remaining vertex joins the adjacent aggregate with
 //!   maximum *coupling* (number of neighbors in that aggregate), breaking
 //!   ties toward the smaller aggregate. Coupling and sizes are computed
@@ -27,17 +28,18 @@
 //! keeps the partition total.
 //!
 //! Both MIS-2 calls run on the engine's two fused per-round passes (see
-//! [`mis2_core::engine`]); the phase-2 call in particular benefits, since
-//! the induced unaggregated subgraph is small and a worklist of at most
-//! one dispatch block runs inline with no region wake-up. Aggregation
-//! output is byte-identical to the seed engine's because the engine
-//! itself is.
+//! [`mis2_core::engine`]). The masked run's worklists start as the
+//! unaggregated vertices and, with worklists, its first column pass drops
+//! every aggregated neighbor from the rows it keeps, so phase 2 reads the subgraph's
+//! entries without a second graph, in the `g`-sized work arrays the
+//! thread keeps from its last run. Aggregation output is byte-identical
+//! to the seed engine's because the engine itself is.
 
 use crate::agg::{
     claim, join_leftovers, sweep_pockets, Aggregation, MIN_UNAGG_NEIGHBORS, UNAGGREGATED,
 };
-use mis2_core::{mis2_with_config, Mis2Config, Mis2Result};
-use mis2_graph::{ops, CsrGraph, VertexId};
+use mis2_core::{mis2_masked, mis2_with_config, Mis2Config, Mis2Result};
+use mis2_graph::{CsrGraph, VertexId};
 use mis2_prim::par;
 
 /// Algorithm 3 with the default MIS-2 configuration.
@@ -77,23 +79,16 @@ pub fn mis2_aggregation_from(g: &CsrGraph, cfg: &Mis2Config, m1: &Mis2Result) ->
     }
     claim(g, &mut labels, &roots, 0);
 
-    // ---- Phase 2: secondary MIS-2 on the unaggregated subgraph ----------
+    // ---- Phase 2: secondary MIS-2 on the unaggregated vertices ----------
     let keep: Vec<bool> = par::map(&labels, |&l| l == UNAGGREGATED);
-    let (sub, new_to_old) = ops::induced_subgraph(g, &keep);
     let cfg2 = Mis2Config {
         seed: cfg.seed ^ 0xA66E_57A7,
         ..*cfg
     };
-    let m2 = mis2_with_config(&sub, &cfg2);
-    // All unaggregated neighbors of an unaggregated vertex are in `sub`, so
-    // the subgraph degree *is* the unaggregated-neighbor count. Every edge
-    // between two unaggregated vertices is a `sub` edge, so the accepted
-    // roots claim in `g` as they would in `sub`.
-    let accepted: Vec<VertexId> = m2
-        .in_set
-        .iter()
-        .filter(|&&v2| sub.degree(v2) >= MIN_UNAGG_NEIGHBORS)
-        .map(|&v2| new_to_old[v2 as usize])
+    let unaggregated_neighbors =
+        |v: VertexId| g.neighbors(v).iter().filter(|&&w| keep[w as usize]).count();
+    let accepted: Vec<VertexId> = (mis2_masked(g, &keep, &cfg2).in_set.into_iter())
+        .filter(|&v| unaggregated_neighbors(v) >= MIN_UNAGG_NEIGHBORS)
         .collect();
     claim(g, &mut labels, &accepted, roots.len() as u32);
     roots.extend_from_slice(&accepted);

@@ -51,10 +51,11 @@
 //! can be `OUT`) is not copied.
 //!
 //! The scatter is safe code because both lists ascend strictly: they start
-//! as `0..n`, and `pack` keeps order, so the `Filtered` list built from a
-//! `Full` one does too. A block's vertices therefore all lie below the
-//! next block's first vertex, and `par::map_windows` hands each block the
-//! `&mut` window of `M` (column pass) or `T` (decide pass) between its own
+//! as `0..n` (a masked run's kept vertices), and `pack` keeps order, so
+//! the `Filtered` list built from a `Full` one does too. A block's
+//! vertices therefore all lie below the next block's first vertex, and
+//! `par::map_windows` hands each block the `&mut` window of `M` (column
+//! pass) or `T` (decide pass) between its own
 //! first vertex and the next block's, addressed by vertex id, with its
 //! chunk of the keep flags. Every other array a pass reads (`T` in the
 //! column pass, `M` in the decide pass, the rows) is a shared borrow, and
@@ -128,8 +129,8 @@
 //! of that row and of the entry itself (`Exec::marks`, relaxed atomic
 //! stores: every writer stores the same `true`), and Decide reads `v`'s
 //! byte instead of rescanning its row for an `OUT`. It reads the row only
-//! to test `M_w == T_v`, up to the first mismatch, the same rule in every
-//! round.
+//! to test `M_w >= T_v` (see "Masked runs"), up to the first mismatch, the
+//! same rule in every round.
 //!
 //! The mark equals the scan it replaces for every undecided `v` (checked
 //! under `debug_assertions` in `decide_value`). An `OUT` column older than
@@ -140,6 +141,41 @@
 //! each round: one that was `OUT` already marks nothing again. A min that
 //! is itself `OUT` marks nothing either: every tuple it read is `OUT`, so
 //! no vertex of that row is undecided.
+//!
+//! ## Masked runs
+//!
+//! [`mis2_masked`] computes the MIS-2 of the subgraph that the vertices
+//! with `keep[v]` induce, on `g` itself: the mask is written into the
+//! run's starting state, and every pass is the one an unmasked run takes.
+//! (omega_h's `indset` takes "an initial filtered subset" the same way.)
+//!
+//! * A vertex left out starts `OUT`, the largest tuple, so no min picks
+//!   it, and the worklists start as the kept vertices, so no pass decides
+//!   it or computes its column.
+//! * A kept vertex takes its tuple id and its priority from its rank among
+//!   the kept vertices, with [`id_bits`] of their count: the subgraph's
+//!   numbering, which keeps the order of ids, so every comparison reads as
+//!   it would on the subgraph and the set is the subgraph's, bit for bit.
+//! * `M` starts at [`TupleRepr::LAST`]: not `OUT`, and no smaller than any
+//!   undecided tuple. Decide Set's `IN` test is `M_w >= T_v` for every
+//!   `w in adj(v) ∪ {v}`. Each column a pass computes has the undecided
+//!   `v` in its row, so it is at most `T_v`, and at least `T_v` only by
+//!   being `T_v`: the paper's `M_w = T_v`. A left-out column is never
+//!   written; it stays `LAST` and passes, as a vertex the subgraph does
+//!   not have. It is not `OUT`, so it marks nothing.
+//! * With worklists, the first column pass of a masked run builds the
+//!   filtered rows, which drops every left-out neighbour (each is `OUT`),
+//!   so later passes read only the subgraph's entries. Without that build
+//!   every column pass reads whole rows of `g` until the usual gate: on
+//!   Algorithm 3's phase 2 (medians of 61 interleaved pairs, pools 1 and
+//!   2, 2 vCPUs) a run without it took 1.09–1.28× as long on `svc_cold`'s
+//!   R-MAT, whose hub rows are mostly left out, and 0.93–0.95× on its mesh
+//!   and on Laplace3D 24³.
+//!
+//! An unmasked run takes the same passes, with `M` starting `LAST` and
+//! `>=` in Decide Set; whether a run is masked is a const parameter of
+//! `run`, so an unmasked one makes no rank array, and its Refresh Row
+//! reads no rank and tests no mask.
 //!
 //! ## Determinism
 //!
@@ -157,7 +193,7 @@
 use crate::priority::PriorityScheme;
 use crate::tuple::{id_bits, Packed, TupleRepr, Unpacked};
 use mis2_graph::{CsrGraph, VertexId};
-use mis2_prim::{compact, par};
+use mis2_prim::{compact, par, scan};
 use std::any::Any;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -258,15 +294,6 @@ pub struct Mis2Result {
 }
 
 impl Mis2Result {
-    fn empty() -> Self {
-        Mis2Result {
-            in_set: Vec::new(),
-            is_in: Vec::new(),
-            iterations: 0,
-            history: Vec::new(),
-        }
-    }
-
     /// |MIS-2| — the paper's quality metric (Tables III and IV).
     pub fn size(&self) -> usize {
         self.in_set.len()
@@ -288,19 +315,40 @@ pub fn mis2(g: &CsrGraph) -> Mis2Result {
 
 /// Compute an MIS-2 with an explicit configuration.
 pub fn mis2_with_config(g: &CsrGraph, cfg: &Mis2Config) -> Mis2Result {
-    mis2_probed(g, cfg).0
+    mis2_probed(g, None, cfg).0
 }
 
-/// [`mis2_with_config`], and the round whose column pass built the
-/// filtered rows (`None` when none did).
-pub(crate) fn mis2_probed(g: &CsrGraph, cfg: &Mis2Config) -> (Mis2Result, Option<usize>) {
-    if g.num_vertices() == 0 {
-        return (Mis2Result::empty(), None);
-    }
-    if cfg.packed {
-        run::<Packed>(g, cfg)
-    } else {
-        run::<Unpacked>(g, cfg)
+/// The MIS-2 that [`mis2_with_config`] computes on the subgraph the
+/// vertices with `keep[v]` induce, numbered in ascending id, with its set
+/// and mask in `g`'s numbering; the subgraph is never built (see "Masked
+/// runs" in the module docs). Algorithm 3's phase 2 runs it on the
+/// unaggregated vertices.
+///
+/// ```
+/// let g = mis2_graph::gen::path(5);
+/// let keep = [true, true, false, true, true];
+/// let r = mis2_core::engine::mis2_masked(&g, &keep, &Default::default());
+/// // The subgraph is two edges, {0, 1} and {3, 4}: one vertex of each.
+/// assert_eq!(r.size(), 2);
+/// assert!(!r.is_in[2]);
+/// ```
+pub fn mis2_masked(g: &CsrGraph, keep: &[bool], cfg: &Mis2Config) -> Mis2Result {
+    assert_eq!(keep.len(), g.num_vertices(), "mask length mismatch");
+    mis2_probed(g, Some(keep), cfg).0
+}
+
+/// A run of Algorithm 1, masked or not, and the round whose column pass
+/// built the filtered rows (`None` when none did).
+pub(crate) fn mis2_probed(
+    g: &CsrGraph,
+    keep: Option<&[bool]>,
+    cfg: &Mis2Config,
+) -> (Mis2Result, Option<usize>) {
+    match (cfg.packed, keep) {
+        (true, None) => run::<Packed, false>(g, &[], cfg),
+        (true, Some(keep)) => run::<Packed, true>(g, keep, cfg),
+        (false, None) => run::<Unpacked, false>(g, &[], cfg),
+        (false, Some(keep)) => run::<Unpacked, true>(g, keep, cfg),
     }
 }
 
@@ -413,11 +461,11 @@ struct Lists {
 }
 
 impl Lists {
-    /// Both worklists the full vertex set `0..n`, reading the graph's rows.
-    /// The lists take the larger of the vectors their compactions change
-    /// places with, so that a run like the last one fits the vectors it
-    /// left.
-    fn reset(&mut self, n: usize) {
+    /// Both worklists the vertices of `0..n` that `keep` keeps (all of them
+    /// without a mask), reading the graph's rows. The lists take the larger
+    /// of the vectors their compactions change places with, so that a run
+    /// like the last one fits the vectors it left.
+    fn reset(&mut self, n: usize, keep: Option<&[bool]>) {
         use std::mem::swap;
         if self.spare.capacity() > self.wl1.capacity() {
             swap(&mut self.spare, &mut self.wl1);
@@ -429,7 +477,12 @@ impl Lists {
             swap(&mut self.filtered_spare, &mut self.filtered);
         }
         self.wl1.clear();
-        self.wl1.extend(0..n as VertexId);
+        match keep {
+            None => self.wl1.extend(0..n as VertexId),
+            Some(keep) => self
+                .wl1
+                .extend((0..n as VertexId).filter(|&v| keep[v as usize])),
+        }
         self.wl2.clone_from(&self.wl1);
         self.is_filtered = false;
     }
@@ -501,6 +554,9 @@ struct Exec<'a> {
     seed: u64,
     bits: u32,
     prio_mask: u64,
+    /// A masked run's tuple id of each kept vertex: its rank among them
+    /// (empty for an unmasked run).
+    rank: &'a [VertexId],
     /// [`Mis2Config::use_worklists`]: compact each list to its survivors
     /// after its pass. When `false` both lists stay the full vertex set.
     compact: bool,
@@ -514,10 +570,15 @@ struct Exec<'a> {
 }
 
 impl Exec<'_> {
+    /// `v`'s tuple for round `iter`. `MASKED` is a parameter, so that an
+    /// unmasked run reads no rank and tests no mask: with a test per call,
+    /// MIS-2 on the benchmark's mesh at pool 1 read 8–9 % slower (medians
+    /// of 10 alternating pairs of processes, 2 vCPUs).
     #[inline]
-    fn fresh<T: TupleRepr>(&self, iter: u64, v: VertexId) -> T {
-        let p = self.priorities.priority(self.seed, iter, v) & self.prio_mask;
-        T::undecided(p, v, self.bits)
+    fn fresh<T: TupleRepr, const MASKED: bool>(&self, iter: u64, v: VertexId) -> T {
+        let id = if MASKED { self.rank[v as usize] } else { v };
+        let p = self.priorities.priority(self.seed, iter, id) & self.prio_mask;
+        T::undecided(p, id, self.bits)
     }
 
     /// Refresh Column's raw min for one vertex: `min(T_w : w in row ∪ {v})`.
@@ -554,8 +615,10 @@ impl Exec<'_> {
 
     /// Decide Set for one undecided vertex: the new `T_v`. `OUT` if `v` is
     /// marked (some `w in adj(v) ∪ {v}` has `M_w = OUT`), else `IN` if
-    /// every such `M_w` is `T_v`, read up to the first that is not, else
-    /// `tv` unchanged.
+    /// every such `M_w` is at least `T_v`, read up to the first that is
+    /// not, else `tv` unchanged. A computed `M_w` read `T_v`, so it is at
+    /// least `T_v` only by being `T_v`; a column no pass computes is
+    /// `LAST` (see "Masked runs" in the module docs).
     #[inline]
     fn decide_value<T: TupleRepr>(&self, tv: T, m: &[T], v: VertexId) -> T {
         let marked = self.marks[v as usize].load(Relaxed);
@@ -566,7 +629,7 @@ impl Exec<'_> {
         );
         if marked {
             T::OUT
-        } else if m[v as usize] == tv && self.g.neighbors(v).iter().all(|&w| m[w as usize] == tv) {
+        } else if m[v as usize] >= tv && self.g.neighbors(v).iter().all(|&w| m[w as usize] >= tv) {
             T::IN
         } else {
             tv
@@ -691,7 +754,7 @@ impl Exec<'_> {
     /// round-`next_iter` tuple (the next round's Refresh Row), flag it, then
     /// pack the list to its survivors. Returns `(newly_in, newly_out)` and
     /// the survivors' degree sum, what a filtered column pass would read.
-    fn decide_pass<T: TupleRepr>(
+    fn decide_pass<T: TupleRepr, const MASKED: bool>(
         &self,
         lists: &mut Lists,
         t: &mut [T],
@@ -721,7 +784,7 @@ impl Exec<'_> {
                 } else if nt.is_out() {
                     (2, nt)
                 } else {
-                    (0, self.fresh::<T>(next_iter, v))
+                    (0, self.fresh::<T, MASKED>(next_iter, v))
                 };
                 t[v as usize] = new;
                 *keep = class == 0;
@@ -743,17 +806,20 @@ impl Exec<'_> {
     }
 }
 
-fn run<T: TupleRepr + 'static>(g: &CsrGraph, cfg: &Mis2Config) -> (Mis2Result, Option<usize>) {
+/// Algorithm 1 on `g`, or with `MASKED` on the vertices with `keep[v]`
+/// (`keep` is empty without).
+fn run<T: TupleRepr + 'static, const MASKED: bool>(
+    g: &CsrGraph,
+    keep: &[bool],
+    cfg: &Mis2Config,
+) -> (Mis2Result, Option<usize>) {
     let n = g.num_vertices();
-    let bits = id_bits(n);
-    // Both representations see the same truncated priorities so that the
-    // packed/unpacked toggle changes memory layout only, never the result
-    // (the packed word can only hold 64 - bits priority bits).
-    let prio_mask: u64 = if bits == 0 {
-        u64::MAX
-    } else {
-        ((1u128 << (64 - bits)) - 1) as u64
-    };
+    // A masked run numbers the kept vertices by rank, as their subgraph
+    // would, and counts the ids it needs by how many there are.
+    let mut rank: Vec<VertexId> = par::map(keep, |&k| k as VertexId);
+    let kept = scan::exclusive_scan_in_place(&mut rank) as usize;
+    let live = if MASKED { kept } else { n };
+    let bits = id_bits(live.max(1));
     // Every array of the thread's last run is written for this graph
     // before it is read.
     let mut work = Work::<T>::take();
@@ -765,39 +831,54 @@ fn run<T: TupleRepr + 'static>(g: &CsrGraph, cfg: &Mis2Config) -> (Mis2Result, O
         priorities: cfg.priorities,
         seed: cfg.seed,
         bits,
-        prio_mask,
+        // Both representations see the same truncated priorities so that
+        // the packed/unpacked toggle changes memory layout only, never the
+        // result (the packed word can only hold 64 - bits priority bits).
+        prio_mask: u64::MAX >> bits,
+        rank: &rank,
         compact: cfg.use_worklists,
         marks,
     };
 
     // T is Refresh Row for iteration 0 (later rounds refresh survivors
-    // inside the decide pass). M's initial content is never read: every
-    // vertex is in worklist2 for iteration 0 and is overwritten by Refresh
-    // Column, which reads the old `M_v` only behind an `IN` min, and round
-    // 1 has none. It starts non-`OUT`, as a column no pass has marked.
+    // inside the decide pass); a vertex a mask leaves out starts `OUT`.
+    // `M` starts `LAST`, as a column no pass has computed or marked: a
+    // masked run never computes a left-out column, and every other one is
+    // in worklist2 for iteration 0 and is overwritten by Refresh Column,
+    // which reads the old `M_v` only behind an `IN` min (round 1 has none).
     t.resize(n, T::IN);
-    par::for_each_mut_indexed(t, |v, tv| *tv = exec.fresh::<T>(0, v as VertexId));
-    m.resize(n, T::IN);
-    par::for_each_slice_mut(m, |_, m| m.fill(T::IN));
+    par::for_each_mut_indexed(t, |v, tv| {
+        *tv = if MASKED && !keep[v] {
+            T::OUT
+        } else {
+            exec.fresh::<T, MASKED>(0, v as VertexId)
+        }
+    });
+    m.resize(n, T::LAST);
+    par::for_each_slice_mut(m, |_, m| m.fill(T::LAST));
 
-    lists.reset(n);
+    lists.reset(n, MASKED.then_some(keep));
     let mut history: Vec<RoundStats> = Vec::new();
-    let mut undecided = n;
+    let mut undecided = live;
     let mut iter: u64 = 0;
     // What the last column pass read, and what a filtered one would read.
     let (mut full_reads, mut filtered_reads) = (0, 0);
     let mut built = None;
     while undecided > 0 {
+        // A masked run's first pass drops the left-out neighbours.
         let build = exec.compact
-            && iter > 0
             && !lists.is_filtered
-            && FILTER_SHARE * filtered_reads <= full_reads;
+            && if iter == 0 {
+                MASKED
+            } else {
+                FILTER_SHARE * filtered_reads <= full_reads
+            };
         full_reads = exec.refresh_column(lists, build, t, m);
         iter += 1;
         if build {
             built = Some(iter as usize);
         }
-        let (newly_in, newly_out, reads) = exec.decide_pass(lists, t, m, iter);
+        let (newly_in, newly_out, reads) = exec.decide_pass::<T, MASKED>(lists, t, m, iter);
         filtered_reads = reads;
         history.push(RoundStats {
             undecided,
@@ -1102,7 +1183,7 @@ mod tests {
         graphs.push(("Laplace3D 20^3".into(), gen::laplace3d(20, 20, 20)));
         for (name, g) in &graphs {
             for cfg in all_configs() {
-                let (got, built) = mis2_probed(g, &cfg);
+                let (got, built) = mis2_probed(g, None, &cfg);
                 if cfg.use_worklists {
                     // Built, and read by at least one later column pass.
                     let read = built.is_some_and(|r| r < got.iterations);

@@ -51,6 +51,6 @@ pub mod tuple;
 pub mod verify;
 
 pub use bell::{bell_mis2, bell_mis_k};
-pub use engine::{mis2, mis2_with_config, Mis2Config, Mis2Result, RoundStats};
+pub use engine::{mis2, mis2_masked, mis2_with_config, Mis2Config, Mis2Result, RoundStats};
 pub use priority::PriorityScheme;
 pub use verify::{verify_mis1, verify_mis2, MisViolation};

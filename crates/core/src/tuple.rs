@@ -35,6 +35,9 @@ pub trait TupleRepr: Copy + Send + Sync + Ord + Eq + std::fmt::Debug {
     const IN: Self;
     /// The `OUT` sentinel (largest value).
     const OUT: Self;
+    /// Not `OUT`, and no smaller than any undecided tuple: the column value
+    /// of a vertex no pass computes (the start of `M` in the engine).
+    const LAST: Self;
     /// An undecided tuple for vertex `id` with the given priority.
     /// `bits` is the precomputed [`id_bits`] of the graph.
     fn undecided(priority: u64, id: u32, bits: u32) -> Self;
@@ -55,6 +58,8 @@ pub type Packed = u64;
 impl TupleRepr for Packed {
     const IN: Self = 0;
     const OUT: Self = u64::MAX;
+    // The low `b` bits of an undecided word hold `id + 1 <= 2^b - 2`.
+    const LAST: Self = u64::MAX - 1;
 
     #[inline]
     fn undecided(priority: u64, id: u32, bits: u32) -> Self {
@@ -118,6 +123,11 @@ impl TupleRepr for Unpacked {
         priority: u64::MAX,
         id: u32::MAX,
     };
+    const LAST: Self = Unpacked {
+        status: Status3::Undecided,
+        priority: u64::MAX,
+        id: u32::MAX,
+    };
 
     #[inline]
     fn undecided(priority: u64, id: u32, _bits: u32) -> Self {
@@ -166,7 +176,7 @@ mod tests {
                 for &id in &[0u32, (n as u32 - 1) / 2, n as u32 - 1] {
                     let t = Packed::undecided(prio, id, bits);
                     assert!(t > Packed::IN, "n={n} prio={prio} id={id}");
-                    assert!(t < Packed::OUT, "n={n} prio={prio} id={id}");
+                    assert!(t <= Packed::LAST, "n={n} prio={prio} id={id}");
                 }
             }
         }
@@ -215,7 +225,8 @@ mod tests {
     #[test]
     fn unpacked_ordering() {
         assert!(Unpacked::IN < Unpacked::undecided(0, 0, 0));
-        assert!(Unpacked::undecided(u64::MAX, u32::MAX, 0) < Unpacked::OUT);
+        assert!(Unpacked::undecided(u64::MAX, u32::MAX, 0) <= Unpacked::LAST);
+        assert!(Unpacked::LAST < Unpacked::OUT);
         assert!(Unpacked::undecided(3, 9, 0) < Unpacked::undecided(4, 0, 0));
         assert!(Unpacked::undecided(3, 9, 0) < Unpacked::undecided(3, 10, 0));
     }
@@ -224,6 +235,7 @@ mod tests {
     fn sentinel_predicates() {
         assert!(Packed::IN.is_in() && !Packed::IN.is_out());
         assert!(Packed::OUT.is_out() && !Packed::OUT.is_in());
+        assert!(!Packed::LAST.is_out() && !Unpacked::LAST.is_out());
         assert!(Packed::undecided(1, 1, 8).is_undecided());
         assert!(Unpacked::IN.is_in());
         assert!(Unpacked::OUT.is_out());

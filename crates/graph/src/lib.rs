@@ -11,8 +11,8 @@
 //! * [`suite`] — the 17-problem evaluation suite of the paper (Table II),
 //!   with synthetic stand-ins for the SuiteSparse matrices.
 //! * [`io`] — Matrix Market reading/writing for running on real inputs.
-//! * [`ops`] — graph squaring (`G²`, for the Lemma IV.2 tests), induced
-//!   subgraphs (needed by Algorithm 3's phase 2), connected components,
+//! * [`ops`] — graph squaring (`G²`, for the Lemma IV.2 tests), quotient
+//!   graphs (the coarse level of every coarsening), connected components,
 //!   degree histograms.
 
 pub mod csr;

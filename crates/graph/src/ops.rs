@@ -1,5 +1,5 @@
-//! Graph operations: squaring (G²), induced subgraphs, quotient graphs,
-//! connected components, degree histograms.
+//! Graph operations: squaring (G²), quotient graphs, connected
+//! components, degree histograms.
 //!
 //! `square` implements the reduction behind Lemma IV.2 of the paper:
 //! an MIS-1 of `G²` (with self-loops) is a valid MIS-2 of `G`. The tests
@@ -39,40 +39,6 @@ pub fn square(g: &CsrGraph) -> CsrGraph {
             row[start..].sort_unstable();
         },
     )
-}
-
-/// Induced subgraph on the vertices where `keep[v]` is true.
-///
-/// Returns `(subgraph, new_to_old)`; `new_to_old[i]` is the original id of
-/// subgraph vertex `i`. Vertices keep their relative order, so the mapping
-/// is deterministic.
-pub fn induced_subgraph(g: &CsrGraph, keep: &[bool]) -> (CsrGraph, Vec<VertexId>) {
-    let n = g.num_vertices();
-    assert_eq!(keep.len(), n, "mask length mismatch");
-    let new_to_old = mis2_prim::compact::par_filter_indices(keep, |&k| k);
-    let mut old_to_new = vec![VertexId::MAX; n];
-    for (new, &old) in new_to_old.iter().enumerate() {
-        old_to_new[old as usize] = new as VertexId;
-    }
-    // Rows inherit sorted order because old_to_new is monotone. Whether a
-    // neighbor is kept is a coin flip the branch predictor loses, so every
-    // image is stored and the row's end only advances past the kept ones.
-    let sub = CsrGraph::from_row_blocks(
-        new_to_old.len(),
-        || (),
-        |_, new, row| {
-            let nbrs = g.neighbors(new_to_old[new]);
-            let mut end = row.len();
-            row.resize(end + nbrs.len(), 0);
-            for &w in nbrs {
-                let image = old_to_new[w as usize];
-                row[end] = image;
-                end += (image != VertexId::MAX) as usize;
-            }
-            row.truncate(end);
-        },
-    );
-    (sub, new_to_old)
 }
 
 /// Quotient graph of a vertex partition: one vertex per part, an edge
@@ -207,37 +173,6 @@ mod tests {
             let want = neighborhood(&g, v, 2);
             assert_eq!(g2.neighbors(v), want.as_slice(), "vertex {v}");
         }
-    }
-
-    #[test]
-    fn induced_subgraph_basic() {
-        // Path 0-1-2-3-4, keep {0, 1, 3, 4}: edges (0,1) and (3,4) survive.
-        let g = gen::path(5);
-        let keep = [true, true, false, true, true];
-        let (sub, map) = induced_subgraph(&g, &keep);
-        assert_eq!(sub.num_vertices(), 4);
-        assert_eq!(map, vec![0, 1, 3, 4]);
-        assert_eq!(sub.num_edges(), 2);
-        assert!(sub.has_edge(0, 1)); // old (0,1)
-        assert!(sub.has_edge(2, 3)); // old (3,4)
-        assert!(!sub.has_edge(1, 2)); // old (1,3) was not an edge
-        sub.validate_symmetric().unwrap();
-    }
-
-    #[test]
-    fn induced_subgraph_empty_mask() {
-        let g = gen::cycle(5);
-        let (sub, map) = induced_subgraph(&g, &[false; 5]);
-        assert_eq!(sub.num_vertices(), 0);
-        assert!(map.is_empty());
-    }
-
-    #[test]
-    fn induced_subgraph_full_mask_is_identity() {
-        let g = gen::erdos_renyi(50, 100, 1);
-        let (sub, map) = induced_subgraph(&g, &[true; 50]);
-        assert_eq!(&sub, &g);
-        assert_eq!(map, (0..50).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! * [`rows`] — row-block CSR assembly: blocks of rows append to one
 //!   buffer each and are placed with one copy per block; the one builder
 //!   under every producer that learns a row's length only by writing it
-//!   (induced and quotient graphs, SpGEMM, the prolongator and Galerkin
-//!   row merges, the matrix generators). `CsrGraph::from_edges` and the
+//!   (quotient graphs, SpGEMM, the prolongator and Galerkin row merges,
+//!   the matrix generators). `CsrGraph::from_edges` and the
 //!   graph generators know their row lengths first and write their final
 //!   arrays directly.
 //! * [`reduce`] — deterministic parallel reductions (sums, min/max) whose

@@ -1,12 +1,11 @@
 //! Row-block CSR assembly: rows are written once.
 //!
 //! The producers of CSR structures that learn a row's length only by
-//! writing it — the square of a graph, induced subgraphs, quotient graphs,
-//! SpGEMM, the row merges of the smoothed prolongator and the Galerkin
-//! product, the matrix generators and `from_coo` — compute their rows
-//! independently. (The graph generators and `CsrGraph::from_edges` know
-//! their row lengths first and write straight into the final arrays.)
-//! Instead of one
+//! writing it — the square of a graph, quotient graphs, SpGEMM, the row
+//! merges of the smoothed prolongator and the Galerkin product, the matrix
+//! generators and `from_coo` — compute their rows independently. (The
+//! graph generators and `CsrGraph::from_edges` know their row lengths
+//! first and write straight into the final arrays.) Instead of one
 //! `Vec` per row copied into place afterwards, [`assemble`] hands blocks of
 //! [`ROW_BLOCK`] consecutive rows to the pool; a block appends its rows,
 //! one after the other, to one contiguous buffer ([`RowBuf`]) and records

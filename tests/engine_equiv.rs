@@ -27,8 +27,19 @@
 //! * one vertex, and 4097 isolated vertices — every vertex IN in round 1,
 //!   so the column compaction keeps all of two blocks and the decide
 //!   compaction scatters zero survivors from them.
+//!
+//! A masked run ([`mis2_core::mis2_masked`]) must return what the spec
+//! computes on the subgraph its mask induces, built here by a serial loop
+//! and mapped back to the graph's numbering: set, mask, iterations and
+//! history, for every config at every pool size, under no mask bit set,
+//! every bit set (which must also be the unmasked run's result), a seeded
+//! third of the vertices, and the unaggregated vertices Algorithm 3's
+//! phase 2 masks. The spec has no mask: an oracle stated through the
+//! subgraph shares nothing with the masked run.
 
-use mis2_core::{mis2_with_config, reference, spec, Mis2Config, PriorityScheme};
+use mis2_core::{
+    mis2_masked, mis2_with_config, reference, spec, Mis2Config, Mis2Result, PriorityScheme,
+};
 use mis2_graph::{gen, CsrGraph};
 use mis2_prim::hash::splitmix64;
 use mis2_prim::pool::with_pool;
@@ -164,4 +175,98 @@ fn equiv_ladder_on_powerlaw() {
     for (label, cfg) in Mis2Config::ladder() {
         assert_equiv_at(&format!("ladder step {label}"), &g, &cfg);
     }
+}
+
+/// The subgraph of `g` the vertices with `keep[v]` induce, numbered in
+/// ascending id, and each of its vertices' id in `g`.
+fn induced(g: &CsrGraph, keep: &[bool]) -> (CsrGraph, Vec<u32>) {
+    let kept: Vec<u32> = (0..g.num_vertices() as u32)
+        .filter(|&v| keep[v as usize])
+        .collect();
+    let mut number = vec![u32::MAX; g.num_vertices()];
+    for (s, &v) in kept.iter().enumerate() {
+        number[v as usize] = s as u32;
+    }
+    let (mut row_ptr, mut col_idx) = (vec![0], Vec::new());
+    for &v in &kept {
+        let near = g.neighbors(v).iter().map(|&w| number[w as usize]);
+        col_idx.extend(near.filter(|&s| s != u32::MAX));
+        row_ptr.push(col_idx.len());
+    }
+    let sub = CsrGraph::from_csr(kept.len(), row_ptr, col_idx).expect("an induced subgraph");
+    (sub, kept)
+}
+
+/// What `mis2_masked(g, keep, cfg)` must return: the spec's MIS-2 of the
+/// subgraph `keep` induces, its set and mask in `g`'s numbering.
+fn masked_spec(g: &CsrGraph, keep: &[bool], cfg: &Mis2Config) -> Mis2Result {
+    let (sub, sub_to_g) = induced(g, keep);
+    let r = spec::mis2(&sub, cfg.priorities, cfg.seed);
+    let in_set: Vec<u32> = r.in_set.iter().map(|&s| sub_to_g[s as usize]).collect();
+    let mut is_in = vec![false; g.num_vertices()];
+    for &v in &in_set {
+        is_in[v as usize] = true;
+    }
+    Mis2Result {
+        in_set,
+        is_in,
+        iterations: r.iterations,
+        history: r.history,
+    }
+}
+
+/// The four masks, by name: none, all, a seeded third of the vertices, and
+/// Algorithm 3's phase-2 mask (neither in the phase-1 MIS-2 under `cfg`
+/// nor next to a vertex that is).
+fn masks(g: &CsrGraph, cfg: &Mis2Config) -> [(&'static str, Vec<bool>); 4] {
+    let n = g.num_vertices();
+    let m1 = spec::mis2(g, cfg.priorities, cfg.seed).is_in;
+    let near_m1 = |v: usize| m1[v] || g.neighbors(v as u32).iter().any(|&w| m1[w as usize]);
+    [
+        ("none", vec![false; n]),
+        ("all", vec![true; n]),
+        (
+            "a third",
+            (0..n as u64)
+                .map(|v| splitmix64(v ^ 0x7E1D) % 3 == 0)
+                .collect(),
+        ),
+        ("phase 2", (0..n).map(|v| !near_m1(v)).collect()),
+    ]
+}
+
+/// `mis2_masked` == the spec on the induced subgraph, for every config and
+/// mask at every pool size; under the full mask, == `mis2_with_config` too.
+fn assert_masked_equiv(name: &str, g: &CsrGraph) {
+    for cfg in all_configs() {
+        for (mask, keep) in masks(g, &cfg) {
+            let want = masked_spec(g, &keep, &cfg);
+            for threads in POOLS {
+                let got = with_pool(threads, || mis2_masked(g, &keep, &cfg));
+                assert_eq!(
+                    got, want,
+                    "{name}, mask {mask}: the masked run diverges from the spec on the \
+                     subgraph for {cfg:?} at {threads} threads"
+                );
+                if mask == "all" {
+                    let unmasked = with_pool(threads, || mis2_with_config(g, &cfg));
+                    assert_eq!(got, unmasked, "{name}: {cfg:?} at {threads} threads");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn masked_equiv_mesh_random_powerlaw() {
+    assert_masked_equiv("laplace3d", &gen::laplace3d(10, 10, 10));
+    assert_masked_equiv("erdos_renyi", &gen::erdos_renyi(2000, 8000, 11));
+    assert_masked_equiv("rmat", &gen::rmat(11, 16, 0.65, 0.15, 0.15, 5));
+}
+
+#[test]
+fn masked_equiv_multi_block() {
+    // Two to five blocks under the full mask, one or two under the others.
+    assert_masked_equiv("laplace3d", &gen::laplace3d(20, 20, 20));
+    assert_masked_equiv("rmat", &gen::rmat(13, 8, 0.57, 0.19, 0.19, 7));
 }

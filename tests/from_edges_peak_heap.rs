@@ -27,41 +27,75 @@
 //!   2.5 x. A hierarchy that keeps its own copy of the operator holds
 //!   about 3.1 x, and fails here.
 //!
-//! This binary's global allocator counts live bytes over all threads, their
-//! high-water mark, and the bytes ever asked for, so allocations made on
-//! pool workers count too. The tests take one lock, so that no two of
-//! them count at once.
+//! * Algorithm 3 from a given MIS-2 runs its phase-2 MIS-2 on the graph
+//!   under the unaggregated mask: at its peak it holds its labels, the
+//!   mask, the tuple ids of the kept vertices and the phase-2 result, about
+//!   2.9 x the labels' bytes, and at most 4.5 x. Building the subgraph
+//!   the unaggregated vertices induce holds about 6.4 x, and fails here.
+//!
+//! This binary's global allocator counts the bytes the measuring thread
+//! and the pool's workers allocate and free: the bytes live, their
+//! high-water mark, and the bytes ever asked for. Allocations made on pool
+//! workers count too. The threads of the test harness do not: while one
+//! test measures, the harness's main thread spawns the next test's thread
+//! (its name, its handle), and those bytes are not the measured call's.
+//! The tests take one lock, so that no two of them count at once.
 
-use mis2_coarsen::mis2_basic_from;
+use mis2_coarsen::{mis2_aggregation_from, mis2_basic_from};
 use mis2_core::{mis2_with_config, Mis2Config};
 use mis2_graph::gen::{self, rmat_edges};
 use mis2_graph::{CsrGraph, VertexId};
-use mis2_prim::pool::with_pool;
+use mis2_prim::pool::{self, with_pool};
 use mis2_solver::{AmgConfig, AmgHierarchy, Preconditioner};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 
-/// The system allocator, counting the bytes live across all threads, their
-/// high-water mark since [`peak_above_start`] reset it, and the bytes
-/// allocated in all.
+/// The system allocator, counting on the threads that count (see
+/// [`counted`]) the bytes live, their high-water mark since
+/// [`peak_above_start`] reset it, and the bytes allocated in all. Live
+/// bytes are signed: a counted thread may free what an uncounted one
+/// allocated.
 struct Counting;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
 static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's allocations count: set on a pool worker for good, on
+    /// a test's thread only while it measures.
+    static COUNTS: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Pool workers whose [`COUNTS`] is set.
+static WORKERS_COUNTED: AtomicUsize = AtomicUsize::new(0);
 
 /// Held by every test for as long as it counts.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
+fn counts() -> bool {
+    COUNTS.with(Cell::get)
+}
+
 fn grow(bytes: usize) {
-    ALLOCATED.fetch_add(bytes, Relaxed);
-    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(live, Relaxed);
+    if counts() {
+        ALLOCATED.fetch_add(bytes, Relaxed);
+        let live = LIVE.fetch_add(bytes as isize, Relaxed) + bytes as isize;
+        PEAK.fetch_max(live, Relaxed);
+    }
+}
+
+fn shrink(bytes: usize) {
+    if counts() {
+        LIVE.fetch_sub(bytes as isize, Relaxed);
+    }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the counters
-// touch no heap memory.
+// touch no heap memory, and `COUNTS` is a `const` thread-local without a
+// destructor, so reading it allocates nothing either.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         grow(layout.size());
@@ -74,7 +108,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
+        shrink(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -88,9 +122,9 @@ unsafe impl GlobalAlloc for Counting {
         }
         let moved = unsafe { System.realloc(ptr, layout, new_size) };
         if new_size > old {
-            LIVE.fetch_sub(old, Relaxed);
+            shrink(old);
         } else {
-            LIVE.fetch_sub(old - new_size, Relaxed);
+            shrink(old - new_size);
         }
         moved
     }
@@ -99,19 +133,65 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
+/// Set [`COUNTS`] on every worker the pool has spawned: each block of a
+/// region sets it on the thread that runs it, until every worker has run
+/// one. The region's team is the workers there are, so it spawns none.
+fn count_pool_workers() {
+    // The leader is a test's thread: it must not count itself as a worker.
+    COUNTS.set(true);
+    for _ in 0..1000 {
+        let workers = pool::spawned_workers();
+        if WORKERS_COUNTED.load(Relaxed) >= workers {
+            break;
+        }
+        let team = workers + 1;
+        pool::run_region_on(team, 4 * team, &|_| {
+            if !COUNTS.replace(true) {
+                WORKERS_COUNTED.fetch_add(1, Relaxed);
+            }
+            // Long enough for a parked worker to wake and take a block.
+            let start = std::time::Instant::now();
+            while start.elapsed() < std::time::Duration::from_micros(50) {}
+        });
+    }
+    COUNTS.set(false);
+    assert_eq!(
+        WORKERS_COUNTED.load(Relaxed),
+        pool::spawned_workers(),
+        "every pool worker counts"
+    );
+}
+
+/// Run `f` with this thread's and the pool workers' allocations counted.
+fn counted<R>(f: impl FnOnce() -> R) -> R {
+    count_pool_workers();
+    COUNTS.set(true);
+    let r = f();
+    COUNTS.set(false);
+    r
+}
+
 /// Run `f` and return what it returned with the most bytes live during
 /// it, above those live when it started.
 fn peak_above_start<R>(f: impl FnOnce() -> R) -> (R, usize) {
     let start = LIVE.load(Relaxed);
     PEAK.store(start, Relaxed);
-    let r = f();
-    (r, PEAK.load(Relaxed) - start)
+    let r = counted(f);
+    (r, (PEAK.load(Relaxed) - start) as usize)
+}
+
+/// Run `f` and return what it returned with the bytes live after it,
+/// above those live when it started.
+fn held_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let start = LIVE.load(Relaxed);
+    let r = counted(f);
+    (r, (LIVE.load(Relaxed) - start) as usize)
 }
 
 /// Run `f` and return what it returned with the bytes allocated during it.
 fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
     let start = ALLOCATED.load(Relaxed);
-    let r = f();
+    let r = counted(f);
     (r, ALLOCATED.load(Relaxed) - start)
 }
 
@@ -200,21 +280,36 @@ fn algorithm_2_allocates_its_labels_twice_and_its_roots() {
     let labels = g.num_vertices() * size_of::<u32>();
     for pool in [1usize, 2] {
         with_pool(pool, || {
-            // The first call spawns the pool's workers. The least of three
-            // counts leaves out what the test harness allocates on its own
-            // threads meanwhile.
+            // The first call spawns the pool's workers.
             let want = mis2_basic_from(&g, &m);
-            let bytes = (0..3)
-                .map(|_| {
-                    let (agg, bytes) = allocated_by(|| mis2_basic_from(&g, &m));
-                    assert_eq!(agg, want);
-                    bytes
-                })
-                .min()
-                .unwrap();
+            let (agg, bytes) = allocated_by(|| mis2_basic_from(&g, &m));
+            assert_eq!(agg, want);
             assert!(
                 4 * bytes <= 9 * labels,
                 "pool {pool}: Algorithm 2 allocated {bytes} bytes, more than 2.25 x \
+                 the labels' {labels}"
+            );
+        });
+    }
+}
+
+#[test]
+fn algorithm_3_builds_no_second_graph() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let g = gen::laplace3d(24, 24, 24);
+    let cfg = Mis2Config::default();
+    let m = mis2_with_config(&g, &cfg);
+    let labels = g.num_vertices() * size_of::<u32>();
+    for pool in [1usize, 2] {
+        with_pool(pool, || {
+            // The first call spawns the pool's workers and sizes this
+            // thread's MIS-2 work arrays.
+            let want = mis2_aggregation_from(&g, &cfg, &m);
+            let (agg, peak) = peak_above_start(|| mis2_aggregation_from(&g, &cfg, &m));
+            assert_eq!(agg, want);
+            assert!(
+                2 * peak <= 9 * labels,
+                "pool {pool}: Algorithm 3 held {peak} bytes at its peak, more than 4.5 x \
                  the labels' {labels}"
             );
         });
@@ -251,9 +346,7 @@ fn an_amg_hierarchy_holds_no_copy_of_its_operator() {
             // The first build sizes the per-thread MIS-2 work arrays and
             // spawns the pool's workers, which the second then reuses.
             drop(AmgHierarchy::build(&a, &AmgConfig::default()));
-            let start = LIVE.load(Relaxed);
-            let amg = AmgHierarchy::build(&a, &AmgConfig::default());
-            let held = LIVE.load(Relaxed) - start;
+            let (amg, held) = held_by(|| AmgHierarchy::build(&a, &AmgConfig::default()));
             assert!(amg.num_levels() >= 3, "{} levels", amg.num_levels());
             assert!(
                 2 * held <= 5 * operator,
